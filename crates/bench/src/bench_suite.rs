@@ -2,8 +2,8 @@
 //!
 //! One command measures the three throughput surfaces regressions have
 //! historically hidden in, and writes a schema-versioned suite record
-//! (`BENCH_engine_suite.json`) that `xp profile-diff --suite` gates
-//! against the committed copy:
+//! (`BENCH_engine_suite.json`) that `xp profile-diff` gates against the
+//! committed copy:
 //!
 //! * **oracle** — the weak-model full flood on BA(m=2) at
 //!   n ∈ {1 000, 10 000, 100 000}, pooled scratch, the same harness as
@@ -23,7 +23,7 @@
 //! and writes `BENCH_engine_suite.quick.json` instead, so a truncated
 //! run can never clobber the committed full record.
 
-use crate::{weak_cell_with_policy, StartPolicy};
+use crate::{weak_cell, StartPolicy};
 use nonsearch_core::{BarabasiAlbertModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
@@ -37,7 +37,7 @@ use std::time::Instant;
 
 const USAGE: &str = "usage: xp bench [--quick] [--out FILE]";
 
-/// Suite record schema version; `xp profile-diff --suite` rejects
+/// Suite record schema version; `xp profile-diff` rejects
 /// records with any other value.
 pub const SUITE_SCHEMA_VERSION: u64 = 1;
 
@@ -181,8 +181,8 @@ fn thread_scaling_section(quick: bool, cells: &mut Vec<Cell>) {
     let model = MergedMoriModel { p: 0.6, m: 1 };
     let seeds = SeedSequence::new(0xBE2C);
     for threads in [1usize, 2, 4] {
-        let cell = weak_cell_with_policy(
-            &model,
+        let (_, obs) = weak_cell(
+            &ModelSource::new(&model),
             n,
             SearcherKind::HighDegree,
             SuccessCriterion::DiscoverTarget,
@@ -192,22 +192,20 @@ fn thread_scaling_section(quick: bool, cells: &mut Vec<Cell>) {
             threads,
             &seeds,
         );
-        println!(
-            "thread_scaling/threads_{threads}_n{n}: {:.0} req/s ({trials} trials)",
-            cell.requests_per_sec
-        );
+        let throughput = obs.requests_per_sec();
+        println!("thread_scaling/threads_{threads}_n{n}: {throughput:.0} req/s ({trials} trials)");
         cells.push(Cell {
             section: "thread_scaling",
             // n rides in the key: quick (n=1024) and full (n=4096) rows
             // are different workloads, and the suite diff must skip a
             // cross-mode pair, not compare it.
             key: format!("threads_{threads}_n{n}"),
-            throughput: cell.requests_per_sec,
+            throughput,
             detail: vec![
                 ("n", JsonValue::from(n)),
                 ("trials", JsonValue::from(trials)),
-                ("wall_ms", JsonValue::from(cell.wall_ms)),
-                ("workers", JsonValue::from(cell.workers)),
+                ("wall_ms", JsonValue::from(obs.wall_ms())),
+                ("workers", JsonValue::from(obs.workers)),
             ],
         });
     }

@@ -19,7 +19,7 @@
 
 use nonsearch_alloc_counter::CountingAllocator;
 
-// The counting allocator makes `"type":"resource"` records' per-trial
+// The counting allocator makes the `"type":"perf"` records' per-trial
 // `allocations` field real for every `xp` run (it reads as zero in
 // binaries that don't install the counter). Counting is a per-thread
 // relaxed increment — noise-free for the deterministic paths.

@@ -2,10 +2,10 @@
 //! oracle strength, success criterion, and start-vertex policy.
 
 use super::{open_corpus, print_banner, resolve_source};
-use crate::{strong_cell_from, weak_cell_with_policy_from, CellStats, StartPolicy, StrongKind};
+use crate::{strong_cell, weak_cell, StartPolicy, StrongKind};
 use nonsearch_analysis::Table;
 use nonsearch_core::MergedMoriModel;
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, LaneAggregate};
 use nonsearch_generators::SeedSequence;
 use nonsearch_search::{SearcherKind, SuccessCriterion};
 
@@ -17,61 +17,62 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn record(ctx: &mut ExpContext, knob: &str, variant: &str, n: usize, trials: usize, c: CellStats) {
-    ctx.writer
-        .record_cell(vec![
+/// One ablation knob: its name and the table its measured cells fill.
+struct Knob {
+    name: &'static str,
+    table: Table,
+    trials: usize,
+}
+
+impl Knob {
+    fn new(name: &'static str, column: &str, trials: usize) -> Knob {
+        let table = Table::with_columns(&[column, "n", "mean requests", "success"]);
+        Knob {
+            name,
+            table,
+            trials,
+        }
+    }
+
+    /// Adds one measured cell to the table (as `label`) and to the run's
+    /// cell and perf records (as `variant`).
+    fn record(
+        &mut self,
+        ctx: &mut ExpContext,
+        (variant, label): (&str, &str),
+        n: usize,
+        cell: Cell,
+    ) {
+        let (lane, obs) = cell;
+        self.table.row(vec![
+            label.into(),
+            n.to_string(),
+            format!("{:.1}", lane.mean()),
+            format!("{:.2}", lane.success_rate()),
+        ]);
+        let id = [
             ("model", JsonValue::from("mori")),
-            ("knob", JsonValue::from(knob)),
+            ("knob", JsonValue::from(self.name)),
             ("variant", JsonValue::from(variant)),
             ("n", JsonValue::from(n)),
-            ("trials", JsonValue::from(trials)),
+        ];
+        let mut fields = id.to_vec();
+        fields.extend([
+            ("trials", JsonValue::from(self.trials)),
             ("seed", JsonValue::from(ctx.seed)),
-            ("mean", JsonValue::from(c.mean)),
-            ("ci95", JsonValue::from(c.ci95)),
-            ("success", JsonValue::from(c.success)),
-        ])
-        .expect("write cell record");
-    if ctx.options.profile {
+            ("mean", JsonValue::from(lane.mean())),
+            ("ci95", JsonValue::from(lane.ci95())),
+            ("success", JsonValue::from(lane.success_rate())),
+        ]);
+        ctx.writer.record_cell(fields).expect("write cell record");
         ctx.writer
-            .record_profile(vec![
-                ("model", JsonValue::from("mori")),
-                ("knob", JsonValue::from(knob)),
-                ("variant", JsonValue::from(variant)),
-                ("n", JsonValue::from(n)),
-                ("trials", JsonValue::from(trials)),
-                ("requests", JsonValue::from(c.mean * trials as f64)),
-                ("wall_ms", JsonValue::from(c.wall_ms)),
-                ("requests_per_sec", JsonValue::from(c.requests_per_sec)),
-            ])
-            .expect("write profile record");
-        ctx.writer
-            .record_metrics(
-                vec![
-                    ("model", JsonValue::from("mori")),
-                    ("knob", JsonValue::from(knob)),
-                    ("variant", JsonValue::from(variant)),
-                    ("n", JsonValue::from(n)),
-                ],
-                &c.metrics,
-            )
-            .expect("write metrics record");
-        ctx.writer
-            .record_resource(
-                vec![
-                    ("model", JsonValue::from("mori")),
-                    ("knob", JsonValue::from(knob)),
-                    ("variant", JsonValue::from(variant)),
-                    ("n", JsonValue::from(n)),
-                ],
-                c.wall_ms as u64,
-                c.workers,
-                &c.phases,
-                c.allocations,
-                &c.resource,
-            )
-            .expect("write resource record");
+            .record_perf(id.to_vec(), &obs)
+            .expect("write perf record");
     }
 }
+
+/// One measured cell: the lane aggregate and its observation.
+type Cell = (LaneAggregate, CellObs);
 
 fn run(ctx: &mut ExpContext) {
     print_banner(
@@ -92,10 +93,10 @@ fn run(ctx: &mut ExpContext) {
 
     // Knob 1: weak vs strong vs simulated-strong oracle.
     println!("oracle strength (high-degree strategy):");
-    let mut t1 = Table::with_columns(&["oracle", "n", "mean requests", "success"]);
+    let mut t1 = Knob::new("oracle", "oracle", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
-        let weak = weak_cell_with_policy_from(
+        let weak = weak_cell(
             &*source,
             n,
             SearcherKind::HighDegree,
@@ -106,14 +107,8 @@ fn run(ctx: &mut ExpContext) {
             threads,
             &seeds.subsequence(si as u64),
         );
-        t1.row(vec![
-            "weak".into(),
-            n.to_string(),
-            format!("{:.1}", weak.mean),
-            format!("{:.2}", weak.success),
-        ]);
-        record(ctx, "oracle", "weak", n, trial_count, weak);
-        let sim = weak_cell_with_policy_from(
+        t1.record(ctx, ("weak", "weak"), n, weak);
+        let sim = weak_cell(
             &*source,
             n,
             SearcherKind::SimStrongHighDegree,
@@ -124,14 +119,8 @@ fn run(ctx: &mut ExpContext) {
             threads,
             &seeds.subsequence(100 + si as u64),
         );
-        t1.row(vec![
-            "simulated-strong".into(),
-            n.to_string(),
-            format!("{:.1}", sim.mean),
-            format!("{:.2}", sim.success),
-        ]);
-        record(ctx, "oracle", "simulated-strong", n, trial_count, sim);
-        let strong = strong_cell_from(
+        t1.record(ctx, ("simulated-strong", "simulated-strong"), n, sim);
+        let strong = strong_cell(
             &*source,
             n,
             StrongKind::HighDegree,
@@ -139,26 +128,20 @@ fn run(ctx: &mut ExpContext) {
             threads,
             &seeds.subsequence(200 + si as u64),
         );
-        t1.row(vec![
-            "strong (native)".into(),
-            n.to_string(),
-            format!("{:.1}", strong.mean),
-            format!("{:.2}", strong.success),
-        ]);
-        record(ctx, "oracle", "strong-native", n, trial_count, strong);
+        t1.record(ctx, ("strong-native", "strong (native)"), n, strong);
     }
-    println!("{t1}");
+    println!("{}", t1.table);
 
     // Knob 2: success criterion.
     println!("success criterion (high-degree strategy, weak oracle):");
-    let mut t2 = Table::with_columns(&["criterion", "n", "mean requests", "success"]);
+    let mut t2 = Knob::new("criterion", "criterion", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         for (criterion, name) in [
             (SuccessCriterion::DiscoverTarget, "discover target"),
             (SuccessCriterion::ReachNeighbor, "reach neighbor"),
         ] {
-            let cell = weak_cell_with_policy_from(
+            let cell = weak_cell(
                 &*source,
                 n,
                 SearcherKind::HighDegree,
@@ -169,20 +152,14 @@ fn run(ctx: &mut ExpContext) {
                 threads,
                 &seeds.subsequence(300 + si as u64),
             );
-            t2.row(vec![
-                name.into(),
-                n.to_string(),
-                format!("{:.1}", cell.mean),
-                format!("{:.2}", cell.success),
-            ]);
-            record(ctx, "criterion", name, n, trial_count, cell);
+            t2.record(ctx, (name, name), n, cell);
         }
     }
-    println!("{t2}");
+    println!("{}", t2.table);
 
     // Knob 3: start policy.
     println!("start vertex policy (high-degree strategy, weak oracle):");
-    let mut t3 = Table::with_columns(&["start", "n", "mean requests", "success"]);
+    let mut t3 = Knob::new("start", "start", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         for policy in [
@@ -190,7 +167,7 @@ fn run(ctx: &mut ExpContext) {
             StartPolicy::Uniform,
             StartPolicy::NearTarget,
         ] {
-            let cell = weak_cell_with_policy_from(
+            let cell = weak_cell(
                 &*source,
                 n,
                 SearcherKind::HighDegree,
@@ -201,16 +178,10 @@ fn run(ctx: &mut ExpContext) {
                 threads,
                 &seeds.subsequence(400 + si as u64),
             );
-            t3.row(vec![
-                policy.name().into(),
-                n.to_string(),
-                format!("{:.1}", cell.mean),
-                format!("{:.2}", cell.success),
-            ]);
-            record(ctx, "start", policy.name(), n, trial_count, cell);
+            t3.record(ctx, (policy.name(), policy.name()), n, cell);
         }
     }
-    println!("{t3}");
+    println!("{}", t3.table);
     println!("expected shape: every row grows with n at the same √n-like rate;");
     println!("neighbor criterion and strong oracle shave constants, not the");
     println!("exponent — and starting next to the target barely helps, because");

@@ -3,8 +3,8 @@
 //! Port of the legacy `exp_degree_dist` binary onto the engine: same
 //! claim, table, and CCDF sketch, plus deterministic parallel trials,
 //! `--corpus` graph sourcing (models the corpus doesn't store fall back
-//! to generation with a note), and structured cell/profile records
-//! under `--out`.
+//! to generation with a note), and structured cell/perf records under
+//! `--out`.
 
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_power_law_mle, log_binned_histogram, Table};
@@ -12,7 +12,7 @@ use nonsearch_core::{
     BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, UniformAttachmentModel,
 };
 use nonsearch_corpus::Corpus;
-use nonsearch_engine::{run_lanes, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
+use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
 use nonsearch_generators::{MoriTree, SeedSequence};
 use nonsearch_graph::degree_sequence;
 
@@ -102,15 +102,16 @@ impl ModelCell<'_, '_> {
         let _span = self.ctx.tracer.span("model-cell");
         let source = resolve_source(self.corpus, model, &[self.n]);
         let cell_seeds = self.seeds.subsequence(mi);
-        // lint: allow(clock-env): profile wall-clock, reported in telemetry records, never aggregated
-        let cell_start = std::time::Instant::now();
-        let lanes = run_lanes(
+        let (lanes, obs) = run_lanes_observed(
             self.trial_count,
             3,
             self.ctx.options.threads,
             &cell_seeds,
-            |trial, trial_seeds| {
-                let graph = source.trial_graph(self.n, trial, &trial_seeds);
+            || (),
+            |(), obs, trial, trial_seeds| {
+                let graph = obs.phases.time_fetch(source.is_stored(), || {
+                    source.trial_graph(self.n, trial, &trial_seeds)
+                });
                 let degrees = degree_sequence(&graph);
                 match fit_power_law_mle(&degrees, FIT_MIN_DEGREE) {
                     Some(fit) => vec![
@@ -122,7 +123,6 @@ impl ModelCell<'_, '_> {
                 }
             },
         );
-        let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
         let (exponent, ks, tail) = (&lanes[0], &lanes[1], &lanes[2]);
         self.table.row(vec![
             model.name(),
@@ -145,24 +145,15 @@ impl ModelCell<'_, '_> {
                 ("fits", JsonValue::from(exponent.successes)),
             ])
             .expect("write cell record");
-        if self.ctx.options.profile {
-            // One "request" per trial: sample (or fetch) a graph of
-            // size n, extract degrees, and fit the tail MLE once.
-            let requests = self.trial_count as f64;
-            self.ctx
-                .writer
-                .record_profile(vec![
+        self.ctx
+            .writer
+            .record_perf(
+                vec![
                     ("model", JsonValue::from(model.name())),
                     ("n", JsonValue::from(self.n)),
-                    ("trials", JsonValue::from(self.trial_count)),
-                    ("requests", JsonValue::from(requests)),
-                    ("wall_ms", JsonValue::from(wall_ms)),
-                    (
-                        "requests_per_sec",
-                        JsonValue::from(requests / (wall_ms / 1e3).max(f64::EPSILON)),
-                    ),
-                ])
-                .expect("write profile record");
-        }
+                ],
+                &obs,
+            )
+            .expect("write perf record");
     }
 }

@@ -4,7 +4,7 @@
 //! measured mean must sit at or above the bound, and the bound itself
 //! must grow like √n.
 
-use super::{open_corpus, print_banner, resolve_source};
+use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
 use nonsearch_analysis::{fit_log_log, Table};
 use nonsearch_core::{
     certify_with_source, mori_event_probability_exact, theorem1_weak_bound, BoundComparison,
@@ -90,51 +90,17 @@ fn run(ctx: &mut ExpContext) {
             .expect("write cell record");
         bound_series.push((pt.n as f64, bound));
     }
-    if ctx.options.profile {
-        // The certify sweep already timed each size cell; report its
-        // throughput records exactly like theorem1-weak does.
-        for profile in &report.profiles {
-            ctx.writer
-                .record_profile(vec![
-                    ("model", JsonValue::from("mori")),
-                    ("p", JsonValue::from(p)),
-                    ("n", JsonValue::from(profile.n)),
-                    ("trials", JsonValue::from(profile.trials)),
-                    ("lanes", JsonValue::from(profile.lanes)),
-                    ("requests", JsonValue::from(profile.requests)),
-                    ("wall_ms", JsonValue::from(profile.wall_ms)),
-                    (
-                        "requests_per_sec",
-                        JsonValue::from(profile.requests_per_sec),
-                    ),
-                ])
-                .expect("write profile record");
-            ctx.writer
-                .record_metrics(
-                    vec![
-                        ("model", JsonValue::from("mori")),
-                        ("p", JsonValue::from(p)),
-                        ("n", JsonValue::from(profile.n)),
-                    ],
-                    &profile.metrics,
-                )
-                .expect("write metrics record");
-            ctx.writer
-                .record_resource(
-                    vec![
-                        ("model", JsonValue::from("mori")),
-                        ("p", JsonValue::from(p)),
-                        ("n", JsonValue::from(profile.n)),
-                    ],
-                    profile.wall_ms as u64,
-                    profile.workers,
-                    &profile.phases,
-                    profile.allocations,
-                    &profile.resource,
-                )
-                .expect("write resource record");
-        }
-    }
+    // The certify sweep already observed each size cell; report it
+    // exactly like theorem1-weak does.
+    record_sweep_perf(
+        ctx,
+        &[
+            ("model", JsonValue::from("mori")),
+            ("p", JsonValue::from(p)),
+        ],
+        &sizes,
+        &report,
+    );
     println!("best algorithm: {}", best.kind.name());
     println!("{table}");
 

@@ -8,7 +8,7 @@
 use super::print_banner;
 use nonsearch_analysis::Table;
 use nonsearch_core::{exact_window_exchangeability, sampled_window_symmetry, EquivalenceWindow};
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes};
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma2-equiv",
@@ -83,11 +83,10 @@ fn run(ctx: &mut ExpContext) {
         for &a in &[50usize, 200] {
             let _cell_span = tracer.span("size-cell");
             let w = EquivalenceWindow::from_anchor(a);
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let cell_start = std::time::Instant::now();
+            let clock = PhaseClock::start();
             let report = sampled_window_symmetry(&w, p, sample_trials, ctx.seed)
                 .expect("event has constant probability, some trials accept");
-            let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
+            let sample_ns = clock.elapsed_ns();
             let ok = report.max_z < 4.0;
             sampled_table.row(vec![
                 format!("{p:.2}"),
@@ -115,25 +114,22 @@ fn run(ctx: &mut ExpContext) {
                     ("ok", JsonValue::from(ok)),
                 ])
                 .expect("write cell record");
-            if ctx.options.profile {
-                // "Requests" for this experiment = sampled trees: the
-                // throughput unit the symmetry check actually spends.
-                let sampled = report.attempted as f64;
-                ctx.writer
-                    .record_profile(vec![
+            // Each trial grows a Móri tree over the window: generation
+            // work, like lemma3-event's Monte Carlo.
+            let phases = PhaseTimes {
+                generate_ns: sample_ns,
+                ..PhaseTimes::new()
+            };
+            ctx.writer
+                .record_perf(
+                    vec![
                         ("check", JsonValue::from("sampled")),
                         ("p", JsonValue::from(p)),
                         ("n", JsonValue::from(a)),
-                        ("trials", JsonValue::from(report.attempted)),
-                        ("requests", JsonValue::from(sampled)),
-                        ("wall_ms", JsonValue::from(wall_ms)),
-                        (
-                            "requests_per_sec",
-                            JsonValue::from(sampled / (wall_ms / 1e3).max(f64::EPSILON)),
-                        ),
-                    ])
-                    .expect("write profile record");
-            }
+                    ],
+                    &CellObs::serial(report.attempted as u64, phases, sample_ns),
+                )
+                .expect("write perf record");
         }
     }
     println!("{sampled_table}");

@@ -8,7 +8,7 @@ use nonsearch_analysis::Table;
 use nonsearch_core::{
     estimate_mori_event_probability, lemma3_bound, mori_event_probability_exact, EquivalenceWindow,
 };
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes};
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma3-event",
@@ -56,17 +56,12 @@ fn run(ctx: &mut ExpContext) {
             let exact =
                 mori_event_probability_exact(w.a(), w.b(), p).expect("valid window parameters");
             // Monte Carlo on the big anchors is costly; sample the small ones.
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let mc_start = std::time::Instant::now();
-            let estimate = if a <= 1_000 {
-                Some(
-                    estimate_mori_event_probability(&w, p, mc_trials, ctx.seed)
-                        .expect("valid estimation parameters"),
-                )
-            } else {
-                None
-            };
-            let mc_wall_ms = mc_start.elapsed().as_secs_f64() * 1e3;
+            let clock = PhaseClock::start();
+            let estimate = (a <= 1_000).then(|| {
+                estimate_mori_event_probability(&w, p, mc_trials, ctx.seed)
+                    .expect("valid estimation parameters")
+            });
+            let mc_ns = clock.elapsed_ns();
             let mc = estimate.as_ref().map_or("-".to_string(), |est| {
                 format!("{:.4} ± {:.4}", est.estimate, est.std_error)
             });
@@ -104,23 +99,19 @@ fn run(ctx: &mut ExpContext) {
                     ("holds", JsonValue::from(holds)),
                 ])
                 .expect("write cell record");
-            if ctx.options.profile && estimate.is_some() {
-                // "Requests" here = Monte-Carlo trials: each one grows a
-                // fresh Móri tree over the window and tests the event.
-                let sampled = mc_trials as f64;
+            if estimate.is_some() {
+                // Each Monte-Carlo trial grows a fresh Móri tree over the
+                // window and tests the event: generation work.
+                let phases = PhaseTimes {
+                    generate_ns: mc_ns,
+                    ..PhaseTimes::new()
+                };
                 ctx.writer
-                    .record_profile(vec![
-                        ("p", JsonValue::from(p)),
-                        ("n", JsonValue::from(a)),
-                        ("trials", JsonValue::from(mc_trials)),
-                        ("requests", JsonValue::from(sampled)),
-                        ("wall_ms", JsonValue::from(mc_wall_ms)),
-                        (
-                            "requests_per_sec",
-                            JsonValue::from(sampled / (mc_wall_ms / 1e3).max(f64::EPSILON)),
-                        ),
-                    ])
-                    .expect("write profile record");
+                    .record_perf(
+                        vec![("p", JsonValue::from(p)), ("n", JsonValue::from(a))],
+                        &CellObs::serial(mc_trials as u64, phases, mc_ns),
+                    )
+                    .expect("write perf record");
             }
         }
     }

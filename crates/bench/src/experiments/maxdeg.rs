@@ -3,12 +3,12 @@
 //!
 //! Port of the legacy `exp_maxdeg` binary onto the engine: same claim
 //! and table, plus deterministic parallel cells, `--corpus` graph
-//! sourcing, and structured cell/profile records under `--out`.
+//! sourcing, and structured cell/perf records under `--out`.
 
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_log_log, Table};
 use nonsearch_core::{mori_max_degree_exponent, MergedMoriModel};
-use nonsearch_engine::{run_cell, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
+use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
 use nonsearch_generators::SeedSequence;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -42,26 +42,28 @@ fn run(ctx: &mut ExpContext) {
         for (si, &t) in sizes.iter().enumerate() {
             let _cell_span = tracer.span("size-cell");
             let cell_seeds = seeds.subsequence(pi as u64).subsequence(si as u64);
-            // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-            let cell_start = std::time::Instant::now();
-            let aggregate = run_cell(
+            let (lanes, obs) = run_lanes_observed(
                 trial_count,
+                1,
                 ctx.options.threads,
                 &cell_seeds,
-                |trial, trial_seeds| {
-                    let graph = source.trial_graph(t, trial, &trial_seeds);
+                || (),
+                |(), obs, trial, trial_seeds| {
+                    let graph = obs.phases.time_fetch(source.is_stored(), || {
+                        source.trial_graph(t, trial, &trial_seeds)
+                    });
                     let (_, d) = graph.max_degree().expect("sampled trees are non-empty");
-                    TrialMeasure::new(d as f64, true)
+                    vec![TrialMeasure::new(d as f64, true)]
                 },
             );
-            let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
+            let aggregate = lanes[0];
             xs.push(t as f64);
             ys.push(aggregate.mean());
-            rows.push((t, aggregate.mean(), aggregate.ci95(), wall_ms));
+            rows.push((t, aggregate.mean(), aggregate.ci95(), obs));
         }
         let slope = fit_log_log(&xs, &ys).map(|f| f.slope);
         let theory = mori_max_degree_exponent(p);
-        for (i, &(t, mean, ci, wall_ms)) in rows.iter().enumerate() {
+        for (i, &(t, mean, ci, obs)) in rows.iter().enumerate() {
             let slope_cell = if i + 1 == xs.len() {
                 slope.map_or("-".into(), |s| format!("{s:.3} (theory {theory:.1})"))
             } else {
@@ -87,24 +89,16 @@ fn run(ctx: &mut ExpContext) {
                     ("theory_exponent", JsonValue::from(theory)),
                 ])
                 .expect("write cell record");
-            if ctx.options.profile {
-                // One "request" per trial: each samples (or fetches) a
-                // graph of size t and scans its degree array once.
-                let requests = trial_count as f64;
-                ctx.writer
-                    .record_profile(vec![
+            ctx.writer
+                .record_perf(
+                    vec![
+                        ("model", JsonValue::from("mori")),
                         ("p", JsonValue::from(p)),
                         ("n", JsonValue::from(t)),
-                        ("trials", JsonValue::from(trial_count)),
-                        ("requests", JsonValue::from(requests)),
-                        ("wall_ms", JsonValue::from(wall_ms)),
-                        (
-                            "requests_per_sec",
-                            JsonValue::from(requests / (wall_ms / 1e3).max(f64::EPSILON)),
-                        ),
-                    ])
-                    .expect("write profile record");
-            }
+                    ],
+                    &obs,
+                )
+                .expect("write perf record");
         }
     }
     println!("{table}");

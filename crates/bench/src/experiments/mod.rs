@@ -18,9 +18,9 @@ mod theorem1_strong;
 mod theorem1_weak;
 mod theorem2_cf;
 
-use nonsearch_core::{GraphModel, ModelSource};
+use nonsearch_core::{GraphModel, ModelSource, SearchabilityReport};
 use nonsearch_corpus::{Corpus, LoadMode};
-use nonsearch_engine::{ExpContext, GraphSource, Registry};
+use nonsearch_engine::{ExpContext, GraphSource, JsonValue, Registry};
 
 /// Builds the registry of all ported experiments.
 pub fn registry() -> Registry {
@@ -90,6 +90,21 @@ pub(super) fn resolve_source<'a, M: GraphModel + Sync>(
         }
     }
     Box::new(ModelSource::new(model))
+}
+
+/// Writes the perf record of every size cell of a certification sweep
+/// over `sizes`, identified by `fields` plus the cell's `n`.
+fn record_sweep_perf(
+    ctx: &mut ExpContext,
+    fields: &[(&str, JsonValue)],
+    sizes: &[usize],
+    report: &SearchabilityReport,
+) {
+    for (cell, &n) in report.cells.iter().zip(sizes) {
+        let mut id = fields.to_vec();
+        id.push(("n", JsonValue::from(n)));
+        ctx.writer.record_perf(id, cell).expect("write perf record");
+    }
 }
 
 /// Entry point for a legacy `exp_*` binary: dispatches `name` through

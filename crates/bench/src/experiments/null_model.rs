@@ -21,14 +21,11 @@
 
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_log_log, Table};
-use nonsearch_core::{BarabasiAlbertModel, GraphModel};
-use nonsearch_engine::{
-    elapsed_ns, resolved_workers, run_lanes_observed, ExpContext, ExperimentSpec, GraphSource,
-    JsonValue, ResourceSample,
-};
+use nonsearch_core::{measure_trial, BarabasiAlbertModel, GraphModel, TrialPool};
+use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, GraphSource, JsonValue};
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::NodeId;
-use nonsearch_search::{run_weak_in, SearchScratch, SearchTask, SearcherKind, SuccessCriterion};
+use nonsearch_search::{run_weak_in, SearchTask, SearcherKind, SuccessCriterion};
 use std::sync::Arc;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -82,8 +79,6 @@ fn run(ctx: &mut ExpContext) {
     for (size_idx, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         let size_seeds = seeds.subsequence(size_idx as u64);
-        // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-        let cell_start = std::time::Instant::now();
         let (lanes, obs) = run_lanes_observed(
             trial_count,
             VARIANTS.len() * SEARCHERS.len(),
@@ -92,85 +87,52 @@ fn run(ctx: &mut ExpContext) {
             // Per-worker pool: one scratch plus one instance of each
             // searcher per variant lane, reused across trials.
             || {
-                (
-                    SearchScratch::new(),
+                TrialPool::new(
                     (0..VARIANTS.len() * SEARCHERS.len())
                         .map(|i| SEARCHERS[i % SEARCHERS.len()].build())
-                        .collect::<Vec<_>>(),
+                        .collect(),
                 )
             },
-            |(scratch, searchers), obs, trial, trial_seeds| {
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let fetch_start = std::time::Instant::now();
-                let original = original_source.trial_graph(n, trial, &trial_seeds);
-                let fetch_ns = elapsed_ns(fetch_start);
-                if original_source.is_stored() {
-                    obs.phases.load_ns += fetch_ns;
-                } else {
-                    obs.phases.generate_ns += fetch_ns;
-                }
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let rewire_start = std::time::Instant::now();
-                let rewired = match &variant_source {
-                    Some(source) => source.trial_graph(n, trial, &trial_seeds),
-                    None => {
-                        // Same derivation as the corpus builder's variant 0.
-                        let mut rng = trial_seeds.subsequence(1).child_rng(0);
-                        let (null, _) =
-                            degree_preserving_rewire(&original, SWAPS_PER_EDGE, &mut rng)
-                                .expect("BA samples are simple graphs");
-                        Arc::new(null)
-                    }
-                };
-                // A stored variant is a load; an on-the-fly rewire is
-                // generation work.
-                let rewire_ns = elapsed_ns(rewire_start);
-                if variant_source.is_some() {
-                    obs.phases.load_ns += rewire_ns;
-                } else {
-                    obs.phases.generate_ns += rewire_ns;
-                }
-                let resolutions_before = scratch.view().edge_resolutions();
-                let resets_before = scratch.view().resets();
-                let m = &mut obs.metrics;
-                let requests_before = m.requests;
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let search_start = std::time::Instant::now();
-                let mut measures = Vec::with_capacity(VARIANTS.len() * SEARCHERS.len());
-                for (v_idx, graph) in [&original, &rewired].into_iter().enumerate() {
-                    let actual = graph.node_count();
-                    let task = SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
-                        .with_criterion(SuccessCriterion::DiscoverTarget)
-                        .with_budget(budget_multiplier * actual);
-                    for s_idx in 0..SEARCHERS.len() {
-                        let lane_idx = v_idx * SEARCHERS.len() + s_idx;
-                        let mut rng = trial_seeds.child_rng(1 + lane_idx as u64);
-                        let searcher = &mut searchers[lane_idx];
-                        let rescans_before = searcher.frontier_rescans();
-                        let outcome = run_weak_in(scratch, graph, &task, &mut **searcher, &mut rng)
-                            .expect("suite searchers never violate the protocol");
-                        m.requests += outcome.requests as u64;
-                        m.discoveries += outcome.discovered as u64;
-                        m.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-                        measures.push(nonsearch_engine::TrialMeasure::new(
-                            outcome.requests as f64,
-                            outcome.found,
-                        ));
-                    }
-                }
-                let search_ns = elapsed_ns(search_start);
-                // lint: allow(clock-env): profile/phase wall-clock, reported in telemetry records, never aggregated
-                let harvest_start = std::time::Instant::now();
-                m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-                m.scratch_resets += scratch.view().resets() - resets_before;
-                m.observe_trial_requests(m.requests - requests_before);
-                obs.phases.search_ns += search_ns;
-                obs.phases.harvest_ns += elapsed_ns(harvest_start);
-                measures
+            |pool, obs, trial, trial_seeds| {
+                measure_trial(
+                    pool,
+                    obs,
+                    run_weak_in,
+                    |phases| {
+                        let original = phases.time_fetch(original_source.is_stored(), || {
+                            original_source.trial_graph(n, trial, &trial_seeds)
+                        });
+                        // A stored variant is a load; an on-the-fly
+                        // rewire is generation work.
+                        let rewired = phases.time_fetch(variant_source.is_some(), || {
+                            match &variant_source {
+                                Some(source) => source.trial_graph(n, trial, &trial_seeds),
+                                None => {
+                                    // Same derivation as the corpus
+                                    // builder's variant 0.
+                                    let mut rng = trial_seeds.subsequence(1).child_rng(0);
+                                    let (null, _) = degree_preserving_rewire(
+                                        &original,
+                                        SWAPS_PER_EDGE,
+                                        &mut rng,
+                                    )
+                                    .expect("BA samples are simple graphs");
+                                    Arc::new(null)
+                                }
+                            }
+                        });
+                        [original, rewired]
+                    },
+                    |graph| {
+                        let actual = graph.node_count();
+                        SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
+                            .with_criterion(SuccessCriterion::DiscoverTarget)
+                            .with_budget(budget_multiplier * actual)
+                    },
+                    &trial_seeds,
+                )
             },
         );
-        let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
-        let metrics = obs.metrics;
 
         for (lane_idx, lane) in lanes.iter().enumerate() {
             let v_idx = lane_idx / SEARCHERS.len();
@@ -200,48 +162,15 @@ fn run(ctx: &mut ExpContext) {
                 ])
                 .expect("write cell record");
         }
-        if ctx.options.profile {
-            let requests: f64 = lanes
-                .iter()
-                .map(|lane| lane.mean() * trial_count as f64)
-                .sum();
-            ctx.writer
-                .record_profile(vec![
+        ctx.writer
+            .record_perf(
+                vec![
                     ("model", JsonValue::from("barabasi-albert")),
                     ("n", JsonValue::from(n)),
-                    ("trials", JsonValue::from(trial_count)),
-                    ("lanes", JsonValue::from(lanes.len())),
-                    ("requests", JsonValue::from(requests)),
-                    ("wall_ms", JsonValue::from(wall_ms)),
-                    (
-                        "requests_per_sec",
-                        JsonValue::from(requests / (wall_ms / 1e3).max(f64::EPSILON)),
-                    ),
-                ])
-                .expect("write profile record");
-            ctx.writer
-                .record_metrics(
-                    vec![
-                        ("model", JsonValue::from("barabasi-albert")),
-                        ("n", JsonValue::from(n)),
-                    ],
-                    &metrics,
-                )
-                .expect("write metrics record");
-            ctx.writer
-                .record_resource(
-                    vec![
-                        ("model", JsonValue::from("barabasi-albert")),
-                        ("n", JsonValue::from(n)),
-                    ],
-                    wall_ms as u64,
-                    resolved_workers(ctx.options.threads, trial_count),
-                    &obs.phases,
-                    obs.allocations,
-                    &ResourceSample::current(),
-                )
-                .expect("write resource record");
-        }
+                ],
+                &obs,
+            )
+            .expect("write perf record");
     }
     println!("{table}");
 

@@ -3,7 +3,7 @@
 //! algorithms natively and through the weak-model simulation.
 
 use super::{open_corpus, print_banner, resolve_source};
-use crate::{strong_cell_from, StrongKind};
+use crate::{strong_cell, StrongKind};
 use nonsearch_analysis::{fit_log_log, Table};
 use nonsearch_core::{strong_model_exponent, MergedMoriModel};
 use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
@@ -50,7 +50,7 @@ fn run(ctx: &mut ExpContext) {
                     .subsequence((p * 100.0) as u64)
                     .subsequence(i as u64)
                     .subsequence(kind.name().len() as u64);
-                let cell = strong_cell_from(
+                let (cell, obs) = strong_cell(
                     &*source,
                     n,
                     *kind,
@@ -61,65 +61,30 @@ fn run(ctx: &mut ExpContext) {
                 table.row(vec![
                     kind.name().to_string(),
                     n.to_string(),
-                    format!("{:.1}", cell.mean),
-                    format!("{:.1}", cell.ci95),
-                    format!("{:.2}", cell.success),
+                    format!("{:.1}", cell.mean()),
+                    format!("{:.1}", cell.ci95()),
+                    format!("{:.2}", cell.success_rate()),
                 ]);
+                let id = [
+                    ("model", JsonValue::from("mori")),
+                    ("p", JsonValue::from(p)),
+                    ("m", JsonValue::from(1usize)),
+                    ("searcher", JsonValue::from(kind.name())),
+                    ("n", JsonValue::from(n)),
+                ];
+                let mut fields = id.to_vec();
+                fields.extend([
+                    ("trials", JsonValue::from(trial_count)),
+                    ("seed", JsonValue::from(ctx.seed)),
+                    ("mean", JsonValue::from(cell.mean())),
+                    ("ci95", JsonValue::from(cell.ci95())),
+                    ("success", JsonValue::from(cell.success_rate())),
+                ]);
+                ctx.writer.record_cell(fields).expect("write cell record");
                 ctx.writer
-                    .record_cell(vec![
-                        ("model", JsonValue::from("mori")),
-                        ("p", JsonValue::from(p)),
-                        ("m", JsonValue::from(1usize)),
-                        ("searcher", JsonValue::from(kind.name())),
-                        ("n", JsonValue::from(n)),
-                        ("trials", JsonValue::from(trial_count)),
-                        ("seed", JsonValue::from(ctx.seed)),
-                        ("mean", JsonValue::from(cell.mean)),
-                        ("ci95", JsonValue::from(cell.ci95)),
-                        ("success", JsonValue::from(cell.success)),
-                    ])
-                    .expect("write cell record");
-                if ctx.options.profile {
-                    ctx.writer
-                        .record_profile(vec![
-                            ("model", JsonValue::from("mori")),
-                            ("p", JsonValue::from(p)),
-                            ("searcher", JsonValue::from(kind.name())),
-                            ("n", JsonValue::from(n)),
-                            ("trials", JsonValue::from(trial_count)),
-                            ("requests", JsonValue::from(cell.mean * trial_count as f64)),
-                            ("wall_ms", JsonValue::from(cell.wall_ms)),
-                            ("requests_per_sec", JsonValue::from(cell.requests_per_sec)),
-                        ])
-                        .expect("write profile record");
-                    ctx.writer
-                        .record_metrics(
-                            vec![
-                                ("model", JsonValue::from("mori")),
-                                ("p", JsonValue::from(p)),
-                                ("searcher", JsonValue::from(kind.name())),
-                                ("n", JsonValue::from(n)),
-                            ],
-                            &cell.metrics,
-                        )
-                        .expect("write metrics record");
-                    ctx.writer
-                        .record_resource(
-                            vec![
-                                ("model", JsonValue::from("mori")),
-                                ("p", JsonValue::from(p)),
-                                ("searcher", JsonValue::from(kind.name())),
-                                ("n", JsonValue::from(n)),
-                            ],
-                            cell.wall_ms as u64,
-                            cell.workers,
-                            &cell.phases,
-                            cell.allocations,
-                            &cell.resource,
-                        )
-                        .expect("write resource record");
-                }
-                series.push((n, cell.mean));
+                    .record_perf(id.to_vec(), &obs)
+                    .expect("write perf record");
+                series.push((n, cell.mean()));
             }
             // Track the cheapest searcher at the largest size.
             if best_series.is_empty()

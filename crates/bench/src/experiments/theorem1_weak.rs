@@ -5,7 +5,7 @@
 //! each algorithm's scaling exponent and prints the per-size Lemma 1
 //! lower bound next to the best measured mean.
 
-use super::{open_corpus, print_banner, resolve_source};
+use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
 use nonsearch_analysis::Table;
 use nonsearch_core::{
     certify_with_source, theorem1_weak_bound, CertifyConfig, GraphModel, MergedMoriModel,
@@ -84,52 +84,16 @@ fn run(ctx: &mut ExpContext) {
                 }
             }
 
-            if ctx.options.profile {
-                for profile in &report.profiles {
-                    ctx.writer
-                        .record_profile(vec![
-                            ("model", JsonValue::from("mori")),
-                            ("p", JsonValue::from(p)),
-                            ("m", JsonValue::from(m)),
-                            ("n", JsonValue::from(profile.n)),
-                            ("trials", JsonValue::from(profile.trials)),
-                            ("lanes", JsonValue::from(profile.lanes)),
-                            ("requests", JsonValue::from(profile.requests)),
-                            ("wall_ms", JsonValue::from(profile.wall_ms)),
-                            (
-                                "requests_per_sec",
-                                JsonValue::from(profile.requests_per_sec),
-                            ),
-                        ])
-                        .expect("write profile record");
-                    ctx.writer
-                        .record_metrics(
-                            vec![
-                                ("model", JsonValue::from("mori")),
-                                ("p", JsonValue::from(p)),
-                                ("m", JsonValue::from(m)),
-                                ("n", JsonValue::from(profile.n)),
-                            ],
-                            &profile.metrics,
-                        )
-                        .expect("write metrics record");
-                    ctx.writer
-                        .record_resource(
-                            vec![
-                                ("model", JsonValue::from("mori")),
-                                ("p", JsonValue::from(p)),
-                                ("m", JsonValue::from(m)),
-                                ("n", JsonValue::from(profile.n)),
-                            ],
-                            profile.wall_ms as u64,
-                            profile.workers,
-                            &profile.phases,
-                            profile.allocations,
-                            &profile.resource,
-                        )
-                        .expect("write resource record");
-                }
-            }
+            record_sweep_perf(
+                ctx,
+                &[
+                    ("model", JsonValue::from("mori")),
+                    ("p", JsonValue::from(p)),
+                    ("m", JsonValue::from(m)),
+                ],
+                &sizes,
+                &report,
+            );
 
             let mut bound_table =
                 Table::with_columns(&["n", "lemma1 bound", "best measured", "slack"]);

@@ -4,10 +4,9 @@
 //! Sweeps `α × n`, races the searcher suite through the engine and fits
 //! each algorithm's scaling exponent — the Cooper–Frieze counterpart of
 //! `theorem1-weak`, with the same record taxonomy (`cell` rows per
-//! algorithm point; `profile`/`metrics`/`resource` rows per size cell
-//! under `--profile`).
+//! algorithm point; one `perf` row per size cell under `--profile`).
 
-use super::{open_corpus, print_banner, resolve_source};
+use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
 use nonsearch_core::{certify_with_source, CertifyConfig, CooperFriezeModel, GraphModel};
 use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_search::{SearcherKind, SuccessCriterion};
@@ -73,49 +72,15 @@ fn run(ctx: &mut ExpContext) {
             }
         }
 
-        if ctx.options.profile {
-            for profile in &report.profiles {
-                ctx.writer
-                    .record_profile(vec![
-                        ("model", JsonValue::from("cooper-frieze")),
-                        ("alpha", JsonValue::from(alpha)),
-                        ("n", JsonValue::from(profile.n)),
-                        ("trials", JsonValue::from(profile.trials)),
-                        ("lanes", JsonValue::from(profile.lanes)),
-                        ("requests", JsonValue::from(profile.requests)),
-                        ("wall_ms", JsonValue::from(profile.wall_ms)),
-                        (
-                            "requests_per_sec",
-                            JsonValue::from(profile.requests_per_sec),
-                        ),
-                    ])
-                    .expect("write profile record");
-                ctx.writer
-                    .record_metrics(
-                        vec![
-                            ("model", JsonValue::from("cooper-frieze")),
-                            ("alpha", JsonValue::from(alpha)),
-                            ("n", JsonValue::from(profile.n)),
-                        ],
-                        &profile.metrics,
-                    )
-                    .expect("write metrics record");
-                ctx.writer
-                    .record_resource(
-                        vec![
-                            ("model", JsonValue::from("cooper-frieze")),
-                            ("alpha", JsonValue::from(alpha)),
-                            ("n", JsonValue::from(profile.n)),
-                        ],
-                        profile.wall_ms as u64,
-                        profile.workers,
-                        &profile.phases,
-                        profile.allocations,
-                        &profile.resource,
-                    )
-                    .expect("write resource record");
-            }
-        }
+        record_sweep_perf(
+            ctx,
+            &[
+                ("model", JsonValue::from("cooper-frieze")),
+                ("alpha", JsonValue::from(alpha)),
+            ],
+            &sizes,
+            &report,
+        );
 
         if let Some(expo) = report.best_exponent() {
             println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");

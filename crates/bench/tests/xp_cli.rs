@@ -1,8 +1,8 @@
 //! End-to-end tests of the `xp` binary: subcommand listing, JSONL
 //! emission, the headline engine guarantee — byte-identical cell
-//! records for `--threads 1` vs `--threads 4` with the same seed —
-//! and the observability surface (`--trace`, metrics records,
-//! `profile-diff`).
+//! records for `--threads 1` vs `--threads 4` with the same seed, and
+//! against the committed quick-mode fixtures — and the observability
+//! surface (`--trace`, perf records, `profile-diff`).
 
 use nonsearch_engine::{parse_json, validate_chrome_trace, validate_jsonl, CELL_TYPE, RUN_TYPE};
 use std::path::PathBuf;
@@ -270,14 +270,17 @@ fn trace_and_metrics_flow_through_a_profiled_run() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The JSONL stream now carries metrics records next to the profile
-    // records, and the library validator counts both.
+    // The JSONL stream carries exactly one perf record per measured
+    // cell (one per size of the quick (p, m) sweep) and no other
+    // per-cell telemetry record kind.
     let text = std::fs::read_to_string(&run).unwrap();
     let summary = validate_jsonl(&text).unwrap();
     assert!(summary.cells > 0, "{summary:?}");
-    assert!(summary.profiles > 0, "{summary:?}");
-    assert!(summary.metrics > 0, "{summary:?}");
-    assert_eq!(summary.metrics, summary.profiles, "{summary:?}");
+    assert_eq!(summary.perfs, 2, "{summary:?}");
+    for other in ["profile", "metrics", "resource"] {
+        let tag = format!("\"type\":\"{other}\"");
+        assert!(!text.contains(&tag), "{other} record in {text}");
+    }
 
     // The trace is a structurally valid Chrome Trace Event document
     // covering the whole span hierarchy.
@@ -296,7 +299,7 @@ fn trace_and_metrics_flow_through_a_profiled_run() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("metrics"), "{stdout}");
+    assert!(stdout.contains("2 perf records"), "{stdout}");
 
     std::fs::remove_file(&run).ok();
     std::fs::remove_file(&trace).ok();
@@ -304,55 +307,40 @@ fn trace_and_metrics_flow_through_a_profiled_run() {
 
 #[test]
 fn profile_diff_gates_on_a_doubled_baseline() {
-    let run = temp_path("pd.jsonl");
-    let run_str = run.to_str().unwrap();
-    let out = xp(&[
-        "theorem1-weak",
-        "--trials",
-        "3",
-        "--sizes",
-        "64",
-        "--profile",
-        "--out",
-        run_str,
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let suite = temp_path("pd_suite.json");
+    let suite_str = suite.to_str().unwrap();
+    std::fs::write(
+        &suite,
+        "{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[\
+         {\"section\":\"oracle\",\"key\":\"weak_flood_n1000\",\"throughput\":5000.0},\
+         {\"section\":\"thread_scaling\",\"key\":\"threads_2_n1024\",\"throughput\":800.0}]}",
+    )
+    .unwrap();
 
     // Self-baseline: ratio 1.0 everywhere, exit 0.
-    let base = temp_path("pd_base.json");
-    let base_str = base.to_str().unwrap();
-    let out = xp(&["profile-diff", run_str, "--write-baseline", base_str]);
-    assert!(
-        out.status.success(),
+    let out = xp(&["profile-diff", suite_str, "--baseline", suite_str]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let out = xp(&["profile-diff", run_str, "--baseline", base_str]);
-    assert_eq!(out.status.code(), Some(0));
 
-    // A baseline claiming 2× the measured throughput regresses at the
+    // A baseline scaled to 2× the measured throughput regresses at the
     // default 0.7 threshold (ratio 0.5) — and exits nonzero.
-    let doubled = temp_path("pd_base2.json");
-    let doubled_str = doubled.to_str().unwrap();
     let out = xp(&[
         "profile-diff",
-        run_str,
-        "--write-baseline",
-        doubled_str,
+        suite_str,
+        "--baseline",
+        suite_str,
         "--scale",
         "2.0",
     ]);
-    assert!(out.status.success());
-    let out = xp(&["profile-diff", run_str, "--baseline", doubled_str]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("regression"), "{stderr}");
 
-    // A run without profile records cannot be gated — usage error.
+    // A run's JSONL record stream is not a suite — usage error.
     let bare = temp_path("pd_bare.jsonl");
     let bare_str = bare.to_str().unwrap();
     let out = xp(&[
@@ -365,13 +353,50 @@ fn profile_diff_gates_on_a_doubled_baseline() {
         bare_str,
     ]);
     assert!(out.status.success());
-    let out = xp(&["profile-diff", bare_str, "--baseline", base_str]);
+    let out = xp(&["profile-diff", bare_str, "--baseline", suite_str]);
     assert_eq!(out.status.code(), Some(2));
 
-    std::fs::remove_file(&run).ok();
-    std::fs::remove_file(&base).ok();
-    std::fs::remove_file(&doubled).ok();
+    std::fs::remove_file(&suite).ok();
     std::fs::remove_file(&bare).ok();
+}
+
+/// The committed quick-mode cell fixtures: the `"type":"cell"` lines of
+/// `theorem1-weak`, `theorem1-strong` and `ablation` at `--quick
+/// --threads 2`, which pin the searchers' exact request sequences.
+#[test]
+fn quick_cell_records_match_the_committed_fixtures() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    for (experiment, fixture) in [
+        ("theorem1-weak", "theorem1_weak.quick.cells"),
+        ("theorem1-strong", "theorem1_strong.quick.cells"),
+        ("ablation", "ablation.quick.cells"),
+    ] {
+        let run = temp_path(&format!("{fixture}.jsonl"));
+        let run_str = run.to_str().unwrap();
+        let out = xp(&[
+            experiment,
+            "--quick",
+            "--threads",
+            "2",
+            "--profile",
+            "--out",
+            run_str,
+        ]);
+        assert!(
+            out.status.success(),
+            "{experiment}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&run).unwrap();
+        let mut cells = cell_lines(&text).join("\n");
+        cells.push('\n');
+        let expected = std::fs::read_to_string(fixtures.join(fixture)).unwrap();
+        assert!(
+            cells == expected,
+            "{experiment}: cell records differ from fixtures/{fixture}"
+        );
+        std::fs::remove_file(&run).ok();
+    }
 }
 
 #[test]

@@ -44,10 +44,11 @@ mod lower_bound;
 mod model;
 mod permutation;
 mod theory;
+mod trial;
 mod window;
 
 pub use certify::{
-    certify, certify_with_source, AlgorithmScaling, CellProfile, CertifyConfig, ScalingPoint,
+    certify, certify_with_source, AlgorithmScaling, CertifyConfig, ScalingPoint,
     SearchabilityReport,
 };
 pub use enumerate::{enumerate_mori_trees, FatherVector, TreeDistribution};
@@ -71,6 +72,7 @@ pub use theory::{
     mori_conditional_factor, mori_event_probability_exact, mori_max_degree_exponent,
     strong_model_exponent, CoreError,
 };
+pub use trial::{measure_trial, Oracle, Rescans, TrialPool};
 pub use window::EquivalenceWindow;
 
 /// Result alias used across this crate.

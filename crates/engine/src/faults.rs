@@ -7,10 +7,10 @@
 //! `(trial, attempt) -> Option<InjectedFault>` function, typically
 //! backed by a seeded `nonsearch_fault::FaultPlan` — plus an optional
 //! per-cell watchdog deadline. [`install_faults`] activates the bundle
-//! for the current thread and returns a guard; every `run_lanes*` call
-//! made while the guard lives snapshots the bundle at cell entry and
-//! runs its trials *contained* (each attempt wrapped in
-//! `catch_unwind`) instead of on the bare fast path.
+//! for the current thread and returns a guard; every runner call made
+//! while the guard lives snapshots the bundle at cell entry and runs
+//! its trials *contained* (each attempt wrapped in `catch_unwind`)
+//! instead of on the bare fast path.
 //!
 //! The installation is **thread-local**, not process-global: `cargo
 //! test` runs many tests concurrently in one process, and a global
@@ -73,8 +73,8 @@ pub enum InjectedFault {
 /// `FaultPlan` hooks only ever fault attempt 0.
 pub type FaultHook = Arc<dyn Fn(usize, u32) -> Option<InjectedFault> + Send + Sync>;
 
-/// The fault-injection bundle the `run_lanes*` family snapshots at cell
-/// entry: injection hook, failure policy, and watchdog deadline.
+/// The fault-injection bundle the runner snapshots at cell entry:
+/// injection hook, failure policy, and watchdog deadline.
 ///
 /// The default bundle (`FaultInjection::default()`) injects nothing,
 /// propagates panics, and sets no deadline — installing it merely
@@ -87,7 +87,7 @@ pub struct FaultInjection {
     pub hook: Option<FaultHook>,
     /// Watchdog: if the cell's consumer sees no progress for this many
     /// milliseconds, the cell is abandoned gracefully — partial
-    /// aggregates are returned with `TrialObs::degraded` set instead of
+    /// aggregates are returned with `CellObs::degraded` set instead of
     /// hanging the run.
     pub cell_deadline_ms: Option<u64>,
 }

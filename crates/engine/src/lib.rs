@@ -5,11 +5,13 @@
 //! sweeps over cells (model × size × searcher × policy). This crate is
 //! the shared substrate those sweeps run on:
 //!
-//! * [`run_cell`] / [`run_lanes`] — shard a cell's trials across scoped
-//!   worker threads with per-trial RNG streams derived from
-//!   [`SeedSequence`](nonsearch_generators::SeedSequence), aggregating
-//!   via streaming (Welford) statistics in strict trial order, so the
-//!   result is **bit-identical for 1 or N threads**.
+//! * [`run_lanes_observed`] — the trial runner: shards a cell's trials
+//!   across scoped worker threads with per-trial RNG streams derived
+//!   from [`SeedSequence`](nonsearch_generators::SeedSequence),
+//!   aggregating via streaming (Welford) statistics in strict trial
+//!   order, so the result is **bit-identical for 1 or N threads**. It
+//!   also observes the cell ([`CellObs`]: exact counters, phase times,
+//!   wall time, `/proc` sample); [`run_lanes`] is its plain form.
 //! * [`run_ordered`] — the deterministic parallel *map* companion:
 //!   results come back in job order for any worker count (the corpus
 //!   builder shards graph generation through it).
@@ -25,31 +27,33 @@
 //!   `--seed`, `--out`, `--format`, `--trials`, `--sizes`,
 //!   `--corpus`, `--mmap`), parsed once.
 //! * [`RunWriter`] — JSON Lines + CSV run records (params, seed, git
-//!   describe, wall time, mean/CI/success) alongside the pretty tables.
+//!   describe, wall time, mean/CI/success) alongside the pretty tables,
+//!   plus one `"type":"perf"` record per cell under `--profile`.
 //! * [`Registry`] — the `xp` subcommand registry: `xp list`,
-//!   `xp <experiment> [flags]`, `xp validate <file>`,
-//!   `xp profile-diff <run.jsonl>`.
-//! * [`Metrics`] / [`Tracer`] (re-exported from `nonsearch_obs`) — the
-//!   allocation-free per-worker counter bundle merged by
-//!   [`run_lanes_metered`], and the span tracer behind `--trace`.
+//!   `xp <experiment> [flags]`, `xp validate <file>`, `xp report
+//!   <run.jsonl>`, `xp profile-diff <suite.json> --baseline FILE`.
+//! * [`Metrics`] / [`PhaseClock`] / [`Tracer`] (re-exported from
+//!   `nonsearch_obs`) — the allocation-free per-worker counter bundle
+//!   the runner merges, the stopwatch behind every phase timer, and the
+//!   span tracer behind `--trace`.
 //! * [`json`] — a dependency-free JSON value/serializer/parser (the
 //!   workspace's vendored `serde` is a no-op stub).
 //!
 //! # Example: a deterministic parallel cell
 //!
 //! ```
-//! use nonsearch_engine::{run_cell, TrialMeasure};
+//! use nonsearch_engine::{run_lanes, TrialMeasure};
 //! use nonsearch_generators::SeedSequence;
 //!
 //! let seeds = SeedSequence::new(7);
 //! let measure = |_trial: usize, seeds: SeedSequence| {
 //!     let draw = seeds.child(0) % 100;
-//!     TrialMeasure::new(draw as f64, draw < 90)
+//!     vec![TrialMeasure::new(draw as f64, draw < 90)]
 //! };
-//! let one = run_cell(64, 1, &seeds, measure);
-//! let four = run_cell(64, 4, &seeds, measure);
+//! let one = run_lanes(64, 1, 1, &seeds, measure);
+//! let four = run_lanes(64, 1, 4, &seeds, measure);
 //! assert_eq!(one, four); // bit-identical aggregates
-//! assert_eq!(one.count(), 64);
+//! assert_eq!(one[0].count(), 64);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,21 +74,20 @@ pub use faults::{
 };
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use nonsearch_obs::{
-    elapsed_ns, prometheus_text, render_log2_histogram, Log2Histogram, Metrics, PhaseTimes,
+    prometheus_text, render_log2_histogram, Log2Histogram, Metrics, PhaseClock, PhaseTimes,
     ResourceSample, SpanGuard, Tracer, HISTOGRAM_BUCKETS,
 };
 pub use options::{CliOptions, OptionsError, OutputFormat};
 pub use record::{
-    git_describe, metrics_fields, resource_fields, RunSummary, RunWriter, CELL_TYPE,
-    DIAGNOSTIC_TYPE, FAULT_TYPE, LINT_TYPE, METRICS_TYPE, PROFILE_TYPE, RESOURCE_TYPE, RUN_TYPE,
+    git_describe, perf_fields, RunSummary, RunWriter, CELL_TYPE, DIAGNOSTIC_TYPE, FAULT_TYPE,
+    LINT_TYPE, PERF_TYPE, RUN_TYPE,
 };
 pub use registry::{
     run_legacy, validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry,
     ValidateSummary,
 };
 pub use runner::{
-    resolved_workers, run_cell, run_cell_metered, run_cell_observed, run_cell_with, run_lanes,
-    run_lanes_metered, run_lanes_observed, run_lanes_with, run_ordered, trial_seeds, LaneAggregate,
-    TrialMeasure, TrialObs,
+    resolved_workers, run_lanes, run_lanes_observed, run_ordered, trial_seeds, CellObs,
+    LaneAggregate, TrialMeasure, TrialObs,
 };
 pub use source::{FnSource, GraphSource};

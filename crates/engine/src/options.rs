@@ -15,7 +15,7 @@
 //! | `--corpus DIR` | serve trial graphs from a stored corpus instead of generating |
 //! | `--mmap` | serve corpus graphs zero-copy from memory-mapped files |
 //! | `--trust-checksums` | skip per-load payload checksums (run `corpus verify` first) |
-//! | `--profile` | emit per-cell throughput records (`"type":"profile"`) alongside cells |
+//! | `--profile` | emit one `"type":"perf"` record per measured cell alongside cells |
 //! | `--trace PATH` | record run/cell/trial spans and write Chrome Trace Event JSON to `PATH` |
 //! | `--heal` | quarantine + regenerate corrupt corpus blobs instead of failing the load |
 //!
@@ -141,9 +141,10 @@ pub struct CliOptions {
     /// `corpus verify`, which always hashes. Meaningful only together
     /// with `--corpus`.
     pub trust_checksums: bool,
-    /// Emit per-cell throughput records (`--profile`): wall time and
-    /// requests/sec per measured cell, as JSONL `"type":"profile"`
-    /// records riding alongside the deterministic cell stream.
+    /// Emit one perf record per measured cell (`--profile`): exact work
+    /// counters, throughput, phase timers and a `/proc` sample, as JSONL
+    /// `"type":"perf"` records riding alongside the deterministic cell
+    /// stream.
     pub profile: bool,
     /// Write span traces as Chrome Trace Event Format JSON to this path
     /// (`--trace PATH`): run → size-cell → trial-batch scopes, loadable

@@ -6,11 +6,13 @@
 //! wall time, worker threads, git describe. Keeping the volatile fields
 //! out of the cell records is what makes "same seed ⇒ byte-identical
 //! cell lines, regardless of `--threads`" testable; the determinism
-//! suite compares everything but the `"type":"run"` footer.
+//! suite compares everything but the `"type":"run"` footer. Under
+//! `--profile` each measured cell also gets one volatile
+//! `"type":"perf"` record, on the JSONL stream only.
 
 use crate::json::JsonValue;
 use crate::options::{CliOptions, OutputFormat};
-use nonsearch_obs::{Metrics, PhaseTimes, ResourceSample};
+use crate::runner::CellObs;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -20,14 +22,11 @@ use std::time::Instant;
 pub const CELL_TYPE: &str = "cell";
 /// The JSONL `type` tag of the run footer.
 pub const RUN_TYPE: &str = "run";
-/// The JSONL `type` tag of per-cell throughput records (`--profile`).
-pub const PROFILE_TYPE: &str = "profile";
-/// The JSONL `type` tag of per-cell engine-metrics records.
-pub const METRICS_TYPE: &str = "metrics";
-/// The JSONL `type` tag of per-cell resource records (phase timers,
-/// allocation counts, `/proc` samples). Wall-clock data: volatile by
-/// definition, JSONL-only, never part of determinism-gated lines.
-pub const RESOURCE_TYPE: &str = "resource";
+/// The JSONL `type` tag of the per-cell performance record (`--profile`):
+/// exact work counters, throughput, phase timers, allocation counts and
+/// the `/proc` sample of one measured cell. Wall-clock data rides it, so
+/// it is JSONL-only and never part of determinism-gated lines.
+pub const PERF_TYPE: &str = "perf";
 /// The JSONL `type` tag of injected-fault records emitted by chaos runs
 /// (`xp chaos`): one per fault a seeded plan injected, carrying the
 /// trial/attempt (or file) it hit and how the run absorbed it. Fault
@@ -50,6 +49,8 @@ pub const LINT_TYPE: &str = "lint";
 pub struct RunWriter {
     experiment: String,
     quick: bool,
+    /// `--profile`: whether [`RunWriter::record_perf`] writes anything.
+    profile: bool,
     /// Resolved worker ceiling recorded in the footer (`--threads`, with
     /// `0` resolved to the core count). Individual cells may use fewer
     /// workers — the engine also caps at each cell's trial count.
@@ -57,9 +58,7 @@ pub struct RunWriter {
     jsonl: Option<(PathBuf, BufWriter<File>)>,
     csv: Option<CsvSink>,
     cells: usize,
-    profiles: usize,
-    metrics: usize,
-    resources: usize,
+    perfs: usize,
     faults: usize,
     start: Instant,
 }
@@ -108,13 +107,12 @@ impl RunWriter {
         Ok(RunWriter {
             experiment: experiment.to_string(),
             quick: options.quick,
+            profile: options.profile,
             threads: options.resolved_threads(),
             jsonl,
             csv,
             cells: 0,
-            profiles: 0,
-            metrics: 0,
-            resources: 0,
+            perfs: 0,
             faults: 0,
             start: Instant::now(),
         })
@@ -151,10 +149,7 @@ impl RunWriter {
         if !self.is_active() {
             return Ok(());
         }
-        let mut pairs: Vec<(String, JsonValue)> = Vec::with_capacity(fields.len() + 3);
-        pairs.push(("type".into(), JsonValue::from(CELL_TYPE)));
-        pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
-        pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        let mut pairs = self.tagged(CELL_TYPE, fields);
         if degraded {
             pairs.push(("degraded".into(), JsonValue::from(true)));
         }
@@ -167,95 +162,51 @@ impl RunWriter {
         Ok(())
     }
 
-    /// Writes one throughput record (`--profile`). Profile records carry
-    /// volatile timing, so they go to the JSONL stream only — never to
-    /// CSV, whose single header is shaped by the deterministic cell rows
-    /// — and determinism checks must filter on `"type":"cell"` as they
-    /// already do.
-    pub fn record_profile(&mut self, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
-        self.profiles += 1;
-        if let Some((_, w)) = &mut self.jsonl {
-            let mut pairs: Vec<(String, JsonValue)> = Vec::with_capacity(fields.len() + 2);
-            pairs.push(("type".into(), JsonValue::from(PROFILE_TYPE)));
-            pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
-            pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-            writeln!(w, "{}", JsonValue::Object(pairs))?;
+    /// Writes one perf record (`--profile`; a no-op without it): the
+    /// identifying `fields` (model, size, …) followed by
+    /// [`perf_fields`]`(obs)`. Perf records carry volatile timing, so
+    /// they go to the JSONL stream only — never to CSV, whose single
+    /// header is shaped by the deterministic cell rows — and determinism
+    /// checks keep filtering on `"type":"cell"`.
+    pub fn record_perf(
+        &mut self,
+        mut fields: Vec<(&str, JsonValue)>,
+        obs: &CellObs,
+    ) -> io::Result<()> {
+        if !self.profile {
+            return Ok(());
         }
-        Ok(())
+        self.perfs += 1;
+        fields.extend(perf_fields(obs));
+        self.write_jsonl_only(PERF_TYPE, fields)
     }
 
-    /// Writes one injected-fault record (`xp chaos`). Like profile
+    /// Writes one injected-fault record (`xp chaos`). Like perf
     /// records these carry run-specific perturbation data — which
     /// trial/attempt or file a seeded fault hit and how it was absorbed
     /// — so they ride the JSONL stream only and determinism `cmp` gates
     /// keep filtering on `"type":"cell"`.
     pub fn record_fault(&mut self, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
         self.faults += 1;
+        self.write_jsonl_only(FAULT_TYPE, fields)
+    }
+
+    /// Writes one `tag` record to the JSONL sink only (if any).
+    fn write_jsonl_only(&mut self, tag: &str, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
+        let pairs = self.tagged(tag, fields);
         if let Some((_, w)) = &mut self.jsonl {
-            let mut pairs: Vec<(String, JsonValue)> = Vec::with_capacity(fields.len() + 2);
-            pairs.push(("type".into(), JsonValue::from(FAULT_TYPE)));
-            pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
-            pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
             writeln!(w, "{}", JsonValue::Object(pairs))?;
         }
         Ok(())
     }
 
-    /// Writes one engine-metrics record: the identifying `fields` (model,
-    /// size, …) followed by [`metrics_fields`]`(metrics)`. The counter
-    /// values are deterministic (bit-identical for any `--threads`), but
-    /// like profile records they ride the JSONL stream only, so the CSV
-    /// header stays shaped by the cell rows and the determinism `cmp`
-    /// gates keep filtering on `"type":"cell"`.
-    pub fn record_metrics(
-        &mut self,
-        fields: Vec<(&str, JsonValue)>,
-        metrics: &Metrics,
-    ) -> io::Result<()> {
-        self.metrics += 1;
-        if let Some((_, w)) = &mut self.jsonl {
-            let mut pairs: Vec<(String, JsonValue)> = Vec::with_capacity(fields.len() + 9);
-            pairs.push(("type".into(), JsonValue::from(METRICS_TYPE)));
-            pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
-            pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-            pairs.extend(
-                metrics_fields(metrics)
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v)),
-            );
-            writeln!(w, "{}", JsonValue::Object(pairs))?;
-        }
-        Ok(())
-    }
-
-    /// Writes one resource record: the identifying `fields` (model,
-    /// size, …) followed by [`resource_fields`]. Resource records carry
-    /// wall-clock phase timers and `/proc` samples — volatile by
-    /// definition — so like profiles they ride the JSONL stream only
-    /// and determinism `cmp` gates keep filtering on `"type":"cell"`.
-    pub fn record_resource(
-        &mut self,
-        fields: Vec<(&str, JsonValue)>,
-        wall_ms: u64,
-        workers: usize,
-        phases: &PhaseTimes,
-        allocations: u64,
-        sample: &ResourceSample,
-    ) -> io::Result<()> {
-        self.resources += 1;
-        if let Some((_, w)) = &mut self.jsonl {
-            let mut pairs: Vec<(String, JsonValue)> = Vec::with_capacity(fields.len() + 14);
-            pairs.push(("type".into(), JsonValue::from(RESOURCE_TYPE)));
-            pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
-            pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-            pairs.extend(
-                resource_fields(wall_ms, workers, phases, allocations, sample)
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v)),
-            );
-            writeln!(w, "{}", JsonValue::Object(pairs))?;
-        }
-        Ok(())
+    /// `fields` with `type` and `experiment` prepended.
+    fn tagged(&self, tag: &str, fields: Vec<(&str, JsonValue)>) -> Vec<(String, JsonValue)> {
+        let mut pairs = Vec::with_capacity(fields.len() + 3);
+        pairs.push(("type".into(), JsonValue::from(tag)));
+        pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
+        pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        pairs
     }
 
     /// Writes the run footer (seed, quick, threads, git describe, wall
@@ -273,9 +224,7 @@ impl RunWriter {
                 ("git", JsonValue::from(git_describe())),
                 ("wall_ms", JsonValue::from(wall_ms as u64)),
                 ("cells", JsonValue::from(self.cells)),
-                ("profiles", JsonValue::from(self.profiles)),
-                ("metrics", JsonValue::from(self.metrics)),
-                ("resources", JsonValue::from(self.resources)),
+                ("perf", JsonValue::from(self.perfs)),
                 ("faults", JsonValue::from(self.faults)),
             ]);
             writeln!(w, "{footer}")?;
@@ -345,77 +294,66 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-/// The canonical JSON field set of a [`Metrics`] bundle, in a fixed
-/// order: the nine counters (the six work counters, then the three
-/// chaos counters — `faults_injected`, `trials_retried`,
-/// `trials_skipped`, all zero in fault-free runs), then
-/// `hist_requests_log2` — the per-trial request-count histogram in its
-/// trimmed form (bucket `0` counts zero-request trials; bucket `k ≥ 1`
-/// counts trials with total requests in `[2^(k−1), 2^k)`). `xp
-/// validate` checks the bucket counts sum to `trials`.
-pub fn metrics_fields(metrics: &Metrics) -> Vec<(&'static str, JsonValue)> {
-    vec![
-        ("trials", JsonValue::from(metrics.trials)),
-        ("requests", JsonValue::from(metrics.requests)),
-        ("discoveries", JsonValue::from(metrics.discoveries)),
-        (
-            "edge_resolutions",
-            JsonValue::from(metrics.edge_resolutions),
-        ),
-        (
-            "frontier_rescans",
-            JsonValue::from(metrics.frontier_rescans),
-        ),
-        ("scratch_resets", JsonValue::from(metrics.scratch_resets)),
-        ("faults_injected", JsonValue::from(metrics.faults_injected)),
-        ("trials_retried", JsonValue::from(metrics.trials_retried)),
-        ("trials_skipped", JsonValue::from(metrics.trials_skipped)),
+/// The canonical JSON payload of a perf record, in a fixed order:
+///
+/// * throughput — `trials` and `requests` (the exact `u64` counters of
+///   the folded trials), `lanes`, the cell's `wall_ms`, and
+///   `requests_per_sec`;
+/// * the remaining counters — the four work counters, then the three
+///   chaos counters (`faults_injected`, `trials_retried`,
+///   `trials_skipped`, all zero in fault-free runs) — and
+///   `hist_requests_log2`, the per-trial request-count histogram in its
+///   trimmed form (bucket `0` counts zero-request trials; bucket `k ≥ 1`
+///   counts trials with total requests in `[2^(k−1), 2^k)`);
+/// * resources — `workers` (per-worker busy time can total up to
+///   `wall_ms × (workers + 1)`, the `+ 1` being the consumer thread that
+///   owns the merge phase), the five phase timers, the heap-allocation
+///   count harvested across trial bodies, and the `/proc` sample.
+///
+/// `xp validate` checks the counts are whole, the histogram sums to
+/// `trials`, and the phases fit the wall envelope.
+pub fn perf_fields(obs: &CellObs) -> Vec<(&'static str, JsonValue)> {
+    let m = &obs.metrics;
+    let mut fields = vec![
+        ("trials", JsonValue::from(m.trials)),
+        ("requests", JsonValue::from(m.requests)),
+        ("lanes", JsonValue::from(obs.lanes)),
+        ("wall_ms", JsonValue::from(obs.wall_ms())),
+        ("requests_per_sec", JsonValue::from(obs.requests_per_sec())),
+        ("discoveries", JsonValue::from(m.discoveries)),
+        ("edge_resolutions", JsonValue::from(m.edge_resolutions)),
+        ("frontier_rescans", JsonValue::from(m.frontier_rescans)),
+        ("scratch_resets", JsonValue::from(m.scratch_resets)),
+        ("faults_injected", JsonValue::from(m.faults_injected)),
+        ("trials_retried", JsonValue::from(m.trials_retried)),
+        ("trials_skipped", JsonValue::from(m.trials_skipped)),
         (
             "hist_requests_log2",
             JsonValue::Array(
-                metrics
-                    .trial_requests
+                m.trial_requests
                     .trimmed()
                     .iter()
                     .map(|&count| JsonValue::from(count))
                     .collect(),
             ),
         ),
-    ]
-}
-
-/// The canonical JSON field set of a resource record's payload, in a
-/// fixed order: cell wall time and worker count (the envelope the
-/// phase sums are bounded by — per-worker busy time can total up to
-/// `wall_ms × (workers + 1)`, the `+ 1` being the consumer thread that
-/// owns the merge phase), the five phase timers, the heap-allocation
-/// count harvested across trial bodies, and the `/proc` process
-/// sample. `xp validate` checks these bounds.
-pub fn resource_fields(
-    wall_ms: u64,
-    workers: usize,
-    phases: &PhaseTimes,
-    allocations: u64,
-    sample: &ResourceSample,
-) -> Vec<(&'static str, JsonValue)> {
-    let mut fields = vec![
-        ("wall_ms", JsonValue::from(wall_ms)),
-        ("workers", JsonValue::from(workers)),
+        ("workers", JsonValue::from(obs.workers)),
     ];
     fields.extend(
-        phases
+        obs.phases
             .named()
             .into_iter()
             .map(|(name, ns)| (name, JsonValue::from(ns))),
     );
+    let r = &obs.resource;
     fields.extend([
-        ("allocations", JsonValue::from(allocations)),
-        ("peak_rss_bytes", JsonValue::from(sample.peak_rss_bytes)),
-        ("minor_faults", JsonValue::from(sample.minor_faults)),
-        ("major_faults", JsonValue::from(sample.major_faults)),
+        ("allocations", JsonValue::from(obs.allocations)),
+        ("peak_rss_bytes", JsonValue::from(r.peak_rss_bytes)),
+        ("minor_faults", JsonValue::from(r.minor_faults)),
+        ("major_faults", JsonValue::from(r.major_faults)),
         (
             "voluntary_ctx_switches",
-            JsonValue::from(sample.voluntary_ctx_switches),
+            JsonValue::from(r.voluntary_ctx_switches),
         ),
     ]);
     fields
@@ -574,47 +512,172 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn profile_records_are_jsonl_only() {
-        let path = temp_path("prof.jsonl");
+    /// A three-trial cell's observation, as the runner would report it.
+    fn demo_obs() -> CellObs {
+        let mut obs = CellObs {
+            lanes: 2,
+            workers: 4,
+            wall_ns: 12_000_000,
+            allocations: 7,
+            ..CellObs::default()
+        };
+        obs.metrics.trials = 2;
+        obs.metrics.requests = 100;
+        obs.metrics.observe_trial_requests(60);
+        obs.metrics.observe_trial_requests(40);
+        obs.phases.generate_ns = 1_000;
+        obs.phases.search_ns = 5_000;
+        obs.resource.peak_rss_bytes = 4096;
+        obs
+    }
+
+    /// Writes one `--profile` run (a cell and one perf record for
+    /// [`demo_obs`]) in both formats and returns the parsed perf record,
+    /// the parsed footer, and the CSV sibling's text.
+    fn perf_run(tag: &str) -> (JsonValue, JsonValue, String) {
+        let path = temp_path(tag);
         let options = CliOptions {
             out: Some(path.clone()),
             format: OutputFormat::Both,
+            profile: true,
             ..CliOptions::default()
         };
         let mut w = RunWriter::create("demo", &options).unwrap();
         w.record_cell(demo_fields(64)).unwrap();
-        w.record_profile(vec![
-            ("n", JsonValue::from(64usize)),
-            ("requests_per_sec", JsonValue::from(1.25e6)),
-        ])
-        .unwrap();
+        w.record_perf(vec![("n", JsonValue::from(64usize))], &demo_obs())
+            .unwrap();
         w.finish(1).unwrap();
-
         let jsonl = std::fs::read_to_string(&path).unwrap();
-        let profile_line = jsonl
+        let perf = jsonl
             .lines()
-            .find(|l| l.contains("\"type\":\"profile\""))
-            .expect("profile record in JSONL");
-        let parsed = json::parse(profile_line).unwrap();
-        assert_eq!(
-            parsed.get("type").and_then(|v| v.as_str()),
-            Some(PROFILE_TYPE)
-        );
-        assert_eq!(
-            parsed.get("requests_per_sec").and_then(|v| v.as_f64()),
-            Some(1.25e6)
-        );
+            .find(|l| l.contains("\"type\":\"perf\""))
+            .map(|l| json::parse(l).unwrap())
+            .expect("perf record in JSONL");
+        assert_eq!(perf.get("n").and_then(|v| v.as_f64()), Some(64.0));
         let footer = json::parse(jsonl.lines().last().unwrap()).unwrap();
-        assert_eq!(footer.get("profiles").and_then(|v| v.as_f64()), Some(1.0));
-        // The CSV sibling keeps its single cell-shaped header: no
-        // profile rows leak into it.
         let csv_path = path.with_extension("csv");
         let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(!csv.contains("profile"));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&csv_path).ok();
+        (perf, footer, csv)
+    }
+
+    fn num(record: &JsonValue, key: &str) -> Option<f64> {
+        record.get(key).and_then(|v| v.as_f64())
+    }
+
+    /// The throughput section of the perf record (what the retired
+    /// `profile` record carried), and the record's JSONL-only routing.
+    #[test]
+    fn profile_records_are_jsonl_only() {
+        let (perf, footer, csv) = perf_run("perf_profile.jsonl");
+        assert_eq!(num(&perf, "trials"), Some(2.0));
+        assert_eq!(num(&perf, "requests"), Some(100.0));
+        assert_eq!(num(&perf, "lanes"), Some(2.0));
+        assert_eq!(num(&perf, "wall_ms"), Some(12.0));
+        assert_eq!(num(&perf, "requests_per_sec"), Some(100.0 / 0.012));
+        assert_eq!(num(&footer, "perf"), Some(1.0));
+        // The CSV sibling keeps its single cell-shaped header: no perf
+        // rows leak into it.
+        assert_eq!(csv.lines().count(), 2);
+        assert!(!csv.contains("perf"));
+
+        // Without --profile the same call writes and counts nothing.
+        let path = temp_path("perf_off.jsonl");
+        let options = CliOptions {
+            out: Some(path.clone()),
+            ..CliOptions::default()
+        };
+        let mut w = RunWriter::create("demo", &options).unwrap();
+        w.record_perf(vec![], &demo_obs()).unwrap();
+        w.finish(1).unwrap();
+        let jsonl = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(jsonl.lines().count(), 1, "{jsonl}");
+        assert!(jsonl.contains("\"perf\":0"), "{jsonl}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The counter section of the perf record (what the retired
+    /// `metrics` record carried).
+    #[test]
+    fn metrics_records_are_jsonl_only_and_counted() {
+        let (perf, _, csv) = perf_run("perf_metrics.jsonl");
+        assert_eq!(num(&perf, "trials"), Some(2.0));
+        assert_eq!(num(&perf, "requests"), Some(100.0));
+        for counter in ["discoveries", "edge_resolutions", "trials_skipped"] {
+            assert_eq!(num(&perf, counter), Some(0.0), "{counter}");
+        }
+        // Both samples land in bucket 6 ([32, 64)); the trimmed array
+        // covers buckets 0..=6 and its counts sum to the trial count.
+        let hist = perf
+            .get("hist_requests_log2")
+            .and_then(|v| v.as_array())
+            .expect("histogram array");
+        assert_eq!(hist.len(), 7);
+        assert_eq!(hist.iter().filter_map(|v| v.as_f64()).sum::<f64>(), 2.0);
+        assert!(!csv.contains("hist_requests_log2"));
+    }
+
+    /// The resource section of the perf record (what the retired
+    /// `resource` record carried).
+    #[test]
+    fn resource_records_are_jsonl_only_and_counted() {
+        let (perf, _, csv) = perf_run("perf_resource.jsonl");
+        assert_eq!(num(&perf, "workers"), Some(4.0));
+        assert_eq!(num(&perf, "phase_generate_ns"), Some(1000.0));
+        assert_eq!(num(&perf, "phase_search_ns"), Some(5000.0));
+        assert_eq!(num(&perf, "phase_load_ns"), Some(0.0));
+        assert_eq!(num(&perf, "allocations"), Some(7.0));
+        assert_eq!(num(&perf, "peak_rss_bytes"), Some(4096.0));
+        assert_eq!(num(&perf, "voluntary_ctx_switches"), Some(0.0));
+        assert!(!csv.contains("peak_rss_bytes"));
+    }
+
+    #[test]
+    fn perf_requests_count_only_the_folded_trials_under_skip() {
+        // Trials 0, 3, 6, … are dropped by the Skip policy. The perf
+        // record's `requests` must be the exact sum over the trials that
+        // were folded — never the lane mean times the configured trial
+        // count, which over-counts the skipped ones.
+        use crate::{install_faults, run_lanes_observed, FailurePolicy, FaultInjection};
+        use crate::{InjectedFault, TrialMeasure};
+        use nonsearch_generators::SeedSequence;
+        let trials = 20;
+        let seeds = SeedSequence::new(5);
+        let requests = |trial: usize| 10 + 3 * trial as u64;
+        let _scope = install_faults(FaultInjection {
+            policy: FailurePolicy::Skip,
+            hook: Some(std::sync::Arc::new(|trial, _| {
+                (trial % 3 == 0).then_some(InjectedFault::Panic)
+            })),
+            cell_deadline_ms: None,
+        });
+        let (lanes, obs) = run_lanes_observed(
+            trials,
+            1,
+            2,
+            &seeds,
+            || (),
+            |(), o, trial, _| {
+                o.metrics.requests = requests(trial);
+                vec![TrialMeasure::new(requests(trial) as f64, true)]
+            },
+        );
+        let folded: u64 = (0..trials).filter(|t| t % 3 != 0).map(requests).sum();
+        let skipped = (0..trials).filter(|t| t % 3 == 0).count() as u64;
+        assert_eq!(lanes[0].count(), trials as u64 - skipped);
+        assert!(lanes[0].mean() * trials as f64 > folded as f64 + 1.0);
+
+        let fields = perf_fields(&obs);
+        let field = |key: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .and_then(|(_, v)| v.as_f64())
+        };
+        assert_eq!(field("requests"), Some(folded as f64));
+        assert_eq!(field("trials"), Some((trials as u64 - skipped) as f64));
+        assert_eq!(field("trials_skipped"), Some(skipped as f64));
     }
 
     #[test]
@@ -683,131 +746,6 @@ mod tests {
         let footer = json::parse(lines[2]).unwrap();
         assert_eq!(footer.get("cells").and_then(|v| v.as_f64()), Some(2.0));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn metrics_records_are_jsonl_only_and_counted() {
-        let path = temp_path("metrics.jsonl");
-        let options = CliOptions {
-            out: Some(path.clone()),
-            format: OutputFormat::Both,
-            ..CliOptions::default()
-        };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(demo_fields(64)).unwrap();
-        let mut m = Metrics::new();
-        m.trials = 2;
-        m.requests = 100;
-        m.observe_trial_requests(60);
-        m.observe_trial_requests(40);
-        w.record_metrics(vec![("n", JsonValue::from(64usize))], &m)
-            .unwrap();
-        w.finish(1).unwrap();
-
-        let jsonl = std::fs::read_to_string(&path).unwrap();
-        let line = jsonl
-            .lines()
-            .find(|l| l.contains("\"type\":\"metrics\""))
-            .expect("metrics record in JSONL");
-        let parsed = json::parse(line).unwrap();
-        assert_eq!(
-            parsed.get("type").and_then(|v| v.as_str()),
-            Some(METRICS_TYPE)
-        );
-        assert_eq!(parsed.get("n").and_then(|v| v.as_f64()), Some(64.0));
-        assert_eq!(parsed.get("trials").and_then(|v| v.as_f64()), Some(2.0));
-        assert_eq!(parsed.get("requests").and_then(|v| v.as_f64()), Some(100.0));
-        // Both samples land in bucket 6 ([32, 64)); the trimmed array
-        // covers buckets 0..=6 and its counts sum to the trial count.
-        let hist = parsed
-            .get("hist_requests_log2")
-            .and_then(|v| v.as_array())
-            .expect("histogram array");
-        let total: f64 = hist.iter().filter_map(|v| v.as_f64()).sum();
-        assert_eq!(total, 2.0);
-        assert_eq!(hist.len(), 7);
-        let footer = json::parse(jsonl.lines().last().unwrap()).unwrap();
-        assert_eq!(footer.get("metrics").and_then(|v| v.as_f64()), Some(1.0));
-        // No metrics rows leak into the CSV sibling.
-        let csv_path = path.with_extension("csv");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert_eq!(csv.lines().count(), 2);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&csv_path).ok();
-    }
-
-    #[test]
-    fn resource_records_are_jsonl_only_and_counted() {
-        let path = temp_path("resource.jsonl");
-        let options = CliOptions {
-            out: Some(path.clone()),
-            format: OutputFormat::Both,
-            ..CliOptions::default()
-        };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(demo_fields(64)).unwrap();
-        let phases = PhaseTimes {
-            generate_ns: 1_000,
-            search_ns: 5_000,
-            harvest_ns: 100,
-            merge_ns: 50,
-            ..PhaseTimes::new()
-        };
-        let sample = ResourceSample {
-            peak_rss_bytes: 4096,
-            minor_faults: 10,
-            major_faults: 1,
-            voluntary_ctx_switches: 3,
-        };
-        w.record_resource(
-            vec![("n", JsonValue::from(64usize))],
-            12,
-            4,
-            &phases,
-            7,
-            &sample,
-        )
-        .unwrap();
-        w.finish(1).unwrap();
-
-        let jsonl = std::fs::read_to_string(&path).unwrap();
-        let line = jsonl
-            .lines()
-            .find(|l| l.contains("\"type\":\"resource\""))
-            .expect("resource record in JSONL");
-        let parsed = json::parse(line).unwrap();
-        assert_eq!(
-            parsed.get("type").and_then(|v| v.as_str()),
-            Some(RESOURCE_TYPE)
-        );
-        assert_eq!(parsed.get("n").and_then(|v| v.as_f64()), Some(64.0));
-        assert_eq!(parsed.get("wall_ms").and_then(|v| v.as_f64()), Some(12.0));
-        assert_eq!(parsed.get("workers").and_then(|v| v.as_f64()), Some(4.0));
-        assert_eq!(
-            parsed.get("phase_search_ns").and_then(|v| v.as_f64()),
-            Some(5000.0)
-        );
-        assert_eq!(
-            parsed.get("phase_load_ns").and_then(|v| v.as_f64()),
-            Some(0.0)
-        );
-        assert_eq!(
-            parsed.get("allocations").and_then(|v| v.as_f64()),
-            Some(7.0)
-        );
-        assert_eq!(
-            parsed.get("peak_rss_bytes").and_then(|v| v.as_f64()),
-            Some(4096.0)
-        );
-        let footer = json::parse(jsonl.lines().last().unwrap()).unwrap();
-        assert_eq!(footer.get("resources").and_then(|v| v.as_f64()), Some(1.0));
-        // No resource rows leak into the CSV sibling.
-        let csv_path = path.with_extension("csv");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(!csv.contains("resource"));
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&csv_path).ok();
     }
 
     #[test]

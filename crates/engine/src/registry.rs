@@ -9,11 +9,13 @@
 //! entry points.
 
 use crate::json;
+use crate::json::JsonValue;
 use crate::options::CliOptions;
 use crate::record::{
-    RunSummary, RunWriter, CELL_TYPE, DIAGNOSTIC_TYPE, FAULT_TYPE, LINT_TYPE, METRICS_TYPE,
-    PROFILE_TYPE, RESOURCE_TYPE, RUN_TYPE,
+    perf_fields, RunSummary, RunWriter, CELL_TYPE, DIAGNOSTIC_TYPE, FAULT_TYPE, LINT_TYPE,
+    PERF_TYPE, RUN_TYPE,
 };
+use crate::runner::CellObs;
 use nonsearch_analysis::Table;
 use nonsearch_obs::{PhaseTimes, Tracer};
 use std::io;
@@ -246,7 +248,8 @@ impl Registry {
              \x20 xp list                      enumerate registered experiments\n\
              \x20 xp <experiment> [flags]      run one experiment\n\
              \x20 xp validate <file>...        check emitted JSONL run records (and .trace.json exports)\n\
-             \x20 xp profile-diff <run.jsonl>  compare a run's profile records to a committed baseline\n\
+             \x20 xp profile-diff <suite.json> --baseline FILE\n\
+             \x20                             gate an `xp bench` suite record against a committed one\n\
              \x20 xp report <run.jsonl>        render a run's records as a terminal summary\n\
              \n\
              shared flags:\n\
@@ -260,7 +263,7 @@ impl Registry {
              \x20 --sizes A,B,C      override the size sweep\n\
              \x20 --corpus DIR       serve trial graphs from a stored corpus\n\
              \x20 --mmap             zero-copy corpus loads via memory-mapped files\n\
-             \x20 --profile          per-cell throughput records (requests/sec) in the JSONL out\n\
+             \x20 --profile          one perf record per cell (counters, throughput, phases) in the JSONL out\n\
              \x20 --trace PATH       write run/cell/trial spans as Chrome Trace Event JSON\n\
              \x20 --heal             quarantine + regenerate corrupt corpus blobs instead of failing\n\
              \n\
@@ -289,12 +292,8 @@ pub struct ValidateSummary {
     pub cells: usize,
     /// `"type":"run"` footers.
     pub runs: usize,
-    /// `"type":"profile"` throughput records (`--profile`).
-    pub profiles: usize,
-    /// `"type":"metrics"` engine-counter records.
-    pub metrics: usize,
-    /// `"type":"resource"` phase-timer/process-sample records.
-    pub resources: usize,
+    /// `"type":"perf"` per-cell performance records (`--profile`).
+    pub perfs: usize,
     /// `"type":"fault"` injected-fault records (`xp chaos`).
     pub faults: usize,
     /// `"type":"diagnostic"` `xp lint` findings.
@@ -307,38 +306,12 @@ impl std::fmt::Display for ValidateSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} cell records, {} run footers, {} profile records, {} metrics records, \
-             {} resource records, {} fault records, {} diagnostic records, {} lint footers — OK",
-            self.cells,
-            self.runs,
-            self.profiles,
-            self.metrics,
-            self.resources,
-            self.faults,
-            self.diagnostics,
-            self.lints
+            "{} cell records, {} run footers, {} perf records, {} fault records, \
+             {} diagnostic records, {} lint footers — OK",
+            self.cells, self.runs, self.perfs, self.faults, self.diagnostics, self.lints
         )
     }
 }
-
-/// The numeric fields every `"type":"profile"` record must carry, each a
-/// finite non-negative number.
-const PROFILE_REQUIRED: [&str; 5] = ["n", "trials", "requests", "wall_ms", "requests_per_sec"];
-
-/// The counter fields every `"type":"metrics"` record must carry, each a
-/// finite non-negative number (the last three are the chaos counters,
-/// zero in fault-free runs).
-const METRICS_REQUIRED: [&str; 9] = [
-    "trials",
-    "requests",
-    "discoveries",
-    "edge_resolutions",
-    "frontier_rescans",
-    "scratch_resets",
-    "faults_injected",
-    "trials_retried",
-    "trials_skipped",
-];
 
 /// The string fields every `"type":"fault"` record must carry, each
 /// non-empty: the fault kind (`panic`, `stall`, `storage`, …) and how
@@ -353,33 +326,13 @@ const DIAGNOSTIC_REQUIRED_STR: [&str; 3] = ["rule", "path", "message"];
 /// finite non-negative number.
 const LINT_REQUIRED: [&str; 4] = ["files", "diagnostics", "waived", "violations"];
 
-/// The numeric fields every `"type":"resource"` record must carry,
-/// each a finite non-negative number.
-const RESOURCE_REQUIRED: [&str; 12] = [
-    "wall_ms",
-    "workers",
-    "phase_generate_ns",
-    "phase_load_ns",
-    "phase_search_ns",
-    "phase_harvest_ns",
-    "phase_merge_ns",
-    "allocations",
-    "peak_rss_bytes",
-    "minor_faults",
-    "major_faults",
-    "voluntary_ctx_switches",
-];
-
 /// Checks that every non-empty line is a JSON object tagged `cell`,
-/// `run`, `profile`, `metrics`, `resource`, `fault` (`xp chaos`
-/// injected-fault records), `diagnostic`, or `lint`
-/// (the last two are `xp lint` reports); that profile records
-/// carry well-formed throughput fields; that metrics records carry
-/// finite non-negative counters and a `hist_requests_log2` histogram
-/// whose bucket counts sum to `trials`; that resource records carry
-/// finite non-negative fields, phase sums within the per-worker wall
-/// envelope, and (on Linux, where `/proc` sampling always works) a
-/// positive peak RSS; and that at least one record is present.
+/// `run`, `perf`, `fault` (`xp chaos` injected-fault records),
+/// `diagnostic`, or `lint` (the last two are `xp lint` reports); that
+/// each carries its kind's required fields — for perf records, finite
+/// non-negative counters with whole `trials`/`requests`, a histogram
+/// summing to `trials`, phases within the wall envelope, and (on Linux)
+/// a positive peak RSS; and that at least one record is present.
 pub fn validate_jsonl(text: &str) -> Result<ValidateSummary, String> {
     let mut summary = ValidateSummary::default();
     for (lineno, line) in text.lines().enumerate() {
@@ -387,209 +340,33 @@ pub fn validate_jsonl(text: &str) -> Result<ValidateSummary, String> {
             continue;
         }
         let value = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        match value.get("type").and_then(|t| t.as_str()) {
-            Some(t) if t == CELL_TYPE => summary.cells += 1,
-            Some(t) if t == RUN_TYPE => summary.runs += 1,
-            Some(t) if t == PROFILE_TYPE => {
-                for key in PROFILE_REQUIRED {
-                    match value.get(key).and_then(|v| v.as_f64()) {
-                        Some(x) if x.is_finite() && x >= 0.0 => {}
-                        Some(x) => {
-                            return Err(format!(
-                                "line {}: profile field {key:?} is not a finite non-negative \
-                                 number (got {x})",
-                                lineno + 1
-                            ))
-                        }
-                        None => {
-                            return Err(format!(
-                                "line {}: profile record is missing numeric field {key:?}",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                summary.profiles += 1;
-            }
-            Some(t) if t == METRICS_TYPE => {
-                let mut trials = 0.0f64;
-                for key in METRICS_REQUIRED {
-                    match value.get(key).and_then(|v| v.as_f64()) {
-                        Some(x) if x.is_finite() && x >= 0.0 => {
-                            if key == "trials" {
-                                trials = x;
-                            }
-                        }
-                        Some(x) => {
-                            return Err(format!(
-                                "line {}: metrics field {key:?} is not a finite non-negative \
-                                 number (got {x})",
-                                lineno + 1
-                            ))
-                        }
-                        None => {
-                            return Err(format!(
-                                "line {}: metrics record is missing numeric field {key:?}",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                let buckets = value
-                    .get("hist_requests_log2")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| {
-                        format!(
-                            "line {}: metrics record is missing array field \
-                             \"hist_requests_log2\"",
-                            lineno + 1
-                        )
-                    })?;
-                let mut bucket_sum = 0.0f64;
-                for (i, bucket) in buckets.iter().enumerate() {
-                    match bucket.as_f64() {
-                        Some(x) if x.is_finite() && x >= 0.0 => bucket_sum += x,
-                        _ => {
-                            return Err(format!(
-                                "line {}: histogram bucket {i} is not a finite non-negative \
-                                 number",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                if bucket_sum != trials {
-                    return Err(format!(
-                        "line {}: histogram bucket counts sum to {bucket_sum}, but the record \
-                         claims {trials} trials",
-                        lineno + 1
-                    ));
-                }
-                summary.metrics += 1;
-            }
-            Some(t) if t == RESOURCE_TYPE => {
-                let field = |key: &str| -> Result<f64, String> {
-                    match value.get(key).and_then(|v| v.as_f64()) {
-                        Some(x) if x.is_finite() && x >= 0.0 => Ok(x),
-                        Some(x) => Err(format!(
-                            "line {}: resource field {key:?} is not a finite non-negative \
-                             number (got {x})",
-                            lineno + 1
-                        )),
-                        None => Err(format!(
-                            "line {}: resource record is missing numeric field {key:?}",
-                            lineno + 1
-                        )),
-                    }
-                };
-                for key in RESOURCE_REQUIRED {
-                    field(key)?;
-                }
-                let wall_ms = field("wall_ms")?;
-                let workers = field("workers")?;
-                let phase_sum: f64 = PhaseTimes::new()
-                    .named()
-                    .iter()
-                    .map(|&(key, _)| field(key))
-                    .sum::<Result<f64, String>>()?;
-                // Per-worker busy time is bounded by the wall envelope:
-                // wall × (workers + 1), the +1 being the consumer thread
-                // that owns the merge phase. wall_ms is floored to whole
-                // milliseconds, so allow one extra ms of slack.
-                let envelope_ns = (wall_ms + 1.0) * 1e6 * (workers + 1.0);
-                if phase_sum > envelope_ns {
-                    return Err(format!(
-                        "line {}: phase times sum to {phase_sum} ns, exceeding the \
-                         wall envelope of {envelope_ns} ns ({} ms × {} threads)",
-                        lineno + 1,
-                        wall_ms + 1.0,
-                        workers + 1.0
-                    ));
-                }
-                if cfg!(target_os = "linux") && field("peak_rss_bytes")? == 0.0 {
-                    return Err(format!(
-                        "line {}: resource record claims zero peak RSS (the /proc \
-                         sampler always reports a positive VmHWM on Linux)",
-                        lineno + 1
-                    ));
-                }
-                summary.resources += 1;
-            }
+        let count = match value.get("type").and_then(|t| t.as_str()) {
+            Some(t) if t == CELL_TYPE => Ok(&mut summary.cells),
+            Some(t) if t == RUN_TYPE => Ok(&mut summary.runs),
+            Some(t) if t == PERF_TYPE => check_perf(&value).map(|()| &mut summary.perfs),
             Some(t) if t == FAULT_TYPE => {
-                for key in FAULT_REQUIRED_STR {
-                    match value.get(key).and_then(|v| v.as_str()) {
-                        Some(s) if !s.is_empty() => {}
-                        _ => {
-                            return Err(format!(
-                                "line {}: fault record is missing non-empty string \
-                                 field {key:?}",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                summary.faults += 1;
+                strings(&value, "fault record", &FAULT_REQUIRED_STR).map(|()| &mut summary.faults)
             }
             Some(t) if t == DIAGNOSTIC_TYPE => {
-                for key in DIAGNOSTIC_REQUIRED_STR {
-                    match value.get(key).and_then(|v| v.as_str()) {
-                        Some(s) if !s.is_empty() => {}
-                        _ => {
-                            return Err(format!(
-                                "line {}: diagnostic record is missing non-empty string \
-                                 field {key:?}",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                match value.get("line").and_then(|v| v.as_f64()) {
-                    Some(x) if x.is_finite() && x >= 0.0 => {}
-                    _ => {
-                        return Err(format!(
-                            "line {}: diagnostic record is missing a finite non-negative \
-                             \"line\" field",
-                            lineno + 1
-                        ))
-                    }
-                }
-                if value.get("waived").and_then(|v| v.as_bool()).is_none() {
-                    return Err(format!(
-                        "line {}: diagnostic record is missing boolean field \"waived\"",
-                        lineno + 1
-                    ));
-                }
-                summary.diagnostics += 1;
+                strings(&value, "diagnostic record", &DIAGNOSTIC_REQUIRED_STR)
+                    .and_then(|()| number(&value, "diagnostic record", "line"))
+                    .and_then(|_| match value.get("waived").and_then(|v| v.as_bool()) {
+                        Some(_) => Ok(&mut summary.diagnostics),
+                        None => Err("diagnostic record is missing boolean field \"waived\"".into()),
+                    })
             }
-            Some(t) if t == LINT_TYPE => {
-                for key in LINT_REQUIRED {
-                    match value.get(key).and_then(|v| v.as_f64()) {
-                        Some(x) if x.is_finite() && x >= 0.0 => {}
-                        _ => {
-                            return Err(format!(
-                                "line {}: lint footer is missing a finite non-negative \
-                                 field {key:?}",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                summary.lints += 1;
-            }
-            Some(t) => return Err(format!("line {}: unknown record type {t:?}", lineno + 1)),
-            None => {
-                return Err(format!(
-                    "line {}: record is not an object with a \"type\" tag",
-                    lineno + 1
-                ))
-            }
-        }
+            Some(t) if t == LINT_TYPE => LINT_REQUIRED
+                .iter()
+                .try_for_each(|key| number(&value, "lint footer", key).map(drop))
+                .map(|()| &mut summary.lints),
+            Some(t) => Err(format!("unknown record type {t:?}")),
+            None => Err("record is not an object with a \"type\" tag".to_string()),
+        };
+        *count.map_err(|e| format!("line {}: {e}", lineno + 1))? += 1;
     }
     let total = summary.cells
         + summary.runs
-        + summary.profiles
-        + summary.metrics
-        + summary.resources
+        + summary.perfs
         + summary.faults
         + summary.diagnostics
         + summary.lints;
@@ -597,6 +374,100 @@ pub fn validate_jsonl(text: &str) -> Result<ValidateSummary, String> {
         return Err("no records found".to_string());
     }
     Ok(summary)
+}
+
+/// `value[key]` as a finite non-negative number; `kind` names the record
+/// in the error.
+fn number(value: &JsonValue, kind: &str, key: &str) -> Result<f64, String> {
+    match value.get(key).and_then(|v| v.as_f64()) {
+        Some(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        Some(x) => Err(format!(
+            "{kind} field {key:?} is not a finite non-negative number (got {x})"
+        )),
+        None => Err(format!("{kind} is missing numeric field {key:?}")),
+    }
+}
+
+/// Checks every `keys` field of `value` is a non-empty string.
+fn strings(value: &JsonValue, kind: &str, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
+        match value.get(key).and_then(|v| v.as_str()) {
+            Some(s) if !s.is_empty() => {}
+            _ => return Err(format!("{kind} is missing non-empty string field {key:?}")),
+        }
+    }
+    Ok(())
+}
+
+/// Checks one perf record: `n` and every scalar field [`perf_fields`]
+/// writes are finite non-negative numbers; `trials` and `requests` are whole numbers (they
+/// come from exact `u64` counters, never a `mean × trials` product); the
+/// `hist_requests_log2` buckets are whole and sum to `trials`; the phase
+/// times fit the per-worker wall envelope; and (on Linux, where `/proc`
+/// sampling always works) the peak RSS is positive.
+fn check_perf(value: &JsonValue) -> Result<(), String> {
+    let field = |key: &str| number(value, "perf record", key);
+    let scalars = perf_fields(&CellObs::default());
+    for key in std::iter::once("n").chain(scalars.iter().map(|&(key, _)| key)) {
+        if key != "hist_requests_log2" {
+            field(key)?;
+        }
+    }
+    for key in ["trials", "requests"] {
+        let x = field(key)?;
+        if x.fract() != 0.0 {
+            return Err(format!(
+                "perf field {key:?} is not a whole number (got {x})"
+            ));
+        }
+    }
+    let buckets = value
+        .get("hist_requests_log2")
+        .and_then(|v| v.as_array())
+        .ok_or_else(|| "perf record is missing array field \"hist_requests_log2\"".to_string())?;
+    let mut bucket_sum = 0.0f64;
+    for (i, bucket) in buckets.iter().enumerate() {
+        match bucket.as_f64() {
+            Some(x) if x.is_finite() && x >= 0.0 && x.fract() == 0.0 => bucket_sum += x,
+            _ => {
+                return Err(format!(
+                    "histogram bucket {i} is not a whole non-negative number"
+                ))
+            }
+        }
+    }
+    let trials = field("trials")?;
+    if bucket_sum != trials {
+        return Err(format!(
+            "histogram bucket counts sum to {bucket_sum}, but the record claims {trials} trials"
+        ));
+    }
+    // Per-worker busy time is bounded by the wall envelope: wall ×
+    // (workers + 1), the +1 being the consumer thread that owns the
+    // merge phase; one extra ms of slack absorbs timer granularity.
+    let (wall_ms, workers) = (field("wall_ms")?, field("workers")?);
+    let phase_sum: f64 = PhaseTimes::new()
+        .named()
+        .iter()
+        .map(|&(key, _)| field(key))
+        .sum::<Result<f64, String>>()?;
+    let envelope_ns = (wall_ms + 1.0) * 1e6 * (workers + 1.0);
+    if phase_sum > envelope_ns {
+        return Err(format!(
+            "phase times sum to {phase_sum} ns, exceeding the wall envelope of \
+             {envelope_ns} ns ({} ms × {} threads)",
+            wall_ms + 1.0,
+            workers + 1.0
+        ));
+    }
+    if cfg!(target_os = "linux") && field("peak_rss_bytes")? == 0.0 {
+        return Err(
+            "perf record claims zero peak RSS (the /proc sampler always reports \
+                    a positive VmHWM on Linux)"
+                .to_string(),
+        );
+    }
+    Ok(())
 }
 
 /// Structurally validates a Chrome Trace Event Format export (the
@@ -758,59 +629,73 @@ mod tests {
         );
     }
 
+    /// A well-formed perf record: 3 trials, 21 requests, 10 ms on 2
+    /// workers.
+    const PERF: &str = "{\"type\":\"perf\",\"n\":128,\"trials\":3,\"requests\":21,\"lanes\":1,\
+                        \"wall_ms\":10.0,\"requests_per_sec\":2100.0,\"discoveries\":9,\
+                        \"edge_resolutions\":12,\"frontier_rescans\":2,\"scratch_resets\":3,\
+                        \"faults_injected\":1,\"trials_retried\":1,\"trials_skipped\":0,\
+                        \"hist_requests_log2\":[0,0,0,3],\"workers\":2,\
+                        \"phase_generate_ns\":2000000,\"phase_load_ns\":0,\
+                        \"phase_search_ns\":18000000,\"phase_harvest_ns\":500000,\
+                        \"phase_merge_ns\":1000000,\"allocations\":0,\
+                        \"peak_rss_bytes\":52428800,\"minor_faults\":120,\
+                        \"major_faults\":0,\"voluntary_ctx_switches\":4}\n";
+
     #[test]
     fn validate_checks_profile_fields() {
-        let good = "{\"type\":\"profile\",\"n\":128,\"trials\":4,\"requests\":512,\
-                    \"wall_ms\":2.5,\"requests_per_sec\":204800.0}\n";
-        let ok = validate_jsonl(good).unwrap();
+        // The throughput half of the perf record.
+        let ok = validate_jsonl(PERF).unwrap();
         assert_eq!(
             ok,
             ValidateSummary {
-                profiles: 1,
+                perfs: 1,
                 ..Default::default()
             }
         );
         // A missing throughput field is an error, not a shrug.
-        let missing = "{\"type\":\"profile\",\"n\":128}";
-        let err = validate_jsonl(missing).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
+        let missing = PERF.replace(",\"requests_per_sec\":2100.0", "");
+        let err = validate_jsonl(&missing).unwrap_err();
+        assert!(
+            err.contains("missing") && err.contains("requests_per_sec"),
+            "{err}"
+        );
         // So is a non-finite or negative value.
-        let negative = "{\"type\":\"profile\",\"n\":128,\"trials\":4,\"requests\":512,\
-                        \"wall_ms\":-1,\"requests_per_sec\":1.0}";
-        let err = validate_jsonl(negative).unwrap_err();
+        let negative = PERF.replace("\"wall_ms\":10.0", "\"wall_ms\":-1");
+        let err = validate_jsonl(&negative).unwrap_err();
         assert!(err.contains("wall_ms"), "{err}");
     }
 
     #[test]
     fn validate_checks_metrics_fields_and_histogram_sum() {
-        let good = "{\"type\":\"metrics\",\"trials\":3,\"requests\":21,\"discoveries\":9,\
-                    \"edge_resolutions\":12,\"frontier_rescans\":2,\"scratch_resets\":3,\
-                    \"faults_injected\":1,\"trials_retried\":1,\"trials_skipped\":0,\
-                    \"hist_requests_log2\":[0,0,0,3]}\n";
-        let ok = validate_jsonl(good).unwrap();
-        assert_eq!(
-            ok,
-            ValidateSummary {
-                metrics: 1,
-                ..Default::default()
-            }
+        // The counter half of the perf record. A missing counter is an
+        // error.
+        let missing = PERF.replace(",\"discoveries\":9", "");
+        let err = validate_jsonl(&missing).unwrap_err();
+        assert!(
+            err.contains("missing") && err.contains("discoveries"),
+            "{err}"
         );
-        // A missing counter is an error.
-        let missing = "{\"type\":\"metrics\",\"trials\":3,\"hist_requests_log2\":[3]}";
-        let err = validate_jsonl(missing).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
         // A missing histogram is an error.
-        let no_hist = good.replace(",\"hist_requests_log2\":[0,0,0,3]", "");
+        let no_hist = PERF.replace(",\"hist_requests_log2\":[0,0,0,3]", "");
         let err = validate_jsonl(&no_hist).unwrap_err();
         assert!(err.contains("hist_requests_log2"), "{err}");
         // Bucket counts must sum to the trial count.
-        let drifted = good.replace("[0,0,0,3]", "[0,0,0,2]");
+        let drifted = PERF.replace("[0,0,0,3]", "[0,0,0,2]");
         let err = validate_jsonl(&drifted).unwrap_err();
         assert!(err.contains("sum"), "{err}");
         // Negative counters are rejected.
-        let negative = good.replace("\"discoveries\":9", "\"discoveries\":-1");
+        let negative = PERF.replace("\"discoveries\":9", "\"discoveries\":-1");
         let err = validate_jsonl(&negative).unwrap_err();
         assert!(err.contains("discoveries"), "{err}");
+        // Counts are exact integers: a `mean × trials` product that
+        // lands off a whole number is rejected, for trials too.
+        let fractional = PERF.replace("\"requests\":21", "\"requests\":20.999999999999996");
+        let err = validate_jsonl(&fractional).unwrap_err();
+        assert!(err.contains("requests") && err.contains("whole"), "{err}");
+        let fractional = PERF.replace("\"trials\":3", "\"trials\":3.5");
+        let err = validate_jsonl(&fractional).unwrap_err();
+        assert!(err.contains("trials") && err.contains("whole"), "{err}");
     }
 
     #[test]
@@ -836,32 +721,19 @@ mod tests {
 
     #[test]
     fn validate_checks_resource_fields_and_bounds() {
-        let good = "{\"type\":\"resource\",\"n\":128,\"wall_ms\":10,\"workers\":2,\
-                    \"phase_generate_ns\":2000000,\"phase_load_ns\":0,\
-                    \"phase_search_ns\":18000000,\"phase_harvest_ns\":500000,\
-                    \"phase_merge_ns\":1000000,\"allocations\":0,\
-                    \"peak_rss_bytes\":52428800,\"minor_faults\":120,\
-                    \"major_faults\":0,\"voluntary_ctx_switches\":4}\n";
-        let ok = validate_jsonl(good).unwrap();
-        assert_eq!(
-            ok,
-            ValidateSummary {
-                resources: 1,
-                ..Default::default()
-            }
-        );
-        // A missing field is an error.
-        let missing = good.replace(",\"phase_merge_ns\":1000000", "");
+        // The resource half of the perf record. A missing field is an
+        // error.
+        let missing = PERF.replace(",\"phase_merge_ns\":1000000", "");
         let err = validate_jsonl(&missing).unwrap_err();
         assert!(err.contains("phase_merge_ns"), "{err}");
         // Non-finite and negative values are rejected.
-        let negative = good.replace("\"minor_faults\":120", "\"minor_faults\":-1");
+        let negative = PERF.replace("\"minor_faults\":120", "\"minor_faults\":-1");
         let err = validate_jsonl(&negative).unwrap_err();
         assert!(err.contains("minor_faults"), "{err}");
         // Phase sums beyond the wall × (workers + 1) envelope are
         // rejected: 10+1 ms × 3 threads = 33e6 ns, so 40e6 in one
         // phase breaks the bound.
-        let runaway = good.replace(
+        let runaway = PERF.replace(
             "\"phase_search_ns\":18000000",
             "\"phase_search_ns\":40000000",
         );
@@ -869,7 +741,7 @@ mod tests {
         assert!(err.contains("envelope"), "{err}");
         // Zero RSS is impossible on Linux, where /proc always answers.
         if cfg!(target_os = "linux") {
-            let no_rss = good.replace("\"peak_rss_bytes\":52428800", "\"peak_rss_bytes\":0");
+            let no_rss = PERF.replace("\"peak_rss_bytes\":52428800", "\"peak_rss_bytes\":0");
             let err = validate_jsonl(&no_rss).unwrap_err();
             assert!(err.contains("RSS"), "{err}");
         }

@@ -1,57 +1,42 @@
 //! `xp report` — render a run's JSONL records as a terminal summary.
 //!
 //! Where `xp validate` checks a record stream and `xp profile-diff`
-//! gates it, `xp report` is for *reading* it: a per-cell throughput
-//! table from the `"type":"profile"` records, a per-phase time
-//! breakdown from the `"type":"resource"` records, an ASCII render of
-//! the merged log₂ request histogram from the `"type":"metrics"`
-//! records, and (with `--baseline`) regression deltas against a
-//! committed profile baseline.
+//! gates a bench suite, `xp report` is for *reading* a run: from its
+//! `"type":"perf"` records, a per-cell throughput table, a per-phase
+//! time breakdown, and an ASCII render of the merged log₂ request
+//! histogram.
 //!
 //! ```text
-//! xp report <run.jsonl> [--baseline FILE] [--prometheus] [--require-phases]
+//! xp report <run.jsonl> [--prometheus] [--require-phases]
 //! ```
 //!
-//! * `--baseline FILE` — append a deltas section comparing the run's
-//!   profile records to a `profile-diff` baseline. The report never
-//!   fails on a regression (that is `profile-diff`'s job); it only
-//!   shows the ratios.
 //! * `--prometheus` — append the merged metrics in the Prometheus text
 //!   exposition format, the future daemon's stats endpoint wire format.
 //! * `--require-phases` — exit `1` unless the run carries at least one
-//!   resource record with a nonzero phase total (CI's assertion that
-//!   phase timing is actually wired through the binaries it smokes).
+//!   perf record with a nonzero phase total (CI's assertion that phase
+//!   timing is actually wired through the binaries it smokes).
 //!
 //! Exit codes: `0` rendered, `1` `--require-phases` unmet, `2` usage or
 //! I/O error.
 
 use crate::json::{self, JsonValue};
-use crate::profile_diff::{baseline_from_json, diff, measured_from_jsonl, DEFAULT_THRESHOLD};
-use crate::record::{METRICS_TYPE, PROFILE_TYPE, RESOURCE_TYPE, RUN_TYPE};
+use crate::record::{PERF_TYPE, RUN_TYPE};
 use nonsearch_analysis::Table;
-use nonsearch_obs::{prometheus_text, render_log2_histogram, Metrics};
+use nonsearch_obs::{prometheus_text, render_log2_histogram, Metrics, PhaseTimes};
 use std::path::PathBuf;
 
-const USAGE: &str =
-    "usage: xp report <run.jsonl> [--baseline FILE] [--prometheus] [--require-phases]";
+const USAGE: &str = "usage: xp report <run.jsonl> [--prometheus] [--require-phases]";
 
-/// One parsed `"type":"profile"` record, for the throughput table.
+/// One parsed `"type":"perf"` record.
 #[derive(Debug, Clone, PartialEq)]
-struct ProfileRow {
-    n: f64,
-    trials: f64,
-    requests: f64,
+struct PerfRow {
+    label: String,
+    trials: u64,
+    requests: u64,
     wall_ms: f64,
     requests_per_sec: f64,
-}
-
-/// One parsed `"type":"resource"` record, for the phase breakdown.
-#[derive(Debug, Clone, PartialEq)]
-struct ResourceRow {
-    label: String,
-    wall_ms: f64,
     workers: f64,
-    phases: [(&'static str, f64); 5],
+    phases: Vec<(&'static str, f64)>,
     allocations: f64,
     peak_rss_bytes: f64,
 }
@@ -60,20 +45,11 @@ struct ResourceRow {
 #[derive(Debug, Clone, PartialEq, Default)]
 struct RunReport {
     experiment: String,
-    profiles: Vec<ProfileRow>,
-    resources: Vec<ResourceRow>,
+    perf: Vec<PerfRow>,
+    /// The counters of every perf record, merged.
     metrics: Metrics,
-    metrics_records: usize,
     footer: Option<(u64, bool, u64)>, // (seed, quick, wall_ms)
 }
-
-const PHASE_KEYS: [&str; 5] = [
-    "phase_generate_ns",
-    "phase_load_ns",
-    "phase_search_ns",
-    "phase_harvest_ns",
-    "phase_merge_ns",
-];
 
 fn num(value: &JsonValue, key: &str) -> f64 {
     value.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
@@ -95,46 +71,46 @@ fn parse_run(text: &str) -> Result<RunReport, String> {
             }
         }
         match value.get("type").and_then(|t| t.as_str()) {
-            Some(t) if t == PROFILE_TYPE => report.profiles.push(ProfileRow {
-                n: num(&value, "n"),
-                trials: num(&value, "trials"),
-                requests: num(&value, "requests"),
-                wall_ms: num(&value, "wall_ms"),
-                requests_per_sec: num(&value, "requests_per_sec"),
-            }),
-            Some(t) if t == RESOURCE_TYPE => {
-                let mut phases = [("", 0.0); 5];
-                for (slot, key) in phases.iter_mut().zip(PHASE_KEYS) {
-                    *slot = (key.strip_prefix("phase_").unwrap_or(key), num(&value, key));
+            Some(t) if t == PERF_TYPE => {
+                let count = |key: &str| num(&value, key) as u64;
+                let m = &mut report.metrics;
+                m.trials += count("trials");
+                m.requests += count("requests");
+                m.discoveries += count("discoveries");
+                m.edge_resolutions += count("edge_resolutions");
+                m.frontier_rescans += count("frontier_rescans");
+                m.scratch_resets += count("scratch_resets");
+                m.faults_injected += count("faults_injected");
+                m.trials_retried += count("trials_retried");
+                m.trials_skipped += count("trials_skipped");
+                if let Some(buckets) = value.get("hist_requests_log2").and_then(|v| v.as_array()) {
+                    for (i, bucket) in buckets.iter().enumerate() {
+                        if let Some(n) = bucket.as_f64().filter(|x| *x >= 0.0) {
+                            m.trial_requests.add_to_bucket(i, n as u64);
+                        }
+                    }
                 }
-                report.resources.push(ResourceRow {
+                report.perf.push(PerfRow {
                     label: value
                         .get("n")
                         .and_then(|v| v.as_f64())
                         .map(|n| format!("n={n}"))
                         .unwrap_or_else(|| "-".to_string()),
+                    trials: count("trials"),
+                    requests: count("requests"),
                     wall_ms: num(&value, "wall_ms"),
+                    requests_per_sec: num(&value, "requests_per_sec"),
                     workers: num(&value, "workers"),
-                    phases,
+                    phases: PhaseTimes::new()
+                        .named()
+                        .iter()
+                        .map(|&(key, _)| {
+                            (key.strip_prefix("phase_").unwrap_or(key), num(&value, key))
+                        })
+                        .collect(),
                     allocations: num(&value, "allocations"),
                     peak_rss_bytes: num(&value, "peak_rss_bytes"),
                 });
-            }
-            Some(t) if t == METRICS_TYPE => {
-                report.metrics_records += 1;
-                report.metrics.trials += num(&value, "trials") as u64;
-                report.metrics.requests += num(&value, "requests") as u64;
-                report.metrics.discoveries += num(&value, "discoveries") as u64;
-                report.metrics.edge_resolutions += num(&value, "edge_resolutions") as u64;
-                report.metrics.frontier_rescans += num(&value, "frontier_rescans") as u64;
-                report.metrics.scratch_resets += num(&value, "scratch_resets") as u64;
-                if let Some(buckets) = value.get("hist_requests_log2").and_then(|v| v.as_array()) {
-                    for (i, bucket) in buckets.iter().enumerate() {
-                        if let Some(count) = bucket.as_f64().filter(|x| *x >= 0.0) {
-                            report.metrics.trial_requests.add_to_bucket(i, count as u64);
-                        }
-                    }
-                }
             }
             Some(t) if t == RUN_TYPE => {
                 report.footer = Some((
@@ -166,73 +142,60 @@ fn render(report: &RunReport) -> String {
         if quick { ", quick" } else { "" },
         wall_ms
     ));
-
-    if !report.profiles.is_empty() {
-        out.push_str("\nthroughput:\n");
-        let mut t = Table::with_columns(&["n", "trials", "requests", "wall_ms", "req/s"]);
-        for p in &report.profiles {
-            t.row(vec![
-                format!("{}", p.n),
-                format!("{}", p.trials),
-                format!("{}", p.requests),
-                format!("{:.1}", p.wall_ms),
-                format!("{:.0}", p.requests_per_sec),
-            ]);
-        }
-        out.push_str(&t.to_string());
+    if report.perf.is_empty() {
+        return out;
     }
 
-    if !report.resources.is_empty() {
-        out.push_str("\nphases (per-worker busy ms):\n");
-        let mut t = Table::with_columns(&[
-            "cell", "wall_ms", "workers", "generate", "load", "search", "harvest", "merge",
-            "allocs", "rss_mb",
+    out.push_str("\nthroughput:\n");
+    let mut t = Table::with_columns(&["cell", "trials", "requests", "wall_ms", "req/s"]);
+    for p in &report.perf {
+        t.row(vec![
+            p.label.clone(),
+            p.trials.to_string(),
+            p.requests.to_string(),
+            format!("{:.1}", p.wall_ms),
+            format!("{:.0}", p.requests_per_sec),
         ]);
-        for r in &report.resources {
-            let mut row = vec![
-                r.label.clone(),
-                format!("{:.0}", r.wall_ms),
-                format!("{:.0}", r.workers),
-            ];
-            row.extend(r.phases.iter().map(|&(_, ns)| format!("{:.2}", ns / 1e6)));
-            row.push(format!("{:.0}", r.allocations));
-            row.push(format!("{:.1}", r.peak_rss_bytes / (1024.0 * 1024.0)));
-            t.row(row);
-        }
-        out.push_str(&t.to_string());
     }
+    out.push_str(&t.to_string());
 
-    if report.metrics_records > 0 {
-        out.push_str(&format!(
-            "\nmetrics ({} records merged): {} trials, {} requests, {} discoveries\n",
-            report.metrics_records,
-            report.metrics.trials,
-            report.metrics.requests,
-            report.metrics.discoveries
-        ));
-        out.push_str("per-trial request histogram:\n");
-        out.push_str(&render_log2_histogram(&report.metrics.trial_requests, 40));
+    out.push_str("\nphases (per-worker busy ms):\n");
+    let mut t = Table::with_columns(&[
+        "cell", "wall_ms", "workers", "generate", "load", "search", "harvest", "merge", "allocs",
+        "rss_mb",
+    ]);
+    for p in &report.perf {
+        let mut row = vec![
+            p.label.clone(),
+            format!("{:.0}", p.wall_ms),
+            format!("{:.0}", p.workers),
+        ];
+        row.extend(p.phases.iter().map(|&(_, ns)| format!("{:.2}", ns / 1e6)));
+        row.push(format!("{:.0}", p.allocations));
+        row.push(format!("{:.1}", p.peak_rss_bytes / (1024.0 * 1024.0)));
+        t.row(row);
     }
+    out.push_str(&t.to_string());
+
+    out.push_str(&format!(
+        "\nmetrics ({} perf records merged): {} trials, {} requests, {} discoveries\n",
+        report.perf.len(),
+        report.metrics.trials,
+        report.metrics.requests,
+        report.metrics.discoveries
+    ));
+    out.push_str("per-trial request histogram:\n");
+    out.push_str(&render_log2_histogram(&report.metrics.trial_requests, 40));
     out
 }
 
 /// The `xp report` subcommand body. Returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
     let mut run_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut prometheus = false;
     let mut require_phases = false;
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    for arg in args {
         match arg.as_str() {
-            "--baseline" => match iter.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("xp report: --baseline requires a value\n{USAGE}");
-                    return 2;
-                }
-            },
             "--prometheus" => prometheus = true,
             "--require-phases" => require_phases = true,
             other if other.starts_with("--") => {
@@ -250,56 +213,17 @@ pub fn main(args: &[String]) -> i32 {
         eprintln!("{USAGE}");
         return 2;
     };
-    let text = match std::fs::read_to_string(&run_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("xp report: cannot read {}: {e}", run_path.display());
-            return 2;
-        }
-    };
-    let report = match parse_run(&text) {
+    let report = match std::fs::read_to_string(&run_path)
+        .map_err(|e| format!("cannot read {}: {e}", run_path.display()))
+        .and_then(|text| parse_run(&text).map_err(|e| format!("{}: {e}", run_path.display())))
+    {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("xp report: {}: {e}", run_path.display());
+            eprintln!("xp report: {e}");
             return 2;
         }
     };
     print!("{}", render(&report));
-
-    if let Some(baseline_path) = baseline_path {
-        match (
-            measured_from_jsonl(&text),
-            std::fs::read_to_string(&baseline_path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| baseline_from_json(&text)),
-        ) {
-            (Ok(measured), Ok(baseline)) => {
-                println!("\nbaseline deltas (threshold {DEFAULT_THRESHOLD}):");
-                for row in diff(&measured, &baseline, DEFAULT_THRESHOLD) {
-                    println!(
-                        "  n={:<8} {:>12.0} req/s vs {:>12.0} (n={}) ratio {:.3}{}",
-                        row.n,
-                        row.measured,
-                        row.baseline,
-                        row.baseline_n,
-                        row.ratio,
-                        if row.regressed {
-                            "  [below threshold]"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-            }
-            (Err(e), _) => eprintln!("xp report: baseline deltas skipped — {e}"),
-            (_, Err(e)) => {
-                eprintln!(
-                    "xp report: baseline deltas skipped — {}: {e}",
-                    baseline_path.display()
-                );
-            }
-        }
-    }
 
     if prometheus {
         println!("\nprometheus exposition:");
@@ -308,21 +232,20 @@ pub fn main(args: &[String]) -> i32 {
 
     if require_phases {
         let phase_total: f64 = report
-            .resources
+            .perf
             .iter()
-            .flat_map(|r| r.phases.iter().map(|&(_, ns)| ns))
+            .flat_map(|p| p.phases.iter().map(|&(_, ns)| ns))
             .sum();
-        if report.resources.is_empty() || phase_total <= 0.0 {
+        if phase_total <= 0.0 {
             eprintln!(
-                "xp report: --require-phases — no resource records with nonzero phase times \
-                 in {}",
+                "xp report: --require-phases — no perf records with nonzero phase times in {}",
                 run_path.display()
             );
             return 1;
         }
         println!(
-            "\nrequire-phases: {} resource records, {:.2} ms total phase time — OK",
-            report.resources.len(),
+            "\nrequire-phases: {} perf records, {:.2} ms total phase time — OK",
+            report.perf.len(),
             phase_total / 1e6
         );
     }
@@ -335,29 +258,27 @@ mod tests {
 
     const SAMPLE: &str = concat!(
         "{\"type\":\"cell\",\"experiment\":\"demo\",\"n\":128,\"mean\":10.0}\n",
-        "{\"type\":\"profile\",\"experiment\":\"demo\",\"n\":128,\"trials\":4,\
-         \"requests\":512,\"wall_ms\":2.5,\"requests_per_sec\":204800.0}\n",
-        "{\"type\":\"metrics\",\"experiment\":\"demo\",\"n\":128,\"trials\":4,\
-         \"requests\":512,\"discoveries\":32,\"edge_resolutions\":64,\
-         \"frontier_rescans\":0,\"scratch_resets\":4,\"hist_requests_log2\":[0,0,0,0,0,0,0,4]}\n",
-        "{\"type\":\"resource\",\"experiment\":\"demo\",\"n\":128,\"wall_ms\":3,\"workers\":2,\
+        "{\"type\":\"perf\",\"experiment\":\"demo\",\"n\":128,\"trials\":4,\"requests\":512,\
+         \"lanes\":1,\"wall_ms\":2.5,\"requests_per_sec\":204800.0,\"discoveries\":32,\
+         \"edge_resolutions\":64,\"frontier_rescans\":0,\"scratch_resets\":4,\
+         \"faults_injected\":0,\"trials_retried\":0,\"trials_skipped\":0,\
+         \"hist_requests_log2\":[0,0,0,0,0,0,0,4],\"workers\":2,\
          \"phase_generate_ns\":1000000,\"phase_load_ns\":0,\"phase_search_ns\":4000000,\
          \"phase_harvest_ns\":200000,\"phase_merge_ns\":100000,\"allocations\":0,\
          \"peak_rss_bytes\":52428800,\"minor_faults\":10,\"major_faults\":0,\
          \"voluntary_ctx_switches\":2}\n",
         "{\"type\":\"run\",\"experiment\":\"demo\",\"seed\":225,\"quick\":true,\"threads\":2,\
-         \"git\":\"x\",\"wall_ms\":9,\"cells\":1,\"profiles\":1,\"metrics\":1,\"resources\":1}\n",
+         \"git\":\"x\",\"wall_ms\":9,\"cells\":1,\"perf\":1}\n",
     );
 
     #[test]
     fn parse_collects_every_record_kind() {
         let r = parse_run(SAMPLE).unwrap();
         assert_eq!(r.experiment, "demo");
-        assert_eq!(r.profiles.len(), 1);
-        assert_eq!(r.profiles[0].requests_per_sec, 204800.0);
-        assert_eq!(r.resources.len(), 1);
-        assert_eq!(r.resources[0].phases[2], ("search_ns", 4000000.0));
-        assert_eq!(r.metrics_records, 1);
+        assert_eq!(r.perf.len(), 1);
+        assert_eq!(r.perf[0].requests, 512);
+        assert_eq!(r.perf[0].requests_per_sec, 204800.0);
+        assert_eq!(r.perf[0].phases[2], ("search_ns", 4000000.0));
         assert_eq!(r.metrics.trials, 4);
         assert_eq!(r.metrics.trial_requests.total(), 4);
         assert_eq!(r.footer, Some((225, true, 9)));
@@ -388,7 +309,7 @@ mod tests {
         assert_eq!(main(std::slice::from_ref(&p)), 0);
         assert_eq!(main(&[p.clone(), s("--require-phases")]), 0);
         assert_eq!(main(&[p.clone(), s("--prometheus")]), 0);
-        // A run with no resource records fails --require-phases.
+        // A run with no perf records fails --require-phases.
         let bare = dir.join(format!("rep_bare_{unique}.jsonl"));
         std::fs::write(&bare, "{\"type\":\"cell\",\"experiment\":\"demo\"}\n").unwrap();
         assert_eq!(main(&[s(bare.to_str().unwrap()), s("--require-phases")]), 1);
@@ -407,9 +328,10 @@ mod tests {
             main(&[s(zeroed.to_str().unwrap()), s("--require-phases")]),
             1
         );
-        // Usage errors exit 2.
+        // Usage errors exit 2; `--baseline` is not a report flag.
         assert_eq!(main(&[]), 2);
         assert_eq!(main(&[p.clone(), s("--wat")]), 2);
+        assert_eq!(main(&[p.clone(), s("--baseline"), p.clone()]), 2);
         assert_eq!(main(&[s("/nonexistent/run.jsonl")]), 2);
         std::fs::remove_file(&run).ok();
         std::fs::remove_file(&bare).ok();

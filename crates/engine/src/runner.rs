@@ -20,7 +20,7 @@
 use crate::faults::{FailurePolicy, FaultInjection, InjectedFault};
 use nonsearch_analysis::StreamingStats;
 use nonsearch_generators::SeedSequence;
-use nonsearch_obs::{elapsed_ns, Metrics, PhaseTimes};
+use nonsearch_obs::{Metrics, PhaseClock, PhaseTimes, ResourceSample};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,13 +29,13 @@ use std::time::{Duration, Instant};
 
 /// Everything one trial reports back besides its lane measurements:
 /// work counters, phase timers, and heap-allocation counts — the
-/// payload of the observed runner seam ([`run_lanes_observed`]).
+/// per-trial payload of [`run_lanes_observed`].
 ///
 /// Like [`Metrics`] it is plain `Copy` data merged by field-wise
 /// addition in strict trial order. The `metrics` half is exact and
 /// deterministic; `phases` and `allocations` are wall-clock /
-/// environment data that vary run to run and must only ever ride
-/// volatile (`"type":"resource"`) record lines.
+/// environment data that vary run to run and must only ever ride the
+/// volatile `"type":"perf"` record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TrialObs {
     /// Deterministic work counters (merged bit-identically).
@@ -46,6 +46,42 @@ pub struct TrialObs {
     /// per-thread `nonsearch_alloc_counter` — zero unless the binary
     /// installs the counting allocator.
     pub allocations: u64,
+}
+
+impl TrialObs {
+    /// Adds every counter, phase, and allocation of `other` into `self`.
+    pub fn merge(&mut self, other: &TrialObs) {
+        self.metrics.merge(&other.metrics);
+        self.phases.merge(&other.phases);
+        self.allocations += other.allocations;
+    }
+}
+
+/// What observing one whole cell yields: the trials' merged
+/// [`TrialObs`] plus what only the runner sees — lane and worker
+/// counts, the cell's wall time, the `/proc` sample taken after the
+/// workers joined, and whether the watchdog abandoned the cell. It is
+/// the payload of the `"type":"perf"` record
+/// ([`RunWriter::record_perf`](crate::RunWriter::record_perf)).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CellObs {
+    /// Exact work counters of the folded trials. The runner stamps
+    /// `trials` and records each trial's `requests` into the histogram,
+    /// so the bucket sum always equals `trials`.
+    pub metrics: Metrics,
+    /// Per-worker phase busy time, plus the consumer's merge fold.
+    pub phases: PhaseTimes,
+    /// Heap allocations during trial bodies.
+    pub allocations: u64,
+    /// Lanes measured per trial.
+    pub lanes: usize,
+    /// Worker threads that ran the cell.
+    pub workers: usize,
+    /// Wall time of the whole cell in nanoseconds.
+    pub wall_ns: u64,
+    /// Process-wide resource sample taken after the workers joined
+    /// (reading `/proc` allocates, so it stays off the trial path).
+    pub resource: ResourceSample,
     /// Set when the cell's watchdog deadline fired and the run was
     /// abandoned gracefully: the aggregates cover only the strict
     /// prefix of trials folded before the deadline. Always `false`
@@ -54,20 +90,35 @@ pub struct TrialObs {
     pub degraded: bool,
 }
 
-impl TrialObs {
-    /// An all-zero bundle.
-    pub fn new() -> Self {
-        Self::default()
+impl CellObs {
+    /// The observation of a cell measured on the calling thread, outside
+    /// the runner: `trials` trials that issue no oracle requests, busy
+    /// for `phases`, over `wall_ns` of wall time.
+    pub fn serial(trials: u64, phases: PhaseTimes, wall_ns: u64) -> CellObs {
+        let mut metrics = Metrics {
+            trials,
+            ..Metrics::new()
+        };
+        metrics.trial_requests.add_to_bucket(0, trials);
+        CellObs {
+            metrics,
+            phases,
+            lanes: 1,
+            workers: 1,
+            wall_ns,
+            resource: ResourceSample::current(),
+            ..CellObs::default()
+        }
     }
 
-    /// Adds every counter, phase, and allocation of `other` into `self`
-    /// (and ORs the degraded flag: a merge of any degraded bundle is
-    /// degraded).
-    pub fn merge(&mut self, other: &TrialObs) {
-        self.metrics.merge(&other.metrics);
-        self.phases.merge(&other.phases);
-        self.allocations += other.allocations;
-        self.degraded |= other.degraded;
+    /// The cell's wall time in milliseconds.
+    pub fn wall_ms(&self) -> f64 {
+        self.wall_ns as f64 / 1e6
+    }
+
+    /// Oracle requests served per second of the cell's wall time.
+    pub fn requests_per_sec(&self) -> f64 {
+        self.metrics.requests as f64 / (self.wall_ms() / 1e3).max(f64::EPSILON)
     }
 }
 
@@ -142,200 +193,30 @@ pub fn trial_seeds(seeds: &SeedSequence, trial: usize) -> SeedSequence {
 }
 
 /// Runs `trials` repetitions of a multi-lane cell on `threads` workers
-/// (0 = all cores) and returns one aggregate per lane.
-///
-/// `trial_fn(trial, seeds)` must return exactly `lanes` measurements —
-/// one per lane, e.g. one per searcher raced on the trial's sampled
-/// graph. Aggregates are bit-identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trial_fn` returns a lane count other than `lanes`, or if a
-/// worker panics (the panic is propagated).
-pub fn run_lanes<F>(
-    trials: usize,
-    lanes: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    trial_fn: F,
-) -> Vec<LaneAggregate>
-where
-    F: Fn(usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    run_lanes_with(
-        trials,
-        lanes,
-        threads,
-        seeds,
-        || (),
-        |(), trial, seeds| trial_fn(trial, seeds),
-    )
-}
-
-/// [`run_lanes`] with a per-worker mutable context — the scratch-pool
-/// seam for allocation-free trial loops.
+/// (0 = all cores) and returns one aggregate per lane plus the cell's
+/// [`CellObs`] — the engine's one trial runner.
 ///
 /// Each worker thread calls `init()` once when it starts and hands the
-/// resulting value to every `trial_fn` invocation it runs, so
-/// expensive-to-build, reusable state (a `SearchScratch`, pooled
-/// searcher instances, …) is allocated once per worker per cell and
-/// reused across all of that worker's trials. The context never crosses
-/// threads (no `Send`/`Sync` bound) and must not influence results:
-/// determinism still comes from `(trial, seeds)` alone, so aggregates
-/// remain bit-identical for any thread count — which is exactly what
-/// the search layer's scratch-reuse tests assert.
+/// resulting context to every `trial_fn(ctx, obs, trial, seeds)` it
+/// runs, so expensive-to-build, reusable state (a `SearchScratch`,
+/// pooled searcher instances, …) is allocated once per worker per cell.
+/// The context never crosses threads (no `Send`/`Sync` bound) and must
+/// not influence results: determinism comes from `(trial, seeds)` alone.
+/// `trial_fn` must return exactly `lanes` measurements — one per lane,
+/// e.g. one per searcher raced on the trial's sampled graph — and
+/// aggregates are bit-identical for any thread count.
 ///
-/// # Panics
-///
-/// Same contract as [`run_lanes`].
-pub fn run_lanes_with<C, I, F>(
-    trials: usize,
-    lanes: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> Vec<LaneAggregate>
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    run_lanes_metered(trials, lanes, threads, seeds, init, |ctx, _m, trial, s| {
-        trial_fn(ctx, trial, s)
-    })
-    .0
-}
-
-/// [`run_lanes_with`] with a per-trial [`Metrics`] delta folded into one
-/// run-wide bundle — the observability seam.
-///
-/// Each `trial_fn` invocation receives a zeroed `Metrics` to fill with
-/// that trial's counters; the runner stamps `trials = 1` on the delta
-/// afterwards and the consumer merges deltas **in strict trial order**
-/// alongside the lane fold. `u64` counter addition is exact and
-/// associative, so the merged bundle — like the aggregates — is
-/// bit-identical for any thread count (and merge order would not even
-/// matter; the strict order is inherited from the lane fold for free).
-///
-/// # Panics
-///
-/// Same contract as [`run_lanes`].
-pub fn run_lanes_metered<C, I, F>(
-    trials: usize,
-    lanes: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> (Vec<LaneAggregate>, Metrics)
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut Metrics, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    let (aggregates, obs) =
-        run_lanes_observed(trials, lanes, threads, seeds, init, |ctx, obs, trial, s| {
-            trial_fn(ctx, &mut obs.metrics, trial, s)
-        });
-    (aggregates, obs.metrics)
-}
-
-/// Locks the backpressure gate, recovering from poisoning.
-///
-/// The guarded state is a plain `(folded count, aborted flag)` pair
-/// mutated only by single assignments, so a panic while a thread holds
-/// the lock cannot leave it torn — recovering the guard is sound, and
-/// it keeps a *contained* worker panic (see [`crate::install_faults`])
-/// from cascading into a secondary "poisoned lock" panic.
-fn lock_gate<'a>(frontier: &'a Mutex<(usize, bool)>) -> MutexGuard<'a, (usize, bool)> {
-    frontier.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs one trial *contained*: each attempt is wrapped in
-/// `catch_unwind`, the installed hook may inject a fault ahead of the
-/// body, and the bundle's [`FailurePolicy`] decides whether a panicking
-/// attempt propagates, retries, or skips the trial.
-///
-/// Returns `(Some(measures), delta)` for a (possibly retried) success —
-/// the delta carries the attempt's counters plus the fault bookkeeping —
-/// or `(None, delta)` for a skipped trial, whose delta carries only the
-/// fault counters (`trials_skipped = 1`, nothing else). Retried
-/// attempts re-derive the trial's seed stream from the trial index, and
-/// injected faults fire *before* the body, so a successful retry is
-/// bit-identical to a fault-free execution of the same trial.
-fn run_contained<C, F>(
-    cfg: &FaultInjection,
-    ctx: &mut C,
-    trial_fn: &F,
-    trial: usize,
-    seeds: &SeedSequence,
-) -> (Option<Vec<TrialMeasure>>, TrialObs)
-where
-    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
-{
-    let mut injected = 0u64;
-    let mut retried = 0u64;
-    let mut attempt = 0u32;
-    loop {
-        // A fresh delta per attempt: a failed attempt's partial counters
-        // are discarded wholesale, so retries cannot double-count.
-        let mut delta = TrialObs::new();
-        let fault = cfg.hook.as_ref().and_then(|hook| hook(trial, attempt));
-        injected += fault.is_some() as u64;
-        let allocs_before = nonsearch_alloc_counter::allocations();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some(InjectedFault::Stall { ms }) => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                Some(InjectedFault::Panic) => {
-                    panic!("injected fault: trial {trial} attempt {attempt}");
-                }
-                None => {}
-            }
-            trial_fn(ctx, &mut delta, trial, trial_seeds(seeds, trial))
-        }));
-        match outcome {
-            Ok(measures) => {
-                delta.allocations +=
-                    nonsearch_alloc_counter::allocations().saturating_sub(allocs_before);
-                delta.metrics.faults_injected += injected;
-                delta.metrics.trials_retried += retried;
-                return (Some(measures), delta);
-            }
-            Err(payload) => match cfg.policy {
-                FailurePolicy::Propagate => resume_unwind(payload),
-                FailurePolicy::Retry { max } if attempt < max => {
-                    retried += 1;
-                    attempt += 1;
-                }
-                FailurePolicy::Retry { .. } | FailurePolicy::Skip => {
-                    let mut skipped = TrialObs::new();
-                    skipped.metrics.faults_injected = injected;
-                    skipped.metrics.trials_retried = retried;
-                    skipped.metrics.trials_skipped = 1;
-                    return (None, skipped);
-                }
-            },
-        }
-    }
-}
-
-/// [`run_lanes_metered`] widened to the full [`TrialObs`] bundle —
-/// metrics plus phase timers plus allocation counts.
-///
-/// `trial_fn` receives a zeroed `TrialObs` per trial; instrumented
-/// call sites add phase nanoseconds to `obs.phases` with
-/// [`elapsed_ns`] readings around their generate/load/search/harvest
-/// sections, while the runner itself accounts for what trial bodies
-/// cannot see: it stamps `metrics.trials = 1`, harvests the worker
-/// thread's heap-allocation delta across the trial body into
-/// `obs.allocations`, and charges the consumer's reorder-buffer fold
-/// to `phases.merge_ns` on the merged bundle.
-///
-/// Determinism note: the deterministic half (`metrics`) is merged in
-/// strict trial order exactly as in [`run_lanes_metered`]; the timers
-/// ride alongside without being consulted by anything, so observing a
-/// run cannot perturb it.
+/// `obs` is a zeroed [`TrialObs`] per trial: instrumented bodies add
+/// their counters to `obs.metrics` and [`PhaseClock`] readings of their
+/// generate/load/search/harvest sections to `obs.phases`. The runner
+/// accounts for what trial bodies cannot see: it stamps
+/// `metrics.trials = 1` and records the trial's `metrics.requests` into
+/// the request histogram, harvests the worker thread's heap-allocation
+/// delta into `obs.allocations`, charges the consumer's reorder-buffer
+/// fold to `phases.merge_ns`, and times the whole cell. Deltas merge in
+/// strict trial order; `u64` addition is exact, so the merged counters
+/// are bit-identical for any thread count too, while the timers ride
+/// alongside without being consulted by anything.
 ///
 /// This is also the engine's **fault-injection seam**: when a
 /// [`FaultInjection`] bundle is installed on the calling thread (see
@@ -343,12 +224,13 @@ where
 /// every trial runs contained — injected faults fire ahead of the body,
 /// panicking attempts are retried or skipped per the bundle's
 /// [`FailurePolicy`], and an optional watchdog deadline degrades the
-/// cell gracefully ([`TrialObs::degraded`]) instead of hanging.
+/// cell gracefully ([`CellObs::degraded`]) instead of hanging.
 ///
 /// # Panics
 ///
-/// Same contract as [`run_lanes`] (injected panics still propagate
-/// under [`FailurePolicy::Propagate`], the default).
+/// Panics if `trial_fn` returns a lane count other than `lanes`, or if a
+/// worker panics (the panic is propagated) — injected panics included,
+/// under [`FailurePolicy::Propagate`], the default.
 pub fn run_lanes_observed<C, I, F>(
     trials: usize,
     lanes: usize,
@@ -356,16 +238,23 @@ pub fn run_lanes_observed<C, I, F>(
     seeds: &SeedSequence,
     init: I,
     trial_fn: F,
-) -> (Vec<LaneAggregate>, TrialObs)
+) -> (Vec<LaneAggregate>, CellObs)
 where
     I: Fn() -> C + Sync,
     F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
 {
     let mut aggregates = vec![LaneAggregate::default(); lanes];
     if trials == 0 || lanes == 0 {
-        return (aggregates, TrialObs::new());
+        return (
+            aggregates,
+            CellObs {
+                lanes,
+                ..CellObs::default()
+            },
+        );
     }
-    let workers = resolve_workers(threads, trials);
+    let cell_clock = PhaseClock::start();
+    let workers = resolved_workers(threads, trials);
 
     // The fault bundle is snapshotted once per cell, on the caller's
     // thread (installation is thread-local); workers share this one
@@ -403,7 +292,7 @@ where
 
     let next_trial = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Vec<TrialMeasure>, TrialObs)>();
-    let (folded, observed, degraded) = std::thread::scope(|scope| {
+    let (folded, merged, degraded) = std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let next_trial = &next_trial;
@@ -445,7 +334,7 @@ where
                     let (measures, mut delta) = match faults.as_deref() {
                         // Fault-free fast path: no catch_unwind frame.
                         None => {
-                            let mut delta = TrialObs::new();
+                            let mut delta = TrialObs::default();
                             let allocs_before = nonsearch_alloc_counter::allocations();
                             let measures =
                                 trial_fn(&mut ctx, &mut delta, trial, trial_seeds(seeds, trial));
@@ -461,6 +350,7 @@ where
                             // bucket-sum == trials invariant can't drift
                             // per experiment.
                             delta.metrics.trials = 1;
+                            delta.metrics.observe_trial_requests(delta.metrics.requests);
                             measures
                         }
                         // Skipped trial: an empty measurement vector is
@@ -492,7 +382,7 @@ where
         };
 
         let mut pending: BTreeMap<usize, (Vec<TrialMeasure>, TrialObs)> = BTreeMap::new();
-        let mut merged = TrialObs::new();
+        let mut merged = TrialObs::default();
         let mut next_expected = 0usize;
         // The watchdog deadline (chaos runs only): past it the cell is
         // abandoned gracefully — partial aggregates with `degraded` set —
@@ -525,8 +415,7 @@ where
             // everything from receiving a delta to advancing the fold
             // frontier, charged to the merged bundle directly (workers
             // never see it).
-            // lint: allow(clock-env): merge-phase timer feeds resource telemetry, never the trial aggregates
-            let merge_start = Instant::now();
+            let merge_clock = PhaseClock::start();
             // Validated here (not in the worker) so the panic reaches the
             // caller with its message instead of scope's generic payload.
             // An empty vector is a skipped trial's marker, not a lane
@@ -553,7 +442,7 @@ where
                 lock_gate(&frontier).0 = next_expected;
                 frontier_moved.notify_all();
             }
-            merged.phases.merge_ns += elapsed_ns(merge_start);
+            merged.phases.merge_ns += merge_clock.elapsed_ns();
         }
         if degraded {
             // Abandon the cell: raise the abort flag so gated workers
@@ -568,93 +457,126 @@ where
         // a worker panic propagates as itself, not as a count mismatch.
         (next_expected, merged, degraded)
     });
-    let mut observed = observed;
-    observed.degraded = degraded;
     if !degraded {
         assert_eq!(folded, trials, "trial stream incomplete");
     }
-    (aggregates, observed)
+    let wall_ns = cell_clock.elapsed_ns();
+    let cell = CellObs {
+        metrics: merged.metrics,
+        phases: merged.phases,
+        allocations: merged.allocations,
+        lanes,
+        workers,
+        wall_ns,
+        resource: ResourceSample::current(),
+        degraded,
+    };
+    (aggregates, cell)
 }
 
-/// Single-lane convenience wrapper around [`run_lanes`].
-pub fn run_cell<F>(
+/// [`run_lanes_observed`] for cells that need neither a per-worker
+/// context nor the observation: `trial_fn(trial, seeds)` returns the
+/// trial's `lanes` measurements.
+pub fn run_lanes<F>(
     trials: usize,
+    lanes: usize,
     threads: usize,
     seeds: &SeedSequence,
     trial_fn: F,
-) -> LaneAggregate
+) -> Vec<LaneAggregate>
 where
-    F: Fn(usize, SeedSequence) -> TrialMeasure + Sync,
+    F: Fn(usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
 {
-    run_lanes(trials, 1, threads, seeds, |trial, seeds| {
-        vec![trial_fn(trial, seeds)]
-    })
-    .pop()
-    .expect("one lane requested")
-}
-
-/// Single-lane convenience wrapper around [`run_lanes_with`] (the
-/// per-worker-context seam).
-pub fn run_cell_with<C, I, F>(
-    trials: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> LaneAggregate
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, SeedSequence) -> TrialMeasure + Sync,
-{
-    run_lanes_with(trials, 1, threads, seeds, init, |ctx, trial, seeds| {
-        vec![trial_fn(ctx, trial, seeds)]
-    })
-    .pop()
-    .expect("one lane requested")
-}
-
-/// Single-lane convenience wrapper around [`run_lanes_metered`].
-pub fn run_cell_metered<C, I, F>(
-    trials: usize,
-    threads: usize,
-    seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> (LaneAggregate, Metrics)
-where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut Metrics, usize, SeedSequence) -> TrialMeasure + Sync,
-{
-    let (aggregates, metrics) =
-        run_lanes_metered(trials, 1, threads, seeds, init, |ctx, m, trial, seeds| {
-            vec![trial_fn(ctx, m, trial, seeds)]
-        });
-    (
-        aggregates.into_iter().next().expect("one lane requested"),
-        metrics,
+    run_lanes_observed(
+        trials,
+        lanes,
+        threads,
+        seeds,
+        || (),
+        |(), _, t, s| trial_fn(t, s),
     )
+    .0
 }
 
-/// Single-lane convenience wrapper around [`run_lanes_observed`].
-pub fn run_cell_observed<C, I, F>(
-    trials: usize,
-    threads: usize,
+/// Locks the backpressure gate, recovering from poisoning.
+///
+/// The guarded state is a plain `(folded count, aborted flag)` pair
+/// mutated only by single assignments, so a panic while a thread holds
+/// the lock cannot leave it torn — recovering the guard is sound, and
+/// it keeps a *contained* worker panic (see [`crate::install_faults`])
+/// from cascading into a secondary "poisoned lock" panic.
+fn lock_gate<'a>(frontier: &'a Mutex<(usize, bool)>) -> MutexGuard<'a, (usize, bool)> {
+    frontier.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs one trial *contained*: each attempt is wrapped in
+/// `catch_unwind`, the installed hook may inject a fault ahead of the
+/// body, and the bundle's [`FailurePolicy`] decides whether a panicking
+/// attempt propagates, retries, or skips the trial.
+///
+/// Returns `(Some(measures), delta)` for a (possibly retried) success —
+/// the delta carries the attempt's counters plus the fault bookkeeping —
+/// or `(None, delta)` for a skipped trial, whose delta carries only the
+/// fault counters (`trials_skipped = 1`, nothing else). Retried
+/// attempts re-derive the trial's seed stream from the trial index, and
+/// injected faults fire *before* the body, so a successful retry is
+/// bit-identical to a fault-free execution of the same trial.
+fn run_contained<C, F>(
+    cfg: &FaultInjection,
+    ctx: &mut C,
+    trial_fn: &F,
+    trial: usize,
     seeds: &SeedSequence,
-    init: I,
-    trial_fn: F,
-) -> (LaneAggregate, TrialObs)
+) -> (Option<Vec<TrialMeasure>>, TrialObs)
 where
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> TrialMeasure + Sync,
+    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
 {
-    let (aggregates, obs) =
-        run_lanes_observed(trials, 1, threads, seeds, init, |ctx, o, trial, seeds| {
-            vec![trial_fn(ctx, o, trial, seeds)]
-        });
-    (
-        aggregates.into_iter().next().expect("one lane requested"),
-        obs,
-    )
+    let mut injected = 0u64;
+    let mut retried = 0u64;
+    let mut attempt = 0u32;
+    loop {
+        // A fresh delta per attempt: a failed attempt's partial counters
+        // are discarded wholesale, so retries cannot double-count.
+        let mut delta = TrialObs::default();
+        let fault = cfg.hook.as_ref().and_then(|hook| hook(trial, attempt));
+        injected += fault.is_some() as u64;
+        let allocs_before = nonsearch_alloc_counter::allocations();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            match fault {
+                Some(InjectedFault::Stall { ms }) => {
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+                Some(InjectedFault::Panic) => {
+                    panic!("injected fault: trial {trial} attempt {attempt}");
+                }
+                None => {}
+            }
+            trial_fn(ctx, &mut delta, trial, trial_seeds(seeds, trial))
+        }));
+        match outcome {
+            Ok(measures) => {
+                delta.allocations +=
+                    nonsearch_alloc_counter::allocations().saturating_sub(allocs_before);
+                delta.metrics.faults_injected += injected;
+                delta.metrics.trials_retried += retried;
+                return (Some(measures), delta);
+            }
+            Err(payload) => match cfg.policy {
+                FailurePolicy::Propagate => resume_unwind(payload),
+                FailurePolicy::Retry { max } if attempt < max => {
+                    retried += 1;
+                    attempt += 1;
+                }
+                FailurePolicy::Retry { .. } | FailurePolicy::Skip => {
+                    let mut skipped = TrialObs::default();
+                    skipped.metrics.faults_injected = injected;
+                    skipped.metrics.trials_retried = retried;
+                    skipped.metrics.trials_skipped = 1;
+                    return (None, skipped);
+                }
+            },
+        }
+    }
 }
 
 /// Runs `count` independent jobs on `threads` workers (0 = all cores)
@@ -662,14 +584,14 @@ where
 /// worker ran what.
 ///
 /// This is the engine's deterministic parallel *map* (where
-/// [`run_lanes`] is its deterministic parallel *fold*): job `i` receives
+/// [`run_lanes_observed`] is its deterministic parallel *fold*): job `i` receives
 /// [`trial_seeds`]`(seeds, i)`, so any output derived from the seeds
 /// alone is bit-identical for every thread count. The corpus builder
 /// shards graph generation through this — each job writes its own
 /// artifact and returns metadata, and the ordered result vector makes
 /// the assembled manifest deterministic.
 ///
-/// Unlike [`run_lanes`] there is no backpressure window: all `count`
+/// Unlike the fold there is no backpressure window: all `count`
 /// results are materialized, so keep per-job results small (metadata,
 /// not megabytes) for large `count`.
 ///
@@ -684,7 +606,7 @@ where
     if count == 0 {
         return Vec::new();
     }
-    let workers = resolve_workers(threads, count);
+    let workers = resolved_workers(threads, count);
     let next_job = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
     let results = std::thread::scope(|scope| {
@@ -735,16 +657,10 @@ pub(crate) fn resolve_thread_setting(threads: usize) -> usize {
     }
 }
 
-fn resolve_workers(threads: usize, trials: usize) -> usize {
-    resolve_thread_setting(threads).min(trials).max(1)
-}
-
-/// The worker count the [`run_lanes`] family resolves from a
-/// `--threads` setting (`0` = all cores) and a trial count — exposed so
-/// resource records can report how many workers actually ran a cell
-/// (the phase-sum validation envelope scales with it).
+/// The worker count the runner resolves from a `--threads` setting
+/// (`0` = all cores) and a trial count.
 pub fn resolved_workers(threads: usize, trials: usize) -> usize {
-    resolve_workers(threads, trials)
+    resolve_thread_setting(threads).min(trials).max(1)
 }
 
 #[cfg(test)]
@@ -761,12 +677,52 @@ mod tests {
         )
     }
 
+    /// A one-lane cell through [`run_lanes`].
+    fn cell<F>(trials: usize, threads: usize, seeds: &SeedSequence, f: F) -> LaneAggregate
+    where
+        F: Fn(usize, SeedSequence) -> TrialMeasure + Sync,
+    {
+        run_lanes(trials, 1, threads, seeds, |t, s| vec![f(t, s)])
+            .pop()
+            .expect("one lane requested")
+    }
+
+    /// A one-lane observed cell whose trials fill in their metrics delta.
+    fn metered<F>(
+        trials: usize,
+        threads: usize,
+        seeds: &SeedSequence,
+        f: F,
+    ) -> (LaneAggregate, CellObs)
+    where
+        F: Fn(&mut Metrics, usize, SeedSequence) -> TrialMeasure + Sync,
+    {
+        let (mut lanes, obs) = run_lanes_observed(
+            trials,
+            1,
+            threads,
+            seeds,
+            || (),
+            |(), o, t, s| vec![f(&mut o.metrics, t, s)],
+        );
+        (lanes.pop().expect("one lane requested"), obs)
+    }
+
+    /// A metered trial body shared by the metrics and fault-policy tests
+    /// so clean and chaotic runs execute identical code.
+    fn metered_body(m: &mut Metrics, trial: usize, s: SeedSequence) -> TrialMeasure {
+        let measure = synthetic(trial, s);
+        m.requests = measure.value as u64;
+        m.discoveries = trial as u64 % 7;
+        measure
+    }
+
     #[test]
     fn aggregates_are_bit_identical_across_thread_counts() {
         let seeds = SeedSequence::new(42);
-        let baseline = run_cell(97, 1, &seeds, synthetic);
+        let baseline = cell(97, 1, &seeds, synthetic);
         for threads in [2, 3, 4, 8] {
-            let parallel = run_cell(97, threads, &seeds, synthetic);
+            let parallel = cell(97, threads, &seeds, synthetic);
             assert_eq!(parallel, baseline, "threads={threads}");
         }
     }
@@ -774,7 +730,7 @@ mod tests {
     #[test]
     fn aggregate_matches_sequential_welford() {
         let seeds = SeedSequence::new(7);
-        let agg = run_cell(50, 4, &seeds, synthetic);
+        let agg = cell(50, 4, &seeds, synthetic);
         let mut expected = StreamingStats::new();
         let mut successes = 0u64;
         for t in 0..50 {
@@ -805,7 +761,7 @@ mod tests {
     fn every_trial_runs_exactly_once() {
         let seeds = SeedSequence::new(11);
         let calls = AtomicU64::new(0);
-        let agg = run_cell(64, 8, &seeds, |trial, seeds| {
+        let agg = cell(64, 8, &seeds, |trial, seeds| {
             calls.fetch_add(1, Ordering::Relaxed);
             synthetic(trial, seeds)
         });
@@ -816,7 +772,7 @@ mod tests {
     #[test]
     fn zero_trials_and_zero_lanes_are_empty() {
         let seeds = SeedSequence::new(1);
-        let agg = run_cell(0, 4, &seeds, synthetic);
+        let agg = cell(0, 4, &seeds, synthetic);
         assert_eq!(agg.count(), 0);
         assert_eq!(agg.success_rate(), 0.0);
         assert!(run_lanes(10, 0, 4, &seeds, |_, _| vec![]).is_empty());
@@ -838,7 +794,7 @@ mod tests {
         // gated beyond the backpressure window must be released (not
         // left blocking the channel) and the panic must reach us.
         let seeds = SeedSequence::new(17);
-        let _ = run_cell(100, 4, &seeds, |trial, s| {
+        let _ = cell(100, 4, &seeds, |trial, s| {
             if trial == 10 {
                 panic!("trial 10 exploded");
             }
@@ -858,8 +814,8 @@ mod tests {
             }
             synthetic(trial, s)
         };
-        let parallel = run_cell(120, 8, &seeds, slow);
-        let sequential = run_cell(120, 1, &seeds, synthetic);
+        let parallel = cell(120, 8, &seeds, slow);
+        let sequential = cell(120, 1, &seeds, synthetic);
         assert_eq!(parallel, sequential);
     }
 
@@ -908,20 +864,21 @@ mod tests {
     fn worker_contexts_are_built_once_per_worker_and_reused() {
         let seeds = SeedSequence::new(31);
         let inits = AtomicU64::new(0);
-        let agg = run_cell_with(
+        let (lanes, _) = run_lanes_observed(
             64,
+            1,
             4,
             &seeds,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize // per-worker trial counter
             },
-            |count, trial, seeds| {
+            |count, _, trial, seeds| {
                 *count += 1;
-                synthetic(trial, seeds)
+                vec![synthetic(trial, seeds)]
             },
         );
-        assert_eq!(agg.count(), 64);
+        assert_eq!(lanes[0].count(), 64);
         let workers = inits.load(Ordering::Relaxed);
         assert!(
             (1..=4).contains(&workers),
@@ -934,50 +891,32 @@ mod tests {
         // Counters are u64 sums folded in strict trial order, so the
         // merged bundle must match the single-threaded one exactly.
         let seeds = SeedSequence::new(91);
-        let metered = |threads: usize| {
-            run_cell_metered(
-                97,
-                threads,
-                &seeds,
-                || (),
-                |(), m, trial, s| {
-                    let measure = synthetic(trial, s);
-                    m.requests = measure.value as u64;
-                    m.discoveries = trial as u64 % 7;
-                    m.observe_trial_requests(m.requests);
-                    measure
-                },
-            )
-        };
-        let (baseline_agg, baseline_metrics) = metered(1);
-        assert_eq!(baseline_metrics.trials, 97);
-        assert_eq!(baseline_metrics.trial_requests.total(), 97);
-        assert!(baseline_metrics.requests > 0);
+        let (baseline_agg, baseline) = metered(97, 1, &seeds, metered_body);
+        assert_eq!(baseline.metrics.trials, 97);
+        assert_eq!(baseline.metrics.trial_requests.total(), 97);
+        assert!(baseline.metrics.requests > 0);
         for threads in [2, 4, 8] {
-            let (agg, metrics) = metered(threads);
+            let (agg, obs) = metered(97, threads, &seeds, metered_body);
             assert_eq!(agg, baseline_agg, "threads={threads}");
-            assert_eq!(metrics, baseline_metrics, "threads={threads}");
+            assert_eq!(obs.metrics, baseline.metrics, "threads={threads}");
         }
     }
 
     #[test]
     fn metered_trial_stamp_is_set_by_the_runner() {
-        // trial_fn never touches `trials`; the runner stamps 1 per trial
-        // so the histogram's bucket-sum == trials invariant holds
-        // whenever trial_fn records exactly one sample.
+        // trial_fn never touches `trials` or the histogram; the runner
+        // stamps one trial and records its request count per folded
+        // trial, so bucket-sum == trials holds by construction.
         let seeds = SeedSequence::new(92);
-        let (_, metrics) = run_cell_metered(
-            10,
-            4,
-            &seeds,
-            || (),
-            |(), m, trial, s| {
-                m.observe_trial_requests(trial as u64);
-                synthetic(trial, s)
-            },
-        );
-        assert_eq!(metrics.trials, 10);
-        assert_eq!(metrics.trial_requests.total(), metrics.trials);
+        let (_, obs) = metered(10, 4, &seeds, |m, trial, s| {
+            m.requests = trial as u64;
+            synthetic(trial, s)
+        });
+        assert_eq!(obs.metrics.trials, 10);
+        assert_eq!(obs.metrics.trial_requests.total(), obs.metrics.trials);
+        assert_eq!(obs.metrics.requests, 45);
+        // Trials 2 and 3 requested 2 and 3: both in bucket 2, [2, 4).
+        assert_eq!(obs.metrics.trial_requests.buckets()[2], 2);
     }
 
     #[test]
@@ -987,29 +926,36 @@ mod tests {
         // even though the nanosecond sums differ run to run.
         let seeds = SeedSequence::new(93);
         let observed = |threads: usize| {
-            run_cell_observed(
+            run_lanes_observed(
                 64,
+                1,
                 threads,
                 &seeds,
                 || (),
                 |(), obs, trial, s| {
-                    let t0 = Instant::now();
+                    let clock = PhaseClock::start();
                     let measure = synthetic(trial, s);
                     obs.metrics.requests = measure.value as u64;
-                    obs.metrics.observe_trial_requests(obs.metrics.requests);
-                    obs.phases.search_ns += elapsed_ns(t0);
-                    measure
+                    obs.phases.search_ns += clock.elapsed_ns();
+                    vec![measure]
                 },
             )
         };
-        let (baseline_agg, baseline_obs) = observed(1);
-        assert_eq!(baseline_obs.metrics.trials, 64);
-        // The consumer charges its fold to merge_ns on every run.
-        assert!(baseline_obs.phases.merge_ns > 0);
+        let (baseline_agg, baseline) = observed(1);
+        assert_eq!(baseline.metrics.trials, 64);
+        // The consumer charges its fold to merge_ns on every run, and
+        // the runner times and samples the whole cell.
+        assert!(baseline.phases.merge_ns > 0);
+        assert!(baseline.wall_ns > 0);
+        assert_eq!((baseline.lanes, baseline.workers), (1, 1));
+        if cfg!(target_os = "linux") {
+            assert!(baseline.resource.peak_rss_bytes > 0);
+        }
         for threads in [2, 4] {
             let (agg, obs) = observed(threads);
             assert_eq!(agg, baseline_agg, "threads={threads}");
-            assert_eq!(obs.metrics, baseline_obs.metrics, "threads={threads}");
+            assert_eq!(obs.metrics, baseline.metrics, "threads={threads}");
+            assert_eq!(obs.workers, threads, "threads={threads}");
         }
     }
 
@@ -1019,8 +965,9 @@ mod tests {
         // harvested deltas must read as zero — the runner may call the
         // counter unconditionally without lying.
         let seeds = SeedSequence::new(94);
-        let (_, obs) = run_cell_observed(
+        let (_, obs) = run_lanes_observed(
             16,
+            1,
             2,
             &seeds,
             || (),
@@ -1028,7 +975,7 @@ mod tests {
                 // A real heap allocation (Box, not a stack array) that
                 // would count if the allocator were installed.
                 let _heap = Box::new([trial; 8]);
-                synthetic(trial, s)
+                vec![synthetic(trial, s)]
             },
         );
         assert_eq!(obs.allocations, 0);
@@ -1036,22 +983,20 @@ mod tests {
 
     #[test]
     fn trial_obs_merge_is_fieldwise() {
-        let mut a = TrialObs::new();
+        let mut a = TrialObs::default();
         a.metrics.requests = 5;
         a.phases.search_ns = 100;
         a.allocations = 2;
-        let mut b = TrialObs::new();
+        let mut b = TrialObs::default();
         b.metrics.requests = 7;
         b.phases.search_ns = 10;
         b.phases.merge_ns = 1;
         b.allocations = 3;
-        b.degraded = true;
         a.merge(&b);
         assert_eq!(a.metrics.requests, 12);
         assert_eq!(a.phases.search_ns, 110);
         assert_eq!(a.phases.merge_ns, 1);
         assert_eq!(a.allocations, 5);
-        assert!(a.degraded, "degraded must OR through merges");
     }
 
     #[test]
@@ -1068,21 +1013,10 @@ mod tests {
         assert_eq!(*lock_gate(&gate), (3, false));
     }
 
-    /// A metered trial body shared by the fault-policy tests so clean
-    /// and chaotic runs execute identical code.
-    fn metered_body(m: &mut Metrics, trial: usize, s: SeedSequence) -> TrialMeasure {
-        let measure = synthetic(trial, s);
-        m.requests = measure.value as u64;
-        m.discoveries = trial as u64 % 7;
-        m.observe_trial_requests(m.requests);
-        measure
-    }
-
     #[test]
     fn retry_aggregates_are_bit_identical_to_fault_free_runs() {
         let seeds = SeedSequence::new(55);
-        let (clean_agg, clean_metrics) =
-            run_cell_metered(97, 1, &seeds, || (), |(), m, t, s| metered_body(m, t, s));
+        let (clean_agg, clean) = metered(97, 1, &seeds, metered_body);
         for threads in [1, 2, 4, 8] {
             let _scope = crate::faults::install_faults(FaultInjection {
                 policy: FailurePolicy::Retry { max: 2 },
@@ -1091,24 +1025,18 @@ mod tests {
                 })),
                 cell_deadline_ms: None,
             });
-            let (agg, metrics) = run_cell_metered(
-                97,
-                threads,
-                &seeds,
-                || (),
-                |(), m, t, s| metered_body(m, t, s),
-            );
+            let (agg, obs) = metered(97, threads, &seeds, metered_body);
             assert_eq!(agg, clean_agg, "threads={threads}");
             // Trials 0, 5, …, 95 each faulted once and retried once.
-            assert_eq!(metrics.faults_injected, 20, "threads={threads}");
-            assert_eq!(metrics.trials_retried, 20, "threads={threads}");
-            assert_eq!(metrics.trials_skipped, 0, "threads={threads}");
+            assert_eq!(obs.metrics.faults_injected, 20, "threads={threads}");
+            assert_eq!(obs.metrics.trials_retried, 20, "threads={threads}");
+            assert_eq!(obs.metrics.trials_skipped, 0, "threads={threads}");
             // Beyond the fault bookkeeping, the merged bundle is the
             // clean one, bit for bit.
-            let mut washed = metrics;
+            let mut washed = obs.metrics;
             washed.faults_injected = 0;
             washed.trials_retried = 0;
-            assert_eq!(washed, clean_metrics, "threads={threads}");
+            assert_eq!(washed, clean.metrics, "threads={threads}");
         }
     }
 
@@ -1122,16 +1050,15 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let (agg, metrics) =
-            run_cell_metered(20, 4, &seeds, || (), |(), m, t, s| metered_body(m, t, s));
+        let (agg, obs) = metered(20, 4, &seeds, metered_body);
         // Trials 0–2 were dropped: they fold no measurements and no
         // `trials` stamp, so the histogram invariant still holds.
         assert_eq!(agg.count(), 17);
-        assert_eq!(metrics.trials, 17);
-        assert_eq!(metrics.trial_requests.total(), 17);
-        assert_eq!(metrics.trials_skipped, 3);
-        assert_eq!(metrics.faults_injected, 3);
-        assert_eq!(metrics.trials_retried, 0);
+        assert_eq!(obs.metrics.trials, 17);
+        assert_eq!(obs.metrics.trial_requests.total(), 17);
+        assert_eq!(obs.metrics.trials_skipped, 3);
+        assert_eq!(obs.metrics.faults_injected, 3);
+        assert_eq!(obs.metrics.trials_retried, 0);
     }
 
     #[test]
@@ -1146,12 +1073,11 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let (agg, metrics) =
-            run_cell_metered(10, 2, &seeds, || (), |(), m, t, s| metered_body(m, t, s));
+        let (agg, obs) = metered(10, 2, &seeds, metered_body);
         assert_eq!(agg.count(), 9);
-        assert_eq!(metrics.trials_skipped, 1);
-        assert_eq!(metrics.faults_injected, 3); // initial attempt + 2 retries
-        assert_eq!(metrics.trials_retried, 2);
+        assert_eq!(obs.metrics.trials_skipped, 1);
+        assert_eq!(obs.metrics.faults_injected, 3); // initial attempt + 2 retries
+        assert_eq!(obs.metrics.trials_retried, 2);
     }
 
     #[test]
@@ -1165,13 +1091,13 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let _ = run_cell(16, 2, &seeds, synthetic);
+        let _ = cell(16, 2, &seeds, synthetic);
     }
 
     #[test]
     fn injected_stalls_do_not_perturb_aggregates() {
         let seeds = SeedSequence::new(59);
-        let clean = run_cell(40, 1, &seeds, synthetic);
+        let clean = cell(40, 1, &seeds, synthetic);
         let _scope = crate::faults::install_faults(FaultInjection {
             policy: FailurePolicy::Propagate,
             hook: Some(std::sync::Arc::new(|trial, _| {
@@ -1179,7 +1105,7 @@ mod tests {
             })),
             cell_deadline_ms: None,
         });
-        let stalled = run_cell(40, 8, &seeds, synthetic);
+        let stalled = cell(40, 8, &seeds, synthetic);
         assert_eq!(stalled, clean);
     }
 
@@ -1188,9 +1114,9 @@ mod tests {
         // Installing an empty bundle routes trials through the contained
         // path; the results must not change.
         let seeds = SeedSequence::new(57);
-        let clean = run_cell(64, 4, &seeds, synthetic);
+        let clean = cell(64, 4, &seeds, synthetic);
         let _scope = crate::faults::install_faults(FaultInjection::default());
-        let contained = run_cell(64, 4, &seeds, synthetic);
+        let contained = cell(64, 4, &seeds, synthetic);
         assert_eq!(contained, clean);
     }
 
@@ -1207,9 +1133,10 @@ mod tests {
             })),
             cell_deadline_ms: Some(50),
         });
-        let (agg, obs) = run_cell_observed(8, 2, &seeds, || (), |(), _o, t, s| synthetic(t, s));
+        let (lanes, obs) =
+            run_lanes_observed(8, 1, 2, &seeds, || (), |(), _, t, s| vec![synthetic(t, s)]);
         assert!(obs.degraded);
-        assert!(agg.count() < 8, "degraded cell folded all trials");
+        assert!(lanes[0].count() < 8, "degraded cell folded all trials");
     }
 
     #[test]
@@ -1217,14 +1144,15 @@ mod tests {
         // A context that hoards mutable state must not perturb results:
         // determinism comes from (trial, seeds) alone.
         let seeds = SeedSequence::new(77);
-        let plain = run_cell(80, 1, &seeds, synthetic);
+        let plain = cell(80, 1, &seeds, synthetic);
         for threads in [1, 2, 8] {
-            let ctx = run_cell_with(80, threads, &seeds, Vec::<f64>::new, |buf, trial, seeds| {
-                let m = synthetic(trial, seeds);
-                buf.push(m.value); // grows across the worker's trials
-                m
-            });
-            assert_eq!(ctx, plain, "threads={threads}");
+            let (lanes, _) =
+                run_lanes_observed(80, 1, threads, &seeds, Vec::<f64>::new, |buf, _, t, s| {
+                    let m = synthetic(t, s);
+                    buf.push(m.value); // grows across the worker's trials
+                    vec![m]
+                });
+            assert_eq!(lanes[0], plain, "threads={threads}");
         }
     }
 }

@@ -2,8 +2,8 @@
 //! under arbitrary parameters.
 
 use nonsearch_engine::{
-    install_faults, parse_json, run_cell, run_lanes, trial_seeds, FailurePolicy, FaultHook,
-    FaultInjection, InjectedFault, JsonValue, TrialMeasure,
+    install_faults, parse_json, run_lanes, trial_seeds, FailurePolicy, FaultHook, FaultInjection,
+    InjectedFault, JsonValue, LaneAggregate, TrialMeasure,
 };
 use nonsearch_fault::{FaultPlan, TrialFault};
 use nonsearch_generators::SeedSequence;
@@ -16,6 +16,13 @@ use std::sync::Arc;
 fn synthetic_measure(seeds: &SeedSequence) -> TrialMeasure {
     let draw = seeds.child(0);
     TrialMeasure::new((draw % 10_000) as f64 / 7.0, !draw.is_multiple_of(5))
+}
+
+/// A one-lane cell of [`synthetic_measure`] trials.
+fn synthetic_cell(trials: usize, threads: usize, seeds: &SeedSequence) -> LaneAggregate {
+    run_lanes(trials, 1, threads, seeds, |_, s| {
+        vec![synthetic_measure(&s)]
+    })[0]
 }
 
 proptest! {
@@ -52,8 +59,8 @@ proptest! {
         threads in 2usize..9,
     ) {
         let seeds = SeedSequence::new(root);
-        let single = run_cell(trials, 1, &seeds, |_, s| synthetic_measure(&s));
-        let sharded = run_cell(trials, threads, &seeds, |_, s| synthetic_measure(&s));
+        let single = synthetic_cell(trials, 1, &seeds);
+        let sharded = synthetic_cell(trials, threads, &seeds);
         prop_assert_eq!(single, sharded);
         prop_assert_eq!(single.count(), trials as u64);
     }
@@ -99,7 +106,7 @@ proptest! {
         panic_every in 1u64..4,
     ) {
         let seeds = SeedSequence::new(root);
-        let reference = run_cell(trials, 1, &seeds, |_, s| synthetic_measure(&s));
+        let reference = synthetic_cell(trials, 1, &seeds);
 
         let plan = FaultPlan::new(plan_seed).with_trial_panics(panic_every);
         let hook: FaultHook = Arc::new(move |trial, attempt| {
@@ -113,7 +120,7 @@ proptest! {
             hook: Some(hook),
             cell_deadline_ms: None,
         });
-        let retried = run_cell(trials, threads, &seeds, |_, s| synthetic_measure(&s));
+        let retried = synthetic_cell(trials, threads, &seeds);
         drop(scope);
 
         prop_assert_eq!(reference, retried);

@@ -22,7 +22,8 @@
 //!   metrics path only.
 //! * **Resources** — fixed-shape per-worker phase timers
 //!   ([`PhaseTimes`]) that decompose trial wall time like `Metrics`
-//!   decomposes trial work, a `/proc`-backed process sampler
+//!   decomposes trial work, the stopwatch every timer in the workspace
+//!   reads ([`PhaseClock`]), a `/proc`-backed process sampler
 //!   ([`ResourceSample`]) for peak RSS / faults / context switches,
 //!   and text renderers ([`render_log2_histogram`],
 //!   [`prometheus_text`]) shared by `xp report` and the future
@@ -41,7 +42,7 @@ mod phase;
 mod render;
 mod resource;
 
-pub use phase::{elapsed_ns, PhaseTimes};
+pub use phase::{PhaseClock, PhaseTimes};
 pub use render::{prometheus_text, render_log2_histogram};
 pub use resource::ResourceSample;
 

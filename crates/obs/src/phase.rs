@@ -1,16 +1,15 @@
-//! Fixed-shape per-worker phase timers.
+//! Fixed-shape per-worker phase timers and the clock that feeds them.
 //!
 //! A trial's wall time decomposes into a handful of phases the engine
 //! cares about separately: getting the graph (generated fresh or loaded
 //! from a corpus), running the searchers, harvesting counters, and the
 //! consumer-side merge fold. [`PhaseTimes`] is the `Metrics` analogue
 //! for those durations — a plain bundle of `u64` nanosecond
-//! accumulators, updated by integer adds from monotonic-clock
-//! (`Instant`) readings, merged field-wise in the reorder-buffer
-//! consumer. Unlike `Metrics` the sums are wall-clock data: they are
-//! *not* deterministic across runs and must only ever ride volatile
-//! record types (`"type":"resource"`), never determinism-gated cell
-//! lines.
+//! accumulators, updated by integer adds from [`PhaseClock`] readings,
+//! merged field-wise in the reorder-buffer consumer. Unlike `Metrics`
+//! the sums are wall-clock data: they are *not* deterministic across
+//! runs and must only ever ride the volatile `"type":"perf"` record,
+//! never determinism-gated cell lines.
 
 use std::time::Instant;
 
@@ -70,16 +69,58 @@ impl PhaseTimes {
             ("phase_merge_ns", self.merge_ns),
         ]
     }
+
+    /// Runs `fetch` and charges its time to `load` when the graph comes
+    /// from storage, else to `generate`.
+    pub fn time_fetch<T>(&mut self, stored: bool, fetch: impl FnOnce() -> T) -> T {
+        let clock = PhaseClock::start();
+        let fetched = fetch();
+        let phase = if stored {
+            &mut self.load_ns
+        } else {
+            &mut self.generate_ns
+        };
+        *phase += clock.elapsed_ns();
+        fetched
+    }
 }
 
-/// Elapsed nanoseconds since `start`, saturated into a `u64`.
+/// A running monotonic stopwatch: the one clock every phase and cell
+/// timer in the workspace reads.
 ///
-/// The helper every instrumentation site uses so the clamp cannot
-/// drift: `Instant` reads are monotonic, allocation-free, and never
-/// consulted by any RNG stream, so timing a phase cannot perturb a
-/// deterministic aggregate.
-pub fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Readings are `Instant`-based, allocation-free, and never consulted by
+/// any RNG stream, so timing a phase cannot perturb a deterministic
+/// aggregate. Durations saturate into `u64` nanoseconds.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseClock {
+    start: Instant,
+}
+
+impl PhaseClock {
+    /// A clock started now.
+    pub fn start() -> PhaseClock {
+        PhaseClock {
+            start: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds since the clock started (or was last lapped).
+    pub fn elapsed_ns(&self) -> u64 {
+        saturating_ns(self.start.elapsed())
+    }
+
+    /// Nanoseconds since the clock started (or was last lapped), and
+    /// restarts it — one reading per back-to-back phase.
+    pub fn lap_ns(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = saturating_ns(now - self.start);
+        self.start = now;
+        ns
+    }
+}
+
+fn saturating_ns(elapsed: std::time::Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -136,11 +177,25 @@ mod tests {
 
     #[test]
     fn elapsed_ns_is_monotone() {
-        let t0 = Instant::now();
-        let a = elapsed_ns(t0);
+        let mut clock = PhaseClock::start();
+        let a = clock.elapsed_ns();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let b = elapsed_ns(t0);
+        let b = clock.elapsed_ns();
         assert!(b > a);
         assert!(b >= 2_000_000, "slept 2ms but measured {b}ns");
+        // A lap reads the same span and restarts the clock.
+        assert!(clock.lap_ns() >= b);
+        assert!(clock.elapsed_ns() < b);
+    }
+
+    #[test]
+    fn fetches_are_charged_to_load_or_generate() {
+        let mut phases = PhaseTimes::new();
+        let slept = |ms| move || std::thread::sleep(std::time::Duration::from_millis(ms));
+        phases.time_fetch(false, slept(1));
+        assert!(phases.generate_ns >= 1_000_000);
+        assert_eq!(phases.load_ns, 0);
+        phases.time_fetch(true, slept(1));
+        assert!(phases.load_ns >= 1_000_000);
     }
 }

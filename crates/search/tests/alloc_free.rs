@@ -83,12 +83,11 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
     // view/frontier deltas, and a log2 histogram sample — is plain u64
     // arithmetic into a fixed-size struct, so the steady-state
     // allocation count stays exactly zero with metrics enabled. The
-    // same holds for the phase timers (`Instant` reads folded into a
+    // same holds for the phase timers (`PhaseClock` reads folded into a
     // fixed-shape `PhaseTimes`) and for sampling the per-thread
     // allocation counter itself — everything an observed engine worker
     // does per trial.
-    use nonsearch_obs::{elapsed_ns, Metrics, PhaseTimes, ResourceSample};
-    use std::time::Instant;
+    use nonsearch_obs::{Metrics, PhaseClock, PhaseTimes, ResourceSample};
 
     let n = 512;
     let graph = MergedMori::sample(n, 2, 0.5, &mut rng_from_seed(3))
@@ -123,10 +122,9 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         let resolutions_before = scratch.view().edge_resolutions();
         let resets_before = scratch.view().resets();
         let rescans_before = searcher.frontier_rescans();
-        let search_start = Instant::now();
+        let mut clock = PhaseClock::start();
         let steady = run_weak_in(&mut scratch, &graph, &task, &mut *searcher, &mut rng).unwrap();
-        let search_ns = elapsed_ns(search_start);
-        let harvest_start = Instant::now();
+        let search_ns = clock.lap_ns();
         delta.requests += steady.requests as u64;
         delta.discoveries += steady.discovered as u64;
         delta.frontier_rescans += searcher.frontier_rescans() - rescans_before;
@@ -136,7 +134,7 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         delta.trials = 1;
         metrics.merge(&delta);
         phases.search_ns += search_ns;
-        phases.harvest_ns += elapsed_ns(harvest_start);
+        phases.harvest_ns += clock.lap_ns();
         // Reading the per-thread allocation counter mid-window is also
         // free — the observed runner samples it once per trial.
         let _mid_window_sample = allocations();
