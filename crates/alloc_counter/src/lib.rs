@@ -15,7 +15,7 @@
 //! assert_eq!(allocations() - before, 0);
 //! ```
 //!
-//! The count is **per thread**: a libtest harness (or criterion) runs
+//! The count is **per thread**: a libtest harness runs
 //! coordinator threads that may allocate at any moment — parking, I/O,
 //! timeout machinery — and a process-global counter would make
 //! zero-allocation windows flaky. Counting in a const-initialized

@@ -6,8 +6,7 @@
 //! committed copy:
 //!
 //! * **oracle** — the weak-model full flood on BA(m=2) at
-//!   n ∈ {1 000, 10 000, 100 000}, pooled scratch, the same harness as
-//!   `benches/oracle_ops.rs` (requests/sec).
+//!   n ∈ {1 000, 10 000, 100 000}, pooled scratch (requests/sec).
 //! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap
 //!   (graphs/sec). The `Corpus` handle is reopened for every measured
 //!   round, because loads are cached per handle — a warm handle would
@@ -57,8 +56,7 @@ struct Cell {
 
 /// The weak-model full flood (one request per unexplored edge slot of
 /// each discovered vertex, discovery order): the oracle hot path with
-/// zero strategy overhead — identical to the `oracle_ops` bench lane,
-/// so the suite's numbers stay comparable with the criterion history.
+/// zero strategy overhead.
 fn weak_flood(
     scratch: &mut SearchScratch,
     cursors: &mut FrontierCursors,

@@ -1,0 +1,136 @@
+//! E14 — neighbor-degree dependence: evolving vs pure random graphs.
+//!
+//! The paper's structural argument for why mean-field analyses fail on
+//! evolving models: *"the degree and age of a vertex are positively
+//! correlated. In particular, the degrees of neighbors are not
+//! independent"* — unlike the Molloy–Reed configuration model. This
+//! experiment measures age–degree correlation, degree assortativity and
+//! the `k_nn(d)` curve across both families, one cell per model. A
+//! statistic is reported only when every trial defines it (e.g.
+//! `k_nn(1)` needs a degree-1 vertex); otherwise the table shows `-` and
+//! the cell record `null`.
+
+use super::{evolving_models, note_corpus_ignored, print_banner};
+use nonsearch_analysis::{
+    age_degree_correlation, degree_assortativity, mean_neighbor_degree_curve, Table,
+};
+use nonsearch_core::{PowerLawGiantModel, UniformAttachmentModel};
+use nonsearch_engine::{
+    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, LaneAggregate, TrialMeasure,
+};
+use nonsearch_generators::{rng_from_seed, SeedSequence};
+
+pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
+    name: "correlation",
+    id: "E14",
+    claim: "evolving models correlate age with degree and neighbor degrees; \
+            the configuration model does not",
+    default_seed: 0xE14,
+    run,
+};
+
+fn run(ctx: &mut ExpContext) {
+    print_banner(
+        ctx,
+        "E14 / neighbor-degree dependence",
+        "evolving models: age–degree correlation and degree–degree \
+         dependence; configuration model: neighbor degrees independent",
+    );
+    note_corpus_ignored(
+        ctx,
+        "each trial's graph comes from the trial's root stream, which \
+         stored graphs do not reproduce.",
+    );
+
+    let n = if ctx.options.quick { 10_000 } else { 50_000 };
+    let trial_count = ctx.options.trial_count(6);
+    let seeds = SeedSequence::new(ctx.seed);
+    let tracer = ctx.tracer.clone();
+
+    let mut models = evolving_models();
+    models.push((
+        "uniform-attach(m=2)",
+        Box::new(UniformAttachmentModel { m: 2 }),
+    ));
+    models.push((
+        "config-model(k=2.5)",
+        Box::new(PowerLawGiantModel {
+            exponent: 2.5,
+            d_min: 1,
+        }),
+    ));
+
+    let mut table =
+        Table::with_columns(&["model", "age-degree r", "assortativity", "k_nn(1)/k_nn(8)"]);
+    for (mi, (name, model)) in models.iter().enumerate() {
+        let _cell_span = tracer.span("model-cell");
+        let (lanes, obs) = run_lanes_observed(
+            trial_count,
+            3,
+            ctx.options.threads,
+            &seeds.subsequence(mi as u64),
+            || (),
+            |(), obs, _, trial_seeds| {
+                let graph = obs.phases.time_fetch(false, || {
+                    model.sample_graph(n, &mut rng_from_seed(trial_seeds.root()))
+                });
+                let curve = mean_neighbor_degree_curve(&graph);
+                let knn_ratio = match (curve.get(1), curve.get(8)) {
+                    (Some(Some(k1)), Some(Some(k8))) => Some(k1 / k8),
+                    _ => None,
+                };
+                [
+                    age_degree_correlation(&graph),
+                    degree_assortativity(&graph),
+                    knn_ratio,
+                ]
+                .map(|x| TrialMeasure::new(x.unwrap_or(0.0), x.is_some()))
+                .to_vec()
+            },
+        );
+        // A statistic some trial left undefined has no mean.
+        let defined = |lane: &LaneAggregate| (lane.successes == lane.count()).then_some(*lane);
+        let [age_r, assort, knn_ratio] = [0, 1, 2].map(|i| defined(&lanes[i]));
+        let fmt = |lane: Option<LaneAggregate>| match lane {
+            Some(l) => format!("{:+.3} ±{:.3}", l.mean(), l.ci95()),
+            None => "-".into(),
+        };
+        table.row(vec![
+            name.to_string(),
+            fmt(age_r),
+            fmt(assort),
+            fmt(knn_ratio),
+        ]);
+        let mean = |lane: Option<LaneAggregate>| JsonValue::from(lane.map(|l| l.mean()));
+        let ci95 = |lane: Option<LaneAggregate>| JsonValue::from(lane.map(|l| l.ci95()));
+        ctx.writer
+            .record_cell(vec![
+                ("model", JsonValue::from(*name)),
+                ("n", JsonValue::from(n)),
+                ("trials", JsonValue::from(trial_count)),
+                ("seed", JsonValue::from(ctx.seed)),
+                ("age_degree_r", mean(age_r)),
+                ("age_degree_r_ci95", ci95(age_r)),
+                ("assortativity", mean(assort)),
+                ("assortativity_ci95", ci95(assort)),
+                ("knn_ratio", mean(knn_ratio)),
+                ("knn_ratio_ci95", ci95(knn_ratio)),
+            ])
+            .expect("write cell record");
+        ctx.writer
+            .record_perf(
+                vec![("model", JsonValue::from(*name)), ("n", JsonValue::from(n))],
+                &obs,
+            )
+            .expect("write perf record");
+    }
+    println!("{table}");
+    println!("reading the table:");
+    println!("  age-degree r  — strongly negative for attachment models (old ⇒");
+    println!("                  high degree; note config-model relabels ids so ~0)");
+    println!("  assortativity — negative (disassortative) for evolving models");
+    println!("  k_nn ratio    — > 1 when low-degree vertices sit next to hubs;");
+    println!("                  ≈ 1 when neighbor degrees are independent");
+    println!("this dependence is exactly why the paper replaces mean-field");
+    println!("arguments with the conditional-equivalence technique.");
+}

@@ -5,7 +5,7 @@
 //! literally invariant under window transpositions), plus a statistical
 //! symmetry test on sampled larger trees.
 
-use super::print_banner;
+use super::{note_corpus_ignored, print_banner};
 use nonsearch_analysis::Table;
 use nonsearch_core::{exact_window_exchangeability, sampled_window_symmetry, EquivalenceWindow};
 use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes};
@@ -25,11 +25,11 @@ fn run(ctx: &mut ExpContext) {
         "conditional on E_{a,b}, window vertices are interchangeable: \
          exact check on small trees, z-test on sampled trees",
     );
-    if ctx.options.corpus.is_some() {
-        println!("note: --corpus has no effect here — this experiment inspects");
-        println!("attachment traces (construction provenance), which stored CSR");
-        println!("graphs do not carry; trees are enumerated/sampled in place.\n");
-    }
+    note_corpus_ignored(
+        ctx,
+        "this experiment inspects attachment traces (construction provenance), \
+         which stored CSR graphs do not carry; trees are enumerated/sampled in place.",
+    );
 
     println!("exact enumeration check (trees of size b ≤ 9):");
     let mut exact_table =

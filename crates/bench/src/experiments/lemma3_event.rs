@@ -3,7 +3,7 @@
 //! Prints, for each `(p, a)`, the exact conditional-product probability,
 //! a Monte-Carlo estimate from real Móri trees, and the paper's bound.
 
-use super::print_banner;
+use super::{note_corpus_ignored, print_banner};
 use nonsearch_analysis::Table;
 use nonsearch_core::{
     estimate_mori_event_probability, lemma3_bound, mori_event_probability_exact, EquivalenceWindow,
@@ -25,11 +25,11 @@ fn run(ctx: &mut ExpContext) {
         "P(E_{a,b}) ≥ e^{−(1−p)} at the √a window — exact product vs \
          Monte-Carlo vs bound",
     );
-    if ctx.options.corpus.is_some() {
-        println!("note: --corpus has no effect here — the Monte-Carlo term checks");
-        println!("the window event on attachment traces (construction provenance),");
-        println!("which stored CSR graphs do not carry.\n");
-    }
+    note_corpus_ignored(
+        ctx,
+        "the Monte-Carlo term checks the window event on attachment traces \
+         (construction provenance), which stored CSR graphs do not carry.",
+    );
 
     let p_values = [0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
     let anchors: Vec<usize> = if ctx.options.quick {

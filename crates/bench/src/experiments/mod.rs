@@ -1,24 +1,32 @@
-//! The registered experiment suite behind `xp` and the legacy binaries.
+//! The registered experiment suite behind `xp`.
 //!
-//! Each submodule ports one `exp_*` binary onto the engine: same claim,
-//! same pretty tables, same seed derivations — plus structured JSONL/CSV
-//! cell records via [`ExpContext::writer`] and the shared flag set
-//! (`--quick`, `--threads`, `--seed`, `--out`, `--format`, `--trials`,
-//! `--sizes`). The remaining experiments still run as standalone
-//! binaries; see `EXPERIMENTS.md` for the full map.
+//! Each submodule is one experiment on the engine: its claim, pretty
+//! tables and seed derivations, plus structured JSONL/CSV cell records
+//! via [`ExpContext::writer`], one perf record per measured cell under
+//! `--profile`, and the shared flag set (`--quick`, `--threads`,
+//! `--seed`, `--out`, `--format`, `--trials`, `--sizes`). See
+//! `EXPERIMENTS.md` for the full map.
 
 mod ablation;
+mod adamic;
+mod correlation;
 mod degree_dist;
+mod diameter;
+mod kleinberg;
 mod lemma1_bound;
 mod lemma2_equiv;
 mod lemma3_event;
 mod maxdeg;
 mod null_model;
+mod percolation;
 mod theorem1_strong;
 mod theorem1_weak;
 mod theorem2_cf;
 
-use nonsearch_core::{GraphModel, ModelSource, SearchabilityReport};
+use nonsearch_core::{
+    BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, ModelSource,
+    SearchabilityReport,
+};
 use nonsearch_corpus::{Corpus, LoadMode};
 use nonsearch_engine::{ExpContext, GraphSource, JsonValue, Registry};
 
@@ -33,7 +41,12 @@ pub fn registry() -> Registry {
         .register(lemma3_event::SPEC)
         .register(maxdeg::SPEC)
         .register(degree_dist::SPEC)
+        .register(diameter::SPEC)
+        .register(adamic::SPEC)
+        .register(kleinberg::SPEC)
+        .register(percolation::SPEC)
         .register(ablation::SPEC)
+        .register(correlation::SPEC)
         .register(null_model::SPEC)
         .add_usage_note(
             "corpus build|info|verify — persistent graph-ensemble store (xp corpus help)",
@@ -92,6 +105,25 @@ pub(super) fn resolve_source<'a, M: GraphModel + Sync>(
     Box::new(ModelSource::new(model))
 }
 
+/// The evolving models `diameter` and `correlation` contrast, with
+/// their table labels.
+fn evolving_models() -> Vec<(&'static str, Box<dyn GraphModel + Sync>)> {
+    vec![
+        (
+            "mori(p=0.6,m=2)",
+            Box::new(MergedMoriModel { p: 0.6, m: 2 }),
+        ),
+        (
+            "cooper-frieze(α=0.7)",
+            Box::new(CooperFriezeModel::balanced(0.7)),
+        ),
+        (
+            "barabasi-albert(m=2)",
+            Box::new(BarabasiAlbertModel { m: 2 }),
+        ),
+    ]
+}
+
 /// Writes the perf record of every size cell of a certification sweep
 /// over `sizes`, identified by `fields` plus the cell's `n`.
 fn record_sweep_perf(
@@ -107,14 +139,16 @@ fn record_sweep_perf(
     }
 }
 
-/// Entry point for a legacy `exp_*` binary: dispatches `name` through
-/// the registry with leniently-parsed process arguments.
-pub fn run_legacy(name: &str) {
-    nonsearch_engine::run_legacy(&registry(), name);
+/// Tells a `--corpus` run that this experiment samples its graphs in
+/// place; `why` finishes the sentence. An explicit flag is never
+/// dropped silently.
+fn note_corpus_ignored(ctx: &ExpContext, why: &str) {
+    if ctx.options.corpus.is_some() {
+        println!("note: --corpus has no effect here — {why}\n");
+    }
 }
 
-/// The standard experiment banner, driven by the run's own options
-/// (not the process-global ones, so `xp` subcommands report correctly).
+/// The standard experiment banner, driven by the run's options.
 fn print_banner(ctx: &ExpContext, id: &str, claim: &str) {
     println!("=== {id} ===");
     println!("claim: {claim}");
@@ -131,8 +165,7 @@ mod tests {
     #[test]
     fn registry_has_at_least_ten_experiments() {
         let r = registry();
-        assert!(r.specs().len() >= 10, "only {} registered", r.specs().len());
-        for name in [
+        let names = [
             "theorem1-weak",
             "theorem1-strong",
             "theorem2-cf",
@@ -141,9 +174,16 @@ mod tests {
             "lemma3-event",
             "maxdeg",
             "degree-dist",
+            "diameter",
+            "adamic",
+            "kleinberg",
+            "percolation",
             "ablation",
+            "correlation",
             "null-model",
-        ] {
+        ];
+        assert_eq!(r.specs().len(), names.len());
+        for name in names {
             assert!(r.find(name).is_some(), "{name} missing");
         }
         assert!(r.usage().contains("corpus build|info|verify"));

@@ -129,7 +129,7 @@ fn run(ctx: &mut ExpContext) {
                             .with_criterion(SuccessCriterion::DiscoverTarget)
                             .with_budget(budget_multiplier * actual)
                     },
-                    &trial_seeds,
+                    |lane| trial_seeds.child_rng(1 + lane as u64),
                 )
             },
         );

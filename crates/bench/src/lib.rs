@@ -1,11 +1,10 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! The experiments behind the `xp` CLI and their shared cell helpers.
 //!
 //! Every experiment regenerates one evaluation artifact from
-//! EXPERIMENTS.md; the unified `xp` binary fronts them all (`xp list`),
-//! and the legacy `exp_*` binaries dispatch to the same registered
-//! implementations. All entry points share the engine's flag set —
-//! `--quick`, `--threads`, `--seed`, `--out`, `--format`, `--trials`,
-//! `--sizes` — parsed once into [`CliOptions`].
+//! EXPERIMENTS.md; the `xp` binary fronts them all (`xp list`). Every
+//! subcommand shares the engine's flag set — `--quick`, `--threads`,
+//! `--seed`, `--out`, `--format`, `--trials`, `--sizes`, … — parsed
+//! strictly into `nonsearch_engine::CliOptions`.
 //!
 //! The cell helpers here ([`strong_cell`], [`weak_cell`]) run the shared
 //! trial body (`nonsearch_core::measure_trial`) on the `nonsearch_engine`
@@ -21,39 +20,12 @@ pub mod chaos;
 pub mod experiments;
 
 use nonsearch_core::{measure_trial, Oracle, Rescans, TrialPool};
-use nonsearch_engine::{run_lanes_observed, CellObs, CliOptions, GraphSource, LaneAggregate};
+use nonsearch_engine::{run_lanes_observed, CellObs, GraphSource, LaneAggregate};
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::{NodeId, UndirectedCsr};
 use nonsearch_search::{
     run_strong_in, run_weak_in, SearchTask, SearcherKind, StrongSearcher, SuccessCriterion,
 };
-
-/// `true` when the caller asked for a reduced sweep (`--quick` or
-/// `NONSEARCH_QUICK=1`); read from the process-wide options, which are
-/// parsed exactly once.
-pub fn quick() -> bool {
-    CliOptions::global().quick
-}
-
-/// Truncates a size sweep in quick mode (and honours `--sizes`).
-pub fn sweep(full: &[usize]) -> Vec<usize> {
-    CliOptions::global().sweep(full)
-}
-
-/// Scales a trial count down in quick mode (and honours `--trials`).
-pub fn trials(full: usize) -> usize {
-    CliOptions::global().trial_count(full)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, claim: &str) {
-    println!("=== {id} ===");
-    println!("claim: {claim}");
-    if quick() {
-        println!("mode: QUICK (reduced sweep; run without --quick for the full table)");
-    }
-    println!();
-}
 
 /// Strong-model searcher selection for the Theorem 1 strong experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,7 +194,7 @@ fn search_cell<S: Rescans + ?Sized>(
                     })]
                 },
                 |graph| task(graph, &trial_seeds),
-                &trial_seeds,
+                |lane| trial_seeds.child_rng(1 + lane as u64),
             )
         },
     );
@@ -307,13 +279,5 @@ mod tests {
         let names: Vec<&str> = StrongKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 3);
         assert!(names.contains(&"strong-bfs"));
-    }
-
-    #[test]
-    fn sweep_respects_quick() {
-        if !quick() {
-            assert_eq!(sweep(&[1, 2, 3, 4]), vec![1, 2, 3, 4]);
-            assert_eq!(trials(12), 12);
-        }
     }
 }

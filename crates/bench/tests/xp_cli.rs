@@ -47,6 +47,11 @@ fn list_enumerates_the_registered_experiments() {
         "lemma2-equiv",
         "lemma3-event",
         "ablation",
+        "diameter",
+        "adamic",
+        "kleinberg",
+        "percolation",
+        "correlation",
     ] {
         assert!(stdout.contains(name), "xp list misses {name}:\n{stdout}");
     }
@@ -64,6 +69,12 @@ fn unknown_subcommand_and_bad_flags_fail_cleanly() {
 
     let out = xp(&["theorem1-weak", "--wat"]);
     assert_eq!(out.status.code(), Some(2));
+
+    // The regression: `--trials 0` used to run (and record) one trial.
+    let out = xp(&["maxdeg", "--trials", "0", "--sizes", "64,128"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--trials"), "{stderr}");
 }
 
 #[test]
@@ -191,60 +202,6 @@ fn validate_flags_corrupt_files() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The `"quick"` field of the run footer emitted by one tiny run.
-fn footer_quick(args: &[&str], env: Option<(&str, &str)>, tag: &str) -> bool {
-    let path = temp_path(tag);
-    let mut full: Vec<&str> = vec!["theorem1-weak", "--sizes", "32", "--trials", "2", "--out"];
-    let path_str = path.to_str().unwrap().to_string();
-    full.push(&path_str);
-    full.extend_from_slice(args);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_xp"));
-    // Start from a known state: the ambient harness environment must
-    // not leak into the regression assertions below.
-    cmd.args(&full).env_remove("NONSEARCH_QUICK");
-    if let Some((key, value)) = env {
-        cmd.env(key, value);
-    }
-    let out = cmd.output().expect("xp binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&path).unwrap();
-    let quick = text
-        .lines()
-        .filter_map(|l| parse_json(l).ok())
-        .find(|v| v.get("type").and_then(|t| t.as_str()) == Some(RUN_TYPE))
-        .and_then(|v| v.get("quick").and_then(|q| q.as_bool()))
-        .expect("run footer carries a quick field");
-    std::fs::remove_file(&path).ok();
-    quick
-}
-
-#[test]
-fn quick_env_zero_and_empty_do_not_enable_quick_mode() {
-    // The regression pair: `NONSEARCH_QUICK=0` (and the empty string)
-    // used to *enable* quick mode because only presence was checked.
-    assert!(!footer_quick(
-        &[],
-        Some(("NONSEARCH_QUICK", "0")),
-        "env0.jsonl"
-    ));
-    assert!(!footer_quick(
-        &[],
-        Some(("NONSEARCH_QUICK", "")),
-        "envempty.jsonl"
-    ));
-    assert!(footer_quick(
-        &[],
-        Some(("NONSEARCH_QUICK", "1")),
-        "env1.jsonl"
-    ));
-    assert!(footer_quick(&["--quick"], None, "flag.jsonl"));
-    assert!(!footer_quick(&[], None, "plain.jsonl"));
-}
-
 #[test]
 fn trace_and_metrics_flow_through_a_profiled_run() {
     let run = temp_path("obs.jsonl");
@@ -361,8 +318,10 @@ fn profile_diff_gates_on_a_doubled_baseline() {
 }
 
 /// The committed quick-mode cell fixtures: the `"type":"cell"` lines of
-/// `theorem1-weak`, `theorem1-strong` and `ablation` at `--quick
-/// --threads 2`, which pin the searchers' exact request sequences.
+/// each experiment at `--quick`. The searcher fixtures pin exact request
+/// sequences; the five contrast experiments' fixtures were emitted with
+/// `--threads 1`, so running them at `--threads 2` here also checks
+/// thread invariance. Every profiled run must also validate.
 #[test]
 fn quick_cell_records_match_the_committed_fixtures() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
@@ -370,6 +329,11 @@ fn quick_cell_records_match_the_committed_fixtures() {
         ("theorem1-weak", "theorem1_weak.quick.cells"),
         ("theorem1-strong", "theorem1_strong.quick.cells"),
         ("ablation", "ablation.quick.cells"),
+        ("diameter", "diameter.quick.cells"),
+        ("adamic", "adamic.quick.cells"),
+        ("kleinberg", "kleinberg.quick.cells"),
+        ("percolation", "percolation.quick.cells"),
+        ("correlation", "correlation.quick.cells"),
     ] {
         let run = temp_path(&format!("{fixture}.jsonl"));
         let run_str = run.to_str().unwrap();
@@ -388,6 +352,8 @@ fn quick_cell_records_match_the_committed_fixtures() {
             String::from_utf8_lossy(&out.stderr)
         );
         let text = std::fs::read_to_string(&run).unwrap();
+        let records = validate_jsonl(&text).unwrap_or_else(|e| panic!("{experiment}: {e}"));
+        assert!(records.perfs > 0, "{experiment}: no perf records");
         let mut cells = cell_lines(&text).join("\n");
         cells.push('\n');
         let expected = std::fs::read_to_string(fixtures.join(fixture)).unwrap();

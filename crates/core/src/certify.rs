@@ -232,7 +232,7 @@ pub fn certify_with_source(
                             .with_criterion(config.criterion)
                             .with_budget(config.budget_multiplier * actual)
                     },
-                    &trial_seeds,
+                    |lane| trial_seeds.child_rng(1 + lane as u64),
                 )
             },
         );

@@ -8,10 +8,10 @@
 //! comparison (an original and a rewired graph, two searchers each),
 //! and the single-searcher weak and strong cells. What differs is
 //! passed in: the oracle (weak or strong), how the graphs are fetched,
-//! and how a graph becomes a search task.
+//! how a graph becomes a search task, and which RNG each lane draws
+//! from.
 
 use nonsearch_engine::{TrialMeasure, TrialObs};
-use nonsearch_generators::SeedSequence;
 use nonsearch_graph::UndirectedCsr;
 use nonsearch_obs::{PhaseClock, PhaseTimes};
 use nonsearch_search::{SearchOutcome, SearchScratch, SearchTask, StrongSearcher, WeakSearcher};
@@ -74,9 +74,10 @@ impl<S: ?Sized> TrialPool<S> {
 /// generate or load phase ([`PhaseTimes::time_fetch`]). The pool's
 /// searchers split evenly across the graphs: lane `g × (lanes / G) + s`
 /// runs searcher `s` of graph `g`'s share on `graphs[g]`, through
-/// `oracle`, on the task `task(graphs[g])`, drawing from child stream
-/// `1 + lane` of `trial_seeds` (stream `0` is the graph's own). The race
-/// is charged to the search phase and the counter sweep to harvest.
+/// `oracle`, on the task `task(graphs[g])`, drawing from
+/// `lane_rng(lane)` (most callers pass child stream `1 + lane` of the
+/// trial seeds; stream `0` is the graph's own). The race is charged to
+/// the search phase and the counter sweep to harvest.
 ///
 /// Counter deltas land in `obs.metrics`: requests and discoveries off
 /// the search outcomes, frontier rescans off each searcher's cumulative
@@ -88,16 +89,17 @@ impl<S: ?Sized> TrialPool<S> {
 ///
 /// Panics if the lane count is not a multiple of `G`, or if a searcher
 /// violates the oracle protocol.
-pub fn measure_trial<S, const G: usize>(
+pub fn measure_trial<S, R, const G: usize>(
     pool: &mut TrialPool<S>,
     obs: &mut TrialObs,
     oracle: Oracle<S>,
     fetch: impl FnOnce(&mut PhaseTimes) -> [Arc<UndirectedCsr>; G],
     task: impl Fn(&UndirectedCsr) -> SearchTask,
-    trial_seeds: &SeedSequence,
+    lane_rng: impl Fn(usize) -> R,
 ) -> Vec<TrialMeasure>
 where
     S: Rescans + ?Sized,
+    R: RngCore,
 {
     let graphs = fetch(&mut obs.phases);
     let TrialPool { scratch, searchers } = pool;
@@ -112,13 +114,12 @@ where
     let m = &mut obs.metrics;
     let mut clock = PhaseClock::start();
     let mut measures = Vec::with_capacity(searchers.len());
-    let mut stream = 0u64;
     for (graph, lanes) in graphs.iter().zip(searchers.chunks_mut(share)) {
         let task = task(graph);
         for searcher in lanes {
-            stream += 1;
             let rescans_before = searcher.frontier_rescans();
-            let mut rng = trial_seeds.child_rng(stream);
+            // One measurement per lane so far: the next one is this lane's.
+            let mut rng = lane_rng(measures.len());
             let outcome = oracle(scratch, graph, &task, &mut **searcher, &mut rng)
                 .expect("suite searchers never violate the protocol");
             m.requests += outcome.requests as u64;

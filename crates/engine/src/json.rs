@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON value: serializer and parser.
 //!
-//! The workspace's `serde` is an offline no-op stub, so the structured
-//! results subsystem carries its own JSON. The surface is deliberately
+//! The workspace builds offline with no serialization crate, so the
+//! structured results subsystem carries its own JSON. The surface is deliberately
 //! small: [`JsonValue`], its `Display` serialization (deterministic —
 //! object keys keep insertion order, floats use Rust's shortest
 //! round-trip formatting), and a strict recursive-descent [`parse`] used

@@ -25,7 +25,7 @@
 //!   the fly or served from a persistent corpus (`nonsearch_corpus`).
 //! * [`CliOptions`] — the experiment flag set (`--quick`, `--threads`,
 //!   `--seed`, `--out`, `--format`, `--trials`, `--sizes`,
-//!   `--corpus`, `--mmap`), parsed once.
+//!   `--corpus`, `--mmap`, …), parsed strictly.
 //! * [`RunWriter`] — JSON Lines + CSV run records (params, seed, git
 //!   describe, wall time, mean/CI/success) alongside the pretty tables,
 //!   plus one `"type":"perf"` record per cell under `--profile`.
@@ -37,7 +37,7 @@
 //!   the runner merges, the stopwatch behind every phase timer, and the
 //!   span tracer behind `--trace`.
 //! * [`json`] — a dependency-free JSON value/serializer/parser (the
-//!   workspace's vendored `serde` is a no-op stub).
+//!   workspace has no serialization crate).
 //!
 //! # Example: a deterministic parallel cell
 //!
@@ -83,8 +83,7 @@ pub use record::{
     LINT_TYPE, PERF_TYPE, RUN_TYPE,
 };
 pub use registry::{
-    run_legacy, validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry,
-    ValidateSummary,
+    validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry, ValidateSummary,
 };
 pub use runner::{
     resolved_workers, run_lanes, run_lanes_observed, run_ordered, trial_seeds, CellObs,

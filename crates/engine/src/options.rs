@@ -1,16 +1,15 @@
-//! The shared experiment command line, parsed once.
+//! The shared experiment command line, parsed strictly.
 //!
-//! Every experiment entry point — the `xp` subcommands and the legacy
-//! `exp_*` binaries — understands the same flags:
+//! Every `xp` experiment subcommand understands the same flags:
 //!
 //! | flag | meaning |
 //! |------|---------|
-//! | `--quick` | reduced sweep (also honoured via `NONSEARCH_QUICK=1`) |
+//! | `--quick` | reduced sweep |
 //! | `--threads N` | worker threads for the trial engine (0 = all cores) |
 //! | `--seed S` | override the experiment's default root seed |
 //! | `--out PATH` | write structured run records to `PATH` |
 //! | `--format F` | `jsonl` (default), `csv`, or `both` |
-//! | `--trials N` | override the per-cell trial count |
+//! | `--trials N` | override the per-cell trial count (`N ≥ 1`) |
 //! | `--sizes A,B,C` | override the size sweep |
 //! | `--corpus DIR` | serve trial graphs from a stored corpus instead of generating |
 //! | `--mmap` | serve corpus graphs zero-copy from memory-mapped files |
@@ -19,20 +18,14 @@
 //! | `--trace PATH` | record run/cell/trial spans and write Chrome Trace Event JSON to `PATH` |
 //! | `--heal` | quarantine + regenerate corrupt corpus blobs instead of failing the load |
 //!
-//! `--quick`, `--mmap`, `--trust-checksums`, `--profile`, and `--heal` are boolean flags: they take no value, and
-//! the strict (`xp`) parser rejects `--quick=...` outright — silently
-//! treating `--quick=false` as *enabling* quick mode was a real bug.
-//! `NONSEARCH_QUICK` enables quick mode unless it is empty or one of
-//! `0`, `false`, `off`, `no` (case-insensitive), which disable it —
-//! `NONSEARCH_QUICK=0` used to enable quick mode too.
-//!
-//! Legacy binaries used to re-scan `std::env::args()` on every call to
-//! `quick()`; [`CliOptions::global`] parses the process arguments exactly
-//! once instead.
+//! Unknown arguments and malformed values are errors (`xp` exits 2).
+//! `--quick`, `--mmap`, `--trust-checksums`, `--profile`, and `--heal`
+//! are boolean flags: they take no value, and `--quick=...` is rejected
+//! outright — silently treating `--quick=false` as *enabling* quick mode
+//! was a real bug.
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Which structured formats a run writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,7 +82,7 @@ pub enum OptionsError {
         /// What would have parsed.
         expected: &'static str,
     },
-    /// An argument the strict (xp) parser does not know.
+    /// An argument the parser does not know.
     Unknown {
         /// The argument as given.
         arg: String,
@@ -112,10 +105,10 @@ impl fmt::Display for OptionsError {
 
 impl std::error::Error for OptionsError {}
 
-/// The experiment options shared by `xp` and the legacy binaries.
+/// The experiment options shared by every `xp` experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOptions {
-    /// Reduced sweep requested (`--quick` / `NONSEARCH_QUICK`).
+    /// Reduced sweep requested (`--quick`).
     pub quick: bool,
     /// Requested worker threads; `0` means one per available core.
     pub threads: usize,
@@ -125,7 +118,7 @@ pub struct CliOptions {
     pub out: Option<PathBuf>,
     /// Structured-output format.
     pub format: OutputFormat,
-    /// Per-cell trial-count override.
+    /// Per-cell trial-count override (never zero).
     pub trials: Option<usize>,
     /// Size-sweep override.
     pub sizes: Option<Vec<usize>>,
@@ -158,44 +151,14 @@ pub struct CliOptions {
 }
 
 impl CliOptions {
-    /// Strictly parses experiment flags: unknown arguments are errors.
-    /// `NONSEARCH_QUICK` in the environment also enables quick mode.
+    /// Parses experiment flags: unknown arguments and malformed values
+    /// are errors.
     pub fn from_args<I, S>(args: I) -> Result<CliOptions, OptionsError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        Self::parse(args, true)
-    }
-
-    /// Leniently parses experiment flags, ignoring unknown arguments and
-    /// malformed flag values alike — this is what the legacy binaries
-    /// (and the process-global options used inside test binaries) rely
-    /// on, so a stray harness argument never aborts a run.
-    pub fn from_args_lenient<I, S>(args: I) -> CliOptions
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self::parse(args, false).expect("lenient parse reports no errors")
-    }
-
-    /// The process-wide options, parsed exactly once from
-    /// `std::env::args()` (lenient) and `NONSEARCH_QUICK`.
-    pub fn global() -> &'static CliOptions {
-        static GLOBAL: OnceLock<CliOptions> = OnceLock::new();
-        GLOBAL.get_or_init(|| CliOptions::from_args_lenient(std::env::args().skip(1)))
-    }
-
-    fn parse<I, S>(args: I, strict: bool) -> Result<CliOptions, OptionsError>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut opts = CliOptions {
-            quick: env_flag_enabled(std::env::var_os("NONSEARCH_QUICK")),
-            ..CliOptions::default()
-        };
+        let mut opts = CliOptions::default();
         let mut iter = args.into_iter().map(Into::into).peekable();
         while let Some(arg) = iter.next() {
             // Accept both `--flag value` and `--flag=value`.
@@ -218,8 +181,7 @@ impl CliOptions {
                 }
             };
             // Boolean flags take no value. An inline value is an error:
-            // strict mode rejects it (`--quick=false` must not *enable*
-            // quick mode), lenient mode swallows the whole argument.
+            // `--quick=false` must not *enable* quick mode.
             let boolean = |flag_name: &'static str| -> Result<bool, OptionsError> {
                 match &inline {
                     Some(v) => Err(OptionsError::BadValue {
@@ -230,7 +192,7 @@ impl CliOptions {
                     None => Ok(true),
                 }
             };
-            let outcome: Result<(), OptionsError> = match flag.as_str() {
+            match flag.as_str() {
                 "--quick" => boolean("--quick").map(|b| opts.quick = b),
                 "--mmap" => boolean("--mmap").map(|b| opts.mmap = b),
                 "--trust-checksums" => {
@@ -244,9 +206,18 @@ impl CliOptions {
                 "--seed" => value("--seed")
                     .and_then(|v| parse_num(&v, "--seed"))
                     .map(|s| opts.seed = Some(s)),
-                "--trials" => value("--trials")
-                    .and_then(|v| parse_num(&v, "--trials"))
-                    .map(|t| opts.trials = Some(t)),
+                "--trials" => value("--trials").and_then(|v| match parse_num(&v, "--trials")? {
+                    // Zero trials would measure nothing.
+                    0 => Err(OptionsError::BadValue {
+                        flag: "--trials",
+                        value: v,
+                        expected: "a positive integer",
+                    }),
+                    t => {
+                        opts.trials = Some(t);
+                        Ok(())
+                    }
+                }),
                 "--out" => value("--out").map(|v| opts.out = Some(PathBuf::from(v))),
                 "--trace" => value("--trace").map(|v| opts.trace = Some(PathBuf::from(v))),
                 "--corpus" => value("--corpus").map(|v| opts.corpus = Some(PathBuf::from(v))),
@@ -271,15 +242,7 @@ impl CliOptions {
                     Ok(())
                 }),
                 _ => Err(OptionsError::Unknown { arg }),
-            };
-            // Lenient mode swallows everything — unknown flags AND
-            // malformed values — so a stray harness argument can never
-            // abort a legacy binary or a test process.
-            if let Err(e) = outcome {
-                if strict {
-                    return Err(e);
-                }
-            }
+            }?;
         }
         Ok(opts)
     }
@@ -311,7 +274,7 @@ impl CliOptions {
     /// Applies the `--trials` override / quick scaling to a full count.
     pub fn trial_count(&self, full: usize) -> usize {
         if let Some(trials) = self.trials {
-            return trials.max(1);
+            return trials;
         }
         if self.quick {
             (full / 3).max(3)
@@ -329,38 +292,17 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &'static str) -> Result<T, Opt
     })
 }
 
-/// Interprets an on/off environment variable (`NONSEARCH_QUICK`).
-///
-/// Unset, empty, and the usual negatives — `0`, `false`, `off`, `no`
-/// (case-insensitive, whitespace-trimmed) — mean *off*; anything else
-/// (`1`, `true`, …) means *on*. The old rule was "set at all means on",
-/// which turned `NONSEARCH_QUICK=0` into a way to *enable* quick mode.
-fn env_flag_enabled(value: Option<std::ffi::OsString>) -> bool {
-    match value {
-        None => false,
-        Some(raw) => {
-            let text = raw.to_string_lossy();
-            let text = text.trim();
-            !(text.is_empty()
-                || text.eq_ignore_ascii_case("0")
-                || text.eq_ignore_ascii_case("false")
-                || text.eq_ignore_ascii_case("off")
-                || text.eq_ignore_ascii_case("no"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strict(args: &[&str]) -> Result<CliOptions, OptionsError> {
+    fn parse(args: &[&str]) -> Result<CliOptions, OptionsError> {
         CliOptions::from_args(args.iter().copied())
     }
 
     #[test]
     fn parses_every_flag() {
-        let opts = strict(&[
+        let opts = parse(&[
             "--quick",
             "--threads",
             "4",
@@ -408,44 +350,27 @@ mod tests {
 
     #[test]
     fn equals_form_is_accepted() {
-        let opts = strict(&["--threads=2", "--sizes=64,128"]).unwrap();
+        let opts = parse(&["--threads=2", "--sizes=64,128"]).unwrap();
         assert_eq!(opts.threads, 2);
         assert_eq!(opts.sizes, Some(vec![64, 128]));
     }
 
     #[test]
-    fn strict_rejects_unknown_lenient_ignores() {
+    fn unknown_arguments_are_rejected() {
         assert_eq!(
-            strict(&["--wat"]),
+            parse(&["--wat"]),
             Err(OptionsError::Unknown {
                 arg: "--wat".into()
             })
         );
-        let opts = CliOptions::from_args_lenient(["--wat", "--quick"]);
-        assert!(opts.quick);
-    }
-
-    #[test]
-    fn lenient_swallows_malformed_values_too() {
-        // A libtest-style harness flag with a value xp doesn't know.
-        let opts = CliOptions::from_args_lenient(["--format", "terse", "--quick"]);
-        assert!(opts.quick);
-        assert_eq!(opts.format, OutputFormat::Jsonl);
-        // Bad numbers and trailing value-less flags are dropped, not fatal.
-        let opts = CliOptions::from_args_lenient(["--threads", "abc", "--seed"]);
-        assert_eq!(opts.threads, 0);
-        assert_eq!(opts.seed, None);
     }
 
     #[test]
     fn value_less_flag_never_eats_a_following_flag() {
-        // Lenient: `--seed` is dropped, `--quick` survives.
-        let opts = CliOptions::from_args_lenient(["--seed", "--quick"]);
-        assert_eq!(opts.seed, None);
-        assert!(opts.quick);
-        // Strict: the missing value is reported against `--seed`.
+        // The missing value is reported against `--seed`, not filled
+        // with (and losing) `--quick`.
         assert_eq!(
-            strict(&["--seed", "--quick"]),
+            parse(&["--seed", "--quick"]),
             Err(OptionsError::MissingValue { flag: "--seed" })
         );
     }
@@ -453,40 +378,36 @@ mod tests {
     #[test]
     fn missing_and_bad_values_are_reported() {
         assert_eq!(
-            strict(&["--threads"]),
+            parse(&["--threads"]),
             Err(OptionsError::MissingValue { flag: "--threads" })
         );
         assert!(matches!(
-            strict(&["--seed", "xyz"]),
+            parse(&["--seed", "xyz"]),
             Err(OptionsError::BadValue { flag: "--seed", .. })
         ));
         assert!(matches!(
-            strict(&["--format", "xml"]),
+            parse(&["--format", "xml"]),
             Err(OptionsError::BadValue {
                 flag: "--format",
                 ..
             })
         ));
         assert!(matches!(
-            strict(&["--sizes", ","]),
+            parse(&["--sizes", ","]),
             Err(OptionsError::BadValue {
                 flag: "--sizes",
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn env_flag_values_are_interpreted_not_just_detected() {
-        use std::ffi::OsString;
-        let enabled = |v: &str| env_flag_enabled(Some(OsString::from(v)));
-        assert!(!env_flag_enabled(None));
-        // The regression: these used to enable quick mode.
-        for off in ["", "0", "false", "FALSE", "off", "Off", "no", " 0 "] {
-            assert!(!enabled(off), "{off:?} must disable");
-        }
-        for on in ["1", "true", "TRUE", "yes", "on", "quick"] {
-            assert!(enabled(on), "{on:?} must enable");
+        // The regression: `--trials 0` used to run one trial.
+        for zero in [&["--trials", "0"][..], &["--trials=0"]] {
+            assert!(matches!(
+                parse(zero),
+                Err(OptionsError::BadValue {
+                    flag: "--trials",
+                    ..
+                })
+            ));
         }
     }
 
@@ -502,55 +423,40 @@ mod tests {
             "--profile=true",
             "--heal=1",
         ] {
-            let err = strict(&[arg]).unwrap_err();
+            let err = parse(&[arg]).unwrap_err();
             assert!(
                 matches!(err, OptionsError::BadValue { .. }),
                 "{arg}: {err:?}"
             );
         }
-        // Lenient mode swallows the malformed argument entirely — it
-        // must NOT come out as `quick: true`.
-        let opts = CliOptions::from_args_lenient(["--quick=false", "--threads", "2"]);
-        assert!(!opts.quick);
-        assert_eq!(opts.threads, 2);
-        let opts = CliOptions::from_args_lenient(["--mmap=yes"]);
-        assert!(!opts.mmap);
     }
 
     #[test]
     fn mmap_flag_parses() {
-        let opts = strict(&["--mmap", "--corpus", "dir"]).unwrap();
+        let opts = parse(&["--mmap", "--corpus", "dir"]).unwrap();
         assert!(opts.mmap);
         assert!(!CliOptions::default().mmap);
-        let opts = CliOptions::from_args_lenient(["--mmap"]);
-        assert!(opts.mmap);
     }
 
     #[test]
     fn profile_flag_parses() {
-        let opts = strict(&["--profile"]).unwrap();
+        let opts = parse(&["--profile"]).unwrap();
         assert!(opts.profile);
         assert!(!CliOptions::default().profile);
-        let opts = CliOptions::from_args_lenient(["--profile"]);
-        assert!(opts.profile);
     }
 
     #[test]
     fn heal_flag_parses() {
-        let opts = strict(&["--heal", "--corpus", "dir"]).unwrap();
+        let opts = parse(&["--heal", "--corpus", "dir"]).unwrap();
         assert!(opts.heal);
         assert!(!CliOptions::default().heal);
-        let opts = CliOptions::from_args_lenient(["--heal"]);
-        assert!(opts.heal);
     }
 
     #[test]
     fn trust_checksums_flag_parses() {
-        let opts = strict(&["--trust-checksums", "--corpus", "dir"]).unwrap();
+        let opts = parse(&["--trust-checksums", "--corpus", "dir"]).unwrap();
         assert!(opts.trust_checksums);
         assert!(!CliOptions::default().trust_checksums);
-        let opts = CliOptions::from_args_lenient(["--trust-checksums"]);
-        assert!(opts.trust_checksums);
     }
 
     #[test]

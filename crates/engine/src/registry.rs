@@ -4,9 +4,8 @@
 //! paper id, one-line claim, default seed, run function — and
 //! [`Registry::main`] provides the whole command line: `xp list`,
 //! `xp validate`, `xp <experiment> [flags]`, with the shared flag set of
-//! [`CliOptions`]. Legacy `exp_*` binaries reuse the same dispatch via
-//! [`Registry::run_named`], so one experiment implementation serves both
-//! entry points.
+//! [`CliOptions`]. [`Registry::run_named`] runs one experiment under
+//! already-parsed options.
 
 use crate::json;
 use crate::json::JsonValue;
@@ -253,13 +252,12 @@ impl Registry {
              \x20 xp report <run.jsonl>        render a run's records as a terminal summary\n\
              \n\
              shared flags:\n\
-             \x20 --quick            reduced sweep (also NONSEARCH_QUICK=1;\n\
-             \x20                    empty/0/false/off/no leave it off)\n\
+             \x20 --quick            reduced sweep\n\
              \x20 --threads N        trial-engine workers (0 = all cores)\n\
              \x20 --seed S           override the experiment's root seed\n\
              \x20 --out PATH         write structured run records to PATH\n\
              \x20 --format F         jsonl (default) | csv | both\n\
-             \x20 --trials N         override the per-cell trial count\n\
+             \x20 --trials N         override the per-cell trial count (N ≥ 1)\n\
              \x20 --sizes A,B,C      override the size sweep\n\
              \x20 --corpus DIR       serve trial graphs from a stored corpus\n\
              \x20 --mmap             zero-copy corpus loads via memory-mapped files\n\
@@ -506,23 +504,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
         }
     }
     Ok(events.len())
-}
-
-/// Entry point for a legacy single-experiment binary: lenient flags from
-/// the process environment, same implementation as the `xp` subcommand.
-pub fn run_legacy(registry: &Registry, name: &str) {
-    let options = CliOptions::global();
-    let summary = registry
-        .run_named(name, options)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    if !summary.paths.is_empty() {
-        let paths: Vec<String> = summary
-            .paths
-            .iter()
-            .map(|p| p.display().to_string())
-            .collect();
-        println!("wrote {} cells to {}", summary.cells, paths.join(" + "));
-    }
 }
 
 #[cfg(test)]

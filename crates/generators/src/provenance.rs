@@ -8,10 +8,9 @@
 //! such events on each sample without re-deriving them from topology.
 
 use nonsearch_graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// How an attachment target was chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttachmentKind {
     /// Part of the fixed seed graph (e.g. the initial edge `2 → 1`).
     Seed,
@@ -22,7 +21,7 @@ pub enum AttachmentKind {
 }
 
 /// One attachment decision: `child` chose `father` via `kind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AttachmentRecord {
     /// The newly attached vertex (the edge source).
     pub child: NodeId,
@@ -37,7 +36,7 @@ pub struct AttachmentRecord {
 /// For tree models there is exactly one record per non-root vertex; for
 /// multi-edge models (merged Móri, Cooper–Frieze) there is one record per
 /// edge.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttachmentTrace {
     records: Vec<AttachmentRecord>,
 }

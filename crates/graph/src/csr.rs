@@ -29,10 +29,9 @@ use std::sync::Arc;
 /// assert_eq!(g.edge_count(), 3);
 /// # Ok::<(), nonsearch_graph::GraphError>(())
 /// ```
-// No serde derives here (unlike `GraphRecord`): the borrowed storage
-// variant holds region-backed slices a field-wise derive could never
-// express against real serde. Interchange goes through `GraphRecord`
-// or the binary `.nsg` format, both of which round-trip `raw_parts`.
+// Interchange goes through `GraphRecord` or the binary `.nsg` format,
+// both of which round-trip `raw_parts`: the borrowed storage variant
+// holds region-backed slices no field-wise encoding could express.
 #[derive(Clone)]
 pub struct UndirectedCsr {
     /// The three CSR buffers (`offsets`, `slots`, `edge_list`), either

@@ -1,10 +1,9 @@
 //! Append-only directed multigraph used by the evolving-graph generators.
 
 use crate::{EdgeId, GraphError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 
 /// Source and target of a directed edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeEndpoints {
     /// Origin of the edge (the newer vertex in attachment models).
     pub source: NodeId,
@@ -37,7 +36,7 @@ pub struct EdgeEndpoints {
 /// assert_eq!(g.out_degree(b), 1);
 /// # Ok::<(), nonsearch_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvolvingDigraph {
     edges: Vec<EdgeEndpoints>,
     out_adj: Vec<Vec<EdgeId>>,
@@ -394,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_via_clone_eq() {
+    fn clone_is_equal_to_the_original() {
         let g = path(8);
         let cloned = g.clone();
         assert_eq!(g, cloned);

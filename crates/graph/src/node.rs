@@ -1,6 +1,5 @@
 //! Strongly typed vertex and edge identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a vertex.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(v.label(), 1); // the paper's vertex "1"
 /// assert_eq!(NodeId::from_label(7).index(), 6);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -81,7 +80,7 @@ impl From<NodeId> for usize {
 /// They survive unchanged into the [`UndirectedCsr`](crate::UndirectedCsr)
 /// view, which lets provenance data recorded at construction time be joined
 /// back to edges seen during a search.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(u32);
 
 impl EdgeId {

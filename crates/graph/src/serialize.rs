@@ -1,17 +1,15 @@
-//! Persistence: a serde-friendly record type and a plain-text edge-list
+//! Persistence: a plain record type and a plain-text edge-list
 //! format (`n` on the first line, then one `u v` pair per line, zero-based).
 
 use crate::{GraphError, Result, UndirectedCsr};
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read, Write};
 
-/// A serializable snapshot of an undirected multigraph.
+/// An owned snapshot of an undirected multigraph.
 ///
-/// `GraphRecord` is the interchange form: it derives serde traits so graphs
-/// can be embedded in experiment manifests, and converts losslessly to and
-/// from [`UndirectedCsr`] (edge order, and therefore edge ids, are
-/// preserved).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// `GraphRecord` is the interchange form: plain vertex and edge data that
+/// converts losslessly to and from [`UndirectedCsr`] (edge order, and
+/// therefore edge ids, are preserved).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphRecord {
     /// Number of vertices.
     pub nodes: usize,

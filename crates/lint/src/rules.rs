@@ -13,7 +13,7 @@
 //! | `epoch-wrap` | `u32::MAX` epoch comparisons live only in `crates/search/src/stamped.rs` |
 //! | `unsafe-confinement` | `unsafe` only in `graph/src/storage.rs` + `corpus/src/mmap.rs`; every crate root declares `forbid`/`deny(unsafe_code)` |
 //! | `determinism` | no `HashMap`/`HashSet` in non-test engine/search/core/corpus code without a waiver |
-//! | `clock-env` | `Instant::now`/`SystemTime`/`env::var` only in the obs/profile/CliOptions seams |
+//! | `clock-env` | `Instant::now`/`SystemTime`/`env::var` only in the obs crate and record timestamps |
 //! | `alloc-free` | no allocating calls inside functions annotated `// lint: alloc-free` |
 //! | `record-schema` | every `*_TYPE` record tag in `record.rs` has an `xp validate` arm in `registry.rs` |
 
@@ -28,11 +28,9 @@ pub const UNSAFE_HOMES: [&str; 3] = [
     "crates/corpus/src/mmap.rs",
     "crates/alloc_counter/src/lib.rs",
 ];
-/// Files blessed to read clocks or the environment directly.
-pub const CLOCK_BLESSED_FILES: [&str; 2] = [
-    "crates/engine/src/options.rs",
-    "crates/engine/src/record.rs",
-];
+/// The file blessed to read clocks or the environment directly (run
+/// record timestamps).
+pub const CLOCK_BLESSED_FILE: &str = "crates/engine/src/record.rs";
 /// Directory prefix blessed for clock access (the observability crate).
 pub const CLOCK_BLESSED_DIR: &str = "crates/obs/src/";
 /// Crates whose non-test code must not use hash-ordered collections.
@@ -92,7 +90,7 @@ pub const RULES: [RuleInfo; 6] = [
     },
     RuleInfo {
         id: "clock-env",
-        contract: "Instant::now/SystemTime/env::var only in obs, options.rs, record.rs",
+        contract: "Instant::now/SystemTime/env::var only in obs and record.rs",
     },
     RuleInfo {
         id: "alloc-free",
@@ -386,12 +384,9 @@ fn check_determinism(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) 
 }
 
 /// Rule 4: clock/env hygiene — wall clocks and environment reads stay
-/// behind the obs/profile/CliOptions seams.
+/// behind the obs crate and the record timestamps.
 fn check_clock_env(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    if is_test_path(path)
-        || path.starts_with(CLOCK_BLESSED_DIR)
-        || CLOCK_BLESSED_FILES.contains(&path)
-    {
+    if is_test_path(path) || path.starts_with(CLOCK_BLESSED_DIR) || path == CLOCK_BLESSED_FILE {
         return;
     }
     for (lineno, line) in file.lines.iter().enumerate() {
