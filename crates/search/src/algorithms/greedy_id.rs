@@ -5,12 +5,11 @@
 //! the target `n` is the newest vertex. These searchers exploit that —
 //! and the lower bound says even they cannot beat `Ω(√n)`.
 
+use crate::best::BestDiscovered;
 use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
 use rand::RngCore;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Expand edges of the discovered vertex whose label is closest to the
 /// target's label (ties toward the older vertex).
@@ -19,8 +18,7 @@ use std::collections::BinaryHeap;
 /// are ages — the analogue of Kleinberg's greedy with the label metric.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyIdProximity {
-    heap: BinaryHeap<Reverse<(usize, NodeId)>>,
-    seen: usize,
+    index: BestDiscovered<usize>,
     edges: FrontierCursors,
 }
 
@@ -42,29 +40,21 @@ impl WeakSearcher for GreedyIdProximity {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<(NodeId, EdgeId)> {
-        while self.seen < view.len() {
-            let v = view.discovered()[self.seen];
-            let gap = v.label().abs_diff(task.target.label());
-            self.heap.push(Reverse((gap, v)));
-            self.seen += 1;
-        }
-        while let Some(&Reverse((_, v))) = self.heap.peek() {
-            if let Some(e) = self.edges.next_unexplored(view, v) {
-                return Some((v, e));
-            }
-            self.heap.pop();
-        }
-        None
+        let edges = &mut self.edges;
+        self.index.best(
+            view,
+            |v| v.label().abs_diff(task.target.label()),
+            |v| edges.next_unexplored(view, v),
+        )
     }
 
     fn reset(&mut self) {
-        self.heap.clear();
-        self.seen = 0;
+        self.index.reset();
         self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
-        self.heap.reserve(nodes);
+        self.index.reserve(nodes);
         self.edges.reserve(nodes);
     }
 
@@ -79,8 +69,7 @@ impl WeakSearcher for GreedyIdProximity {
 /// expected degree in attachment models — before fanning out.
 #[derive(Debug, Clone, Default)]
 pub struct OldestFirst {
-    heap: BinaryHeap<Reverse<NodeId>>,
-    seen: usize,
+    index: BestDiscovered<()>,
     edges: FrontierCursors,
 }
 
@@ -102,27 +91,18 @@ impl WeakSearcher for OldestFirst {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<(NodeId, EdgeId)> {
-        while self.seen < view.len() {
-            self.heap.push(Reverse(view.discovered()[self.seen]));
-            self.seen += 1;
-        }
-        while let Some(&Reverse(v)) = self.heap.peek() {
-            if let Some(e) = self.edges.next_unexplored(view, v) {
-                return Some((v, e));
-            }
-            self.heap.pop();
-        }
-        None
+        let edges = &mut self.edges;
+        self.index
+            .best(view, |_| (), |v| edges.next_unexplored(view, v))
     }
 
     fn reset(&mut self) {
-        self.heap.clear();
-        self.seen = 0;
+        self.index.reset();
         self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
-        self.heap.reserve(nodes);
+        self.index.reserve(nodes);
         self.edges.reserve(nodes);
     }
 

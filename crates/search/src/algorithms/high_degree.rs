@@ -8,23 +8,22 @@
 //! mean-field cost on power-law graphs is `O(n^{2(1−2/k)})` versus the
 //! random walk's `O(n^{3(1−2/k)})`.
 
+use crate::best::BestDiscovered;
 use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
 use rand::RngCore;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Greedy high-degree search (weak model).
 ///
 /// Always requests an unexplored edge of the highest-degree discovered
 /// vertex that has one; ties break toward the older (smaller-label)
-/// vertex for determinism. O(log n) amortized per request via a
-/// lazy-deletion heap.
+/// vertex for determinism. O(log n) amortized per request via the
+/// shared lazy-deletion index.
 #[derive(Debug, Clone, Default)]
 pub struct HighDegreeGreedy {
-    heap: BinaryHeap<(usize, Reverse<NodeId>)>,
-    seen: usize,
+    index: BestDiscovered<Reverse<usize>>,
     edges: FrontierCursors,
 }
 
@@ -46,30 +45,21 @@ impl WeakSearcher for HighDegreeGreedy {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<(NodeId, EdgeId)> {
-        while self.seen < view.len() {
-            let v = view.discovered()[self.seen];
-            let degree = view.degree_of(v).expect("discovered vertices have info");
-            self.heap.push((degree, Reverse(v)));
-            self.seen += 1;
-        }
-        while let Some(&(_, Reverse(v))) = self.heap.peek() {
-            if let Some(e) = self.edges.next_unexplored(view, v) {
-                return Some((v, e));
-            }
-            // Exhausted vertices never regain unexplored edges.
-            self.heap.pop();
-        }
-        None
+        let edges = &mut self.edges;
+        self.index.best(
+            view,
+            |v| Reverse(view.degree_of(v).expect("discovered vertices have info")),
+            |v| edges.next_unexplored(view, v),
+        )
     }
 
     fn reset(&mut self) {
-        self.heap.clear();
-        self.seen = 0;
+        self.index.reset();
         self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
-        self.heap.reserve(nodes);
+        self.index.reserve(nodes);
         self.edges.reserve(nodes);
     }
 

@@ -1,5 +1,6 @@
 //! Look-ahead and restarting walks.
 
+use crate::best::BestDiscovered;
 use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
@@ -12,12 +13,18 @@ use rand::{Rng, RngCore};
 /// the label metric standing in for lattice distance — the natural
 /// algorithm to try once one knows identities are ages. Theorem 1 says
 /// it, too, is stuck at `Ω(√n)`.
+///
+/// A request costs O(1) amortized while the walk moves, plus O(log n)
+/// amortized when it dead-ends and falls back to the globally best
+/// discovered vertex, which the shared lazy-deletion index finds.
 #[derive(Debug, Clone, Default)]
 pub struct LookaheadWalk {
     current: Option<NodeId>,
     edges: FrontierCursors,
     /// Neighbors revealed while expanding the current vertex.
     basket: Vec<NodeId>,
+    /// Discovered vertices by `(|label − target|, v)`, for dead ends.
+    fallback: BestDiscovered<usize>,
 }
 
 impl LookaheadWalk {
@@ -59,16 +66,12 @@ impl WeakSearcher for LookaheadWalk {
                 // Dead end: fall back to the globally best discovered
                 // vertex with work left (keeps the walk from giving up
                 // while the component still has unexplored edges).
-                let fallback = view
-                    .discovered()
-                    .iter()
-                    .copied()
-                    .filter(|v| view.has_unexplored(*v))
-                    .min_by_key(|&v| (gap(v), v))?;
-                self.current = Some(fallback);
-                self.edges
-                    .next_unexplored(view, fallback)
-                    .map(|e| (fallback, e))
+                let edges = &mut self.edges;
+                let (v, e) = self
+                    .fallback
+                    .best(view, gap, |v| edges.next_unexplored(view, v))?;
+                self.current = Some(v);
+                Some((v, e))
             }
         }
     }
@@ -81,10 +84,12 @@ impl WeakSearcher for LookaheadWalk {
         self.current = None;
         self.edges.reset();
         self.basket.clear();
+        self.fallback.reset();
     }
 
     fn reserve(&mut self, nodes: usize, edges: usize) {
         self.edges.reserve(nodes);
+        self.fallback.reserve(nodes);
         // The basket holds one entry per request since the last hop,
         // which the expanding vertex's degree bounds.
         self.basket.reserve(2 * edges);

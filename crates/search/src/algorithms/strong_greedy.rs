@@ -1,8 +1,10 @@
 //! Strong-model searchers: expansion-order policies over known vertices.
 
+use crate::best::BestDiscovered;
 use crate::{DiscoveredView, SearchTask, StampedNodeSet, StrongSearcher};
 use nonsearch_graph::NodeId;
 use rand::RngCore;
+use std::cmp::Reverse;
 
 /// Strong-model BFS: expand known vertices in discovery order.
 #[derive(Debug, Clone, Default)]
@@ -56,9 +58,13 @@ impl StrongSearcher for StrongBfs {
 /// Strong-model high-degree greedy: expand the known, unexpanded vertex
 /// of maximum degree (Adamic et al.'s strategy as literally stated —
 /// neighbor degrees *are* known in the strong model).
+///
+/// Ties break toward the older (smaller-label) vertex. O(log n)
+/// amortized per request via the shared lazy-deletion index.
 #[derive(Debug, Clone, Default)]
 pub struct StrongHighDegree {
     expanded: StampedNodeSet,
+    index: BestDiscovered<Reverse<usize>>,
 }
 
 impl StrongHighDegree {
@@ -79,16 +85,14 @@ impl StrongSearcher for StrongHighDegree {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<NodeId> {
-        view.discovered()
-            .iter()
-            .copied()
-            .filter(|&v| !self.expanded.contains(v))
-            .max_by_key(|&v| {
-                (
-                    view.degree_of(v).expect("discovered vertices have info"),
-                    std::cmp::Reverse(v),
-                )
-            })
+        let expanded = &self.expanded;
+        self.index
+            .best(
+                view,
+                |v| Reverse(view.degree_of(v).expect("discovered vertices have info")),
+                |v| (!expanded.contains(v)).then_some(()),
+            )
+            .map(|(v, ())| v)
     }
 
     fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
@@ -97,18 +101,24 @@ impl StrongSearcher for StrongHighDegree {
 
     fn reset(&mut self) {
         self.expanded.clear();
+        self.index.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.expanded.reserve(nodes);
+        self.index.reserve(nodes);
     }
 }
 
 /// Strong-model identity greedy: expand the known, unexpanded vertex with
 /// label closest to the target's.
+///
+/// Ties break toward the older (smaller-label) vertex. O(log n)
+/// amortized per request via the shared lazy-deletion index.
 #[derive(Debug, Clone, Default)]
 pub struct StrongGreedyId {
     expanded: StampedNodeSet,
+    index: BestDiscovered<usize>,
 }
 
 impl StrongGreedyId {
@@ -129,11 +139,14 @@ impl StrongSearcher for StrongGreedyId {
         view: &DiscoveredView,
         _rng: &mut dyn RngCore,
     ) -> Option<NodeId> {
-        view.discovered()
-            .iter()
-            .copied()
-            .filter(|&v| !self.expanded.contains(v))
-            .min_by_key(|&v| (v.label().abs_diff(task.target.label()), v))
+        let expanded = &self.expanded;
+        self.index
+            .best(
+                view,
+                |v| v.label().abs_diff(task.target.label()),
+                |v| (!expanded.contains(v)).then_some(()),
+            )
+            .map(|(v, ())| v)
     }
 
     fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
@@ -142,10 +155,12 @@ impl StrongSearcher for StrongGreedyId {
 
     fn reset(&mut self) {
         self.expanded.clear();
+        self.index.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.expanded.reserve(nodes);
+        self.index.reserve(nodes);
     }
 }
 

@@ -1,0 +1,81 @@
+//! The lazy-deletion index behind every "expand the best discovered
+//! vertex" searcher.
+
+use crate::DiscoveredView;
+use nonsearch_graph::NodeId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The best discovered vertex that still has work, by a fixed key.
+///
+/// Holds a min-heap of `(key, vertex)` and a cursor into
+/// [`DiscoveredView::discovered`]. Each [`best`](BestDiscovered::best)
+/// call pushes the vertices discovered since the last call, then pops
+/// from the top until it reaches a vertex that still has work. Smaller
+/// keys win and ties break toward the smaller vertex id, so it picks
+/// exactly what a `min_by_key(|v| (key(v), v))` scan over the live
+/// discovered vertices would. A max-by-degree searcher keys on
+/// `Reverse(degree)`.
+///
+/// Two properties make dropping a popped vertex for good sound: a key
+/// must be fixed once the vertex is discovered, and liveness must be
+/// monotone — a vertex found without work (frontier exhausted, already
+/// expanded) never gets work back. Each vertex is then pushed and popped
+/// at most once per search, so a request costs O(log n) amortized
+/// instead of the O(|discovered|) of a scan. [`reserve`] sizes the heap
+/// for the whole graph, so a pre-sized search never allocates here.
+///
+/// [`reserve`]: BestDiscovered::reserve
+#[derive(Debug, Clone)]
+pub(crate) struct BestDiscovered<K> {
+    heap: BinaryHeap<Reverse<(K, NodeId)>>,
+    /// How many of `view.discovered()` have been pushed.
+    seen: usize,
+}
+
+impl<K: Ord> Default for BestDiscovered<K> {
+    fn default() -> Self {
+        BestDiscovered {
+            heap: BinaryHeap::new(),
+            seen: 0,
+        }
+    }
+}
+
+impl<K: Ord> BestDiscovered<K> {
+    /// The best vertex for which `live` returns its pending work, with
+    /// that work (an edge to request, or `()` for a vertex to expand).
+    /// `None` once no discovered vertex has work left.
+    // lint: alloc-free
+    pub(crate) fn best<W>(
+        &mut self,
+        view: &DiscoveredView,
+        mut key: impl FnMut(NodeId) -> K,
+        mut live: impl FnMut(NodeId) -> Option<W>,
+    ) -> Option<(NodeId, W)> {
+        let fresh = view.discovered().get(self.seen..).unwrap_or_default();
+        self.seen += fresh.len();
+        for &v in fresh {
+            self.heap.push(Reverse((key(v), v)));
+        }
+        while let Some(&Reverse((_, v))) = self.heap.peek() {
+            if let Some(work) = live(v) {
+                return Some((v, work));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Empties the index for a new search; the heap keeps its capacity.
+    // lint: alloc-free
+    pub(crate) fn reset(&mut self) {
+        self.heap.clear();
+        self.seen = 0;
+    }
+
+    /// Sizes the heap for a graph with `nodes` vertices.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.heap.reserve(nodes);
+    }
+}

@@ -9,9 +9,14 @@ use nonsearch_graph::{EdgeId, NodeId};
 /// Edge resolution is monotone (a resolved edge never becomes unresolved),
 /// so a forward-only cursor per vertex finds each vertex's next
 /// unexplored edge in O(1) amortized instead of rescanning the whole
-/// incident list on every request. All the O(log n)-per-step searchers
-/// ([`HighDegreeGreedy`](crate::HighDegreeGreedy) and friends) share this,
-/// as does [`SimulatedStrong`](crate::SimulatedStrong)'s expansion scan.
+/// incident list on every request. The O(log n)-per-request weak
+/// searchers ([`HighDegreeGreedy`](crate::HighDegreeGreedy),
+/// [`GreedyIdProximity`](crate::GreedyIdProximity),
+/// [`OldestFirst`](crate::OldestFirst) and
+/// [`LookaheadWalk`](crate::LookaheadWalk)) use these cursors as the
+/// liveness test of their shared best-vertex index, and
+/// [`SimulatedStrong`](crate::SimulatedStrong)'s expansion scan uses them
+/// too.
 ///
 /// The cursors live in a [`StampedMap`] indexed by [`NodeId`], so
 /// [`reset`](FrontierCursors::reset) is O(1), the u32 epoch wrap is

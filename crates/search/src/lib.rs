@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 mod algorithms;
+mod best;
 mod discovered;
 mod error;
 mod frontier;

@@ -91,8 +91,15 @@ impl<S: StrongSearcher> SimulatedStrong<S> {
 }
 
 impl<S: StrongSearcher> WeakSearcher for SimulatedStrong<S> {
+    /// The [`SearcherKind`](crate::SearcherKind) name of the two
+    /// simulated suite lanes, `"simulated-strong"` for any other inner
+    /// searcher.
     fn name(&self) -> &'static str {
-        "simulated-strong"
+        match self.inner.name() {
+            "strong-high-degree" => "sim-strong-high-degree",
+            "strong-greedy-id" => "sim-strong-greedy-id",
+            _ => "simulated-strong",
+        }
     }
 
     fn next_request(

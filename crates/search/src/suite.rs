@@ -142,6 +142,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for kind in SearcherKind::all() {
             let mut s = kind.build();
+            assert_eq!(s.name(), kind.name());
             let o = run_weak(&g, &task, &mut *s, &mut rng).unwrap();
             assert!(o.found, "{kind} failed on the path");
         }

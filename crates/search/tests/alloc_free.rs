@@ -14,11 +14,21 @@ use nonsearch_alloc_counter::{allocations, CountingAllocator};
 use nonsearch_generators::{rng_from_seed, MergedMori};
 use nonsearch_graph::NodeId;
 use nonsearch_search::{
-    run_strong_in, run_weak_in, SearchScratch, SearchTask, SearcherKind, StrongBfs, StrongSearcher,
+    run_strong_in, run_weak_in, SearchScratch, SearchTask, SearcherKind, StrongBfs, StrongGreedyId,
+    StrongHighDegree, StrongSearcher,
 };
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// One of each native strong-model searcher.
+fn strong_searchers() -> [Box<dyn StrongSearcher>; 3] {
+    [
+        Box::new(StrongBfs::new()),
+        Box::new(StrongHighDegree::new()),
+        Box::new(StrongGreedyId::new()),
+    ]
+}
 
 #[test]
 fn steady_state_trials_allocate_nothing() {
@@ -30,18 +40,9 @@ fn steady_state_trials_allocate_nothing() {
 
     let mut scratch = SearchScratch::new();
 
-    // The deterministic weak searchers built on the dense view/frontier
-    // path. (Walk searchers draw from the RNG; the vendored ChaCha is
-    // alloc-free too, so RandomWalk rides along as a bonus check.)
-    for kind in [
-        SearcherKind::BfsFlood,
-        SearcherKind::Dfs,
-        SearcherKind::HighDegree,
-        SearcherKind::GreedyId,
-        SearcherKind::OldestFirst,
-        SearcherKind::RandomWalk,
-        SearcherKind::SimStrongHighDegree,
-    ] {
+    // Every searcher in the suite. (Walk searchers draw from the RNG;
+    // the vendored ChaCha is alloc-free too.)
+    for kind in SearcherKind::all() {
         let mut searcher = kind.build();
         // Warm-up trial: arrays grow to the graph size, heaps/queues
         // reach their high-water marks.
@@ -62,18 +63,20 @@ fn steady_state_trials_allocate_nothing() {
     }
 
     // The strong oracle's expansion/answer buffers are pooled too.
-    let mut strong = StrongBfs::new();
-    let mut rng = rng_from_seed(13);
-    let warm = run_strong_in(&mut scratch, &graph, &task, &mut strong, &mut rng).unwrap();
-    let mut rng = rng_from_seed(13);
-    let before = allocations();
-    let steady = run_strong_in(&mut scratch, &graph, &task, &mut strong, &mut rng).unwrap();
-    let allocated = allocations() - before;
-    assert_eq!(steady, warm);
-    assert_eq!(
-        allocated, 0,
-        "strong-bfs: steady-state trial performed {allocated} heap allocations"
-    );
+    for mut strong in strong_searchers() {
+        let name = strong.name();
+        let mut rng = rng_from_seed(13);
+        let warm = run_strong_in(&mut scratch, &graph, &task, &mut *strong, &mut rng).unwrap();
+        let mut rng = rng_from_seed(13);
+        let before = allocations();
+        let steady = run_strong_in(&mut scratch, &graph, &task, &mut *strong, &mut rng).unwrap();
+        let allocated = allocations() - before;
+        assert_eq!(steady, warm, "{name}");
+        assert_eq!(
+            allocated, 0,
+            "{name}: steady-state trial performed {allocated} heap allocations"
+        );
+    }
 }
 
 #[test]
@@ -99,15 +102,7 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
     let mut metrics = Metrics::new();
     let mut phases = PhaseTimes::default();
 
-    for kind in [
-        SearcherKind::BfsFlood,
-        SearcherKind::Dfs,
-        SearcherKind::HighDegree,
-        SearcherKind::GreedyId,
-        SearcherKind::OldestFirst,
-        SearcherKind::RandomWalk,
-        SearcherKind::SimStrongHighDegree,
-    ] {
+    for kind in SearcherKind::all() {
         let mut searcher = kind.build();
         let mut rng = rng_from_seed(11);
         let warm = run_weak_in(&mut scratch, &graph, &task, &mut *searcher, &mut rng).unwrap();
@@ -148,8 +143,9 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         assert_eq!(delta.scratch_resets, 1, "{kind}");
     }
 
-    assert_eq!(metrics.trials, 7);
-    assert_eq!(metrics.trial_requests.total(), 7);
+    let kinds = SearcherKind::all().len() as u64;
+    assert_eq!(metrics.trials, kinds);
+    assert_eq!(metrics.trial_requests.total(), kinds);
     assert!(metrics.requests > 0);
     assert!(metrics.discoveries > 0);
 
@@ -189,15 +185,7 @@ fn presized_first_trials_allocate_nothing() {
     let nodes = graph.node_count();
     let edges = graph.edge_count();
 
-    for kind in [
-        SearcherKind::BfsFlood,
-        SearcherKind::Dfs,
-        SearcherKind::HighDegree,
-        SearcherKind::GreedyId,
-        SearcherKind::OldestFirst,
-        SearcherKind::RandomWalk,
-        SearcherKind::SimStrongHighDegree,
-    ] {
+    for kind in SearcherKind::all() {
         let mut scratch = SearchScratch::for_graph_size(nodes, edges);
         let mut searcher = kind.build();
         searcher.reserve(nodes, edges);
@@ -223,25 +211,27 @@ fn presized_first_trials_allocate_nothing() {
         assert_eq!(first, unsized_run, "{kind}: pre-sizing changed the outcome");
     }
 
-    let mut scratch = SearchScratch::for_graph_size(nodes, edges);
-    let mut strong = StrongBfs::new();
-    strong.reserve(nodes, edges);
-    let mut rng = rng_from_seed(13);
-    let before = allocations();
-    let first = run_strong_in(&mut scratch, &graph, &task, &mut strong, &mut rng).unwrap();
-    let allocated = allocations() - before;
-    assert_eq!(
-        allocated, 0,
-        "strong-bfs: pre-sized first trial performed {allocated} heap allocations"
-    );
-    let mut rng = rng_from_seed(13);
-    let unsized_run = run_strong_in(
-        &mut SearchScratch::new(),
-        &graph,
-        &task,
-        &mut StrongBfs::new(),
-        &mut rng,
-    )
-    .unwrap();
-    assert_eq!(first, unsized_run);
+    for (mut strong, mut fresh) in strong_searchers().into_iter().zip(strong_searchers()) {
+        let name = strong.name();
+        let mut scratch = SearchScratch::for_graph_size(nodes, edges);
+        strong.reserve(nodes, edges);
+        let mut rng = rng_from_seed(13);
+        let before = allocations();
+        let first = run_strong_in(&mut scratch, &graph, &task, &mut *strong, &mut rng).unwrap();
+        let allocated = allocations() - before;
+        assert_eq!(
+            allocated, 0,
+            "{name}: pre-sized first trial performed {allocated} heap allocations"
+        );
+        let mut rng = rng_from_seed(13);
+        let unsized_run = run_strong_in(
+            &mut SearchScratch::new(),
+            &graph,
+            &task,
+            &mut *fresh,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(first, unsized_run, "{name}: pre-sizing changed the outcome");
+    }
 }

@@ -1,14 +1,20 @@
 //! Property-based tests: oracle accounting, searcher invariants, the
 //! dense view's observational equivalence against a hash-map reference
-//! model, and scratch-reuse bit-identity.
+//! model, the best-vertex searchers' request-sequence identity against
+//! scan reference models, and scratch-reuse bit-identity.
 
-use nonsearch_generators::{rng_from_seed, MergedMori};
+use nonsearch_generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use nonsearch_search::{
-    run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, SearchScratch, SearchTask,
-    SearcherKind, StampedMap, StrongBfs, StrongSearchState, SuccessCriterion, WeakSearchState,
+    run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors,
+    GreedyIdProximity, HighDegreeGreedy, LookaheadWalk, OldestFirst, SearchOutcome, SearchScratch,
+    SearchTask, SearcherKind, SimulatedStrong, StampedMap, StampedNodeSet, StrongBfs,
+    StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion,
+    WeakSearchState, WeakSearcher,
 };
 use proptest::prelude::*;
+use rand::RngCore;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// A connected multigraph via the merged Móri generator.
@@ -90,6 +96,255 @@ impl ReferenceView {
                 .collect()
         })
     }
+}
+
+/// The weak greedy searchers' choice rules as plain scans over every
+/// discovered vertex: the reference model for [`HighDegreeGreedy`],
+/// [`GreedyIdProximity`] and [`OldestFirst`].
+enum ScanRule {
+    HighDegree,
+    GreedyId,
+    OldestFirst,
+}
+
+impl WeakSearcher for ScanRule {
+    fn name(&self) -> &'static str {
+        "reference-scan"
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        _rng: &mut dyn RngCore,
+    ) -> Option<(NodeId, EdgeId)> {
+        let live = view
+            .discovered()
+            .iter()
+            .copied()
+            .filter(|&v| view.has_unexplored(v));
+        let v = match self {
+            ScanRule::HighDegree => live.max_by_key(|&v| (view.degree_of(v).unwrap(), Reverse(v))),
+            ScanRule::GreedyId => {
+                live.min_by_key(|&v| (v.label().abs_diff(task.target.label()), v))
+            }
+            ScanRule::OldestFirst => live.min(),
+        }?;
+        view.unexplored_edges_of(v).next().map(|e| (v, e))
+    }
+}
+
+/// The scan implementation of [`LookaheadWalk`] that the shared
+/// best-vertex index replaced: its dead-end fallback rescans every
+/// discovered vertex.
+#[derive(Default)]
+struct ReferenceLookahead {
+    current: Option<NodeId>,
+    edges: FrontierCursors,
+    basket: Vec<NodeId>,
+}
+
+impl WeakSearcher for ReferenceLookahead {
+    fn name(&self) -> &'static str {
+        "reference-lookahead"
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        _rng: &mut dyn RngCore,
+    ) -> Option<(NodeId, EdgeId)> {
+        let current = *self.current.get_or_insert(task.start);
+        if let Some(e) = self.edges.next_unexplored(view, current) {
+            return Some((current, e));
+        }
+        let gap = |v: NodeId| v.label().abs_diff(task.target.label());
+        let next = self
+            .basket
+            .drain(..)
+            .filter(|v| view.has_unexplored(*v))
+            .min_by_key(|&v| (gap(v), v));
+        match next {
+            Some(v) => {
+                self.current = Some(v);
+                self.edges.next_unexplored(view, v).map(|e| (v, e))
+            }
+            None => {
+                let fallback = view
+                    .discovered()
+                    .iter()
+                    .copied()
+                    .filter(|v| view.has_unexplored(*v))
+                    .min_by_key(|&v| (gap(v), v))?;
+                self.current = Some(fallback);
+                self.edges
+                    .next_unexplored(view, fallback)
+                    .map(|e| (fallback, e))
+            }
+        }
+    }
+
+    fn observe(&mut self, _request: (NodeId, EdgeId), revealed: NodeId) {
+        self.basket.push(revealed);
+    }
+
+    fn reset(&mut self) {
+        *self = Self::default();
+    }
+}
+
+/// The scan implementations of [`StrongHighDegree`] and
+/// [`StrongGreedyId`] that the shared best-vertex index replaced.
+#[derive(Default)]
+struct ReferenceStrong {
+    by_degree: bool,
+    expanded: StampedNodeSet,
+}
+
+impl StrongSearcher for ReferenceStrong {
+    fn name(&self) -> &'static str {
+        "reference-strong"
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        _rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        let unexpanded = view
+            .discovered()
+            .iter()
+            .copied()
+            .filter(|&v| !self.expanded.contains(v));
+        if self.by_degree {
+            unexpanded.max_by_key(|&v| (view.degree_of(v).unwrap(), Reverse(v)))
+        } else {
+            unexpanded.min_by_key(|&v| (v.label().abs_diff(task.target.label()), v))
+        }
+    }
+
+    fn observe(&mut self, expanded: NodeId, _neighbors: &[NodeId]) {
+        self.expanded.insert(expanded);
+    }
+
+    fn reset(&mut self) {
+        self.expanded.clear();
+    }
+}
+
+/// Forwards to `inner` and logs every request it issues: `(u, Some(e))`
+/// in the weak model, `(u, None)` in the strong one.
+struct Recorded<S> {
+    inner: S,
+    log: Vec<(NodeId, Option<EdgeId>)>,
+}
+
+impl<S> Recorded<S> {
+    fn new(inner: S) -> Self {
+        Recorded {
+            inner,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl<S: WeakSearcher> WeakSearcher for Recorded<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        rng: &mut dyn RngCore,
+    ) -> Option<(NodeId, EdgeId)> {
+        let request = self.inner.next_request(task, view, rng)?;
+        self.log.push((request.0, Some(request.1)));
+        Some(request)
+    }
+
+    fn observe(&mut self, request: (NodeId, EdgeId), revealed: NodeId) {
+        self.inner.observe(request, revealed);
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.log.clear();
+    }
+
+    fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.inner.reserve(nodes, edges);
+    }
+}
+
+impl<S: StrongSearcher> StrongSearcher for Recorded<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn next_request(
+        &mut self,
+        task: &SearchTask,
+        view: &DiscoveredView,
+        rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        let u = self.inner.next_request(task, view, rng)?;
+        self.log.push((u, None));
+        Some(u)
+    }
+
+    fn observe(&mut self, expanded: NodeId, neighbors: &[NodeId]) {
+        self.inner.observe(expanded, neighbors);
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.log.clear();
+    }
+
+    fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.inner.reserve(nodes, edges);
+    }
+}
+
+/// A searcher's outcome and full request log on one task.
+type Trace = (SearchOutcome, Vec<(NodeId, Option<EdgeId>)>);
+
+fn weak_trace(
+    graph: &UndirectedCsr,
+    task: &SearchTask,
+    s: &mut Recorded<impl WeakSearcher>,
+) -> Trace {
+    let outcome = run_weak(graph, task, s, &mut rng_from_seed(0)).unwrap();
+    (outcome, s.log.clone())
+}
+
+fn strong_trace(
+    graph: &UndirectedCsr,
+    task: &SearchTask,
+    s: &mut Recorded<impl StrongSearcher>,
+) -> Trace {
+    let outcome = run_strong(graph, task, s, &mut rng_from_seed(0)).unwrap();
+    (outcome, s.log.clone())
+}
+
+/// `strong` under the strong-to-weak simulation, with both the weak
+/// requests it issues and the strong requests they expand recorded.
+fn simulated<S: StrongSearcher>(strong: S) -> Recorded<SimulatedStrong<Recorded<S>>> {
+    Recorded::new(SimulatedStrong::new(Recorded::new(strong)))
+}
+
+/// The weak and strong traces of a [`simulated`] searcher.
+fn simulated_trace(
+    graph: &UndirectedCsr,
+    task: &SearchTask,
+    s: &mut Recorded<SimulatedStrong<Recorded<impl StrongSearcher>>>,
+) -> (Trace, Vec<(NodeId, Option<EdgeId>)>) {
+    let weak = weak_trace(graph, task, s);
+    (weak, s.inner.inner().log.clone())
 }
 
 /// One scripted operation against both views.
@@ -216,6 +471,83 @@ proptest! {
                 prop_assert_eq!(dense.contains(i), reference.contains_key(&i));
                 prop_assert_eq!(dense.get(i), reference.get(&i));
             }
+        }
+    }
+
+    #[test]
+    fn best_vertex_searchers_issue_the_scan_reference_request_sequence(
+        n in 2usize..120,
+        m in 1usize..4,
+        p in 0.0f64..=1.0,
+        tree in 0u8..2,
+        seed in 0u64..1000,
+        start_sel in 0usize..1000,
+        target_sel in 0usize..1000,
+    ) {
+        // Móri m=1 trees dead-end often, which is where the look-ahead
+        // walk's fallback fires; the merged graphs have cycles and ties.
+        let graph = if tree == 1 {
+            MoriTree::sample(n, p, &mut rng_from_seed(seed)).unwrap().undirected()
+        } else {
+            connected_graph(n, m, p, seed)
+        };
+        let start = NodeId::new(start_sel % n);
+        // Each instance serves two tasks in a row, so a stale index
+        // after `reset` would show as a diverging second trace.
+        let tasks = [target_sel % n, n - 1]
+            .map(|t| SearchTask::new(start, NodeId::new(t)).with_budget(20 * n * m));
+
+        let mut high_degree = Recorded::new(HighDegreeGreedy::new());
+        let mut greedy_id = Recorded::new(GreedyIdProximity::new());
+        let mut oldest = Recorded::new(OldestFirst::new());
+        let mut lookahead = Recorded::new(LookaheadWalk::new());
+        let mut sim_degree = simulated(StrongHighDegree::new());
+        let mut sim_id = simulated(StrongGreedyId::new());
+        let mut strong_degree = Recorded::new(StrongHighDegree::new());
+        let mut strong_id = Recorded::new(StrongGreedyId::new());
+        let reference = |by_degree| ReferenceStrong { by_degree, ..Default::default() };
+        let g = &graph;
+        for task in &tasks {
+            prop_assert_eq!(
+                weak_trace(g, task, &mut high_degree),
+                weak_trace(g, task, &mut Recorded::new(ScanRule::HighDegree)),
+                "high-degree"
+            );
+            prop_assert_eq!(
+                weak_trace(g, task, &mut greedy_id),
+                weak_trace(g, task, &mut Recorded::new(ScanRule::GreedyId)),
+                "greedy-id"
+            );
+            prop_assert_eq!(
+                weak_trace(g, task, &mut oldest),
+                weak_trace(g, task, &mut Recorded::new(ScanRule::OldestFirst)),
+                "oldest-first"
+            );
+            prop_assert_eq!(
+                weak_trace(g, task, &mut lookahead),
+                weak_trace(g, task, &mut Recorded::new(ReferenceLookahead::default())),
+                "lookahead-walk"
+            );
+            prop_assert_eq!(
+                simulated_trace(g, task, &mut sim_degree),
+                simulated_trace(g, task, &mut simulated(reference(true))),
+                "sim-strong-high-degree"
+            );
+            prop_assert_eq!(
+                simulated_trace(g, task, &mut sim_id),
+                simulated_trace(g, task, &mut simulated(reference(false))),
+                "sim-strong-greedy-id"
+            );
+            prop_assert_eq!(
+                strong_trace(g, task, &mut strong_degree),
+                strong_trace(g, task, &mut Recorded::new(reference(true))),
+                "strong-high-degree"
+            );
+            prop_assert_eq!(
+                strong_trace(g, task, &mut strong_id),
+                strong_trace(g, task, &mut Recorded::new(reference(false))),
+                "strong-greedy-id"
+            );
         }
     }
 
