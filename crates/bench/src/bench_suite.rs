@@ -6,7 +6,12 @@
 //! committed copy:
 //!
 //! * **oracle** — the weak-model full flood on BA(m=2) at
-//!   n ∈ {1 000, 10 000, 100 000}, pooled scratch (requests/sec).
+//!   n ∈ {1 000, 10 000, 100 000}, plus one flood from the hub of a
+//!   merged Móri graph (p = 1, m = 3, n = 16 384), whose Θ(n)-degree
+//!   hub makes any per-request cost that grows with the requester's
+//!   degree show; pooled scratch (requests/sec). The Móri cell has the
+//!   same key in quick and full mode, so the quick-vs-committed gate
+//!   compares it.
 //! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap
 //!   (graphs/sec). The `Corpus` handle is reopened for every measured
 //!   round, because loads are cached per handle — a warm handle would
@@ -23,7 +28,7 @@
 //! run can never clobber the committed full record.
 
 use crate::{weak_cell, StartPolicy};
-use nonsearch_core::{BarabasiAlbertModel, MergedMoriModel, ModelSource};
+use nonsearch_core::{BarabasiAlbertModel, GraphModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
 use nonsearch_generators::SeedSequence;
@@ -32,6 +37,7 @@ use nonsearch_search::{
     FrontierCursors, SearchScratch, SearcherKind, SuccessCriterion, WeakSearchState,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: xp bench [--quick] [--out FILE]";
@@ -77,22 +83,35 @@ fn weak_flood(
     state.requests()
 }
 
-fn ba_graph(n: usize) -> std::sync::Arc<UndirectedCsr> {
-    let model = BarabasiAlbertModel { m: 2 };
-    ModelSource::new(&model).trial_graph(n, 0, &SeedSequence::new(0xBEAC).subsequence(0))
+/// The suite's fixed-seed graph of `model` at size `n`.
+fn suite_graph<M: GraphModel + Sync>(model: &M, n: usize) -> Arc<UndirectedCsr> {
+    ModelSource::new(model).trial_graph(n, 0, &SeedSequence::new(0xBEAC).subsequence(0))
 }
 
-/// Oracle hot path: flood throughput per size, pooled scratch.
+/// Size of the merged Móri hub-flood cell, in quick and full mode.
+const MORI_FLOOD_N: usize = 16_384;
+
+/// Oracle hot path: flood throughput per graph, pooled scratch.
 fn oracle_section(quick: bool, cells: &mut Vec<Cell>) {
     let sizes: &[usize] = if quick {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000]
     };
+    let ba = BarabasiAlbertModel { m: 2 };
+    let mut floods: Vec<(String, Arc<UndirectedCsr>)> = sizes
+        .iter()
+        .map(|&n| (format!("weak_flood_n{n}"), suite_graph(&ba, n)))
+        .collect();
+    let mori = MergedMoriModel { p: 1.0, m: 3 };
+    floods.push((
+        format!("weak_flood_mori_p1_m3_n{MORI_FLOOD_N}"),
+        suite_graph(&mori, MORI_FLOOD_N),
+    ));
     let mut scratch = SearchScratch::new();
     let mut cursors = FrontierCursors::new();
-    for &n in sizes {
-        let graph = ba_graph(n);
+    for (key, graph) in floods {
+        let n = graph.node_count();
         let reps: u32 = if n >= 100_000 { 3 } else { 10 };
         // Warm the pooled scratch so the measured trials are steady
         // state (no growth allocations).
@@ -104,10 +123,10 @@ fn oracle_section(quick: bool, cells: &mut Vec<Cell>) {
         }
         let ns = (start.elapsed().as_nanos() / reps as u128).max(1) as u64;
         let throughput = requests as f64 / (ns as f64 / 1e9);
-        println!("oracle/weak_flood_n{n}: {throughput:.0} req/s ({requests} req, {reps} reps)");
+        println!("oracle/{key}: {throughput:.0} req/s ({requests} req, {reps} reps)");
         cells.push(Cell {
             section: "oracle",
-            key: format!("weak_flood_n{n}"),
+            key,
             throughput,
             detail: vec![
                 ("n", JsonValue::from(n)),
@@ -320,7 +339,7 @@ mod tests {
 
     #[test]
     fn flood_costs_exactly_n_minus_one_on_connected_graphs() {
-        let graph = ba_graph(512);
+        let graph = suite_graph(&BarabasiAlbertModel { m: 2 }, 512);
         let mut scratch = SearchScratch::new();
         let mut cursors = FrontierCursors::new();
         let requests = weak_flood(&mut scratch, &mut cursors, &graph);

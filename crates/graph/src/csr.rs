@@ -293,6 +293,7 @@ impl UndirectedCsr {
     /// # Errors
     ///
     /// Returns [`GraphError::EdgeOutOfBounds`] if `e` does not exist.
+    #[inline]
     pub fn edge_endpoints(&self, e: EdgeId) -> Result<(NodeId, NodeId)> {
         self.edge_list()
             .get(e.index())

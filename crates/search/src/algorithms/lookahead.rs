@@ -51,29 +51,26 @@ impl WeakSearcher for LookaheadWalk {
         }
         // Current vertex fully expanded: hop to the basket's best
         // neighbor (closest label to the target), then continue there.
+        // Liveness reads the walk's own cursors, which only move forward,
+        // so a hub in the basket is not rescanned from slot 0 every hop.
         let gap = |v: NodeId| v.label().abs_diff(task.target.label());
-        let next = self
+        let edges = &mut self.edges;
+        let (v, e) = match self
             .basket
             .drain(..)
-            .filter(|v| view.has_unexplored(*v))
-            .min_by_key(|&v| (gap(v), v));
-        match next {
-            Some(v) => {
-                self.current = Some(v);
-                self.edges.next_unexplored(view, v).map(|e| (v, e))
-            }
-            None => {
-                // Dead end: fall back to the globally best discovered
-                // vertex with work left (keeps the walk from giving up
-                // while the component still has unexplored edges).
-                let edges = &mut self.edges;
-                let (v, e) = self
-                    .fallback
-                    .best(view, gap, |v| edges.next_unexplored(view, v))?;
-                self.current = Some(v);
-                Some((v, e))
-            }
-        }
+            .filter_map(|v| edges.next_unexplored(view, v).map(|e| (v, e)))
+            .min_by_key(|&(v, _)| (gap(v), v))
+        {
+            Some(hop) => hop,
+            // Dead end: fall back to the globally best discovered
+            // vertex with work left (keeps the walk from giving up
+            // while the component still has unexplored edges).
+            None => self
+                .fallback
+                .best(view, gap, |v| edges.next_unexplored(view, v))?,
+        };
+        self.current = Some(v);
+        Some((v, e))
     }
 
     fn observe(&mut self, _request: (NodeId, EdgeId), revealed: NodeId) {

@@ -79,6 +79,7 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
     ///
     /// Returns [`SearchError::UndiscoveredVertex`] if the identity of `u`
     /// is not yet known to the searcher.
+    // lint: alloc-free
     pub fn request(&mut self, u: NodeId) -> crate::Result<&[NodeId]> {
         if !self.scratch.view.contains(u) {
             return Err(SearchError::UndiscoveredVertex { vertex: u });

@@ -80,23 +80,34 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
     /// the far endpoint of `e` and that vertex's incident edge list.
     /// Costs one request, *including* redundant re-requests.
     ///
+    /// # Cost
+    ///
+    /// The validity check is O(1) whatever the degree of `u`: `e` is
+    /// incident to `u` exactly when one of its two stored endpoints is
+    /// `u` — the same set the view copied from the graph when `u` was
+    /// discovered — so one endpoint lookup both validates the request
+    /// and yields the answer. Revealing a vertex for the first time
+    /// costs its degree, once (its incident list is copied into the
+    /// view); every later request that lands on it is O(1).
+    ///
     /// # Errors
     ///
     /// * [`SearchError::UndiscoveredVertex`] if `u` is not discovered.
-    /// * [`SearchError::UnknownIncidence`] if `e` is not incident to `u`.
+    /// * [`SearchError::UnknownIncidence`] if `e` is not incident to `u`
+    ///   (including handles the graph does not have).
+    ///
+    /// A rejected request costs nothing and leaves the view unchanged.
+    // lint: alloc-free
     pub fn request(&mut self, u: NodeId, e: EdgeId) -> crate::Result<NodeId> {
-        let Some(info) = self.scratch.view.vertex(u) else {
+        if !self.scratch.view.contains(u) {
             return Err(SearchError::UndiscoveredVertex { vertex: u });
-        };
-        if !info.incident().contains(&e) {
-            return Err(SearchError::UnknownIncidence { vertex: u, edge: e });
         }
+        let other = match self.graph.edge_endpoints(e) {
+            Ok((a, b)) if a == u => b,
+            Ok((a, b)) if b == u => a,
+            _ => return Err(SearchError::UnknownIncidence { vertex: u, edge: e }),
+        };
         self.requests += 1;
-        let (a, b) = self
-            .graph
-            .edge_endpoints(e)
-            .expect("edge handle came from the graph");
-        let other = if a == u { b } else { a };
         self.scratch.view.resolve_edge(u, e, other);
         self.scratch
             .view
@@ -210,6 +221,43 @@ mod tests {
         ));
         // Errors cost nothing.
         assert_eq!(s.requests(), 0);
+    }
+
+    #[test]
+    fn rejections_follow_the_incidence_rule() {
+        let g = path3();
+        let mut scratch = SearchScratch::new();
+        let mut s = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
+        let e01 = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+        s.request(NodeId::new(0), e01).unwrap();
+        // Edge (1, 2) is now in the view, but only as vertex 1's.
+        let e12 = EdgeId::new(1);
+        let far = s.view().vertex(NodeId::new(1)).unwrap().incident();
+        assert!(far.contains(&e12));
+        let (out_of_range, undiscovered) = (EdgeId::new(99), true);
+        let cases = [
+            (NodeId::new(0), out_of_range, !undiscovered),
+            // Edge incident only to a neighbour of `u`.
+            (NodeId::new(0), e12, !undiscovered),
+            // Undiscovered `u` takes precedence: with a foreign edge,
+            // with its own edge, and outside the graph.
+            (NodeId::new(2), e01, undiscovered),
+            (NodeId::new(2), e12, undiscovered),
+            (NodeId::new(7), out_of_range, undiscovered),
+        ];
+        for (u, e, undiscovered) in cases {
+            let want = if undiscovered {
+                SearchError::UndiscoveredVertex { vertex: u }
+            } else {
+                SearchError::UnknownIncidence { vertex: u, edge: e }
+            };
+            assert_eq!(s.request(u, e), Err(want));
+            // Rejections cost nothing and leave the view unchanged.
+            assert_eq!(s.requests(), 1);
+            assert_eq!(s.view().len(), 2);
+        }
+        // From the far side the same edge is a legal request.
+        assert_eq!(s.request(NodeId::new(1), e12), Ok(NodeId::new(2)));
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Property-based tests: oracle accounting, searcher invariants, the
-//! dense view's observational equivalence against a hash-map reference
-//! model, the best-vertex searchers' request-sequence identity against
-//! scan reference models, and scratch-reuse bit-identity.
+//! Property-based tests: oracle accounting, the weak oracle's O(1)
+//! validity check against the incident-list scan it replaced, searcher
+//! invariants, the dense view's observational equivalence against a
+//! hash-map reference model, the best-vertex searchers' request-sequence
+//! identity against scan reference models, and scratch-reuse
+//! bit-identity.
 
 use nonsearch_generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use nonsearch_search::{
     run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors,
-    GreedyIdProximity, HighDegreeGreedy, LookaheadWalk, OldestFirst, SearchOutcome, SearchScratch,
-    SearchTask, SearcherKind, SimulatedStrong, StampedMap, StampedNodeSet, StrongBfs,
-    StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion,
-    WeakSearchState, WeakSearcher,
+    GreedyIdProximity, HighDegreeGreedy, LookaheadWalk, OldestFirst, SearchError, SearchOutcome,
+    SearchScratch, SearchTask, SearcherKind, SimulatedStrong, StampedMap, StampedNodeSet,
+    StrongBfs, StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher,
+    SuccessCriterion, WeakSearchState, WeakSearcher,
 };
 use proptest::prelude::*;
 use rand::RngCore;
@@ -22,6 +24,26 @@ fn connected_graph(n: usize, m: usize, p: f64, seed: u64) -> UndirectedCsr {
     MergedMori::sample(n, m, p, &mut rng_from_seed(seed))
         .unwrap()
         .undirected()
+}
+
+/// The weak oracle's answer under its original validity check, kept as
+/// the reference the O(1) endpoint check must agree with: `e` is a
+/// known incidence of `u` iff a linear scan finds it in the incident
+/// list the view recorded when `u` was discovered.
+fn reference_request(
+    graph: &UndirectedCsr,
+    view: &DiscoveredView,
+    u: NodeId,
+    e: EdgeId,
+) -> Result<NodeId, SearchError> {
+    let Some(info) = view.vertex(u) else {
+        return Err(SearchError::UndiscoveredVertex { vertex: u });
+    };
+    if !info.incident().contains(&e) {
+        return Err(SearchError::UnknownIncidence { vertex: u, edge: e });
+    }
+    let (a, b) = graph.edge_endpoints(e).unwrap();
+    Ok(if a == u { b } else { a })
 }
 
 /// The pre-refactor `HashMap`-based view, kept as the reference model:
@@ -686,6 +708,69 @@ proptest! {
             state.request(v, e).unwrap();
             issued += 1;
             prop_assert_eq!(state.requests(), issued);
+        }
+    }
+
+    #[test]
+    fn weak_oracle_accepts_exactly_what_the_incident_scan_accepts(
+        n in 2usize..24,
+        m in 1usize..4,
+        p in 0.0f64..=1.0,
+        mori in 0u8..2,
+        seed in 0u64..1000,
+        grow in 0usize..30,
+        raw_edges in proptest::collection::vec((0usize..1000, 0usize..1000), 0..40),
+        probes in proptest::collection::vec((0u8..3, 0usize..1000, 0usize..1000), 1..60),
+    ) {
+        // Merged Móri graphs with m ≥ 2 carry self-loops and parallel
+        // edges; the raw multigraphs add arbitrary ones, and isolated
+        // vertices.
+        let graph = if mori == 1 {
+            connected_graph(n, m, p, seed)
+        } else {
+            UndirectedCsr::from_edges(n, raw_edges.iter().map(|&(a, b)| (a % n, b % n))).unwrap()
+        };
+        let (nodes, edges) = (graph.node_count(), graph.edge_count());
+        let mut scratch = SearchScratch::new();
+        let start = NodeId::new(seed as usize % nodes);
+        let mut state = WeakSearchState::new_in(&mut scratch, &graph, start).unwrap();
+        let mut rng = rng_from_seed(seed);
+        use rand::Rng;
+        for _ in 0..grow {
+            let v = state.view().discovered()[rng.gen_range(0..state.view().len())];
+            let incident = state.view().vertex(v).unwrap().incident();
+            if incident.is_empty() {
+                continue;
+            }
+            let e = incident[rng.gen_range(0..incident.len())];
+            let expected = reference_request(&graph, state.view(), v, e);
+            prop_assert!(expected.is_ok());
+            prop_assert_eq!(state.request(v, e), expected, "legal request ({:?}, {:?})", v, e);
+        }
+        for &(kind, a, b) in &probes {
+            // Half the probes start from a discovered vertex, so the
+            // accepting side (and its `b == u` half) is exercised too.
+            let discovered = state.view().discovered();
+            let (u, e) = match kind {
+                0 => (NodeId::new(a % (nodes + 2)), EdgeId::new(b % (edges + 3))),
+                1 => (discovered[a % discovered.len()], EdgeId::new(b % (edges + 3))),
+                _ => {
+                    let u = discovered[a % discovered.len()];
+                    let incident = state.view().vertex(u).unwrap().incident();
+                    let e = incident.get(b % incident.len().max(1)).copied();
+                    (u, e.unwrap_or(EdgeId::new(b % (edges + 3))))
+                }
+            };
+            let expected = reference_request(&graph, state.view(), u, e);
+            let (requests, len) = (state.requests(), state.view().len());
+            let got = state.request(u, e);
+            prop_assert_eq!(&got, &expected, "request ({:?}, {:?})", u, e);
+            if got.is_ok() {
+                prop_assert_eq!(state.requests(), requests + 1);
+            } else {
+                prop_assert_eq!(state.requests(), requests);
+                prop_assert_eq!(state.view().len(), len);
+            }
         }
     }
 
