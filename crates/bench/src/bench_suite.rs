@@ -12,6 +12,11 @@
 //!   degree show; pooled scratch (requests/sec). The Móri cell has the
 //!   same key in quick and full mode, so the quick-vs-committed gate
 //!   compares it.
+//! * **generate** — sampling a trial graph, CSR build and slot shuffle
+//!   included: merged Móri (p = 0.6, m = 3) at n = 16 384 and BA(m=2)
+//!   at n = 100 000 (vertices/sec). Both cells have the same key in
+//!   quick and full mode, so the quick-vs-committed gate sees
+//!   generation, the largest share of an experiment's busy time.
 //! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap
 //!   (graphs/sec). The `Corpus` handle is reopened for every measured
 //!   round, because loads are cached per handle — a warm handle would
@@ -83,6 +88,17 @@ fn weak_flood(
     state.requests()
 }
 
+/// Mean wall-clock nanoseconds of one call of `body`, over `reps` calls
+/// (each passed its repetition index).
+fn mean_ns(reps: u32, mut body: impl FnMut(u32)) -> u64 {
+    // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
+    let start = Instant::now();
+    for rep in 0..reps {
+        body(rep);
+    }
+    (start.elapsed().as_nanos() / u128::from(reps)).max(1) as u64
+}
+
 /// The suite's fixed-seed graph of `model` at size `n`.
 fn suite_graph<M: GraphModel + Sync>(model: &M, n: usize) -> Arc<UndirectedCsr> {
     ModelSource::new(model).trial_graph(n, 0, &SeedSequence::new(0xBEAC).subsequence(0))
@@ -116,12 +132,9 @@ fn oracle_section(quick: bool, cells: &mut Vec<Cell>) {
         // Warm the pooled scratch so the measured trials are steady
         // state (no growth allocations).
         let requests = weak_flood(&mut scratch, &mut cursors, &graph);
-        // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
-        let start = Instant::now();
-        for _ in 0..reps {
+        let ns = mean_ns(reps, |_| {
             weak_flood(&mut scratch, &mut cursors, &graph);
-        }
-        let ns = (start.elapsed().as_nanos() / reps as u128).max(1) as u64;
+        });
         let throughput = requests as f64 / (ns as f64 / 1e9);
         println!("oracle/{key}: {throughput:.0} req/s ({requests} req, {reps} reps)");
         cells.push(Cell {
@@ -132,6 +145,38 @@ fn oracle_section(quick: bool, cells: &mut Vec<Cell>) {
                 ("n", JsonValue::from(n)),
                 ("requests_per_trial", JsonValue::from(requests)),
                 ("ns_per_trial", JsonValue::from(ns)),
+            ],
+        });
+    }
+}
+
+/// Generation throughput: fresh fixed-seed samples of the two models,
+/// the same work in quick and full mode.
+fn generate_section(cells: &mut Vec<Cell>) {
+    let mori = MergedMoriModel { p: 0.6, m: 3 };
+    let ba = BarabasiAlbertModel { m: 2 };
+    let workloads: [(&str, &dyn GraphModel, usize, u32); 2] = [
+        ("mori_p06_m3_n16384", &mori, 16_384, 10),
+        ("ba_m2_n100000", &ba, 100_000, 3),
+    ];
+    let seeds = SeedSequence::new(0xBEA6);
+    for (key, model, n, reps) in workloads {
+        // Warm-up sample: first-touch page faults are not generation.
+        model.sample_graph(n, &mut seeds.child_rng(u64::from(reps)));
+        let ns = mean_ns(reps, |rep| {
+            let graph = model.sample_graph(n, &mut seeds.child_rng(u64::from(rep)));
+            assert_eq!(graph.node_count(), n);
+        });
+        let throughput = n as f64 / (ns as f64 / 1e9);
+        println!("generate/{key}: {throughput:.0} vertices/s ({reps} graphs)");
+        cells.push(Cell {
+            section: "generate",
+            key: key.to_string(),
+            throughput,
+            detail: vec![
+                ("n", JsonValue::from(n)),
+                ("graphs", JsonValue::from(reps as u64)),
+                ("ns_per_graph", JsonValue::from(ns)),
             ],
         });
     }
@@ -291,6 +336,7 @@ pub fn main(args: &[String]) -> i32 {
     );
     let mut cells = Vec::new();
     oracle_section(quick, &mut cells);
+    generate_section(&mut cells);
     if let Err(e) = corpus_section(quick, &mut cells) {
         eprintln!("xp bench: {e}");
         return 2;

@@ -19,7 +19,6 @@ use crate::theory::{check_probability, CoreError};
 use crate::window::EquivalenceWindow;
 use crate::Permutation;
 use nonsearch_generators::{MoriTree, SeedSequence};
-use nonsearch_graph::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -160,11 +159,17 @@ pub fn sampled_window_symmetry(
             continue;
         }
         accepted += 1;
+        let mut indegree = vec![0usize; w];
+        for r in tree.trace() {
+            if window.contains_label(r.father.label()) {
+                indegree[r.father.label() - window.a() - 1] += 1;
+            }
+        }
         for (slot, label) in ((window.a() + 1)..=window.b()).enumerate() {
             let father = tree.father_of_label(label).expect("covered").label() as f64;
             father_sum[slot] += father;
             father_sq[slot] += father * father;
-            indeg_sum[slot] += tree.digraph().in_degree(NodeId::from_label(label)) as f64;
+            indeg_sum[slot] += indegree[slot] as f64;
         }
     }
     if accepted == 0 {

@@ -187,7 +187,8 @@ mod tests {
             let manual = trace.iter().all(|r| {
                 let (c, f) = (r.child.label(), r.father.label());
                 !(27..=30).contains(&f) && (!(27..=30).contains(&c) || f <= 26)
-            }) && (27..=30).all(|w| trace.fathers_of_label(w).len() <= 1);
+            }) && (27..=30)
+                .all(|w| trace.iter().filter(|r| r.child.label() == w).count() <= 1);
             assert_eq!(holds, manual);
             seen_true |= holds;
             seen_false |= !holds;

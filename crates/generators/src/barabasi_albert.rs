@@ -6,10 +6,8 @@
 //! (its max degree grows like `t^{1/2}`, too large for the strong-model
 //! bound to bite).
 
-use crate::{
-    AttachmentKind, AttachmentRecord, AttachmentTrace, GeneratorError, Result, UrnSampler,
-};
-use nonsearch_graph::{EvolvingDigraph, NodeId, UndirectedCsr};
+use crate::{AttachmentKind, AttachmentRecord, AttachmentTrace, GeneratorError, Result};
+use nonsearch_graph::{NodeId, UndirectedCsr};
 use rand::Rng;
 
 /// A sampled Barabási–Albert graph with construction provenance.
@@ -19,6 +17,10 @@ use rand::Rng;
 /// targets proportionally to total degree. Self-loops never occur;
 /// duplicate targets are redrawn.
 ///
+/// The trace is the graph's only edge store. Degree-proportional draws
+/// read it as an urn of `2·|trace|` tickets, one per edge endpoint:
+/// ticket `i` is record `i / 2`'s child if `i` is even, its father if odd.
+///
 /// # Example
 ///
 /// ```
@@ -26,15 +28,16 @@ use rand::Rng;
 ///
 /// let mut rng = rng_from_seed(1);
 /// let ba = BarabasiAlbert::sample(100, 2, &mut rng)?;
-/// assert_eq!(ba.digraph().node_count(), 100);
+/// let g = ba.undirected();
+/// assert_eq!(g.node_count(), 100);
 /// // Seed star has m = 2 edges; each of the 97 later vertices adds 2.
-/// assert_eq!(ba.digraph().edge_count(), 2 + 97 * 2);
+/// assert_eq!(g.edge_count(), 2 + 97 * 2);
 /// # Ok::<(), nonsearch_generators::GeneratorError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct BarabasiAlbert {
-    digraph: EvolvingDigraph,
     trace: AttachmentTrace,
+    n: usize,
     m: usize,
 }
 
@@ -55,50 +58,47 @@ impl BarabasiAlbert {
                 minimum: m + 2,
             });
         }
-        let mut digraph = EvolvingDigraph::with_capacity(n, m * n);
         let mut trace = AttachmentTrace::with_capacity(m * n);
-        // Urn holds one ticket per edge endpoint → sampling ∝ total degree.
-        let mut urn = UrnSampler::with_capacity(2 * m * n);
 
-        let hub = digraph.add_node();
-        for _ in 0..m {
-            let leaf = digraph.add_node();
-            digraph.add_edge(leaf, hub).expect("seed endpoints exist");
+        let hub = NodeId::new(0);
+        for leaf in 1..=m {
             trace.push(AttachmentRecord {
-                child: leaf,
+                child: NodeId::new(leaf),
                 father: hub,
                 kind: AttachmentKind::Seed,
             });
-            urn.push(leaf);
-            urn.push(hub);
         }
 
         let mut targets: Vec<NodeId> = Vec::with_capacity(m);
-        for _ in (m + 1)..n {
-            let child = digraph.add_node();
+        for index in (m + 1)..n {
+            let child = NodeId::new(index);
             targets.clear();
             // Draw m distinct targets ∝ degree; duplicates are redrawn,
             // which conditions the law on distinctness (the standard
             // "BA without multi-edges" variant).
+            let tickets = 2 * trace.len();
             while targets.len() < m {
-                let candidate = urn.sample(rng).expect("urn non-empty after seed");
+                let ticket = rng.gen_range(0..tickets);
+                let record = trace.records()[ticket / 2];
+                let candidate = if ticket % 2 == 0 {
+                    record.child
+                } else {
+                    record.father
+                };
                 if !targets.contains(&candidate) {
                     targets.push(candidate);
                 }
             }
             for &father in &targets {
-                digraph.add_edge(child, father).expect("endpoints exist");
                 trace.push(AttachmentRecord {
                     child,
                     father,
                     kind: AttachmentKind::Preferential,
                 });
-                urn.push(child);
-                urn.push(father);
             }
         }
 
-        Ok(BarabasiAlbert { digraph, trace, m })
+        Ok(BarabasiAlbert { trace, n, m })
     }
 
     /// Edges added per arriving vertex.
@@ -106,19 +106,15 @@ impl BarabasiAlbert {
         self.m
     }
 
-    /// The evolving digraph (edges point newer → older).
-    pub fn digraph(&self) -> &EvolvingDigraph {
-        &self.digraph
-    }
-
-    /// The attachment history.
+    /// The attachment history: one record per edge, pointing newer →
+    /// older.
     pub fn trace(&self) -> &AttachmentTrace {
         &self.trace
     }
 
     /// Builds the unoriented view searching takes place in.
     pub fn undirected(&self) -> UndirectedCsr {
-        UndirectedCsr::from_digraph(&self.digraph)
+        UndirectedCsr::from_edges(self.n, self.trace.edges()).expect("targets are older vertices")
     }
 }
 
@@ -132,10 +128,9 @@ mod tests {
     fn shape_invariants() {
         let mut rng = rng_from_seed(1);
         let ba = BarabasiAlbert::sample(200, 3, &mut rng).unwrap();
-        let g = ba.digraph();
-        assert_eq!(g.node_count(), 200);
-        assert_eq!(g.edge_count(), 3 + (200 - 4) * 3);
         let und = ba.undirected();
+        assert_eq!(und.node_count(), 200);
+        assert_eq!(und.edge_count(), 3 + (200 - 4) * 3);
         assert!(is_connected(&und));
         assert_eq!(und.self_loop_count(), 0);
         // Distinct targets per arrival: no parallel edges from one child.
@@ -186,7 +181,8 @@ mod tests {
     fn determinism_per_seed() {
         let a = BarabasiAlbert::sample(90, 2, &mut rng_from_seed(5)).unwrap();
         let b = BarabasiAlbert::sample(90, 2, &mut rng_from_seed(5)).unwrap();
-        assert_eq!(a.digraph(), b.digraph());
+        assert_eq!(a.undirected(), b.undirected());
+        assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
@@ -201,6 +197,6 @@ mod tests {
     fn trace_has_one_record_per_edge() {
         let mut rng = rng_from_seed(7);
         let ba = BarabasiAlbert::sample(60, 2, &mut rng).unwrap();
-        assert_eq!(ba.trace().len(), ba.digraph().edge_count());
+        assert_eq!(ba.trace().len(), ba.undirected().edge_count());
     }
 }

@@ -15,10 +15,9 @@
 
 use crate::error::check_probability;
 use crate::{
-    AttachmentKind, AttachmentRecord, AttachmentTrace, DiscreteDistribution, GeneratorError,
-    Result, UrnSampler,
+    AttachmentKind, AttachmentRecord, AttachmentTrace, DiscreteDistribution, GeneratorError, Result,
 };
-use nonsearch_graph::{EvolvingDigraph, NodeId, UndirectedCsr};
+use nonsearch_graph::{NodeId, UndirectedCsr};
 use rand::Rng;
 
 /// Which procedure a time step applied.
@@ -145,10 +144,14 @@ impl CooperFriezeConfig {
 /// the existing graph, so the sample is connected by construction — a
 /// requirement the paper imposes "since we want our searching processes
 /// to be able to terminate with probability 1".
+///
+/// The trace is the graph's only edge store, and it doubles as both
+/// preferential urns: its father column holds one ticket per unit of
+/// indegree, its child column one per unit of out-degree.
 #[derive(Debug, Clone)]
 pub struct CooperFrieze {
-    digraph: EvolvingDigraph,
     trace: AttachmentTrace,
+    n: usize,
     steps: Vec<StepKind>,
     config: CooperFriezeConfig,
 }
@@ -170,87 +173,61 @@ impl CooperFrieze {
                 minimum: 2,
             });
         }
-        let mut digraph = EvolvingDigraph::with_capacity(n, 2 * n);
         let mut trace = AttachmentTrace::with_capacity(2 * n);
         let mut steps = Vec::new();
-        let mut in_urn = UrnSampler::with_capacity(2 * n);
-        let mut out_urn = UrnSampler::with_capacity(2 * n);
 
-        let v1 = digraph.add_node();
-        let v2 = digraph.add_node();
-        digraph.add_edge(v2, v1).expect("seed endpoints exist");
         trace.push(AttachmentRecord {
-            child: v2,
-            father: v1,
+            child: NodeId::from_label(2),
+            father: NodeId::from_label(1),
             kind: AttachmentKind::Seed,
         });
-        in_urn.push(v1);
-        out_urn.push(v2);
+        let mut existing = 2;
 
-        while digraph.node_count() < n {
+        while existing < n {
             if rng.gen::<f64>() < config.alpha {
                 steps.push(StepKind::New);
-                let existing = digraph.node_count();
-                let child = digraph.add_node();
+                let child = NodeId::new(existing);
                 let j = config.new_edges.sample(rng);
                 for _ in 0..j {
-                    let (father, kind) = Self::choose_terminal(
-                        config.beta,
-                        existing,
-                        &in_urn,
-                        digraph.total_in_degree(),
-                        rng,
-                    );
-                    digraph.add_edge(child, father).expect("endpoints exist");
+                    let (father, kind) = Self::choose_terminal(config.beta, existing, &trace, rng);
                     trace.push(AttachmentRecord {
                         child,
                         father,
                         kind,
                     });
-                    in_urn.push(father);
-                    out_urn.push(child);
                 }
+                existing += 1;
             } else {
                 steps.push(StepKind::Old);
-                let existing = digraph.node_count();
                 // Initial vertex: uniform w.p. δ, else ∝ out-degree + 1
-                // (mixture of the out-urn and a uniform draw).
+                // (mixture of a uniformly drawn record's child, one ticket
+                // per unit of out-degree, and a uniform draw).
                 let source = if rng.gen::<f64>() < config.delta {
                     NodeId::new(rng.gen_range(0..existing))
                 } else {
-                    let out_total = out_urn.len();
-                    let pref_mass = out_total as f64;
+                    let pref_mass = trace.len() as f64;
                     let unif_mass = existing as f64;
                     if rng.gen::<f64>() < pref_mass / (pref_mass + unif_mass) {
-                        out_urn.sample(rng).expect("out-urn non-empty after seed")
+                        trace.records()[rng.gen_range(0..trace.len())].child
                     } else {
                         NodeId::new(rng.gen_range(0..existing))
                     }
                 };
                 let j = config.old_edges.sample(rng);
                 for _ in 0..j {
-                    let (father, kind) = Self::choose_terminal(
-                        config.gamma,
-                        existing,
-                        &in_urn,
-                        digraph.total_in_degree(),
-                        rng,
-                    );
-                    digraph.add_edge(source, father).expect("endpoints exist");
+                    let (father, kind) = Self::choose_terminal(config.gamma, existing, &trace, rng);
                     trace.push(AttachmentRecord {
                         child: source,
                         father,
                         kind,
                     });
-                    in_urn.push(father);
-                    out_urn.push(source);
                 }
             }
         }
 
         Ok(CooperFrieze {
-            digraph,
             trace,
+            n,
             steps,
             config: config.clone(),
         })
@@ -258,20 +235,17 @@ impl CooperFrieze {
 
     /// Terminal choice: indegree-preferential w.p. `pref_prob`, uniform
     /// over the `candidates` oldest vertices otherwise. The preferential
-    /// branch itself is the exact `∝ d(u)` mixture over the urn.
+    /// branch is the exact `∝ d(u)` draw: the father of a uniformly drawn
+    /// record of `trace`.
     fn choose_terminal<R: Rng + ?Sized>(
         pref_prob: f64,
         candidates: usize,
-        in_urn: &UrnSampler,
-        total_in_degree: usize,
+        trace: &AttachmentTrace,
         rng: &mut R,
     ) -> (NodeId, AttachmentKind) {
-        debug_assert!(total_in_degree > 0, "seed guarantees indegree mass");
+        debug_assert!(!trace.is_empty(), "seed guarantees indegree mass");
         if rng.gen::<f64>() < pref_prob {
-            // The urn may contain tickets for vertices ≥ candidates only
-            // when an Old step targeted a newer vertex; all urn tickets
-            // reference existing vertices, which is all we require.
-            let v = in_urn.sample(rng).expect("in-urn non-empty after seed");
+            let v = trace.records()[rng.gen_range(0..trace.len())].father;
             (v, AttachmentKind::Preferential)
         } else {
             (
@@ -286,13 +260,8 @@ impl CooperFrieze {
         &self.config
     }
 
-    /// The evolving multigraph (edges point newer → chosen terminal for
-    /// New steps; source → terminal for Old steps).
-    pub fn digraph(&self) -> &EvolvingDigraph {
-        &self.digraph
-    }
-
-    /// The per-edge attachment history.
+    /// The per-edge attachment history (edges point newer → chosen
+    /// terminal for New steps; source → terminal for Old steps).
     pub fn trace(&self) -> &AttachmentTrace {
         &self.trace
     }
@@ -309,7 +278,8 @@ impl CooperFrieze {
 
     /// Builds the unoriented view searching takes place in.
     pub fn undirected(&self) -> UndirectedCsr {
-        UndirectedCsr::from_digraph(&self.digraph)
+        UndirectedCsr::from_edges(self.n, self.trace.edges())
+            .expect("terminals are existing vertices")
     }
 }
 
@@ -323,9 +293,11 @@ mod tests {
     fn reaches_exact_vertex_count_and_is_connected() {
         let mut rng = rng_from_seed(1);
         let cfg = CooperFriezeConfig::balanced(0.6).unwrap();
-        let g = CooperFrieze::sample(300, &cfg, &mut rng).unwrap();
-        assert_eq!(g.digraph().node_count(), 300);
-        assert!(is_connected(&g.undirected()));
+        let g = CooperFrieze::sample(300, &cfg, &mut rng)
+            .unwrap()
+            .undirected();
+        assert_eq!(g.node_count(), 300);
+        assert!(is_connected(&g));
     }
 
     #[test]
@@ -349,7 +321,7 @@ mod tests {
         )
         .unwrap();
         let g = CooperFrieze::sample(80, &cfg, &mut rng).unwrap();
-        assert_eq!(g.digraph().edge_count(), 79);
+        assert_eq!(g.trace().len(), 79);
         assert!(g.steps().iter().all(|s| *s == StepKind::New));
     }
 
@@ -361,8 +333,9 @@ mod tests {
         let old_steps = g.steps().len() - g.new_step_count();
         assert!(old_steps > 0, "α = 0.3 should produce Old steps");
         // Seed edge + one edge per step (constant-1 distributions).
-        assert_eq!(g.digraph().edge_count(), 1 + g.steps().len());
-        assert_eq!(g.digraph().node_count(), 100);
+        let und = g.undirected();
+        assert_eq!(und.edge_count(), 1 + g.steps().len());
+        assert_eq!(und.node_count(), 100);
     }
 
     #[test]
@@ -380,7 +353,7 @@ mod tests {
         let g = CooperFrieze::sample(200, &cfg, &mut rng).unwrap();
         let new_steps = g.new_step_count();
         let old_steps = g.steps().len() - new_steps;
-        let edges = g.digraph().edge_count();
+        let edges = g.undirected().edge_count();
         assert!(edges >= 1 + new_steps + 3 * old_steps);
         assert!(edges <= 1 + 2 * new_steps + 3 * old_steps);
     }
@@ -400,7 +373,8 @@ mod tests {
         )
         .unwrap();
         let g = CooperFrieze::sample(50, &cfg, &mut rng).unwrap();
-        assert_eq!(g.digraph().in_degree(NodeId::from_label(1)), 49);
+        let hub = NodeId::from_label(1);
+        assert_eq!(g.trace().iter().filter(|r| r.father == hub).count(), 49);
     }
 
     #[test]
@@ -408,7 +382,8 @@ mod tests {
         let cfg = CooperFriezeConfig::balanced(0.5).unwrap();
         let a = CooperFrieze::sample(60, &cfg, &mut rng_from_seed(7)).unwrap();
         let b = CooperFrieze::sample(60, &cfg, &mut rng_from_seed(7)).unwrap();
-        assert_eq!(a.digraph(), b.digraph());
+        assert_eq!(a.undirected(), b.undirected());
+        assert_eq!(a.trace(), b.trace());
         assert_eq!(a.steps(), b.steps());
     }
 
@@ -433,6 +408,6 @@ mod tests {
         let mut rng = rng_from_seed(9);
         let cfg = CooperFriezeConfig::balanced(0.4).unwrap();
         let g = CooperFrieze::sample(120, &cfg, &mut rng).unwrap();
-        assert_eq!(g.trace().len(), g.digraph().edge_count());
+        assert_eq!(g.trace().len(), g.undirected().edge_count());
     }
 }

@@ -138,8 +138,9 @@ fn rebuild(n: usize, edges: &[(usize, usize)]) -> UndirectedCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{rng_from_seed, BarabasiAlbert, ErdosRenyi};
+    use crate::{rng_from_seed, BarabasiAlbert};
     use nonsearch_graph::degree_sequence;
+    use rand::Rng;
 
     fn ba(n: usize, m: usize, seed: u64) -> UndirectedCsr {
         BarabasiAlbert::sample(n, m, &mut rng_from_seed(seed))
@@ -196,7 +197,18 @@ mod tests {
 
     #[test]
     fn er_graphs_rewire_cleanly() {
-        let g = ErdosRenyi::gnm(60, 120, &mut rng_from_seed(8)).unwrap();
+        // A G(n, m) sample: 120 distinct non-loop pairs on 60 vertices.
+        let mut rng = rng_from_seed(8);
+        let mut pairs = HashSet::new();
+        while pairs.len() < 120 {
+            let (u, v) = (rng.gen_range(0..60usize), rng.gen_range(0..60usize));
+            if u != v {
+                pairs.insert((u.min(v), u.max(v)));
+            }
+        }
+        let mut pairs: Vec<(usize, usize)> = pairs.into_iter().collect();
+        pairs.sort_unstable();
+        let g = UndirectedCsr::from_edges(60, pairs).unwrap();
         let (null, _) = degree_preserving_rewire(&g, 8, &mut rng_from_seed(9)).unwrap();
         assert_eq!(degree_sequence(&null), degree_sequence(&g));
         assert_eq!(null.parallel_edge_count(), 0);

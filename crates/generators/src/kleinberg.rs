@@ -9,7 +9,7 @@
 //! probability proportional to `d(u, v)^{−r}` (Manhattan distance).
 
 use crate::{CumulativeSampler, GeneratorError, Result};
-use nonsearch_graph::{EvolvingDigraph, NodeId, UndirectedCsr};
+use nonsearch_graph::{NodeId, UndirectedCsr};
 use rand::Rng;
 
 /// A position on the lattice.
@@ -80,20 +80,17 @@ impl KleinbergGrid {
             return Err(GeneratorError::invalid("r", r, "a finite value ≥ 0"));
         }
         let n = side * side;
-        let mut digraph = EvolvingDigraph::with_capacity(n, 2 * n + links_per_node * n);
-        digraph.add_nodes(n);
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(2 * n + links_per_node * n);
 
         // Lattice edges: right and down neighbor of each cell.
         for row in 0..side {
             for col in 0..side {
-                let u = NodeId::new(row * side + col);
+                let u = row * side + col;
                 if col + 1 < side {
-                    let v = NodeId::new(row * side + col + 1);
-                    digraph.add_edge(u, v).expect("lattice endpoints exist");
+                    edges.push((u, u + 1));
                 }
                 if row + 1 < side {
-                    let v = NodeId::new((row + 1) * side + col);
-                    digraph.add_edge(u, v).expect("lattice endpoints exist");
+                    edges.push((u, u + side));
                 }
             }
         }
@@ -108,17 +105,16 @@ impl KleinbergGrid {
             .collect();
         let dist_sampler = CumulativeSampler::new(&weights).expect("positive weights");
 
-        for index in 0..n {
-            let u = NodeId::new(index);
-            let (row, col) = (index / side, index % side);
+        for u in 0..n {
+            let (row, col) = (u / side, u % side);
             for _ in 0..links_per_node {
                 let v = Self::sample_long_range(side, row, col, &dist_sampler, rng)?;
-                digraph.add_edge(u, v).expect("long-range endpoints exist");
+                edges.push((u, v.index()));
             }
         }
 
         Ok(KleinbergGrid {
-            graph: UndirectedCsr::from_digraph(&digraph),
+            graph: UndirectedCsr::from_edges(n, edges).expect("lattice cells are vertices"),
             side,
             r,
             links_per_node,

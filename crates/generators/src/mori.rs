@@ -10,10 +10,8 @@
 //! `1 ≤ i ≤ n`, merge vertices `m(i−1)+1` to `mi` into a new vertex `i`."*
 
 use crate::error::check_probability;
-use crate::{
-    AttachmentKind, AttachmentRecord, AttachmentTrace, GeneratorError, Result, UrnSampler,
-};
-use nonsearch_graph::{EvolvingDigraph, NodeId, UndirectedCsr};
+use crate::{AttachmentKind, AttachmentRecord, AttachmentTrace, GeneratorError, Result};
+use nonsearch_graph::{NodeId, UndirectedCsr};
 use rand::Rng;
 
 /// A sampled Móri tree `G_t` together with its construction provenance.
@@ -26,8 +24,12 @@ use rand::Rng;
 /// Sampling is O(1) per vertex: the weight function is the exact mixture
 /// "indegree-proportional with probability `pD/(pD + (1−p)N)`, uniform
 /// otherwise" (where `D` is the total indegree and `N` the number of
-/// candidates), and indegree-proportional draws come from an
-/// [`UrnSampler`] holding one ticket per edge target.
+/// candidates). Indegree-proportional draws read the trace itself: every
+/// record's father is one unit of indegree, so the father of a uniformly
+/// drawn record is a vertex drawn ∝ indegree.
+///
+/// The trace is the tree's only edge store (edges point child → father);
+/// [`MoriTree::undirected`] builds the CSR from it.
 ///
 /// # Example
 ///
@@ -46,7 +48,6 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MoriTree {
-    digraph: EvolvingDigraph,
     trace: AttachmentTrace,
     p: f64,
 }
@@ -71,20 +72,14 @@ impl MoriTree {
                 minimum: 2,
             });
         }
-        let mut digraph = EvolvingDigraph::with_capacity(n, n - 1);
         let mut trace = AttachmentTrace::with_capacity(n - 1);
-        let mut urn = UrnSampler::with_capacity(n - 1);
 
         // Seed: vertices 1, 2 and the edge 2 → 1.
-        let v1 = digraph.add_node();
-        let v2 = digraph.add_node();
-        digraph.add_edge(v2, v1).expect("seed endpoints exist");
         trace.push(AttachmentRecord {
-            child: v2,
-            father: v1,
+            child: NodeId::from_label(2),
+            father: NodeId::from_label(1),
             kind: AttachmentKind::Seed,
         });
-        urn.push(v1);
 
         for t in 3..=n {
             let candidates = t - 1; // existing vertices
@@ -96,25 +91,22 @@ impl MoriTree {
             let unif_mass = (1.0 - p) * candidates as f64;
             let threshold = pref_mass / (pref_mass + unif_mass);
             let (father, kind) = if rng.gen::<f64>() < threshold {
-                let f = urn.sample(rng).expect("urn non-empty after seed");
-                (f, AttachmentKind::Preferential)
+                let ticket = rng.gen_range(0..trace.len());
+                (trace.records()[ticket].father, AttachmentKind::Preferential)
             } else {
                 (
                     NodeId::new(rng.gen_range(0..candidates)),
                     AttachmentKind::Uniform,
                 )
             };
-            let child = digraph.add_node();
-            digraph.add_edge(child, father).expect("endpoints exist");
             trace.push(AttachmentRecord {
-                child,
+                child: NodeId::from_label(t),
                 father,
                 kind,
             });
-            urn.push(father);
         }
 
-        Ok(MoriTree { digraph, trace, p })
+        Ok(MoriTree { trace, p })
     }
 
     /// The mixing parameter `p`.
@@ -124,7 +116,7 @@ impl MoriTree {
 
     /// Number of vertices `t` of the tree.
     pub fn len(&self) -> usize {
-        self.digraph.node_count()
+        self.trace.len() + 1
     }
 
     /// `false`: a sampled tree always has at least two vertices.
@@ -132,12 +124,8 @@ impl MoriTree {
         false
     }
 
-    /// The underlying oriented tree (edges point child → father).
-    pub fn digraph(&self) -> &EvolvingDigraph {
-        &self.digraph
-    }
-
-    /// The attachment history (seed edge first).
+    /// The attachment history (seed edge first): one record per non-root
+    /// vertex, in label order.
     pub fn trace(&self) -> &AttachmentTrace {
         &self.trace
     }
@@ -149,7 +137,8 @@ impl MoriTree {
 
     /// Builds the unoriented view searching takes place in.
     pub fn undirected(&self) -> UndirectedCsr {
-        UndirectedCsr::from_digraph(&self.digraph)
+        UndirectedCsr::from_edges(self.len(), self.trace.edges())
+            .expect("fathers are older vertices")
     }
 
     /// Merges this tree into the `m`-out Móri graph (consumes the tree).
@@ -169,12 +158,7 @@ impl MoriTree {
                 "a divisor of the tree size",
             ));
         }
-        let merged = self
-            .digraph
-            .merge_blocks(m)
-            .expect("tree is non-empty and m divides its size");
         Ok(MergedMori {
-            merged,
             tree_trace: self.trace,
             m,
             p: self.p,
@@ -188,9 +172,11 @@ impl MoriTree {
 /// of `m` consecutive vertices; the result is a connected multigraph (it
 /// may contain self-loops and parallel edges) in which every merged vertex
 /// has out-degree exactly `m` — except vertex 1, which absorbs the root.
+///
+/// Only the tree's trace is stored: merging is a relabelling of its
+/// edges, which [`MergedMori::undirected`] applies while building the CSR.
 #[derive(Debug, Clone)]
 pub struct MergedMori {
-    merged: EvolvingDigraph,
     tree_trace: AttachmentTrace,
     m: usize,
     p: f64,
@@ -227,11 +213,6 @@ impl MergedMori {
         self.p
     }
 
-    /// The merged multigraph (edges keep tree insertion order).
-    pub fn digraph(&self) -> &EvolvingDigraph {
-        &self.merged
-    }
-
     /// The attachment trace of the *underlying tree* (labels in tree
     /// space, i.e. `1..=n·m`).
     pub fn tree_trace(&self) -> &AttachmentTrace {
@@ -243,9 +224,14 @@ impl MergedMori {
         NodeId::new((k - 1) / self.m)
     }
 
-    /// Builds the unoriented view searching takes place in.
+    /// Builds the unoriented view searching takes place in: the tree's
+    /// edges with tree vertex `k` (zero-based) relabelled to block
+    /// `k / m`, in tree insertion order.
     pub fn undirected(&self) -> UndirectedCsr {
-        UndirectedCsr::from_digraph(&self.merged)
+        let m = self.m;
+        let n = (self.tree_trace.len() + 1) / m;
+        let edges = self.tree_trace.edges().map(|(c, f)| (c / m, f / m));
+        UndirectedCsr::from_edges(n, edges).expect("blocks of tree vertices")
     }
 }
 
@@ -259,18 +245,18 @@ mod tests {
     fn tree_shape_invariants() {
         let mut rng = rng_from_seed(1);
         let tree = MoriTree::sample(200, 0.5, &mut rng).unwrap();
-        let g = tree.digraph();
-        assert_eq!(g.node_count(), 200);
-        assert_eq!(g.edge_count(), 199);
+        assert_eq!(tree.len(), 200);
         // Root has no out-edge; everyone else exactly one, to an older vertex.
-        assert_eq!(g.out_degree(NodeId::from_label(1)), 0);
+        let children: Vec<usize> = tree.trace().iter().map(|r| r.child.label()).collect();
+        assert_eq!(children, (2..=200).collect::<Vec<_>>());
         for k in 2..=200 {
             let v = NodeId::from_label(k);
-            assert_eq!(g.out_degree(v), 1);
             let father = tree.father_of_label(k).unwrap();
             assert!(father < v, "father {father:?} not older than {v:?}");
         }
-        assert!(tree.undirected().is_tree());
+        let g = tree.undirected();
+        assert_eq!((g.node_count(), g.edge_count()), (200, 199));
+        assert!(g.is_tree());
     }
 
     #[test]
@@ -290,7 +276,7 @@ mod tests {
         for k in 2..=100 {
             assert_eq!(tree.father_of_label(k), Some(NodeId::from_label(1)));
         }
-        assert_eq!(tree.digraph().in_degree(NodeId::from_label(1)), 99);
+        assert_eq!(tree.undirected().degree(NodeId::from_label(1)), 99);
     }
 
     #[test]
@@ -324,7 +310,7 @@ mod tests {
     fn determinism_per_seed() {
         let a = MoriTree::sample(64, 0.7, &mut rng_from_seed(9)).unwrap();
         let b = MoriTree::sample(64, 0.7, &mut rng_from_seed(9)).unwrap();
-        assert_eq!(a.digraph(), b.digraph());
+        assert_eq!(a.undirected(), b.undirected());
         assert_eq!(a.trace(), b.trace());
     }
 
@@ -340,11 +326,11 @@ mod tests {
     fn merged_graph_shape() {
         let mut rng = rng_from_seed(6);
         let merged = MergedMori::sample(50, 3, 0.6, &mut rng).unwrap();
-        let g = merged.digraph();
+        let g = merged.undirected();
         assert_eq!(g.node_count(), 50);
         // The tree on 150 vertices has 149 edges; merging preserves them.
         assert_eq!(g.edge_count(), 149);
-        assert!(is_connected(&merged.undirected()));
+        assert!(is_connected(&g));
     }
 
     #[test]
@@ -352,20 +338,23 @@ mod tests {
         let mut rng = rng_from_seed(7);
         let m = 4;
         let merged = MergedMori::sample(30, m, 0.5, &mut rng).unwrap();
-        let g = merged.digraph();
+        let mut out_degree = [0usize; 30];
+        for r in merged.tree_trace() {
+            out_degree[merged.block_of_tree_label(r.child.label()).index()] += 1;
+        }
         // Block 1 contains the root (no out-edge): out-degree m − 1.
-        assert_eq!(g.out_degree(NodeId::from_label(1)), m - 1);
-        for i in 2..=30 {
-            assert_eq!(g.out_degree(NodeId::from_label(i)), m, "block {i}");
+        assert_eq!(out_degree[0], m - 1);
+        for (i, &d) in out_degree.iter().enumerate().skip(1) {
+            assert_eq!(d, m, "block {}", i + 1);
         }
     }
 
     #[test]
     fn merged_m1_matches_tree() {
         let tree = MoriTree::sample(40, 0.4, &mut rng_from_seed(8)).unwrap();
-        let tree_graph = tree.digraph().clone();
+        let tree_graph = tree.undirected();
         let merged = tree.into_merged(1).unwrap();
-        assert_eq!(merged.digraph(), &tree_graph);
+        assert_eq!(merged.undirected(), tree_graph);
     }
 
     #[test]

@@ -79,26 +79,36 @@ impl AttachmentTrace {
         self.records.iter()
     }
 
-    /// The father `N_k` of the vertex with one-based label `k`, if the
-    /// trace contains exactly one record for it (tree models).
+    /// The recorded edges as zero-based `(child, father)` pairs in time
+    /// order: the edge list [`UndirectedCsr::from_edges`] takes.
     ///
-    /// For multi-edge traces this returns the *first* father.
-    pub fn father_of_label(&self, k: usize) -> Option<NodeId> {
-        let child = NodeId::from_label(k);
+    /// [`UndirectedCsr::from_edges`]: nonsearch_graph::UndirectedCsr::from_edges
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
         self.records
             .iter()
-            .find(|r| r.child == child)
-            .map(|r| r.father)
+            .map(|r| (r.child.index(), r.father.index()))
     }
 
-    /// All fathers of the vertex with one-based label `k`, in time order.
-    pub fn fathers_of_label(&self, k: usize) -> Vec<NodeId> {
-        let child = NodeId::from_label(k);
-        self.records
-            .iter()
-            .filter(|r| r.child == child)
-            .map(|r| r.father)
-            .collect()
+    /// The father `N_k` of the vertex with one-based label `k` in a
+    /// tree trace, which holds one record per non-root vertex in label
+    /// order: vertex `k`'s record is record `k − 2`, so the lookup is
+    /// O(1). Returns `None` for the root (`k ≤ 1`) and for labels past
+    /// the end of the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if record `k − 2` belongs to another vertex, i.e. the trace
+    /// is not a tree's. The Móri tree, the tree behind a merged Móri
+    /// graph and uniform attachment with `m = 1` record trees.
+    pub fn father_of_label(&self, k: usize) -> Option<NodeId> {
+        let record = self.records.get(k.checked_sub(2)?)?;
+        assert_eq!(
+            record.child.label(),
+            k,
+            "record {} is not vertex {k}'s: not a tree trace",
+            k - 2
+        );
+        Some(record.father)
     }
 
     /// Fraction of non-seed records drawn from the preferential component.
@@ -169,7 +179,9 @@ mod tests {
         ]
         .into_iter()
         .collect();
+        assert_eq!(t.father_of_label(2), Some(NodeId::from_label(1)));
         assert_eq!(t.father_of_label(3), Some(NodeId::from_label(2)));
+        assert_eq!(t.father_of_label(1), None);
         assert_eq!(t.father_of_label(9), None);
     }
 
@@ -181,8 +193,11 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(t.fathers_of_label(3).len(), 2);
-        assert_eq!(t.father_of_label(3), Some(NodeId::from_label(1)));
+        assert_eq!(t.edges().collect::<Vec<_>>(), vec![(2, 0), (2, 1)]);
+        // Record 0 is vertex 3's, not vertex 2's: the tree lookup refuses
+        // a multi-edge trace instead of answering for the wrong vertex.
+        let lookup = std::panic::catch_unwind(|| t.father_of_label(2));
+        assert!(lookup.is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `m = 1` this is the classic random recursive tree.
 
 use crate::{AttachmentKind, AttachmentRecord, AttachmentTrace, GeneratorError, Result};
-use nonsearch_graph::{EvolvingDigraph, NodeId, UndirectedCsr};
+use nonsearch_graph::{NodeId, UndirectedCsr};
 use rand::Rng;
 
 /// A sampled uniform-attachment graph with construction provenance.
@@ -27,8 +27,8 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformAttachment {
-    digraph: EvolvingDigraph,
     trace: AttachmentTrace,
+    n: usize,
     m: usize,
 }
 
@@ -50,12 +50,10 @@ impl UniformAttachment {
                 minimum: 2,
             });
         }
-        let mut digraph = EvolvingDigraph::with_capacity(n, m * n);
         let mut trace = AttachmentTrace::with_capacity(m * n);
-        digraph.add_node();
         let mut chosen: Vec<usize> = Vec::with_capacity(m);
         for t in 1..n {
-            let child = digraph.add_node();
+            let child = NodeId::new(t);
             let quota = m.min(t);
             chosen.clear();
             while chosen.len() < quota {
@@ -65,16 +63,14 @@ impl UniformAttachment {
                 }
             }
             for &target in &chosen {
-                let father = NodeId::new(target);
-                digraph.add_edge(child, father).expect("endpoints exist");
                 trace.push(AttachmentRecord {
                     child,
-                    father,
+                    father: NodeId::new(target),
                     kind: AttachmentKind::Uniform,
                 });
             }
         }
-        Ok(UniformAttachment { digraph, trace, m })
+        Ok(UniformAttachment { trace, n, m })
     }
 
     /// Edges requested per arriving vertex.
@@ -82,19 +78,15 @@ impl UniformAttachment {
         self.m
     }
 
-    /// The evolving digraph (edges point newer → older).
-    pub fn digraph(&self) -> &EvolvingDigraph {
-        &self.digraph
-    }
-
-    /// The attachment history.
+    /// The attachment history: one record per edge, pointing newer →
+    /// older. This is the graph's only edge store.
     pub fn trace(&self) -> &AttachmentTrace {
         &self.trace
     }
 
     /// Builds the unoriented view searching takes place in.
     pub fn undirected(&self) -> UndirectedCsr {
-        UndirectedCsr::from_digraph(&self.digraph)
+        UndirectedCsr::from_edges(self.n, self.trace.edges()).expect("targets are older vertices")
     }
 }
 
@@ -116,13 +108,14 @@ mod tests {
     fn m_edges_once_enough_vertices_exist() {
         let mut rng = rng_from_seed(2);
         let ua = UniformAttachment::sample(50, 3, &mut rng).unwrap();
-        let g = ua.digraph();
-        // Vertex 2 can only reach 1 older vertex, vertex 3 two, then 3 each.
-        assert_eq!(g.out_degree(NodeId::from_label(2)), 1);
-        assert_eq!(g.out_degree(NodeId::from_label(3)), 2);
-        for k in 4..=50 {
-            assert_eq!(g.out_degree(NodeId::from_label(k)), 3);
+        let mut out_degree = [0usize; 51];
+        for r in ua.trace() {
+            out_degree[r.child.label()] += 1;
         }
+        // Vertex 2 can only reach 1 older vertex, vertex 3 two, then 3 each.
+        assert_eq!(out_degree[2], 1);
+        assert_eq!(out_degree[3], 2);
+        assert!(out_degree[4..].iter().all(|&d| d == 3));
         assert!(is_connected(&ua.undirected()));
         assert_eq!(ua.undirected().parallel_edge_count(), 0);
     }
@@ -156,6 +149,7 @@ mod tests {
     fn determinism_per_seed() {
         let a = UniformAttachment::sample(70, 2, &mut rng_from_seed(5)).unwrap();
         let b = UniformAttachment::sample(70, 2, &mut rng_from_seed(5)).unwrap();
-        assert_eq!(a.digraph(), b.digraph());
+        assert_eq!(a.undirected(), b.undirected());
+        assert_eq!(a.trace(), b.trace());
     }
 }

@@ -1,73 +1,7 @@
 //! Sampling primitives used by the attachment processes.
 
 use crate::{GeneratorError, Result};
-use nonsearch_graph::NodeId;
 use rand::Rng;
-
-/// An urn of vertex tickets for preferential attachment.
-///
-/// Sampling a uniform ticket from the urn samples a vertex with
-/// probability proportional to its ticket count. Evolving models push one
-/// ticket per unit of (in)degree, turning preferential attachment into an
-/// O(1)-per-step process.
-///
-/// ```
-/// use nonsearch_generators::{rng_from_seed, UrnSampler};
-/// use nonsearch_graph::NodeId;
-///
-/// let mut urn = UrnSampler::new();
-/// urn.push(NodeId::new(0));
-/// urn.push(NodeId::new(0));
-/// urn.push(NodeId::new(1));
-/// // Vertex 0 is drawn twice as often as vertex 1 (in expectation).
-/// let mut rng = rng_from_seed(1);
-/// let v = urn.sample(&mut rng).unwrap();
-/// assert!(v.index() <= 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UrnSampler {
-    tickets: Vec<NodeId>,
-}
-
-impl UrnSampler {
-    /// Creates an empty urn.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty urn with reserved capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        UrnSampler {
-            tickets: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Adds one ticket for `v`.
-    pub fn push(&mut self, v: NodeId) {
-        self.tickets.push(v);
-    }
-
-    /// Number of tickets currently in the urn.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// `true` if the urn holds no tickets.
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-
-    /// Draws a vertex with probability proportional to its ticket count.
-    ///
-    /// Returns `None` if the urn is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
-        if self.tickets.is_empty() {
-            None
-        } else {
-            Some(self.tickets[rng.gen_range(0..self.tickets.len())])
-        }
-    }
-}
 
 /// Weighted sampling over `0..n` by prefix sums and binary search.
 ///
@@ -227,31 +161,6 @@ impl DiscreteDistribution {
 mod tests {
     use super::*;
     use crate::rng_from_seed;
-
-    #[test]
-    fn urn_respects_ticket_multiplicity() {
-        let mut urn = UrnSampler::new();
-        for _ in 0..9 {
-            urn.push(NodeId::new(0));
-        }
-        urn.push(NodeId::new(1));
-        let mut rng = rng_from_seed(11);
-        let draws = 20_000;
-        let zeros = (0..draws)
-            .filter(|_| urn.sample(&mut rng).unwrap() == NodeId::new(0))
-            .count();
-        let frac = zeros as f64 / draws as f64;
-        assert!((frac - 0.9).abs() < 0.02, "frac = {frac}");
-    }
-
-    #[test]
-    fn empty_urn_yields_none() {
-        let urn = UrnSampler::new();
-        let mut rng = rng_from_seed(1);
-        assert!(urn.sample(&mut rng).is_none());
-        assert!(urn.is_empty());
-        assert_eq!(urn.len(), 0);
-    }
 
     #[test]
     fn cumulative_sampler_matches_weights() {

@@ -1,7 +1,7 @@
 //! Static undirected incidence view in compressed sparse row form.
 
 use crate::storage::{CsrBytes, CsrLayout, CsrStorage};
-use crate::{EdgeId, EvolvingDigraph, GraphError, NodeId, Result};
+use crate::{EdgeId, GraphError, NodeId, Result};
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,9 +29,9 @@ use std::sync::Arc;
 /// assert_eq!(g.edge_count(), 3);
 /// # Ok::<(), nonsearch_graph::GraphError>(())
 /// ```
-// Interchange goes through `GraphRecord` or the binary `.nsg` format,
-// both of which round-trip `raw_parts`: the borrowed storage variant
-// holds region-backed slices no field-wise encoding could express.
+// Interchange goes through the binary `.nsg` format, which round-trips
+// `raw_parts`: the borrowed storage variant holds region-backed slices
+// no field-wise encoding could express.
 #[derive(Clone)]
 pub struct UndirectedCsr {
     /// The three CSR buffers (`offsets`, `slots`, `edge_list`), either
@@ -63,47 +63,16 @@ impl UndirectedCsr {
         self.storage.edge_list()
     }
 
-    /// Builds the undirected view of an evolving digraph.
-    ///
-    /// Edge ids are preserved, so construction-time provenance (who chose
-    /// which father, and when) can be joined back to edges encountered
-    /// during a search.
-    pub fn from_digraph(g: &EvolvingDigraph) -> Self {
-        let n = g.node_count();
-        let mut counts = vec![0usize; n];
-        for (_, ep) in g.edges() {
-            counts[ep.source.index()] += 1;
-            counts[ep.target.index()] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut slots = vec![(NodeId::new(0), EdgeId::new(0)); acc];
-        let mut edge_list = Vec::with_capacity(g.edge_count());
-        for (e, ep) in g.edges() {
-            slots[cursor[ep.source.index()]] = (ep.target, e);
-            cursor[ep.source.index()] += 1;
-            slots[cursor[ep.target.index()]] = (ep.source, e);
-            cursor[ep.target.index()] += 1;
-            edge_list.push((ep.source, ep.target));
-        }
-        UndirectedCsr {
-            storage: CsrStorage::Owned {
-                offsets,
-                slots,
-                edge_list,
-            },
-        }
-    }
-
     /// Builds an undirected graph from an explicit edge list over vertices
     /// `0..n` (zero-based pairs). Duplicate pairs produce parallel edges;
     /// `(v, v)` produces a self-loop.
+    ///
+    /// This is the one edge-list → CSR builder: every generator hands it
+    /// its edges as `(source, target)` pairs in insertion order. Edge `i`
+    /// keeps id `i`, so construction-time provenance (who chose which
+    /// father, and when) joins back to edges met during a search. One
+    /// counting sort fills the slots: each edge `e = (s, t)` appends
+    /// `(t, e)` to `s`'s slots, then `(s, e)` to `t`'s.
     ///
     /// # Errors
     ///
@@ -112,13 +81,45 @@ impl UndirectedCsr {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut g = EvolvingDigraph::with_capacity(n, 0);
-        g.add_nodes(n);
-        for (u, v) in edges {
-            let (u, v) = (NodeId::new(u), NodeId::new(v));
-            g.add_edge(u, v)?;
+        let edges = edges.into_iter();
+        let mut edge_list = Vec::with_capacity(edges.size_hint().0);
+        let mut counts = vec![0usize; n];
+        for (s, t) in edges {
+            for v in [s, t] {
+                if v >= n {
+                    return Err(GraphError::NodeOutOfBounds {
+                        node: NodeId::new(v),
+                        node_count: n,
+                    });
+                }
+                counts[v] += 1;
+            }
+            edge_list.push((NodeId::new(s), NodeId::new(t)));
         }
-        Ok(Self::from_digraph(&g))
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0usize;
+        offsets.push(0);
+        for c in &counts {
+            acc += c;
+            offsets.push(acc);
+        }
+        // `counts` becomes each vertex's fill cursor.
+        counts.copy_from_slice(&offsets[..n]);
+        let mut slots = vec![(NodeId::new(0), EdgeId::new(0)); acc];
+        for (i, &(s, t)) in edge_list.iter().enumerate() {
+            let e = EdgeId::new(i);
+            slots[counts[s.index()]] = (t, e);
+            counts[s.index()] += 1;
+            slots[counts[t.index()]] = (s, e);
+            counts[t.index()] += 1;
+        }
+        Ok(UndirectedCsr {
+            storage: CsrStorage::Owned {
+                offsets,
+                slots,
+                edge_list,
+            },
+        })
     }
 
     /// Reassembles a graph directly from its CSR buffers, as produced by
@@ -507,12 +508,6 @@ impl fmt::Debug for UndirectedCsr {
     }
 }
 
-impl From<&EvolvingDigraph> for UndirectedCsr {
-    fn from(g: &EvolvingDigraph) -> Self {
-        UndirectedCsr::from_digraph(g)
-    }
-}
-
 /// Iterator over the neighbors of a vertex. Created by
 /// [`UndirectedCsr::neighbors`].
 #[derive(Debug, Clone)]
@@ -615,14 +610,10 @@ mod tests {
     }
 
     #[test]
-    fn from_digraph_preserves_edge_ids() {
-        let mut d = EvolvingDigraph::new();
-        let a = d.add_node();
-        let b = d.add_node();
-        let c = d.add_node();
-        let e0 = d.add_edge(b, a).unwrap();
-        let e1 = d.add_edge(c, b).unwrap();
-        let g = UndirectedCsr::from_digraph(&d);
+    fn from_edges_preserves_edge_ids() {
+        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let (e0, e1) = (EdgeId::new(0), EdgeId::new(1));
+        let g = UndirectedCsr::from_edges(3, [(1, 0), (2, 1)]).unwrap();
         assert_eq!(g.edge_endpoints(e0).unwrap(), (b, a));
         assert_eq!(g.edge_endpoints(e1).unwrap(), (c, b));
         // Slot of a mentions edge e0.
@@ -661,7 +652,13 @@ mod tests {
 
     #[test]
     fn from_edges_rejects_out_of_range() {
-        assert!(UndirectedCsr::from_edges(2, [(0, 5)]).is_err());
+        assert_eq!(
+            UndirectedCsr::from_edges(2, [(0, 1), (0, 5)]),
+            Err(GraphError::NodeOutOfBounds {
+                node: NodeId::new(5),
+                node_count: 2,
+            })
+        );
     }
 
     #[test]

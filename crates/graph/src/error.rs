@@ -31,15 +31,6 @@ pub enum GraphError {
         /// The vertex degree.
         degree: usize,
     },
-    /// The operation requires a non-empty graph.
-    EmptyGraph,
-    /// A malformed textual edge list was encountered while parsing.
-    ParseEdgeList {
-        /// One-based line number of the malformed record.
-        line: usize,
-        /// Human-readable cause.
-        reason: String,
-    },
     /// Raw CSR buffers handed to
     /// [`UndirectedCsr::from_raw_parts`](crate::UndirectedCsr::from_raw_parts)
     /// were internally inconsistent.
@@ -69,10 +60,6 @@ impl fmt::Display for GraphError {
                     f,
                     "incidence slot {slot} out of bounds for vertex {node:?} of degree {degree}"
                 )
-            }
-            GraphError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
-            GraphError::ParseEdgeList { line, reason } => {
-                write!(f, "malformed edge list at line {line}: {reason}")
             }
             GraphError::InvalidCsr { reason } => {
                 write!(f, "inconsistent CSR buffers: {reason}")
@@ -108,14 +95,6 @@ mod tests {
             degree: 3,
         };
         assert!(e.to_string().contains("slot 7"));
-
-        assert!(!GraphError::EmptyGraph.to_string().is_empty());
-
-        let e = GraphError::ParseEdgeList {
-            line: 4,
-            reason: "expected two fields".into(),
-        };
-        assert!(e.to_string().contains("line 4"));
 
         let e = GraphError::InvalidCsr {
             reason: "offsets must start at 0".into(),

@@ -1,38 +1,32 @@
 //! Graph substrate for the `nonsearch` project.
 //!
-//! This crate provides the two graph representations every other crate in
-//! the workspace builds on:
-//!
-//! * [`EvolvingDigraph`] — an append-only directed **multigraph** (self-loops
-//!   and parallel edges allowed). Evolving scale-free models (Móri,
-//!   Cooper–Frieze, Barabási–Albert, …) are naturally described as oriented
-//!   graphs where each edge points from a newer vertex to an older one; the
-//!   paper's merged Móri graph `G_t^{(m)}` additionally requires multi-edges
-//!   and loops, which is why a multigraph is the base type.
-//! * [`UndirectedCsr`] — a static, cache-friendly undirected incidence view
-//!   (compressed sparse row). *Searching always takes place in the
-//!   corresponding unoriented graph* (paper, §1), so every search oracle and
-//!   every analysis routine consumes this view.
+//! Every other crate in the workspace builds on one graph type,
+//! [`UndirectedCsr`]: a static, cache-friendly undirected **multigraph**
+//! (self-loops and parallel edges allowed) in compressed sparse row form.
+//! *Searching always takes place in the corresponding unoriented graph*
+//! (paper, §1), so every search oracle and every analysis routine
+//! consumes this view. Evolving models (Móri, Cooper–Frieze,
+//! Barabási–Albert, …) describe each edge as pointing from a newer vertex
+//! to an older one; a generator writes those `(source, target)` pairs
+//! once, in insertion order, and [`UndirectedCsr::from_edges`] builds the
+//! CSR from them with one counting sort. The paper's merged Móri graph
+//! `G_t^{(m)}` needs multi-edges and loops, which is why the view is a
+//! multigraph.
 //!
 //! # Example
 //!
 //! ```
-//! use nonsearch_graph::{EvolvingDigraph, UndirectedCsr};
+//! use nonsearch_graph::{NodeId, UndirectedCsr};
 //!
-//! // Build the 4-vertex star 2→1, 3→1, 4→1 as an evolving digraph.
-//! let mut g = EvolvingDigraph::new();
-//! let center = g.add_node();
-//! for _ in 0..3 {
-//!     let leaf = g.add_node();
-//!     g.add_edge(leaf, center).unwrap();
-//! }
-//! assert_eq!(g.node_count(), 4);
-//! assert_eq!(g.in_degree(center), 3);
-//!
-//! // Search and analysis operate on the unoriented view.
-//! let view = UndirectedCsr::from_digraph(&g);
+//! // The 4-vertex star 2→1, 3→1, 4→1, as zero-based (source, target) pairs.
+//! let view = UndirectedCsr::from_edges(4, [(1, 0), (2, 0), (3, 0)])?;
+//! let center = NodeId::new(0);
+//! assert_eq!(view.node_count(), 4);
 //! assert_eq!(view.degree(center), 3);
-//! assert!(view.neighbors(center).count() == 3);
+//! assert_eq!(view.neighbors(center).count(), 3);
+//! // Edge ids follow insertion order; endpoints keep their orientation.
+//! assert_eq!(view.edge_endpoints(nonsearch_graph::EdgeId::new(1))?, (NodeId::new(2), center));
+//! # Ok::<(), nonsearch_graph::GraphError>(())
 //! ```
 
 // `unsafe` is denied crate-wide and allowed only in `storage`, which
@@ -41,25 +35,19 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod csr;
 mod degree;
-mod digraph;
 mod error;
 mod node;
 mod properties;
-mod serialize;
 mod storage;
 mod traversal;
 
-pub use builder::{complete_graph, cycle_graph, path_graph, star_graph, GraphBuilder};
 pub use csr::{IncidentEdges, Neighbors, RawCsrParts, UndirectedCsr};
 pub use degree::{degree_histogram, degree_sequence, DegreeStats};
-pub use digraph::{EdgeEndpoints, EvolvingDigraph};
 pub use error::GraphError;
 pub use node::{EdgeId, NodeId};
 pub use properties::{GraphProperties, StructuralSummary};
-pub use serialize::{read_edge_list, write_edge_list, GraphRecord};
 pub use storage::{zero_copy_support, AlignedBytes, CsrBytes, CsrLayout, RawSlotPair};
 pub use traversal::{
     bfs_distances, bfs_order, connected_components, is_connected, Bfs, ComponentLabels,
