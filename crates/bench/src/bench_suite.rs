@@ -17,10 +17,10 @@
 //!   at n = 100 000 (vertices/sec). Both cells have the same key in
 //!   quick and full mode, so the quick-vs-committed gate sees
 //!   generation, the largest share of an experiment's busy time.
-//! * **corpus_load** — decoding a freshly-opened corpus, heap vs mmap
-//!   (graphs/sec). The `Corpus` handle is reopened for every measured
-//!   round, because loads are cached per handle — a warm handle would
-//!   measure an `Arc` clone, not the decode path.
+//! * **corpus_load** — loading a freshly-opened corpus through the one
+//!   load pipeline (graphs/sec). The `Corpus` handle is reopened for
+//!   every measured round, because loads are cached per handle — a warm
+//!   handle would measure an `Arc` clone, not the load path.
 //! * **thread_scaling** — one weak-model Monte-Carlo cell through the
 //!   engine at 1 / 2 / 4 workers (requests/sec), catching regressions
 //!   in the runner's backpressure/merge machinery that single-threaded
@@ -34,7 +34,7 @@
 
 use crate::{weak_cell, StartPolicy};
 use nonsearch_core::{BarabasiAlbertModel, GraphModel, MergedMoriModel, ModelSource};
-use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
+use nonsearch_corpus::{build, BuildSpec, Corpus};
 use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::{NodeId, UndirectedCsr};
@@ -182,8 +182,10 @@ fn generate_section(cells: &mut Vec<Cell>) {
     }
 }
 
-/// Corpus decode throughput: heap vs mmap loads of a freshly-built
-/// scratch corpus, reopening the handle per round to defeat its cache.
+/// Corpus load throughput: the one load pipeline (map, validate, hash,
+/// borrow) over a freshly-built scratch corpus, reopening the handle
+/// per round to defeat its cache. The key keeps its historical `mmap_`
+/// prefix so committed baselines still match.
 fn corpus_section(quick: bool, cells: &mut Vec<Cell>) -> Result<(), String> {
     let n = if quick { 1_000 } else { 10_000 };
     let graphs = if quick { 6 } else { 12 };
@@ -200,36 +202,34 @@ fn corpus_section(quick: bool, cells: &mut Vec<Cell>) -> Result<(), String> {
     };
     build(&dir, &spec).map_err(|e| format!("corpus build: {e}"))?;
 
-    for (mode, key) in [(LoadMode::Heap, "heap"), (LoadMode::Mmap, "mmap")] {
-        let mut total_loads = 0u64;
-        // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
-        let start = Instant::now();
-        for _ in 0..rounds {
-            // Reopen per round: `Corpus::load` caches per handle, so a
-            // warm handle would measure Arc clones, not decodes.
-            let corpus = Corpus::open_with(&dir, mode).map_err(|e| format!("corpus open: {e}"))?;
-            for g in 0..graphs {
-                let graph = corpus
-                    .load(g, None)
-                    .map_err(|e| format!("corpus load: {e}"))?;
-                assert_eq!(graph.node_count(), n);
-                total_loads += 1;
-            }
+    let mut total_loads = 0u64;
+    // lint: allow(clock-env): benchmark wall-clock measurement; throughput is the deliverable, not an aggregate
+    let start = Instant::now();
+    for _ in 0..rounds {
+        // Reopen per round: `Corpus::load` caches per handle, so a warm
+        // handle would measure Arc clones, not loads.
+        let corpus = Corpus::open(&dir).map_err(|e| format!("corpus open: {e}"))?;
+        for g in 0..graphs {
+            let graph = corpus
+                .load(g, None)
+                .map_err(|e| format!("corpus load: {e}"))?;
+            assert_eq!(graph.node_count(), n);
+            total_loads += 1;
         }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let throughput = total_loads as f64 / secs;
-        println!("corpus_load/{key}_n{n}: {throughput:.1} graphs/s ({total_loads} loads)");
-        cells.push(Cell {
-            section: "corpus_load",
-            key: format!("{key}_n{n}"),
-            throughput,
-            detail: vec![
-                ("n", JsonValue::from(n)),
-                ("graphs", JsonValue::from(graphs)),
-                ("rounds", JsonValue::from(rounds as u64)),
-            ],
-        });
     }
+    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    let throughput = total_loads as f64 / secs;
+    println!("corpus_load/mmap_n{n}: {throughput:.1} graphs/s ({total_loads} loads)");
+    cells.push(Cell {
+        section: "corpus_load",
+        key: format!("mmap_n{n}"),
+        throughput,
+        detail: vec![
+            ("n", JsonValue::from(n)),
+            ("graphs", JsonValue::from(graphs)),
+            ("rounds", JsonValue::from(rounds as u64)),
+        ],
+    });
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

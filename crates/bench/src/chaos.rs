@@ -14,7 +14,7 @@
 //! with the same `--plan-seed` inject exactly the same faults.
 
 use crate::experiments::registry;
-use nonsearch_corpus::{build, force_heap_fallback, BuildSpec, Corpus, LoadMode};
+use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{
     install_faults, run_lanes_observed, CliOptions, FailurePolicy, FaultHook, FaultInjection,
     InjectedFault, JsonValue, RunWriter, TrialMeasure,
@@ -358,7 +358,7 @@ fn corpus_heal_phase(chaos: &ChaosArgs, work: &Path, writer: &mut RunWriter) -> 
             .map_err(|e| format!("fault sink: {e}"))?;
     }
 
-    let healing = Corpus::open_healing(&corpus_dir, LoadMode::Heap, false, true)
+    let healing = Corpus::open_healing(&corpus_dir, LoadMode::Mmap, true)
         .map_err(|e| format!("corpus open: {e}"))?;
     let report = healing
         .verify()
@@ -384,16 +384,13 @@ fn corpus_heal_phase(chaos: &ChaosArgs, work: &Path, writer: &mut RunWriter) -> 
     Ok(())
 }
 
-/// Phase 3 — force the mmap loader onto the heap fallback and require
-/// the served graph to equal the mapped one.
+/// Phase 3 — load through the aligned heap read instead of the mapping
+/// and require the served graph to equal the mapped one.
 fn forced_heap_phase(work: &Path, writer: &mut RunWriter) -> Result<(), String> {
     let corpus_dir = work.join("corpus");
-    force_heap_fallback(true);
-    let forced = Corpus::open_with(&corpus_dir, LoadMode::Mmap)
+    let forced = Corpus::open_with(&corpus_dir, LoadMode::Heap)
         .and_then(|c| c.load(0, None))
-        .map_err(|e| format!("forced-heap load: {e}"));
-    force_heap_fallback(false);
-    let forced = forced?;
+        .map_err(|e| format!("forced-heap load: {e}"))?;
     let mapped = Corpus::open_with(&corpus_dir, LoadMode::Mmap)
         .and_then(|c| c.load(0, None))
         .map_err(|e| format!("mapped load: {e}"))?;

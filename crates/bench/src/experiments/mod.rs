@@ -61,10 +61,9 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Opens the corpus named by `--corpus`, if any, honouring `--mmap`
-/// (zero-copy memory-mapped loads instead of heap decodes — the served
-/// graphs are byte-identical either way) and `--trust-checksums`
-/// (skip the per-load payload hash; run `corpus verify` first).
+/// Opens the corpus named by `--corpus`, if any, honouring `--heal`
+/// (quarantine and regenerate a corrupt stored file instead of failing
+/// the load).
 ///
 /// # Panics
 ///
@@ -72,13 +71,8 @@ pub fn registry() -> Registry {
 /// corpus — running generate-per-trial instead would silently ignore an
 /// explicit request.
 pub(super) fn open_corpus(ctx: &ExpContext) -> Option<Corpus> {
-    let mode = if ctx.options.mmap {
-        LoadMode::Mmap
-    } else {
-        LoadMode::Heap
-    };
     ctx.options.corpus.as_ref().map(|dir| {
-        Corpus::open_with_trust(dir, mode, ctx.options.trust_checksums)
+        Corpus::open_healing(dir, LoadMode::Mmap, ctx.options.heal)
             .unwrap_or_else(|e| panic!("--corpus {}: {e}", dir.display()))
     })
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the corpus subsystem through the `xp` binary:
 //! build determinism across thread counts, corpus-backed experiments
-//! reproducing the generate-per-trial records, and the null-model
-//! experiment's record stream.
+//! reproducing the generate-per-trial records (a `--heal` run over a
+//! corrupt corpus included), and the null-model experiment's record
+//! stream.
 
 use nonsearch_engine::{parse_json, validate_jsonl, JsonValue, CELL_TYPE};
 use std::path::PathBuf;
@@ -187,7 +188,7 @@ fn theorem1_weak_with_mmap_matches_heap_load_and_generate() {
         "0",
     ]);
     assert_ok(&out, "corpus build");
-    // The zero-copy verifier accepts what the builder wrote.
+    // `--mmap` is still accepted, and changes nothing.
     let out = xp(&["corpus", "verify", corpus_dir.to_str().unwrap(), "--mmap"]);
     assert_ok(&out, "corpus verify --mmap");
 
@@ -222,8 +223,8 @@ fn theorem1_weak_with_mmap_matches_heap_load_and_generate() {
     assert_ok(&out, "mmap corpus-backed run");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
-        stdout.contains("graphs: corpus:") && stdout.contains("(mmap)"),
-        "run should announce the mapped corpus:\n{stdout}"
+        stdout.contains("graphs: corpus:"),
+        "run should announce the corpus:\n{stdout}"
     );
 
     let a = std::fs::read_to_string(&generated).unwrap();
@@ -232,9 +233,9 @@ fn theorem1_weak_with_mmap_matches_heap_load_and_generate() {
     assert!(validate_jsonl(&c).is_ok());
     let cells_a = cell_lines(&a);
     assert!(!cells_a.is_empty());
-    // The headline acceptance: a mapped load serves graphs — and thus
-    // statistical records — byte-identical to both the heap-decoded
-    // corpus and the generate-per-trial path.
+    // The headline acceptance: a run passing `--mmap` serves graphs —
+    // and thus statistical records — byte-identical to both a run
+    // without it and the generate-per-trial path.
     assert_eq!(cells_a, cell_lines(&c));
     assert_eq!(cell_lines(&b), cell_lines(&c));
 
@@ -242,6 +243,73 @@ fn theorem1_weak_with_mmap_matches_heap_load_and_generate() {
     std::fs::remove_file(&generated).ok();
     std::fs::remove_file(&heap_backed).ok();
     std::fs::remove_file(&mmap_backed).ok();
+}
+
+#[test]
+fn theorem1_weak_with_heal_repairs_a_corrupt_corpus() {
+    let corpus_dir = temp_path("heal_corpus");
+    let out = xp(&[
+        "corpus",
+        "build",
+        corpus_dir.to_str().unwrap(),
+        "--sizes",
+        "128,256",
+        "--trials",
+        "3",
+        "--seed",
+        "7",
+        "--variants",
+        "0",
+    ]);
+    assert_ok(&out, "corpus build");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir.join("graphs"))
+        .expect("graphs dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    let victim = &files[0];
+    let mut bytes = std::fs::read(victim).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(victim, &bytes).unwrap();
+
+    let generated = temp_path("heal_generate.jsonl");
+    let healed = temp_path("heal_corpus.jsonl");
+    let common = [
+        "theorem1-weak",
+        "--quick",
+        "--sizes",
+        "128,256",
+        "--trials",
+        "3",
+        "--seed",
+        "7",
+        "--out",
+    ];
+    let mut args: Vec<&str> = common.to_vec();
+    args.push(generated.to_str().unwrap());
+    assert_ok(&xp(&args), "generate-per-trial run");
+
+    let mut args: Vec<&str> = common.to_vec();
+    args.push(healed.to_str().unwrap());
+    args.extend(["--corpus", corpus_dir.to_str().unwrap(), "--heal"]);
+    assert_ok(&xp(&args), "healing corpus-backed run");
+
+    // The corrupt blob was parked, and the healed run's records are the
+    // generate-per-trial ones.
+    let parked = corpus_dir
+        .join("quarantine")
+        .join(victim.file_name().unwrap());
+    assert_eq!(std::fs::read(&parked).unwrap(), bytes);
+    let a = std::fs::read_to_string(&generated).unwrap();
+    let b = std::fs::read_to_string(&healed).unwrap();
+    let cells_a = cell_lines(&a);
+    assert!(!cells_a.is_empty());
+    assert_eq!(cells_a, cell_lines(&b));
+
+    std::fs::remove_dir_all(&corpus_dir).ok();
+    std::fs::remove_file(&generated).ok();
+    std::fs::remove_file(&healed).ok();
 }
 
 #[test]
@@ -315,6 +383,7 @@ fn null_model_uses_corpus_variants_when_available() {
         "3",
         "--corpus",
         corpus_dir.to_str().unwrap(),
+        "--mmap",
         "--out",
         out_path.to_str().unwrap(),
     ]);

@@ -233,11 +233,11 @@ mod tests {
         assert_eq!(manifest.graphs.len(), 6);
         assert_eq!(manifest.model, "mori(p=0.6,m=1)");
         for entry in &manifest.graphs {
-            let g = nsg::read_graph_file(&dir.join(&entry.file)).unwrap();
+            let g = nsg::map_graph_file(&dir.join(&entry.file)).unwrap();
             assert_eq!(g.node_count(), entry.nodes);
             assert_eq!(g.edge_count(), entry.edges);
             for v in &entry.variants {
-                let null = nsg::read_graph_file(&dir.join(&v.file)).unwrap();
+                let null = nsg::map_graph_file(&dir.join(&v.file)).unwrap();
                 assert_eq!(null.node_count(), entry.nodes);
                 assert_eq!(null.edge_count(), entry.edges);
             }
@@ -260,7 +260,7 @@ mod tests {
                 .subsequence(entry.size_idx as u64)
                 .subsequence(entry.trial as u64);
             let expected = model.sample_graph(entry.n, &mut trial_seeds.child_rng(0));
-            let stored = nsg::read_graph_file(&dir.join(&entry.file)).unwrap();
+            let stored = nsg::map_graph_file(&dir.join(&entry.file)).unwrap();
             assert_eq!(stored, expected, "s{} t{}", entry.size_idx, entry.trial);
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -303,8 +303,8 @@ mod tests {
         build(&dir, &tiny_spec()).unwrap();
         let manifest = Manifest::read_from(&dir).unwrap();
         let entry = &manifest.graphs[0];
-        let original = nsg::read_graph_file(&dir.join(&entry.file)).unwrap();
-        let rewired = nsg::read_graph_file(&dir.join(&entry.variants[0].file)).unwrap();
+        let original = nsg::map_graph_file(&dir.join(&entry.file)).unwrap();
+        let rewired = nsg::map_graph_file(&dir.join(&entry.variants[0].file)).unwrap();
         assert_eq!(
             nonsearch_graph::degree_sequence(&original),
             nonsearch_graph::degree_sequence(&rewired)

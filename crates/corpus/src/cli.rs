@@ -8,8 +8,9 @@
 //! as the first positional argument.
 
 use crate::builder::{build, BuildSpec};
+use crate::mmap::LoadMode;
 use crate::model_spec::DEFAULT_MODEL_SPEC;
-use crate::store::{Corpus, LoadMode};
+use crate::store::Corpus;
 use nonsearch_engine::CliOptions;
 use std::path::PathBuf;
 
@@ -43,23 +44,12 @@ pub fn usage() -> String {
          \x20 also ba:m=2, uniform:m=1, cooper-frieze:alpha=0.7,\n\
          \x20 power-law:k=2.5,dmin=1), --variants K (default 1 rewired\n\
          \x20 null model per graph), --swaps N (default 10 swaps/edge)\n\
-         info/verify flag: --mmap — validate through the zero-copy\n\
-         \x20 memory-mapped load path (what experiments run with --mmap use)\n\
          verify flag: --heal — quarantine corrupt blobs to quarantine/\n\
          \x20 and regenerate them from the manifest's model spec + seed,\n\
          \x20 re-checking against the original manifest checksums\n\
-         experiment flag: --trust-checksums — skip per-load payload\n\
-         \x20 hashing on corpus opens; verify always hashes regardless\n"
+         --mmap is accepted and does nothing: every load maps the file\n\
+         \x20 (or reads it into an aligned buffer where mapping is refused)\n"
     )
-}
-
-/// The [`LoadMode`] requested by the shared flags (`--mmap`).
-fn load_mode(options: &CliOptions) -> LoadMode {
-    if options.mmap {
-        LoadMode::Mmap
-    } else {
-        LoadMode::Heap
-    }
 }
 
 /// Runs `xp corpus <args>`. Returns the process exit code.
@@ -167,8 +157,7 @@ pub fn main(args: &[String]) -> i32 {
                 }
             }
         }
-        "info" => match Corpus::open_with_trust(&dir, load_mode(&options), options.trust_checksums)
-        {
+        "info" => match Corpus::open(&dir) {
             Ok(corpus) => {
                 let m = corpus.manifest();
                 println!("corpus at {}", dir.display());
@@ -198,7 +187,7 @@ pub fn main(args: &[String]) -> i32 {
                 1
             }
         },
-        "verify" => match Corpus::open_healing(&dir, load_mode(&options), false, options.heal)
+        "verify" => match Corpus::open_healing(&dir, LoadMode::Mmap, options.heal)
             .and_then(|c| c.verify())
         {
             Ok(report) => {
@@ -211,14 +200,10 @@ pub fn main(args: &[String]) -> i32 {
                     String::new()
                 };
                 println!(
-                    "[corpus verify] {}: {} files, {} KiB — OK{}{healed}",
+                    "[corpus verify] {}: {} files, {} KiB — OK{healed}",
                     dir.display(),
                     report.files,
                     report.bytes / 1024,
-                    match report.mode {
-                        LoadMode::Heap => "",
-                        LoadMode::Mmap => " (validated via mmap)",
-                    }
                 );
                 0
             }
@@ -285,10 +270,9 @@ mod tests {
         assert_eq!(run(&["info", dir_str]), 0);
         // --corpus works in place of the positional directory.
         assert_eq!(run(&["verify", "--corpus", dir_str]), 0);
-        // The zero-copy load path validates the same corpus.
+        // --mmap is still accepted, and changes nothing.
         assert_eq!(run(&["verify", dir_str, "--mmap"]), 0);
         assert_eq!(run(&["info", dir_str, "--mmap"]), 0);
-        assert_eq!(run(&["info", dir_str, "--trust-checksums"]), 0);
 
         // Corrupt a file: verify must now fail.
         let corpus = Corpus::open(&dir).unwrap();

@@ -7,14 +7,16 @@
 //! experiment:
 //!
 //! * [`nsg`] — a compact little-endian binary CSR format (`.nsg`) with
-//!   header, versioning, and FNV-1a checksums; the reader loads
-//!   straight into `nonsearch_graph` CSR buffers
-//!   ([`UndirectedCsr::from_raw_parts`](nonsearch_graph::UndirectedCsr::from_raw_parts)),
-//!   preserving the exact incidence-slot order — or, via
-//!   [`nsg::map_graph_file`] and [`MappedFile`], *borrows* them
-//!   zero-copy out of a memory-mapped file
+//!   header, versioning, and FNV-1a checksums. Every load takes one
+//!   pipeline: [`MappedFile`] maps the file (or reads it into an
+//!   aligned heap buffer where the kernel or target refuses), then
+//!   [`nsg::graph_from_region`] validates the header, hashes the
+//!   payload and *borrows* the CSR buffers zero-copy
 //!   ([`UndirectedCsr::from_csr_bytes`](nonsearch_graph::UndirectedCsr::from_csr_bytes)),
-//!   so corpora larger than RAM serve graphs at page-cache cost.
+//!   preserving the exact incidence-slot order, so corpora larger than
+//!   RAM serve graphs at page-cache cost. [`nsg::decode_graph`], the
+//!   owned decode, is the reference and the fallback on targets that
+//!   cannot borrow.
 //! * [`Manifest`] — `manifest.json` indexes generator params, root
 //!   seed, per-graph files/checksums, and the volatile build envelope.
 //! * [`build`] — the deterministic builder: generation sharded across
@@ -32,8 +34,8 @@
 //!   a corrupt stored file is quarantined to `quarantine/` and
 //!   **regenerated** from the manifest's model spec and seed
 //!   derivation, byte-identical to the original, then re-checked
-//!   against the manifest checksum; [`force_heap_fallback`] is the
-//!   chaos seam proving the mmap fallback is invisible.
+//!   against the manifest checksum. [`LoadMode::Heap`] skips the
+//!   mapping, which is how `xp chaos` proves the fallback is invisible.
 //!
 //! # Example
 //!
@@ -78,9 +80,9 @@ mod store;
 pub use builder::{build, BuildReport, BuildSpec, GRAPHS_DIR};
 pub use error::CorpusError;
 pub use manifest::{BuildInfo, GraphEntry, Manifest, VariantEntry, MANIFEST_FILE};
-pub use mmap::{force_heap_fallback, MappedFile};
+pub use mmap::{LoadMode, MappedFile};
 pub use model_spec::{parse_model, BoxedModel, DEFAULT_MODEL_SPEC};
-pub use store::{Corpus, CorpusSource, LoadMode, VerifyReport, QUARANTINE_DIR};
+pub use store::{Corpus, CorpusSource, VerifyReport, QUARANTINE_DIR};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, CorpusError>;

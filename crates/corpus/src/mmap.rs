@@ -18,35 +18,19 @@ use nonsearch_graph::{AlignedBytes, CsrBytes};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When set, every [`MappedFile::open`] skips the `mmap(2)` attempt and
-/// takes the aligned-heap fallback — the chaos seam `xp chaos` uses to
-/// prove the fallback serves bit-identical graphs.
-static FORCE_HEAP: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or stops forcing) the heap fallback for all subsequent
-/// [`MappedFile::open`] calls in this process.
-///
-/// Fault-injection seam: a run under `nonsearch_fault::FaultPlan` with
-/// forced-heap on must produce byte-identical results to a mapped run,
-/// because [`LoadMode::Mmap`](crate::LoadMode::Mmap) documents the
-/// fallback as invisible. Process-global by design — chaos runs flip it
-/// once before the sweep, not per load.
-pub fn force_heap_fallback(on: bool) {
-    FORCE_HEAP.store(on, Ordering::SeqCst);
-}
-
-pub(crate) fn heap_forced() -> bool {
-    FORCE_HEAP.load(Ordering::SeqCst)
-}
-
-/// Serializes tests that assert on the *actual* mapped/heap backing, so
-/// the [`force_heap_fallback`] toggle cannot race them.
-#[cfg(test)]
-pub(crate) fn backing_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// Where a stored file's bytes come from. Either way the region is
+/// validated, hashed and borrowed the same way, so the served graphs
+/// are identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LoadMode {
+    /// Map the file, falling back to the aligned heap read when the
+    /// kernel or target refuses the mapping.
+    #[default]
+    Mmap,
+    /// Always read the file into an aligned heap buffer (`xp chaos`
+    /// uses this to prove the fallback is invisible).
+    Heap,
 }
 
 // The raw-ABI declaration below (i64 offset = off_t) matches 64-bit
@@ -122,6 +106,17 @@ impl MappedFile {
     /// Returns [`CorpusError::Io`] if the file cannot be opened, sized,
     /// or (in the fallback) read.
     pub fn open(path: &Path) -> Result<MappedFile, CorpusError> {
+        Self::open_with(path, LoadMode::Mmap)
+    }
+
+    /// Opens `path` as a shared read-only byte region: mapped (with the
+    /// heap fallback) for [`LoadMode::Mmap`], read into an aligned heap
+    /// buffer for [`LoadMode::Heap`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`MappedFile::open`].
+    pub fn open_with(path: &Path, mode: LoadMode) -> Result<MappedFile, CorpusError> {
         let mut file = File::open(path).map_err(|e| CorpusError::io(path, e))?;
         let len = file.metadata().map_err(|e| CorpusError::io(path, e))?.len();
         let len = usize::try_from(len).map_err(|_| {
@@ -136,7 +131,7 @@ impl MappedFile {
         // mmap(2) rejects zero-length mappings; an empty heap buffer is
         // the honest representation anyway.
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        if len > 0 && !heap_forced() {
+        if len > 0 && mode == LoadMode::Mmap {
             {
                 use std::os::fd::AsRawFd;
                 // SAFETY: a fresh anonymous address (addr = null), a
@@ -237,7 +232,6 @@ mod tests {
 
     #[test]
     fn maps_file_contents_faithfully() {
-        let _serial = backing_test_lock();
         let contents: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         let path = temp_file("contents", &contents);
         let mapped = MappedFile::open(&path).unwrap();
@@ -254,17 +248,13 @@ mod tests {
 
     #[test]
     fn forced_heap_fallback_serves_identical_bytes_unmapped() {
-        let _serial = backing_test_lock();
         let contents: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         let path = temp_file("forced_heap", &contents);
 
-        force_heap_fallback(true);
-        let forced = MappedFile::open(&path).unwrap();
-        force_heap_fallback(false);
-
-        assert!(!forced.is_mapped(), "forced opens must not map");
+        let forced = MappedFile::open_with(&path, LoadMode::Heap).unwrap();
+        assert!(!forced.is_mapped(), "heap opens must not map");
         assert_eq!(forced.bytes(), &contents[..]);
-        // With the force released, mapping resumes on 64-bit linux.
+        // The default mode maps on 64-bit linux.
         #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
         assert!(MappedFile::open(&path).unwrap().is_mapped());
         std::fs::remove_file(&path).ok();

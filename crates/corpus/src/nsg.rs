@@ -87,43 +87,24 @@ pub fn encode_graph(graph: &UndirectedCsr) -> Result<Vec<u8>, CorpusError> {
     Ok(bytes)
 }
 
-/// Deserializes `.nsg` bytes back into a graph, validating the header,
-/// the payload checksum, and (via
+/// Deserializes `.nsg` bytes into heap-owned CSR buffers, validating
+/// the header, the payload checksum, and (via
 /// [`UndirectedCsr::from_raw_parts`]) the structural consistency of the
-/// CSR buffers.
+/// CSR buffers. This owned decode is the reference the zero-copy load
+/// is tested against, and [`graph_from_region`]'s fallback on targets
+/// that cannot express a borrowed view.
 ///
 /// # Errors
 ///
 /// Returns [`CorpusError::Format`] on any violation.
 pub fn decode_graph(bytes: &[u8]) -> Result<UndirectedCsr, CorpusError> {
-    decode_graph_inner(bytes, Checksum::Check)
+    let (n, m) = validate_bytes(bytes)?;
+    decode_validated(bytes, n, m)
 }
 
-/// Whether a load re-hashes the payload against the header checksum.
-///
-/// [`Checksum::Trusted`] is for callers whose bytes have *already* been
-/// verified end to end — the corpus verifier (whose manifest checksum
-/// covers the whole file including the header), or an operator who ran
-/// `corpus verify` and passes `--trust-checksums` so per-trial opens
-/// skip the map-time FNV pass over the payload. Trusting skips only
-/// that hash: the header sanity checks and the CSR structural
-/// validation always run, so a trusted load of malformed content still
-/// fails cleanly. `corpus verify` itself always hashes — it is the
-/// integrity authority the trusted mode leans on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Checksum {
-    /// Re-hash the payload and compare with the header (the default).
-    #[default]
-    Check,
-    /// Skip the payload hash; keep header + structural validation.
-    Trusted,
-}
-
-pub(crate) fn decode_graph_inner(
-    bytes: &[u8],
-    checksum: Checksum,
-) -> Result<UndirectedCsr, CorpusError> {
-    let (n, m) = validate_bytes_inner(bytes, checksum)?;
+/// The owned decode of an image whose header already passed
+/// [`read_header`].
+fn decode_validated(bytes: &[u8], n: usize, m: usize) -> Result<UndirectedCsr, CorpusError> {
     let payload = &bytes[HEADER_LEN..];
     let mut at = 0usize;
     let mut next_u64 = || {
@@ -158,16 +139,26 @@ pub(crate) fn decode_graph_inner(
 /// Validates everything about an `.nsg` image short of CSR structure —
 /// header magic, version, byte length vs the claimed counts, and the
 /// payload checksum — and returns `(n, m)`. Both [`decode_graph`] and
-/// the zero-copy readers run this exactly once per image.
+/// [`graph_from_region`] run this exactly once per image.
 ///
 /// # Errors
 ///
 /// Returns [`CorpusError::Format`] on any violation.
 pub fn validate_bytes(bytes: &[u8]) -> Result<(usize, usize), CorpusError> {
-    validate_bytes_inner(bytes, Checksum::Check)
+    let (n, m, stored_checksum) = read_header(bytes)?;
+    let actual_checksum = fnv1a64(&bytes[HEADER_LEN..]);
+    if actual_checksum != stored_checksum {
+        return Err(CorpusError::format(format!(
+            "payload checksum mismatch (header {stored_checksum:016x}, payload {actual_checksum:016x})"
+        )));
+    }
+    Ok((n, m))
 }
 
-fn validate_bytes_inner(bytes: &[u8], checksum: Checksum) -> Result<(usize, usize), CorpusError> {
+/// The header checks of [`validate_bytes`] — magic, version, flags and
+/// byte length vs the claimed counts — returning `(n, m, stored
+/// payload checksum)` without hashing the payload.
+fn read_header(bytes: &[u8]) -> Result<(usize, usize, u64), CorpusError> {
     if bytes.len() < HEADER_LEN {
         return Err(CorpusError::format(format!(
             "{} bytes is shorter than the {HEADER_LEN}-byte header",
@@ -195,7 +186,6 @@ fn validate_bytes_inner(bytes: &[u8], checksum: Checksum) -> Result<(usize, usiz
     let read_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
     let n64 = read_u64(8);
     let m64 = read_u64(16);
-    let stored_checksum = read_u64(24);
 
     // Checked arithmetic: a corrupt header with absurd counts must fail
     // cleanly here, not overflow or attempt a huge allocation below.
@@ -210,17 +200,8 @@ fn validate_bytes_inner(bytes: &[u8], checksum: Checksum) -> Result<(usize, usiz
             bytes.len()
         )));
     }
-    if checksum == Checksum::Check {
-        let payload = &bytes[HEADER_LEN..];
-        let actual_checksum = fnv1a64(payload);
-        if actual_checksum != stored_checksum {
-            return Err(CorpusError::format(format!(
-                "payload checksum mismatch (header {stored_checksum:016x}, payload {actual_checksum:016x})"
-            )));
-        }
-    }
     // The length equality bounds both counts far below usize::MAX.
-    Ok((n64 as usize, m64 as usize))
+    Ok((n64 as usize, m64 as usize, read_u64(24)))
 }
 
 /// The byte ranges of the three CSR buffers inside a *validated* `.nsg`
@@ -244,67 +225,51 @@ pub fn csr_layout(n: usize, m: usize) -> CsrLayout {
 /// graph borrows the region's bytes directly; no per-buffer vectors are
 /// allocated. If the *target* cannot express the borrowed view
 /// (big-endian, 32-bit, or an unexpectedly misaligned region), falls
-/// back to [`decode_graph`] so every platform stays correct.
+/// back to the owned [`decode_graph`] so every platform stays correct.
 ///
 /// # Errors
 ///
 /// Returns [`CorpusError::Format`] for malformed content.
 pub fn graph_from_region(region: Arc<dyn CsrBytes>) -> Result<UndirectedCsr, CorpusError> {
-    graph_from_region_inner(region, Checksum::Check)
+    let (n, m) = validate_bytes(region.bytes())?;
+    borrow_region(region, n, m)
 }
 
-pub(crate) fn graph_from_region_inner(
+/// [`graph_from_region`] without the payload hash, for `corpus verify`:
+/// its manifest checksum has already covered every byte of the file,
+/// header included, so verify stays one hash per file.
+pub(crate) fn graph_from_hashed_region(
     region: Arc<dyn CsrBytes>,
-    checksum: Checksum,
 ) -> Result<UndirectedCsr, CorpusError> {
-    let (n, m) = validate_bytes_inner(region.bytes(), checksum)?;
-    let layout = csr_layout(n, m);
-    match UndirectedCsr::from_csr_bytes(Arc::clone(&region), &layout) {
+    let (n, m, _) = read_header(region.bytes())?;
+    borrow_region(region, n, m)
+}
+
+fn borrow_region(
+    region: Arc<dyn CsrBytes>,
+    n: usize,
+    m: usize,
+) -> Result<UndirectedCsr, CorpusError> {
+    match UndirectedCsr::from_csr_bytes(Arc::clone(&region), &csr_layout(n, m)) {
         Ok(graph) => Ok(graph),
         // Structural errors reproduce identically below; target/alignment
         // limitations silently degrade to the owned decode.
-        Err(_) => decode_graph_inner(region.bytes(), checksum),
+        Err(_) => decode_validated(region.bytes(), n, m),
     }
 }
 
-/// Memory-maps the `.nsg` file at `path` and serves its graph
-/// zero-copy (see [`graph_from_region`]): the OS page cache backs the
-/// CSR buffers, so corpora larger than RAM stay servable and warm
-/// re-loads cost page faults, not decodes. Where mapping is unavailable
-/// the file is read into an aligned heap image instead — still
-/// borrowed, still one validation pass, just not page-backed.
+/// Loads the `.nsg` file at `path` the way a corpus does: the region
+/// comes from [`MappedFile::open`] (a mapping, or the aligned heap read
+/// where the kernel or target refuses one) and is served through
+/// [`graph_from_region`], so the OS page cache backs the CSR buffers
+/// and warm re-loads cost page faults, not decodes.
 ///
 /// # Errors
 ///
 /// Returns [`CorpusError::Io`] for filesystem failures and
 /// [`CorpusError::Format`] for malformed content.
 pub fn map_graph_file(path: &Path) -> Result<UndirectedCsr, CorpusError> {
-    map_graph_file_with(path, Checksum::Check)
-}
-
-/// [`map_graph_file`] with an explicit [`Checksum`] policy. With
-/// [`Checksum::Trusted`] the map-time FNV pass over the payload is
-/// skipped, so a cold map does no full-file read of its own — the page
-/// cache is touched by the (cheap) header checks and the structural
-/// walk only, and integrity rests on a prior `corpus verify`.
-///
-/// # Errors
-///
-/// Same contract as [`map_graph_file`].
-pub fn map_graph_file_with(path: &Path, checksum: Checksum) -> Result<UndirectedCsr, CorpusError> {
-    let mapped = MappedFile::open(path)?;
-    graph_from_region_inner(Arc::new(mapped), checksum)
-}
-
-/// [`read_graph_file`](read_graph_file) with an explicit [`Checksum`]
-/// policy (see [`map_graph_file_with`]).
-///
-/// # Errors
-///
-/// Same contract as [`read_graph_file`].
-pub fn read_graph_file_with(path: &Path, checksum: Checksum) -> Result<UndirectedCsr, CorpusError> {
-    let bytes = std::fs::read(path).map_err(|e| CorpusError::io(path, e))?;
-    decode_graph_inner(&bytes, checksum)
+    graph_from_region(Arc::new(MappedFile::open(path)?))
 }
 
 /// Encodes `graph` and writes it to `path`, returning the FNV-1a 64
@@ -318,17 +283,6 @@ pub fn write_graph_file(path: &Path, graph: &UndirectedCsr) -> Result<u64, Corpu
     let bytes = encode_graph(graph)?;
     std::fs::write(path, &bytes).map_err(|e| CorpusError::io(path, e))?;
     Ok(fnv1a64(&bytes))
-}
-
-/// Reads and decodes the `.nsg` file at `path`.
-///
-/// # Errors
-///
-/// Returns [`CorpusError::Io`] for filesystem failures and
-/// [`CorpusError::Format`] for malformed content.
-pub fn read_graph_file(path: &Path) -> Result<UndirectedCsr, CorpusError> {
-    let bytes = std::fs::read(path).map_err(|e| CorpusError::io(path, e))?;
-    decode_graph(&bytes)
 }
 
 #[cfg(test)]
@@ -423,7 +377,7 @@ mod tests {
         let g = sample();
         let checksum = write_graph_file(&path, &g).unwrap();
         assert_eq!(checksum, fnv1a64(&std::fs::read(&path).unwrap()));
-        assert_eq!(read_graph_file(&path).unwrap(), g);
+        assert_eq!(map_graph_file(&path).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -436,7 +390,7 @@ mod tests {
         write_graph_file(&path, &g).unwrap();
 
         let mapped = map_graph_file(&path).unwrap();
-        let heap = read_graph_file(&path).unwrap();
+        let heap = decode_graph(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(mapped, heap);
         assert_eq!(mapped, g, "slot shuffle survives the mapped path");
         assert!(!heap.is_borrowed());

@@ -6,14 +6,16 @@
 //! to stored graphs **round-robin** (`trial % stored_trials`). Loaded
 //! graphs are cached behind an `Arc`, so concurrent trials on any
 //! number of engine workers share one in-memory copy per file; first
-//! loads are **single-flight** — one decode (or mapping) per file no
-//! matter how many workers race for it. With [`LoadMode::Mmap`] the
-//! store serves zero-copy views of memory-mapped files instead of heap
-//! decodes, bounding memory by the page cache rather than by RAM.
+//! loads are **single-flight** — one mapping per file no matter how
+//! many workers race for it. Every load takes the same pipeline: the
+//! file's bytes are mapped (or, where the kernel or target refuses, read
+//! into an aligned heap buffer), the header is validated, the payload
+//! hashed, and the CSR buffers borrowed zero-copy — so memory is bounded
+//! by the page cache rather than by RAM.
 
 use crate::error::CorpusError;
 use crate::manifest::Manifest;
-use crate::mmap::MappedFile;
+use crate::mmap::{LoadMode, MappedFile};
 use crate::model_spec::parse_model;
 use crate::nsg;
 use nonsearch_engine::GraphSource;
@@ -32,20 +34,6 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// backs off twice as long as the last).
 const HEAL_WRITE_ATTEMPTS: u32 = 3;
 
-/// How a [`Corpus`] materializes stored graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadMode {
-    /// Decode each `.nsg` file into heap-owned CSR buffers (the
-    /// classic path; always available).
-    #[default]
-    Heap,
-    /// Memory-map each `.nsg` file and serve zero-copy borrowed views:
-    /// one validation pass at map time, then the page cache backs every
-    /// access. Falls back to an owned decode on targets that cannot
-    /// express the borrowed view, so results are identical either way.
-    Mmap,
-}
-
 /// One cache entry: the per-file lock making first loads single-flight.
 /// Loaders of *different* files never contend on each other's slots.
 type CacheSlot = Arc<Mutex<Option<Arc<UndirectedCsr>>>>;
@@ -54,9 +42,6 @@ struct Inner {
     dir: PathBuf,
     manifest: Manifest,
     mode: LoadMode,
-    /// Skip the per-file payload checksum on load (`--trust-checksums`);
-    /// [`Corpus::verify`] always hashes regardless.
-    trust_checksums: bool,
     /// Quarantine + regenerate corrupt stored files (`--heal`) instead
     /// of failing the load or verify.
     heal: bool,
@@ -80,8 +65,6 @@ pub struct VerifyReport {
     pub files: usize,
     /// Total bytes read.
     pub bytes: u64,
-    /// Which load path performed the validation.
-    pub mode: LoadMode,
     /// Files regenerated from the manifest's provenance (healing only).
     pub healed: usize,
     /// Corrupt blobs moved to `quarantine/` before regeneration — can
@@ -91,7 +74,7 @@ pub struct VerifyReport {
 
 impl Corpus {
     /// Opens the corpus at `dir` by reading its manifest, with the
-    /// default heap [`LoadMode`].
+    /// default [`LoadMode::Mmap`].
     ///
     /// # Errors
     ///
@@ -100,32 +83,14 @@ impl Corpus {
         Self::open_with(dir, LoadMode::default())
     }
 
-    /// Opens the corpus at `dir` with an explicit [`LoadMode`] (the
-    /// `--mmap` experiment flag maps to [`LoadMode::Mmap`]).
+    /// Opens the corpus at `dir`, taking each file's bytes as `mode`
+    /// says. The served graphs are identical in either mode.
     ///
     /// # Errors
     ///
     /// Returns [`CorpusError`] if the manifest is missing or malformed.
     pub fn open_with(dir: impl Into<PathBuf>, mode: LoadMode) -> Result<Corpus, CorpusError> {
-        Self::open_with_trust(dir, mode, false)
-    }
-
-    /// Opens the corpus at `dir` with an explicit [`LoadMode`] and
-    /// checksum policy. With `trust_checksums` every per-trial load
-    /// skips the FNV pass over the payload (the `--trust-checksums`
-    /// flag) — use after a `corpus verify`, which remains the integrity
-    /// authority and always hashes. Header sanity checks and CSR
-    /// structural validation still run on every load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CorpusError`] if the manifest is missing or malformed.
-    pub fn open_with_trust(
-        dir: impl Into<PathBuf>,
-        mode: LoadMode,
-        trust_checksums: bool,
-    ) -> Result<Corpus, CorpusError> {
-        Self::open_healing(dir, mode, trust_checksums, false)
+        Self::open_healing(dir, mode, false)
     }
 
     /// Opens the corpus at `dir` with every policy explicit. With
@@ -145,7 +110,6 @@ impl Corpus {
     pub fn open_healing(
         dir: impl Into<PathBuf>,
         mode: LoadMode,
-        trust_checksums: bool,
         heal: bool,
     ) -> Result<Corpus, CorpusError> {
         let dir = dir.into();
@@ -162,7 +126,6 @@ impl Corpus {
                 dir,
                 manifest,
                 mode,
-                trust_checksums,
                 heal,
                 by_n,
                 // lint: allow(determinism): keyed cache lookup only; the map is never iterated, so order cannot surface
@@ -174,23 +137,6 @@ impl Corpus {
     /// The parsed manifest.
     pub fn manifest(&self) -> &Manifest {
         &self.inner.manifest
-    }
-
-    /// How this corpus materializes stored graphs.
-    pub fn load_mode(&self) -> LoadMode {
-        self.inner.mode
-    }
-
-    /// `true` if loads skip the per-file payload checksum (see
-    /// [`Corpus::open_with_trust`]).
-    pub fn trusts_checksums(&self) -> bool {
-        self.inner.trust_checksums
-    }
-
-    /// `true` if corrupt stored files are quarantined and regenerated
-    /// (see [`Corpus::open_healing`]).
-    pub fn heals(&self) -> bool {
-        self.inner.heal
     }
 
     /// The corpus directory.
@@ -236,7 +182,7 @@ impl Corpus {
     /// null model.
     ///
     /// First loads are single-flight per file: concurrent callers block
-    /// on that file's slot while exactly one of them decodes (or maps),
+    /// on that file's slot while exactly one of them maps the file,
     /// and all of them receive the same `Arc` — the "one in-memory copy
     /// per file" contract holds even under a racing first access, and a
     /// mapped file is mapped once, not once per worker. A failed load
@@ -289,27 +235,7 @@ impl Corpus {
         if let Some(g) = &*loaded {
             return Ok(Arc::clone(g));
         }
-        let path = self.inner.dir.join(file);
-        let checksum = if self.inner.trust_checksums {
-            nsg::Checksum::Trusted
-        } else {
-            nsg::Checksum::Check
-        };
-        let load_once = || match self.inner.mode {
-            LoadMode::Heap => nsg::read_graph_file_with(&path, checksum),
-            LoadMode::Mmap => nsg::map_graph_file_with(&path, checksum),
-        };
-        let graph = match load_once() {
-            Ok(graph) => graph,
-            // One heal attempt per failed load: regenerate from the
-            // manifest's provenance, then read the repaired file.
-            Err(e) if self.inner.heal && healable(&e) => {
-                self.heal_file(file)?;
-                load_once()?
-            }
-            Err(e) => return Err(e),
-        };
-        let graph = Arc::new(graph);
+        let graph = Arc::new(self.read_or_heal(file, None)?.0);
         *loaded = Some(Arc::clone(&graph));
         Ok(graph)
     }
@@ -343,11 +269,9 @@ impl Corpus {
         })
     }
 
-    /// Re-reads every stored file, checking manifest checksums, header
-    /// checksums, CSR structural consistency, and the manifest's
-    /// node/edge counts. With [`LoadMode::Mmap`] the files are mapped
-    /// and validated through the zero-copy path, proving exactly the
-    /// machinery experiments will use. On a healing corpus
+    /// Re-reads every stored file through the load pipeline, checking
+    /// manifest checksums, CSR structural consistency, and the
+    /// manifest's node/edge counts. On a healing corpus
     /// ([`Corpus::open_healing`], `corpus verify --heal`) each corrupt
     /// file is quarantined, regenerated, and re-verified in place, and
     /// the report counts the repairs.
@@ -360,7 +284,6 @@ impl Corpus {
         let mut report = VerifyReport {
             files: 0,
             bytes: 0,
-            mode: self.inner.mode,
             healed: 0,
             quarantined: 0,
         };
@@ -368,44 +291,50 @@ impl Corpus {
             let checks = std::iter::once((&entry.file, entry.checksum))
                 .chain(entry.variants.iter().map(|v| (&v.file, v.checksum)));
             for (file, expected) in checks {
-                let len = match self.verify_file(file, expected, entry.nodes, entry.edges) {
-                    Ok(len) => len,
-                    Err(e) if self.inner.heal && healable(&e) => {
-                        if self.heal_file(file)? {
-                            report.quarantined += 1;
-                        }
-                        report.healed += 1;
-                        // The regenerated file must pass outright now.
-                        self.verify_file(file, expected, entry.nodes, entry.edges)?
-                    }
-                    Err(e) => return Err(e),
-                };
+                let (graph, healed) = self.read_or_heal(file, Some(expected))?;
+                if let Some(quarantined) = healed {
+                    report.healed += 1;
+                    report.quarantined += usize::from(quarantined);
+                    // A graph cached before the corruption may borrow the
+                    // old bytes: drop its slot so the next load reads the
+                    // regenerated file.
+                    self.inner
+                        .cache
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .remove(file.as_str());
+                }
+                let (n, m) = (graph.node_count(), graph.edge_count());
+                if (n, m) != (entry.nodes, entry.edges) {
+                    return Err(CorpusError::format(format!(
+                        "{file}: graph is {n}v/{m}e but the manifest says {}v/{}e",
+                        entry.nodes, entry.edges,
+                    )));
+                }
                 report.files += 1;
-                report.bytes += len as u64;
+                report.bytes += nsg::csr_layout(n, m).edge_list.end as u64;
             }
         }
         Ok(report)
     }
 
-    /// One file's verify pass: manifest checksum over every byte, then
-    /// a structural decode, then the manifest's node/edge counts.
-    /// Returns the file length.
-    fn verify_file(
+    /// The one per-file pipeline behind [`Corpus::load`] and
+    /// [`Corpus::verify`]: open the byte region as the corpus's
+    /// [`LoadMode`] says, then validate the header, hash and borrow
+    /// ([`nsg::graph_from_region`]). Verify passes the manifest's
+    /// whole-file checksum, which then replaces the payload hash, so
+    /// every byte is still hashed once per read.
+    fn read_file(
         &self,
         file: &str,
-        expected: u64,
-        nodes: usize,
-        edges: usize,
-    ) -> Result<usize, CorpusError> {
+        manifest_checksum: Option<u64>,
+    ) -> Result<UndirectedCsr, CorpusError> {
         let path = self.inner.dir.join(file);
-        let region: Arc<dyn CsrBytes> = match self.inner.mode {
-            LoadMode::Heap => {
-                Arc::new(std::fs::read(&path).map_err(|e| CorpusError::io(&path, e))?)
-            }
-            LoadMode::Mmap => Arc::new(MappedFile::open(&path)?),
+        let region = Arc::new(MappedFile::open_with(&path, self.inner.mode)?);
+        let Some(expected) = manifest_checksum else {
+            return nsg::graph_from_region(region);
         };
-        let bytes = region.bytes();
-        let actual = nsg::fnv1a64(bytes);
+        let actual = nsg::fnv1a64(region.bytes());
         if actual != expected {
             return Err(CorpusError::Checksum {
                 path,
@@ -413,25 +342,26 @@ impl Corpus {
                 actual,
             });
         }
-        let len = bytes.len();
-        // The manifest checksum above covered every byte of the file
-        // (header included), so the structural pass can trust the bytes
-        // instead of FNV-hashing the payload a second time — verify
-        // stays one read + one hash per file.
-        let graph = match self.inner.mode {
-            LoadMode::Heap => nsg::decode_graph_inner(bytes, nsg::Checksum::Trusted)?,
-            LoadMode::Mmap => {
-                nsg::graph_from_region_inner(Arc::clone(&region), nsg::Checksum::Trusted)?
+        nsg::graph_from_hashed_region(region)
+    }
+
+    /// [`Corpus::read_file`] with one heal attempt on a repairable
+    /// failure when the corpus heals: regenerate the file from the
+    /// manifest's provenance, then read it again. Returns the graph and,
+    /// if it was healed, whether a corrupt blob went to quarantine.
+    fn read_or_heal(
+        &self,
+        file: &str,
+        manifest_checksum: Option<u64>,
+    ) -> Result<(UndirectedCsr, Option<bool>), CorpusError> {
+        match self.read_file(file, manifest_checksum) {
+            Ok(graph) => Ok((graph, None)),
+            Err(e) if self.inner.heal && healable(&e) => {
+                let quarantined = self.heal_file(file)?;
+                Ok((self.read_file(file, manifest_checksum)?, Some(quarantined)))
             }
-        };
-        if graph.node_count() != nodes || graph.edge_count() != edges {
-            return Err(CorpusError::format(format!(
-                "{file}: graph is {}v/{}e but the manifest says {nodes}v/{edges}e",
-                graph.node_count(),
-                graph.edge_count(),
-            )));
+            Err(e) => Err(e),
         }
-        Ok(len)
     }
 
     /// Quarantines the corrupt stored `file` (if it still exists) and
@@ -498,13 +428,6 @@ impl Corpus {
                 actual,
             });
         }
-        // Drop any cached load slot for the healed file so the next
-        // access reads the regenerated bytes.
-        self.inner
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(file);
         Ok(quarantined)
     }
 }
@@ -589,15 +512,9 @@ impl GraphSource for CorpusSource {
     }
 
     fn describe(&self) -> String {
-        let mode = match (self.inner.mode, self.inner.trust_checksums) {
-            (LoadMode::Heap, false) => "",
-            (LoadMode::Heap, true) => " (trusted)",
-            (LoadMode::Mmap, false) => " (mmap)",
-            (LoadMode::Mmap, true) => " (mmap, trusted)",
-        };
         match self.variant {
-            None => format!("corpus:{}{mode}", self.inner.dir.display()),
-            Some(v) => format!("corpus:{}#v{v}{mode}", self.inner.dir.display()),
+            None => format!("corpus:{}", self.inner.dir.display()),
+            Some(v) => format!("corpus:{}#v{v}", self.inner.dir.display()),
         }
     }
 
@@ -701,45 +618,40 @@ mod tests {
 
     #[test]
     fn mmap_mode_serves_identical_graphs() {
-        let _serial = crate::mmap::backing_test_lock();
-        let (dir, heap) = built_corpus("mmap_identity");
-        let mapped = Corpus::open_with(&dir, LoadMode::Mmap).unwrap();
-        assert_eq!(mapped.load_mode(), LoadMode::Mmap);
-        assert_eq!(heap.load_mode(), LoadMode::Heap);
+        let (dir, mapped) = built_corpus("mmap_identity");
+        let heap = Corpus::open_with(&dir, LoadMode::Heap).unwrap();
 
-        let seeds = SeedSequence::new(0);
-        for n in [32usize, 64] {
-            for trial in 0..2 {
-                let a = heap.source().trial_graph(n, trial, &seeds);
-                let b = mapped.source().trial_graph(n, trial, &seeds);
-                assert_eq!(*a, *b, "n={n} trial={trial}");
-                assert!(!a.is_borrowed());
+        // Every original and every variant: both byte regions serve
+        // `==` graphs, borrowed wherever the target allows it.
+        for (idx, entry) in mapped.manifest().graphs.iter().enumerate() {
+            let stored = std::iter::once(None).chain((0..entry.variants.len()).map(Some));
+            for variant in stored {
+                let a = heap.load(idx, variant).unwrap();
+                let b = mapped.load(idx, variant).unwrap();
+                assert_eq!(*a, *b, "graph {idx} variant {variant:?}");
                 if nonsearch_graph::zero_copy_support().is_ok() {
-                    assert!(b.is_borrowed(), "mmap mode must serve borrowed views");
+                    assert!(a.is_borrowed() && b.is_borrowed());
                 }
             }
-            let a = heap.variant_source(0).unwrap().trial_graph(n, 0, &seeds);
-            let b = mapped.variant_source(0).unwrap().trial_graph(n, 0, &seeds);
-            assert_eq!(*a, *b, "variant graphs agree at n={n}");
         }
-        assert!(mapped.source().describe().contains("(mmap)"));
-        assert!(!heap.source().describe().contains("(mmap)"));
+        let files = mapped.manifest().file_count();
+        drop((heap, mapped));
 
-        // Verify exercises the mapped validation path.
-        let report = mapped.verify().unwrap();
-        assert_eq!(report.files, mapped.manifest().file_count());
-        assert_eq!(report.mode, LoadMode::Mmap);
-
-        // Tampering is caught through the mapped path too.
-        let victim = dir.join(&mapped.manifest().graphs[0].file);
+        // Verify passes in both modes, and catches tampering in both.
+        for mode in [LoadMode::Heap, LoadMode::Mmap] {
+            let report = Corpus::open_with(&dir, mode).unwrap().verify().unwrap();
+            assert_eq!(report.files, files, "{mode:?}");
+        }
+        let victim = dir.join(&Corpus::open(&dir).unwrap().manifest().graphs[0].file);
         let mut bytes = std::fs::read(&victim).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&victim, &bytes).unwrap();
-        assert!(Corpus::open_with(&dir, LoadMode::Mmap)
-            .unwrap()
-            .verify()
-            .is_err());
+        for mode in [LoadMode::Heap, LoadMode::Mmap] {
+            let corpus = Corpus::open_with(&dir, mode).unwrap();
+            assert!(corpus.verify().is_err(), "{mode:?}");
+            assert!(corpus.load(0, None).is_err(), "{mode:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -801,56 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn trusted_loads_skip_only_the_payload_hash() {
-        for mode in [LoadMode::Heap, LoadMode::Mmap] {
-            let (dir, _) = built_corpus(match mode {
-                LoadMode::Heap => "trust_heap",
-                LoadMode::Mmap => "trust_mmap",
-            });
-            // Trusted and checked loads serve identical graphs.
-            let checked = Corpus::open_with(&dir, mode).unwrap();
-            let trusted = Corpus::open_with_trust(&dir, mode, true).unwrap();
-            assert!(trusted.trusts_checksums());
-            assert!(!checked.trusts_checksums());
-            assert_eq!(
-                *checked.load(0, None).unwrap(),
-                *trusted.load(0, None).unwrap()
-            );
-            assert!(trusted.source().describe().contains("trusted"));
-
-            // Corrupt the *stored header checksum* only: the payload
-            // (and CSR structure) stays intact, so a trusted load still
-            // succeeds while a checked load refuses.
-            let victim = dir.join(&checked.manifest().graphs[0].file);
-            let mut bytes = std::fs::read(&victim).unwrap();
-            bytes[24] ^= 0xFF; // first byte of the stored FNV checksum
-            std::fs::write(&victim, &bytes).unwrap();
-
-            let checked = Corpus::open_with(&dir, mode).unwrap();
-            assert!(checked.load(0, None).is_err(), "{mode:?}");
-            let trusted = Corpus::open_with_trust(&dir, mode, true).unwrap();
-            assert!(trusted.load(0, None).is_ok(), "{mode:?}");
-            // `verify` is the integrity authority: it always hashes and
-            // catches the tampering even on a trusting corpus.
-            assert!(trusted.verify().is_err(), "{mode:?}");
-
-            // Structural corruption still fails even when trusted: only
-            // the payload hash is skipped, not validation.
-            let mut bytes = std::fs::read(&victim).unwrap();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xFF; // clobber an edge-list entry
-            std::fs::write(&victim, &bytes).unwrap();
-            let trusted = Corpus::open_with_trust(&dir, mode, true).unwrap();
-            assert!(trusted.load(0, None).is_err(), "{mode:?}");
-
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    #[test]
     fn healing_verify_quarantines_and_regenerates_byte_identical_files() {
         let (dir, plain) = built_corpus("heal_verify");
-        assert!(!plain.heals());
         let victim_rel = plain.manifest().graphs[0].file.clone();
         let victim = dir.join(&victim_rel);
         let original = std::fs::read(&victim).unwrap();
@@ -864,8 +728,7 @@ mod tests {
         // Without healing the corruption is fatal; with healing the
         // verify repairs it and reports the repair.
         assert!(plain.verify().is_err());
-        let healing = Corpus::open_healing(&dir, LoadMode::Heap, false, true).unwrap();
-        assert!(healing.heals());
+        let healing = Corpus::open_healing(&dir, LoadMode::Heap, true).unwrap();
         let report = healing.verify().unwrap();
         assert_eq!(report.files, healing.manifest().file_count());
         assert_eq!(report.healed, 1);
@@ -887,7 +750,7 @@ mod tests {
     #[test]
     fn healing_verify_restores_deleted_files_without_quarantining() {
         let (dir, _) = built_corpus("heal_missing");
-        let healing = Corpus::open_healing(&dir, LoadMode::Heap, false, true).unwrap();
+        let healing = Corpus::open_healing(&dir, LoadMode::Heap, true).unwrap();
         // Delete one original and one variant outright.
         let entry = healing.manifest().graphs[1].clone();
         std::fs::remove_file(dir.join(&entry.file)).unwrap();
@@ -912,7 +775,7 @@ mod tests {
             let victim = dir.join(&clean.manifest().graphs[0].file);
             // An owned decode, not a mapped view: the corruption below
             // rewrites the file, which a live mapping would observe.
-            let expected = nsg::read_graph_file(&victim).unwrap();
+            let expected = nsg::decode_graph(&std::fs::read(&victim).unwrap()).unwrap();
 
             // Truncate the stored file mid-payload.
             let bytes = std::fs::read(&victim).unwrap();
@@ -922,9 +785,33 @@ mod tests {
                 .load(0, None)
                 .is_err());
 
-            let healing = Corpus::open_healing(&dir, mode, false, true).unwrap();
+            let healing = Corpus::open_healing(&dir, mode, true).unwrap();
             let healed = healing.load(0, None).unwrap();
             assert_eq!(*healed, expected, "{mode:?}: healed graph differs");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn healing_load_caches_the_healed_graph() {
+        for mode in [LoadMode::Heap, LoadMode::Mmap] {
+            let (dir, clean) = built_corpus(match mode {
+                LoadMode::Heap => "heal_cache_heap",
+                LoadMode::Mmap => "heal_cache_mmap",
+            });
+            let victim = dir.join(&clean.manifest().graphs[0].file);
+            let bytes = std::fs::read(&victim).unwrap();
+            std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+
+            // The heal runs while the load holds the file's cache slot;
+            // the healed graph must land in that slot, not an orphan.
+            let healing = Corpus::open_healing(&dir, mode, true).unwrap();
+            let first = healing.load(0, None).unwrap();
+            let second = healing.load(0, None).unwrap();
+            assert!(
+                Arc::ptr_eq(&first, &second),
+                "{mode:?}: healed load was not cached"
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -937,7 +824,7 @@ mod tests {
         let original = std::fs::read(&vpath).unwrap();
         std::fs::write(&vpath, b"NSG1 but not really").unwrap();
 
-        let healing = Corpus::open_healing(&dir, LoadMode::Heap, false, true).unwrap();
+        let healing = Corpus::open_healing(&dir, LoadMode::Heap, true).unwrap();
         let report = healing.verify().unwrap();
         assert_eq!(report.healed, 1);
         assert_eq!(std::fs::read(&vpath).unwrap(), original);
@@ -947,7 +834,7 @@ mod tests {
     #[test]
     fn files_outside_the_manifest_cannot_be_healed() {
         let (dir, _) = built_corpus("heal_unknown");
-        let healing = Corpus::open_healing(&dir, LoadMode::Heap, false, true).unwrap();
+        let healing = Corpus::open_healing(&dir, LoadMode::Heap, true).unwrap();
         let err = healing.heal_file("graphs/s9999_t9999.nsg").unwrap_err();
         assert!(err.to_string().contains("cannot be regenerated"));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,9 +1,10 @@
-//! Property-based tests for the corpus persistence layer: the mapped
-//! (zero-copy) and heap-decoded load paths must be observationally
-//! identical for arbitrary graphs, and any single-bit corruption of a
-//! stored file must be detected by both.
+//! Property-based tests for the corpus persistence layer: the load
+//! pipeline (mapped or aligned-heap region, borrowed zero-copy) must be
+//! observationally identical to the owned reference decode for
+//! arbitrary graphs, and any single-bit corruption of a stored file
+//! must be detected by both.
 
-use nonsearch_corpus::{build, nsg, BuildSpec, Corpus, LoadMode};
+use nonsearch_corpus::{build, nsg, BuildSpec, Corpus, LoadMode, MappedFile};
 use nonsearch_fault::StorageFault;
 use nonsearch_graph::{AlignedBytes, CsrBytes, UndirectedCsr};
 use proptest::prelude::*;
@@ -37,25 +38,30 @@ proptest! {
     // proptest default.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline tentpole property: a mapped load and a heap decode
-    /// of the same `.nsg` file are structurally identical — equality,
-    /// every incidence slot in order, and every edge endpoint.
+    /// The headline property: a mapped load, an aligned-heap region
+    /// load and the owned reference decode ([`nsg::decode_graph`]) of
+    /// the same `.nsg` file are structurally identical — equality, every
+    /// incidence slot in order, and every edge endpoint.
     #[test]
     fn mapped_and_heap_loads_agree((n, edges, seed) in arb_graph()) {
         let g = build_graph(n, edges, seed);
         let path = temp_nsg(seed);
         nsg::write_graph_file(&path, &g).unwrap();
 
-        let heap = nsg::read_graph_file(&path).unwrap();
+        let heap = nsg::decode_graph(&std::fs::read(&path).unwrap()).unwrap();
         let mapped = nsg::map_graph_file(&path).unwrap();
+        let aligned = MappedFile::open_with(&path, LoadMode::Heap).unwrap();
+        let aligned = nsg::graph_from_region(Arc::new(aligned)).unwrap();
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(&heap, &g);
         prop_assert_eq!(&mapped, &g);
         prop_assert_eq!(&mapped, &heap);
+        prop_assert_eq!(&aligned, &heap);
         prop_assert!(!heap.is_borrowed());
         if nonsearch_graph::zero_copy_support().is_ok() {
             prop_assert!(mapped.is_borrowed());
+            prop_assert!(aligned.is_borrowed());
         }
         // Observational identity, accessor by accessor.
         prop_assert_eq!(mapped.node_count(), heap.node_count());
@@ -94,8 +100,8 @@ proptest! {
         prop_assert_eq!(&fresh, &g);
     }
 
-    /// Flipping any single bit of a stored file is detected by both
-    /// load paths (header checks, payload checksum, or — for the length
+    /// Flipping any single bit of a stored file is detected by both the
+    /// load pipeline and the reference decode (header checks, payload checksum, or — for the length
     /// fields — the size-vs-header consistency check).
     #[test]
     fn any_single_bit_flip_is_detected(
@@ -110,7 +116,7 @@ proptest! {
 
         let path = temp_nsg(seed ^ 0xF11F);
         std::fs::write(&path, &bytes).unwrap();
-        let heap = nsg::read_graph_file(&path);
+        let heap = nsg::decode_graph(&bytes);
         let mapped = nsg::map_graph_file(&path);
         std::fs::remove_file(&path).ok();
 
@@ -173,7 +179,7 @@ proptest! {
         );
 
         // Healed: quarantined and regenerated byte-identical.
-        let report = Corpus::open_healing(&dir, LoadMode::Heap, false, true)
+        let report = Corpus::open_healing(&dir, LoadMode::Heap, true)
             .unwrap()
             .verify()
             .unwrap();

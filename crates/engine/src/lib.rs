@@ -25,7 +25,7 @@
 //!   the fly or served from a persistent corpus (`nonsearch_corpus`).
 //! * [`CliOptions`] — the experiment flag set (`--quick`, `--threads`,
 //!   `--seed`, `--out`, `--format`, `--trials`, `--sizes`,
-//!   `--corpus`, `--mmap`, …), parsed strictly.
+//!   `--corpus`, `--heal`, …), parsed strictly.
 //! * [`RunWriter`] — JSON Lines + CSV run records (params, seed, git
 //!   describe, wall time, mean/CI/success) alongside the pretty tables,
 //!   plus one `"type":"perf"` record per cell under `--profile`.
@@ -74,8 +74,8 @@ pub use faults::{
 };
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use nonsearch_obs::{
-    prometheus_text, render_log2_histogram, Log2Histogram, Metrics, PhaseClock, PhaseTimes,
-    ResourceSample, SpanGuard, Tracer, HISTOGRAM_BUCKETS,
+    render_log2_histogram, Log2Histogram, Metrics, PhaseClock, PhaseTimes, ResourceSample,
+    SpanGuard, Tracer, HISTOGRAM_BUCKETS,
 };
 pub use options::{CliOptions, OptionsError, OutputFormat};
 pub use record::{

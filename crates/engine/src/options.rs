@@ -12,17 +12,15 @@
 //! | `--trials N` | override the per-cell trial count (`N ≥ 1`) |
 //! | `--sizes A,B,C` | override the size sweep |
 //! | `--corpus DIR` | serve trial graphs from a stored corpus instead of generating |
-//! | `--mmap` | serve corpus graphs zero-copy from memory-mapped files |
-//! | `--trust-checksums` | skip per-load payload checksums (run `corpus verify` first) |
+//! | `--mmap` | accepted and ignored: every corpus load already maps its file |
 //! | `--profile` | emit one `"type":"perf"` record per measured cell alongside cells |
 //! | `--trace PATH` | record run/cell/trial spans and write Chrome Trace Event JSON to `PATH` |
 //! | `--heal` | quarantine + regenerate corrupt corpus blobs instead of failing the load |
 //!
 //! Unknown arguments and malformed values are errors (`xp` exits 2).
-//! `--quick`, `--mmap`, `--trust-checksums`, `--profile`, and `--heal`
-//! are boolean flags: they take no value, and `--quick=...` is rejected
-//! outright — silently treating `--quick=false` as *enabling* quick mode
-//! was a real bug.
+//! `--quick`, `--mmap`, `--profile`, and `--heal` are boolean flags:
+//! they take no value, and `--quick=...` is rejected outright — silently
+//! treating `--quick=false` as *enabling* quick mode was a real bug.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -126,14 +124,6 @@ pub struct CliOptions {
     /// whole graphs per trial serve them from here instead of
     /// regenerating (`None` = generate per trial).
     pub corpus: Option<PathBuf>,
-    /// Serve corpus graphs zero-copy from memory-mapped `.nsg` files
-    /// (`--mmap`); meaningful only together with `--corpus`.
-    pub mmap: bool,
-    /// Skip the per-load payload checksum pass on corpus opens
-    /// (`--trust-checksums`): integrity then rests on a prior
-    /// `corpus verify`, which always hashes. Meaningful only together
-    /// with `--corpus`.
-    pub trust_checksums: bool,
     /// Emit one perf record per measured cell (`--profile`): exact work
     /// counters, throughput, phase timers and a `/proc` sample, as JSONL
     /// `"type":"perf"` records riding alongside the deterministic cell
@@ -194,10 +184,9 @@ impl CliOptions {
             };
             match flag.as_str() {
                 "--quick" => boolean("--quick").map(|b| opts.quick = b),
-                "--mmap" => boolean("--mmap").map(|b| opts.mmap = b),
-                "--trust-checksums" => {
-                    boolean("--trust-checksums").map(|b| opts.trust_checksums = b)
-                }
+                // Kept for scripts that still pass it; corpus loads
+                // always map.
+                "--mmap" => boolean("--mmap").map(|_| ()),
                 "--profile" => boolean("--profile").map(|b| opts.profile = b),
                 "--heal" => boolean("--heal").map(|b| opts.heal = b),
                 "--threads" => value("--threads")
@@ -318,7 +307,7 @@ mod tests {
             "128,256,512",
             "--corpus",
             "corpus-dir",
-            "--trust-checksums",
+            "--mmap",
             "--profile",
             "--heal",
             "--trace",
@@ -326,7 +315,6 @@ mod tests {
         ])
         .unwrap();
         assert!(opts.quick);
-        assert!(opts.trust_checksums);
         assert!(opts.profile);
         assert!(opts.heal);
         assert_eq!(
@@ -419,7 +407,6 @@ mod tests {
             "--quick=true",
             "--quick=",
             "--mmap=0",
-            "--trust-checksums=1",
             "--profile=true",
             "--heal=1",
         ] {
@@ -433,9 +420,11 @@ mod tests {
 
     #[test]
     fn mmap_flag_parses() {
-        let opts = parse(&["--mmap", "--corpus", "dir"]).unwrap();
-        assert!(opts.mmap);
-        assert!(!CliOptions::default().mmap);
+        // Accepted, and changes nothing.
+        assert_eq!(
+            parse(&["--mmap", "--corpus", "dir"]).unwrap(),
+            parse(&["--corpus", "dir"]).unwrap()
+        );
     }
 
     #[test]
@@ -450,13 +439,6 @@ mod tests {
         let opts = parse(&["--heal", "--corpus", "dir"]).unwrap();
         assert!(opts.heal);
         assert!(!CliOptions::default().heal);
-    }
-
-    #[test]
-    fn trust_checksums_flag_parses() {
-        let opts = parse(&["--trust-checksums", "--corpus", "dir"]).unwrap();
-        assert!(opts.trust_checksums);
-        assert!(!CliOptions::default().trust_checksums);
     }
 
     #[test]

@@ -260,7 +260,7 @@ impl Registry {
              \x20 --trials N         override the per-cell trial count (N ≥ 1)\n\
              \x20 --sizes A,B,C      override the size sweep\n\
              \x20 --corpus DIR       serve trial graphs from a stored corpus\n\
-             \x20 --mmap             zero-copy corpus loads via memory-mapped files\n\
+             \x20 --mmap             accepted and ignored (corpus loads always map their files)\n\
              \x20 --profile          one perf record per cell (counters, throughput, phases) in the JSONL out\n\
              \x20 --trace PATH       write run/cell/trial spans as Chrome Trace Event JSON\n\
              \x20 --heal             quarantine + regenerate corrupt corpus blobs instead of failing\n\

@@ -7,11 +7,9 @@
 //! histogram.
 //!
 //! ```text
-//! xp report <run.jsonl> [--prometheus] [--require-phases]
+//! xp report <run.jsonl> [--require-phases]
 //! ```
 //!
-//! * `--prometheus` — append the merged metrics in the Prometheus text
-//!   exposition format, the future daemon's stats endpoint wire format.
 //! * `--require-phases` — exit `1` unless the run carries at least one
 //!   perf record with a nonzero phase total (CI's assertion that phase
 //!   timing is actually wired through the binaries it smokes).
@@ -22,10 +20,10 @@
 use crate::json::{self, JsonValue};
 use crate::record::{PERF_TYPE, RUN_TYPE};
 use nonsearch_analysis::Table;
-use nonsearch_obs::{prometheus_text, render_log2_histogram, Metrics, PhaseTimes};
+use nonsearch_obs::{render_log2_histogram, Metrics, PhaseTimes};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: xp report <run.jsonl> [--prometheus] [--require-phases]";
+const USAGE: &str = "usage: xp report <run.jsonl> [--require-phases]";
 
 /// One parsed `"type":"perf"` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,11 +190,9 @@ fn render(report: &RunReport) -> String {
 /// The `xp report` subcommand body. Returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
     let mut run_path: Option<PathBuf> = None;
-    let mut prometheus = false;
     let mut require_phases = false;
     for arg in args {
         match arg.as_str() {
-            "--prometheus" => prometheus = true,
             "--require-phases" => require_phases = true,
             other if other.starts_with("--") => {
                 eprintln!("xp report: unknown argument {other:?}\n{USAGE}");
@@ -224,11 +220,6 @@ pub fn main(args: &[String]) -> i32 {
         }
     };
     print!("{}", render(&report));
-
-    if prometheus {
-        println!("\nprometheus exposition:");
-        print!("{}", prometheus_text(&report.metrics));
-    }
 
     if require_phases {
         let phase_total: f64 = report
@@ -308,7 +299,6 @@ mod tests {
         let p = s(run.to_str().unwrap());
         assert_eq!(main(std::slice::from_ref(&p)), 0);
         assert_eq!(main(&[p.clone(), s("--require-phases")]), 0);
-        assert_eq!(main(&[p.clone(), s("--prometheus")]), 0);
         // A run with no perf records fails --require-phases.
         let bare = dir.join(format!("rep_bare_{unique}.jsonl"));
         std::fs::write(&bare, "{\"type\":\"cell\",\"experiment\":\"demo\"}\n").unwrap();

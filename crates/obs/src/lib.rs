@@ -25,9 +25,8 @@
 //!   decomposes trial work, the stopwatch every timer in the workspace
 //!   reads ([`PhaseClock`]), a `/proc`-backed process sampler
 //!   ([`ResourceSample`]) for peak RSS / faults / context switches,
-//!   and text renderers ([`render_log2_histogram`],
-//!   [`prometheus_text`]) shared by `xp report` and the future
-//!   daemon's stats endpoint.
+//!   and the histogram renderer `xp report` uses
+//!   ([`render_log2_histogram`]).
 //!
 //! This crate is a leaf on purpose: `nonsearch_engine`, `core`, and
 //! `bench` all depend on it, so it cannot depend on any of them (the
@@ -43,7 +42,7 @@ mod render;
 mod resource;
 
 pub use phase::{PhaseClock, PhaseTimes};
-pub use render::{prometheus_text, render_log2_histogram};
+pub use render::render_log2_histogram;
 pub use resource::ResourceSample;
 
 use std::sync::atomic::{AtomicU64, Ordering};

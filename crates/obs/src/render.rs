@@ -1,10 +1,7 @@
-//! Text renderers for the metrics substrate: an ASCII view of the
-//! log₂ request histogram for `xp report`, and a Prometheus-style
-//! text exposition of [`Metrics`] — the stats format the future
-//! `nonsearchd` daemon will serve from its `/metrics` endpoint, kept
-//! here so the CLI and the daemon render identical output.
+//! Text rendering for the metrics substrate: an ASCII view of the
+//! log₂ request histogram for `xp report`.
 
-use crate::{Log2Histogram, Metrics};
+use crate::Log2Histogram;
 
 /// Renders the nonzero buckets of a log₂ histogram as right-aligned
 /// range labels with `#` bars scaled so the fullest bucket spans
@@ -38,73 +35,6 @@ pub fn render_log2_histogram(histogram: &Log2Histogram, width: usize) -> String 
     out
 }
 
-/// Serializes a [`Metrics`] bundle in the Prometheus text exposition
-/// format (version 0.0.4): one `counter` family per field and the
-/// trial-request histogram as cumulative `le`-labeled buckets.
-///
-/// The histogram's `_sum` is reported as `metrics.requests`: the
-/// engine records exactly one sample per trial whose value is that
-/// trial's request total, so the sample sum equals the global request
-/// counter by construction, and `_count` is the trial count. Bucket
-/// `k ≥ 1` covers `[2^(k-1), 2^k)`; with integer samples its inclusive
-/// upper bound is `2^k − 1`, which is the `le` value emitted.
-pub fn prometheus_text(metrics: &Metrics) -> String {
-    let mut out = String::new();
-    let counters: [(&str, &str, u64); 6] = [
-        (
-            "nonsearch_trials_total",
-            "Trials folded into this bundle.",
-            metrics.trials,
-        ),
-        (
-            "nonsearch_requests_total",
-            "Oracle requests served (weak + strong).",
-            metrics.requests,
-        ),
-        (
-            "nonsearch_discoveries_total",
-            "Vertices discovered across all searches.",
-            metrics.discoveries,
-        ),
-        (
-            "nonsearch_edge_resolutions_total",
-            "Edges whose second endpoint became known.",
-            metrics.edge_resolutions,
-        ),
-        (
-            "nonsearch_frontier_rescans_total",
-            "Resolved edges skipped by frontier cursor scans.",
-            metrics.frontier_rescans,
-        ),
-        (
-            "nonsearch_scratch_resets_total",
-            "Pooled scratch views reset for a fresh search.",
-            metrics.scratch_resets,
-        ),
-    ];
-    for (name, help, value) in counters {
-        out.push_str(&format!("# HELP {name} {help}\n"));
-        out.push_str(&format!("# TYPE {name} counter\n"));
-        out.push_str(&format!("{name} {value}\n"));
-    }
-    let name = "nonsearch_trial_requests";
-    out.push_str(&format!("# HELP {name} Per-trial oracle request totals.\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let mut cumulative = 0u64;
-    for (k, &count) in metrics.trial_requests.trimmed().iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        cumulative += count;
-        let le = if k == 0 { 0u128 } else { (1u128 << k) - 1 };
-        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-    out.push_str(&format!("{name}_sum {}\n", metrics.requests));
-    out.push_str(&format!("{name}_count {}\n", metrics.trials));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,40 +63,5 @@ mod tests {
     fn empty_histogram_renders_placeholder() {
         let text = render_log2_histogram(&Log2Histogram::new(), 40);
         assert_eq!(text, "  (no samples)\n");
-    }
-
-    #[test]
-    fn prometheus_counters_and_histogram_agree() {
-        let mut m = Metrics {
-            trials: 3,
-            requests: 10 + 20 + 2,
-            discoveries: 7,
-            edge_resolutions: 5,
-            frontier_rescans: 1,
-            scratch_resets: 3,
-            ..Metrics::new()
-        };
-        m.observe_trial_requests(10);
-        m.observe_trial_requests(20);
-        m.observe_trial_requests(2);
-        let text = prometheus_text(&m);
-        assert!(text.contains("# TYPE nonsearch_trials_total counter"));
-        assert!(text.contains("nonsearch_trials_total 3\n"));
-        assert!(text.contains("nonsearch_requests_total 32\n"));
-        // 2 ∈ [2,4) → le=3; 10 ∈ [8,16) → le=15; 20 ∈ [16,32) → le=31.
-        assert!(text.contains("nonsearch_trial_requests_bucket{le=\"3\"} 1\n"));
-        assert!(text.contains("nonsearch_trial_requests_bucket{le=\"15\"} 2\n"));
-        assert!(text.contains("nonsearch_trial_requests_bucket{le=\"31\"} 3\n"));
-        assert!(text.contains("nonsearch_trial_requests_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("nonsearch_trial_requests_sum 32\n"));
-        assert!(text.contains("nonsearch_trial_requests_count 3\n"));
-    }
-
-    #[test]
-    fn prometheus_empty_bundle_is_well_formed() {
-        let text = prometheus_text(&Metrics::new());
-        assert!(text.contains("nonsearch_trials_total 0\n"));
-        assert!(text.contains("nonsearch_trial_requests_bucket{le=\"+Inf\"} 0\n"));
-        assert!(text.contains("nonsearch_trial_requests_count 0\n"));
     }
 }
