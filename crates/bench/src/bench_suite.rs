@@ -35,7 +35,7 @@
 use crate::{weak_cell, StartPolicy};
 use nonsearch_core::{BarabasiAlbertModel, GraphModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus};
-use nonsearch_engine::{git_describe, json::JsonValue, GraphSource};
+use nonsearch_engine::{git_describe, json::JsonValue, ArgScanner, GraphSource, ToolSpec};
 use nonsearch_generators::SeedSequence;
 use nonsearch_graph::{NodeId, UndirectedCsr};
 use nonsearch_search::{
@@ -45,7 +45,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-const USAGE: &str = "usage: xp bench [--quick] [--out FILE]";
+/// `xp bench`: the engine benchmark suite.
+pub const TOOL: ToolSpec = ToolSpec {
+    name: "bench",
+    summary: "engine benchmark suite (writes BENCH_engine_suite.json)",
+    usage: || "usage: xp bench [--quick] [--out FILE]\n".to_string(),
+    main,
+};
 
 /// Suite record schema version; `xp profile-diff` rejects
 /// records with any other value.
@@ -301,24 +307,16 @@ fn suite_record(quick: bool, cells: &[Cell]) -> String {
 pub fn main(args: &[String]) -> i32 {
     let mut quick = false;
     let mut out: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match iter.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("xp bench: --out requires a value");
-                    eprintln!("{USAGE}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("xp bench: unknown argument {other:?}");
-                eprintln!("{USAGE}");
-                return 2;
-            }
+    let scanned = ArgScanner::scan(args, |arg, scan| {
+        match arg {
+            "--quick" => quick = scan.switch("--quick")?,
+            "--out" => out = Some(scan.value("--out")?.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(e) = scanned {
+        return TOOL.usage_error(e);
     }
     // Quick runs are redirected to the `.quick.json` sibling so they
     // can never clobber the committed full-suite record.

@@ -16,8 +16,8 @@
 use crate::experiments::registry;
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{
-    install_faults, run_lanes_observed, CliOptions, FailurePolicy, FaultHook, FaultInjection,
-    InjectedFault, JsonValue, RunWriter, TrialMeasure,
+    install_faults, run_lanes_observed, ArgScanner, CliOptions, FailurePolicy, FaultHook,
+    FaultInjection, InjectedFault, JsonValue, OptionsError, RunWriter, ToolSpec, TrialMeasure,
 };
 use nonsearch_fault::{FaultPlan, StorageFault, TrialFault};
 use nonsearch_generators::SeedSequence;
@@ -39,6 +39,14 @@ const TRIAL_PANIC_EVERY: u64 = 3;
 /// average) during the corpus-healing phase.
 const STORAGE_FAULT_EVERY: u64 = 2;
 
+/// `xp chaos`: the fault-injection gate.
+pub const TOOL: ToolSpec = ToolSpec {
+    name: "chaos",
+    summary: "deterministic fault-injection + self-healing gate ([EXPERIMENT] [flags])",
+    usage,
+    main,
+};
+
 /// The `xp chaos` help text.
 pub fn usage() -> String {
     format!(
@@ -59,21 +67,18 @@ pub fn usage() -> String {
          \x20 --dir DIR       keep work files (clean.jsonl, chaos.jsonl,\n\
          \x20                 corpus/) in DIR instead of a scratch dir\n\
          \x20 --out FILE      write \"type\":\"fault\" records to FILE\n\
-         shared flags pass through to both experiment runs:\n\
+         the experiment flags (xp help) apply to both experiment runs:\n\
          \x20 --quick, --seed, --threads, --trials, --sizes, ...\n"
     )
 }
 
 /// Runs `xp chaos <args>`. Returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
-    if matches!(
-        args.first().map(String::as_str),
-        Some("help" | "--help" | "-h")
-    ) {
-        print!("{}", usage());
-        return 0;
-    }
-    match run(args) {
+    let chaos = match parse(args) {
+        Ok(chaos) => chaos,
+        Err(e) => return TOOL.usage_error(e),
+    };
+    match run(&chaos) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("xp chaos: {msg}");
@@ -87,66 +92,43 @@ struct ChaosArgs {
     plan_seed: u64,
     heal: bool,
     dir: Option<PathBuf>,
+    /// Where the fault records go; the experiment runs write their
+    /// cells to the work directory instead.
     out: Option<PathBuf>,
-    shared: Vec<String>,
+    /// The experiment flags both runs share.
+    options: CliOptions,
 }
 
-fn parse(args: &[String]) -> Result<ChaosArgs, String> {
-    let mut parsed = ChaosArgs {
+fn parse(args: &[String]) -> Result<ChaosArgs, OptionsError> {
+    let mut chaos = ChaosArgs {
         experiment: "maxdeg".to_string(),
         plan_seed: DEFAULT_PLAN_SEED,
         heal: true,
         dir: None,
         out: None,
-        shared: Vec::new(),
+        options: CliOptions::default(),
     };
-    // Only the first argument can name the experiment; later bare
-    // tokens are values of pass-through flags (e.g. `--trials 6`) and
-    // ride along to the engine's strict parser.
-    let mut rest = args;
-    if let Some(first) = rest.first() {
-        if !first.starts_with("--") {
-            parsed.experiment = first.clone();
-            rest = &rest[1..];
-        }
-    }
-    let mut iter = rest.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if !arg.starts_with("--") {
-            parsed.shared.push(arg.clone());
-            continue;
-        }
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (arg.as_str(), None),
-        };
-        let mut value = |name: &str| -> Result<String, String> {
-            match &inline {
-                Some(v) => Ok(v.clone()),
-                None => match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        Ok(iter.next().expect("peeked value exists").clone())
-                    }
-                    _ => Err(format!("{name} requires a value")),
-                },
-            }
-        };
-        match flag {
+    let mut experiment = None;
+    ArgScanner::scan(args, |arg, scan| {
+        match arg {
             "--plan-seed" => {
-                let v = value("--plan-seed")?;
-                parsed.plan_seed = v.parse().map_err(|e| format!("--plan-seed {v:?}: {e}"))?;
+                chaos.plan_seed = scan.parse("--plan-seed", "a non-negative integer")?
             }
-            "--no-heal" => parsed.heal = false,
-            "--dir" => parsed.dir = Some(PathBuf::from(value("--dir")?)),
-            "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
-            _ => parsed.shared.push(arg.clone()),
+            "--no-heal" => chaos.heal = !scan.switch("--no-heal")?,
+            "--dir" => chaos.dir = Some(scan.value("--dir")?.into()),
+            "--out" => chaos.out = Some(scan.value("--out")?.into()),
+            word if !word.starts_with("--") && experiment.is_none() => {
+                experiment = Some(word.into())
+            }
+            flag => return chaos.options.accept(flag, scan),
         }
-    }
-    Ok(parsed)
+        Ok(true)
+    })?;
+    chaos.experiment = experiment.unwrap_or(chaos.experiment);
+    Ok(chaos)
 }
 
-fn run(args: &[String]) -> Result<i32, String> {
-    let chaos = parse(args)?;
+fn run(chaos: &ChaosArgs) -> Result<i32, String> {
     let reg = registry();
     if reg.find(&chaos.experiment).is_none() {
         return Err(format!(
@@ -174,11 +156,11 @@ fn run(args: &[String]) -> Result<i32, String> {
 
     let clean_path = work.join("clean.jsonl");
     let chaos_path = work.join("chaos.jsonl");
-    let gate = trial_fault_gate(&chaos, &reg, &clean_path, &chaos_path, &mut writer)?;
+    let gate = trial_fault_gate(chaos, &reg, &clean_path, &chaos_path, &mut writer)?;
     if gate != 0 {
         return Ok(gate);
     }
-    corpus_heal_phase(&chaos, &work, &mut writer)?;
+    corpus_heal_phase(chaos, &work, &mut writer)?;
     forced_heap_phase(&work, &mut writer)?;
     watchdog_phase(chaos.plan_seed, &mut writer)?;
 
@@ -212,15 +194,13 @@ fn trial_fault_gate(
     chaos_path: &Path,
     writer: &mut RunWriter,
 ) -> Result<i32, String> {
-    let run_opts = |out: &Path| -> Result<CliOptions, String> {
-        let mut args = chaos.shared.clone();
-        args.push("--out".to_string());
-        args.push(out.display().to_string());
-        CliOptions::from_args(args).map_err(|e| e.to_string())
+    let run_opts = |out: &Path| CliOptions {
+        out: Some(out.to_path_buf()),
+        ..chaos.options.clone()
     };
 
     println!("[chaos] phase 1/4: clean run of {}", chaos.experiment);
-    reg.run_named(&chaos.experiment, &run_opts(clean_path)?)
+    reg.run_named(&chaos.experiment, &run_opts(clean_path))
         .map_err(|e| format!("clean run: {e}"))?;
 
     let plan = FaultPlan::new(chaos.plan_seed).with_trial_panics(TRIAL_PANIC_EVERY);
@@ -259,7 +239,7 @@ fn trial_fault_gate(
         cell_deadline_ms: None,
     });
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        reg.run_named(&chaos.experiment, &run_opts(chaos_path)?)
+        reg.run_named(&chaos.experiment, &run_opts(chaos_path))
             .map_err(|e| format!("chaos run: {e}"))
     }));
     drop(scope);
@@ -477,9 +457,11 @@ mod tests {
 
     #[test]
     fn help_and_bad_experiments_exit_cleanly() {
-        assert_eq!(run_args(&["--help"]), 0);
+        assert!(usage().contains("--plan-seed"));
         assert_eq!(run_args(&["no-such-experiment"]), 1);
-        assert_eq!(run_args(&["--plan-seed", "zebra"]), 1);
+        // Malformed and unknown flags are usage errors.
+        assert_eq!(run_args(&["--plan-seed", "zebra"]), 2);
+        assert_eq!(run_args(&["maxdeg", "--format", "csv"]), 2);
     }
 
     #[test]
@@ -492,7 +474,7 @@ mod tests {
         assert_eq!(parsed.experiment, "lemma1-bound");
         assert_eq!(parsed.plan_seed, 9);
         assert!(!parsed.heal);
-        assert_eq!(parsed.shared, vec!["--quick".to_string()]);
+        assert!(parsed.options.quick);
     }
 
     #[test]

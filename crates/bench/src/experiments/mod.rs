@@ -1,11 +1,12 @@
-//! The registered experiment suite behind `xp`.
+//! The `xp` command table: the registered experiment suite and the
+//! tools.
 //!
 //! Each submodule is one experiment on the engine: its claim, pretty
-//! tables and seed derivations, plus structured JSONL/CSV cell records
-//! via [`ExpContext::writer`], one perf record per measured cell under
+//! tables and seed derivations, plus JSONL cell records via
+//! [`ExpContext::writer`], one perf record per measured cell under
 //! `--profile`, and the shared flag set (`--quick`, `--threads`,
-//! `--seed`, `--out`, `--format`, `--trials`, `--sizes`). See
-//! `EXPERIMENTS.md` for the full map.
+//! `--seed`, `--out`, `--trials`, `--sizes`, …). See `EXPERIMENTS.md`
+//! for the full map.
 
 mod ablation;
 mod adamic;
@@ -30,9 +31,10 @@ use nonsearch_core::{
 use nonsearch_corpus::{Corpus, LoadMode};
 use nonsearch_engine::{ExpContext, GraphSource, JsonValue, Registry};
 
-/// Builds the registry of all ported experiments.
+/// Builds the `xp` command table: every experiment, the engine's tools,
+/// and `corpus`, `bench`, `lint` and `chaos`.
 pub fn registry() -> Registry {
-    let mut r = Registry::new();
+    let mut r = Registry::default();
     r.register(theorem1_weak::SPEC)
         .register(theorem1_strong::SPEC)
         .register(theorem2_cf::SPEC)
@@ -48,16 +50,10 @@ pub fn registry() -> Registry {
         .register(ablation::SPEC)
         .register(correlation::SPEC)
         .register(null_model::SPEC)
-        .add_usage_note(
-            "corpus build|info|verify — persistent graph-ensemble store (xp corpus help)",
-        )
-        .add_usage_note(
-            "bench [--quick]           — engine benchmark suite (writes BENCH_engine_suite.json)",
-        )
-        .add_usage_note(
-            "lint [--root DIR] [--out FILE] — invariant linter (xp lint --help for the rules)",
-        )
-        .add_usage_note("chaos [EXPERIMENT] [flags]  — fault-injection gate (xp chaos --help)");
+        .register_tool(nonsearch_corpus::cli::TOOL)
+        .register_tool(crate::bench_suite::TOOL)
+        .register_tool(nonsearch_lint::cli::TOOL)
+        .register_tool(crate::chaos::TOOL);
     r
 }
 
@@ -180,7 +176,7 @@ mod tests {
         for name in names {
             assert!(r.find(name).is_some(), "{name} missing");
         }
-        assert!(r.usage().contains("corpus build|info|verify"));
+        assert_eq!(r.names().count(), names.len() + 7);
     }
 
     #[test]

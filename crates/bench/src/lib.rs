@@ -1,10 +1,10 @@
 //! The experiments behind the `xp` CLI and their shared cell helpers.
 //!
 //! Every experiment regenerates one evaluation artifact from
-//! EXPERIMENTS.md; the `xp` binary fronts them all (`xp list`). Every
-//! subcommand shares the engine's flag set — `--quick`, `--threads`,
-//! `--seed`, `--out`, `--format`, `--trials`, `--sizes`, … — parsed
-//! strictly into `nonsearch_engine::CliOptions`.
+//! EXPERIMENTS.md; the `xp` binary fronts them all (`xp help`). Every
+//! experiment shares the engine's flag set — `--quick`, `--threads`,
+//! `--seed`, `--out`, `--trials`, `--sizes`, … — parsed strictly into
+//! `nonsearch_engine::CliOptions`.
 //!
 //! The cell helpers here ([`strong_cell`], [`weak_cell`]) run the shared
 //! trial body (`nonsearch_core::measure_trial`) on the `nonsearch_engine`

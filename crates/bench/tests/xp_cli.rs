@@ -70,6 +70,10 @@ fn unknown_subcommand_and_bad_flags_fail_cleanly() {
     let out = xp(&["theorem1-weak", "--wat"]);
     assert_eq!(out.status.code(), Some(2));
 
+    // JSON Lines is the only record format: `--format` is unknown.
+    let out = xp(&["theorem1-weak", "--quick", "--format", "csv"]);
+    assert_eq!(out.status.code(), Some(2));
+
     // The regression: `--trials 0` used to run (and record) one trial.
     let out = xp(&["maxdeg", "--trials", "0", "--sizes", "64,128"]);
     assert_eq!(out.status.code(), Some(2));
@@ -160,37 +164,92 @@ fn jsonl_cell_records_are_byte_identical_across_thread_counts() {
     std::fs::remove_file(&quad).ok();
 }
 
+/// Every value flag of every command-table entry, each with a value it
+/// accepts, after the arguments that select the entry. Experiments read
+/// the shared set.
+const VALUE_FLAGS: [&str; 9] = [
+    "validate:",
+    "report:",
+    "profile-diff: --baseline b.json --threshold 0.5 --scale 2",
+    "corpus build: --model ba:m=2 --variants 1 --swaps 3 --seed 5 --sizes 64 --trials 2 \
+     --threads 1 --corpus dir",
+    "corpus info: --corpus dir",
+    "corpus verify: --corpus dir",
+    "bench: --out suite.json",
+    "lint: --root . --out lint.jsonl",
+    "chaos: --plan-seed 9 --dir work --out f.jsonl --threads 1 --seed 5 --trials 2 --sizes 64 \
+     --corpus dir --trace t.json",
+];
+const EXPERIMENT_VALUE_FLAGS: &str =
+    "--threads 1 --seed 5 --out r.jsonl --trials 2 --sizes 64,128 --corpus dir --trace t.json";
+
 #[test]
-fn csv_format_writes_aligned_rows() {
-    let path = temp_path("run.csv");
-    let path_str = path.to_str().unwrap();
-    let out = xp(&[
-        "lemma3-event",
-        "--quick",
-        "--trials",
-        "8",
-        "--format",
-        "csv",
-        "--out",
-        path_str,
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let csv = std::fs::read_to_string(&path).unwrap();
-    let mut lines = csv.lines();
-    let header = lines.next().unwrap();
-    assert!(header.starts_with("type,experiment,"));
-    let columns = header.split(',').count();
-    let mut rows = 0;
-    for line in lines {
-        assert_eq!(line.split(',').count(), columns, "ragged row: {line}");
-        rows += 1;
+fn every_table_entry_has_help_and_a_strict_flag_grammar() {
+    let registry = nonsearch_bench::experiments::registry();
+    let names: Vec<&str> = registry.names().collect();
+    assert_eq!(names.len(), 15 + 7, "{names:?}");
+    let help = String::from_utf8(xp(&["help"]).stdout).unwrap();
+    let mut rows: Vec<String> = VALUE_FLAGS.map(String::from).to_vec();
+    for name in names {
+        let listed = format!("\n  {name} ");
+        assert!(help.contains(&listed), "xp help misses {name}:\n{help}");
+        for flag in ["--help", "-h", "help"] {
+            let out = xp(&[name, flag]);
+            assert_eq!(out.status.code(), Some(0), "xp {name} {flag}");
+            assert!(String::from_utf8(out.stdout).unwrap().contains("usage"));
+        }
+        assert_eq!(xp(&[name, "--wat"]).status.code(), Some(2), "{name}");
+        if registry.find(name).is_some() {
+            rows.push(format!("{name}: {EXPERIMENT_VALUE_FLAGS}"));
+        } else {
+            assert!(rows.iter().any(|row| row.starts_with(name)), "{name}");
+        }
     }
-    assert!(rows > 0);
-    std::fs::remove_file(&path).ok();
+    // `--flag v` and `--flag=v` are both read, and the scan stops at the
+    // trailing unknown flag before anything runs.
+    for row in &rows {
+        let (entry, flags) = row.split_once(':').unwrap();
+        let words: Vec<&str> = flags.split_whitespace().collect();
+        for pair in words.chunks(2) {
+            let inline = pair.join("=");
+            for form in [pair.to_vec(), vec![inline.as_str()]] {
+                let mut args: Vec<&str> = entry.split(' ').collect();
+                args.extend(form);
+                args.push("--wat");
+                let out = xp(&args);
+                let stderr = String::from_utf8(out.stderr).unwrap();
+                assert_eq!(out.status.code(), Some(2), "xp {args:?}: {stderr}");
+                assert!(stderr.contains("unknown argument \"--wat\""), "{stderr}");
+            }
+        }
+    }
+}
+
+#[test]
+fn out_never_takes_the_next_flag_as_its_value() {
+    // The regressions: `xp bench --out --quick` ran the full suite and
+    // wrote it to a file named `--quick`; `xp lint --out --rules` wrote
+    // its report to a file named `--rules`. Both must fail while parsing.
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../lint/fixtures/clock_env");
+    let fixture = fixture.to_str().unwrap();
+    for (args, swallowed) in [
+        (&["bench", "--out", "--quick"][..], "--quick"),
+        (&["lint", "--root", fixture, "--out", "--rules"], "--rules"),
+    ] {
+        let dir = temp_path(swallowed);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_xp"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--out requires a value"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started working");
+        assert!(!dir.join(swallowed).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

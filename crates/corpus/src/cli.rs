@@ -1,17 +1,17 @@
 //! The `xp corpus` subcommand family: `build`, `info`, `verify`.
 //!
-//! The `xp` binary dispatches `corpus ...` here before consulting the
-//! experiment registry. Flags reuse the engine's shared set where they
-//! apply (`--corpus DIR`, `--seed`, `--sizes`, `--trials`, `--quick`,
+//! The corpus directory is the positional `DIR` or `--corpus DIR`.
+//! Each subcommand reads only its own flags: `build` the engine's
+//! shared build flags (`--seed`, `--sizes`, `--trials`, `--quick`,
 //! `--threads`) plus three builder-specific ones (`--model SPEC`,
-//! `--variants K`, `--swaps N`). The corpus directory can also be given
-//! as the first positional argument.
+//! `--variants K`, `--swaps N`); `verify` `--heal` and the no-op
+//! `--mmap`; `info` none.
 
 use crate::builder::{build, BuildSpec};
 use crate::mmap::LoadMode;
 use crate::model_spec::DEFAULT_MODEL_SPEC;
 use crate::store::Corpus;
-use nonsearch_engine::CliOptions;
+use nonsearch_engine::{ArgScanner, CliOptions, ToolSpec};
 use std::path::PathBuf;
 
 /// The default size sweep — the `theorem1-weak` experiment's, so a
@@ -23,17 +23,26 @@ pub const DEFAULT_TRIALS: usize = 12;
 /// Default root seed (the `theorem1-weak` default seed).
 pub const DEFAULT_SEED: u64 = 0xE1;
 
+/// `xp corpus`: the persistent graph-ensemble store.
+pub const TOOL: ToolSpec = ToolSpec {
+    name: "corpus",
+    summary: "persistent graph-ensemble store (build | info | verify DIR)",
+    usage,
+    main,
+};
+
 /// The `xp corpus` help text.
 pub fn usage() -> String {
     format!(
         "xp corpus — persistent graph-ensemble store\n\
          \n\
          usage:\n\
-         \x20 xp corpus build  [DIR] [flags]   generate and store an ensemble\n\
-         \x20 xp corpus info   [DIR]           print the manifest summary\n\
-         \x20 xp corpus verify [DIR]           recheck every file checksum\n\
+         \x20 xp corpus build  DIR [flags]     generate and store an ensemble\n\
+         \x20 xp corpus info   DIR             print the manifest summary\n\
+         \x20 xp corpus verify DIR [--heal]    recheck every file checksum\n\
          \n\
-         the directory comes from the positional DIR or --corpus DIR.\n\
+         DIR is the positional directory or --corpus DIR; info reads no\n\
+         other argument.\n\
          \n\
          build flags (shared): --seed S, --sizes A,B,C, --trials N,\n\
          \x20 --quick, --threads N — defaults mirror theorem1-weak\n\
@@ -47,88 +56,49 @@ pub fn usage() -> String {
          verify flag: --heal — quarantine corrupt blobs to quarantine/\n\
          \x20 and regenerate them from the manifest's model spec + seed,\n\
          \x20 re-checking against the original manifest checksums\n\
-         --mmap is accepted and does nothing: every load maps the file\n\
+         verify --mmap is accepted and does nothing: every load maps the file\n\
          \x20 (or reads it into an aligned buffer where mapping is refused)\n"
     )
 }
 
 /// Runs `xp corpus <args>`. Returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
-    let Some(subcommand) = args.first().map(String::as_str) else {
-        print!("{}", usage());
-        return 2;
+    let (subcommand, rest) = args
+        .split_first()
+        .map_or(("", args), |(s, r)| (s.as_str(), r));
+    // Each subcommand reads only its own flags.
+    let shared: &[&str] = match subcommand {
+        "build" => &["--seed", "--sizes", "--trials", "--quick", "--threads"],
+        "verify" => &["--heal", "--mmap"],
+        "info" => &[],
+        other => return TOOL.usage_error(format!("unknown subcommand {other:?}")),
     };
-    if matches!(subcommand, "help" | "--help" | "-h") {
-        print!("{}", usage());
-        return 0;
-    }
-
-    // Peel the positional DIR and the builder-specific flags; everything
-    // else goes through the engine's strict shared parser.
-    let mut rest = &args[1..];
+    let builds = subcommand == "build";
+    let mut options = CliOptions::default();
     let mut dir: Option<PathBuf> = None;
-    if let Some(first) = rest.first() {
-        if !first.starts_with("--") {
-            dir = Some(PathBuf::from(first));
-            rest = &rest[1..];
-        }
-    }
     let mut model_spec = DEFAULT_MODEL_SPEC.to_string();
-    let mut variants = 1usize;
-    let mut swaps = 10usize;
-    let mut shared: Vec<String> = Vec::new();
-    let mut iter = rest.iter().peekable();
-    while let Some(arg) = iter.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (arg.as_str(), None),
-        };
-        let mut value = |name: &str| -> Result<String, String> {
-            match &inline {
-                Some(v) => Ok(v.clone()),
-                None => match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        Ok(iter.next().expect("peeked value exists").clone())
-                    }
-                    _ => Err(format!("{name} requires a value")),
-                },
-            }
-        };
-        let outcome: Result<(), String> = match flag {
-            "--model" => value("--model").map(|v| model_spec = v),
-            "--variants" => value("--variants").and_then(|v| {
-                v.parse()
-                    .map(|n| variants = n)
-                    .map_err(|e| format!("--variants: {e}"))
-            }),
-            "--swaps" => value("--swaps").and_then(|v| {
-                v.parse()
-                    .map(|n| swaps = n)
-                    .map_err(|e| format!("--swaps: {e}"))
-            }),
-            _ => {
-                shared.push(arg.clone());
-                Ok(())
-            }
-        };
-        if let Err(e) = outcome {
-            eprintln!("xp corpus {subcommand}: {e}");
-            return 2;
+    let (mut variants, mut swaps) = (1usize, 10usize);
+    let scanned = ArgScanner::scan(rest, |arg, scan| {
+        const COUNT: &str = "a non-negative integer";
+        match arg {
+            "--model" if builds => model_spec = scan.value("--model")?,
+            "--variants" if builds => variants = scan.parse("--variants", COUNT)?,
+            "--swaps" if builds => swaps = scan.parse("--swaps", COUNT)?,
+            "--corpus" => dir = Some(scan.value("--corpus")?.into()),
+            flag if shared.contains(&flag) => return options.accept(flag, scan),
+            word if !word.starts_with("--") && dir.is_none() => dir = Some(word.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(e) = scanned {
+        return TOOL.usage_error(e);
     }
-    let options = match CliOptions::from_args(shared) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("xp corpus {subcommand}: {e}");
-            return 2;
-        }
-    };
-    let Some(dir) = dir.or(options.corpus.clone()) else {
-        eprintln!("xp corpus {subcommand}: no directory (give DIR or --corpus DIR)");
-        return 2;
+    let Some(dir) = dir else {
+        return TOOL.usage_error("no directory (give DIR or --corpus DIR)");
     };
 
-    match subcommand {
+    let done = match subcommand {
         "build" => {
             let spec = BuildSpec {
                 model_spec,
@@ -139,83 +109,64 @@ pub fn main(args: &[String]) -> i32 {
                 swaps_per_edge: swaps,
                 threads: options.threads,
             };
-            match build(&dir, &spec) {
-                Ok(report) => {
-                    println!(
-                        "[corpus build] {} graphs ({} files, {} KiB) in {} ms -> {}",
-                        report.graphs,
-                        report.files,
-                        report.bytes / 1024,
-                        report.wall_ms,
-                        report.manifest_path.display()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("xp corpus build: {e}");
-                    1
-                }
-            }
+            build(&dir, &spec).map(|report| {
+                format!(
+                    "[corpus build] {} graphs ({} files, {} KiB) in {} ms -> {}",
+                    report.graphs,
+                    report.files,
+                    report.bytes / 1024,
+                    report.wall_ms,
+                    report.manifest_path.display()
+                )
+            })
         }
-        "info" => match Corpus::open(&dir) {
-            Ok(corpus) => {
-                let m = corpus.manifest();
-                println!("corpus at {}", dir.display());
-                println!("  model:    {} (spec {:?})", m.model, m.model_spec);
-                println!("  seed:     {:#x}", m.seed);
-                println!("  sizes:    {:?}", m.sizes);
-                println!("  trials:   {} per size", m.trials);
-                println!(
-                    "  variants: {} per graph ({} swaps/edge)",
-                    m.variants, m.swaps_per_edge
-                );
-                println!(
-                    "  graphs:   {} originals, {} files total",
-                    m.graphs.len(),
-                    m.file_count()
-                );
-                if let Some(b) = &m.build {
-                    println!(
-                        "  built:    git {} / {} threads / {} ms",
-                        b.git, b.threads, b.wall_ms
-                    );
-                }
-                0
+        "info" => Corpus::open(&dir).map(|corpus| {
+            let m = corpus.manifest();
+            let mut text = format!(
+                "corpus at {}\n  model:    {} (spec {:?})\n  seed:     {:#x}\n  \
+                 sizes:    {:?}\n  trials:   {} per size\n  \
+                 variants: {} per graph ({} swaps/edge)\n  \
+                 graphs:   {} originals, {} files total",
+                dir.display(),
+                m.model,
+                m.model_spec,
+                m.seed,
+                m.sizes,
+                m.trials,
+                m.variants,
+                m.swaps_per_edge,
+                m.graphs.len(),
+                m.file_count()
+            );
+            if let Some(b) = &m.build {
+                let line = format!("git {} / {} threads / {} ms", b.git, b.threads, b.wall_ms);
+                text += &format!("\n  built:    {line}");
             }
-            Err(e) => {
-                eprintln!("xp corpus info: {e}");
-                1
-            }
-        },
-        "verify" => match Corpus::open_healing(&dir, LoadMode::Mmap, options.heal)
+            text
+        }),
+        _ => Corpus::open_healing(&dir, LoadMode::Mmap, options.heal)
             .and_then(|c| c.verify())
-        {
-            Ok(report) => {
-                let healed = if report.healed > 0 {
-                    format!(
-                        " ({} healed, {} quarantined)",
-                        report.healed, report.quarantined
-                    )
-                } else {
-                    String::new()
+            .map(|report| {
+                let healed = match report.healed {
+                    0 => String::new(),
+                    n => format!(" ({n} healed, {} quarantined)", report.quarantined),
                 };
-                println!(
+                format!(
                     "[corpus verify] {}: {} files, {} KiB — OK{healed}",
                     dir.display(),
                     report.files,
                     report.bytes / 1024,
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("xp corpus verify: {e}");
-                1
-            }
-        },
-        other => {
-            eprintln!("xp corpus: unknown subcommand {other:?}");
-            eprint!("{}", usage());
-            2
+                )
+            }),
+    };
+    match done {
+        Ok(text) => {
+            println!("{text}");
+            0
+        }
+        Err(e) => {
+            eprintln!("xp corpus {subcommand}: {e}");
+            1
         }
     }
 }
@@ -237,7 +188,8 @@ mod tests {
     #[test]
     fn help_and_errors_have_sane_exit_codes() {
         assert_eq!(run(&[]), 2);
-        assert_eq!(run(&["help"]), 0);
+        // `xp corpus --help` is answered by the xp command table.
+        assert_eq!(run(&["help"]), 2);
         assert_eq!(run(&["info"]), 2); // no directory
         assert_eq!(run(&["frobnicate", "somewhere"]), 2);
         assert_eq!(run(&["build", "--model"]), 2); // missing value
@@ -270,9 +222,23 @@ mod tests {
         assert_eq!(run(&["info", dir_str]), 0);
         // --corpus works in place of the positional directory.
         assert_eq!(run(&["verify", "--corpus", dir_str]), 0);
-        // --mmap is still accepted, and changes nothing.
+        // --mmap is still accepted by verify, and changes nothing.
         assert_eq!(run(&["verify", dir_str, "--mmap"]), 0);
-        assert_eq!(run(&["info", dir_str, "--mmap"]), 0);
+        // Each subcommand reads only its own flags; these used to exit 0
+        // and drop every flag.
+        let info = [
+            "info",
+            dir_str,
+            "--seed",
+            "5",
+            "--profile",
+            "--trace",
+            "t.json",
+        ];
+        assert_eq!(run(&info), 2);
+        assert_eq!(run(&["verify", dir_str, "--sizes", "64", "--quick"]), 2);
+        assert_eq!(run(&["info", dir_str, "--mmap"]), 2);
+        assert_eq!(run(&["verify", dir_str, "--model", "ba:m=2"]), 2);
 
         // Corrupt a file: verify must now fail.
         let corpus = Corpus::open(&dir).unwrap();

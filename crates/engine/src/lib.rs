@@ -23,15 +23,14 @@
 //!   cell gracefully instead of hanging the run.
 //! * [`GraphSource`] — where a trial's graph comes from: generated on
 //!   the fly or served from a persistent corpus (`nonsearch_corpus`).
-//! * [`CliOptions`] — the experiment flag set (`--quick`, `--threads`,
-//!   `--seed`, `--out`, `--format`, `--trials`, `--sizes`,
-//!   `--corpus`, `--heal`, …), parsed strictly.
-//! * [`RunWriter`] — JSON Lines + CSV run records (params, seed, git
+//! * [`ArgScanner`] — the one `xp` flag grammar; [`CliOptions`] — the
+//!   experiment flag set (`--quick`, `--threads`, `--seed`, `--out`,
+//!   `--trials`, `--sizes`, `--corpus`, `--heal`, …) read through it.
+//! * [`RunWriter`] — JSON Lines run records (params, seed, git
 //!   describe, wall time, mean/CI/success) alongside the pretty tables,
 //!   plus one `"type":"perf"` record per cell under `--profile`.
-//! * [`Registry`] — the `xp` subcommand registry: `xp list`,
-//!   `xp <experiment> [flags]`, `xp validate <file>`, `xp report
-//!   <run.jsonl>`, `xp profile-diff <suite.json> --baseline FILE`.
+//! * [`Registry`] — the `xp` command table: every experiment and tool
+//!   (this crate's are `validate`, `report` and `profile-diff`).
 //! * [`Metrics`] / [`PhaseClock`] / [`Tracer`] (re-exported from
 //!   `nonsearch_obs`) — the allocation-free per-worker counter bundle
 //!   the runner merges, the stopwatch behind every phase timer, and the
@@ -77,13 +76,14 @@ pub use nonsearch_obs::{
     render_log2_histogram, Log2Histogram, Metrics, PhaseClock, PhaseTimes, ResourceSample,
     SpanGuard, Tracer, HISTOGRAM_BUCKETS,
 };
-pub use options::{CliOptions, OptionsError, OutputFormat};
+pub use options::{ArgScanner, CliOptions, OptionsError};
 pub use record::{
     git_describe, perf_fields, RunSummary, RunWriter, CELL_TYPE, DIAGNOSTIC_TYPE, FAULT_TYPE,
     LINT_TYPE, PERF_TYPE, RUN_TYPE,
 };
 pub use registry::{
-    validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry, ValidateSummary,
+    validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry, ToolSpec,
+    ValidateSummary,
 };
 pub use runner::{
     resolved_workers, run_lanes, run_lanes_observed, run_ordered, trial_seeds, CellObs,

@@ -1,4 +1,14 @@
-//! The shared experiment command line, parsed strictly.
+//! The one `xp` flag grammar, and the shared experiment command line.
+//!
+//! Every `xp` subcommand scans its arguments with [`ArgScanner`]:
+//!
+//! * a value flag takes `--flag value` or `--flag=value`;
+//! * a following `--flag` is never taken as a value: `--seed --quick`
+//!   reports the missing seed instead of eating (and losing) `--quick`;
+//! * a boolean flag rejects an inline value: `--quick=false` must not
+//!   *enable* quick mode;
+//! * an argument the subcommand does not read is an error (`xp` exits
+//!   2).
 //!
 //! Every `xp` experiment subcommand understands the same flags:
 //!
@@ -7,8 +17,7 @@
 //! | `--quick` | reduced sweep |
 //! | `--threads N` | worker threads for the trial engine (0 = all cores) |
 //! | `--seed S` | override the experiment's default root seed |
-//! | `--out PATH` | write structured run records to `PATH` |
-//! | `--format F` | `jsonl` (default), `csv`, or `both` |
+//! | `--out PATH` | write JSON Lines run records to `PATH` |
 //! | `--trials N` | override the per-cell trial count (`N ≥ 1`) |
 //! | `--sizes A,B,C` | override the size sweep |
 //! | `--corpus DIR` | serve trial graphs from a stored corpus instead of generating |
@@ -16,52 +25,10 @@
 //! | `--profile` | emit one `"type":"perf"` record per measured cell alongside cells |
 //! | `--trace PATH` | record run/cell/trial spans and write Chrome Trace Event JSON to `PATH` |
 //! | `--heal` | quarantine + regenerate corrupt corpus blobs instead of failing the load |
-//!
-//! Unknown arguments and malformed values are errors (`xp` exits 2).
-//! `--quick`, `--mmap`, `--profile`, and `--heal` are boolean flags:
-//! they take no value, and `--quick=...` is rejected outright — silently
-//! treating `--quick=false` as *enabling* quick mode was a real bug.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
-
-/// Which structured formats a run writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutputFormat {
-    /// JSON Lines: one self-describing object per record.
-    #[default]
-    Jsonl,
-    /// Comma-separated values with a header row.
-    Csv,
-    /// JSON Lines at `--out`, CSV alongside with a `.csv` extension.
-    Both,
-}
-
-impl OutputFormat {
-    /// Parses a `--format` value.
-    pub fn parse(s: &str) -> Result<OutputFormat, OptionsError> {
-        match s {
-            "jsonl" | "json" => Ok(OutputFormat::Jsonl),
-            "csv" => Ok(OutputFormat::Csv),
-            "both" => Ok(OutputFormat::Both),
-            other => Err(OptionsError::BadValue {
-                flag: "--format",
-                value: other.to_string(),
-                expected: "jsonl | csv | both",
-            }),
-        }
-    }
-}
-
-impl fmt::Display for OutputFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            OutputFormat::Jsonl => "jsonl",
-            OutputFormat::Csv => "csv",
-            OutputFormat::Both => "both",
-        })
-    }
-}
 
 /// A malformed experiment command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +70,83 @@ impl fmt::Display for OptionsError {
 
 impl std::error::Error for OptionsError {}
 
+/// The one `xp` flag grammar (see the module docs), as a scan over one
+/// subcommand's arguments.
+pub struct ArgScanner {
+    args: std::iter::Peekable<std::vec::IntoIter<String>>,
+    /// The inline `=value` of the flag being read.
+    inline: Option<String>,
+}
+
+impl ArgScanner {
+    /// Scans `args` (everything after the subcommand name), handing each
+    /// to `read`: a flag by its name, any inline `=value` held back for
+    /// [`value`](ArgScanner::value), or a positional word. `read` takes
+    /// the flag's value from the scanner and returns `false` for an
+    /// argument its subcommand does not read, which is an error.
+    pub fn scan<I, S>(
+        args: I,
+        mut read: impl FnMut(&str, &mut ArgScanner) -> Result<bool, OptionsError>,
+    ) -> Result<(), OptionsError>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        let args: Vec<String> = args.into_iter().map(Into::into).collect();
+        let mut scan = ArgScanner {
+            args: args.into_iter().peekable(),
+            inline: None,
+        };
+        while let Some(arg) = scan.args.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((flag, value)) if arg.starts_with("--") => (flag, Some(value.to_string())),
+                _ => (arg.as_str(), None),
+            };
+            scan.inline = inline;
+            if !read(name, &mut scan)? {
+                return Err(OptionsError::Unknown { arg });
+            }
+        }
+        Ok(())
+    }
+
+    /// The value of `flag`: its inline `=value`, else the next argument
+    /// unless that is itself a flag.
+    pub fn value(&mut self, flag: &'static str) -> Result<String, OptionsError> {
+        let inline = self.inline.take();
+        inline
+            .or_else(|| self.args.next_if(|next| !next.starts_with("--")))
+            .ok_or(OptionsError::MissingValue { flag })
+    }
+
+    /// The value of `flag` parsed as a `T`; `expected` says what would
+    /// have parsed.
+    pub fn parse<T: std::str::FromStr>(
+        &mut self,
+        flag: &'static str,
+        expected: &'static str,
+    ) -> Result<T, OptionsError> {
+        let value = self.value(flag)?;
+        value.parse().map_err(|_| OptionsError::BadValue {
+            flag,
+            value,
+            expected,
+        })
+    }
+
+    /// Checks the boolean flag `flag` was given bare and returns `true`.
+    pub fn switch(&mut self, flag: &'static str) -> Result<bool, OptionsError> {
+        match self.inline.take() {
+            Some(value) => Err(OptionsError::BadValue {
+                flag,
+                value,
+                expected: "no value (boolean flag; pass it bare)",
+            }),
+            None => Ok(true),
+        }
+    }
+}
+
 /// The experiment options shared by every `xp` experiment.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOptions {
@@ -112,10 +156,8 @@ pub struct CliOptions {
     pub threads: usize,
     /// Root-seed override (`None` = the experiment's default seed).
     pub seed: Option<u64>,
-    /// Structured-output path (`None` = pretty tables only).
+    /// JSON Lines output path (`None` = pretty tables only).
     pub out: Option<PathBuf>,
-    /// Structured-output format.
-    pub format: OutputFormat,
     /// Per-cell trial-count override (never zero).
     pub trials: Option<usize>,
     /// Size-sweep override.
@@ -149,91 +191,53 @@ impl CliOptions {
         S: Into<String>,
     {
         let mut opts = CliOptions::default();
-        let mut iter = args.into_iter().map(Into::into).peekable();
-        while let Some(arg) = iter.next() {
-            // Accept both `--flag value` and `--flag=value`.
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg.clone(), None),
-            };
-            let mut value = |flag_name: &'static str| -> Result<String, OptionsError> {
-                match &inline {
-                    Some(v) => Ok(v.clone()),
-                    // Never consume a following `--flag` as this flag's
-                    // value: `--seed --quick` must report the missing
-                    // seed, not eat (and lose) `--quick`.
-                    None => match iter.peek() {
-                        Some(next) if !next.starts_with("--") => {
-                            Ok(iter.next().expect("peeked value exists"))
-                        }
-                        _ => Err(OptionsError::MissingValue { flag: flag_name }),
-                    },
-                }
-            };
-            // Boolean flags take no value. An inline value is an error:
-            // `--quick=false` must not *enable* quick mode.
-            let boolean = |flag_name: &'static str| -> Result<bool, OptionsError> {
-                match &inline {
-                    Some(v) => Err(OptionsError::BadValue {
-                        flag: flag_name,
-                        value: v.clone(),
-                        expected: "no value (boolean flag; pass it bare)",
-                    }),
-                    None => Ok(true),
-                }
-            };
-            match flag.as_str() {
-                "--quick" => boolean("--quick").map(|b| opts.quick = b),
-                // Kept for scripts that still pass it; corpus loads
-                // always map.
-                "--mmap" => boolean("--mmap").map(|_| ()),
-                "--profile" => boolean("--profile").map(|b| opts.profile = b),
-                "--heal" => boolean("--heal").map(|b| opts.heal = b),
-                "--threads" => value("--threads")
-                    .and_then(|v| parse_num(&v, "--threads"))
-                    .map(|n| opts.threads = n),
-                "--seed" => value("--seed")
-                    .and_then(|v| parse_num(&v, "--seed"))
-                    .map(|s| opts.seed = Some(s)),
-                "--trials" => value("--trials").and_then(|v| match parse_num(&v, "--trials")? {
-                    // Zero trials would measure nothing.
-                    0 => Err(OptionsError::BadValue {
-                        flag: "--trials",
-                        value: v,
-                        expected: "a positive integer",
-                    }),
-                    t => {
-                        opts.trials = Some(t);
-                        Ok(())
-                    }
-                }),
-                "--out" => value("--out").map(|v| opts.out = Some(PathBuf::from(v))),
-                "--trace" => value("--trace").map(|v| opts.trace = Some(PathBuf::from(v))),
-                "--corpus" => value("--corpus").map(|v| opts.corpus = Some(PathBuf::from(v))),
-                "--format" => value("--format")
-                    .and_then(|v| OutputFormat::parse(&v))
-                    .map(|f| opts.format = f),
-                "--sizes" => value("--sizes").and_then(|raw| {
-                    let sizes: Result<Vec<usize>, OptionsError> = raw
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(|s| parse_num(s, "--sizes"))
-                        .collect();
-                    let sizes = sizes?;
-                    if sizes.is_empty() {
-                        return Err(OptionsError::BadValue {
-                            flag: "--sizes",
-                            value: raw,
-                            expected: "a comma-separated list like 512,1024",
-                        });
-                    }
-                    opts.sizes = Some(sizes);
-                    Ok(())
-                }),
-                _ => Err(OptionsError::Unknown { arg }),
-            }?;
-        }
+        ArgScanner::scan(args, |flag, scan| opts.accept(flag, scan))?;
         Ok(opts)
+    }
+
+    /// Applies `flag` if it is one of the shared experiment flags,
+    /// reading its value from `scan`; returns `false`, reading nothing,
+    /// for any other argument. A subcommand's scan hands it the shared
+    /// flags it reads.
+    pub fn accept(&mut self, flag: &str, scan: &mut ArgScanner) -> Result<bool, OptionsError> {
+        const COUNT: &str = "a non-negative integer";
+        match flag {
+            "--quick" => self.quick = scan.switch("--quick")?,
+            // Kept for scripts that still pass it; corpus loads always
+            // map.
+            "--mmap" => _ = scan.switch("--mmap")?,
+            "--profile" => self.profile = scan.switch("--profile")?,
+            "--heal" => self.heal = scan.switch("--heal")?,
+            "--threads" => self.threads = scan.parse("--threads", COUNT)?,
+            "--seed" => self.seed = Some(scan.parse("--seed", COUNT)?),
+            // Zero trials would measure nothing.
+            "--trials" => {
+                let trials: NonZeroUsize = scan.parse("--trials", "a positive integer")?;
+                self.trials = Some(trials.get());
+            }
+            "--out" => self.out = Some(scan.value("--out")?.into()),
+            "--trace" => self.trace = Some(scan.value("--trace")?.into()),
+            "--corpus" => self.corpus = Some(scan.value("--corpus")?.into()),
+            "--sizes" => {
+                let raw = scan.value("--sizes")?;
+                let sizes: Vec<usize> = raw
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_default();
+                if sizes.is_empty() {
+                    return Err(OptionsError::BadValue {
+                        flag: "--sizes",
+                        value: raw,
+                        expected: "a comma-separated list like 512,1024",
+                    });
+                }
+                self.sizes = Some(sizes);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// The worker-thread count after resolving `0` to the machine's
@@ -273,14 +277,6 @@ impl CliOptions {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &'static str) -> Result<T, OptionsError> {
-    s.parse().map_err(|_| OptionsError::BadValue {
-        flag,
-        value: s.to_string(),
-        expected: "a non-negative integer",
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +295,6 @@ mod tests {
             "17",
             "--out",
             "runs.jsonl",
-            "--format",
-            "both",
             "--trials",
             "9",
             "--sizes",
@@ -327,7 +321,6 @@ mod tests {
             opts.out.as_deref(),
             Some(std::path::Path::new("runs.jsonl"))
         );
-        assert_eq!(opts.format, OutputFormat::Both);
         assert_eq!(opts.trials, Some(9));
         assert_eq!(opts.sizes, Some(vec![128, 256, 512]));
         assert_eq!(
@@ -351,6 +344,10 @@ mod tests {
                 arg: "--wat".into()
             })
         );
+        // The CSV sink is gone; experiments take no positionals.
+        for args in [&["--format=csv"][..], &["--format", "jsonl"], &["dir"]] {
+            assert!(matches!(parse(args), Err(OptionsError::Unknown { .. })));
+        }
     }
 
     #[test]
@@ -372,13 +369,6 @@ mod tests {
         assert!(matches!(
             parse(&["--seed", "xyz"]),
             Err(OptionsError::BadValue { flag: "--seed", .. })
-        ));
-        assert!(matches!(
-            parse(&["--format", "xml"]),
-            Err(OptionsError::BadValue {
-                flag: "--format",
-                ..
-            })
         ));
         assert!(matches!(
             parse(&["--sizes", ","]),

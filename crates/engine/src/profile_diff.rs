@@ -27,14 +27,23 @@
 //! the same convention as the rest of `xp`.
 
 use crate::json;
+use crate::options::{ArgScanner, OptionsError};
+use crate::registry::ToolSpec;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Default regression threshold: fail below 70% of baseline throughput.
 pub const DEFAULT_THRESHOLD: f64 = 0.7;
 
-const USAGE: &str =
-    "usage: xp profile-diff <suite.json> --baseline FILE [--threshold F] [--scale F]";
+/// `xp profile-diff`: gates an `xp bench` suite record.
+pub const TOOL: ToolSpec = ToolSpec {
+    name: "profile-diff",
+    summary: "gate an `xp bench` suite record against a committed one (--baseline FILE)",
+    usage: || {
+        "usage: xp profile-diff <suite.json> --baseline FILE [--threshold F] [--scale F]\n".into()
+    },
+    main,
+};
 
 /// One named benchmark cell of an `xp bench` suite record.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,48 +157,32 @@ fn read_suite(path: &PathBuf) -> Result<Vec<SuiteCell>, String> {
 
 /// The `xp profile-diff` subcommand body. Returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
-    let mut run_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
+    let (mut run_path, mut baseline_path): (Option<PathBuf>, Option<PathBuf>) = (None, None);
     let mut threshold = DEFAULT_THRESHOLD;
     let mut scale = 1.0f64;
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut positive = |flag: &str| -> Result<f64, String> {
-            let v = iter
-                .next()
-                .ok_or_else(|| format!("{flag} requires a value"))?;
-            v.parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite() && *x > 0.0)
-                .ok_or_else(|| format!("{flag}: cannot parse {v:?}"))
+    let scanned = ArgScanner::scan(args, |arg, scan| {
+        let mut positive = |flag| match scan.parse::<f64>(flag, "a positive number")? {
+            x if x.is_finite() && x > 0.0 => Ok(x),
+            x => Err(OptionsError::BadValue {
+                flag,
+                value: x.to_string(),
+                expected: "a positive number",
+            }),
         };
-        let outcome: Result<(), String> = match arg.as_str() {
-            "--baseline" => match iter.next() {
-                Some(v) => {
-                    baseline_path = Some(PathBuf::from(v));
-                    Ok(())
-                }
-                None => Err("--baseline requires a value".to_string()),
-            },
-            "--threshold" => positive("--threshold").map(|x| threshold = x),
-            "--scale" => positive("--scale").map(|x| scale = x),
-            other if other.starts_with("--") => Err(format!("unknown argument {other:?}")),
-            _ if run_path.is_none() => {
-                run_path = Some(PathBuf::from(arg));
-                Ok(())
-            }
-            _ => Err(format!("unexpected extra argument {arg:?}")),
-        };
-        if let Err(e) = outcome {
-            eprintln!("xp profile-diff: {e}");
-            eprintln!("{USAGE}");
-            return 2;
+        match arg {
+            "--threshold" => threshold = positive("--threshold")?,
+            "--scale" => scale = positive("--scale")?,
+            "--baseline" => baseline_path = Some(scan.value("--baseline")?.into()),
+            path if !path.starts_with("--") && run_path.is_none() => run_path = Some(path.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(e) = scanned {
+        return TOOL.usage_error(e);
     }
     let (Some(run_path), Some(baseline_path)) = (run_path, baseline_path) else {
-        eprintln!("{USAGE}");
-        return 2;
+        return TOOL.usage_error("needs a suite record and --baseline FILE");
     };
     let (measured, baseline) = match (read_suite(&run_path), read_suite(&baseline_path)) {
         (Ok(measured), Ok(baseline)) => (measured, baseline),

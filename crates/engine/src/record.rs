@@ -1,4 +1,4 @@
-//! Structured run records: JSON Lines and CSV alongside pretty tables.
+//! Structured run records: JSON Lines alongside pretty tables.
 //!
 //! A run produces a stream of **cell records** — one JSON object per
 //! measured cell, with deterministic content (params, seed, aggregates)
@@ -8,14 +8,14 @@
 //! cell lines, regardless of `--threads`" testable; the determinism
 //! suite compares everything but the `"type":"run"` footer. Under
 //! `--profile` each measured cell also gets one volatile
-//! `"type":"perf"` record, on the JSONL stream only.
+//! `"type":"perf"` record.
 
 use crate::json::JsonValue;
-use crate::options::{CliOptions, OutputFormat};
+use crate::options::CliOptions;
 use crate::runner::CellObs;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The JSONL `type` tag of per-cell records.
@@ -25,14 +25,13 @@ pub const RUN_TYPE: &str = "run";
 /// The JSONL `type` tag of the per-cell performance record (`--profile`):
 /// exact work counters, throughput, phase timers, allocation counts and
 /// the `/proc` sample of one measured cell. Wall-clock data rides it, so
-/// it is JSONL-only and never part of determinism-gated lines.
+/// it is never part of determinism-gated lines.
 pub const PERF_TYPE: &str = "perf";
 /// The JSONL `type` tag of injected-fault records emitted by chaos runs
 /// (`xp chaos`): one per fault a seeded plan injected, carrying the
 /// trial/attempt (or file) it hit and how the run absorbed it. Fault
-/// records describe the *perturbation*, never the measurements, so they
-/// are JSONL-only and determinism gates keep filtering on
-/// `"type":"cell"`.
+/// records describe the *perturbation*, never the measurements, so
+/// determinism gates keep filtering on `"type":"cell"`.
 pub const FAULT_TYPE: &str = "fault";
 /// The JSONL `type` tag of `xp lint` static-analysis findings (one per
 /// flagged source line, waived or not).
@@ -43,7 +42,7 @@ pub const LINT_TYPE: &str = "lint";
 
 /// Sink for one experiment run's structured records.
 ///
-/// Created inert (no files) when the options carry no `--out`; every
+/// Created inert (no file) when the options carry no `--out`; every
 /// method is then a cheap no-op, so experiments emit records
 /// unconditionally.
 pub struct RunWriter {
@@ -55,18 +54,11 @@ pub struct RunWriter {
     /// `0` resolved to the core count). Individual cells may use fewer
     /// workers — the engine also caps at each cell's trial count.
     threads: usize,
-    jsonl: Option<(PathBuf, BufWriter<File>)>,
-    csv: Option<CsvSink>,
+    out: Option<(PathBuf, BufWriter<File>)>,
     cells: usize,
     perfs: usize,
     faults: usize,
     start: Instant,
-}
-
-struct CsvSink {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    header: Option<Vec<String>>,
 }
 
 /// What a finished run wrote, for the CLI's closing status line.
@@ -81,36 +73,18 @@ pub struct RunSummary {
 }
 
 impl RunWriter {
-    /// Opens the sinks requested by `options` for `experiment`.
+    /// Opens the `--out` file of `options` for `experiment`, if any.
     pub fn create(experiment: &str, options: &CliOptions) -> io::Result<RunWriter> {
-        let mut jsonl = None;
-        let mut csv = None;
-        if let Some(out) = &options.out {
-            match options.format {
-                OutputFormat::Jsonl => jsonl = Some(open(out)?),
-                OutputFormat::Csv => csv = Some(CsvSink::open(out)?),
-                OutputFormat::Both => {
-                    // If --out already ends in .csv, with_extension is a
-                    // no-op and both sinks would clobber one file; move
-                    // the JSONL stream to a .jsonl sibling instead.
-                    let csv_path = out.with_extension("csv");
-                    let jsonl_path = if csv_path == *out {
-                        out.with_extension("jsonl")
-                    } else {
-                        out.clone()
-                    };
-                    jsonl = Some(open(&jsonl_path)?);
-                    csv = Some(CsvSink::open(&csv_path)?);
-                }
-            }
-        }
+        let out = match &options.out {
+            Some(path) => Some((path.clone(), BufWriter::new(File::create(path)?))),
+            None => None,
+        };
         Ok(RunWriter {
             experiment: experiment.to_string(),
             quick: options.quick,
             profile: options.profile,
             threads: options.resolved_threads(),
-            jsonl,
-            csv,
+            out,
             cells: 0,
             perfs: 0,
             faults: 0,
@@ -118,56 +92,17 @@ impl RunWriter {
         })
     }
 
-    /// An inert writer (no `--out`); useful in tests and library callers.
-    pub fn sink(experiment: &str) -> RunWriter {
-        RunWriter::create(experiment, &CliOptions::default()).expect("inert writer cannot fail")
-    }
-
-    /// `true` when at least one structured sink is open.
-    pub fn is_active(&self) -> bool {
-        self.jsonl.is_some() || self.csv.is_some()
-    }
-
     /// Writes one cell record. `fields` keep their order; `type` and
-    /// `experiment` are prepended. Within one run every cell should use
-    /// the same key set, so the CSV rows line up under one header.
+    /// `experiment` are prepended.
     pub fn record_cell(&mut self, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
-        self.record_cell_degraded(fields, false)
-    }
-
-    /// [`record_cell`](RunWriter::record_cell) for cells that may have
-    /// been abandoned by the chaos watchdog: when `degraded` is true a
-    /// trailing `"degraded":true` field marks the record as a partial
-    /// aggregate. Healthy cells carry no such field, so fault-free runs
-    /// emit byte-identical lines through either method.
-    pub fn record_cell_degraded(
-        &mut self,
-        fields: Vec<(&str, JsonValue)>,
-        degraded: bool,
-    ) -> io::Result<()> {
         self.cells += 1;
-        if !self.is_active() {
-            return Ok(());
-        }
-        let mut pairs = self.tagged(CELL_TYPE, fields);
-        if degraded {
-            pairs.push(("degraded".into(), JsonValue::from(true)));
-        }
-        if let Some((_, w)) = &mut self.jsonl {
-            writeln!(w, "{}", JsonValue::Object(pairs.clone()))?;
-        }
-        if let Some(csv) = &mut self.csv {
-            csv.row(&pairs)?;
-        }
-        Ok(())
+        self.write(CELL_TYPE, fields)
     }
 
     /// Writes one perf record (`--profile`; a no-op without it): the
     /// identifying `fields` (model, size, …) followed by
     /// [`perf_fields`]`(obs)`. Perf records carry volatile timing, so
-    /// they go to the JSONL stream only — never to CSV, whose single
-    /// header is shaped by the deterministic cell rows — and determinism
-    /// checks keep filtering on `"type":"cell"`.
+    /// determinism checks keep filtering on `"type":"cell"`.
     pub fn record_perf(
         &mut self,
         mut fields: Vec<(&str, JsonValue)>,
@@ -178,35 +113,29 @@ impl RunWriter {
         }
         self.perfs += 1;
         fields.extend(perf_fields(obs));
-        self.write_jsonl_only(PERF_TYPE, fields)
+        self.write(PERF_TYPE, fields)
     }
 
     /// Writes one injected-fault record (`xp chaos`). Like perf
     /// records these carry run-specific perturbation data — which
     /// trial/attempt or file a seeded fault hit and how it was absorbed
-    /// — so they ride the JSONL stream only and determinism `cmp` gates
-    /// keep filtering on `"type":"cell"`.
+    /// — so determinism `cmp` gates keep filtering on `"type":"cell"`.
     pub fn record_fault(&mut self, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
         self.faults += 1;
-        self.write_jsonl_only(FAULT_TYPE, fields)
+        self.write(FAULT_TYPE, fields)
     }
 
-    /// Writes one `tag` record to the JSONL sink only (if any).
-    fn write_jsonl_only(&mut self, tag: &str, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
-        let pairs = self.tagged(tag, fields);
-        if let Some((_, w)) = &mut self.jsonl {
-            writeln!(w, "{}", JsonValue::Object(pairs))?;
-        }
-        Ok(())
-    }
-
-    /// `fields` with `type` and `experiment` prepended.
-    fn tagged(&self, tag: &str, fields: Vec<(&str, JsonValue)>) -> Vec<(String, JsonValue)> {
-        let mut pairs = Vec::with_capacity(fields.len() + 3);
+    /// Writes one `tag` record, `type` and `experiment` prepended to
+    /// `fields` (a no-op without `--out`).
+    fn write(&mut self, tag: &str, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
+        let Some((_, w)) = &mut self.out else {
+            return Ok(());
+        };
+        let mut pairs = Vec::with_capacity(fields.len() + 2);
         pairs.push(("type".into(), JsonValue::from(tag)));
         pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
         pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-        pairs
+        writeln!(w, "{}", JsonValue::Object(pairs))
     }
 
     /// Writes the run footer (seed, quick, threads, git describe, wall
@@ -214,7 +143,7 @@ impl RunWriter {
     pub fn finish(mut self, seed: u64) -> io::Result<RunSummary> {
         let wall_ms = self.start.elapsed().as_millis();
         let mut paths = Vec::new();
-        if let Some((path, mut w)) = self.jsonl.take() {
+        if let Some((path, mut w)) = self.out.take() {
             let footer = JsonValue::object(vec![
                 ("type", JsonValue::from(RUN_TYPE)),
                 ("experiment", JsonValue::Str(self.experiment.clone())),
@@ -231,10 +160,6 @@ impl RunWriter {
             w.flush()?;
             paths.push(path);
         }
-        if let Some(mut csv) = self.csv.take() {
-            csv.writer.flush()?;
-            paths.push(csv.path);
-        }
         Ok(RunSummary {
             cells: self.cells,
             wall_ms,
@@ -243,63 +168,13 @@ impl RunWriter {
     }
 }
 
-fn open(path: &Path) -> io::Result<(PathBuf, BufWriter<File>)> {
-    Ok((path.to_path_buf(), BufWriter::new(File::create(path)?)))
-}
-
-impl CsvSink {
-    fn open(path: &Path) -> io::Result<CsvSink> {
-        let (path, writer) = open(path)?;
-        Ok(CsvSink {
-            path,
-            writer,
-            header: None,
-        })
-    }
-
-    fn row(&mut self, pairs: &[(String, JsonValue)]) -> io::Result<()> {
-        if self.header.is_none() {
-            let keys: Vec<String> = pairs.iter().map(|(k, _)| k.clone()).collect();
-            let line: Vec<String> = keys.iter().map(|k| csv_escape(k)).collect();
-            writeln!(self.writer, "{}", line.join(","))?;
-            self.header = Some(keys);
-        }
-        let header = self.header.as_ref().expect("header just ensured");
-        let line: Vec<String> = header
-            .iter()
-            .map(|key| {
-                pairs
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map_or(String::new(), |(_, v)| csv_cell(v))
-            })
-            .collect();
-        writeln!(self.writer, "{}", line.join(","))
-    }
-}
-
-fn csv_cell(value: &JsonValue) -> String {
-    match value {
-        JsonValue::Null => String::new(),
-        JsonValue::Str(s) => csv_escape(s),
-        other => csv_escape(&other.to_string()),
-    }
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// The canonical JSON payload of a perf record, in a fixed order:
 ///
 /// * throughput — `trials` and `requests` (the exact `u64` counters of
 ///   the folded trials), `lanes`, the cell's `wall_ms`, and
 ///   `requests_per_sec`;
-/// * the remaining counters — the four work counters, then the three
+/// * the remaining counters of [`Metrics::named`](nonsearch_obs::Metrics::named)
+///   — the four work counters, then the three
 ///   chaos counters (`faults_injected`, `trials_retried`,
 ///   `trials_skipped`, all zero in fault-free runs) — and
 ///   `hist_requests_log2`, the per-trial request-count histogram in its
@@ -314,19 +189,18 @@ fn csv_escape(s: &str) -> String {
 /// `trials`, and the phases fit the wall envelope.
 pub fn perf_fields(obs: &CellObs) -> Vec<(&'static str, JsonValue)> {
     let m = &obs.metrics;
-    let mut fields = vec![
-        ("trials", JsonValue::from(m.trials)),
-        ("requests", JsonValue::from(m.requests)),
+    let counters = m
+        .named()
+        .map(|(name, count)| (name, JsonValue::from(count)));
+    let (throughput, work) = counters.split_at(2);
+    let mut fields = throughput.to_vec();
+    fields.extend([
         ("lanes", JsonValue::from(obs.lanes)),
         ("wall_ms", JsonValue::from(obs.wall_ms())),
         ("requests_per_sec", JsonValue::from(obs.requests_per_sec())),
-        ("discoveries", JsonValue::from(m.discoveries)),
-        ("edge_resolutions", JsonValue::from(m.edge_resolutions)),
-        ("frontier_rescans", JsonValue::from(m.frontier_rescans)),
-        ("scratch_resets", JsonValue::from(m.scratch_resets)),
-        ("faults_injected", JsonValue::from(m.faults_injected)),
-        ("trials_retried", JsonValue::from(m.trials_retried)),
-        ("trials_skipped", JsonValue::from(m.trials_skipped)),
+    ]);
+    fields.extend_from_slice(work);
+    fields.extend([
         (
             "hist_requests_log2",
             JsonValue::Array(
@@ -338,7 +212,7 @@ pub fn perf_fields(obs: &CellObs) -> Vec<(&'static str, JsonValue)> {
             ),
         ),
         ("workers", JsonValue::from(obs.workers)),
-    ];
+    ]);
     fields.extend(
         obs.phases
             .named()
@@ -397,8 +271,7 @@ mod tests {
 
     #[test]
     fn inert_writer_counts_but_writes_nothing() {
-        let mut w = RunWriter::sink("demo");
-        assert!(!w.is_active());
+        let mut w = RunWriter::create("demo", &CliOptions::default()).unwrap();
         w.record_cell(demo_fields(1)).unwrap();
         let summary = w.finish(7).unwrap();
         assert_eq!(summary.cells, 1);
@@ -444,74 +317,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn both_formats_write_csv_sibling() {
-        let path = temp_path("run.jsonl");
-        let options = CliOptions {
-            out: Some(path.clone()),
-            format: OutputFormat::Both,
-            ..CliOptions::default()
-        };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(demo_fields(64)).unwrap();
-        let summary = w.finish(1).unwrap();
-        let csv_path = path.with_extension("csv");
-        assert_eq!(summary.paths, vec![path.clone(), csv_path.clone()]);
-
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "type,experiment,n,mean,\"label, quoted\""
-        );
-        assert_eq!(lines.next().unwrap(), "cell,demo,64,96.0,\"a \"\"b\"\",c\"");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&csv_path).ok();
-    }
-
-    #[test]
-    fn both_with_csv_out_path_does_not_clobber() {
-        let path = temp_path("run.csv");
-        let options = CliOptions {
-            out: Some(path.clone()),
-            format: OutputFormat::Both,
-            ..CliOptions::default()
-        };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(vec![("n", JsonValue::from(1usize))]).unwrap();
-        let summary = w.finish(0).unwrap();
-        let jsonl_path = path.with_extension("jsonl");
-        assert_eq!(summary.paths, vec![jsonl_path.clone(), path.clone()]);
-        // Both files exist with their own, intact contents.
-        let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
-        assert_eq!(jsonl.lines().count(), 2);
-        for line in jsonl.lines() {
-            json::parse(line).unwrap();
-        }
-        let csv = std::fs::read_to_string(&path).unwrap();
-        assert!(csv.starts_with("type,experiment,n"));
-        assert_eq!(csv.lines().count(), 2);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&jsonl_path).ok();
-    }
-
-    #[test]
-    fn csv_only_uses_out_path_directly() {
-        let path = temp_path("run.csv");
-        let options = CliOptions {
-            out: Some(path.clone()),
-            format: OutputFormat::Csv,
-            ..CliOptions::default()
-        };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(vec![("n", JsonValue::from(1usize))]).unwrap();
-        let summary = w.finish(0).unwrap();
-        assert_eq!(summary.paths, vec![path.clone()]);
-        let csv = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(csv.lines().count(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
     /// A three-trial cell's observation, as the runner would report it.
     fn demo_obs() -> CellObs {
         let mut obs = CellObs {
@@ -532,13 +337,12 @@ mod tests {
     }
 
     /// Writes one `--profile` run (a cell and one perf record for
-    /// [`demo_obs`]) in both formats and returns the parsed perf record,
-    /// the parsed footer, and the CSV sibling's text.
-    fn perf_run(tag: &str) -> (JsonValue, JsonValue, String) {
+    /// [`demo_obs`]) and returns the parsed perf record and the parsed
+    /// footer.
+    fn perf_run(tag: &str) -> (JsonValue, JsonValue) {
         let path = temp_path(tag);
         let options = CliOptions {
             out: Some(path.clone()),
-            format: OutputFormat::Both,
             profile: true,
             ..CliOptions::default()
         };
@@ -555,11 +359,8 @@ mod tests {
             .expect("perf record in JSONL");
         assert_eq!(perf.get("n").and_then(|v| v.as_f64()), Some(64.0));
         let footer = json::parse(jsonl.lines().last().unwrap()).unwrap();
-        let csv_path = path.with_extension("csv");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&csv_path).ok();
-        (perf, footer, csv)
+        (perf, footer)
     }
 
     fn num(record: &JsonValue, key: &str) -> Option<f64> {
@@ -567,20 +368,16 @@ mod tests {
     }
 
     /// The throughput section of the perf record (what the retired
-    /// `profile` record carried), and the record's JSONL-only routing.
+    /// `profile` record carried).
     #[test]
     fn profile_records_are_jsonl_only() {
-        let (perf, footer, csv) = perf_run("perf_profile.jsonl");
+        let (perf, footer) = perf_run("perf_profile.jsonl");
         assert_eq!(num(&perf, "trials"), Some(2.0));
         assert_eq!(num(&perf, "requests"), Some(100.0));
         assert_eq!(num(&perf, "lanes"), Some(2.0));
         assert_eq!(num(&perf, "wall_ms"), Some(12.0));
         assert_eq!(num(&perf, "requests_per_sec"), Some(100.0 / 0.012));
         assert_eq!(num(&footer, "perf"), Some(1.0));
-        // The CSV sibling keeps its single cell-shaped header: no perf
-        // rows leak into it.
-        assert_eq!(csv.lines().count(), 2);
-        assert!(!csv.contains("perf"));
 
         // Without --profile the same call writes and counts nothing.
         let path = temp_path("perf_off.jsonl");
@@ -601,7 +398,7 @@ mod tests {
     /// `metrics` record carried).
     #[test]
     fn metrics_records_are_jsonl_only_and_counted() {
-        let (perf, _, csv) = perf_run("perf_metrics.jsonl");
+        let (perf, _) = perf_run("perf_metrics.jsonl");
         assert_eq!(num(&perf, "trials"), Some(2.0));
         assert_eq!(num(&perf, "requests"), Some(100.0));
         for counter in ["discoveries", "edge_resolutions", "trials_skipped"] {
@@ -615,14 +412,13 @@ mod tests {
             .expect("histogram array");
         assert_eq!(hist.len(), 7);
         assert_eq!(hist.iter().filter_map(|v| v.as_f64()).sum::<f64>(), 2.0);
-        assert!(!csv.contains("hist_requests_log2"));
     }
 
     /// The resource section of the perf record (what the retired
     /// `resource` record carried).
     #[test]
     fn resource_records_are_jsonl_only_and_counted() {
-        let (perf, _, csv) = perf_run("perf_resource.jsonl");
+        let (perf, _) = perf_run("perf_resource.jsonl");
         assert_eq!(num(&perf, "workers"), Some(4.0));
         assert_eq!(num(&perf, "phase_generate_ns"), Some(1000.0));
         assert_eq!(num(&perf, "phase_search_ns"), Some(5000.0));
@@ -630,7 +426,6 @@ mod tests {
         assert_eq!(num(&perf, "allocations"), Some(7.0));
         assert_eq!(num(&perf, "peak_rss_bytes"), Some(4096.0));
         assert_eq!(num(&perf, "voluntary_ctx_switches"), Some(0.0));
-        assert!(!csv.contains("peak_rss_bytes"));
     }
 
     #[test]
@@ -685,7 +480,6 @@ mod tests {
         let path = temp_path("fault.jsonl");
         let options = CliOptions {
             out: Some(path.clone()),
-            format: OutputFormat::Both,
             ..CliOptions::default()
         };
         let mut w = RunWriter::create("demo", &options).unwrap();
@@ -713,38 +507,6 @@ mod tests {
         assert_eq!(parsed.get("trial").and_then(|v| v.as_f64()), Some(3.0));
         let footer = json::parse(jsonl.lines().last().unwrap()).unwrap();
         assert_eq!(footer.get("faults").and_then(|v| v.as_f64()), Some(1.0));
-        // No fault rows leak into the CSV sibling.
-        let csv_path = path.with_extension("csv");
-        let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(!csv.contains("fault"));
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&csv_path).ok();
-    }
-
-    #[test]
-    fn degraded_cells_carry_the_flag_and_healthy_cells_do_not() {
-        let path = temp_path("degraded.jsonl");
-        let options = CliOptions {
-            out: Some(path.clone()),
-            ..CliOptions::default()
-        };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell_degraded(demo_fields(64), false).unwrap();
-        w.record_cell_degraded(demo_fields(128), true).unwrap();
-        w.finish(1).unwrap();
-
-        let jsonl = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        let healthy = json::parse(lines[0]).unwrap();
-        assert!(healthy.get("degraded").is_none(), "healthy cell flagged");
-        let degraded = json::parse(lines[1]).unwrap();
-        assert_eq!(
-            degraded.get("degraded").and_then(|v| v.as_bool()),
-            Some(true)
-        );
-        let footer = json::parse(lines[2]).unwrap();
-        assert_eq!(footer.get("cells").and_then(|v| v.as_f64()), Some(2.0));
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,22 +1,20 @@
-//! The experiment registry behind the unified `xp` CLI.
-//!
-//! Experiments register a [`spec`](ExperimentSpec) — subcommand name,
-//! paper id, one-line claim, default seed, run function — and
-//! [`Registry::main`] provides the whole command line: `xp list`,
-//! `xp validate`, `xp <experiment> [flags]`, with the shared flag set of
-//! [`CliOptions`]. [`Registry::run_named`] runs one experiment under
-//! already-parsed options.
+//! The `xp` command table: every subcommand, experiment
+//! ([`ExperimentSpec`]) or tool ([`ToolSpec`]), in one [`Registry`].
+//! [`Registry::main`] is the whole command line: `xp help`, `xp list`,
+//! `xp NAME --help`, and dispatch to the named experiment (its flags
+//! parsed into [`CliOptions`]) or tool. [`Registry::run_named`] runs
+//! one experiment under already-parsed options.
 
 use crate::json;
 use crate::json::JsonValue;
-use crate::options::CliOptions;
+use crate::options::{ArgScanner, CliOptions};
 use crate::record::{
     perf_fields, RunSummary, RunWriter, CELL_TYPE, DIAGNOSTIC_TYPE, FAULT_TYPE, LINT_TYPE,
     PERF_TYPE, RUN_TYPE,
 };
 use crate::runner::CellObs;
 use nonsearch_analysis::Table;
-use nonsearch_obs::{PhaseTimes, Tracer};
+use nonsearch_obs::{Metrics, PhaseTimes, Tracer};
 use std::io;
 use std::io::Write;
 
@@ -35,6 +33,30 @@ pub struct ExperimentSpec {
     pub run: fn(&mut ExpContext),
 }
 
+/// One registered tool: an `xp` subcommand that is not an experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct ToolSpec {
+    /// Subcommand name (e.g. `corpus`).
+    pub name: &'static str,
+    /// One-line summary for `xp help`.
+    pub summary: &'static str,
+    /// The help text `xp NAME --help` prints.
+    pub usage: fn() -> String,
+    /// The tool body: takes the arguments after the name and returns
+    /// the exit code (`0` ok, `1` a failed check, `2` a usage or I/O
+    /// error).
+    pub main: fn(&[String]) -> i32,
+}
+
+impl ToolSpec {
+    /// Reports the usage error `e` with the tool's help text and
+    /// returns the exit code `2`.
+    pub fn usage_error(&self, e: impl std::fmt::Display) -> i32 {
+        eprint!("xp {}: {e}\n\n{}", self.name, (self.usage)());
+        2
+    }
+}
+
 /// Everything an experiment body needs: parsed options, the resolved
 /// root seed, and the structured-record sink.
 pub struct ExpContext<'a> {
@@ -49,32 +71,66 @@ pub struct ExpContext<'a> {
     pub tracer: Tracer,
 }
 
-/// An ordered collection of experiments with CLI dispatch.
-#[derive(Default)]
+/// The `xp` command table: experiments and tools, with CLI dispatch.
 pub struct Registry {
     specs: Vec<ExperimentSpec>,
-    usage_notes: Vec<String>,
+    tools: Vec<ToolSpec>,
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
+impl Default for Registry {
+    /// A table holding the engine's tools (`validate`, `report`,
+    /// `profile-diff`) and no experiments.
+    fn default() -> Registry {
+        Registry {
+            specs: Vec::new(),
+            tools: vec![
+                VALIDATE_TOOL,
+                crate::report::TOOL,
+                crate::profile_diff::TOOL,
+            ],
+        }
     }
+}
 
+/// The flags every experiment reads, as `xp help` lists them.
+const EXPERIMENT_FLAGS: &str = "  --quick            reduced sweep
+  --threads N        trial-engine workers (0 = all cores)
+  --seed S           override the experiment's root seed
+  --out PATH         write JSON Lines run records to PATH
+  --trials N         override the per-cell trial count (N ≥ 1)
+  --sizes A,B,C      override the size sweep
+  --corpus DIR       serve trial graphs from a stored corpus
+  --mmap             accepted and ignored (corpus loads always map their files)
+  --profile          one perf record per cell (counters, throughput, phases) in the JSONL out
+  --trace PATH       write run/cell/trial spans as Chrome Trace Event JSON
+  --heal             quarantine + regenerate corrupt corpus blobs instead of failing
+";
+
+impl Registry {
     /// Adds an experiment.
     ///
     /// # Panics
     ///
     /// Panics if `spec.name` is already registered.
     pub fn register(&mut self, spec: ExperimentSpec) -> &mut Registry {
-        assert!(
-            self.find(spec.name).is_none(),
-            "duplicate experiment name {:?}",
-            spec.name
-        );
+        self.assert_new(spec.name);
         self.specs.push(spec);
         self
+    }
+
+    /// Adds a tool; panics, as [`register`](Registry::register) does,
+    /// if `tool.name` is already registered.
+    pub fn register_tool(&mut self, tool: ToolSpec) -> &mut Registry {
+        self.assert_new(tool.name);
+        self.tools.push(tool);
+        self
+    }
+
+    fn assert_new(&self, name: &str) {
+        assert!(
+            self.names().all(|n| n != name),
+            "duplicate subcommand name {name:?}"
+        );
     }
 
     /// The registered experiments, in registration order.
@@ -82,11 +138,11 @@ impl Registry {
         &self.specs
     }
 
-    /// Appends a line to the `xp help` text — for tool subcommands the
-    /// front-end binary dispatches before this registry (e.g. `corpus`).
-    pub fn add_usage_note(&mut self, line: impl Into<String>) -> &mut Registry {
-        self.usage_notes.push(line.into());
-        self
+    /// Every subcommand name in the table: the experiments, then the
+    /// tools.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        let experiments = self.specs.iter().map(|s| s.name);
+        experiments.chain(self.tools.iter().map(|t| t.name))
     }
 
     /// Looks an experiment up by subcommand name.
@@ -131,95 +187,70 @@ impl Registry {
 
     /// The full `xp` command line. Returns the process exit code.
     pub fn main(&self, args: &[String]) -> i32 {
-        match args.first().map(String::as_str) {
-            None | Some("help" | "--help" | "-h") => {
-                print!("{}", self.usage());
+        let Some((name, rest)) = args.split_first() else {
+            print!("{}", self.usage());
+            return 0;
+        };
+        let help = matches!(
+            rest.first().map(String::as_str),
+            Some("--help" | "-h" | "help")
+        );
+        let tool = self.tools.iter().find(|t| t.name == name);
+        match (name.as_str(), tool, self.find(name)) {
+            ("help" | "--help" | "-h", ..) => print!("{}", self.usage()),
+            ("list", ..) => print!("{}", self.list_table()),
+            (_, Some(tool), _) if help => print!("{}", (tool.usage)()),
+            (_, Some(tool), _) => return (tool.main)(rest),
+            (_, _, Some(spec)) if help => print!(
+                "xp {name} — {}: {}\n\nusage: xp {name} [flags]   (default seed {:#x})\n\n\
+                 flags:\n{EXPERIMENT_FLAGS}",
+                spec.id, spec.claim, spec.default_seed
+            ),
+            (_, _, Some(spec)) => return self.run_experiment(spec, rest),
+            _ => {
+                eprintln!("xp: no subcommand named {name:?}; registered subcommands:");
+                self.names().for_each(|name| eprintln!("  {name}"));
+                return 2;
+            }
+        }
+        0
+    }
+
+    /// `xp NAME [flags]` for the experiment `spec`.
+    fn run_experiment(&self, spec: &ExperimentSpec, args: &[String]) -> i32 {
+        let name = spec.name;
+        let options = match CliOptions::from_args(args) {
+            Ok(options) => options,
+            Err(e) => {
+                eprintln!("xp {name}: {e}");
+                return 2;
+            }
+        };
+        match self.run_named(name, &options) {
+            Ok(summary) => {
+                if summary.paths.is_empty() {
+                    println!(
+                        "[{name}] {} cells in {} ms (no --out; records discarded)",
+                        summary.cells, summary.wall_ms
+                    );
+                } else {
+                    let paths: Vec<String> = summary
+                        .paths
+                        .iter()
+                        .map(|p| p.display().to_string())
+                        .collect();
+                    println!(
+                        "[{name}] wrote {} cells to {} in {} ms",
+                        summary.cells,
+                        paths.join(" + "),
+                        summary.wall_ms
+                    );
+                }
                 0
             }
-            Some("list") => {
-                print!("{}", self.list_table());
-                0
-            }
-            Some("validate") => {
-                if args.len() < 2 {
-                    eprintln!("usage: xp validate <runs.jsonl | run.trace.json>...");
-                    return 2;
-                }
-                let mut ok = true;
-                for path in &args[1..] {
-                    match std::fs::read_to_string(path) {
-                        // Chrome-trace exports are one JSON document, not
-                        // JSONL; route them to the structural trace check.
-                        Ok(text) if path.ends_with(".trace.json") => {
-                            match validate_chrome_trace(&text) {
-                                Ok(events) => {
-                                    println!("{path}: {events} trace events — OK")
-                                }
-                                Err(e) => {
-                                    eprintln!("{path}: INVALID — {e}");
-                                    ok = false;
-                                }
-                            }
-                        }
-                        Ok(text) => match validate_jsonl(&text) {
-                            Ok(v) => println!("{path}: {v}"),
-                            Err(e) => {
-                                eprintln!("{path}: INVALID — {e}");
-                                ok = false;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("{path}: cannot read — {e}");
-                            ok = false;
-                        }
-                    }
-                }
-                i32::from(!ok)
-            }
-            Some("profile-diff") => crate::profile_diff::main(&args[1..]),
-            Some("report") => crate::report::main(&args[1..]),
-            Some(name) => {
-                let options = match CliOptions::from_args(args[1..].iter().cloned()) {
-                    Ok(options) => options,
-                    Err(e) => {
-                        eprintln!("xp {name}: {e}");
-                        return 2;
-                    }
-                };
-                if self.find(name).is_none() {
-                    eprintln!("xp: no experiment named {name:?}; registered experiments:");
-                    for spec in &self.specs {
-                        eprintln!("  {}", spec.name);
-                    }
-                    return 2;
-                }
-                match self.run_named(name, &options) {
-                    Ok(summary) => {
-                        if summary.paths.is_empty() {
-                            println!(
-                                "[{name}] {} cells in {} ms (no --out; records discarded)",
-                                summary.cells, summary.wall_ms
-                            );
-                        } else {
-                            let paths: Vec<String> = summary
-                                .paths
-                                .iter()
-                                .map(|p| p.display().to_string())
-                                .collect();
-                            println!(
-                                "[{name}] wrote {} cells to {} in {} ms",
-                                summary.cells,
-                                paths.join(" + "),
-                                summary.wall_ms
-                            );
-                        }
-                        0
-                    }
-                    Err(e) => {
-                        eprintln!("xp {name}: {e}");
-                        1
-                    }
-                }
+            Err(e) => {
+                eprintln!("xp {name}: {e}");
+                1
             }
         }
     }
@@ -246,24 +277,8 @@ impl Registry {
              usage:\n\
              \x20 xp list                      enumerate registered experiments\n\
              \x20 xp <experiment> [flags]      run one experiment\n\
-             \x20 xp validate <file>...        check emitted JSONL run records (and .trace.json exports)\n\
-             \x20 xp profile-diff <suite.json> --baseline FILE\n\
-             \x20                             gate an `xp bench` suite record against a committed one\n\
-             \x20 xp report <run.jsonl>        render a run's records as a terminal summary\n\
-             \n\
-             shared flags:\n\
-             \x20 --quick            reduced sweep\n\
-             \x20 --threads N        trial-engine workers (0 = all cores)\n\
-             \x20 --seed S           override the experiment's root seed\n\
-             \x20 --out PATH         write structured run records to PATH\n\
-             \x20 --format F         jsonl (default) | csv | both\n\
-             \x20 --trials N         override the per-cell trial count (N ≥ 1)\n\
-             \x20 --sizes A,B,C      override the size sweep\n\
-             \x20 --corpus DIR       serve trial graphs from a stored corpus\n\
-             \x20 --mmap             accepted and ignored (corpus loads always map their files)\n\
-             \x20 --profile          one perf record per cell (counters, throughput, phases) in the JSONL out\n\
-             \x20 --trace PATH       write run/cell/trial spans as Chrome Trace Event JSON\n\
-             \x20 --heal             quarantine + regenerate corrupt corpus blobs instead of failing\n\
+             \x20 xp <tool> [args]             run one tool\n\
+             \x20 xp <name> --help             help for one experiment or tool\n\
              \n\
              experiments:\n",
         );
@@ -273,14 +288,63 @@ impl Registry {
                 spec.name, spec.id, spec.claim
             ));
         }
-        if !self.usage_notes.is_empty() {
-            out.push_str("\ntools:\n");
-            for note in &self.usage_notes {
-                out.push_str(&format!("  {note}\n"));
-            }
+        out.push_str("\ntools:\n");
+        for tool in &self.tools {
+            out.push_str(&format!("  {:<18} {}\n", tool.name, tool.summary));
         }
+        out.push_str("\nexperiment flags:\n");
+        out.push_str(EXPERIMENT_FLAGS);
         out
     }
+}
+
+/// `xp validate`: checks emitted record files.
+const VALIDATE_TOOL: ToolSpec = ToolSpec {
+    name: "validate",
+    summary: "check emitted JSONL run records (and .trace.json exports)",
+    usage: || "usage: xp validate <runs.jsonl | run.trace.json>...\n".to_string(),
+    main: validate_main,
+};
+
+/// The `xp validate` body. Returns the process exit code.
+fn validate_main(args: &[String]) -> i32 {
+    let mut paths = Vec::new();
+    let scanned = ArgScanner::scan(args, |arg, _| {
+        let positional = !arg.starts_with("--");
+        if positional {
+            paths.push(arg.to_string());
+        }
+        Ok(positional)
+    });
+    if let Err(e) = scanned {
+        return VALIDATE_TOOL.usage_error(e);
+    }
+    if paths.is_empty() {
+        return VALIDATE_TOOL.usage_error("no files given");
+    }
+    let mut ok = true;
+    for path in &paths {
+        let checked = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read — {e}"))
+            .and_then(|text| {
+                // Chrome-trace exports are one JSON document, not JSONL;
+                // route them to the structural trace check.
+                let verdict = if path.ends_with(".trace.json") {
+                    validate_chrome_trace(&text).map(|events| format!("{events} trace events — OK"))
+                } else {
+                    validate_jsonl(&text).map(|v| v.to_string())
+                };
+                verdict.map_err(|e| format!("INVALID — {e}"))
+            });
+        match checked {
+            Ok(verdict) => println!("{path}: {verdict}"),
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                ok = false;
+            }
+        }
+    }
+    i32::from(!ok)
 }
 
 /// What [`validate_jsonl`] found in a well-formed record stream.
@@ -398,8 +462,9 @@ fn strings(value: &JsonValue, kind: &str, keys: &[&str]) -> Result<(), String> {
 }
 
 /// Checks one perf record: `n` and every scalar field [`perf_fields`]
-/// writes are finite non-negative numbers; `trials` and `requests` are whole numbers (they
-/// come from exact `u64` counters, never a `mean × trials` product); the
+/// writes are finite non-negative numbers; the [`Metrics`] counters are
+/// whole numbers (they come from exact `u64` counters, never a
+/// `mean × trials` product); the
 /// `hist_requests_log2` buckets are whole and sum to `trials`; the phase
 /// times fit the per-worker wall envelope; and (on Linux, where `/proc`
 /// sampling always works) the peak RSS is positive.
@@ -411,7 +476,7 @@ fn check_perf(value: &JsonValue) -> Result<(), String> {
             field(key)?;
         }
     }
-    for key in ["trials", "requests"] {
+    for (key, _) in Metrics::new().named() {
         let x = field(key)?;
         if x.fract() != 0.0 {
             return Err(format!(
@@ -523,7 +588,7 @@ mod tests {
     }
 
     fn demo_registry() -> Registry {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.register(ExperimentSpec {
             name: "demo",
             id: "E0",
@@ -827,7 +892,7 @@ mod tests {
                 std::sync::atomic::Ordering::Relaxed,
             );
         }
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.register(ExperimentSpec {
             name: "probe",
             id: "E0",

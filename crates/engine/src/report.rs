@@ -18,12 +18,20 @@
 //! I/O error.
 
 use crate::json::{self, JsonValue};
+use crate::options::ArgScanner;
 use crate::record::{PERF_TYPE, RUN_TYPE};
+use crate::registry::ToolSpec;
 use nonsearch_analysis::Table;
 use nonsearch_obs::{render_log2_histogram, Metrics, PhaseTimes};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: xp report <run.jsonl> [--require-phases]";
+/// `xp report`: renders a run's records.
+pub const TOOL: ToolSpec = ToolSpec {
+    name: "report",
+    summary: "render a run's records as a terminal summary",
+    usage: || "usage: xp report <run.jsonl> [--require-phases]\n".to_string(),
+    main,
+};
 
 /// One parsed `"type":"perf"` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,15 +80,9 @@ fn parse_run(text: &str) -> Result<RunReport, String> {
             Some(t) if t == PERF_TYPE => {
                 let count = |key: &str| num(&value, key) as u64;
                 let m = &mut report.metrics;
-                m.trials += count("trials");
-                m.requests += count("requests");
-                m.discoveries += count("discoveries");
-                m.edge_resolutions += count("edge_resolutions");
-                m.frontier_rescans += count("frontier_rescans");
-                m.scratch_resets += count("scratch_resets");
-                m.faults_injected += count("faults_injected");
-                m.trials_retried += count("trials_retried");
-                m.trials_skipped += count("trials_skipped");
+                for (key, counter) in m.named_mut() {
+                    *counter += count(key);
+                }
                 if let Some(buckets) = value.get("hist_requests_log2").and_then(|v| v.as_array()) {
                     for (i, bucket) in buckets.iter().enumerate() {
                         if let Some(n) = bucket.as_f64().filter(|x| *x >= 0.0) {
@@ -191,23 +193,19 @@ fn render(report: &RunReport) -> String {
 pub fn main(args: &[String]) -> i32 {
     let mut run_path: Option<PathBuf> = None;
     let mut require_phases = false;
-    for arg in args {
-        match arg.as_str() {
-            "--require-phases" => require_phases = true,
-            other if other.starts_with("--") => {
-                eprintln!("xp report: unknown argument {other:?}\n{USAGE}");
-                return 2;
-            }
-            _ if run_path.is_none() => run_path = Some(PathBuf::from(arg)),
-            _ => {
-                eprintln!("xp report: unexpected extra argument {arg:?}\n{USAGE}");
-                return 2;
-            }
+    let scanned = ArgScanner::scan(args, |arg, scan| {
+        match arg {
+            "--require-phases" => require_phases = scan.switch("--require-phases")?,
+            path if !path.starts_with("--") && run_path.is_none() => run_path = Some(path.into()),
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(e) = scanned {
+        return TOOL.usage_error(e);
     }
     let Some(run_path) = run_path else {
-        eprintln!("{USAGE}");
-        return 2;
+        return TOOL.usage_error("no run file given");
     };
     let report = match std::fs::read_to_string(&run_path)
         .map_err(|e| format!("cannot read {}: {e}", run_path.display()))
@@ -273,6 +271,20 @@ mod tests {
         assert_eq!(r.metrics.trials, 4);
         assert_eq!(r.metrics.trial_requests.total(), 4);
         assert_eq!(r.footer, Some((225, true, 9)));
+    }
+
+    #[test]
+    fn perf_fields_round_trip_through_parse_run() {
+        let mut obs = crate::CellObs::default();
+        for (i, (_, counter)) in obs.metrics.named_mut().into_iter().enumerate() {
+            *counter = 10 + i as u64;
+        }
+        obs.metrics.observe_trial_requests(3);
+        obs.metrics.observe_trial_requests(700);
+        let mut fields = vec![("type", JsonValue::from(PERF_TYPE))];
+        fields.extend(crate::perf_fields(&obs));
+        let record = JsonValue::object(fields).to_string();
+        assert_eq!(parse_run(&record).unwrap().metrics, obs.metrics);
     }
 
     #[test]

@@ -10,23 +10,24 @@
 
 use crate::rules::{lint_files, Diagnostic, LintReport, RULES};
 use crate::walk::collect_workspace;
-use nonsearch_engine::{JsonValue, DIAGNOSTIC_TYPE, LINT_TYPE};
+use nonsearch_engine::{ArgScanner, JsonValue, ToolSpec, DIAGNOSTIC_TYPE, LINT_TYPE};
 use std::io::Write;
 use std::path::PathBuf;
+
+/// `xp lint`: the invariant linter.
+pub const TOOL: ToolSpec = ToolSpec {
+    name: "lint",
+    summary: "invariant linter (--root DIR, --out FILE, --rules)",
+    usage: || format!("{USAGE}\n"),
+    main,
+};
 
 const USAGE: &str = "usage: xp lint [--root DIR] [--out FILE] [--rules]
 
 Static analysis for the workspace's determinism contracts. Walks every
 .rs file under DIR (default: the current directory), skipping target/,
-vendor/, .git/, and fixtures/ trees, and checks six rules:
-
-  epoch-wrap          u32::MAX epoch comparisons only in stamped.rs
-  unsafe-confinement  unsafe only in the blessed modules; crate roots
-                      declare forbid/deny(unsafe_code)
-  determinism         no HashMap/HashSet in engine/search/core/corpus
-  clock-env           Instant::now/SystemTime/env::var behind the obs seam
-  alloc-free          no allocation in `// lint: alloc-free` functions
-  record-schema       every *_TYPE record tag has an xp validate arm
+vendor/, .git/, and fixtures/ trees, and checks the rules `--rules`
+lists.
 
 Intentional findings carry an inline waiver on (or directly above) the
 flagged line:
@@ -48,38 +49,24 @@ exit codes: 0 clean, 1 unwaived findings, 2 usage or I/O error";
 pub fn main(args: &[String]) -> i32 {
     let mut root = PathBuf::from(".");
     let mut out: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return 0;
-            }
-            "--rules" => {
-                for rule in RULES {
-                    println!("{:<20} {}", rule.id, rule.contract);
-                }
-                return 0;
-            }
-            "--root" => match iter.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => {
-                    eprintln!("xp lint: --root needs a directory\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--out" => match iter.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("xp lint: --out needs a file path\n{USAGE}");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("xp lint: unknown argument {other:?}\n{USAGE}");
-                return 2;
-            }
+    let mut rules = false;
+    let scanned = ArgScanner::scan(args, |arg, scan| {
+        match arg {
+            "--root" => root = scan.value("--root")?.into(),
+            "--out" => out = Some(scan.value("--out")?.into()),
+            "--rules" => rules = scan.switch("--rules")?,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    if let Err(e) = scanned {
+        return TOOL.usage_error(e);
+    }
+    if rules {
+        for rule in RULES {
+            println!("{:<20} {}", rule.id, rule.contract);
+        }
+        return 0;
     }
     let files = match collect_workspace(&root) {
         Ok(files) => files,

@@ -196,6 +196,29 @@ impl Metrics {
         self.trial_requests.merge(&other.trial_requests);
     }
 
+    /// The counters with their record-field names, in the fixed order
+    /// perf records write them (the histogram is not among them).
+    pub fn named(&self) -> [(&'static str, u64); 9] {
+        let mut copy = *self;
+        copy.named_mut().map(|(name, count)| (name, *count))
+    }
+
+    /// [`named`](Metrics::named), by mutable reference: how a reader
+    /// folds a record's counters back into a bundle.
+    pub fn named_mut(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("trials", &mut self.trials),
+            ("requests", &mut self.requests),
+            ("discoveries", &mut self.discoveries),
+            ("edge_resolutions", &mut self.edge_resolutions),
+            ("frontier_rescans", &mut self.frontier_rescans),
+            ("scratch_resets", &mut self.scratch_resets),
+            ("faults_injected", &mut self.faults_injected),
+            ("trials_retried", &mut self.trials_retried),
+            ("trials_skipped", &mut self.trials_skipped),
+        ]
+    }
+
     /// Records one trial's total request count into the histogram
     /// (exactly one call per trial keeps the bucket sum equal to the
     /// trial count — `xp validate` checks that invariant).

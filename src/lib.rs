@@ -13,7 +13,7 @@
 //! * [`core`] — the paper's contribution: vertex equivalence, the event
 //!   `E_{a,b}`, Lemma 1/3 machinery and searchability certification.
 //! * [`engine`] — the deterministic parallel Monte-Carlo trial engine,
-//!   structured run records (JSONL/CSV), and the `xp` CLI plumbing.
+//!   JSON Lines run records, and the `xp` command table.
 //! * [`corpus`] — the persistent graph-ensemble store: binary `.nsg`
 //!   CSR files, manifest-indexed corpus directories, deterministic
 //!   sharded building, degree-preserving null-model variants, and
