@@ -1,9 +1,201 @@
-//! Property-based tests for the analysis toolkit.
+//! Property-based tests for the analysis toolkit, including the
+//! power-law fit's bit-identity against the 80-step, two-pass reference
+//! model.
 
 use nonsearch_analysis::{
-    fit_linear, fit_log_log, log_binned_histogram, pearson, DegreeDistribution, SampleStats,
+    fit_linear, fit_log_log, fit_power_law_mle, log_binned_histogram, pearson, DegreeDistribution,
+    PowerLawFit, SampleStats,
 };
+use nonsearch_generators::{
+    rng_from_seed, BarabasiAlbert, CooperFrieze, CooperFriezeConfig, MergedMori, UniformAttachment,
+};
+use nonsearch_graph::degree_sequence;
 use proptest::prelude::*;
+use rand::Rng;
+
+/// The power-law fit as it was before the fused, table-driven loop:
+/// two separate zeta sums per step and 80 fixed bisection steps. Kept
+/// verbatim as the reference model `fit_power_law_mle` must match bit
+/// for bit.
+mod reference {
+    use super::PowerLawFit;
+
+    const ZETA_DIRECT_TERMS: usize = 20_000;
+    const K_LO: f64 = 1.0001;
+    const K_HI: f64 = 25.0;
+
+    fn zeta(k: f64, a: usize) -> f64 {
+        let n = a + ZETA_DIRECT_TERMS;
+        let direct: f64 = (a..n).map(|d| (d as f64).powf(-k)).sum();
+        let nf = n as f64;
+        direct + nf.powf(1.0 - k) / (k - 1.0) + 0.5 * nf.powf(-k)
+    }
+
+    fn zeta_log(k: f64, a: usize) -> f64 {
+        let n = a + ZETA_DIRECT_TERMS;
+        let direct: f64 = (a..n).map(|d| (d as f64).ln() * (d as f64).powf(-k)).sum();
+        let nf = n as f64;
+        let tail_integral =
+            nf.powf(1.0 - k) * (nf.ln() / (k - 1.0) + 1.0 / ((k - 1.0) * (k - 1.0)));
+        direct + tail_integral + 0.5 * nf.ln() * nf.powf(-k)
+    }
+
+    fn expected_log(k: f64, a: usize) -> f64 {
+        zeta_log(k, a) / zeta(k, a)
+    }
+
+    pub fn fit_power_law_mle(degrees: &[usize], x_min: usize) -> Option<PowerLawFit> {
+        if x_min == 0 {
+            return None;
+        }
+        let tail: Vec<usize> = degrees.iter().copied().filter(|&d| d >= x_min).collect();
+        if tail.len() < 10 {
+            return None;
+        }
+        let n = tail.len() as f64;
+        let mean_log: f64 = tail.iter().map(|&d| (d as f64).ln()).sum::<f64>() / n;
+        if mean_log <= (x_min as f64).ln() + 1e-9 {
+            return None; // every observation at the cutoff
+        }
+
+        // E_k[ln X] is continuous and strictly decreasing in k; bisect.
+        let mut lo = K_LO;
+        let mut hi = K_HI;
+        if expected_log(hi, x_min) > mean_log {
+            // Even the steepest allowed law has a heavier log-mean: clamp.
+            let exponent = K_HI;
+            let ks = ks_distance(&tail, x_min, exponent);
+            return Some(PowerLawFit {
+                exponent,
+                x_min,
+                tail_size: tail.len(),
+                ks_distance: ks,
+            });
+        }
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if expected_log(mid, x_min) > mean_log {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let exponent = 0.5 * (lo + hi);
+        let ks = ks_distance(&tail, x_min, exponent);
+        Some(PowerLawFit {
+            exponent,
+            x_min,
+            tail_size: tail.len(),
+            ks_distance: ks,
+        })
+    }
+
+    fn ks_distance(tail: &[usize], x_min: usize, k: f64) -> f64 {
+        let max = *tail.iter().max().expect("tail is non-empty");
+        let norm = zeta(k, x_min);
+        let n = tail.len() as f64;
+        let mut counts = vec![0usize; max - x_min + 1];
+        for &d in tail {
+            counts[d - x_min] += 1;
+        }
+        let mut model_cdf = 0.0;
+        let mut empirical_cdf = 0.0;
+        let mut worst: f64 = 0.0;
+        for (i, &c) in counts.iter().enumerate() {
+            let d = (x_min + i) as f64;
+            model_cdf += d.powf(-k) / norm;
+            empirical_cdf += c as f64 / n;
+            worst = worst.max((model_cdf - empirical_cdf).abs());
+        }
+        worst
+    }
+}
+
+/// Asserts `fit_power_law_mle` and the reference model agree on
+/// `degrees`: the same `None`-ness, and the same bits in every field.
+fn assert_fit_matches_reference(
+    degrees: &[usize],
+    x_min: usize,
+    case: &str,
+) -> Option<PowerLawFit> {
+    let fit = fit_power_law_mle(degrees, x_min);
+    let expected = reference::fit_power_law_mle(degrees, x_min);
+    match (fit, expected) {
+        (None, None) => {}
+        (Some(f), Some(e)) => {
+            assert_eq!(
+                f.exponent.to_bits(),
+                e.exponent.to_bits(),
+                "{case}: exponent {f} vs {e}"
+            );
+            assert_eq!(
+                f.ks_distance.to_bits(),
+                e.ks_distance.to_bits(),
+                "{case}: KS {f} vs {e}"
+            );
+            assert_eq!((f.x_min, f.tail_size), (e.x_min, e.tail_size), "{case}");
+        }
+        _ => panic!("{case}: fit {fit:?}, reference {expected:?}"),
+    }
+    fit
+}
+
+/// `count` draws of a discretized Pareto law with exponent `k` on
+/// `d ≥ x_min` (inverse CDF), capped at 100 000 so the KS support stays
+/// small.
+fn zipf_like_sample(k: f64, x_min: usize, count: usize, seed: u64) -> Vec<usize> {
+    let mut rng = rng_from_seed(seed);
+    (0..count)
+        .map(|_| {
+            let u = 1.0 - rng.gen::<f64>(); // (0, 1]
+            (x_min as f64 * u.powf(-1.0 / (k - 1.0))).min(100_000.0) as usize
+        })
+        .collect()
+}
+
+#[test]
+fn power_law_fit_matches_the_reference_on_fixed_cases() {
+    // Clamp at K_HI: 1% of the mass one step above a high cutoff.
+    let mut steep = vec![100usize; 1000];
+    steep.extend([101; 10]);
+    let fit = assert_fit_matches_reference(&steep, 100, "clamp").expect("fittable");
+    assert_eq!(fit.exponent, 25.0, "the clamp case must hit K_HI");
+    // Every observation at the cutoff, a tail under 10, x_min = 0.
+    assert!(assert_fit_matches_reference(&[5; 100], 5, "all at cutoff").is_none());
+    assert!(
+        assert_fit_matches_reference(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 1], 2, "tail of 9").is_none()
+    );
+    assert!(assert_fit_matches_reference(&[1; 100], 0, "x_min = 0").is_none());
+}
+
+#[test]
+fn power_law_fit_matches_the_reference_on_e8_models() {
+    // One degree sequence from each of E8's six models at n = 20 000,
+    // fitted at E8's cutoff of 3.
+    const N: usize = 20_000;
+    let mut rng = rng_from_seed(0xE8);
+    let mut samples = Vec::new();
+    for p in [0.3, 0.6, 0.9] {
+        let mori = MergedMori::sample(N, 1, p, &mut rng).unwrap();
+        samples.push((format!("mori p={p}"), degree_sequence(&mori.undirected())));
+    }
+    let config = CooperFriezeConfig::balanced(0.7).unwrap();
+    let cf = CooperFrieze::sample(N, &config, &mut rng).unwrap();
+    samples.push(("cooper-frieze".into(), degree_sequence(&cf.undirected())));
+    let ba = BarabasiAlbert::sample(N, 2, &mut rng).unwrap();
+    samples.push(("barabasi-albert".into(), degree_sequence(&ba.undirected())));
+    let ua = UniformAttachment::sample(N, 1, &mut rng).unwrap();
+    samples.push((
+        "uniform-attachment".into(),
+        degree_sequence(&ua.undirected()),
+    ));
+    for (model, degrees) in samples {
+        assert!(
+            assert_fit_matches_reference(&degrees, 3, &model).is_some(),
+            "{model}"
+        );
+    }
+}
 
 proptest! {
     // Fixed case count: keeps CI time bounded and independent of the
@@ -117,5 +309,27 @@ proptest! {
             let r2 = pearson(&ys, &xs).unwrap();
             prop_assert!((r - r2).abs() < 1e-12);
         }
+    }
+}
+
+proptest! {
+    // Each case runs the 80-step reference model, so fewer cases than
+    // the block above.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn power_law_fit_matches_the_reference_bit_for_bit(
+        k_centi in 105u32..=600,
+        x_min in 1usize..=8,
+        count in 20usize..2000,
+        head in 0usize..200,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut sample = zipf_like_sample(f64::from(k_centi) / 100.0, x_min, count, seed);
+        // A head below the cutoff (at it when x_min = 1) that the fit
+        // must filter out.
+        sample.extend((0..head).map(|i| 1 + i % x_min));
+        let case = format!("k={k_centi}/100 x_min={x_min} count={count} head={head} seed={seed}");
+        assert_fit_matches_reference(&sample, x_min, &case);
     }
 }

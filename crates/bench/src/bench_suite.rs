@@ -1,6 +1,6 @@
 //! `xp bench` — the standardized engine benchmark suite.
 //!
-//! One command measures the three throughput surfaces regressions have
+//! One command measures the throughput surfaces regressions have
 //! historically hidden in, and writes a schema-versioned suite record
 //! (`BENCH_engine_suite.json`) that `xp profile-diff` gates against the
 //! committed copy:
@@ -17,6 +17,12 @@
 //!   at n = 100 000 (vertices/sec). Both cells have the same key in
 //!   quick and full mode, so the quick-vs-committed gate sees
 //!   generation, the largest share of an experiment's busy time.
+//! * **analysis** — one discrete power-law MLE fit
+//!   (`fit_power_law_mle`, E8's cutoff of 3) to the degree sequence of
+//!   a fixed merged Móri graph (p = 0.6, m = 1, n = 20 000) (fits/sec).
+//!   The fit's cost does not depend on n, and it is most of E8's CPU
+//!   time. The cell has the same key in quick and full mode, so the
+//!   quick-vs-committed gate catches a slower fit.
 //! * **corpus_load** — loading a freshly-opened corpus through the one
 //!   load pipeline (graphs/sec). The `Corpus` handle is reopened for
 //!   every measured round, because loads are cached per handle — a warm
@@ -33,11 +39,12 @@
 //! run can never clobber the committed full record.
 
 use crate::{weak_cell, StartPolicy};
+use nonsearch_analysis::fit_power_law_mle;
 use nonsearch_core::{BarabasiAlbertModel, GraphModel, MergedMoriModel, ModelSource};
 use nonsearch_corpus::{build, BuildSpec, Corpus};
 use nonsearch_engine::{git_describe, json::JsonValue, ArgScanner, GraphSource, ToolSpec};
 use nonsearch_generators::SeedSequence;
-use nonsearch_graph::{NodeId, UndirectedCsr};
+use nonsearch_graph::{degree_sequence, NodeId, UndirectedCsr};
 use nonsearch_search::{
     FrontierCursors, SearchScratch, SearcherKind, SuccessCriterion, WeakSearchState,
 };
@@ -188,6 +195,33 @@ fn generate_section(cells: &mut Vec<Cell>) {
     }
 }
 
+/// Power-law fit throughput on one fixed Móri degree sequence, the same
+/// work in quick and full mode.
+fn analysis_section(cells: &mut Vec<Cell>) {
+    const N: usize = 20_000;
+    const FITS: u32 = 20;
+    let graph = suite_graph(&MergedMoriModel { p: 0.6, m: 1 }, N);
+    let degrees = degree_sequence(&graph);
+    let warm = fit_power_law_mle(&degrees, 3).expect("a Móri tail fits");
+    let ns = mean_ns(FITS, |_| {
+        let fit = fit_power_law_mle(&degrees, 3);
+        assert_eq!(fit, Some(warm));
+    });
+    let throughput = 1e9 / ns as f64;
+    let key = "fit_power_law_mle_mori_p06_n20000";
+    println!("analysis/{key}: {throughput:.1} fits/s ({FITS} fits)");
+    cells.push(Cell {
+        section: "analysis",
+        key: key.to_string(),
+        throughput,
+        detail: vec![
+            ("n", JsonValue::from(N)),
+            ("fits", JsonValue::from(u64::from(FITS))),
+            ("ns_per_fit", JsonValue::from(ns)),
+        ],
+    });
+}
+
 /// Corpus load throughput: the one load pipeline (map, validate, hash,
 /// borrow) over a freshly-built scratch corpus, reopening the handle
 /// per round to defeat its cache. The key keeps its historical `mmap_`
@@ -335,6 +369,7 @@ pub fn main(args: &[String]) -> i32 {
     let mut cells = Vec::new();
     oracle_section(quick, &mut cells);
     generate_section(&mut cells);
+    analysis_section(&mut cells);
     if let Err(e) = corpus_section(quick, &mut cells) {
         eprintln!("xp bench: {e}");
         return 2;

@@ -12,7 +12,9 @@ use nonsearch_core::{
     BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, UniformAttachmentModel,
 };
 use nonsearch_corpus::Corpus;
-use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
+use nonsearch_engine::{
+    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, PhaseClock, TrialMeasure,
+};
 use nonsearch_generators::{MoriTree, SeedSequence};
 use nonsearch_graph::degree_sequence;
 
@@ -112,8 +114,10 @@ impl ModelCell<'_, '_> {
                 let graph = obs.phases.time_fetch(source.is_stored(), || {
                     source.trial_graph(self.n, trial, &trial_seeds)
                 });
-                let degrees = degree_sequence(&graph);
-                match fit_power_law_mle(&degrees, FIT_MIN_DEGREE) {
+                let clock = PhaseClock::start();
+                let fit = fit_power_law_mle(&degree_sequence(&graph), FIT_MIN_DEGREE);
+                obs.phases.analyze_ns += clock.elapsed_ns();
+                match fit {
                     Some(fit) => vec![
                         TrialMeasure::new(fit.exponent, true),
                         TrialMeasure::new(fit.ks_distance, true),

@@ -393,6 +393,7 @@ fn quick_cell_records_match_the_committed_fixtures() {
         ("kleinberg", "kleinberg.quick.cells"),
         ("percolation", "percolation.quick.cells"),
         ("correlation", "correlation.quick.cells"),
+        ("degree-dist", "degree_dist.quick.cells"),
     ] {
         let run = temp_path(&format!("{fixture}.jsonl"));
         let run_str = run.to_str().unwrap();

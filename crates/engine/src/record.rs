@@ -182,7 +182,7 @@ impl RunWriter {
 ///   counts trials with total requests in `[2^(k−1), 2^k)`);
 /// * resources — `workers` (per-worker busy time can total up to
 ///   `wall_ms × (workers + 1)`, the `+ 1` being the consumer thread that
-///   owns the merge phase), the five phase timers, the heap-allocation
+///   owns the merge phase), the six phase timers, the heap-allocation
 ///   count harvested across trial bodies, and the `/proc` sample.
 ///
 /// `xp validate` checks the counts are whole, the histogram sums to
@@ -332,6 +332,7 @@ mod tests {
         obs.metrics.observe_trial_requests(40);
         obs.phases.generate_ns = 1_000;
         obs.phases.search_ns = 5_000;
+        obs.phases.analyze_ns = 2_000;
         obs.resource.peak_rss_bytes = 4096;
         obs
     }
@@ -422,6 +423,7 @@ mod tests {
         assert_eq!(num(&perf, "workers"), Some(4.0));
         assert_eq!(num(&perf, "phase_generate_ns"), Some(1000.0));
         assert_eq!(num(&perf, "phase_search_ns"), Some(5000.0));
+        assert_eq!(num(&perf, "phase_analyze_ns"), Some(2000.0));
         assert_eq!(num(&perf, "phase_load_ns"), Some(0.0));
         assert_eq!(num(&perf, "allocations"), Some(7.0));
         assert_eq!(num(&perf, "peak_rss_bytes"), Some(4096.0));

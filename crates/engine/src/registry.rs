@@ -683,7 +683,8 @@ mod tests {
                         \"faults_injected\":1,\"trials_retried\":1,\"trials_skipped\":0,\
                         \"hist_requests_log2\":[0,0,0,3],\"workers\":2,\
                         \"phase_generate_ns\":2000000,\"phase_load_ns\":0,\
-                        \"phase_search_ns\":18000000,\"phase_harvest_ns\":500000,\
+                        \"phase_search_ns\":18000000,\"phase_analyze_ns\":0,\
+                        \"phase_harvest_ns\":500000,\
                         \"phase_merge_ns\":1000000,\"allocations\":0,\
                         \"peak_rss_bytes\":52428800,\"minor_faults\":120,\
                         \"major_faults\":0,\"voluntary_ctx_switches\":4}\n";

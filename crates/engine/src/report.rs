@@ -160,10 +160,16 @@ fn render(report: &RunReport) -> String {
     out.push_str(&t.to_string());
 
     out.push_str("\nphases (per-worker busy ms):\n");
-    let mut t = Table::with_columns(&[
-        "cell", "wall_ms", "workers", "generate", "load", "search", "harvest", "merge", "allocs",
-        "rss_mb",
-    ]);
+    // One column per `PhaseTimes::named()` field, in record order.
+    let phases = PhaseTimes::new().named().map(|(key, _)| {
+        key.strip_prefix("phase_")
+            .and_then(|k| k.strip_suffix("_ns"))
+            .unwrap_or(key)
+    });
+    let mut columns = vec!["cell", "wall_ms", "workers"];
+    columns.extend(phases);
+    columns.extend(["allocs", "rss_mb"]);
+    let mut t = Table::with_columns(&columns);
     for p in &report.perf {
         let mut row = vec![
             p.label.clone(),
@@ -253,8 +259,8 @@ mod tests {
          \"faults_injected\":0,\"trials_retried\":0,\"trials_skipped\":0,\
          \"hist_requests_log2\":[0,0,0,0,0,0,0,4],\"workers\":2,\
          \"phase_generate_ns\":1000000,\"phase_load_ns\":0,\"phase_search_ns\":4000000,\
-         \"phase_harvest_ns\":200000,\"phase_merge_ns\":100000,\"allocations\":0,\
-         \"peak_rss_bytes\":52428800,\"minor_faults\":10,\"major_faults\":0,\
+         \"phase_analyze_ns\":300000,\"phase_harvest_ns\":200000,\"phase_merge_ns\":100000,\
+         \"allocations\":0,\"peak_rss_bytes\":52428800,\"minor_faults\":10,\"major_faults\":0,\
          \"voluntary_ctx_switches\":2}\n",
         "{\"type\":\"run\",\"experiment\":\"demo\",\"seed\":225,\"quick\":true,\"threads\":2,\
          \"git\":\"x\",\"wall_ms\":9,\"cells\":1,\"perf\":1}\n",
@@ -295,6 +301,11 @@ mod tests {
         assert!(text.contains("throughput:"), "{text}");
         assert!(text.contains("204800"), "{text}");
         assert!(text.contains("phases"), "{text}");
+        // Every phase gets a column; the analyze one reads 0.30 ms.
+        for phase in ["generate", "load", "search", "analyze", "harvest", "merge"] {
+            assert!(text.contains(phase), "{phase}: {text}");
+        }
+        assert!(text.contains("0.30"), "{text}");
         assert!(text.contains("n=128"), "{text}");
         assert!(text.contains("histogram"), "{text}");
         // All four trials land in bucket 7: [64, 128).
@@ -322,6 +333,7 @@ mod tests {
             SAMPLE
                 .replace("\"phase_generate_ns\":1000000", "\"phase_generate_ns\":0")
                 .replace("\"phase_search_ns\":4000000", "\"phase_search_ns\":0")
+                .replace("\"phase_analyze_ns\":300000", "\"phase_analyze_ns\":0")
                 .replace("\"phase_harvest_ns\":200000", "\"phase_harvest_ns\":0")
                 .replace("\"phase_merge_ns\":100000", "\"phase_merge_ns\":0"),
         )

@@ -2,8 +2,8 @@
 //!
 //! A trial's wall time decomposes into a handful of phases the engine
 //! cares about separately: getting the graph (generated fresh or loaded
-//! from a corpus), running the searchers, harvesting counters, and the
-//! consumer-side merge fold. [`PhaseTimes`] is the `Metrics` analogue
+//! from a corpus), running the searchers or analysing the graph,
+//! harvesting counters, and the consumer-side merge fold. [`PhaseTimes`] is the `Metrics` analogue
 //! for those durations — a plain bundle of `u64` nanosecond
 //! accumulators, updated by integer adds from [`PhaseClock`] readings,
 //! merged field-wise in the reorder-buffer consumer. Unlike `Metrics`
@@ -32,6 +32,9 @@ pub struct PhaseTimes {
     pub load_ns: u64,
     /// Running the searchers against the oracle.
     pub search_ns: u64,
+    /// Analysing a trial graph without searching it (degree sequence
+    /// and power-law fit).
+    pub analyze_ns: u64,
     /// Harvesting per-trial counter deltas into `Metrics`.
     pub harvest_ns: u64,
     /// The consumer's strict-trial-order fold (aggregates + metrics).
@@ -49,22 +52,29 @@ impl PhaseTimes {
         self.generate_ns += other.generate_ns;
         self.load_ns += other.load_ns;
         self.search_ns += other.search_ns;
+        self.analyze_ns += other.analyze_ns;
         self.harvest_ns += other.harvest_ns;
         self.merge_ns += other.merge_ns;
     }
 
     /// Total nanoseconds across all phases.
     pub fn total_ns(&self) -> u64 {
-        self.generate_ns + self.load_ns + self.search_ns + self.harvest_ns + self.merge_ns
+        self.generate_ns
+            + self.load_ns
+            + self.search_ns
+            + self.analyze_ns
+            + self.harvest_ns
+            + self.merge_ns
     }
 
     /// The phases with their canonical record-field names, in the
     /// fixed serialization order record writers use.
-    pub fn named(&self) -> [(&'static str, u64); 5] {
+    pub fn named(&self) -> [(&'static str, u64); 6] {
         [
             ("phase_generate_ns", self.generate_ns),
             ("phase_load_ns", self.load_ns),
             ("phase_search_ns", self.search_ns),
+            ("phase_analyze_ns", self.analyze_ns),
             ("phase_harvest_ns", self.harvest_ns),
             ("phase_merge_ns", self.merge_ns),
         ]
@@ -133,6 +143,7 @@ mod tests {
             generate_ns: 10,
             load_ns: 1,
             search_ns: 100,
+            analyze_ns: 50,
             harvest_ns: 5,
             merge_ns: 2,
         };
@@ -140,6 +151,7 @@ mod tests {
             generate_ns: 1,
             load_ns: 2,
             search_ns: 3,
+            analyze_ns: 6,
             harvest_ns: 4,
             merge_ns: 5,
         };
@@ -147,9 +159,10 @@ mod tests {
         assert_eq!(a.generate_ns, 11);
         assert_eq!(a.load_ns, 3);
         assert_eq!(a.search_ns, 103);
+        assert_eq!(a.analyze_ns, 56);
         assert_eq!(a.harvest_ns, 9);
         assert_eq!(a.merge_ns, 7);
-        assert_eq!(a.total_ns(), 11 + 3 + 103 + 9 + 7);
+        assert_eq!(a.total_ns(), 11 + 3 + 103 + 56 + 9 + 7);
     }
 
     #[test]
@@ -158,17 +171,18 @@ mod tests {
             generate_ns: 1,
             load_ns: 2,
             search_ns: 3,
+            analyze_ns: 6,
             harvest_ns: 4,
             merge_ns: 5,
         };
         let named = p.named();
-        assert_eq!(named.len(), 5);
+        assert_eq!(named.len(), 6);
         let sum: u64 = named.iter().map(|&(_, v)| v).sum();
         assert_eq!(sum, p.total_ns());
         let mut names: Vec<&str> = named.iter().map(|&(n, _)| n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 5, "duplicate field names");
+        assert_eq!(names.len(), 6, "duplicate field names");
         for (name, _) in named {
             assert!(name.starts_with("phase_"), "{name}");
             assert!(name.ends_with("_ns"), "{name}");

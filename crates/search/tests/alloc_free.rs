@@ -151,14 +151,16 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
 
     // Phase timers accumulated real time inside the zero-alloc windows,
     // and the fixed-shape record shows exactly what ran: search and
-    // harvest only, never generate/load/merge (no engine in this test).
+    // harvest only, never generate/load/analyze/merge (no engine in
+    // this test).
     assert!(phases.search_ns > 0, "no search time recorded");
     let named = phases.named();
-    assert_eq!(named.len(), 5);
+    assert_eq!(named.len(), 6);
     assert_eq!(named[0].0, "phase_generate_ns");
     assert_eq!(named[0].1, 0);
     assert_eq!(named[1], ("phase_load_ns", 0));
-    assert_eq!(named[4], ("phase_merge_ns", 0));
+    assert_eq!(named[3], ("phase_analyze_ns", 0));
+    assert_eq!(named[5], ("phase_merge_ns", 0));
 
     // `ResourceSample::current()` reads /proc and *does* allocate — it
     // belongs outside the trial windows, once per cell, which is where
