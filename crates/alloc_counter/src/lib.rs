@@ -2,9 +2,9 @@
 //!
 //! The search hot path promises *zero* steady-state heap allocations;
 //! this crate makes that checkable rather than aspirational. Both the
-//! `crates/search/tests/alloc_free.rs` suite and the `oracle_ops`
-//! bench install the same counter, so the test's assertion and the
-//! bench record's `steady_state_allocs` field measure the same thing:
+//! `crates/search/tests/alloc_free.rs` suite and the `xp` binary
+//! install the same counter, so the test's assertion and the
+//! `allocations` field of `xp`'s perf records measure the same thing:
 //!
 //! ```ignore
 //! #[global_allocator]

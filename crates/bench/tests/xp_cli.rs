@@ -4,7 +4,10 @@
 //! against the committed quick-mode fixtures — and the observability
 //! surface (`--trace`, perf records, `profile-diff`).
 
-use nonsearch_engine::{parse_json, validate_chrome_trace, validate_jsonl, CELL_TYPE, RUN_TYPE};
+use nonsearch_engine::{
+    parse_json, validate_chrome_trace, validate_jsonl, JsonValue, CELL_TYPE, PERF_TYPE, RUN_TYPE,
+};
+use nonsearch_obs::Metrics;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -394,6 +397,8 @@ fn quick_cell_records_match_the_committed_fixtures() {
         ("percolation", "percolation.quick.cells"),
         ("correlation", "correlation.quick.cells"),
         ("degree-dist", "degree_dist.quick.cells"),
+        ("null-model", "null_model.quick.cells"),
+        ("theorem2-cf", "theorem2_cf.quick.cells"),
     ] {
         let run = temp_path(&format!("{fixture}.jsonl"));
         let run_str = run.to_str().unwrap();
@@ -421,6 +426,83 @@ fn quick_cell_records_match_the_committed_fixtures() {
             cells == expected,
             "{experiment}: cell records differ from fixtures/{fixture}"
         );
+        std::fs::remove_file(&run).ok();
+    }
+}
+
+/// A perf record cut down to its exact part: the cell's identity keys
+/// (everything before `trials`), the nine `Metrics::named()` counters
+/// and `hist_requests_log2`. Wall time, phases and the `/proc` sample
+/// are dropped.
+fn exact_counters(record: &JsonValue) -> JsonValue {
+    let JsonValue::Object(pairs) = record else {
+        panic!("a perf record is an object: {record}");
+    };
+    let identity = pairs
+        .iter()
+        .take_while(|(key, _)| key != "trials")
+        .filter(|(key, _)| key != "type");
+    let field = |key: &str| {
+        let value = record
+            .get(key)
+            .unwrap_or_else(|| panic!("perf record lacks {key:?}: {record}"));
+        (key.to_string(), value.clone())
+    };
+    let counters = Metrics::new().named().map(|(key, _)| field(key));
+    JsonValue::Object(
+        identity
+            .cloned()
+            .chain(counters)
+            .chain([field("hist_requests_log2")])
+            .collect(),
+    )
+}
+
+#[test]
+fn quick_perf_counters_match_the_committed_fixtures() {
+    // The work counters are exact integers, merged in trial order, so
+    // they are thread-invariant: any change to what the oracle resolves
+    // or the cursors rescan shows here, whatever the host.
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    for (experiment, fixture) in [
+        ("theorem1-weak", "theorem1_weak.quick.counters"),
+        ("null-model", "null_model.quick.counters"),
+    ] {
+        let run = temp_path(&format!("{fixture}.jsonl"));
+        let run_str = run.to_str().unwrap();
+        let out = xp(&[
+            experiment,
+            "--quick",
+            "--threads",
+            "2",
+            "--profile",
+            "--out",
+            run_str,
+        ]);
+        assert!(
+            out.status.success(),
+            "{experiment}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&run).unwrap();
+        let got: Vec<JsonValue> = text
+            .lines()
+            .map(|l| parse_json(l).expect("every emitted line parses"))
+            .filter(|r| r.get("type").and_then(|t| t.as_str()) == Some(PERF_TYPE))
+            .map(|r| exact_counters(&r))
+            .collect();
+        let expected: Vec<JsonValue> = std::fs::read_to_string(fixtures.join(fixture))
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).expect("fixture lines parse"))
+            .collect();
+        assert_eq!(got.len(), expected.len(), "{experiment}: perf record count");
+        for (got, want) in got.iter().zip(&expected) {
+            assert!(
+                got == want,
+                "{experiment}: counters differ from fixtures/{fixture}\n got: {got}\nwant: {want}"
+            );
+        }
         std::fs::remove_file(&run).ok();
     }
 }

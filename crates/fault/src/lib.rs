@@ -81,7 +81,6 @@ pub struct FaultPlan {
     stall_every: u64,
     stall_ms: u64,
     storage_every: u64,
-    force_heap: bool,
 }
 
 impl FaultPlan {
@@ -94,7 +93,6 @@ impl FaultPlan {
             stall_every: 0,
             stall_ms: 0,
             storage_every: 0,
-            force_heap: false,
         }
     }
 
@@ -124,18 +122,6 @@ impl FaultPlan {
     pub fn with_storage_faults(mut self, every: u64) -> FaultPlan {
         self.storage_every = every;
         self
-    }
-
-    /// Requests that corpus opens force the aligned-heap fallback
-    /// instead of `mmap(2)`, exercising the degraded path for real.
-    pub fn with_forced_heap(mut self, on: bool) -> FaultPlan {
-        self.force_heap = on;
-        self
-    }
-
-    /// Whether the plan forces the heap fallback for mapped loads.
-    pub fn forces_heap(&self) -> bool {
-        self.force_heap
     }
 
     /// Whether the plan injects any trial faults at all.
@@ -227,7 +213,6 @@ mod tests {
     fn fresh_plans_inject_nothing() {
         let plan = FaultPlan::new(7);
         assert!(!plan.injects_trial_faults());
-        assert!(!plan.forces_heap());
         for t in 0..200 {
             assert_eq!(plan.trial_fault(t, 0), None);
         }

@@ -6,8 +6,9 @@ use nonsearch_graph::{EdgeId, NodeId};
 
 /// Per-vertex cursors over incident edge lists, stored dense.
 ///
-/// Edge resolution is monotone (a resolved edge never becomes unresolved),
-/// so a forward-only cursor per vertex finds each vertex's next
+/// Exploration is monotone (a slot is explored once its far end is
+/// discovered, and discovery is never undone within a search), so a
+/// forward-only `u32` cursor per vertex finds each vertex's next
 /// unexplored edge in O(1) amortized instead of rescanning the whole
 /// incident list on every request. The O(log n)-per-request weak
 /// searchers ([`HighDegreeGreedy`](crate::HighDegreeGreedy),
@@ -26,8 +27,8 @@ use nonsearch_graph::{EdgeId, NodeId};
 /// [`reserve`](FrontierCursors::reserve).
 #[derive(Debug, Clone, Default)]
 pub struct FrontierCursors {
-    cursors: StampedMap<usize>,
-    /// Cumulative count of resolved incident slots skipped by
+    cursors: StampedMap<u32>,
+    /// Cumulative count of explored incident slots skipped by
     /// [`next_unexplored`](FrontierCursors::next_unexplored) scans.
     /// Survives [`reset`](FrontierCursors::reset) — metrics consumers
     /// take before/after deltas.
@@ -57,40 +58,32 @@ impl FrontierCursors {
         self.cursors.reserve(nodes);
     }
 
-    /// The next unresolved incident edge of `v`, advancing the cursor
-    /// past resolved edges. Returns `None` when `v` is exhausted (or not
+    /// The next unexplored incident edge of `v`, advancing the cursor
+    /// past explored slots. Returns `None` when `v` is exhausted (or not
     /// discovered).
     // lint: alloc-free
     pub fn next_unexplored(&mut self, view: &DiscoveredView, v: NodeId) -> Option<EdgeId> {
         let info = view.vertex(v)?;
-        let incident = info.incident();
         let i = v.index();
-        let mut cursor = self.cursors.get(i).copied().unwrap_or(0);
-        if cursor > incident.len() {
+        let mut cursor = self.cursors.get(i).map_or(0, |&c| c as usize);
+        if cursor > info.degree() {
             // Stale cursor from a *different* graph (caller reused the
             // searcher without `reset`): the stored position can exceed
             // this vertex's incident list, and resuming there would
             // falsely report the vertex exhausted. Rescan from slot 0 —
-            // resolution is monotone within a view, so rescanning only
-            // re-skips edges and returns the correct first unresolved
+            // exploration is monotone within a view, so rescanning only
+            // re-skips slots and returns the correct first unexplored
             // one.
             cursor = 0;
         }
-        let mut found = None;
-        while cursor < incident.len() {
-            let e = incident[cursor];
-            if !view.is_resolved(e) {
-                found = Some(e);
-                break;
-            }
-            cursor += 1;
-            self.rescans += 1;
-        }
-        self.cursors.put(i, cursor);
-        found
+        let found = info.first_unexplored(view, cursor);
+        self.rescans += (found - cursor) as u64;
+        // The view's spans are `u32`, so every slot index fits.
+        self.cursors.put(i, found as u32);
+        info.incident().get(found).copied()
     }
 
-    /// Cumulative count of resolved slots these cursors have skipped
+    /// Cumulative count of explored slots these cursors have skipped
     /// past since construction (resets do not clear it) — the wasted
     /// scan work the amortized-O(1) cursor design keeps bounded.
     pub fn rescans(&self) -> u64 {

@@ -43,9 +43,7 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
             });
         }
         scratch.begin(graph);
-        scratch
-            .view
-            .insert_vertex_from_slots(start, graph.incident(start));
+        scratch.view.discover(graph, start);
         Ok(StrongSearchState {
             graph,
             scratch,
@@ -87,13 +85,8 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
         self.requests += 1;
         self.scratch.expanded.push(u);
         self.scratch.revealed.clear();
-        for &(v, e) in self.graph.incident(u) {
-            self.scratch.view.resolve_edge(u, e, v);
-            if !self.scratch.view.contains(v) {
-                self.scratch
-                    .view
-                    .insert_vertex_from_slots(v, self.graph.incident(v));
-            }
+        for &(v, _) in self.graph.incident(u) {
+            self.scratch.view.discover(self.graph, v);
             self.scratch.revealed.push(v);
         }
         Ok(&self.scratch.revealed)
@@ -196,11 +189,12 @@ mod tests {
         let g = star();
         let mut scratch = SearchScratch::new();
         let mut s = StrongSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
+        assert_eq!(s.view().unexplored_edges_of(NodeId::new(0)).count(), 3);
         s.request(NodeId::new(0)).unwrap();
-        let incident = s.view().vertex(NodeId::new(0)).unwrap().incident().to_vec();
-        for e in incident {
-            assert!(s.view().is_resolved(e));
+        for v in 0..4 {
+            assert!(!s.view().has_unexplored(NodeId::new(v)));
         }
+        assert_eq!(s.view().edge_resolutions(), 3);
     }
 
     #[test]

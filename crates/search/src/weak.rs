@@ -56,9 +56,7 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
             });
         }
         scratch.begin(graph);
-        scratch
-            .view
-            .insert_vertex_from_slots(start, graph.incident(start));
+        scratch.view.discover(graph, start);
         Ok(WeakSearchState {
             graph,
             scratch,
@@ -108,10 +106,7 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
             _ => return Err(SearchError::UnknownIncidence { vertex: u, edge: e }),
         };
         self.requests += 1;
-        self.scratch.view.resolve_edge(u, e, other);
-        self.scratch
-            .view
-            .insert_vertex_from_slots(other, self.graph.incident(other));
+        self.scratch.view.discover(self.graph, other);
         Ok(other)
     }
 }
@@ -185,10 +180,13 @@ mod tests {
         assert_eq!(v, NodeId::new(1));
         assert_eq!(s.view().degree_of(NodeId::new(1)), Some(2));
         assert_eq!(s.requests(), 1);
-        // The edge is resolved in both directions.
+        // The edge is explored from both of its endpoints.
+        assert_eq!(s.view().unexplored_edges_of(NodeId::new(0)).count(), 0);
         assert_eq!(
-            s.view().other_endpoint(NodeId::new(0), e0),
-            Some(NodeId::new(1))
+            s.view()
+                .unexplored_edges_of(NodeId::new(1))
+                .collect::<Vec<_>>(),
+            [EdgeId::new(1)]
         );
     }
 

@@ -4,8 +4,9 @@
 //! heap allocations.
 //!
 //! The shared counting global allocator (`nonsearch_alloc_counter`,
-//! also installed by the `oracle_ops` bench so both harnesses measure
-//! the same thing) makes the claim checkable rather than aspirational.
+//! also installed by the `xp` binary, whose perf records report the
+//! `allocations` of every trial body) makes the claim checkable rather
+//! than aspirational.
 //! The counter is per-thread (concurrent libtest threads cannot
 //! pollute a measurement window), so everything lives in one `#[test]`
 //! purely to keep the warm-up → steady-state sequencing explicit.

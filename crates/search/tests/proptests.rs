@@ -1,9 +1,9 @@
 //! Property-based tests: oracle accounting, the weak oracle's O(1)
 //! validity check against the incident-list scan it replaced, searcher
-//! invariants, the dense view's observational equivalence against a
-//! hash-map reference model, the best-vertex searchers' request-sequence
-//! identity against scan reference models, and scratch-reuse
-//! bit-identity.
+//! invariants, both oracles' observational equivalence against a
+//! hash-map reference model with explicit per-edge resolution state,
+//! the best-vertex searchers' request-sequence identity against scan
+//! reference models, and scratch-reuse bit-identity.
 
 use nonsearch_generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
@@ -46,17 +46,31 @@ fn reference_request(
     Ok(if a == u { b } else { a })
 }
 
-/// The pre-refactor `HashMap`-based view, kept as the reference model:
-/// the dense epoch-stamped implementation must agree with it on every
-/// observable query after any script of inserts and resolutions.
+/// The `HashMap`-based view with explicit per-edge resolution state,
+/// kept as the reference model. The test mirrors every accepted request
+/// into it exactly as the oracles did before exploredness was derived
+/// from discovery: a weak request resolves its edge and then discovers
+/// the far end; a strong request does so for every slot of the
+/// expanded vertex. The dense view must agree with it on every
+/// observable query, and on the number of resolved edges.
 #[derive(Default)]
 struct ReferenceView {
     order: Vec<NodeId>,
     vertices: HashMap<NodeId, Vec<EdgeId>>,
     edges: HashMap<EdgeId, (NodeId, Option<NodeId>)>,
+    /// Edges that became resolved, cumulative across resets.
+    resolutions: u64,
 }
 
 impl ReferenceView {
+    /// Forgets everything but the resolution count.
+    fn reset(&mut self) {
+        *self = ReferenceView {
+            resolutions: self.resolutions,
+            ..ReferenceView::default()
+        };
+    }
+
     fn insert_vertex(&mut self, v: NodeId, incident: &[EdgeId]) {
         if self.vertices.contains_key(&v) {
             return;
@@ -66,7 +80,12 @@ impl ReferenceView {
                 None => {
                     self.edges.insert(e, (v, None));
                 }
-                Some((_, other @ None)) => *other = Some(v),
+                // The second sighting resolves the edge; a self-loop
+                // lists the same handle twice in one incident list.
+                Some((_, other @ None)) => {
+                    *other = Some(v);
+                    self.resolutions += 1;
+                }
                 Some(_) => {}
             }
         }
@@ -76,16 +95,59 @@ impl ReferenceView {
 
     fn resolve_edge(&mut self, u: NodeId, e: EdgeId, other: NodeId) {
         match self.edges.get_mut(&e) {
-            // Resolving re-anchors on the requesting endpoint `u`: the
-            // recorded first sighting may be this request's *far*
-            // endpoint, and keeping it would store the degenerate pair
-            // {other, other}.
-            Some(entry) if entry.1.is_none() => *entry = (u, Some(other)),
-            Some(_) => {}
+            Some((_, Some(_))) => return,
+            Some(entry) => *entry = (u, Some(other)),
             None => {
                 self.edges.insert(e, (u, Some(other)));
             }
         }
+        self.resolutions += 1;
+    }
+
+    /// Discovers `v` with its incident list in `graph`.
+    fn discover(&mut self, graph: &UndirectedCsr, v: NodeId) {
+        let incident: Vec<EdgeId> = graph.incident(v).iter().map(|&(_, e)| e).collect();
+        self.insert_vertex(v, &incident);
+    }
+
+    /// The weak request `(u, e)` as the oracle used to serve it.
+    fn weak_request(
+        &mut self,
+        graph: &UndirectedCsr,
+        u: NodeId,
+        e: EdgeId,
+    ) -> Result<NodeId, SearchError> {
+        let Some(incident) = self.vertices.get(&u) else {
+            return Err(SearchError::UndiscoveredVertex { vertex: u });
+        };
+        if !incident.contains(&e) {
+            return Err(SearchError::UnknownIncidence { vertex: u, edge: e });
+        }
+        let (a, b) = graph.edge_endpoints(e).unwrap();
+        let other = if a == u { b } else { a };
+        self.resolve_edge(u, e, other);
+        self.discover(graph, other);
+        Ok(other)
+    }
+
+    /// The strong request on `u` as the oracle used to serve it.
+    fn strong_request(
+        &mut self,
+        graph: &UndirectedCsr,
+        u: NodeId,
+    ) -> Result<Vec<NodeId>, SearchError> {
+        if !self.contains(u) {
+            return Err(SearchError::UndiscoveredVertex { vertex: u });
+        }
+        let mut revealed = Vec::new();
+        for &(v, e) in graph.incident(u) {
+            self.resolve_edge(u, e, v);
+            if !self.contains(v) {
+                self.discover(graph, v);
+            }
+            revealed.push(v);
+        }
+        Ok(revealed)
     }
 
     fn contains(&self, v: NodeId) -> bool {
@@ -98,15 +160,6 @@ impl ReferenceView {
 
     fn is_resolved(&self, e: EdgeId) -> bool {
         self.edges.get(&e).is_some_and(|(_, other)| other.is_some())
-    }
-
-    fn other_endpoint(&self, u: NodeId, e: EdgeId) -> Option<NodeId> {
-        let &(a, b) = self.edges.get(&e)?;
-        match (a, b?) {
-            (a, b) if a == u => Some(b),
-            (a, b) if b == u => Some(a),
-            _ => None,
-        }
     }
 
     fn unexplored(&self, v: NodeId) -> Vec<EdgeId> {
@@ -369,14 +422,6 @@ fn simulated_trace(
     (weak, s.inner.inner().log.clone())
 }
 
-/// One scripted operation against both views.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(usize, Vec<usize>),
-    Resolve(usize, usize, usize),
-    Reset,
-}
-
 /// One scripted operation against a raw [`StampedMap`] and a `HashMap`.
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -393,69 +438,101 @@ fn map_op_strategy(indices: usize) -> impl Strategy<Value = MapOp> {
     })
 }
 
-fn op_strategy(nodes: usize, edges: usize) -> impl Strategy<Value = Op> {
-    (
-        0usize..9,
-        0..nodes,
-        proptest::collection::vec(0..edges, 0..6),
-        0..edges,
-        0..nodes,
-    )
-        .prop_map(|(sel, v, incident, e, w)| match sel {
-            0..=3 => Op::Insert(v, incident),
-            4..=7 => Op::Resolve(v, e, w),
-            _ => Op::Reset,
-        })
+/// One search on a shared scratch: strong (1) or weak (0), its start, and its
+/// request probes `(kind, a, b)`.
+type Segment = (u8, usize, Vec<(u8, usize, usize)>);
+
+/// Asserts that `view` and `reference` agree on every observable query
+/// over vertices `0..ids`, and on the resolution count.
+fn assert_views_agree(
+    view: &DiscoveredView,
+    reference: &ReferenceView,
+    ids: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.len(), reference.order.len());
+    prop_assert_eq!(view.discovered(), &reference.order[..]);
+    prop_assert_eq!(view.edge_resolutions(), reference.resolutions);
+    for v in (0..ids).map(NodeId::new) {
+        prop_assert_eq!(view.contains(v), reference.contains(v));
+        prop_assert_eq!(view.degree_of(v), reference.degree_of(v));
+        let unexplored = reference.unexplored(v);
+        prop_assert_eq!(
+            view.unexplored_edges_of(v).collect::<Vec<_>>(),
+            unexplored.clone()
+        );
+        prop_assert_eq!(view.has_unexplored(v), !unexplored.is_empty());
+        if let Some(info) = view.vertex(v) {
+            prop_assert_eq!(info.incident(), &reference.vertices[&v][..]);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn dense_view_matches_the_hashmap_reference_model(
-        ops in proptest::collection::vec(op_strategy(12, 16), 1..60),
+    fn oracles_match_the_per_edge_reference_model(
+        n in 1usize..12,
+        raw_edges in proptest::collection::vec((0usize..1000, 0usize..1000), 0..30),
+        segments in proptest::collection::vec(
+            (
+                0u8..2,
+                0usize..1000,
+                proptest::collection::vec((0u8..4, 0usize..1000, 0usize..1000), 0..24),
+            ),
+            1..5,
+        ),
     ) {
-        let mut dense = DiscoveredView::new();
+        // Raw multigraphs: self-loops, parallel edges and isolated
+        // vertices. Requests are legal, redundant and rejected; each
+        // segment begins a new search on the same scratch (a reset).
+        let graph =
+            UndirectedCsr::from_edges(n, raw_edges.iter().map(|&(a, b)| (a % n, b % n))).unwrap();
+        let edges = graph.edge_count();
+        let ids = n + 2;
+        let mut scratch = SearchScratch::new();
         let mut reference = ReferenceView::default();
-        for op in &ops {
-            match op {
-                Op::Insert(v, incident) => {
-                    let incident: Vec<EdgeId> =
-                        incident.iter().map(|&e| EdgeId::new(e)).collect();
-                    dense.insert_vertex(NodeId::new(*v), &incident);
-                    reference.insert_vertex(NodeId::new(*v), &incident);
+        let segments: Vec<Segment> = segments;
+        for (strong, start, probes) in &segments {
+            let start = NodeId::new(start % n);
+            reference.reset();
+            reference.discover(&graph, start);
+            if *strong == 1 {
+                let mut state = StrongSearchState::new_in(&mut scratch, &graph, start).unwrap();
+                assert_views_agree(state.view(), &reference, ids)?;
+                for &(kind, a, _) in probes {
+                    let discovered = state.view().discovered();
+                    let u = if kind == 0 {
+                        NodeId::new(a % ids)
+                    } else {
+                        discovered[a % discovered.len()]
+                    };
+                    let want = reference.strong_request(&graph, u);
+                    let got = state.request(u).map(<[NodeId]>::to_vec);
+                    prop_assert_eq!(got, want, "strong request {:?}", u);
+                    assert_views_agree(state.view(), &reference, ids)?;
                 }
-                Op::Resolve(u, e, w) => {
-                    dense.resolve_edge(NodeId::new(*u), EdgeId::new(*e), NodeId::new(*w));
-                    reference.resolve_edge(NodeId::new(*u), EdgeId::new(*e), NodeId::new(*w));
-                }
-                Op::Reset => {
-                    dense.reset();
-                    reference = ReferenceView::default();
-                }
-            }
-            // After every step the two implementations agree on every
-            // observable query over the whole id space.
-            prop_assert_eq!(dense.len(), reference.order.len());
-            prop_assert_eq!(dense.discovered(), &reference.order[..]);
-            for v in (0..12).map(NodeId::new) {
-                prop_assert_eq!(dense.contains(v), reference.contains(v));
-                prop_assert_eq!(dense.degree_of(v), reference.degree_of(v));
-                prop_assert_eq!(
-                    dense.unexplored_edges_of(v).collect::<Vec<_>>(),
-                    reference.unexplored(v)
-                );
-                if let Some(info) = dense.vertex(v) {
-                    prop_assert_eq!(info.incident(), &reference.vertices[&v][..]);
-                }
-            }
-            for e in (0..16).map(EdgeId::new) {
-                prop_assert_eq!(dense.is_resolved(e), reference.is_resolved(e));
-                for u in (0..12).map(NodeId::new) {
-                    prop_assert_eq!(
-                        dense.other_endpoint(u, e),
-                        reference.other_endpoint(u, e)
-                    );
+            } else {
+                let mut state = WeakSearchState::new_in(&mut scratch, &graph, start).unwrap();
+                assert_views_agree(state.view(), &reference, ids)?;
+                for &(kind, a, b) in probes {
+                    let discovered = state.view().discovered();
+                    let any_edge = EdgeId::new(b % (edges + 3));
+                    let (u, e) = match kind {
+                        0 => (NodeId::new(a % ids), any_edge),
+                        1 => (discovered[a % discovered.len()], any_edge),
+                        _ => {
+                            let u = discovered[a % discovered.len()];
+                            let incident = state.view().vertex(u).unwrap().incident();
+                            let e = incident.get(b % incident.len().max(1)).copied();
+                            (u, e.unwrap_or(any_edge))
+                        }
+                    };
+                    let want = reference.weak_request(&graph, u, e);
+                    let got = state.request(u, e);
+                    prop_assert_eq!(got, want, "weak request ({:?}, {:?})", u, e);
+                    assert_views_agree(state.view(), &reference, ids)?;
                 }
             }
         }
