@@ -1,9 +1,11 @@
 //! End-to-end tests of the corpus subsystem through the `xp` binary:
-//! build determinism across thread counts, corpus-backed experiments
+//! build determinism across thread counts, every file's bytes pinned by
+//! a committed checksum fixture, corpus-backed experiments
 //! reproducing the generate-per-trial records (a `--heal` run over a
 //! corrupt corpus included), and the null-model experiment's record
 //! stream.
 
+use nonsearch_corpus::{nsg, Manifest};
 use nonsearch_engine::{parse_json, validate_jsonl, JsonValue, CELL_TYPE};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -104,6 +106,63 @@ fn corpus_build_is_byte_identical_across_thread_counts() {
 
     std::fs::remove_dir_all(&dir1).ok();
     std::fs::remove_dir_all(&dir8).ok();
+}
+
+/// Every `.nsg` file of a fresh build as `file checksum` lines, in
+/// manifest order, each checksum the FNV-1a 64 of the file's bytes.
+fn file_checksum_lines(dir: &std::path::Path) -> String {
+    let manifest = Manifest::read_from(dir).expect("manifest reads");
+    let mut lines = String::new();
+    for entry in &manifest.graphs {
+        let files = std::iter::once(&entry.file).chain(entry.variants.iter().map(|v| &v.file));
+        for file in files {
+            let bytes = std::fs::read(dir.join(file)).expect("stored file reads");
+            lines += &format!("{file} {:016x}\n", nsg::fnv1a64(&bytes));
+        }
+    }
+    lines
+}
+
+/// A BA corpus with two rewired variants per graph reproduces the
+/// committed checksums of every file at one and two threads: the
+/// generator, the edge-swap chain and the `.nsg` encoder are pinned
+/// byte for byte.
+#[test]
+fn corpus_build_matches_the_committed_checksums() {
+    let fixture = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/corpus_ba.checksums"),
+    )
+    .expect("fixture reads");
+    assert_eq!(
+        fixture.lines().count(),
+        24,
+        "2 sizes × 4 trials × (1 + 2 variants)"
+    );
+    for threads in ["1", "2"] {
+        let dir = temp_path(&format!("fixture_t{threads}"));
+        let out = xp(&[
+            "corpus",
+            "build",
+            dir.to_str().unwrap(),
+            "--model",
+            "ba:m=2",
+            "--sizes",
+            "1024,4096",
+            "--trials",
+            "4",
+            "--variants",
+            "2",
+            "--swaps",
+            "10",
+            "--seed",
+            "1",
+            "--threads",
+            threads,
+        ]);
+        assert_ok(&out, "corpus build");
+        assert_eq!(file_checksum_lines(&dir), fixture, "--threads {threads}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -62,28 +62,30 @@ pub fn encode_graph(graph: &UndirectedCsr) -> Result<Vec<u8>, CorpusError> {
         )));
     }
 
-    let payload_len = 8 * offsets.len() + 8 * slots.len() + 8 * edge_list.len();
-    let mut payload = Vec::with_capacity(payload_len);
-    for &o in offsets {
-        payload.extend_from_slice(&(o as u64).to_le_bytes());
-    }
-    for &(v, e) in slots {
-        payload.extend_from_slice(&(v.index() as u32).to_le_bytes());
-        payload.extend_from_slice(&(e.index() as u32).to_le_bytes());
-    }
-    for &(u, v) in edge_list {
-        payload.extend_from_slice(&(u.index() as u32).to_le_bytes());
-        payload.extend_from_slice(&(v.index() as u32).to_le_bytes());
-    }
-
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+    // The file image is written once: the header with a zero checksum,
+    // then the payload, then the payload's checksum patched in.
+    let len = HEADER_LEN + 8 * offsets.len() + 8 * slots.len() + 8 * edge_list.len();
+    let mut bytes = Vec::with_capacity(len);
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
     bytes.extend_from_slice(&0u16.to_le_bytes()); // flags
     bytes.extend_from_slice(&(n as u64).to_le_bytes());
     bytes.extend_from_slice(&(m as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // payload checksum, patched below
+    for &o in offsets {
+        bytes.extend_from_slice(&(o as u64).to_le_bytes());
+    }
+    for &(v, e) in slots {
+        bytes.extend_from_slice(&(v.index() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(e.index() as u32).to_le_bytes());
+    }
+    for &(u, v) in edge_list {
+        bytes.extend_from_slice(&(u.index() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(v.index() as u32).to_le_bytes());
+    }
+    debug_assert_eq!(bytes.len(), len);
+    let checksum = fnv1a64(&bytes[HEADER_LEN..]);
+    bytes[24..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     Ok(bytes)
 }
 
@@ -144,7 +146,7 @@ fn decode_validated(bytes: &[u8], n: usize, m: usize) -> Result<UndirectedCsr, C
 /// # Errors
 ///
 /// Returns [`CorpusError::Format`] on any violation.
-pub fn validate_bytes(bytes: &[u8]) -> Result<(usize, usize), CorpusError> {
+fn validate_bytes(bytes: &[u8]) -> Result<(usize, usize), CorpusError> {
     let (n, m, stored_checksum) = read_header(bytes)?;
     let actual_checksum = fnv1a64(&bytes[HEADER_LEN..]);
     if actual_checksum != stored_checksum {

@@ -14,11 +14,11 @@
 //! by the page cache rather than by RAM.
 
 use crate::error::CorpusError;
-use crate::manifest::Manifest;
+use crate::manifest::{GraphEntry, Manifest};
 use crate::mmap::{LoadMode, MappedFile};
 use crate::model_spec::parse_model;
 use crate::nsg;
-use nonsearch_engine::GraphSource;
+use nonsearch_engine::{run_ordered, GraphSource};
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::{CsrBytes, UndirectedCsr};
 // lint: allow(determinism): keyed cache lookup only; the map is never iterated, so order cannot surface
@@ -139,13 +139,8 @@ impl Corpus {
         &self.inner.manifest
     }
 
-    /// The corpus directory.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
     /// `true` if the corpus stores graphs for requested size `n`.
-    pub fn supports_size(&self, n: usize) -> bool {
+    fn supports_size(&self, n: usize) -> bool {
         self.inner.by_n.contains_key(&n)
     }
 
@@ -271,30 +266,43 @@ impl Corpus {
 
     /// Re-reads every stored file through the load pipeline, checking
     /// manifest checksums, CSR structural consistency, and the
-    /// manifest's node/edge counts. On a healing corpus
+    /// manifest's node/edge counts. The files are read on the engine's
+    /// worker pool, one job per file on all cores; the report and the
+    /// returned error still follow manifest order. On a healing corpus
     /// ([`Corpus::open_healing`], `corpus verify --heal`) each corrupt
     /// file is quarantined, regenerated, and re-verified in place, and
     /// the report counts the repairs.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found (non-healing), or the first
-    /// violation that regeneration could not repair.
+    /// Returns the first violation in manifest order (non-healing), or
+    /// the first violation that regeneration could not repair.
     pub fn verify(&self) -> Result<VerifyReport, CorpusError> {
-        let mut report = VerifyReport {
-            files: 0,
-            bytes: 0,
-            healed: 0,
-            quarantined: 0,
-        };
+        self.verify_on(0)
+    }
+
+    /// [`Corpus::verify`] on `threads` workers (0 = all cores).
+    fn verify_on(&self, threads: usize) -> Result<VerifyReport, CorpusError> {
+        let mut checks: Vec<(&GraphEntry, &str, u64)> = Vec::new();
         for entry in &self.inner.manifest.graphs {
-            let checks = std::iter::once((&entry.file, entry.checksum))
-                .chain(entry.variants.iter().map(|v| (&v.file, v.checksum)));
-            for (file, expected) in checks {
+            checks.push((entry, &entry.file, entry.checksum));
+            checks.extend(
+                entry
+                    .variants
+                    .iter()
+                    .map(|v| (entry, v.file.as_str(), v.checksum)),
+            );
+        }
+        // Healing derives its streams from the manifest, so the job
+        // streams go unused.
+        let results = run_ordered(
+            checks.len(),
+            threads,
+            &SeedSequence::new(0),
+            |job, _| -> Result<(u64, Option<bool>), CorpusError> {
+                let (entry, file, expected) = checks[job];
                 let (graph, healed) = self.read_or_heal(file, Some(expected))?;
-                if let Some(quarantined) = healed {
-                    report.healed += 1;
-                    report.quarantined += usize::from(quarantined);
+                if healed.is_some() {
                     // A graph cached before the corruption may borrow the
                     // old bytes: drop its slot so the next load reads the
                     // regenerated file.
@@ -302,7 +310,7 @@ impl Corpus {
                         .cache
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
-                        .remove(file.as_str());
+                        .remove(file);
                 }
                 let (n, m) = (graph.node_count(), graph.edge_count());
                 if (n, m) != (entry.nodes, entry.edges) {
@@ -311,9 +319,21 @@ impl Corpus {
                         entry.nodes, entry.edges,
                     )));
                 }
-                report.files += 1;
-                report.bytes += nsg::csr_layout(n, m).edge_list.end as u64;
-            }
+                Ok((nsg::csr_layout(n, m).edge_list.end as u64, healed))
+            },
+        );
+        let mut report = VerifyReport {
+            files: 0,
+            bytes: 0,
+            healed: 0,
+            quarantined: 0,
+        };
+        for result in results {
+            let (bytes, healed) = result?;
+            report.files += 1;
+            report.bytes += bytes;
+            report.healed += usize::from(healed.is_some());
+            report.quarantined += usize::from(healed == Some(true));
         }
         Ok(report)
     }
@@ -744,6 +764,50 @@ mod tests {
         let report = Corpus::open(&dir).unwrap().verify().unwrap();
         assert_eq!(report.healed, 0);
         assert_eq!(report.quarantined, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pooled_verify_follows_manifest_order_and_heals_like_one_thread() {
+        let (dir, plain) = built_corpus("pooled_verify");
+        let graphs = &plain.manifest().graphs;
+        let early = dir.join(&graphs[0].file);
+        let late = dir.join(&graphs[graphs.len() - 1].variants[0].file);
+        let (early_bytes, late_bytes) = (
+            std::fs::read(&early).unwrap(),
+            std::fs::read(&late).unwrap(),
+        );
+        // Corrupt the first file in manifest order and delete the last.
+        let damage = || {
+            let mut corrupt = early_bytes.clone();
+            corrupt[nsg::HEADER_LEN] ^= 0x01;
+            std::fs::write(&early, &corrupt).unwrap();
+            std::fs::remove_file(&late).unwrap();
+        };
+        damage();
+
+        // Whichever worker fails first, the error names the earlier file.
+        for threads in [1, 2, 4] {
+            match plain.verify_on(threads) {
+                Err(CorpusError::Checksum { path, .. }) => assert_eq!(path, early, "{threads}"),
+                other => {
+                    panic!("threads={threads}: expected the early checksum error, got {other:?}")
+                }
+            }
+        }
+        assert!(matches!(plain.verify(), Err(CorpusError::Checksum { path, .. }) if path == early));
+
+        // Healing repairs both; the pooled report equals the 1-thread one.
+        let healing = Corpus::open_healing(&dir, LoadMode::Mmap, true).unwrap();
+        let serial = healing.verify_on(1).unwrap();
+        assert_eq!((serial.healed, serial.quarantined), (2, 1));
+        assert_eq!(std::fs::read(&early).unwrap(), early_bytes);
+        assert_eq!(std::fs::read(&late).unwrap(), late_bytes);
+        damage();
+        assert_eq!(healing.verify_on(4).unwrap(), serial);
+        damage();
+        assert_eq!(healing.verify().unwrap(), serial);
+        assert_eq!(plain.verify().unwrap().healed, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

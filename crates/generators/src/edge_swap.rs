@@ -10,6 +10,31 @@
 //! are rejected, which is what keeps the chain inside the simple-graph
 //! state space.
 //!
+//! # State: four slots per swap
+//!
+//! The chain's state is the edge list, as `u32` endpoint pairs in the
+//! input's edge order, plus an adjacency it can query. The adjacency is a
+//! copy of the input's CSR slot array holding only each slot's far end,
+//! and every edge records the slot it occupies at each of its two
+//! endpoints. Degrees never change under a swap, so the slot ranges
+//! (the input's `offsets`) stay valid for the whole run: an applied swap
+//! rewrites exactly four slots in place. The slot `a` held for `(a, b)`
+//! now points at `d`, the slot `d` held for `(c, d)` at `a`, and likewise
+//! `c`'s at `b` and `b`'s at `c`. "Is `(a, d)` already an edge?" scans
+//! the shorter of the two neighbour lists. No hashing is involved.
+//!
+//! # Why the output is fixed by the seed alone
+//!
+//! Each attempt draws `gen_range(0..m)` for the first edge, then
+//! `gen_range(0..m)` for the second, then — only if they differ —
+//! `gen_bool(0.5)` for the second edge's orientation. The draw order,
+//! the accept/reject rule and the edge-order bookkeeping (`(a, d)`
+//! replaces edge `i`, `(c, b)` replaces edge `j`) define the output: the
+//! returned graph is [`UndirectedCsr::from_edges`] of the final edge
+//! list, and the returned [`SwapStats`] count the attempts. How the chain
+//! answers adjacency queries is invisible to both, so any correct
+//! adjacency structure yields the same graph, slot order included.
+//!
 //! # Example
 //!
 //! ```
@@ -27,7 +52,6 @@
 use crate::GeneratorError;
 use nonsearch_graph::{GraphProperties, UndirectedCsr};
 use rand::Rng;
-use std::collections::HashSet;
 
 /// What the rewiring chain did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +61,15 @@ pub struct SwapStats {
     /// Proposals applied (the rest would have created a self-loop or a
     /// parallel edge and were rejected).
     pub applied: usize,
+}
+
+/// One edge of the chain's state: its endpoints in output orientation,
+/// and the slot each endpoint holds it in (`slots[k]` belongs to
+/// `ends[k]`).
+#[derive(Clone, Copy)]
+struct ChainEdge {
+    ends: [u32; 2],
+    slots: [u32; 2],
 }
 
 /// Samples a degree-preserving null model of `graph` by running
@@ -73,11 +106,15 @@ pub fn degree_preserving_rewire<R: Rng + ?Sized>(
     }
 
     let n = graph.node_count();
-    let mut edges: Vec<(usize, usize)> = graph
-        .edges()
-        .map(|(_, (u, v))| (u.index(), v.index()))
+    let (offsets, slots, edge_list) = graph.raw_parts();
+    let m = edge_list.len();
+    let mut edges: Vec<ChainEdge> = edge_list
+        .iter()
+        .map(|&(u, v)| ChainEdge {
+            ends: [u.index() as u32, v.index() as u32],
+            slots: [0, 0],
+        })
         .collect();
-    let m = edges.len();
     let mut stats = SwapStats {
         attempted: 0,
         applied: 0,
@@ -87,8 +124,16 @@ pub fn degree_preserving_rewire<R: Rng + ?Sized>(
         return Ok((rebuild(n, &edges), stats));
     }
 
-    let key = |u: usize, v: usize| -> (usize, usize) { (u.min(v), u.max(v)) };
-    let mut present: HashSet<(usize, usize)> = edges.iter().map(|&(u, v)| key(u, v)).collect();
+    // The far end of every slot; slot ranges are the input's offsets.
+    let mut far: Vec<u32> = slots.iter().map(|&(v, _)| v.index() as u32).collect();
+    for u in 0..n {
+        for s in offsets[u]..offsets[u + 1] {
+            let edge = &mut edges[slots[s].1.index()];
+            // No self-loops, so `u` is exactly one of the two ends.
+            let k = usize::from(edge.ends[0] as usize != u);
+            edge.slots[k] = u32::try_from(s).expect("slot index exceeds u32::MAX");
+        }
+    }
 
     let target = swaps_per_edge * m;
     // Rejection headroom: dense or rigid graphs reject most proposals;
@@ -101,38 +146,60 @@ pub fn degree_preserving_rewire<R: Rng + ?Sized>(
         if i == j {
             continue;
         }
-        let (a, b) = edges[i];
+        let ChainEdge {
+            ends: [a, b],
+            slots: [sa, sb],
+        } = edges[i];
         // Swapping the orientation of one picked edge makes the proposal
         // distribution symmetric over both rewirings of the 2-swap.
-        let (c, d) = if rng.gen_bool(0.5) {
-            edges[j]
-        } else {
-            let (c, d) = edges[j];
-            (d, c)
-        };
+        let (k, l) = if rng.gen_bool(0.5) { (0, 1) } else { (1, 0) };
+        let ChainEdge { ends, slots } = edges[j];
+        let (c, d, sc, sd) = (ends[k], ends[l], slots[k], slots[l]);
         // Proposed replacement: (a, d) and (c, b).
         if a == d || c == b {
             continue; // self-loop
         }
-        let (k1, k2) = (key(a, d), key(c, b));
-        if k1 == k2 || present.contains(&k1) || present.contains(&k2) {
+        if adjacent(offsets, &far, a, d) || adjacent(offsets, &far, c, b) {
             continue; // parallel edge
         }
-        present.remove(&key(a, b));
-        present.remove(&key(c, d));
-        present.insert(k1);
-        present.insert(k2);
-        edges[i] = (a, d);
-        edges[j] = (c, b);
+        far[sa as usize] = d;
+        far[sd as usize] = a;
+        far[sc as usize] = b;
+        far[sb as usize] = c;
+        edges[i] = ChainEdge {
+            ends: [a, d],
+            slots: [sa, sd],
+        };
+        edges[j] = ChainEdge {
+            ends: [c, b],
+            slots: [sc, sb],
+        };
         stats.applied += 1;
     }
 
     Ok((rebuild(n, &edges), stats))
 }
 
-fn rebuild(n: usize, edges: &[(usize, usize)]) -> UndirectedCsr {
-    UndirectedCsr::from_edges(n, edges.iter().copied())
-        .expect("swapped endpoints stay within the original vertex range")
+/// `true` if `u` and `v` are joined, scanning the shorter of their two
+/// neighbour lists.
+fn adjacent(offsets: &[usize], far: &[u32], u: u32, v: u32) -> bool {
+    let span = |x: u32| offsets[x as usize]..offsets[x as usize + 1];
+    let (su, sv) = (span(u), span(v));
+    if su.len() <= sv.len() {
+        far[su].contains(&v)
+    } else {
+        far[sv].contains(&u)
+    }
+}
+
+fn rebuild(n: usize, edges: &[ChainEdge]) -> UndirectedCsr {
+    UndirectedCsr::from_edges(
+        n,
+        edges
+            .iter()
+            .map(|e| (e.ends[0] as usize, e.ends[1] as usize)),
+    )
+    .expect("swapped endpoints stay within the original vertex range")
 }
 
 #[cfg(test)]
@@ -141,6 +208,7 @@ mod tests {
     use crate::{rng_from_seed, BarabasiAlbert};
     use nonsearch_graph::degree_sequence;
     use rand::Rng;
+    use std::collections::HashSet;
 
     fn ba(n: usize, m: usize, seed: u64) -> UndirectedCsr {
         BarabasiAlbert::sample(n, m, &mut rng_from_seed(seed))

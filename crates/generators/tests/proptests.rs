@@ -5,8 +5,177 @@ use nonsearch_generators::{
     ConfigModel, CooperFrieze, CooperFriezeConfig, KleinbergGrid, MergedMori, MoriTree,
     PowerLawConfig, SimplificationPolicy, UniformAttachment,
 };
-use nonsearch_graph::{degree_sequence, is_connected, GraphProperties, NodeId};
+use nonsearch_graph::{degree_sequence, is_connected, GraphProperties, NodeId, UndirectedCsr};
 use proptest::prelude::*;
+use rand::{Rng, RngCore};
+
+/// The edge-swap chain as it was before the in-place slot arrays: every
+/// edge in a `HashSet` of unordered pairs, two lookups, two removes and
+/// two inserts per applied swap. Kept verbatim as the reference model
+/// `degree_preserving_rewire` must match exactly — output graph, slot
+/// order, `SwapStats` and errors.
+mod reference {
+    use nonsearch_generators::{GeneratorError, SwapStats};
+    use nonsearch_graph::{GraphProperties, UndirectedCsr};
+    use rand::Rng;
+    use std::collections::HashSet;
+
+    pub fn degree_preserving_rewire<R: Rng + ?Sized>(
+        graph: &UndirectedCsr,
+        swaps_per_edge: usize,
+        rng: &mut R,
+    ) -> nonsearch_generators::Result<(UndirectedCsr, SwapStats)> {
+        if graph.self_loop_count() > 0 {
+            return Err(GeneratorError::invalid(
+                "graph",
+                format!("{} self-loops", graph.self_loop_count()),
+                "a simple graph (no self-loops)",
+            ));
+        }
+        if graph.parallel_edge_count() > 0 {
+            return Err(GeneratorError::invalid(
+                "graph",
+                format!("{} parallel edges", graph.parallel_edge_count()),
+                "a simple graph (no parallel edges)",
+            ));
+        }
+
+        let n = graph.node_count();
+        let mut edges: Vec<(usize, usize)> = graph
+            .edges()
+            .map(|(_, (u, v))| (u.index(), v.index()))
+            .collect();
+        let m = edges.len();
+        let mut stats = SwapStats {
+            attempted: 0,
+            applied: 0,
+        };
+        if m < 2 {
+            // Nothing to swap; the null model is the graph itself.
+            return Ok((rebuild(n, &edges), stats));
+        }
+
+        let key = |u: usize, v: usize| -> (usize, usize) { (u.min(v), u.max(v)) };
+        let mut present: HashSet<(usize, usize)> = edges.iter().map(|&(u, v)| key(u, v)).collect();
+
+        let target = swaps_per_edge * m;
+        // Rejection headroom: dense or rigid graphs reject most proposals;
+        // beyond this budget we accept however far the chain got.
+        let max_attempts = target.saturating_mul(20).max(64);
+        while stats.applied < target && stats.attempted < max_attempts {
+            stats.attempted += 1;
+            let i = rng.gen_range(0..m);
+            let j = rng.gen_range(0..m);
+            if i == j {
+                continue;
+            }
+            let (a, b) = edges[i];
+            // Swapping the orientation of one picked edge makes the proposal
+            // distribution symmetric over both rewirings of the 2-swap.
+            let (c, d) = if rng.gen_bool(0.5) {
+                edges[j]
+            } else {
+                let (c, d) = edges[j];
+                (d, c)
+            };
+            // Proposed replacement: (a, d) and (c, b).
+            if a == d || c == b {
+                continue; // self-loop
+            }
+            let (k1, k2) = (key(a, d), key(c, b));
+            if k1 == k2 || present.contains(&k1) || present.contains(&k2) {
+                continue; // parallel edge
+            }
+            present.remove(&key(a, b));
+            present.remove(&key(c, d));
+            present.insert(k1);
+            present.insert(k2);
+            edges[i] = (a, d);
+            edges[j] = (c, b);
+            stats.applied += 1;
+        }
+
+        Ok((rebuild(n, &edges), stats))
+    }
+
+    fn rebuild(n: usize, edges: &[(usize, usize)]) -> UndirectedCsr {
+        UndirectedCsr::from_edges(n, edges.iter().copied())
+            .expect("swapped endpoints stay within the original vertex range")
+    }
+}
+
+/// Strategy: a starting graph for the edge-swap chain — Barabási–Albert
+/// samples, Móri trees, G(n, m), stars, `K_5` (where every proposal is
+/// rejected), graphs with 0, 1 or 2 edges, and multigraphs the chain must
+/// refuse — with its slots shuffled half of the time, so the chain sees
+/// arbitrary incidence orders.
+fn arb_swap_input() -> impl Strategy<Value = UndirectedCsr> {
+    (0usize..7, 0usize..100, 1usize..4, 0u64..u64::MAX, 0u8..2).prop_map(
+        |(kind, size, m, seed, shuffle)| {
+            let rng = &mut rng_from_seed(seed);
+            let mut g = match kind {
+                0 => BarabasiAlbert::sample(size.max(m + 2), m, rng)
+                    .unwrap()
+                    .undirected(),
+                1 => {
+                    let p = rng.gen_range(0..=100) as f64 / 100.0;
+                    MoriTree::sample(size.max(2), p, rng).unwrap().undirected()
+                }
+                2 => {
+                    // G(n, m): distinct non-loop pairs in draw order.
+                    let n = 2 + size % 30;
+                    let target = (size * m / 2).min(n * (n - 1) / 2);
+                    let mut pairs: Vec<(usize, usize)> = Vec::new();
+                    while pairs.len() < target {
+                        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        if u != v && !pairs.contains(&(u, v)) && !pairs.contains(&(v, u)) {
+                            pairs.push((u, v));
+                        }
+                    }
+                    UndirectedCsr::from_edges(n, pairs).unwrap()
+                }
+                3 => {
+                    let leaves = size % 12;
+                    UndirectedCsr::from_edges(leaves + 1, (1..=leaves).map(|i| (0, i))).unwrap()
+                }
+                4 => {
+                    let pairs = (0..5).flat_map(|u| (u + 1..5).map(move |v| (u, v)));
+                    UndirectedCsr::from_edges(5, pairs).unwrap()
+                }
+                5 => {
+                    // 0, 1 or 2 edges; the 2-edge graphs are a path or a
+                    // matching, and the 0-edge ones include n = 0.
+                    let edges = [[(0, 1), (1, 2)], [(0, 1), (2, 3)]][m % 2];
+                    let count = size % 3;
+                    let n = if count == 0 { size % 4 } else { 4 };
+                    UndirectedCsr::from_edges(n, edges[..count].iter().copied()).unwrap()
+                }
+                _ => {
+                    // A simple BA graph plus one self-loop or one
+                    // duplicated edge.
+                    let g = BarabasiAlbert::sample(size.max(m + 2), m, rng)
+                        .unwrap()
+                        .undirected();
+                    let mut edges: Vec<(usize, usize)> = g
+                        .edges()
+                        .map(|(_, (u, v))| (u.index(), v.index()))
+                        .collect();
+                    let extra = if seed % 2 == 0 {
+                        (edges[0].0, edges[0].0)
+                    } else {
+                        edges[edges.len() / 2]
+                    };
+                    edges.push(extra);
+                    UndirectedCsr::from_edges(g.node_count(), edges).unwrap()
+                }
+            };
+            if shuffle == 1 {
+                g.shuffle_slots(rng);
+            }
+            g
+        },
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -172,5 +341,25 @@ proptest! {
         prop_assert_eq!(null.self_loop_count(), 0);
         prop_assert_eq!(null.parallel_edge_count(), 0);
         prop_assert!(stats.applied <= stats.attempted);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn edge_swap_matches_the_hashset_chain(
+        g in arb_swap_input(),
+        swaps_per_edge in 0usize..=12,
+        chain_seed in 0u64..u64::MAX,
+    ) {
+        let mut rng_new = rng_from_seed(chain_seed);
+        let mut rng_old = rng_from_seed(chain_seed);
+        let new = degree_preserving_rewire(&g, swaps_per_edge, &mut rng_new);
+        let old = reference::degree_preserving_rewire(&g, swaps_per_edge, &mut rng_old);
+        // Same graph (slot order included), same stats, same error…
+        prop_assert_eq!(new, old);
+        // …and the same number of draws taken from the caller's stream.
+        prop_assert_eq!(rng_new.next_u64(), rng_old.next_u64());
     }
 }

@@ -1,7 +1,6 @@
 //! Cheap structural predicates and a one-stop structural summary.
 
-use crate::{connected_components, is_connected, DegreeStats, NodeId, UndirectedCsr};
-use std::collections::HashSet;
+use crate::{connected_components, is_connected, DegreeStats, UndirectedCsr};
 use std::fmt;
 
 /// Structural predicates on an undirected graph.
@@ -31,15 +30,21 @@ impl GraphProperties for UndirectedCsr {
     }
 
     fn parallel_edge_count(&self) -> usize {
-        let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+        // One pass over the incidence lists: each non-loop edge is seen
+        // from its smaller endpoint `u`, and `last_seen[v] == u` means an
+        // earlier edge already joined `u` to `v`.
+        let mut last_seen = vec![usize::MAX; self.node_count()];
         let mut extra = 0usize;
-        for (_, (u, v)) in self.edges() {
-            if u == v {
-                continue;
-            }
-            let key = if u < v { (u, v) } else { (v, u) };
-            if !seen.insert(key) {
-                extra += 1;
+        for u in self.nodes() {
+            for &(v, _) in self.incident(u) {
+                if v <= u {
+                    continue;
+                }
+                if last_seen[v.index()] == u.index() {
+                    extra += 1;
+                } else {
+                    last_seen[v.index()] = u.index();
+                }
             }
         }
         extra
@@ -138,6 +143,58 @@ mod tests {
     fn parallel_edges_counted() {
         let g = UndirectedCsr::from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 1)]).unwrap();
         assert_eq!(g.parallel_edge_count(), 3);
+    }
+
+    #[test]
+    fn triple_edge_counts_two_extra() {
+        let g = UndirectedCsr::from_edges(3, [(0, 1), (1, 0), (0, 1), (1, 2)]).unwrap();
+        assert_eq!(g.parallel_edge_count(), 2);
+    }
+
+    #[test]
+    fn self_loops_are_not_parallel_edges() {
+        // Two loops at 0 and three at 2 pair with nothing; the doubled
+        // 0–1 and 1–2 pairs add one extra each.
+        let edges = [
+            (0, 0),
+            (0, 1),
+            (0, 0),
+            (1, 0),
+            (2, 2),
+            (1, 2),
+            (2, 2),
+            (2, 1),
+            (2, 2),
+        ];
+        let g = UndirectedCsr::from_edges(3, edges).unwrap();
+        assert_eq!(g.self_loop_count(), 5);
+        assert_eq!(g.parallel_edge_count(), 2);
+    }
+
+    #[test]
+    fn parallel_edges_at_a_hub() {
+        // Hub 0 with leaves 1..=4: leaf 1 twice, leaf 3 four times, the
+        // rest once, plus a doubled leaf–leaf pair 2–4 off the hub.
+        let edges = [
+            (0, 1),
+            (1, 0),
+            (0, 2),
+            (3, 0),
+            (0, 3),
+            (0, 3),
+            (3, 0),
+            (0, 4),
+            (2, 4),
+            (4, 2),
+        ];
+        let g = UndirectedCsr::from_edges(5, edges).unwrap();
+        assert_eq!(g.parallel_edge_count(), 1 + 3 + 1);
+        assert_eq!(
+            UndirectedCsr::from_edges(0, [])
+                .unwrap()
+                .parallel_edge_count(),
+            0
+        );
     }
 
     #[test]

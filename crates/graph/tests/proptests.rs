@@ -1,10 +1,12 @@
 //! Property-based tests for the graph substrate.
 
 use nonsearch_graph::{
-    bfs_distances, connected_components, degree_histogram, EdgeId, NodeId, UndirectedCsr,
+    bfs_distances, connected_components, degree_histogram, EdgeId, GraphProperties, NodeId,
+    UndirectedCsr,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 /// Strategy: a small random multigraph as (n, edge list).
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
@@ -66,6 +68,23 @@ fn reference_csr(n: usize, edges: &[(usize, usize)]) -> UndirectedCsr {
         edge_list.push((s, t));
     }
     UndirectedCsr::from_raw_parts(offsets, slots, edge_list).expect("reference CSR is valid")
+}
+
+/// Test-only reference: `parallel_edge_count` as it was defined before
+/// the one-pass count, over a `HashSet` of unordered endpoint pairs.
+fn reference_parallel_edge_count(g: &UndirectedCsr) -> usize {
+    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+    let mut extra = 0usize;
+    for (_, (u, v)) in g.edges() {
+        if u == v {
+            continue;
+        }
+        let key = if u < v { (u, v) } else { (v, u) };
+        if !seen.insert(key) {
+            extra += 1;
+        }
+    }
+    extra
 }
 
 proptest! {
@@ -193,5 +212,17 @@ proptest! {
             let members: usize = (b * m..(b + 1) * m).map(|k| g.degree(NodeId::new(k))).sum();
             prop_assert_eq!(merged.degree(NodeId::new(b)), members);
         }
+    }
+
+    #[test]
+    fn parallel_edge_count_matches_the_hashset_reference(
+        (n, edges) in arb_multigraph(),
+        shuffle_seed in 0u64..u64::MAX,
+    ) {
+        let mut g = UndirectedCsr::from_edges(n, edges.iter().copied()).unwrap();
+        prop_assert_eq!(g.parallel_edge_count(), reference_parallel_edge_count(&g));
+        // The count reads incidence lists, so it must not depend on slot order.
+        g.shuffle_slots(&mut rand_chacha::ChaCha8Rng::seed_from_u64(shuffle_seed));
+        prop_assert_eq!(g.parallel_edge_count(), reference_parallel_edge_count(&g));
     }
 }
