@@ -10,10 +10,10 @@
 //! cell of its own on its own stream.
 
 use super::{note_corpus_ignored, print_banner};
-use nonsearch_analysis::{fit_log_log, Table};
+use nonsearch_analysis::Table;
 use nonsearch_core::{
     adamic_high_degree_exponent, adamic_random_walk_exponent, measure_trial, GraphModel, Oracle,
-    PowerLawGiantModel, Rescans, TrialPool,
+    PowerLawGiantModel, Rescans, ScalingSeries, TrialPool,
 };
 use nonsearch_engine::{
     run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, LaneAggregate, TrialMeasure,
@@ -82,8 +82,10 @@ fn run(ctx: &mut ExpContext) {
             adamic_random_walk_exponent(k)
         );
         let k_seeds = seeds.subsequence((k * 10.0) as u64);
-        // Per lane (high-degree, random-walk, strong): (n, mean giant, aggregate).
+        // Per lane (high-degree, random-walk, strong): (n, mean giant,
+        // aggregate), and the series of mean requests on mean giant size.
         let mut rows: [Vec<(usize, f64, LaneAggregate)>; 3] = Default::default();
+        let mut series = ScalingSeries::new(rows.len());
         for (si, &n) in sizes.iter().enumerate() {
             let _cell_span = tracer.span("size-cell");
             let size_seeds = k_seeds.subsequence(si as u64);
@@ -114,9 +116,11 @@ fn run(ctx: &mut ExpContext) {
                     measures
                 },
             );
-            rows[0].push((n, weak[2].mean(), weak[0]));
-            rows[1].push((n, weak[2].mean(), weak[1]));
-            rows[2].push((n, strong[1].mean(), strong[0]));
+            let giants = [weak[2].mean(), weak[2].mean(), strong[1].mean()];
+            for (lane, aggregate) in [weak[0], weak[1], strong[0]].into_iter().enumerate() {
+                series.push(lane, giants[lane], aggregate.mean());
+                rows[lane].push((n, giants[lane], aggregate));
+            }
             for (oracle, obs) in [("weak", weak_obs), ("strong", strong_obs)] {
                 ctx.writer
                     .record_perf(
@@ -151,15 +155,8 @@ fn run(ctx: &mut ExpContext) {
                 adamic_high_degree_exponent(k),
             ),
         ];
-        for (&(name, label, theory), rows) in lanes.iter().zip(&rows) {
-            let xs: Vec<f64> = rows.iter().map(|&(_, giant, _)| giant).collect();
-            // The weak fits floor each mean at one request; the strong
-            // lane already floors every trial at one visit.
-            let ys: Vec<f64> = rows
-                .iter()
-                .map(|(_, _, lane)| lane.mean().max(1.0))
-                .collect();
-            let exponent = fit_log_log(&xs, &ys).map(|fit| fit.slope);
+        for (lane, (&(name, label, theory), rows)) in lanes.iter().zip(&rows).enumerate() {
+            let exponent = series.exponent(lane);
             if let Some(slope) = exponent {
                 println!("  {name} {label} {slope:.3} (mean-field theory {theory:.2})");
             }

@@ -8,7 +8,8 @@
 //! sides; hops count as requests in the perf record.
 
 use super::{note_corpus_ignored, print_banner};
-use nonsearch_analysis::{fit_log_log, SampleStats, Table};
+use nonsearch_analysis::{SampleStats, Table};
+use nonsearch_core::ScalingSeries;
 use nonsearch_engine::{
     run_ordered, CellObs, ExpContext, ExperimentSpec, JsonValue, Metrics, PhaseClock, PhaseTimes,
 };
@@ -39,6 +40,7 @@ fn run(ctx: &mut ExpContext) {
     let routes = ctx.options.trial_count(300);
     let seeds = SeedSequence::new(ctx.seed);
 
+    let mut series = ScalingSeries::new(r_values.len());
     let mut table = Table::with_columns(&["r", "side", "n", "mean hops", "hops / log2²(n)"]);
     for (ri, &r) in r_values.iter().enumerate() {
         let cells = run_ordered(
@@ -47,9 +49,10 @@ fn run(ctx: &mut ExpContext) {
             &seeds.subsequence(ri as u64),
             |si, cell_seeds| route_cell(sides[si], r, routes, &cell_seeds),
         );
-        let xs: Vec<f64> = sides.iter().map(|&side| (side * side) as f64).collect();
-        let ys: Vec<f64> = cells.iter().map(|(hops, _)| hops.mean()).collect();
-        let exponent = fit_log_log(&xs, &ys).map(|fit| fit.slope);
+        for (&side, (hops, _)) in sides.iter().zip(&cells) {
+            series.push(ri, (side * side) as f64, hops.mean());
+        }
+        let exponent = series.exponent(ri);
         for (&side, (hops, obs)) in sides.iter().zip(&cells) {
             let n = side * side;
             let per_polylog = hops.mean() / (n as f64).log2().powi(2);

@@ -5,13 +5,13 @@
 //! must grow like √n.
 
 use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
-use nonsearch_analysis::{fit_log_log, Table};
+use nonsearch_analysis::Table;
 use nonsearch_core::{
-    certify_with_source, mori_event_probability_exact, theorem1_weak_bound, BoundComparison,
-    CertifyConfig, EquivalenceWindow, GraphModel, MergedMoriModel,
+    certify, mori_event_probability_exact, theorem1_weak_bound, BoundComparison, CertifyConfig,
+    EquivalenceWindow, MergedMoriModel, ScalingSeries,
 };
 use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
-use nonsearch_search::{SearcherKind, SuccessCriterion};
+use nonsearch_search::SearcherKind;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma1-bound",
@@ -37,34 +37,37 @@ fn run(ctx: &mut ExpContext) {
         trials: trial_count,
         seed: ctx.seed,
         searchers: SearcherKind::informed().to_vec(),
-        criterion: SuccessCriterion::DiscoverTarget,
         budget_multiplier: 30,
         threads: ctx.options.threads,
         tracer: ctx.tracer.clone(),
     };
     let corpus = open_corpus(ctx);
     let source = resolve_source(corpus.as_ref(), &model, &sizes);
-    let report = certify_with_source(model.name(), &*source, &config);
+    let sweep = certify(&*source, &config);
 
     let mut table =
         Table::with_columns(&["n", "|V|", "P(E) exact", "bound", "best measured", "holds"]);
-    let best = report.best_algorithm().expect("suite is non-empty");
-    let mut bound_series = Vec::new();
-    for pt in &best.points {
-        let w = EquivalenceWindow::for_target(pt.n);
+    let best = ScalingSeries::of_sweep(&sizes, &sweep)
+        .best_lane()
+        .expect("suite is non-empty");
+    let best_name = config.searchers[best].name();
+    let mut bound_growth = ScalingSeries::new(1);
+    for (&n, (lanes, _)) in sizes.iter().zip(&sweep) {
+        let measured = lanes[best];
+        let w = EquivalenceWindow::for_target(n);
         let prob = mori_event_probability_exact(w.a(), w.b(), p).expect("valid window");
-        let bound = theorem1_weak_bound(pt.n, p).expect("valid n, p");
+        let bound = theorem1_weak_bound(n, p).expect("valid n, p");
         let cmp = BoundComparison {
-            n: pt.n,
+            n,
             bound,
-            measured: pt.mean_requests,
+            measured: measured.mean(),
         };
         table.row(vec![
-            pt.n.to_string(),
+            n.to_string(),
             w.len().to_string(),
             format!("{prob:.4}"),
             format!("{bound:.1}"),
-            format!("{:.1}", pt.mean_requests),
+            format!("{:.1}", measured.mean()),
             if cmp.holds() {
                 "yes".into()
             } else {
@@ -75,20 +78,20 @@ fn run(ctx: &mut ExpContext) {
             .record_cell(vec![
                 ("model", JsonValue::from("mori")),
                 ("p", JsonValue::from(p)),
-                ("n", JsonValue::from(pt.n)),
+                ("n", JsonValue::from(n)),
                 ("window", JsonValue::from(w.len())),
                 ("event_probability", JsonValue::from(prob)),
                 ("bound", JsonValue::from(bound)),
-                ("searcher", JsonValue::from(best.kind.name())),
+                ("searcher", JsonValue::from(best_name)),
                 ("trials", JsonValue::from(trial_count)),
                 ("seed", JsonValue::from(ctx.seed)),
-                ("mean", JsonValue::from(pt.mean_requests)),
-                ("ci95", JsonValue::from(pt.ci95)),
-                ("success", JsonValue::from(pt.success_rate)),
+                ("mean", JsonValue::from(measured.mean())),
+                ("ci95", JsonValue::from(measured.ci95())),
+                ("success", JsonValue::from(measured.success_rate())),
                 ("holds", JsonValue::from(cmp.holds())),
             ])
             .expect("write cell record");
-        bound_series.push((pt.n as f64, bound));
+        bound_growth.push(0, n as f64, bound);
     }
     // The certify sweep already observed each size cell; report it
     // exactly like theorem1-weak does.
@@ -99,17 +102,12 @@ fn run(ctx: &mut ExpContext) {
             ("p", JsonValue::from(p)),
         ],
         &sizes,
-        &report,
+        &sweep,
     );
-    println!("best algorithm: {}", best.kind.name());
+    println!("best algorithm: {best_name}");
     println!("{table}");
 
-    let xs: Vec<f64> = bound_series.iter().map(|&(n, _)| n).collect();
-    let ys: Vec<f64> = bound_series.iter().map(|&(_, b)| b).collect();
-    if let Some(fit) = fit_log_log(&xs, &ys) {
-        println!(
-            "bound growth exponent: {:.3} (theory: 0.5 exactly, up to ⌊√⌋ jitter)",
-            fit.slope
-        );
+    if let Some(slope) = bound_growth.exponent(0) {
+        println!("bound growth exponent: {slope:.3} (theory: 0.5 exactly, up to ⌊√⌋ jitter)");
     }
 }

@@ -1,13 +1,13 @@
 //! E7 — Móri's maximum degree: the max degree of `G_t` grows like `t^p`
 //! (Móri 2005), the ingredient of Theorem 1's strong-model transfer.
 //!
-//! Port of the legacy `exp_maxdeg` binary onto the engine: same claim
-//! and table, plus deterministic parallel cells, `--corpus` graph
-//! sourcing, and structured cell/perf records under `--out`.
+//! One cell per (p, t): the mean maximum degree over independent trees,
+//! with its log–log slope in t fitted per p. Cells run in parallel and
+//! deterministically; `--corpus` serves stored trees.
 
 use super::{open_corpus, print_banner, resolve_source};
-use nonsearch_analysis::{fit_log_log, Table};
-use nonsearch_core::{mori_max_degree_exponent, MergedMoriModel};
+use nonsearch_analysis::Table;
+use nonsearch_core::{mori_max_degree_exponent, MergedMoriModel, ScalingSeries};
 use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
 use nonsearch_generators::SeedSequence;
 
@@ -32,12 +32,12 @@ fn run(ctx: &mut ExpContext) {
     let corpus = open_corpus(ctx);
     let tracer = ctx.tracer.clone();
 
+    let p_values = [0.2f64, 0.5, 0.8];
+    let mut series = ScalingSeries::new(p_values.len());
     let mut table = Table::with_columns(&["p", "t", "mean max degree", "ci95", "fitted slope"]);
-    for (pi, &p) in [0.2f64, 0.5, 0.8].iter().enumerate() {
+    for (pi, &p) in p_values.iter().enumerate() {
         let model = MergedMoriModel { p, m: 1 };
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
         let mut rows = Vec::new();
         for (si, &t) in sizes.iter().enumerate() {
             let _cell_span = tracer.span("size-cell");
@@ -57,14 +57,13 @@ fn run(ctx: &mut ExpContext) {
                 },
             );
             let aggregate = lanes[0];
-            xs.push(t as f64);
-            ys.push(aggregate.mean());
+            series.push(pi, t as f64, aggregate.mean());
             rows.push((t, aggregate.mean(), aggregate.ci95(), obs));
         }
-        let slope = fit_log_log(&xs, &ys).map(|f| f.slope);
+        let slope = series.exponent(pi);
         let theory = mori_max_degree_exponent(p);
         for (i, &(t, mean, ci, obs)) in rows.iter().enumerate() {
-            let slope_cell = if i + 1 == xs.len() {
+            let slope_cell = if i + 1 == rows.len() {
                 slope.map_or("-".into(), |s| format!("{s:.3} (theory {theory:.1})"))
             } else {
                 String::new()

@@ -24,12 +24,13 @@ mod theorem1_strong;
 mod theorem1_weak;
 mod theorem2_cf;
 
+use nonsearch_analysis::Table;
 use nonsearch_core::{
-    BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, ModelSource,
-    SearchabilityReport,
+    BarabasiAlbertModel, CertifyConfig, CooperFriezeModel, GraphModel, MergedMoriModel,
+    ModelSource, ScalingSeries,
 };
 use nonsearch_corpus::{Corpus, LoadMode};
-use nonsearch_engine::{ExpContext, GraphSource, JsonValue, Registry};
+use nonsearch_engine::{CellObs, ExpContext, GraphSource, JsonValue, LaneAggregate, Registry};
 
 /// Builds the `xp` command table: every experiment, the engine's tools,
 /// and `corpus`, `bench`, `lint` and `chaos`.
@@ -114,15 +115,71 @@ fn evolving_models() -> Vec<(&'static str, Box<dyn GraphModel + Sync>)> {
     ]
 }
 
+/// Reports a certification sweep of `model` under `config`: prints one
+/// table row per (searcher, size), writes one cell record per (searcher,
+/// size) — `id`, then the searcher, `n`, trials, seed, mean, ci95,
+/// success and the searcher's fitted exponent — and one perf record per
+/// size. Returns the sweep's series.
+fn report_sweep(
+    ctx: &mut ExpContext,
+    model: &str,
+    id: &[(&str, JsonValue)],
+    config: &CertifyConfig,
+    sweep: &[(Vec<LaneAggregate>, CellObs)],
+) -> ScalingSeries {
+    let series = ScalingSeries::of_sweep(&config.sizes, sweep);
+    let mut table = Table::with_columns(&[
+        "algorithm",
+        "n",
+        "mean requests",
+        "ci95",
+        "success",
+        "exponent",
+    ]);
+    for (lane, kind) in config.searchers.iter().enumerate() {
+        let exponent = series.exponent(lane);
+        for (i, (&n, (lanes, _))) in config.sizes.iter().zip(sweep).enumerate() {
+            let aggregate = lanes[lane];
+            table.row(vec![
+                kind.name().to_string(),
+                n.to_string(),
+                format!("{:.1}", aggregate.mean()),
+                format!("{:.1}", aggregate.ci95()),
+                format!("{:.2}", aggregate.success_rate()),
+                if i + 1 == sweep.len() {
+                    exponent.map_or("-".to_string(), |e| format!("{e:.3}"))
+                } else {
+                    String::new()
+                },
+            ]);
+            let mut fields = id.to_vec();
+            fields.extend([
+                ("searcher", JsonValue::from(kind.name())),
+                ("n", JsonValue::from(n)),
+                ("trials", JsonValue::from(config.trials)),
+                ("seed", JsonValue::from(config.seed)),
+                ("mean", JsonValue::from(aggregate.mean())),
+                ("ci95", JsonValue::from(aggregate.ci95())),
+                ("success", JsonValue::from(aggregate.success_rate())),
+                ("exponent", JsonValue::from(exponent)),
+            ]);
+            ctx.writer.record_cell(fields).expect("write cell record");
+        }
+    }
+    println!("searchability report for {model}\n{table}");
+    record_sweep_perf(ctx, id, &config.sizes, sweep);
+    series
+}
+
 /// Writes the perf record of every size cell of a certification sweep
 /// over `sizes`, identified by `fields` plus the cell's `n`.
 fn record_sweep_perf(
     ctx: &mut ExpContext,
     fields: &[(&str, JsonValue)],
     sizes: &[usize],
-    report: &SearchabilityReport,
+    sweep: &[(Vec<LaneAggregate>, CellObs)],
 ) {
-    for (cell, &n) in report.cells.iter().zip(sizes) {
+    for ((_, cell), &n) in sweep.iter().zip(sizes) {
         let mut id = fields.to_vec();
         id.push(("n", JsonValue::from(n)));
         ctx.writer.record_perf(id, cell).expect("write perf record");

@@ -20,8 +20,8 @@
 //! generate path bit for bit.
 
 use super::{open_corpus, print_banner, resolve_source};
-use nonsearch_analysis::{fit_log_log, Table};
-use nonsearch_core::{measure_trial, BarabasiAlbertModel, GraphModel, TrialPool};
+use nonsearch_analysis::Table;
+use nonsearch_core::{measure_trial, BarabasiAlbertModel, GraphModel, ScalingSeries, TrialPool};
 use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, GraphSource, JsonValue};
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::NodeId;
@@ -72,8 +72,8 @@ fn run(ctx: &mut ExpContext) {
 
     let seeds = SeedSequence::new(ctx.seed);
     let mut table = Table::with_columns(&["variant", "searcher", "n", "mean", "ci95", "success"]);
-    // series[variant][searcher] = (n, mean) points for the exponent fit.
-    let mut series = vec![vec![Vec::new(); SEARCHERS.len()]; VARIANTS.len()];
+    // One lane per (variant, searcher), in lane order: x = n, y = mean.
+    let mut series = ScalingSeries::new(VARIANTS.len() * SEARCHERS.len());
 
     let tracer = ctx.tracer.clone();
     for (size_idx, &n) in sizes.iter().enumerate() {
@@ -145,7 +145,7 @@ fn run(ctx: &mut ExpContext) {
                 format!("{:.1}", lane.ci95()),
                 format!("{:.2}", lane.success_rate()),
             ]);
-            series[v_idx][s_idx].push((n as f64, lane.mean().max(1.0)));
+            series.push(lane_idx, n as f64, lane.mean());
             ctx.writer
                 .record_cell(vec![
                     ("model", JsonValue::from("barabasi-albert")),
@@ -177,10 +177,9 @@ fn run(ctx: &mut ExpContext) {
     let mut fits = Table::with_columns(&["searcher", "original exponent", "rewired exponent"]);
     for (s_idx, kind) in SEARCHERS.iter().enumerate() {
         let exponent = |v_idx: usize| -> String {
-            let pts: &Vec<(f64, f64)> = &series[v_idx][s_idx];
-            let xs: Vec<f64> = pts.iter().map(|&(n, _)| n).collect();
-            let ys: Vec<f64> = pts.iter().map(|&(_, c)| c).collect();
-            fit_log_log(&xs, &ys).map_or("-".into(), |f| format!("{:.3}", f.slope))
+            series
+                .exponent(v_idx * SEARCHERS.len() + s_idx)
+                .map_or("-".into(), |slope| format!("{slope:.3}"))
         };
         fits.row(vec![kind.name().to_string(), exponent(0), exponent(1)]);
     }

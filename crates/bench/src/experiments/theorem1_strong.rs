@@ -4,8 +4,8 @@
 
 use super::{open_corpus, print_banner, resolve_source};
 use crate::{strong_cell, StrongKind};
-use nonsearch_analysis::{fit_log_log, Table};
-use nonsearch_core::{strong_model_exponent, MergedMoriModel};
+use nonsearch_analysis::Table;
+use nonsearch_core::{strong_model_exponent, MergedMoriModel, ScalingSeries};
 use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_generators::SeedSequence;
 
@@ -41,9 +41,8 @@ fn run(ctx: &mut ExpContext) {
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
         println!("model: mori(p={p}, m=1), strong oracle");
         let mut table = Table::with_columns(&["searcher", "n", "mean requests", "ci95", "success"]);
-        let mut best_series: Vec<(usize, f64)> = Vec::new();
-        for kind in StrongKind::all() {
-            let mut series = Vec::new();
+        let mut series = ScalingSeries::new(StrongKind::all().len());
+        for (lane, kind) in StrongKind::all().iter().enumerate() {
             for (i, &n) in sizes.iter().enumerate() {
                 let _cell_span = tracer.span("size-cell");
                 let cell_seeds = seeds
@@ -84,23 +83,14 @@ fn run(ctx: &mut ExpContext) {
                 ctx.writer
                     .record_perf(id.to_vec(), &obs)
                     .expect("write perf record");
-                series.push((n, cell.mean()));
-            }
-            // Track the cheapest searcher at the largest size.
-            if best_series.is_empty()
-                || series.last().expect("non-empty").1 < best_series.last().expect("non-empty").1
-            {
-                best_series = series;
+                series.push(lane, n as f64, cell.mean());
             }
         }
         println!("{table}");
-        let xs: Vec<f64> = best_series.iter().map(|&(n, _)| n as f64).collect();
-        let ys: Vec<f64> = best_series.iter().map(|&(_, c)| c.max(1.0)).collect();
-        if let Some(fit) = fit_log_log(&xs, &ys) {
+        if let Some(slope) = series.best_lane().and_then(|best| series.exponent(best)) {
             let floor = strong_model_exponent(p, 0.0);
             println!(
-                "best strong searcher exponent: {:.3} (theoretical floor 1/2−p = {:.2})\n",
-                fit.slope, floor
+                "best strong searcher exponent: {slope:.3} (theoretical floor 1/2−p = {floor:.2})\n"
             );
         }
     }

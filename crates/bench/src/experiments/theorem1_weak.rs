@@ -5,13 +5,11 @@
 //! each algorithm's scaling exponent and prints the per-size Lemma 1
 //! lower bound next to the best measured mean.
 
-use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
+use super::{open_corpus, print_banner, report_sweep, resolve_source};
 use nonsearch_analysis::Table;
-use nonsearch_core::{
-    certify_with_source, theorem1_weak_bound, CertifyConfig, GraphModel, MergedMoriModel,
-};
+use nonsearch_core::{certify, theorem1_weak_bound, CertifyConfig, GraphModel, MergedMoriModel};
 use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
-use nonsearch_search::{SearcherKind, SuccessCriterion};
+use nonsearch_search::SearcherKind;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "theorem1-weak",
@@ -51,65 +49,38 @@ fn run(ctx: &mut ExpContext) {
                 trials: trial_count,
                 seed: ctx.seed,
                 searchers: SearcherKind::informed().to_vec(),
-                criterion: SuccessCriterion::DiscoverTarget,
                 budget_multiplier: 30,
                 threads: ctx.options.threads,
                 tracer: ctx.tracer.clone(),
             };
             // A corpus built with this experiment's seed and sizes
-            // serves the exact per-trial graphs, so the report (and the
+            // serves the exact per-trial graphs, so the sweep (and the
             // emitted cell records) are bit-identical to generating.
             let source = resolve_source(corpus.as_ref(), &model, &sizes);
-            let report = certify_with_source(model.name(), &*source, &config);
-            println!("{report}");
-
-            for algorithm in &report.algorithms {
-                let exponent = algorithm.exponent();
-                for pt in &algorithm.points {
-                    ctx.writer
-                        .record_cell(vec![
-                            ("model", JsonValue::from("mori")),
-                            ("p", JsonValue::from(p)),
-                            ("m", JsonValue::from(m)),
-                            ("searcher", JsonValue::from(algorithm.kind.name())),
-                            ("n", JsonValue::from(pt.n)),
-                            ("trials", JsonValue::from(trial_count)),
-                            ("seed", JsonValue::from(ctx.seed)),
-                            ("mean", JsonValue::from(pt.mean_requests)),
-                            ("ci95", JsonValue::from(pt.ci95)),
-                            ("success", JsonValue::from(pt.success_rate)),
-                            ("exponent", JsonValue::from(exponent)),
-                        ])
-                        .expect("write cell record");
-                }
-            }
-
-            record_sweep_perf(
-                ctx,
-                &[
-                    ("model", JsonValue::from("mori")),
-                    ("p", JsonValue::from(p)),
-                    ("m", JsonValue::from(m)),
-                ],
-                &sizes,
-                &report,
-            );
+            let sweep = certify(&*source, &config);
+            let id = [
+                ("model", JsonValue::from("mori")),
+                ("p", JsonValue::from(p)),
+                ("m", JsonValue::from(m)),
+            ];
+            let series = report_sweep(ctx, &model.name(), &id, &config, &sweep);
 
             let mut bound_table =
                 Table::with_columns(&["n", "lemma1 bound", "best measured", "slack"]);
-            let best = report.best_algorithm().expect("suite is non-empty");
-            for pt in &best.points {
-                let bound = theorem1_weak_bound(pt.n, p).expect("valid n, p");
+            let best = series.best_lane().expect("suite is non-empty");
+            for (&n, (lanes, _)) in sizes.iter().zip(&sweep) {
+                let bound = theorem1_weak_bound(n, p).expect("valid n, p");
+                let mean = lanes[best].mean();
                 bound_table.row(vec![
-                    pt.n.to_string(),
+                    n.to_string(),
                     format!("{bound:.1}"),
-                    format!("{:.1}", pt.mean_requests),
-                    format!("{:.1}x", pt.mean_requests / bound),
+                    format!("{mean:.1}"),
+                    format!("{:.1}x", mean / bound),
                 ]);
             }
-            println!("lower bound vs best ({}):", best.kind.name());
+            println!("lower bound vs best ({}):", config.searchers[best].name());
             println!("{bound_table}");
-            if let Some(expo) = report.best_exponent() {
+            if let Some(expo) = series.exponent(best) {
                 println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");
             }
         }

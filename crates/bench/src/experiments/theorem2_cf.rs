@@ -6,10 +6,10 @@
 //! `theorem1-weak`, with the same record taxonomy (`cell` rows per
 //! algorithm point; one `perf` row per size cell under `--profile`).
 
-use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
-use nonsearch_core::{certify_with_source, CertifyConfig, CooperFriezeModel, GraphModel};
+use super::{open_corpus, print_banner, report_sweep, resolve_source};
+use nonsearch_core::{certify, CertifyConfig, CooperFriezeModel, GraphModel};
 use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
-use nonsearch_search::{SearcherKind, SuccessCriterion};
+use nonsearch_search::SearcherKind;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "theorem2-cf",
@@ -43,46 +43,18 @@ fn run(ctx: &mut ExpContext) {
             trials: trial_count,
             seed: ctx.seed,
             searchers: SearcherKind::informed().to_vec(),
-            criterion: SuccessCriterion::DiscoverTarget,
             budget_multiplier: 30,
             threads: ctx.options.threads,
             tracer: ctx.tracer.clone(),
         };
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
-        let report = certify_with_source(model.name(), &*source, &config);
-        println!("{report}");
-
-        for algorithm in &report.algorithms {
-            let exponent = algorithm.exponent();
-            for pt in &algorithm.points {
-                ctx.writer
-                    .record_cell(vec![
-                        ("model", JsonValue::from("cooper-frieze")),
-                        ("alpha", JsonValue::from(alpha)),
-                        ("searcher", JsonValue::from(algorithm.kind.name())),
-                        ("n", JsonValue::from(pt.n)),
-                        ("trials", JsonValue::from(trial_count)),
-                        ("seed", JsonValue::from(ctx.seed)),
-                        ("mean", JsonValue::from(pt.mean_requests)),
-                        ("ci95", JsonValue::from(pt.ci95)),
-                        ("success", JsonValue::from(pt.success_rate)),
-                        ("exponent", JsonValue::from(exponent)),
-                    ])
-                    .expect("write cell record");
-            }
-        }
-
-        record_sweep_perf(
-            ctx,
-            &[
-                ("model", JsonValue::from("cooper-frieze")),
-                ("alpha", JsonValue::from(alpha)),
-            ],
-            &sizes,
-            &report,
-        );
-
-        if let Some(expo) = report.best_exponent() {
+        let sweep = certify(&*source, &config);
+        let id = [
+            ("model", JsonValue::from("cooper-frieze")),
+            ("alpha", JsonValue::from(alpha)),
+        ];
+        let series = report_sweep(ctx, &model.name(), &id, &config, &sweep);
+        if let Some(expo) = series.best_lane().and_then(|best| series.exponent(best)) {
             println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");
         }
     }

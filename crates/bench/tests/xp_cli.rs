@@ -399,6 +399,8 @@ fn quick_cell_records_match_the_committed_fixtures() {
         ("degree-dist", "degree_dist.quick.cells"),
         ("null-model", "null_model.quick.cells"),
         ("theorem2-cf", "theorem2_cf.quick.cells"),
+        ("lemma1-bound", "lemma1_bound.quick.cells"),
+        ("maxdeg", "maxdeg.quick.cells"),
     ] {
         let run = temp_path(&format!("{fixture}.jsonl"));
         let run_str = run.to_str().unwrap();

@@ -12,8 +12,8 @@
 //! | Lemma 1 (`\|V\|·P(E)/2` bound) | [`lemma1_lower_bound`] |
 //! | Lemma 2 (event `E_{a,b}`) | [`mori_window_event_holds`], [`EquivalenceWindow`] |
 //! | Lemma 3 (`P(E_{a,b}) ≥ e^{−(1−p)}`) | [`mori_event_probability_exact`], [`estimate_mori_event_probability`], [`lemma3_bound`] |
-//! | Theorem 1 (weak + strong) | [`theorem1_weak_bound`], [`strong_model_exponent`], [`certify`] |
-//! | Theorem 2 (Cooper–Frieze) | [`cooper_frieze_window_event_holds`], [`certify`] |
+//! | Theorem 1 (weak + strong) | [`theorem1_weak_bound`], [`strong_model_exponent`], [`certify`], [`ScalingSeries`] |
+//! | Theorem 2 (Cooper–Frieze) | [`cooper_frieze_window_event_holds`], [`certify`], [`ScalingSeries`] |
 //!
 //! # Example: the paper's headline numbers
 //!
@@ -43,14 +43,12 @@ mod event;
 mod lower_bound;
 mod model;
 mod permutation;
+mod series;
 mod theory;
 mod trial;
 mod window;
 
-pub use certify::{
-    certify, certify_with_source, AlgorithmScaling, CertifyConfig, ScalingPoint,
-    SearchabilityReport,
-};
+pub use certify::{certify, CertifyConfig};
 pub use enumerate::{enumerate_mori_trees, FatherVector, TreeDistribution};
 pub use equivalence::{
     exact_window_exchangeability, sampled_window_symmetry, ExchangeabilityCheck, SymmetryReport,
@@ -67,6 +65,7 @@ pub use model::{
     ModelSource, PowerLawGiantModel, UniformAttachmentModel,
 };
 pub use permutation::Permutation;
+pub use series::ScalingSeries;
 pub use theory::{
     adamic_high_degree_exponent, adamic_random_walk_exponent, lemma3_bound, lemma3_window_end,
     mori_conditional_factor, mori_event_probability_exact, mori_max_degree_exponent,

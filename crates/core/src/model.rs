@@ -11,9 +11,9 @@ use rand_chacha::ChaCha8Rng;
 
 /// A random-graph model that can be sampled at any size.
 ///
-/// The certification machinery ([`certify`](crate::certify)) quantifies
-/// over models through this trait; implementations wrap the generators
-/// crate with fixed parameters.
+/// The certification machinery ([`certify`](crate::certify), through a
+/// [`ModelSource`]) quantifies over models through this trait;
+/// implementations wrap the generators crate with fixed parameters.
 pub trait GraphModel {
     /// Human-readable name including parameters, e.g. `mori(p=0.5,m=2)`.
     fn name(&self) -> String;

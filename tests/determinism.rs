@@ -1,7 +1,9 @@
 //! Workspace-wide determinism: every stochastic pipeline is bit-for-bit
 //! reproducible from its seed.
 
-use nonsearch::core::{certify, CertifyConfig, GraphModel, MergedMoriModel, PowerLawGiantModel};
+use nonsearch::core::{
+    certify, CertifyConfig, GraphModel, MergedMoriModel, ModelSource, PowerLawGiantModel,
+};
 use nonsearch::generators::{
     rng_from_seed, BarabasiAlbert, CooperFrieze, CooperFriezeConfig, KleinbergGrid, MergedMori,
     UniformAttachment,
@@ -74,7 +76,7 @@ fn percolation_reproduces_from_seeds() {
 #[test]
 fn certification_is_schedule_independent() {
     // certify parallelizes across threads; seeds are per-cell, so the
-    // report must not depend on interleaving. Run twice and compare.
+    // sweep must not depend on interleaving. Run twice and compare.
     let model = MergedMoriModel { p: 0.5, m: 1 };
     let config = CertifyConfig {
         sizes: vec![128, 256],
@@ -83,12 +85,14 @@ fn certification_is_schedule_independent() {
         searchers: vec![SearcherKind::HighDegree, SearcherKind::RandomWalk],
         ..CertifyConfig::default()
     };
-    let a = certify(&model, &config);
-    let b = certify(&model, &config);
-    for (x, y) in a.algorithms.iter().zip(&b.algorithms) {
-        for (px, py) in x.points.iter().zip(&y.points) {
-            assert_eq!(px.mean_requests, py.mean_requests);
-            assert_eq!(px.success_rate, py.success_rate);
+    let a = certify(&ModelSource::new(&model), &config);
+    let b = certify(&ModelSource::new(&model), &config);
+    assert_eq!(a.len(), b.len());
+    for ((x, _), (y, _)) in a.iter().zip(&b) {
+        assert_eq!(x.len(), y.len());
+        for (lx, ly) in x.iter().zip(y) {
+            assert_eq!(lx.mean(), ly.mean());
+            assert_eq!(lx.success_rate(), ly.success_rate());
         }
     }
 }

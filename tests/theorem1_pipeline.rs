@@ -3,7 +3,7 @@
 
 use nonsearch::core::{
     certify, lemma1_lower_bound, mori_event_probability_exact, theorem1_weak_bound,
-    BoundComparison, CertifyConfig, EquivalenceWindow, MergedMoriModel,
+    BoundComparison, CertifyConfig, EquivalenceWindow, MergedMoriModel, ModelSource, ScalingSeries,
 };
 use nonsearch::generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch::graph::NodeId;
@@ -75,13 +75,16 @@ fn certification_exponent_respects_the_theory() {
         trials: 10,
         seed: 99,
         searchers: SearcherKind::informed().to_vec(),
-        criterion: SuccessCriterion::DiscoverTarget,
         budget_multiplier: 100,
         threads: 0,
         ..CertifyConfig::default()
     };
-    let report = certify(&model, &config);
-    let best = report.best_exponent().expect("fit exists");
+    let sweep = certify(&ModelSource::new(&model), &config);
+    let series = ScalingSeries::of_sweep(&config.sizes, &sweep);
+    let best = series
+        .best_lane()
+        .and_then(|lane| series.exponent(lane))
+        .expect("fit exists");
     assert!(
         best > 0.5 - 0.12,
         "best exponent {best} violates the Ω(n^0.5) claim"
