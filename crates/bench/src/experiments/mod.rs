@@ -33,7 +33,7 @@ use nonsearch_corpus::{Corpus, LoadMode};
 use nonsearch_engine::{CellObs, ExpContext, GraphSource, JsonValue, LaneAggregate, Registry};
 
 /// Builds the `xp` command table: every experiment, the engine's tools,
-/// and `corpus`, `bench`, `lint` and `chaos`.
+/// and `corpus`, `lint` and `chaos`.
 pub fn registry() -> Registry {
     let mut r = Registry::default();
     r.register(theorem1_weak::SPEC)
@@ -52,7 +52,6 @@ pub fn registry() -> Registry {
         .register(correlation::SPEC)
         .register(null_model::SPEC)
         .register_tool(nonsearch_corpus::cli::TOOL)
-        .register_tool(crate::bench_suite::TOOL)
         .register_tool(nonsearch_lint::cli::TOOL)
         .register_tool(crate::chaos::TOOL);
     r
@@ -233,7 +232,7 @@ mod tests {
         for name in names {
             assert!(r.find(name).is_some(), "{name} missing");
         }
-        assert_eq!(r.names().count(), names.len() + 7);
+        assert_eq!(r.names().count(), names.len() + 6);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench_suite;
 pub mod chaos;
 pub mod experiments;
 

@@ -2,12 +2,12 @@
 //! emission, the headline engine guarantee — byte-identical cell
 //! records for `--threads 1` vs `--threads 4` with the same seed, and
 //! against the committed quick-mode fixtures — and the observability
-//! surface (`--trace`, perf records, `profile-diff`).
+//! surface (`--trace`, perf records, the `profile-diff` counter gate).
 
+use nonsearch_engine::profile_diff::{first_difference, run_counters};
 use nonsearch_engine::{
-    parse_json, validate_chrome_trace, validate_jsonl, JsonValue, CELL_TYPE, PERF_TYPE, RUN_TYPE,
+    parse_json, validate_chrome_trace, validate_jsonl, JsonValue, CELL_TYPE, RUN_TYPE,
 };
-use nonsearch_obs::Metrics;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -170,15 +170,14 @@ fn jsonl_cell_records_are_byte_identical_across_thread_counts() {
 /// Every value flag of every command-table entry, each with a value it
 /// accepts, after the arguments that select the entry. Experiments read
 /// the shared set.
-const VALUE_FLAGS: [&str; 9] = [
+const VALUE_FLAGS: [&str; 8] = [
     "validate:",
     "report:",
-    "profile-diff: --baseline b.json --threshold 0.5 --scale 2",
+    "profile-diff: --baseline b.counters",
     "corpus build: --model ba:m=2 --variants 1 --swaps 3 --seed 5 --sizes 64 --trials 2 \
      --threads 1 --corpus dir",
     "corpus info: --corpus dir",
     "corpus verify: --corpus dir",
-    "bench: --out suite.json",
     "lint: --root . --out lint.jsonl",
     "chaos: --plan-seed 9 --dir work --out f.jsonl --threads 1 --seed 5 --trials 2 --sizes 64 \
      --corpus dir --trace t.json",
@@ -190,7 +189,7 @@ const EXPERIMENT_VALUE_FLAGS: &str =
 fn every_table_entry_has_help_and_a_strict_flag_grammar() {
     let registry = nonsearch_bench::experiments::registry();
     let names: Vec<&str> = registry.names().collect();
-    assert_eq!(names.len(), 15 + 7, "{names:?}");
+    assert_eq!(names.len(), 15 + 6, "{names:?}");
     let help = String::from_utf8(xp(&["help"]).stdout).unwrap();
     let mut rows: Vec<String> = VALUE_FLAGS.map(String::from).to_vec();
     for name in names {
@@ -230,13 +229,13 @@ fn every_table_entry_has_help_and_a_strict_flag_grammar() {
 
 #[test]
 fn out_never_takes_the_next_flag_as_its_value() {
-    // The regressions: `xp bench --out --quick` ran the full suite and
-    // wrote it to a file named `--quick`; `xp lint --out --rules` wrote
-    // its report to a file named `--rules`. Both must fail while parsing.
+    // The regressions: `--out --quick` once ran a full sweep and wrote it
+    // to a file named `--quick`; `xp lint --out --rules` wrote its report
+    // to a file named `--rules`. Both must fail while parsing.
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../lint/fixtures/clock_env");
     let fixture = fixture.to_str().unwrap();
     for (args, swallowed) in [
-        (&["bench", "--out", "--quick"][..], "--quick"),
+        (&["theorem1-weak", "--out", "--quick"][..], "--quick"),
         (&["lint", "--root", fixture, "--out", "--rules"], "--rules"),
     ] {
         let dir = temp_path(swallowed);
@@ -326,40 +325,88 @@ fn trace_and_metrics_flow_through_a_profiled_run() {
 
 #[test]
 fn profile_diff_gates_on_a_doubled_baseline() {
+    let run = temp_path("pd_run.jsonl");
+    let run_str = run.to_str().unwrap();
+    let out = xp(&[
+        "theorem1-weak",
+        "--trials",
+        "2",
+        "--sizes",
+        "32,64",
+        "--profile",
+        "--out",
+        run_str,
+    ]);
+    assert!(out.status.success());
+    let pd = |baseline: &str| xp(&["profile-diff", run_str, "--baseline", baseline]);
+    let stderr = |out: &Output| String::from_utf8_lossy(&out.stderr).into_owned();
+
+    // With no baseline the tool prints the projection: a fixture.
+    let out = xp(&["profile-diff", run_str]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let projection = String::from_utf8(out.stdout).unwrap();
+    // One line per perf record: 3 p × 2 m × 2 sizes.
+    assert_eq!(projection.lines().count(), 12, "{projection}");
+    let baseline = temp_path("pd_base.counters");
+    let baseline_str = baseline.to_str().unwrap();
+    std::fs::write(&baseline, &projection).unwrap();
+
+    // A run against its own projection is equal.
+    let out = pd(baseline_str);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+
+    // One counter bumped by 1, or doubled, is a difference that names
+    // the record, the field and both values.
+    let second = parse_json(projection.lines().nth(1).unwrap()).unwrap();
+    let counted = second.get("slot_reads").and_then(|v| v.as_u64()).unwrap();
+    for (bumped, tag) in [(counted + 1, "bumped"), (2 * counted, "doubled")] {
+        let (from, to) = (
+            format!("\"slot_reads\":{counted},"),
+            format!("\"slot_reads\":{bumped},"),
+        );
+        let lines: String = projection
+            .lines()
+            .enumerate()
+            .map(|(i, l)| match i {
+                1 => format!("{}\n", l.replace(&from, &to)),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        let file = temp_path(&format!("pd_{tag}.counters"));
+        std::fs::write(&file, lines).unwrap();
+        let out = pd(file.to_str().unwrap());
+        assert_eq!(out.status.code(), Some(1), "{tag}");
+        let err = stderr(&out);
+        assert!(err.contains("perf record 2"), "{err}");
+        assert!(
+            err.contains(&format!("slot_reads got {counted}, want {bumped}")),
+            "{err}"
+        );
+        std::fs::remove_file(&file).ok();
+    }
+
+    // A record missing from the run is a difference too.
+    let extra = temp_path("pd_extra.counters");
+    std::fs::write(
+        &extra,
+        format!("{projection}{}", projection.lines().next().unwrap()),
+    )
+    .unwrap();
+    let out = pd(extra.to_str().unwrap());
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("missing"), "{}", stderr(&out));
+
+    // A timing-suite document or an unreadable baseline is a usage
+    // error, and so is a run without perf records.
     let suite = temp_path("pd_suite.json");
-    let suite_str = suite.to_str().unwrap();
     std::fs::write(
         &suite,
         "{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[\
-         {\"section\":\"oracle\",\"key\":\"weak_flood_n1000\",\"throughput\":5000.0},\
-         {\"section\":\"thread_scaling\",\"key\":\"threads_2_n1024\",\"throughput\":800.0}]}",
+         {\"section\":\"oracle\",\"key\":\"weak_flood_n1000\",\"throughput\":5000.0}]}\n",
     )
     .unwrap();
-
-    // Self-baseline: ratio 1.0 everywhere, exit 0.
-    let out = xp(&["profile-diff", suite_str, "--baseline", suite_str]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // A baseline scaled to 2× the measured throughput regresses at the
-    // default 0.7 threshold (ratio 0.5) — and exits nonzero.
-    let out = xp(&[
-        "profile-diff",
-        suite_str,
-        "--baseline",
-        suite_str,
-        "--scale",
-        "2.0",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("regression"), "{stderr}");
-
-    // A run's JSONL record stream is not a suite — usage error.
+    assert_eq!(pd(suite.to_str().unwrap()).status.code(), Some(2));
+    assert_eq!(pd("/nonexistent.counters").status.code(), Some(2));
     let bare = temp_path("pd_bare.jsonl");
     let bare_str = bare.to_str().unwrap();
     let out = xp(&[
@@ -372,104 +419,43 @@ fn profile_diff_gates_on_a_doubled_baseline() {
         bare_str,
     ]);
     assert!(out.status.success());
-    let out = xp(&["profile-diff", bare_str, "--baseline", suite_str]);
+    let out = xp(&["profile-diff", bare_str, "--baseline", baseline_str]);
     assert_eq!(out.status.code(), Some(2));
 
-    std::fs::remove_file(&suite).ok();
-    std::fs::remove_file(&bare).ok();
-}
-
-/// The committed quick-mode cell fixtures: the `"type":"cell"` lines of
-/// each experiment at `--quick`. The searcher fixtures pin exact request
-/// sequences; the five contrast experiments' fixtures were emitted with
-/// `--threads 1`, so running them at `--threads 2` here also checks
-/// thread invariance. Every profiled run must also validate.
-#[test]
-fn quick_cell_records_match_the_committed_fixtures() {
-    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    for (experiment, fixture) in [
-        ("theorem1-weak", "theorem1_weak.quick.cells"),
-        ("theorem1-strong", "theorem1_strong.quick.cells"),
-        ("ablation", "ablation.quick.cells"),
-        ("diameter", "diameter.quick.cells"),
-        ("adamic", "adamic.quick.cells"),
-        ("kleinberg", "kleinberg.quick.cells"),
-        ("percolation", "percolation.quick.cells"),
-        ("correlation", "correlation.quick.cells"),
-        ("degree-dist", "degree_dist.quick.cells"),
-        ("null-model", "null_model.quick.cells"),
-        ("theorem2-cf", "theorem2_cf.quick.cells"),
-        ("lemma1-bound", "lemma1_bound.quick.cells"),
-        ("maxdeg", "maxdeg.quick.cells"),
-    ] {
-        let run = temp_path(&format!("{fixture}.jsonl"));
-        let run_str = run.to_str().unwrap();
-        let out = xp(&[
-            experiment,
-            "--quick",
-            "--threads",
-            "2",
-            "--profile",
-            "--out",
-            run_str,
-        ]);
-        assert!(
-            out.status.success(),
-            "{experiment}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = std::fs::read_to_string(&run).unwrap();
-        let records = validate_jsonl(&text).unwrap_or_else(|e| panic!("{experiment}: {e}"));
-        assert!(records.perfs > 0, "{experiment}: no perf records");
-        let mut cells = cell_lines(&text).join("\n");
-        cells.push('\n');
-        let expected = std::fs::read_to_string(fixtures.join(fixture)).unwrap();
-        assert!(
-            cells == expected,
-            "{experiment}: cell records differ from fixtures/{fixture}"
-        );
-        std::fs::remove_file(&run).ok();
+    for file in [&run, &baseline, &extra, &suite, &bare] {
+        std::fs::remove_file(file).ok();
     }
 }
 
-/// A perf record cut down to its exact part: the cell's identity keys
-/// (everything before `trials`), the nine `Metrics::named()` counters
-/// and `hist_requests_log2`. Wall time, phases and the `/proc` sample
-/// are dropped.
-fn exact_counters(record: &JsonValue) -> JsonValue {
-    let JsonValue::Object(pairs) = record else {
-        panic!("a perf record is an object: {record}");
-    };
-    let identity = pairs
-        .iter()
-        .take_while(|(key, _)| key != "trials")
-        .filter(|(key, _)| key != "type");
-    let field = |key: &str| {
-        let value = record
-            .get(key)
-            .unwrap_or_else(|| panic!("perf record lacks {key:?}: {record}"));
-        (key.to_string(), value.clone())
-    };
-    let counters = Metrics::new().named().map(|(key, _)| field(key));
-    JsonValue::Object(
-        identity
-            .cloned()
-            .chain(counters)
-            .chain([field("hist_requests_log2")])
-            .collect(),
-    )
-}
-
+/// The committed quick-mode fixtures, checked from one `--profile` run
+/// of each experiment at `--threads 2`: its `"type":"cell"` lines
+/// against `<name>.quick.cells`, and the exact counters of its perf
+/// records (the projection `xp profile-diff` prints and compares)
+/// against `<name>.quick.counters`. The cell fixtures pin the searchers'
+/// request sequences; the counters pin how much work the oracle and the
+/// searchers did for them, whatever the host. Most fixtures were
+/// emitted at `--threads 1`, so this also checks thread invariance.
 #[test]
-fn quick_perf_counters_match_the_committed_fixtures() {
-    // The work counters are exact integers, merged in trial order, so
-    // they are thread-invariant: any change to what the oracle resolves
-    // or the cursors rescan shows here, whatever the host.
+fn quick_cell_records_match_the_committed_fixtures() {
     let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    for (experiment, fixture) in [
-        ("theorem1-weak", "theorem1_weak.quick.counters"),
-        ("null-model", "null_model.quick.counters"),
+    for experiment in [
+        "theorem1-weak",
+        "theorem1-strong",
+        "theorem2-cf",
+        "lemma1-bound",
+        "lemma2-equiv",
+        "lemma3-event",
+        "maxdeg",
+        "degree-dist",
+        "diameter",
+        "adamic",
+        "kleinberg",
+        "percolation",
+        "ablation",
+        "correlation",
+        "null-model",
     ] {
+        let fixture = experiment.replace('-', "_");
         let run = temp_path(&format!("{fixture}.jsonl"));
         let run_str = run.to_str().unwrap();
         let out = xp(&[
@@ -487,23 +473,24 @@ fn quick_perf_counters_match_the_committed_fixtures() {
             String::from_utf8_lossy(&out.stderr)
         );
         let text = std::fs::read_to_string(&run).unwrap();
-        let got: Vec<JsonValue> = text
-            .lines()
-            .map(|l| parse_json(l).expect("every emitted line parses"))
-            .filter(|r| r.get("type").and_then(|t| t.as_str()) == Some(PERF_TYPE))
-            .map(|r| exact_counters(&r))
-            .collect();
-        let expected: Vec<JsonValue> = std::fs::read_to_string(fixtures.join(fixture))
-            .unwrap()
-            .lines()
-            .map(|l| parse_json(l).expect("fixture lines parse"))
-            .collect();
-        assert_eq!(got.len(), expected.len(), "{experiment}: perf record count");
-        for (got, want) in got.iter().zip(&expected) {
-            assert!(
-                got == want,
-                "{experiment}: counters differ from fixtures/{fixture}\n got: {got}\nwant: {want}"
-            );
+        validate_jsonl(&text).unwrap_or_else(|e| panic!("{experiment}: {e}"));
+        let mut cells = cell_lines(&text).join("\n");
+        cells.push('\n');
+        let expected = std::fs::read_to_string(fixtures.join(format!("{fixture}.quick.cells")));
+        assert!(
+            cells == expected.unwrap(),
+            "{experiment}: cell records differ from fixtures/{fixture}.quick.cells"
+        );
+        let got = run_counters(&text).unwrap();
+        let want: Vec<JsonValue> =
+            std::fs::read_to_string(fixtures.join(format!("{fixture}.quick.counters")))
+                .unwrap()
+                .lines()
+                .map(|l| parse_json(l).expect("fixture lines parse"))
+                .collect();
+        assert!(!want.is_empty(), "{experiment}: empty counters fixture");
+        if let Some(difference) = first_difference(&got, &want) {
+            panic!("{experiment}: counters differ from fixtures/{fixture}.quick.counters\n{difference}");
         }
         std::fs::remove_file(&run).ok();
     }

@@ -192,6 +192,8 @@ mod tests {
             // The suite includes cursor-based searchers, which skip
             // resolved slots on dense vertices.
             assert!(m.frontier_rescans > 0);
+            // Every rescanned slot is also a slot read.
+            assert!(m.slot_reads > m.frontier_rescans);
             // Phase timers rode alongside: the searcher race was timed,
             // the graph fetch was charged to `generate` (this source is
             // not stored), and `merge` captured the consumer's fold.

@@ -81,7 +81,8 @@ impl<S: ?Sized> TrialPool<S> {
 ///
 /// Counter deltas land in `obs.metrics`: requests and discoveries off
 /// the search outcomes, frontier rescans off each searcher's cumulative
-/// counter, edge resolutions and scratch resets off the pooled view's.
+/// counter, edge resolutions, slot reads and scratch resets off the
+/// pooled view's.
 /// Reading counters and clocks never perturbs a search, so measured
 /// trials stay bit-identical to bare ones.
 ///
@@ -110,6 +111,7 @@ where
     );
     let share = searchers.len() / G;
     let resolutions_before = scratch.view().edge_resolutions();
+    let reads_before = scratch.view().slot_reads();
     let resets_before = scratch.view().resets();
     let m = &mut obs.metrics;
     let mut clock = PhaseClock::start();
@@ -130,6 +132,7 @@ where
     }
     obs.phases.search_ns += clock.lap_ns();
     m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
+    m.slot_reads += scratch.view().slot_reads() - reads_before;
     m.scratch_resets += scratch.view().resets() - resets_before;
     obs.phases.harvest_ns += clock.lap_ns();
     measures

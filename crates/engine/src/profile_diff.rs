@@ -1,177 +1,142 @@
-//! `xp profile-diff` — the throughput-regression gate.
+//! `xp profile-diff` — the exact work-counter gate.
 //!
-//! Compares an `xp bench` suite record (`BENCH_engine_suite.json`)
-//! against a committed baseline suite and exits nonzero when any
-//! benchmark's throughput falls below `threshold × baseline` — which is
-//! what lets CI fail a PR that quietly slows a hot path down, without
-//! ever looking at the volatile numbers by eye.
+//! Projects every `"type":"perf"` record of a run to its exact part
+//! ([`exact_counters`]: the cell's identity keys, the
+//! [`Metrics::named`] counters and `hist_requests_log2`) and compares
+//! the projections, record by record and field by field, with a
+//! committed `.counters` fixture. The counters are integers merged in
+//! trial order, so they are the same at any `--threads` on any host:
+//! the gate reads no clock and needs no threshold.
 //!
 //! ```text
-//! xp profile-diff <suite.json> --baseline FILE [--threshold 0.7] [--scale F]
+//! xp profile-diff RUN.jsonl [--baseline FILE.counters]
 //! ```
 //!
-//! * `--baseline FILE` — the committed suite record to compare against.
-//!   Cells are matched **exactly** on `section`/`key`: every benchmark
-//!   in the suite is a named cell with a uniform higher-is-better
-//!   `throughput` field. Measured cells with no baseline entry (e.g. a
-//!   `--quick` suite gated against the committed full record) are
-//!   skipped with a note, never failed.
-//! * `--threshold F` — regression ratio, default `0.7`: a cell fails
-//!   when `measured < F × baseline`. Throughput *above* baseline never
-//!   fails (improvements are free).
-//! * `--scale F` — scales the baseline *up* before the threshold test.
-//!   CI uses `--scale 2.0` as a must-fail self-check: if the gate still
-//!   passes with the bar doubled, the gate is broken.
+//! Without `--baseline` it prints the projected lines — which is how a
+//! fixture is written, so the code that checks a fixture is also the
+//! code that emits it.
 //!
-//! Exit codes: `0` OK, `1` regression detected, `2` usage or I/O error —
-//! the same convention as the rest of `xp`.
+//! Exit codes: `0` the counters are equal (or were printed), `1` they
+//! differ — the first differing record and field are named, with the
+//! value got and the value wanted; a missing or extra record is a
+//! difference — and `2` a usage or I/O error, including a run with no
+//! perf records and a baseline that is not a counters fixture.
 
-use crate::json;
-use crate::options::{ArgScanner, OptionsError};
+use crate::json::{self, JsonValue};
+use crate::options::ArgScanner;
+use crate::record::PERF_TYPE;
 use crate::registry::ToolSpec;
-use std::collections::BTreeMap;
+use nonsearch_obs::Metrics;
 use std::path::PathBuf;
 
-/// Default regression threshold: fail below 70% of baseline throughput.
-pub const DEFAULT_THRESHOLD: f64 = 0.7;
-
-/// `xp profile-diff`: gates an `xp bench` suite record.
+/// `xp profile-diff`: compares a run's exact work counters with a
+/// committed fixture.
 pub const TOOL: ToolSpec = ToolSpec {
     name: "profile-diff",
-    summary: "gate an `xp bench` suite record against a committed one (--baseline FILE)",
-    usage: || {
-        "usage: xp profile-diff <suite.json> --baseline FILE [--threshold F] [--scale F]\n".into()
-    },
+    summary: "compare a run's exact perf counters with a .counters fixture (--baseline FILE)",
+    usage: || "usage: xp profile-diff RUN.jsonl [--baseline FILE.counters]\n".into(),
     main,
 };
 
-/// One named benchmark cell of an `xp bench` suite record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteCell {
-    /// Suite section (`oracle`, `corpus_load`, `thread_scaling`, …).
-    pub section: String,
-    /// Unique key within the section (e.g. `weak_flood_n10000`).
-    pub key: String,
-    /// The uniform higher-is-better measurement (req/s or loads/s).
-    pub throughput: f64,
+/// A perf record cut down to its exact part: the cell's identity keys
+/// (every field before `trials`, `type` excepted), the
+/// [`Metrics::named`] counters and `hist_requests_log2`, in that order.
+/// Wall time, phases and the `/proc` sample are dropped. Projecting a
+/// projection returns it unchanged.
+pub fn exact_counters(record: &JsonValue) -> Result<JsonValue, String> {
+    let JsonValue::Object(pairs) = record else {
+        return Err(format!("a perf record is an object, not {record}"));
+    };
+    let identity = pairs
+        .iter()
+        .take_while(|(key, _)| key != "trials")
+        .filter(|(key, _)| key != "type")
+        .cloned();
+    let field = |key: &str| {
+        record
+            .get(key)
+            .map(|value| (key.to_string(), value.clone()))
+            .ok_or_else(|| format!("no {key:?} field in {record}"))
+    };
+    let exact = Metrics::new()
+        .named()
+        .iter()
+        .map(|&(key, _)| key)
+        .chain(["hist_requests_log2"])
+        .map(field)
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(JsonValue::Object(identity.chain(exact).collect()))
 }
 
-/// Parses an `xp bench` suite record
-/// (`{"schema_version":1,"bench":"engine_suite","cells":[…]}`),
-/// rejecting unknown schema versions and non-finite or non-positive
-/// throughput values.
-pub fn suite_from_json(text: &str) -> Result<Vec<SuiteCell>, String> {
-    let doc = json::parse(text.trim()).map_err(|e| e.to_string())?;
-    match doc.get("schema_version").and_then(|v| v.as_f64()) {
-        Some(v) if v != 1.0 => return Err(format!("unsupported suite schema_version {v}")),
-        Some(_) => {}
-        None => return Err("suite record has no \"schema_version\"".to_string()),
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| "suite record has no \"cells\" array".to_string())?;
-    let mut out = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        let field = |key: &str| -> Result<String, String> {
-            cell.get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("suite cell {i} has no string field {key:?}"))
-        };
-        let throughput = cell
-            .get("throughput")
-            .and_then(|v| v.as_f64())
-            .filter(|x| x.is_finite() && *x > 0.0)
-            .ok_or_else(|| format!("suite cell {i} has no usable \"throughput\""))?;
-        out.push(SuiteCell {
-            section: field("section")?,
-            key: field("key")?,
-            throughput,
-        });
-    }
-    if out.is_empty() {
-        return Err("suite \"cells\" array is empty".to_string());
+/// The [`exact_counters`] of every perf record in a run's JSON Lines.
+pub fn run_counters(text: &str) -> Result<Vec<JsonValue>, String> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let value = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        if value.get("type").and_then(|t| t.as_str()) == Some(PERF_TYPE) {
+            out.push(exact_counters(&value).map_err(|e| format!("line {}: {e}", i + 1))?);
+        }
     }
     Ok(out)
 }
 
-/// One compared suite cell, matched exactly on `section`/`key`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuiteDiffRow {
-    /// `section/key` of the matched benchmark.
-    pub name: String,
-    /// Measured throughput.
-    pub measured: f64,
-    /// Baseline throughput (after `--scale`).
-    pub baseline: f64,
-    /// `measured / baseline`.
-    pub ratio: f64,
-    /// Whether this cell fell below the threshold.
-    pub regressed: bool,
-}
-
-/// Compares a measured suite against a baseline suite at `threshold`,
-/// with baseline throughput pre-multiplied by `scale`. Returns the
-/// compared rows and the names of measured cells the baseline does not
-/// carry (skipped, e.g. a quick suite vs the committed full record).
-pub fn diff_suite(
-    measured: &[SuiteCell],
-    baseline: &[SuiteCell],
-    threshold: f64,
-    scale: f64,
-) -> (Vec<SuiteDiffRow>, Vec<String>) {
-    let by_name: BTreeMap<(&str, &str), f64> = baseline
-        .iter()
-        .map(|c| ((c.section.as_str(), c.key.as_str()), c.throughput))
-        .collect();
-    let mut rows = Vec::new();
-    let mut skipped = Vec::new();
-    for cell in measured {
-        let name = format!("{}/{}", cell.section, cell.key);
-        match by_name.get(&(cell.section.as_str(), cell.key.as_str())) {
-            Some(&base) => {
-                let baseline = base * scale;
-                let ratio = cell.throughput / baseline;
-                rows.push(SuiteDiffRow {
-                    name,
-                    measured: cell.throughput,
-                    baseline,
-                    ratio,
-                    regressed: ratio < threshold,
-                });
-            }
-            None => skipped.push(name),
+/// Reads a `.counters` fixture: one [`exact_counters`] projection per
+/// line, which every line must already be.
+fn read_baseline(text: &str) -> Result<Vec<JsonValue>, String> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let value = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        match exact_counters(&value) {
+            Ok(projected) if projected == value => out.push(value),
+            Ok(_) => return Err(format!("line {}: not a counters record: {line}", i + 1)),
+            Err(e) => return Err(format!("line {}: {e}", i + 1)),
         }
     }
-    (rows, skipped)
+    Ok(out)
 }
 
-/// Reads and parses one suite record file.
-fn read_suite(path: &PathBuf) -> Result<Vec<SuiteCell>, String> {
-    std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| suite_from_json(&text))
-        .map_err(|e| format!("{}: {e}", path.display()))
+/// The first difference between `got` and `want`, record by record: its
+/// index and identity, the first field that differs and both values.
+/// `None` when they are equal.
+pub fn first_difference(got: &[JsonValue], want: &[JsonValue]) -> Option<String> {
+    let pairs = |record: &JsonValue| match record {
+        JsonValue::Object(pairs) => pairs.clone(),
+        _ => Vec::new(),
+    };
+    let index = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))?;
+    let at = |record| {
+        let identity: Vec<String> = pairs(record)
+            .iter()
+            .take_while(|(key, _)| key != "trials")
+            .map(|(key, value)| format!("{key}={value}"))
+            .collect();
+        format!("perf record {} ({})", index + 1, identity.join(" "))
+    };
+    Some(match (got.get(index), want.get(index)) {
+        (Some(g), None) => format!("{}: extra record, not in the baseline", at(g)),
+        (None, Some(w)) => format!("{}: missing from the run", at(w)),
+        (Some(g), Some(w)) => {
+            let show = |v: Option<&JsonValue>| v.map_or("nothing".into(), |v| v.to_string());
+            let mut keys = pairs(w).into_iter().chain(pairs(g)).map(|(key, _)| key);
+            match keys.find(|key| g.get(key) != w.get(key)) {
+                Some(key) => format!(
+                    "{}: {key} got {}, want {}",
+                    at(w),
+                    show(g.get(&key)),
+                    show(w.get(&key))
+                ),
+                None => format!("{}: fields in another order: got {g}, want {w}", at(w)),
+            }
+        }
+        (None, None) => unreachable!("the index is below the longer length"),
+    })
 }
 
 /// The `xp profile-diff` subcommand body. Returns the process exit code.
 pub fn main(args: &[String]) -> i32 {
     let (mut run_path, mut baseline_path): (Option<PathBuf>, Option<PathBuf>) = (None, None);
-    let mut threshold = DEFAULT_THRESHOLD;
-    let mut scale = 1.0f64;
     let scanned = ArgScanner::scan(args, |arg, scan| {
-        let mut positive = |flag| match scan.parse::<f64>(flag, "a positive number")? {
-            x if x.is_finite() && x > 0.0 => Ok(x),
-            x => Err(OptionsError::BadValue {
-                flag,
-                value: x.to_string(),
-                expected: "a positive number",
-            }),
-        };
         match arg {
-            "--threshold" => threshold = positive("--threshold")?,
-            "--scale" => scale = positive("--scale")?,
             "--baseline" => baseline_path = Some(scan.value("--baseline")?.into()),
             path if !path.starts_with("--") && run_path.is_none() => run_path = Some(path.into()),
             _ => return Ok(false),
@@ -181,52 +146,61 @@ pub fn main(args: &[String]) -> i32 {
     if let Err(e) = scanned {
         return TOOL.usage_error(e);
     }
-    let (Some(run_path), Some(baseline_path)) = (run_path, baseline_path) else {
-        return TOOL.usage_error("needs a suite record and --baseline FILE");
+    let Some(run_path) = run_path else {
+        return TOOL.usage_error("needs a run's JSON Lines file");
     };
-    let (measured, baseline) = match (read_suite(&run_path), read_suite(&baseline_path)) {
-        (Ok(measured), Ok(baseline)) => (measured, baseline),
-        (Err(e), _) | (_, Err(e)) => {
+    // An empty side is an error, never a silent pass.
+    let read = |path: &PathBuf, parse: fn(&str) -> Result<Vec<JsonValue>, String>, empty| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse(&text))
+            .and_then(|records| match records.is_empty() {
+                true => Err(empty),
+                false => Ok(records),
+            })
+            .map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let no_perf = "no perf records (was the run made with --profile?)".to_string();
+    let got = match read(&run_path, run_counters, no_perf) {
+        Ok(got) => got,
+        Err(e) => {
             eprintln!("xp profile-diff: {e}");
             return 2;
         }
     };
-    let (rows, skipped) = diff_suite(&measured, &baseline, threshold, scale);
-    for name in &skipped {
-        println!("note: {name} has no baseline entry — skipped");
-    }
-    if rows.is_empty() {
-        eprintln!(
-            "xp profile-diff: no measured suite cell matches the baseline (all {} skipped)",
-            skipped.len()
-        );
-        return 2;
-    }
-    let mut regressed = false;
-    for row in &rows {
-        let verdict = if row.regressed {
-            regressed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<40} measured {:>14.1} vs baseline {:>14.1} ratio {:.3} [{verdict}]",
-            row.name, row.measured, row.baseline, row.ratio
-        );
-    }
-    if regressed {
-        eprintln!(
-            "xp profile-diff: suite regression — at least one benchmark below {threshold:.2}× \
-             baseline"
-        );
-        1
-    } else {
-        println!(
-            "profile-diff: all {} suite cells within threshold",
-            rows.len()
-        );
-        0
+    let Some(baseline_path) = baseline_path else {
+        for record in &got {
+            println!("{record}");
+        }
+        return 0;
+    };
+    let want = match read(
+        &baseline_path,
+        read_baseline,
+        "no counters records".to_string(),
+    ) {
+        Ok(want) => want,
+        Err(e) => {
+            eprintln!("xp profile-diff: {e}");
+            return 2;
+        }
+    };
+    match first_difference(&got, &want) {
+        Some(difference) => {
+            eprintln!(
+                "xp profile-diff: counters differ from {}\n{difference}",
+                baseline_path.display()
+            );
+            1
+        }
+        None => {
+            println!(
+                "profile-diff: all {} perf records match {}",
+                got.len(),
+                baseline_path.display()
+            );
+            0
+        }
     }
 }
 
@@ -234,165 +208,71 @@ pub fn main(args: &[String]) -> i32 {
 mod tests {
     use super::*;
 
-    fn suite(cells: &[(&str, &str, f64)]) -> String {
-        let cells: Vec<String> = cells
-            .iter()
-            .map(|(section, key, throughput)| {
-                format!(
-                    "{{\"section\":\"{section}\",\"key\":\"{key}\",\"throughput\":{throughput}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[{}]}}",
-            cells.join(",")
-        )
+    /// A perf record of one cell with `requests` requests.
+    fn perf(n: u64, requests: u64) -> String {
+        let mut obs = crate::CellObs::default();
+        obs.metrics.trials = 2;
+        obs.metrics.requests = requests;
+        obs.metrics.observe_trial_requests(requests / 2);
+        obs.metrics.observe_trial_requests(requests - requests / 2);
+        let mut fields = vec![
+            ("type", JsonValue::from(PERF_TYPE)),
+            ("experiment", JsonValue::from("demo")),
+            ("n", JsonValue::from(n)),
+        ];
+        fields.extend(crate::perf_fields(&obs));
+        JsonValue::object(fields).to_string()
     }
 
-    fn one(throughput: f64) -> Vec<SuiteCell> {
-        suite_from_json(&suite(&[("oracle", "weak_flood_n1000", throughput)])).unwrap()
+    fn lines(records: &[JsonValue]) -> String {
+        records.iter().map(|r| format!("{r}\n")).collect()
     }
 
     #[test]
-    fn diff_flags_cells_below_threshold_only() {
-        let measured = suite_from_json(&suite(&[
-            ("oracle", "weak_flood_n1000", 500.0),
-            ("oracle", "weak_flood_n10000", 3000.0),
-        ]))
-        .unwrap();
-        let baseline = suite_from_json(&suite(&[
-            ("oracle", "weak_flood_n1000", 1000.0),
-            ("oracle", "weak_flood_n10000", 2000.0),
-        ]))
-        .unwrap();
-        let (rows, skipped) = diff_suite(&measured, &baseline, 0.7, 1.0);
-        assert!(skipped.is_empty());
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].regressed, "0.5× must regress at 0.7");
-        assert!(!rows[1].regressed, "1.5× must pass");
-        // At a looser threshold the same cell passes.
-        let (rows, _) = diff_suite(&measured, &baseline, 0.4, 1.0);
-        assert!(!rows[0].regressed);
+    fn the_projection_keeps_identity_counters_and_histogram_only() {
+        let got = run_counters(&format!("{{\"type\":\"cell\"}}\n{}\n", perf(64, 10))).unwrap();
+        assert_eq!(got.len(), 1);
+        let JsonValue::Object(pairs) = &got[0] else {
+            panic!("{}", got[0]);
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        let mut want = vec!["experiment", "n"];
+        want.extend(Metrics::new().named().map(|(key, _)| key));
+        want.push("hist_requests_log2");
+        assert_eq!(keys, want);
+        // A projection projects to itself, so a fixture reads back.
+        assert_eq!(exact_counters(&got[0]).unwrap(), got[0]);
+        assert_eq!(read_baseline(&lines(&got)).unwrap(), got);
+    }
+
+    #[test]
+    fn the_first_difference_names_record_field_and_values() {
+        let base = run_counters(&format!("{}\n{}\n", perf(64, 10), perf(128, 30))).unwrap();
+        assert_eq!(first_difference(&base, &base), None);
+        let bumped = run_counters(&format!("{}\n{}\n", perf(64, 10), perf(128, 31))).unwrap();
+        let d = first_difference(&bumped, &base).unwrap();
+        assert!(
+            d.contains("perf record 2 (experiment=\"demo\" n=128)"),
+            "{d}"
+        );
+        assert!(d.contains("requests got 31, want 30"), "{d}");
+        let d = first_difference(&base[..1], &base).unwrap();
+        assert!(d.contains("perf record 2") && d.contains("missing"), "{d}");
+        let d = first_difference(&base, &base[..1]).unwrap();
+        assert!(d.contains("perf record 2") && d.contains("extra"), "{d}");
     }
 
     #[test]
     fn empty_baseline_documents_are_rejected() {
-        // A zero-byte file, an empty object, and an empty cells array
-        // are all hard errors — never a silent pass of the gate.
-        assert!(suite_from_json("").is_err());
-        assert!(suite_from_json("{}").is_err());
-        let err = suite_from_json(&suite(&[])).unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-    }
-
-    #[test]
-    fn non_finite_and_negative_throughput_is_rejected() {
-        // NaN/Infinity are not valid JSON numbers, so they surface as
-        // parse errors; negative and zero throughput is filtered by value.
-        assert!(suite_from_json(&suite(&[("a", "b", f64::NAN)])).is_err());
-        let err = suite_from_json(&suite(&[("a", "b", -5.0)])).unwrap_err();
-        assert!(err.contains("throughput"), "{err}");
-        assert!(suite_from_json(&suite(&[("a", "b", 0.0)])).is_err());
-    }
-
-    #[test]
-    fn threshold_boundary_is_exclusive() {
-        // Regression means strictly below threshold × baseline: a cell
-        // measuring exactly the boundary passes. 0.7 has no exact binary
-        // form, so use 0.5 for the equality case.
-        let (rows, _) = diff_suite(&one(500.0), &one(1000.0), 0.5, 1.0);
-        assert_eq!(rows[0].ratio, 0.5);
-        assert!(
-            !rows[0].regressed,
-            "measured == threshold × baseline must pass"
-        );
-        // One ulp above the bar regresses.
-        let (rows, _) = diff_suite(&one(500.0), &one(1000.0), 0.5 + f64::EPSILON, 1.0);
-        assert!(rows[0].regressed);
-    }
-
-    #[test]
-    fn suite_records_parse_and_diff_exactly() {
-        let measured = suite_from_json(
-            "{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[\
-             {\"section\":\"oracle\",\"key\":\"weak_flood_n1000\",\"throughput\":5000.0},\
-             {\"section\":\"corpus_load\",\"key\":\"heap_n10000\",\"throughput\":800.0},\
-             {\"section\":\"oracle\",\"key\":\"only_in_quick\",\"throughput\":1.0}]}",
-        )
-        .unwrap();
-        assert_eq!(measured.len(), 3);
-        let baseline = suite_from_json(
-            "{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[\
-             {\"section\":\"oracle\",\"key\":\"weak_flood_n1000\",\"throughput\":4000.0},\
-             {\"section\":\"corpus_load\",\"key\":\"heap_n10000\",\"throughput\":2000.0}]}",
-        )
-        .unwrap();
-        let (rows, skipped) = diff_suite(&measured, &baseline, 0.7, 1.0);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(skipped, vec!["oracle/only_in_quick".to_string()]);
-        assert!(!rows[0].regressed, "1.25× passes");
-        assert!(rows[1].regressed, "0.4× regresses");
-        // Scaling the baseline 2× fails the previously-passing cell
-        // (0.625 < 0.7) — the must-fail self-check CI relies on.
-        let (rows, _) = diff_suite(&measured, &baseline, 0.7, 2.0);
-        assert!(rows[0].regressed);
-        // Schema and value validation.
-        assert!(suite_from_json("{\"cells\":[]}").is_err());
-        assert!(suite_from_json("{\"schema_version\":2,\"cells\":[]}").is_err());
-        let err = suite_from_json(
-            "{\"schema_version\":1,\"cells\":[{\"section\":\"a\",\"key\":\"b\",\
-             \"throughput\":-1.0}]}",
-        )
-        .unwrap_err();
-        assert!(err.contains("throughput"), "{err}");
-    }
-
-    #[test]
-    fn suite_main_gates_end_to_end() {
-        let dir = std::env::temp_dir();
-        let unique = format!("{}_suite", std::process::id());
-        let suite_path = dir.join(format!("pd_suite_{unique}.json"));
-        std::fs::write(
-            &suite_path,
-            "{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[\
-             {\"section\":\"oracle\",\"key\":\"weak_flood_n1000\",\"throughput\":5000.0}]}",
-        )
-        .unwrap();
-        let s = |x: &str| x.to_string();
-        let p = s(suite_path.to_str().unwrap());
-        // Against itself: every ratio is 1.0 — passes.
-        assert_eq!(main(&[p.clone(), s("--baseline"), p.clone()]), 0);
-        // Doubling the baseline via --scale must fail at default 0.7...
-        let doubled = [
-            p.clone(),
-            s("--baseline"),
-            p.clone(),
-            s("--scale"),
-            s("2.0"),
-        ];
-        assert_eq!(main(&doubled), 1);
-        // ...unless the threshold is loosened below the 0.5 ratio.
-        let loosened = [&doubled[..], &[s("--threshold"), s("0.4")]].concat();
-        assert_eq!(main(&loosened), 0);
-        // Usage errors exit 2: no baseline, unknown flags (`--suite` is
-        // one: suites are the only input), unreadable or non-suite inputs.
-        assert_eq!(main(&[]), 2);
-        assert_eq!(main(std::slice::from_ref(&p)), 2);
-        assert_eq!(
-            main(&[p.clone(), s("--suite"), s("--baseline"), p.clone()]),
-            2
-        );
-        assert_eq!(
-            main(&[p.clone(), s("--baseline"), s("/nonexistent.json")]),
-            2
-        );
-        let run = dir.join(format!("pd_run_{unique}.jsonl"));
-        std::fs::write(&run, "{\"type\":\"cell\"}\n").unwrap();
-        assert_eq!(
-            main(&[s(run.to_str().unwrap()), s("--baseline"), p.clone()]),
-            2
-        );
-        std::fs::remove_file(&suite_path).ok();
-        std::fs::remove_file(&run).ok();
+        // An empty file reads as no records, which `main` refuses; an
+        // empty object, a whole perf record, a timing-suite document and
+        // a record missing a counter are not counters lines at all.
+        assert_eq!(read_baseline("").unwrap(), vec![]);
+        assert!(read_baseline("{}").is_err());
+        assert!(read_baseline(&perf(64, 10)).is_err());
+        let suite = "{\"schema_version\":1,\"bench\":\"engine_suite\",\"cells\":[]}";
+        assert!(read_baseline(suite).is_err());
+        assert!(read_baseline("{\"n\":64,\"trials\":2}").is_err());
+        assert!(read_baseline("not json").is_err());
     }
 }

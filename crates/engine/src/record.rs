@@ -174,7 +174,7 @@ impl RunWriter {
 ///   the folded trials), `lanes`, the cell's `wall_ms`, and
 ///   `requests_per_sec`;
 /// * the remaining counters of [`Metrics::named`](nonsearch_obs::Metrics::named)
-///   — the four work counters, then the three
+///   — the five work counters, then the three
 ///   chaos counters (`faults_injected`, `trials_retried`,
 ///   `trials_skipped`, all zero in fault-free runs) — and
 ///   `hist_requests_log2`, the per-trial request-count histogram in its

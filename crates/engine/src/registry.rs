@@ -679,7 +679,7 @@ mod tests {
     /// workers.
     const PERF: &str = "{\"type\":\"perf\",\"n\":128,\"trials\":3,\"requests\":21,\"lanes\":1,\
                         \"wall_ms\":10.0,\"requests_per_sec\":2100.0,\"discoveries\":9,\
-                        \"edge_resolutions\":12,\"frontier_rescans\":2,\"scratch_resets\":3,\
+                        \"edge_resolutions\":12,\"frontier_rescans\":2,\"slot_reads\":40,\"scratch_resets\":3,\
                         \"faults_injected\":1,\"trials_retried\":1,\"trials_skipped\":0,\
                         \"hist_requests_log2\":[0,0,0,3],\"workers\":2,\
                         \"phase_generate_ns\":2000000,\"phase_load_ns\":0,\

@@ -255,7 +255,7 @@ mod tests {
         "{\"type\":\"cell\",\"experiment\":\"demo\",\"n\":128,\"mean\":10.0}\n",
         "{\"type\":\"perf\",\"experiment\":\"demo\",\"n\":128,\"trials\":4,\"requests\":512,\
          \"lanes\":1,\"wall_ms\":2.5,\"requests_per_sec\":204800.0,\"discoveries\":32,\
-         \"edge_resolutions\":64,\"frontier_rescans\":0,\"scratch_resets\":4,\
+         \"edge_resolutions\":64,\"frontier_rescans\":0,\"slot_reads\":96,\"scratch_resets\":4,\
          \"faults_injected\":0,\"trials_retried\":0,\"trials_skipped\":0,\
          \"hist_requests_log2\":[0,0,0,0,0,0,0,4],\"workers\":2,\
          \"phase_generate_ns\":1000000,\"phase_load_ns\":0,\"phase_search_ns\":4000000,\

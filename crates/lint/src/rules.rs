@@ -644,7 +644,7 @@ mod tests {
     fn clock_env_waiver_downgrades() {
         let waived = "// lint: allow(clock-env): profile timing, reported not aggregated\n\
                       let t0 = std::time::Instant::now();\n";
-        let report = lint_one("crates/bench/src/bench_suite.rs", waived);
+        let report = lint_one("crates/bench/src/chaos.rs", waived);
         assert_eq!(report.violations(), 0);
         assert_eq!(report.diagnostics.len(), 1);
     }

@@ -157,6 +157,10 @@ pub struct Metrics {
     pub edge_resolutions: u64,
     /// Resolved edges skipped by frontier cursor scans.
     pub frontier_rescans: u64,
+    /// Work that moves with complexity: incident slots the oracles copy
+    /// or read and the searchers' scans test, plus entries popped from
+    /// the best-discovered-vertex index.
+    pub slot_reads: u64,
     /// Times a pooled scratch view was reset for a fresh search.
     pub scratch_resets: u64,
     /// Faults the engine injected into trials (chaos runs only; always
@@ -189,6 +193,7 @@ impl Metrics {
         self.discoveries += other.discoveries;
         self.edge_resolutions += other.edge_resolutions;
         self.frontier_rescans += other.frontier_rescans;
+        self.slot_reads += other.slot_reads;
         self.scratch_resets += other.scratch_resets;
         self.faults_injected += other.faults_injected;
         self.trials_retried += other.trials_retried;
@@ -198,20 +203,21 @@ impl Metrics {
 
     /// The counters with their record-field names, in the fixed order
     /// perf records write them (the histogram is not among them).
-    pub fn named(&self) -> [(&'static str, u64); 9] {
+    pub fn named(&self) -> [(&'static str, u64); 10] {
         let mut copy = *self;
         copy.named_mut().map(|(name, count)| (name, *count))
     }
 
     /// [`named`](Metrics::named), by mutable reference: how a reader
     /// folds a record's counters back into a bundle.
-    pub fn named_mut(&mut self) -> [(&'static str, &mut u64); 9] {
+    pub fn named_mut(&mut self) -> [(&'static str, &mut u64); 10] {
         [
             ("trials", &mut self.trials),
             ("requests", &mut self.requests),
             ("discoveries", &mut self.discoveries),
             ("edge_resolutions", &mut self.edge_resolutions),
             ("frontier_rescans", &mut self.frontier_rescans),
+            ("slot_reads", &mut self.slot_reads),
             ("scratch_resets", &mut self.scratch_resets),
             ("faults_injected", &mut self.faults_injected),
             ("trials_retried", &mut self.trials_retried),
@@ -409,6 +415,7 @@ mod tests {
             discoveries: 4,
             edge_resolutions: 9,
             frontier_rescans: 2,
+            slot_reads: 7,
             scratch_resets: 1,
             ..Metrics::new()
         };
@@ -424,6 +431,7 @@ mod tests {
         assert_eq!(a.requests, 30);
         assert_eq!(a.discoveries, 4);
         assert_eq!(a.edge_resolutions, 9);
+        assert_eq!(a.slot_reads, 7);
         assert_eq!(a.trial_requests.total(), 2);
     }
 

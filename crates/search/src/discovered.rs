@@ -24,6 +24,7 @@
 
 use crate::stamped::StampedMap;
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 
@@ -69,13 +70,17 @@ impl<'a> DiscoveredVertex<'a> {
 
     /// The first slot at or after `from` whose far end `view` has not
     /// discovered, or [`degree`](DiscoveredVertex::degree) if there is
-    /// none.
+    /// none. Every slot tested counts as one of the view's
+    /// [`slot_reads`](DiscoveredView::slot_reads).
     #[inline]
     pub(crate) fn first_unexplored(self, view: &DiscoveredView, from: usize) -> usize {
-        from + self.ends[from..]
+        let skipped = self.ends[from..]
             .iter()
             .take_while(|&&w| view.contains(w))
-            .count()
+            .count();
+        let found = from + skipped;
+        view.count_reads(skipped + usize::from(found < self.degree()));
+        found
     }
 }
 
@@ -117,6 +122,11 @@ pub struct DiscoveredView {
     /// discovered). Survives [`reset`](DiscoveredView::reset) — metrics
     /// consumers take before/after deltas.
     edge_resolutions: u64,
+    /// Cumulative work count, see
+    /// [`slot_reads`](DiscoveredView::slot_reads). A `Cell`, so the
+    /// searchers' scans count through the `&DiscoveredView` they are
+    /// handed.
+    slot_reads: Cell<u64>,
     /// Cumulative count of [`reset`](DiscoveredView::reset) calls
     /// (one per search begun on this view).
     resets: u64,
@@ -127,6 +137,7 @@ impl fmt::Debug for DiscoveredView {
         f.debug_struct("DiscoveredView")
             .field("discovered", &self.order)
             .field("edge_resolutions", &self.edge_resolutions)
+            .field("slot_reads", &self.slot_reads.get())
             .field("resets", &self.resets)
             .finish_non_exhaustive()
     }
@@ -272,6 +283,7 @@ impl DiscoveredView {
             self.ends.push(w);
         }
         self.edge_resolutions += resolved + loop_slots / 2;
+        self.count_reads(slots.len());
         self.nodes.insert(
             v.index(),
             NodeSpan {
@@ -294,6 +306,23 @@ impl DiscoveredView {
     /// construction — one per search begun on this view.
     pub fn resets(&self) -> u64 {
         self.resets
+    }
+
+    /// Cumulative work done on this view since construction (resets do
+    /// not clear it): the incident slots an oracle copied on discovery
+    /// or read to expand a vertex, the slots the searchers' frontier
+    /// scans tested, and the entries popped from their best-vertex
+    /// indexes. Exact and thread-invariant, so it moves with an
+    /// algorithm's complexity on any host; metrics consumers record the
+    /// per-trial delta.
+    pub fn slot_reads(&self) -> u64 {
+        self.slot_reads.get()
+    }
+
+    /// Adds `reads` to [`slot_reads`](DiscoveredView::slot_reads).
+    #[inline]
+    pub(crate) fn count_reads(&self, reads: usize) {
+        self.slot_reads.set(self.slot_reads.get() + reads as u64);
     }
 }
 
@@ -619,6 +648,27 @@ mod tests {
         // Counters survive the reset; the next search adds on top.
         view.discover(&g, v(0)); // the loop
         assert_eq!(view.edge_resolutions(), 3);
+    }
+
+    #[test]
+    fn slot_reads_count_copied_and_tested_slots() {
+        let g = edge_cases();
+        let mut view = DiscoveredView::new();
+        view.discover(&g, v(1)); // copies [e1, e2, e3]
+        view.discover(&g, v(1)); // known: one stamp read, no slot
+        view.discover(&g, v(2)); // copies [e3, e4]
+        assert_eq!(view.slot_reads(), 5);
+        // A scan tests each slot it passes and the one it stops at: e1
+        // and e2 lead to the undiscovered 0, e3 to the discovered 2.
+        assert_eq!(unexplored(&view, v(1)), edges(&[1, 2]));
+        assert_eq!(view.slot_reads(), 5 + 3);
+        // A strong request reads the expanded vertex's slots, and the
+        // view copies each newly found neighbor's: 1 (start 3), then
+        // 1 (3's slots) + 2 (vertex 2's).
+        let mut scratch = SearchScratch::new();
+        let mut s = StrongSearchState::new_in(&mut scratch, &g, v(3)).unwrap();
+        s.request(v(3)).unwrap();
+        assert_eq!(s.view().slot_reads(), 1 + 1 + 2);
     }
 
     #[test]

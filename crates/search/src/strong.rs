@@ -85,7 +85,9 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
         self.requests += 1;
         self.scratch.expanded.push(u);
         self.scratch.revealed.clear();
-        for &(v, _) in self.graph.incident(u) {
+        let slots = self.graph.incident(u);
+        self.scratch.view.count_reads(slots.len());
+        for &(v, _) in slots {
             self.scratch.view.discover(self.graph, v);
             self.scratch.revealed.push(v);
         }
