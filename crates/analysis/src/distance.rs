@@ -41,7 +41,7 @@ impl Error for DistanceError {}
 /// # Panics
 ///
 /// Panics if `v` is out of bounds.
-pub fn eccentricity(graph: &UndirectedCsr, v: NodeId) -> Result<u32, DistanceError> {
+fn eccentricity(graph: &UndirectedCsr, v: NodeId) -> Result<u32, DistanceError> {
     if graph.node_count() == 0 {
         return Err(DistanceError::EmptyGraph);
     }

@@ -17,14 +17,6 @@ pub struct LogBin {
     pub density: f64,
 }
 
-impl LogBin {
-    /// Geometric center of the bin, the conventional x-coordinate when
-    /// plotting.
-    pub fn center(&self) -> f64 {
-        (self.lo as f64 * (self.hi.saturating_sub(1)).max(self.lo) as f64).sqrt()
-    }
-}
-
 /// Bins positive observations into geometrically growing buckets
 /// `[1, g), [g, g²), …` with growth factor `growth > 1`.
 ///
@@ -141,15 +133,5 @@ mod tests {
     #[should_panic(expected = "growth factor")]
     fn bad_growth_panics() {
         let _ = log_binned_histogram(&[1, 2], 1.0);
-    }
-
-    #[test]
-    fn center_is_within_bin() {
-        let bins = log_binned_histogram(&(1..=64).collect::<Vec<_>>(), 2.0);
-        for b in bins {
-            let c = b.center();
-            assert!(c >= b.lo as f64 - 1e-9);
-            assert!(c < b.hi as f64 + 1e-9);
-        }
     }
 }

@@ -9,9 +9,8 @@
 //! * [`LinearFit`] / [`fit_log_log`] — OLS regression, including the
 //!   log–log fits used to estimate *scaling exponents* (the `0.5` in
 //!   `Ω(n^{1/2})` is recovered as a log–log slope).
-//! * [`DegreeDistribution`] + [`fit_power_law_mle`] — empirical degree
-//!   CCDFs and discrete maximum-likelihood power-law exponents, for
-//!   verifying the models are scale-free.
+//! * [`fit_power_law_mle`] — discrete maximum-likelihood power-law
+//!   exponents, for verifying the models are scale-free.
 //! * [`average_distance`] / [`diameter_exact`] — sampled average shortest
 //!   paths and diameters, for the paper's "logarithmic diameter vs
 //!   polynomial search" contrast.
@@ -22,7 +21,6 @@
 #![warn(missing_docs)]
 
 mod correlation;
-mod degree_dist;
 mod distance;
 mod histogram;
 mod power_law_fit;
@@ -34,10 +32,8 @@ mod table;
 pub use correlation::{
     age_degree_correlation, degree_assortativity, mean_neighbor_degree_curve, pearson,
 };
-pub use degree_dist::DegreeDistribution;
 pub use distance::{
-    average_distance, diameter_exact, diameter_lower_bound_double_sweep, eccentricity,
-    DistanceError,
+    average_distance, diameter_exact, diameter_lower_bound_double_sweep, DistanceError,
 };
 pub use histogram::{log_binned_histogram, LogBin};
 pub use power_law_fit::{fit_power_law_mle, PowerLawFit};

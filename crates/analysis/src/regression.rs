@@ -19,13 +19,6 @@ pub struct LinearFit {
     pub r_squared: f64,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 impl fmt::Display for LinearFit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -118,7 +111,7 @@ mod tests {
         assert!((fit.slope - 3.0).abs() < 1e-12);
         assert!((fit.intercept + 1.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(5.0) - 14.0).abs() < 1e-12);
+        assert!((fit.slope * 5.0 + fit.intercept - 14.0).abs() < 1e-12);
     }
 
     #[test]

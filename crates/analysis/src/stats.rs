@@ -52,13 +52,6 @@ impl SampleStats {
         })
     }
 
-    /// Computes statistics over an iterator of integer counts (e.g.
-    /// request counts).
-    pub fn from_counts<I: IntoIterator<Item = usize>>(iter: I) -> Option<SampleStats> {
-        let data: Vec<f64> = iter.into_iter().map(|c| c as f64).collect();
-        SampleStats::from_slice(&data)
-    }
-
     /// Sample size.
     pub fn count(&self) -> usize {
         self.count
@@ -111,12 +104,6 @@ impl SampleStats {
     /// convert a two-pass summary into a streaming accumulator.
     pub fn samples_sorted(&self) -> &[f64] {
         &self.sorted
-    }
-
-    /// Converts into a single-pass accumulator with the same moments
-    /// (to floating-point accuracy).
-    pub fn to_streaming(&self) -> crate::StreamingStats {
-        crate::StreamingStats::from(self)
     }
 
     /// Linear-interpolated quantile, `q ∈ [0, 1]`.
@@ -204,13 +191,6 @@ mod tests {
     fn bad_quantile_panics() {
         let s = SampleStats::from_slice(&[1.0]).unwrap();
         let _ = s.quantile(1.5);
-    }
-
-    #[test]
-    fn from_counts() {
-        let s = SampleStats::from_counts([1usize, 2, 3]).unwrap();
-        assert!((s.mean() - 2.0).abs() < 1e-12);
-        assert!(SampleStats::from_counts(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display<T: fmt::Display>(&mut self, cells: &[T]) -> &mut Table {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -113,8 +108,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::with_columns(&["model", "n", "cost"]);
-        t.row_display(&["mori", "1024", "51.2"]);
-        t.row_display(&["cooper-frieze", "1024", "63.0"]);
+        t.row(vec!["mori".into(), "1024".into(), "51.2".into()]);
+        t.row(vec!["cooper-frieze".into(), "1024".into(), "63.0".into()]);
         let text = t.to_string();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn len_counts_rows() {
         let mut t = Table::with_columns(&["x"]);
-        t.row_display(&[1]).row_display(&[2]);
+        t.row(vec!["1".into()]).row(vec!["2".into()]);
         assert_eq!(t.len(), 2);
     }
 }

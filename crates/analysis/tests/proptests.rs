@@ -3,8 +3,8 @@
 //! model.
 
 use nonsearch_analysis::{
-    fit_linear, fit_log_log, fit_power_law_mle, log_binned_histogram, pearson, DegreeDistribution,
-    PowerLawFit, SampleStats,
+    fit_linear, fit_log_log, fit_power_law_mle, log_binned_histogram, pearson, PowerLawFit,
+    SampleStats,
 };
 use nonsearch_generators::{
     rng_from_seed, BarabasiAlbert, CooperFrieze, CooperFriezeConfig, MergedMori, UniformAttachment,
@@ -261,25 +261,6 @@ proptest! {
         prop_assume!(ys.iter().all(|y| y.is_finite() && *y > 0.0));
         let fit = fit_log_log(&xs, &ys).unwrap();
         prop_assert!((fit.slope - exponent).abs() < 1e-6);
-    }
-
-    #[test]
-    fn degree_distribution_is_a_distribution(
-        degrees in proptest::collection::vec(0usize..200, 1..300),
-    ) {
-        let dist = DegreeDistribution::from_degrees(&degrees);
-        // PMF sums to 1.
-        let total: f64 = (0..=dist.max_degree()).map(|d| dist.pmf(d)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        // CCDF at 0 is 1 and is non-increasing.
-        prop_assert!((dist.ccdf(0) - 1.0).abs() < 1e-12);
-        for d in 0..dist.max_degree() {
-            prop_assert!(dist.ccdf(d) + 1e-12 >= dist.ccdf(d + 1));
-        }
-        // Expansion round-trips (sorted).
-        let mut sorted = degrees.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(dist.to_degrees(), sorted);
     }
 
     #[test]

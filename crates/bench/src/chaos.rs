@@ -16,10 +16,10 @@
 use crate::experiments::registry;
 use nonsearch_corpus::{build, BuildSpec, Corpus, LoadMode};
 use nonsearch_engine::{
-    install_faults, run_lanes_observed, ArgScanner, CliOptions, FailurePolicy, FaultHook,
-    FaultInjection, InjectedFault, JsonValue, OptionsError, RunWriter, ToolSpec, TrialMeasure,
+    corrupt_file, install_faults, run_lanes_observed, ArgScanner, CliOptions, FailurePolicy,
+    FaultHook, FaultInjection, FaultPlan, InjectedFault, JsonValue, OptionsError, RunWriter,
+    StorageFault, ToolSpec, TrialMeasure,
 };
-use nonsearch_fault::{FaultPlan, StorageFault, TrialFault};
 use nonsearch_generators::SeedSequence;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -209,15 +209,15 @@ fn trial_fault_gate(
         let events = Arc::clone(&events);
         Arc::new(move |trial, attempt| {
             let fault = plan.trial_fault(trial, attempt)?;
-            let (kind, injected) = match fault {
-                TrialFault::Panic => ("panic", InjectedFault::Panic),
-                TrialFault::Stall { ms } => ("stall", InjectedFault::Stall { ms }),
+            let kind = match fault {
+                InjectedFault::Panic => "panic",
+                InjectedFault::Stall { .. } => "stall",
             };
             events
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push((trial, attempt, kind));
-            Some(injected)
+            Some(fault)
         })
     };
     let policy = if chaos.heal {
@@ -327,7 +327,7 @@ fn corpus_heal_phase(chaos: &ChaosArgs, work: &Path, writer: &mut RunWriter) -> 
             None if i == files.len() - 1 && corrupted == 0 => StorageFault::BitFlip { bit: 7 },
             None => continue,
         };
-        nonsearch_fault::corrupt_file(&path, fault).map_err(|e| format!("{file}: {e}"))?;
+        corrupt_file(&path, fault).map_err(|e| format!("{file}: {e}"))?;
         corrupted += 1;
         writer
             .record_fault(vec![
@@ -391,12 +391,7 @@ fn forced_heap_phase(work: &Path, writer: &mut RunWriter) -> Result<(), String> 
 /// watchdog to mark the cell degraded instead of hanging.
 fn watchdog_phase(plan_seed: u64, writer: &mut RunWriter) -> Result<(), String> {
     let plan = FaultPlan::new(plan_seed).with_trial_stalls(1, 150);
-    let hook: FaultHook = Arc::new(move |trial, attempt| {
-        plan.trial_fault(trial, attempt).map(|fault| match fault {
-            TrialFault::Panic => InjectedFault::Panic,
-            TrialFault::Stall { ms } => InjectedFault::Stall { ms },
-        })
-    });
+    let hook: FaultHook = Arc::new(move |trial, attempt| plan.trial_fault(trial, attempt));
     let scope = install_faults(FaultInjection {
         policy: FailurePolicy::Skip,
         hook: Some(hook),
@@ -545,5 +540,36 @@ mod tests {
         let summary = nonsearch_engine::validate_jsonl(&text).unwrap();
         assert!(summary.faults > 0, "no fault records in {text}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fault_records_are_identical_at_any_thread_count() {
+        // Every decision is a function of (plan seed, index), so the
+        // fault log of a quick gate cannot depend on worker scheduling.
+        let fault_lines = |threads: &str| {
+            let dir = temp_dir(&format!("threads_{threads}"));
+            let out = dir.join("faults.jsonl");
+            let args = [
+                "maxdeg",
+                "--quick",
+                "--threads",
+                threads,
+                "--plan-seed",
+                "64023",
+            ];
+            let dir_str = dir.display().to_string();
+            let out_str = out.display().to_string();
+            let paths = ["--dir", dir_str.as_str(), "--out", out_str.as_str()];
+            assert_eq!(run_args(&[&args[..], &paths[..]].concat()), 0);
+            let text = std::fs::read_to_string(&out).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            text.lines()
+                .filter(|line| line.starts_with("{\"type\":\"fault\""))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        let one = fault_lines("1");
+        assert!(one.len() > 1, "{one:?}");
+        assert_eq!(one, fault_lines("2"));
     }
 }

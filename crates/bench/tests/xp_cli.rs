@@ -4,10 +4,7 @@
 //! against the committed quick-mode fixtures — and the observability
 //! surface (`--trace`, perf records, the `profile-diff` counter gate).
 
-use nonsearch_engine::profile_diff::{first_difference, run_counters};
-use nonsearch_engine::{
-    parse_json, validate_chrome_trace, validate_jsonl, JsonValue, CELL_TYPE, RUN_TYPE,
-};
+use nonsearch_engine::{parse_json, validate_chrome_trace, validate_jsonl, CELL_TYPE, RUN_TYPE};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -481,17 +478,18 @@ fn quick_cell_records_match_the_committed_fixtures() {
             cells == expected.unwrap(),
             "{experiment}: cell records differ from fixtures/{fixture}.quick.cells"
         );
-        let got = run_counters(&text).unwrap();
-        let want: Vec<JsonValue> =
-            std::fs::read_to_string(fixtures.join(format!("{fixture}.quick.counters")))
-                .unwrap()
-                .lines()
-                .map(|l| parse_json(l).expect("fixture lines parse"))
-                .collect();
-        assert!(!want.is_empty(), "{experiment}: empty counters fixture");
-        if let Some(difference) = first_difference(&got, &want) {
-            panic!("{experiment}: counters differ from fixtures/{fixture}.quick.counters\n{difference}");
-        }
+        let counters = fixtures.join(format!("{fixture}.quick.counters"));
+        let diff = xp(&[
+            "profile-diff",
+            run_str,
+            "--baseline",
+            counters.to_str().unwrap(),
+        ]);
+        assert!(
+            diff.status.success(),
+            "{experiment}: counters differ from fixtures/{fixture}.quick.counters\n{}",
+            String::from_utf8_lossy(&diff.stderr)
+        );
         std::fs::remove_file(&run).ok();
     }
 }

@@ -257,13 +257,25 @@ mod tests {
         // A source that replays the generate-per-trial derivation must
         // reproduce the model source bit for bit — the contract the
         // corpus builder relies on.
+        struct Replay(MergedMoriModel);
+        impl GraphSource for Replay {
+            fn trial_graph(
+                &self,
+                n: usize,
+                _: usize,
+                seeds: &SeedSequence,
+            ) -> std::sync::Arc<nonsearch_graph::UndirectedCsr> {
+                std::sync::Arc::new(self.0.sample_graph(n, &mut seeds.child_rng(0)))
+            }
+
+            fn describe(&self) -> String {
+                self.0.name()
+            }
+        }
         let model = MergedMoriModel { p: 0.5, m: 1 };
         let cfg = small_config();
-        let replay = nonsearch_engine::FnSource::new(model.name(), |n, seeds: &SeedSequence| {
-            model.sample_graph(n, &mut seeds.child_rng(0))
-        });
         let a = certify_model(&model, &cfg);
-        let b = certify(&replay, &cfg);
+        let b = certify(&Replay(model), &cfg);
         assert_eq!(aggregates(&a), aggregates(&b));
     }
 

@@ -15,30 +15,13 @@ pub type FatherVector = Vec<usize>;
 /// The exact distribution over Móri trees of a given size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeDistribution {
-    n: usize,
-    p: f64,
     outcomes: Vec<(FatherVector, f64)>,
 }
 
 impl TreeDistribution {
-    /// Number of vertices per tree.
-    pub fn tree_size(&self) -> usize {
-        self.n
-    }
-
-    /// The mixing parameter.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// All `(fathers, probability)` outcomes.
     pub fn outcomes(&self) -> &[(FatherVector, f64)] {
         &self.outcomes
-    }
-
-    /// Total probability mass (should be 1 up to rounding).
-    pub fn total_mass(&self) -> f64 {
-        self.outcomes.iter().map(|(_, q)| q).sum()
     }
 
     /// Probability of the outcomes satisfying `pred`.
@@ -48,15 +31,6 @@ impl TreeDistribution {
             .filter(|(f, _)| pred(f))
             .map(|(_, q)| q)
             .sum()
-    }
-
-    /// Probability of one specific father vector (0 if absent).
-    pub fn probability_of(&self, fathers: &[usize]) -> f64 {
-        self.outcomes
-            .iter()
-            .find(|(f, _)| f == fathers)
-            .map(|(_, q)| *q)
-            .unwrap_or(0.0)
     }
 }
 
@@ -84,7 +58,7 @@ pub fn enumerate_mori_trees(n: usize, p: f64) -> crate::Result<TreeDistribution>
     let mut indegree = vec![0usize; n + 1]; // 1-based labels
     indegree[1] = 1;
     recurse(n, p, 3, &mut fathers, &mut indegree, 1.0, &mut outcomes);
-    Ok(TreeDistribution { n, p, outcomes })
+    Ok(TreeDistribution { outcomes })
 }
 
 fn recurse(
@@ -122,12 +96,8 @@ mod tests {
     fn masses_sum_to_one() {
         for &p in &[0.0, 0.3, 0.7, 1.0] {
             for n in 2..=7 {
-                let dist = enumerate_mori_trees(n, p).unwrap();
-                assert!(
-                    (dist.total_mass() - 1.0).abs() < 1e-9,
-                    "n = {n}, p = {p}: mass = {}",
-                    dist.total_mass()
-                );
+                let mass = enumerate_mori_trees(n, p).unwrap().mass_where(|_| true);
+                assert!((mass - 1.0).abs() < 1e-9, "n = {n}, p = {p}: mass = {mass}");
             }
         }
     }
@@ -144,9 +114,9 @@ mod tests {
         // P(N_3 = 1) = 1/(2−p).
         let p = 0.4;
         let dist = enumerate_mori_trees(3, p).unwrap();
-        let prob = dist.probability_of(&[1, 1]);
+        let prob = dist.mass_where(|f| f == &[1, 1]);
         assert!((prob - 1.0 / (2.0 - p)).abs() < 1e-12);
-        let prob2 = dist.probability_of(&[1, 2]);
+        let prob2 = dist.mass_where(|f| f == &[1, 2]);
         assert!((prob2 - (1.0 - p) / (2.0 - p)).abs() < 1e-12);
     }
 

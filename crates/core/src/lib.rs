@@ -61,8 +61,8 @@ pub use lower_bound::{
     lemma1_lower_bound, theorem1_weak_bound, theorem2_weak_bound, BoundComparison,
 };
 pub use model::{
-    sample_with_seed, BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel,
-    ModelSource, PowerLawGiantModel, UniformAttachmentModel,
+    BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, ModelSource,
+    PowerLawGiantModel, UniformAttachmentModel,
 };
 pub use permutation::Permutation;
 pub use series::ScalingSeries;

@@ -69,7 +69,7 @@ impl BoundComparison {
     }
 
     /// Measured-to-bound ratio (≥ 1 when the bound holds).
-    pub fn slack(&self) -> f64 {
+    fn slack(&self) -> f64 {
         self.measured / self.bound
     }
 }

@@ -2,9 +2,8 @@
 
 use nonsearch_engine::GraphSource;
 use nonsearch_generators::{
-    power_law_degree_sequence, rng_from_seed, BarabasiAlbert, ConfigModel, CooperFrieze,
-    CooperFriezeConfig, MergedMori, PowerLawConfig, SeedSequence, SimplificationPolicy,
-    UniformAttachment,
+    power_law_degree_sequence, BarabasiAlbert, ConfigModel, CooperFrieze, CooperFriezeConfig,
+    MergedMori, PowerLawConfig, SeedSequence, SimplificationPolicy, UniformAttachment,
 };
 use nonsearch_graph::UndirectedCsr;
 use rand_chacha::ChaCha8Rng;
@@ -161,12 +160,6 @@ impl GraphModel for PowerLawGiantModel {
     }
 }
 
-/// Convenience: sample any model from a plain `u64` seed.
-pub fn sample_with_seed(model: &dyn GraphModel, n: usize, seed: u64) -> UndirectedCsr {
-    let mut rng = rng_from_seed(seed);
-    model.sample_graph(n, &mut rng)
-}
-
 /// The generate-per-trial [`GraphSource`]: wraps a [`GraphModel`] and
 /// samples a fresh graph for every trial from the trial's own RNG
 /// stream (`trial_seeds.child_rng(0)` — the workspace convention, which
@@ -207,6 +200,7 @@ impl<M: GraphModel + Sync + ?Sized> GraphSource for ModelSource<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nonsearch_generators::rng_from_seed;
     use nonsearch_graph::is_connected;
 
     #[test]
@@ -223,7 +217,7 @@ mod tests {
             }),
         ];
         for model in &models {
-            let g = sample_with_seed(model.as_ref(), 200, 1);
+            let g = model.sample_graph(200, &mut rng_from_seed(1));
             assert!(is_connected(&g), "{} disconnected", model.name());
             assert!(g.node_count() > 50, "{} too small", model.name());
         }
@@ -244,8 +238,8 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let model = MergedMoriModel { p: 0.4, m: 2 };
-        let a = sample_with_seed(&model, 100, 9);
-        let b = sample_with_seed(&model, 100, 9);
+        let a = model.sample_graph(100, &mut rng_from_seed(9));
+        let b = model.sample_graph(100, &mut rng_from_seed(9));
         assert_eq!(a, b);
     }
 
@@ -255,7 +249,7 @@ mod tests {
             exponent: 2.2,
             d_min: 1,
         };
-        let g = sample_with_seed(&model, 2000, 3);
+        let g = model.sample_graph(2000, &mut rng_from_seed(3));
         assert!(g.node_count() > 1000, "giant = {}", g.node_count());
     }
 }

@@ -1,8 +1,6 @@
 //! Vertex permutations and their action on graphs (Definition 1).
 
 use nonsearch_graph::{NodeId, UndirectedCsr};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A permutation `σ` of the vertex set `[[1, n]]`.
 ///
@@ -48,50 +46,6 @@ impl Permutation {
         p
     }
 
-    /// Builds a permutation from an explicit image vector
-    /// (`map[i]` is the image of vertex `i`).
-    ///
-    /// Returns `None` if `map` is not a bijection on `0..map.len()`.
-    pub fn from_images(map: Vec<usize>) -> Option<Permutation> {
-        let n = map.len();
-        let mut seen = vec![false; n];
-        for &img in &map {
-            if img >= n || seen[img] {
-                return None;
-            }
-            seen[img] = true;
-        }
-        Some(Permutation {
-            map: map.into_iter().map(|x| x as u32).collect(),
-        })
-    }
-
-    /// A permutation fixing everything outside `window` and applying a
-    /// uniformly random shuffle inside it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any window vertex is out of range.
-    pub fn random_window_shuffle<R: Rng + ?Sized>(
-        n: usize,
-        window: &[NodeId],
-        rng: &mut R,
-    ) -> Permutation {
-        let mut p = Permutation::identity(n);
-        let mut images: Vec<u32> = window
-            .iter()
-            .map(|v| {
-                assert!(v.index() < n, "window vertex out of range");
-                v.index() as u32
-            })
-            .collect();
-        images.shuffle(rng);
-        for (slot, &v) in window.iter().enumerate() {
-            p.map[v.index()] = images[slot];
-        }
-        p
-    }
-
     /// Number of vertices the permutation acts on.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -109,36 +63,6 @@ impl Permutation {
     /// Panics if `v` is out of range.
     pub fn image(&self, v: NodeId) -> NodeId {
         NodeId::new(self.map[v.index()] as usize)
-    }
-
-    /// The inverse permutation `σ⁻¹`.
-    pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0u32; self.map.len()];
-        for (i, &img) in self.map.iter().enumerate() {
-            inv[img as usize] = i as u32;
-        }
-        Permutation { map: inv }
-    }
-
-    /// The composition `self ∘ other` (apply `other` first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sizes differ.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len(), "composition size mismatch");
-        Permutation {
-            map: other
-                .map
-                .iter()
-                .map(|&mid| self.map[mid as usize])
-                .collect(),
-        }
-    }
-
-    /// `true` if this is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &img)| i as u32 == img)
     }
 
     /// Applies `σ` to a graph: `σ(G)` (Definition 1). Edge ids are
@@ -190,69 +114,34 @@ impl Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn identity_acts_trivially() {
         let g = UndirectedCsr::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let id = Permutation::identity(4);
-        assert!(id.is_identity());
+        assert!(g.nodes().all(|v| id.image(v) == v));
         assert_eq!(id.apply_to_graph(&g), g);
     }
 
     #[test]
     fn transposition_is_an_involution() {
         let t = Permutation::transposition(5, NodeId::new(1), NodeId::new(3));
-        assert!(t.compose(&t).is_identity());
-        assert_eq!(t.inverse(), t);
-    }
-
-    #[test]
-    fn from_images_validates() {
-        assert!(Permutation::from_images(vec![1, 0, 2]).is_some());
-        assert!(Permutation::from_images(vec![1, 1, 2]).is_none());
-        assert!(Permutation::from_images(vec![3, 0, 1]).is_none());
-    }
-
-    #[test]
-    fn compose_and_inverse_satisfy_group_laws() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let window: Vec<NodeId> = (2..8).map(NodeId::new).collect();
-        let a = Permutation::random_window_shuffle(10, &window, &mut rng);
-        let b = Permutation::random_window_shuffle(10, &window, &mut rng);
-        // (a∘b)⁻¹ = b⁻¹∘a⁻¹
-        let left = a.compose(&b).inverse();
-        let right = b.inverse().compose(&a.inverse());
-        assert_eq!(left, right);
-        // a∘a⁻¹ = id
-        assert!(a.compose(&a.inverse()).is_identity());
-    }
-
-    #[test]
-    fn window_shuffle_fixes_outside() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let window: Vec<NodeId> = (5..9).map(NodeId::new).collect();
-        let p = Permutation::random_window_shuffle(12, &window, &mut rng);
-        for i in (0..5).chain(9..12) {
-            assert_eq!(p.image(NodeId::new(i)), NodeId::new(i));
-        }
-        // Window images stay inside the window.
-        for i in 5..9 {
-            let img = p.image(NodeId::new(i)).index();
-            assert!((5..9).contains(&img));
-        }
+        assert!((0..5).map(NodeId::new).all(|v| t.image(t.image(v)) == v));
+        let g = UndirectedCsr::from_edges(5, [(0, 1), (1, 2), (3, 4)]).unwrap();
+        assert_eq!(t.apply_to_graph(&t.apply_to_graph(&g)), g);
     }
 
     #[test]
     fn graph_action_preserves_structure() {
         let g = UndirectedCsr::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let p = Permutation::from_images(vec![3, 2, 1, 0]).unwrap();
+        let p = Permutation::transposition(4, NodeId::new(0), NodeId::new(3));
         let h = p.apply_to_graph(&g);
         assert_eq!(h.edge_count(), 3);
-        // Path reversed is still the same path as a labelled edge set.
-        assert!(h.is_adjacent(NodeId::new(3), NodeId::new(2)));
-        assert!(h.is_adjacent(NodeId::new(1), NodeId::new(0)));
+        // The path 0–1–2–3 becomes the path 3–1–2–0.
+        assert!(h.is_adjacent(NodeId::new(3), NodeId::new(1)));
+        assert!(h.is_adjacent(NodeId::new(1), NodeId::new(2)));
+        assert!(h.is_adjacent(NodeId::new(2), NodeId::new(0)));
+        assert!(!h.is_adjacent(NodeId::new(0), NodeId::new(1)));
     }
 
     #[test]

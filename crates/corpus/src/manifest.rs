@@ -87,7 +87,7 @@ impl Manifest {
     /// Serializes the manifest, optionally including the volatile
     /// `"build"` object. `to_json(false)` is the deterministic form the
     /// byte-identity tests compare.
-    pub fn to_json(&self, include_build: bool) -> JsonValue {
+    pub(crate) fn to_json(&self, include_build: bool) -> JsonValue {
         let graphs: Vec<JsonValue> = self
             .graphs
             .iter()
@@ -152,7 +152,7 @@ impl Manifest {
     /// # Errors
     ///
     /// Returns [`CorpusError::Manifest`] on malformed input.
-    pub fn from_json_text(text: &str) -> Result<Manifest, CorpusError> {
+    fn from_json_text(text: &str) -> Result<Manifest, CorpusError> {
         let value =
             json::parse(text).map_err(|e| CorpusError::manifest(format!("not JSON: {e}")))?;
         let str_field = |v: &JsonValue, key: &str| -> Result<String, CorpusError> {

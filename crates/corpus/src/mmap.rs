@@ -170,7 +170,7 @@ impl MappedFile {
 
     /// `true` if the region is an actual `mmap(2)` mapping rather than
     /// the heap fallback.
-    pub fn is_mapped(&self) -> bool {
+    fn is_mapped(&self) -> bool {
         match &self.backing {
             #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
             Backing::Mapped { .. } => true,

@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn parsed_models_sample() {
         let model = parse_model("ba:m=2").unwrap();
-        let g = nonsearch_core::sample_with_seed(&*model, 100, 1);
+        let g = model.sample_graph(100, &mut nonsearch_generators::rng_from_seed(1));
         assert_eq!(g.node_count(), 100);
     }
 }

@@ -5,7 +5,7 @@
 //! must be detected by both.
 
 use nonsearch_corpus::{build, nsg, BuildSpec, Corpus, LoadMode, MappedFile};
-use nonsearch_fault::StorageFault;
+use nonsearch_engine::{corrupt_file, StorageFault};
 use nonsearch_graph::{AlignedBytes, CsrBytes, UndirectedCsr};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -169,7 +169,7 @@ proptest! {
         let path = dir.join(victim);
         let original = std::fs::read(&path).unwrap();
         let bit = bit_pick % (original.len() as u64 * 8);
-        nonsearch_fault::corrupt_file(&path, StorageFault::BitFlip { bit }).unwrap();
+        corrupt_file(&path, StorageFault::BitFlip { bit }).unwrap();
 
         // Detected: the flip is visible to a plain verify wherever it
         // landed (the manifest checksum covers every stored byte).

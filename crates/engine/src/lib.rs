@@ -17,10 +17,12 @@
 //!   builder shards graph generation through it).
 //! * [`install_faults`] / [`FailurePolicy`] — the chaos seam: a
 //!   thread-local fault bundle the runner snapshots at cell entry to
-//!   inject deterministic trial panics/stalls (e.g. from a seeded
-//!   `nonsearch_fault::FaultPlan`) and contain, retry, or skip the
-//!   failing trials, with an optional watchdog that degrades a stuck
-//!   cell gracefully instead of hanging the run.
+//!   inject deterministic trial panics/stalls (from a seeded
+//!   [`FaultPlan`]) and contain, retry, or skip the failing trials,
+//!   with an optional watchdog that degrades a stuck cell gracefully
+//!   instead of hanging the run. The same plan picks the `.nsg`
+//!   corruptions ([`StorageFault`], [`corrupt_file`]) the corpus
+//!   healing path is tested against.
 //! * [`GraphSource`] — where a trial's graph comes from: generated on
 //!   the fly or served from a persistent corpus (`nonsearch_corpus`).
 //! * [`ArgScanner`] — the one `xp` flag grammar; [`CliOptions`] — the
@@ -69,7 +71,8 @@ mod runner;
 mod source;
 
 pub use faults::{
-    install_faults, FailurePolicy, FaultHook, FaultInjection, FaultScope, InjectedFault,
+    corrupt_file, install_faults, FailurePolicy, FaultHook, FaultInjection, FaultPlan, FaultScope,
+    InjectedFault, StorageFault,
 };
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use nonsearch_obs::{
@@ -89,4 +92,4 @@ pub use runner::{
     resolved_workers, run_lanes, run_lanes_observed, run_ordered, trial_seeds, CellObs,
     LaneAggregate, TrialMeasure, TrialObs,
 };
-pub use source::{FnSource, GraphSource};
+pub use source::GraphSource;

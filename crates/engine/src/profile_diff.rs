@@ -1,7 +1,7 @@
 //! `xp profile-diff` — the exact work-counter gate.
 //!
 //! Projects every `"type":"perf"` record of a run to its exact part
-//! ([`exact_counters`]: the cell's identity keys, the
+//! (`exact_counters`: the cell's identity keys, the
 //! [`Metrics::named`] counters and `hist_requests_log2`) and compares
 //! the projections, record by record and field by field, with a
 //! committed `.counters` fixture. The counters are integers merged in
@@ -38,20 +38,29 @@ pub const TOOL: ToolSpec = ToolSpec {
     main,
 };
 
-/// A perf record cut down to its exact part: the cell's identity keys
-/// (every field before `trials`, `type` excepted), the
-/// [`Metrics::named`] counters and `hist_requests_log2`, in that order.
-/// Wall time, phases and the `/proc` sample are dropped. Projecting a
-/// projection returns it unchanged.
-pub fn exact_counters(record: &JsonValue) -> Result<JsonValue, String> {
-    let JsonValue::Object(pairs) = record else {
-        return Err(format!("a perf record is an object, not {record}"));
+/// A perf record's identity keys: every field before `trials`, `type`
+/// excepted — `experiment` and the cell's parameters, in record order.
+/// They tell one cell's record from another's.
+pub(crate) fn identity_keys(record: &JsonValue) -> impl Iterator<Item = &(String, JsonValue)> {
+    let pairs = match record {
+        JsonValue::Object(pairs) => pairs.as_slice(),
+        _ => &[],
     };
-    let identity = pairs
+    pairs
         .iter()
         .take_while(|(key, _)| key != "trials")
         .filter(|(key, _)| key != "type")
-        .cloned();
+}
+
+/// A perf record cut down to its exact part: its [`identity_keys`],
+/// the [`Metrics::named`] counters and `hist_requests_log2`, in that
+/// order. Wall time, phases and the `/proc` sample are dropped.
+/// Projecting a projection returns it unchanged.
+fn exact_counters(record: &JsonValue) -> Result<JsonValue, String> {
+    if !matches!(record, JsonValue::Object(_)) {
+        return Err(format!("a perf record is an object, not {record}"));
+    }
+    let identity = identity_keys(record).cloned();
     let field = |key: &str| {
         record
             .get(key)
@@ -69,7 +78,7 @@ pub fn exact_counters(record: &JsonValue) -> Result<JsonValue, String> {
 }
 
 /// The [`exact_counters`] of every perf record in a run's JSON Lines.
-pub fn run_counters(text: &str) -> Result<Vec<JsonValue>, String> {
+fn run_counters(text: &str) -> Result<Vec<JsonValue>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let value = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
@@ -98,16 +107,14 @@ fn read_baseline(text: &str) -> Result<Vec<JsonValue>, String> {
 /// The first difference between `got` and `want`, record by record: its
 /// index and identity, the first field that differs and both values.
 /// `None` when they are equal.
-pub fn first_difference(got: &[JsonValue], want: &[JsonValue]) -> Option<String> {
+fn first_difference(got: &[JsonValue], want: &[JsonValue]) -> Option<String> {
     let pairs = |record: &JsonValue| match record {
         JsonValue::Object(pairs) => pairs.clone(),
         _ => Vec::new(),
     };
     let index = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))?;
     let at = |record| {
-        let identity: Vec<String> = pairs(record)
-            .iter()
-            .take_while(|(key, _)| key != "trials")
+        let identity: Vec<String> = identity_keys(record)
             .map(|(key, value)| format!("{key}={value}"))
             .collect();
         format!("perf record {} ({})", index + 1, identity.join(" "))

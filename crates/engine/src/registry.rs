@@ -133,11 +133,6 @@ impl Registry {
         );
     }
 
-    /// The registered experiments, in registration order.
-    pub fn specs(&self) -> &[ExperimentSpec] {
-        &self.specs
-    }
-
     /// Every subcommand name in the table: the experiments, then the
     /// tools.
     pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
@@ -256,7 +251,7 @@ impl Registry {
     }
 
     /// The `xp list` table.
-    pub fn list_table(&self) -> Table {
+    fn list_table(&self) -> Table {
         let mut t = Table::with_columns(&["subcommand", "id", "seed", "claim"]);
         for spec in &self.specs {
             t.row(vec![
@@ -602,7 +597,7 @@ mod tests {
     #[test]
     fn register_find_and_list() {
         let r = demo_registry();
-        assert_eq!(r.specs().len(), 1);
+        assert_eq!(r.names().count(), 1 + r.tools.len());
         assert!(r.find("demo").is_some());
         assert!(r.find("nope").is_none());
         let listing = r.list_table().to_string();
@@ -889,7 +884,7 @@ mod tests {
             std::sync::atomic::AtomicBool::new(true);
         fn probe_run(ctx: &mut ExpContext) {
             TRACER_WAS_ENABLED.store(
-                ctx.tracer.is_enabled(),
+                ctx.tracer.to_chrome_trace().is_some(),
                 std::sync::atomic::Ordering::Relaxed,
             );
         }

@@ -1,10 +1,13 @@
 //! `xp report` — render a run's JSONL records as a terminal summary.
 //!
 //! Where `xp validate` checks a record stream and `xp profile-diff`
-//! gates a bench suite, `xp report` is for *reading* a run: from its
-//! `"type":"perf"` records, a per-cell throughput table, a per-phase
-//! time breakdown, and an ASCII render of the merged log₂ request
-//! histogram.
+//! gates its exact work counters against a committed fixture, `xp
+//! report` is for *reading* a run: from its `"type":"perf"` records, a
+//! per-cell throughput table, a per-phase time breakdown, and an ASCII
+//! render of the merged log₂ request histogram. Each cell is labelled
+//! by its record's identity keys after `experiment` (e.g.
+//! `k=2.3 oracle=weak n=2000`), the keys `xp profile-diff` matches
+//! records by.
 //!
 //! ```text
 //! xp report <run.jsonl> [--require-phases]
@@ -19,6 +22,7 @@
 
 use crate::json::{self, JsonValue};
 use crate::options::ArgScanner;
+use crate::profile_diff::identity_keys;
 use crate::record::{PERF_TYPE, RUN_TYPE};
 use crate::registry::ToolSpec;
 use nonsearch_analysis::Table;
@@ -61,6 +65,23 @@ fn num(value: &JsonValue, key: &str) -> f64 {
     value.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
 }
 
+/// A perf record's row label: its identity keys after `experiment`, as
+/// `key=value` pairs (`-` when it has none).
+fn cell_label(record: &JsonValue) -> String {
+    let pairs: Vec<String> = identity_keys(record)
+        .filter(|(key, _)| key != "experiment")
+        .map(|(key, value)| match value.as_str() {
+            Some(text) => format!("{key}={text}"),
+            None => format!("{key}={value}"),
+        })
+        .collect();
+    if pairs.is_empty() {
+        "-".to_string()
+    } else {
+        pairs.join(" ")
+    }
+}
+
 /// Collects the renderable records from a JSONL stream. Lenient by
 /// design — `xp validate` is the strict checker; the report renders
 /// whatever well-formed records it finds.
@@ -91,11 +112,7 @@ fn parse_run(text: &str) -> Result<RunReport, String> {
                     }
                 }
                 report.perf.push(PerfRow {
-                    label: value
-                        .get("n")
-                        .and_then(|v| v.as_f64())
-                        .map(|n| format!("n={n}"))
-                        .unwrap_or_else(|| "-".to_string()),
+                    label: cell_label(&value),
                     trials: count("trials"),
                     requests: count("requests"),
                     wall_ms: num(&value, "wall_ms"),
@@ -310,6 +327,18 @@ mod tests {
         assert!(text.contains("histogram"), "{text}");
         // All four trials land in bucket 7: [64, 128).
         assert!(text.contains("[64, 128)"), "{text}");
+    }
+
+    #[test]
+    fn cells_are_labelled_by_every_identity_key() {
+        let weak = SAMPLE.lines().nth(1).unwrap();
+        let strong = weak.replace("\"n\":128,", "\"oracle\":\"strong\",\"n\":128,");
+        let weak = weak.replace("\"n\":128,", "\"oracle\":\"weak\",\"n\":128,");
+        let report = parse_run(&format!("{weak}\n{strong}\n")).unwrap();
+        let labels: Vec<&str> = report.perf.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["oracle=weak n=128", "oracle=strong n=128"]);
+        let text = render(&report);
+        assert!(text.contains("oracle=strong n=128"), "{text}");
     }
 
     #[test]

@@ -60,63 +60,26 @@ impl<S: GraphSource + ?Sized> GraphSource for &S {
     }
 }
 
-/// A [`GraphSource`] built from a sampling closure — the adapter used
-/// by `GraphModel` implementations and by tests.
-pub struct FnSource<F> {
-    label: String,
-    sample: F,
-}
-
-impl<F> FnSource<F>
-where
-    F: Fn(usize, &SeedSequence) -> UndirectedCsr + Sync,
-{
-    /// Wraps `sample(n, trial_seeds)` as a generate-backed source.
-    pub fn new(label: impl Into<String>, sample: F) -> FnSource<F> {
-        FnSource {
-            label: label.into(),
-            sample,
-        }
-    }
-}
-
-impl<F> GraphSource for FnSource<F>
-where
-    F: Fn(usize, &SeedSequence) -> UndirectedCsr + Sync,
-{
-    fn trial_graph(&self, n: usize, _trial: usize, seeds: &SeedSequence) -> Arc<UndirectedCsr> {
-        Arc::new((self.sample)(n, seeds))
-    }
-
-    fn describe(&self) -> String {
-        format!("generate:{}", self.label)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonsearch_graph::NodeId;
 
-    fn path_source() -> impl GraphSource {
-        FnSource::new("path", |n, _seeds| {
-            UndirectedCsr::from_edges(n, (1..n).map(|i| (i - 1, i))).expect("valid path")
-        })
-    }
+    /// The path on `n` vertices, whatever the trial.
+    struct PathSource;
 
-    #[test]
-    fn fn_source_samples_and_describes() {
-        let src = path_source();
-        let seeds = SeedSequence::new(1);
-        let g = src.trial_graph(5, 0, &seeds);
-        assert_eq!(g.node_count(), 5);
-        assert_eq!(g.degree(NodeId::new(0)), 1);
-        assert_eq!(src.describe(), "generate:path");
+    impl GraphSource for PathSource {
+        fn trial_graph(&self, n: usize, _: usize, _: &SeedSequence) -> Arc<UndirectedCsr> {
+            Arc::new(UndirectedCsr::from_edges(n, (1..n).map(|i| (i - 1, i))).expect("valid path"))
+        }
+
+        fn describe(&self) -> String {
+            "generate:path".to_string()
+        }
     }
 
     #[test]
     fn references_forward() {
-        let src = path_source();
+        let src = PathSource;
         let by_ref: &dyn GraphSource = &src;
         let seeds = SeedSequence::new(2);
         assert_eq!(by_ref.trial_graph(3, 1, &seeds).node_count(), 3);

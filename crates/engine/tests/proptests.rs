@@ -3,9 +3,8 @@
 
 use nonsearch_engine::{
     install_faults, parse_json, run_lanes, trial_seeds, FailurePolicy, FaultHook, FaultInjection,
-    InjectedFault, JsonValue, LaneAggregate, TrialMeasure,
+    FaultPlan, JsonValue, LaneAggregate, TrialMeasure,
 };
-use nonsearch_fault::{FaultPlan, TrialFault};
 use nonsearch_generators::SeedSequence;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -109,12 +108,7 @@ proptest! {
         let reference = synthetic_cell(trials, 1, &seeds);
 
         let plan = FaultPlan::new(plan_seed).with_trial_panics(panic_every);
-        let hook: FaultHook = Arc::new(move |trial, attempt| {
-            plan.trial_fault(trial, attempt).map(|fault| match fault {
-                TrialFault::Panic => InjectedFault::Panic,
-                TrialFault::Stall { ms } => InjectedFault::Stall { ms },
-            })
-        });
+        let hook: FaultHook = Arc::new(move |trial, attempt| plan.trial_fault(trial, attempt));
         let scope = install_faults(FaultInjection {
             policy: FailurePolicy::Retry { max: 3 },
             hook: Some(hook),

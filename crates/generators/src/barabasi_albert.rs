@@ -38,7 +38,6 @@ use rand::Rng;
 pub struct BarabasiAlbert {
     trace: AttachmentTrace,
     n: usize,
-    m: usize,
 }
 
 impl BarabasiAlbert {
@@ -98,12 +97,7 @@ impl BarabasiAlbert {
             }
         }
 
-        Ok(BarabasiAlbert { trace, n, m })
-    }
-
-    /// Edges added per arriving vertex.
-    pub fn m(&self) -> usize {
-        self.m
+        Ok(BarabasiAlbert { trace, n })
     }
 
     /// The attachment history: one record per edge, pointing newer →

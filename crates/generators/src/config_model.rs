@@ -47,8 +47,6 @@ pub enum SimplificationPolicy {
 #[derive(Debug, Clone)]
 pub struct ConfigModel {
     graph: UndirectedCsr,
-    requested: Vec<usize>,
-    policy: SimplificationPolicy,
 }
 
 impl ConfigModel {
@@ -131,33 +129,12 @@ impl ConfigModel {
 
         let graph = UndirectedCsr::from_edges(n, edges)
             .expect("stub endpoints are in range by construction");
-        Ok(ConfigModel {
-            graph,
-            requested: degrees.to_vec(),
-            policy,
-        })
+        Ok(ConfigModel { graph })
     }
 
     /// The sampled undirected graph.
     pub fn graph(&self) -> &UndirectedCsr {
         &self.graph
-    }
-
-    /// The degree sequence that was requested.
-    pub fn requested_degrees(&self) -> &[usize] {
-        &self.requested
-    }
-
-    /// The simplification policy used.
-    pub fn policy(&self) -> SimplificationPolicy {
-        self.policy
-    }
-
-    /// Number of stubs lost to simplification (0 for
-    /// [`SimplificationPolicy::Multigraph`] and `Reject`).
-    pub fn erased_stubs(&self) -> usize {
-        let requested: usize = self.requested.iter().sum();
-        requested - 2 * self.graph.edge_count()
     }
 }
 
@@ -175,7 +152,7 @@ mod tests {
         for (i, &d) in degrees.iter().enumerate() {
             assert_eq!(g.graph().degree(NodeId::new(i)), d);
         }
-        assert_eq!(g.erased_stubs(), 0);
+        assert_eq!(2 * g.graph().edge_count(), degrees.iter().sum::<usize>());
     }
 
     #[test]

@@ -125,16 +125,6 @@ impl CooperFriezeConfig {
     pub fn delta(&self) -> f64 {
         self.delta
     }
-
-    /// Distribution `q` of out-edges per New step.
-    pub fn new_edges(&self) -> &DiscreteDistribution {
-        &self.new_edges
-    }
-
-    /// Distribution `p` of out-edges per Old step.
-    pub fn old_edges(&self) -> &DiscreteDistribution {
-        &self.old_edges
-    }
 }
 
 /// A sampled Cooper–Frieze graph with construction provenance.
@@ -153,7 +143,6 @@ pub struct CooperFrieze {
     trace: AttachmentTrace,
     n: usize,
     steps: Vec<StepKind>,
-    config: CooperFriezeConfig,
 }
 
 impl CooperFrieze {
@@ -225,12 +214,7 @@ impl CooperFrieze {
             }
         }
 
-        Ok(CooperFrieze {
-            trace,
-            n,
-            steps,
-            config: config.clone(),
-        })
+        Ok(CooperFrieze { trace, n, steps })
     }
 
     /// Terminal choice: indegree-preferential w.p. `pref_prob`, uniform
@@ -253,11 +237,6 @@ impl CooperFrieze {
                 AttachmentKind::Uniform,
             )
         }
-    }
-
-    /// The parameters used to sample this graph.
-    pub fn config(&self) -> &CooperFriezeConfig {
-        &self.config
     }
 
     /// The per-edge attachment history (edges point newer → chosen

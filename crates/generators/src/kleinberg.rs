@@ -14,16 +14,16 @@ use rand::Rng;
 
 /// A position on the lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GridCoord {
+struct GridCoord {
     /// Row, in `0..side`.
-    pub row: usize,
+    row: usize,
     /// Column, in `0..side`.
-    pub col: usize,
+    col: usize,
 }
 
 impl GridCoord {
     /// Manhattan (lattice) distance to `other`.
-    pub fn manhattan(self, other: GridCoord) -> usize {
+    fn manhattan(self, other: GridCoord) -> usize {
         self.row.abs_diff(other.row) + self.col.abs_diff(other.col)
     }
 }
@@ -51,8 +51,6 @@ impl GridCoord {
 pub struct KleinbergGrid {
     graph: UndirectedCsr,
     side: usize,
-    r: f64,
-    links_per_node: usize,
 }
 
 impl KleinbergGrid {
@@ -116,8 +114,6 @@ impl KleinbergGrid {
         Ok(KleinbergGrid {
             graph: UndirectedCsr::from_edges(n, edges).expect("lattice cells are vertices"),
             side,
-            r,
-            links_per_node,
         })
     }
 
@@ -155,45 +151,17 @@ impl KleinbergGrid {
         &self.graph
     }
 
-    /// Grid side length `s` (the graph has `s²` vertices).
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
-    /// The clustering exponent `r`.
-    pub fn r(&self) -> f64 {
-        self.r
-    }
-
-    /// Long-range links added per vertex.
-    pub fn links_per_node(&self) -> usize {
-        self.links_per_node
-    }
-
     /// Lattice position of `v`.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of bounds.
-    pub fn coord(&self, v: NodeId) -> GridCoord {
+    fn coord(&self, v: NodeId) -> GridCoord {
         assert!(v.index() < self.side * self.side, "vertex out of bounds");
         GridCoord {
             row: v.index() / self.side,
             col: v.index() % self.side,
         }
-    }
-
-    /// The vertex at position `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is outside the grid.
-    pub fn node_at(&self, c: GridCoord) -> NodeId {
-        assert!(
-            c.row < self.side && c.col < self.side,
-            "coordinate out of bounds"
-        );
-        NodeId::new(c.row * self.side + c.col)
     }
 
     /// Manhattan distance between two vertices.
@@ -235,7 +203,13 @@ mod tests {
         let g = KleinbergGrid::sample(6, 1.0, 0, &mut rng).unwrap();
         for i in 0..36 {
             let v = NodeId::new(i);
-            assert_eq!(g.node_at(g.coord(v)), v);
+            assert_eq!(
+                g.coord(v),
+                GridCoord {
+                    row: i / 6,
+                    col: i % 6
+                }
+            );
         }
     }
 
@@ -243,8 +217,8 @@ mod tests {
     fn manhattan_distance_examples() {
         let mut rng = rng_from_seed(4);
         let g = KleinbergGrid::sample(4, 2.0, 0, &mut rng).unwrap();
-        let corner = g.node_at(GridCoord { row: 0, col: 0 });
-        let opposite = g.node_at(GridCoord { row: 3, col: 3 });
+        let corner = NodeId::new(0);
+        let opposite = NodeId::new(3 * 4 + 3);
         assert_eq!(g.manhattan(corner, opposite), 6);
         assert_eq!(g.manhattan(corner, corner), 0);
     }

@@ -66,7 +66,7 @@ pub use config_model::{ConfigModel, SimplificationPolicy};
 pub use cooper_frieze::{CooperFrieze, CooperFriezeConfig, StepKind};
 pub use edge_swap::{degree_preserving_rewire, SwapStats};
 pub use error::GeneratorError;
-pub use kleinberg::{GridCoord, KleinbergGrid};
+pub use kleinberg::KleinbergGrid;
 pub use mori::{MergedMori, MoriTree};
 pub use power_law::{power_law_degree_sequence, PowerLawConfig};
 pub use provenance::{AttachmentKind, AttachmentRecord, AttachmentTrace};

@@ -49,7 +49,6 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct MoriTree {
     trace: AttachmentTrace,
-    p: f64,
 }
 
 impl MoriTree {
@@ -106,12 +105,7 @@ impl MoriTree {
             });
         }
 
-        Ok(MoriTree { trace, p })
-    }
-
-    /// The mixing parameter `p`.
-    pub fn p(&self) -> f64 {
-        self.p
+        Ok(MoriTree { trace })
     }
 
     /// Number of vertices `t` of the tree.
@@ -147,7 +141,7 @@ impl MoriTree {
     ///
     /// Returns [`GeneratorError::InvalidParameter`] if `m` is zero or does
     /// not divide the vertex count.
-    pub fn into_merged(self, m: usize) -> Result<MergedMori> {
+    fn into_merged(self, m: usize) -> Result<MergedMori> {
         if m == 0 {
             return Err(GeneratorError::invalid("m", 0usize, "a positive integer"));
         }
@@ -161,7 +155,6 @@ impl MoriTree {
         Ok(MergedMori {
             tree_trace: self.trace,
             m,
-            p: self.p,
         })
     }
 }
@@ -179,7 +172,6 @@ impl MoriTree {
 pub struct MergedMori {
     tree_trace: AttachmentTrace,
     m: usize,
-    p: f64,
 }
 
 impl MergedMori {
@@ -188,8 +180,9 @@ impl MergedMori {
     ///
     /// # Errors
     ///
-    /// Propagates validation errors from [`MoriTree::sample`] and
-    /// [`MoriTree::into_merged`].
+    /// Returns [`GeneratorError::InvalidParameter`] if `m` is zero and
+    /// [`GeneratorError::TooSmall`] if `n < 2`, and propagates validation
+    /// errors from [`MoriTree::sample`].
     pub fn sample<R: Rng + ?Sized>(n: usize, m: usize, p: f64, rng: &mut R) -> Result<MergedMori> {
         if m == 0 {
             return Err(GeneratorError::invalid("m", 0usize, "a positive integer"));
@@ -203,25 +196,10 @@ impl MergedMori {
         MoriTree::sample(n * m, p, rng)?.into_merged(m)
     }
 
-    /// Block size `m`.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Mixing parameter `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// The attachment trace of the *underlying tree* (labels in tree
     /// space, i.e. `1..=n·m`).
     pub fn tree_trace(&self) -> &AttachmentTrace {
         &self.tree_trace
-    }
-
-    /// The merged vertex that tree vertex `k` (one-based) belongs to.
-    pub fn block_of_tree_label(&self, k: usize) -> NodeId {
-        NodeId::new((k - 1) / self.m)
     }
 
     /// Builds the unoriented view searching takes place in: the tree's
@@ -240,6 +218,19 @@ mod tests {
     use super::*;
     use crate::rng_from_seed;
     use nonsearch_graph::{is_connected, GraphProperties};
+
+    /// The share of non-seed attachments drawn from the preferential
+    /// component.
+    fn preferential_share(trace: &AttachmentTrace) -> f64 {
+        let drawn = trace.iter().filter(|r| r.kind != AttachmentKind::Seed);
+        let (pref, all) = drawn.fold((0, 0), |(pref, all), r| {
+            (
+                pref + usize::from(r.kind == AttachmentKind::Preferential),
+                all + 1,
+            )
+        });
+        pref as f64 / all as f64
+    }
 
     #[test]
     fn tree_shape_invariants() {
@@ -283,7 +274,7 @@ mod tests {
     fn p_zero_uses_only_uniform_draws() {
         let mut rng = rng_from_seed(4);
         let tree = MoriTree::sample(100, 0.0, &mut rng).unwrap();
-        assert_eq!(tree.trace().preferential_fraction(), Some(0.0));
+        assert_eq!(preferential_share(tree.trace()), 0.0);
     }
 
     #[test]
@@ -340,7 +331,7 @@ mod tests {
         let merged = MergedMori::sample(30, m, 0.5, &mut rng).unwrap();
         let mut out_degree = [0usize; 30];
         for r in merged.tree_trace() {
-            out_degree[merged.block_of_tree_label(r.child.label()).index()] += 1;
+            out_degree[r.child.index() / m] += 1;
         }
         // Block 1 contains the root (no out-edge): out-degree m − 1.
         assert_eq!(out_degree[0], m - 1);
@@ -361,10 +352,13 @@ mod tests {
     fn block_mapping() {
         let mut rng = rng_from_seed(10);
         let merged = MergedMori::sample(10, 3, 0.5, &mut rng).unwrap();
-        assert_eq!(merged.block_of_tree_label(1), NodeId::from_label(1));
-        assert_eq!(merged.block_of_tree_label(3), NodeId::from_label(1));
-        assert_eq!(merged.block_of_tree_label(4), NodeId::from_label(2));
-        assert_eq!(merged.block_of_tree_label(30), NodeId::from_label(10));
+        // Tree labels 1..=3 form block 1, 4..=6 block 2, …, 28..=30 block 10.
+        let block = |k: usize| NodeId::from_label((k - 1) / 3 + 1);
+        let g = merged.undirected();
+        assert_eq!(g.edge_count(), merged.tree_trace().len());
+        for ((_, uv), r) in g.edges().zip(merged.tree_trace()) {
+            assert_eq!(uv, (block(r.child.label()), block(r.father.label())));
+        }
     }
 
     #[test]
@@ -400,9 +394,6 @@ mod tests {
         let mut rng = rng_from_seed(13);
         let lo = MoriTree::sample(2000, 0.2, &mut rng).unwrap();
         let hi = MoriTree::sample(2000, 0.9, &mut rng).unwrap();
-        assert!(
-            lo.trace().preferential_fraction().unwrap()
-                < hi.trace().preferential_fraction().unwrap()
-        );
+        assert!(preferential_share(lo.trace()) < preferential_share(hi.trace()));
     }
 }

@@ -65,11 +65,6 @@ impl PowerLawConfig {
         self.exponent
     }
 
-    /// Minimum degree.
-    pub fn d_min(&self) -> usize {
-        self.d_min
-    }
-
     /// The cutoff that will apply for a graph on `n` vertices: the
     /// explicit override if set, else the natural cutoff
     /// `max(d_min, ⌊n^{1/(k−1)}⌋)`.

@@ -110,25 +110,6 @@ impl AttachmentTrace {
         );
         Some(record.father)
     }
-
-    /// Fraction of non-seed records drawn from the preferential component.
-    ///
-    /// Returns `None` if there are no non-seed records.
-    pub fn preferential_fraction(&self) -> Option<f64> {
-        let non_seed: Vec<_> = self
-            .records
-            .iter()
-            .filter(|r| r.kind != AttachmentKind::Seed)
-            .collect();
-        if non_seed.is_empty() {
-            return None;
-        }
-        let pref = non_seed
-            .iter()
-            .filter(|r| r.kind == AttachmentKind::Preferential)
-            .count();
-        Some(pref as f64 / non_seed.len() as f64)
-    }
 }
 
 impl<'a> IntoIterator for &'a AttachmentTrace {
@@ -198,23 +179,6 @@ mod tests {
         // a multi-edge trace instead of answering for the wrong vertex.
         let lookup = std::panic::catch_unwind(|| t.father_of_label(2));
         assert!(lookup.is_err());
-    }
-
-    #[test]
-    fn preferential_fraction_ignores_seed() {
-        let t: AttachmentTrace = [
-            rec(2, 1, AttachmentKind::Seed),
-            rec(3, 1, AttachmentKind::Preferential),
-            rec(4, 1, AttachmentKind::Uniform),
-            rec(5, 1, AttachmentKind::Preferential),
-        ]
-        .into_iter()
-        .collect();
-        let f = t.preferential_fraction().unwrap();
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
-
-        let seed_only: AttachmentTrace = [rec(2, 1, AttachmentKind::Seed)].into_iter().collect();
-        assert!(seed_only.preferential_fraction().is_none());
     }
 
     #[test]

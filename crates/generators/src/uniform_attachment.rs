@@ -29,7 +29,6 @@ use rand::Rng;
 pub struct UniformAttachment {
     trace: AttachmentTrace,
     n: usize,
-    m: usize,
 }
 
 impl UniformAttachment {
@@ -70,12 +69,7 @@ impl UniformAttachment {
                 });
             }
         }
-        Ok(UniformAttachment { trace, n, m })
-    }
-
-    /// Edges requested per arriving vertex.
-    pub fn m(&self) -> usize {
-        self.m
+        Ok(UniformAttachment { trace, n })
     }
 
     /// The attachment history: one record per edge, pointing newer →

@@ -64,21 +64,6 @@ impl CumulativeSampler {
         // partition_point returns the first index with cumulative > x.
         self.cumulative.partition_point(|&c| c <= x)
     }
-
-    /// The probability assigned to `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn probability(&self, index: usize) -> f64 {
-        let total = *self.cumulative.last().expect("sampler is non-empty");
-        let prev = if index == 0 {
-            0.0
-        } else {
-            self.cumulative[index - 1]
-        };
-        (self.cumulative[index] - prev) / total
-    }
 }
 
 /// A small discrete distribution over `1..=k`, used for the Cooper–Frieze
@@ -89,7 +74,6 @@ impl CumulativeSampler {
 ///
 /// // 70% one edge, 30% two edges.
 /// let d = DiscreteDistribution::new(vec![0.7, 0.3])?;
-/// assert_eq!(d.max_value(), 2);
 /// assert!((d.mean() - 1.3).abs() < 1e-12);
 /// # Ok::<(), nonsearch_generators::GeneratorError>(())
 /// ```
@@ -131,15 +115,6 @@ impl DiscreteDistribution {
         Self::new(weights)
     }
 
-    /// Largest value with positive probability.
-    pub fn max_value(&self) -> usize {
-        self.weights
-            .iter()
-            .rposition(|&w| w > 0.0)
-            .map(|i| i + 1)
-            .expect("distribution has positive mass")
-    }
-
     /// Expected value.
     pub fn mean(&self) -> f64 {
         let total: f64 = self.weights.iter().sum();
@@ -151,7 +126,7 @@ impl DiscreteDistribution {
             / total
     }
 
-    /// Samples a value in `1..=max_value()`.
+    /// Samples a value `v ≥ 1` with probability `weights[v - 1]`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.sampler.sample(rng) + 1
     }
@@ -166,8 +141,6 @@ mod tests {
     fn cumulative_sampler_matches_weights() {
         let s = CumulativeSampler::new(&[1.0, 3.0]).unwrap();
         assert_eq!(s.len(), 2);
-        assert!((s.probability(0) - 0.25).abs() < 1e-12);
-        assert!((s.probability(1) - 0.75).abs() < 1e-12);
         let mut rng = rng_from_seed(5);
         let draws = 40_000;
         let ones = (0..draws).filter(|_| s.sample(&mut rng) == 1).count();
@@ -195,7 +168,6 @@ mod tests {
     #[test]
     fn discrete_distribution_basics() {
         let d = DiscreteDistribution::new(vec![0.5, 0.0, 0.5]).unwrap();
-        assert_eq!(d.max_value(), 3);
         assert!((d.mean() - 2.0).abs() < 1e-12);
         let mut rng = rng_from_seed(3);
         for _ in 0..100 {
@@ -207,7 +179,6 @@ mod tests {
     #[test]
     fn constant_distribution() {
         let d = DiscreteDistribution::constant(4).unwrap();
-        assert_eq!(d.max_value(), 4);
         assert!((d.mean() - 4.0).abs() < 1e-12);
         let mut rng = rng_from_seed(4);
         assert_eq!(d.sample(&mut rng), 4);

@@ -212,7 +212,7 @@ proptest! {
         // Every non-root block sends exactly m edges.
         let mut out_degree = vec![0usize; n];
         for r in merged.tree_trace() {
-            out_degree[merged.block_of_tree_label(r.child.label()).index()] += 1;
+            out_degree[r.child.index() / m] += 1;
         }
         prop_assert!(out_degree[1..].iter().all(|&d| d == m));
     }

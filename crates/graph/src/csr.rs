@@ -239,33 +239,6 @@ impl UndirectedCsr {
     pub fn incident(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
         &self.slots()[self.offsets()[v.index()]..self.offsets()[v.index() + 1]]
     }
-
-    /// Resolves incidence slot `slot` of vertex `v`.
-    ///
-    /// This is the primitive behind the weak model's request `(u, e)`:
-    /// the searcher names a slot and learns the neighbor behind it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] for an unknown vertex and
-    /// [`GraphError::IncidenceOutOfBounds`] for a slot `≥ degree(v)`.
-    pub fn incident_slot(&self, v: NodeId, slot: usize) -> Result<(NodeId, EdgeId)> {
-        if v.index() >= self.node_count() {
-            return Err(GraphError::NodeOutOfBounds {
-                node: v,
-                node_count: self.node_count(),
-            });
-        }
-        self.incident(v)
-            .get(slot)
-            .copied()
-            .ok_or(GraphError::IncidenceOutOfBounds {
-                node: v,
-                slot,
-                degree: self.degree(v),
-            })
-    }
-
     /// Iterator over the neighbors of `v` (with multiplicity; a self-loop
     /// yields `v` twice).
     ///
@@ -368,7 +341,7 @@ impl UndirectedCsr {
     ///
     /// Edges with both endpoints in `keep` are retained (with fresh edge
     /// ids); duplicates in `keep` are ignored after the first occurrence.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (UndirectedCsr, Vec<NodeId>) {
+    fn induced_subgraph(&self, keep: &[NodeId]) -> (UndirectedCsr, Vec<NodeId>) {
         let mut old_of_new: Vec<NodeId> = Vec::with_capacity(keep.len());
         let mut new_of_old: Vec<Option<usize>> = vec![None; self.node_count()];
         for &v in keep {
@@ -589,24 +562,9 @@ mod tests {
     fn incident_slot_resolves_neighbors() {
         let g = triangle();
         let v = NodeId::new(0);
-        let mut seen: Vec<usize> = (0..g.degree(v))
-            .map(|i| g.incident_slot(v, i).unwrap().0.index())
-            .collect();
+        let mut seen: Vec<usize> = g.incident(v).iter().map(|&(w, _)| w.index()).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    fn incident_slot_errors() {
-        let g = triangle();
-        assert!(matches!(
-            g.incident_slot(NodeId::new(9), 0),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            g.incident_slot(NodeId::new(0), 2),
-            Err(GraphError::IncidenceOutOfBounds { .. })
-        ));
     }
 
     #[test]

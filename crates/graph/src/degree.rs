@@ -1,4 +1,4 @@
-//! Degree sequences and degree histograms.
+//! Degree sequences and their summary statistics.
 
 use crate::{NodeId, UndirectedCsr};
 
@@ -7,24 +7,6 @@ pub fn degree_sequence(graph: &UndirectedCsr) -> Vec<usize> {
     (0..graph.node_count())
         .map(|i| graph.degree(NodeId::new(i)))
         .collect()
-}
-
-/// Histogram of undirected degrees: entry `d` holds the number of vertices
-/// of degree exactly `d`.
-///
-/// The returned vector has length `max_degree + 1` (empty for an empty
-/// graph).
-pub fn degree_histogram(graph: &UndirectedCsr) -> Vec<usize> {
-    let seq = degree_sequence(graph);
-    let max = seq.iter().copied().max().unwrap_or(0);
-    if graph.node_count() == 0 {
-        return Vec::new();
-    }
-    let mut hist = vec![0usize; max + 1];
-    for d in seq {
-        hist[d] += 1;
-    }
-    hist
 }
 
 /// Summary statistics of a degree sequence.
@@ -72,21 +54,12 @@ mod tests {
     fn star_degrees() {
         let g = UndirectedCsr::from_edges(5, (1..5).map(|i| (0, i))).unwrap();
         assert_eq!(degree_sequence(&g), vec![4, 1, 1, 1, 1]);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist, vec![0, 4, 0, 0, 1]);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = UndirectedCsr::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)]).unwrap();
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), g.node_count());
     }
 
     #[test]
     fn empty_graph_histogram() {
         let g = UndirectedCsr::from_edges(0, []).unwrap();
-        assert!(degree_histogram(&g).is_empty());
+        assert!(degree_sequence(&g).is_empty());
         assert!(DegreeStats::of(&g).is_none());
     }
 

@@ -22,15 +22,6 @@ pub enum GraphError {
         /// Current number of edges.
         edge_count: usize,
     },
-    /// An incident-edge slot index was out of range for the vertex.
-    IncidenceOutOfBounds {
-        /// The vertex whose incidence list was indexed.
-        node: NodeId,
-        /// The requested slot.
-        slot: usize,
-        /// The vertex degree.
-        degree: usize,
-    },
     /// Raw CSR buffers handed to
     /// [`UndirectedCsr::from_raw_parts`](crate::UndirectedCsr::from_raw_parts)
     /// were internally inconsistent.
@@ -53,12 +44,6 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "edge {edge:?} out of bounds (graph has {edge_count} edges)"
-                )
-            }
-            GraphError::IncidenceOutOfBounds { node, slot, degree } => {
-                write!(
-                    f,
-                    "incidence slot {slot} out of bounds for vertex {node:?} of degree {degree}"
                 )
             }
             GraphError::InvalidCsr { reason } => {
@@ -88,13 +73,6 @@ mod tests {
             edge_count: 2,
         };
         assert!(e.to_string().contains("e3"));
-
-        let e = GraphError::IncidenceOutOfBounds {
-            node: NodeId::new(0),
-            slot: 7,
-            degree: 3,
-        };
-        assert!(e.to_string().contains("slot 7"));
 
         let e = GraphError::InvalidCsr {
             reason: "offsets must start at 0".into(),

@@ -44,14 +44,12 @@ mod storage;
 mod traversal;
 
 pub use csr::{IncidentEdges, Neighbors, RawCsrParts, UndirectedCsr};
-pub use degree::{degree_histogram, degree_sequence, DegreeStats};
+pub use degree::{degree_sequence, DegreeStats};
 pub use error::GraphError;
 pub use node::{EdgeId, NodeId};
 pub use properties::{GraphProperties, StructuralSummary};
 pub use storage::{zero_copy_support, AlignedBytes, CsrBytes, CsrLayout, RawSlotPair};
-pub use traversal::{
-    bfs_distances, bfs_order, connected_components, is_connected, Bfs, ComponentLabels,
-};
+pub use traversal::{bfs_distances, connected_components, is_connected, Bfs, ComponentLabels};
 
 /// Result alias used across this crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

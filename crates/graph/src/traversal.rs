@@ -73,15 +73,6 @@ pub fn bfs_distances(graph: &UndirectedCsr, source: NodeId) -> Vec<Option<u32>> 
     dist
 }
 
-/// Vertices in BFS order from `source` (reachable ones only).
-///
-/// # Panics
-///
-/// Panics if `source` is out of bounds.
-pub fn bfs_order(graph: &UndirectedCsr, source: NodeId) -> Vec<NodeId> {
-    Bfs::new(graph, source).map(|(v, _)| v).collect()
-}
-
 /// Connected-component labelling of an undirected graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentLabels {
@@ -162,7 +153,7 @@ mod tests {
     #[test]
     fn bfs_visits_each_vertex_once() {
         let g = UndirectedCsr::from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap();
-        let seen: Vec<_> = bfs_order(&g, NodeId::new(0));
+        let seen: Vec<_> = Bfs::new(&g, NodeId::new(0)).map(|(v, _)| v).collect();
         assert_eq!(seen.len(), 4);
         let mut idx: Vec<_> = seen.iter().map(|v| v.index()).collect();
         idx.sort_unstable();

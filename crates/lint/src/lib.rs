@@ -30,14 +30,3 @@ pub mod walk;
 pub use rules::{lint_files, Diagnostic, LintReport, RuleInfo, RULES};
 pub use scan::{has_token, scan as scan_source, ScannedFile, ScannedLine};
 pub use walk::collect_workspace;
-
-use std::path::Path;
-
-/// Lints the source tree rooted at `root`: walk, scan, all rules.
-///
-/// # Errors
-///
-/// Propagates I/O errors from reading the tree.
-pub fn lint_tree(root: &Path) -> std::io::Result<LintReport> {
-    Ok(lint_files(&collect_workspace(root)?))
-}

@@ -155,7 +155,7 @@ struct FileWaivers {
 }
 
 /// Lints an in-memory file set: path (repo-relative, forward slashes)
-/// → source text. This is the pure core `lint_tree` and the unit tests
+/// → source text. This is the pure core `xp lint` and the unit tests
 /// share.
 pub fn lint_files(files: &BTreeMap<String, String>) -> LintReport {
     let scanned: BTreeMap<&str, ScannedFile> = files

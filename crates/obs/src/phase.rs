@@ -57,16 +57,6 @@ impl PhaseTimes {
         self.merge_ns += other.merge_ns;
     }
 
-    /// Total nanoseconds across all phases.
-    pub fn total_ns(&self) -> u64 {
-        self.generate_ns
-            + self.load_ns
-            + self.search_ns
-            + self.analyze_ns
-            + self.harvest_ns
-            + self.merge_ns
-    }
-
     /// The phases with their canonical record-field names, in the
     /// fixed serialization order record writers use.
     pub fn named(&self) -> [(&'static str, u64); 6] {
@@ -162,7 +152,6 @@ mod tests {
         assert_eq!(a.analyze_ns, 56);
         assert_eq!(a.harvest_ns, 9);
         assert_eq!(a.merge_ns, 7);
-        assert_eq!(a.total_ns(), 11 + 3 + 103 + 56 + 9 + 7);
     }
 
     #[test]
@@ -178,7 +167,7 @@ mod tests {
         let named = p.named();
         assert_eq!(named.len(), 6);
         let sum: u64 = named.iter().map(|&(_, v)| v).sum();
-        assert_eq!(sum, p.total_ns());
+        assert_eq!(sum, 1 + 2 + 3 + 6 + 4 + 5);
         let mut names: Vec<&str> = named.iter().map(|&(n, _)| n).collect();
         names.sort_unstable();
         names.dedup();

@@ -43,7 +43,7 @@ impl ResourceSample {
     /// Parses the two `/proc` documents; split out for testability
     /// (fields default to 0 when missing or malformed — a resource
     /// sample must never abort a run).
-    pub fn from_proc(status: &str, stat: &str) -> ResourceSample {
+    fn from_proc(status: &str, stat: &str) -> ResourceSample {
         ResourceSample {
             peak_rss_bytes: status_kb(status, "VmHWM:").map_or(0, |kb| kb.saturating_mul(1024)),
             minor_faults: stat_field(stat, 7).unwrap_or(0),

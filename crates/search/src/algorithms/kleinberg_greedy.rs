@@ -72,14 +72,14 @@ pub fn greedy_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nonsearch_generators::{rng_from_seed, GridCoord, KleinbergGrid};
+    use nonsearch_generators::{rng_from_seed, KleinbergGrid};
 
     #[test]
     fn routes_on_bare_lattice_take_manhattan_distance() {
         let mut rng = rng_from_seed(1);
         let grid = KleinbergGrid::sample(8, 2.0, 0, &mut rng).unwrap();
-        let a = grid.node_at(GridCoord { row: 0, col: 0 });
-        let b = grid.node_at(GridCoord { row: 7, col: 7 });
+        let a = NodeId::new(0);
+        let b = NodeId::new(7 * 8 + 7);
         let o = greedy_route(&grid, a, b, 10_000);
         assert!(o.reached);
         assert_eq!(o.steps, 14); // exactly the Manhattan distance
@@ -89,8 +89,8 @@ mod tests {
     fn long_range_links_only_help() {
         let mut rng = rng_from_seed(2);
         let grid = KleinbergGrid::sample(16, 2.0, 2, &mut rng).unwrap();
-        let a = grid.node_at(GridCoord { row: 0, col: 0 });
-        let b = grid.node_at(GridCoord { row: 15, col: 15 });
+        let a = NodeId::new(0);
+        let b = NodeId::new(15 * 16 + 15);
         let o = greedy_route(&grid, a, b, 10_000);
         assert!(o.reached);
         assert!(o.steps <= 30, "greedy can never exceed Manhattan distance");
@@ -100,7 +100,7 @@ mod tests {
     fn zero_distance_routes_instantly() {
         let mut rng = rng_from_seed(3);
         let grid = KleinbergGrid::sample(4, 1.0, 1, &mut rng).unwrap();
-        let v = grid.node_at(GridCoord { row: 2, col: 2 });
+        let v = NodeId::new(2 * 4 + 2);
         let o = greedy_route(&grid, v, v, 10);
         assert!(o.reached);
         assert_eq!(o.steps, 0);
@@ -110,8 +110,8 @@ mod tests {
     fn step_budget_respected() {
         let mut rng = rng_from_seed(4);
         let grid = KleinbergGrid::sample(10, 2.0, 0, &mut rng).unwrap();
-        let a = grid.node_at(GridCoord { row: 0, col: 0 });
-        let b = grid.node_at(GridCoord { row: 9, col: 9 });
+        let a = NodeId::new(0);
+        let b = NodeId::new(9 * 10 + 9);
         let o = greedy_route(&grid, a, b, 3);
         assert!(!o.reached);
         assert_eq!(o.steps, 3);

@@ -167,7 +167,7 @@ impl StrongSearcher for StrongGreedyId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_strong, SearchTask};
+    use crate::{run_strong_in, SearchScratch, SearchTask};
     use nonsearch_graph::UndirectedCsr;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -183,7 +183,14 @@ mod tests {
         edges.push((7, 8));
         let g = UndirectedCsr::from_edges(9, edges).unwrap();
         let task = SearchTask::new(NodeId::new(0), NodeId::new(8));
-        let o = run_strong(&g, &task, &mut StrongHighDegree::new(), &mut rng()).unwrap();
+        let o = run_strong_in(
+            &mut SearchScratch::new(),
+            &g,
+            &task,
+            &mut StrongHighDegree::new(),
+            &mut rng(),
+        )
+        .unwrap();
         assert!(o.found);
         assert!(o.requests <= g.node_count());
     }
@@ -192,7 +199,14 @@ mod tests {
     fn strong_greedy_id_on_path_is_direct() {
         let g = UndirectedCsr::from_edges(12, (1..12).map(|i| (i - 1, i))).unwrap();
         let task = SearchTask::new(NodeId::new(0), NodeId::new(11));
-        let o = run_strong(&g, &task, &mut StrongGreedyId::new(), &mut rng()).unwrap();
+        let o = run_strong_in(
+            &mut SearchScratch::new(),
+            &g,
+            &task,
+            &mut StrongGreedyId::new(),
+            &mut rng(),
+        )
+        .unwrap();
         assert!(o.found);
         assert_eq!(o.requests, 11);
     }
@@ -201,7 +215,14 @@ mod tests {
     fn strong_bfs_discovers_within_node_budget() {
         let g = UndirectedCsr::from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)]).unwrap();
         let task = SearchTask::new(NodeId::new(0), NodeId::new(5));
-        let o = run_strong(&g, &task, &mut StrongBfs::new(), &mut rng()).unwrap();
+        let o = run_strong_in(
+            &mut SearchScratch::new(),
+            &g,
+            &task,
+            &mut StrongBfs::new(),
+            &mut rng(),
+        )
+        .unwrap();
         assert!(o.found);
         assert!(o.requests < g.node_count());
     }
@@ -211,19 +232,37 @@ mod tests {
         let g = UndirectedCsr::from_edges(3, [(0, 1)]).unwrap();
         let task = SearchTask::new(NodeId::new(0), NodeId::new(2));
         assert!(
-            run_strong(&g, &task, &mut StrongBfs::new(), &mut rng())
-                .unwrap()
-                .gave_up
+            run_strong_in(
+                &mut SearchScratch::new(),
+                &g,
+                &task,
+                &mut StrongBfs::new(),
+                &mut rng()
+            )
+            .unwrap()
+            .gave_up
         );
         assert!(
-            run_strong(&g, &task, &mut StrongHighDegree::new(), &mut rng())
-                .unwrap()
-                .gave_up
+            run_strong_in(
+                &mut SearchScratch::new(),
+                &g,
+                &task,
+                &mut StrongHighDegree::new(),
+                &mut rng()
+            )
+            .unwrap()
+            .gave_up
         );
         assert!(
-            run_strong(&g, &task, &mut StrongGreedyId::new(), &mut rng())
-                .unwrap()
-                .gave_up
+            run_strong_in(
+                &mut SearchScratch::new(),
+                &g,
+                &task,
+                &mut StrongGreedyId::new(),
+                &mut rng()
+            )
+            .unwrap()
+            .gave_up
         );
     }
 }

@@ -69,7 +69,7 @@ pub use algorithms::{
 pub use discovered::{DiscoveredVertex, DiscoveredView, UnexploredEdges};
 pub use error::SearchError;
 pub use frontier::FrontierCursors;
-pub use runner::{run_strong, run_strong_in, run_weak, run_weak_in};
+pub use runner::{run_strong_in, run_weak, run_weak_in};
 pub use scratch::{SearchScratch, StampedNodeSet};
 pub use simulate::SimulatedStrong;
 pub use stamped::StampedMap;

@@ -1,11 +1,10 @@
 //! Search execution loops for both knowledge models.
 //!
-//! Each loop exists in two forms: the classic entry points
-//! ([`run_weak`], [`run_strong`]) that allocate a private
-//! [`SearchScratch`] per call, and the scratch-threading forms
-//! ([`run_weak_in`], [`run_strong_in`]) that borrow a caller-owned
-//! scratch — what the Monte-Carlo engines use so each worker allocates
-//! once per graph size and reuses across all its trials. Both forms are
+//! The scratch-threading forms ([`run_weak_in`], [`run_strong_in`])
+//! borrow a caller-owned [`SearchScratch`] — what the Monte-Carlo
+//! engines use so each worker allocates once per graph size and reuses
+//! it across all its trials. [`run_weak`] is the one-shot weak form with
+//! a private scratch per call; a fresh scratch and a reused one are
 //! observationally identical (same request sequences, same RNG
 //! consumption).
 
@@ -115,23 +114,6 @@ pub fn run_weak_in<S: WeakSearcher + ?Sized>(
             return Ok(SearchOutcome::success(state.requests(), state.view().len()));
         }
     }
-}
-
-/// Runs a strong-model search to completion with a private, per-call
-/// [`SearchScratch`] (same loop shape as [`run_weak`], counting strong
-/// requests). Hot loops should use [`run_strong_in`].
-///
-/// # Errors
-///
-/// Returns [`SearchError`] on task-validation failures or protocol
-/// violations by the algorithm.
-pub fn run_strong<S: StrongSearcher + ?Sized>(
-    graph: &UndirectedCsr,
-    task: &SearchTask,
-    searcher: &mut S,
-    rng: &mut dyn RngCore,
-) -> crate::Result<SearchOutcome> {
-    run_strong_in(&mut SearchScratch::new(), graph, task, searcher, rng)
 }
 
 /// Runs a strong-model search to completion on a caller-owned scratch
@@ -248,7 +230,14 @@ mod tests {
         let g = path(10);
         let task = SearchTask::new(NodeId::new(0), NodeId::new(9));
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let o = run_strong(&g, &task, &mut StrongBfs::new(), &mut rng).unwrap();
+        let o = run_strong_in(
+            &mut SearchScratch::new(),
+            &g,
+            &task,
+            &mut StrongBfs::new(),
+            &mut rng,
+        )
+        .unwrap();
         assert!(o.found);
         // Expanding vertices 0..=8 reveals vertex 9.
         assert_eq!(o.requests, 9);
@@ -260,7 +249,14 @@ mod tests {
         let task = SearchTask::new(NodeId::new(0), NodeId::new(9));
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(run_weak(&g, &task, &mut BfsFlood::new(), &mut rng).is_err());
-        assert!(run_strong(&g, &task, &mut StrongBfs::new(), &mut rng).is_err());
+        assert!(run_strong_in(
+            &mut SearchScratch::new(),
+            &g,
+            &task,
+            &mut StrongBfs::new(),
+            &mut rng
+        )
+        .is_err());
     }
 
     #[test]
@@ -280,7 +276,14 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(4);
             let pooled = run_strong_in(&mut scratch, &g, &task, &mut strong, &mut rng).unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(4);
-            let fresh = run_strong(&g, &task, &mut StrongBfs::new(), &mut rng).unwrap();
+            let fresh = run_strong_in(
+                &mut SearchScratch::new(),
+                &g,
+                &task,
+                &mut StrongBfs::new(),
+                &mut rng,
+            )
+            .unwrap();
             assert_eq!(pooled, fresh);
         }
     }

@@ -74,12 +74,6 @@ impl<S: StrongSearcher> SimulatedStrong<S> {
         &self.inner
     }
 
-    /// Number of strong-model requests simulated so far; the weak
-    /// request count divided by this is the realized slowdown factor.
-    pub fn strong_requests(&self) -> usize {
-        self.strong_requests
-    }
-
     fn finish_expansion(&mut self) {
         if let Some(u) = self.expanding.take() {
             self.inner.observe(u, &self.revealed);
@@ -155,7 +149,7 @@ impl<S: StrongSearcher> WeakSearcher for SimulatedStrong<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_strong, run_weak, StrongBfs, StrongHighDegree};
+    use crate::{run_strong_in, run_weak, SearchScratch, StrongBfs, StrongHighDegree};
     use nonsearch_graph::UndirectedCsr;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -172,7 +166,14 @@ mod tests {
     fn simulation_finds_what_strong_finds() {
         let g = path(12);
         let task = crate::SearchTask::new(NodeId::new(0), NodeId::new(11));
-        let strong = run_strong(&g, &task, &mut StrongBfs::new(), &mut rng()).unwrap();
+        let strong = run_strong_in(
+            &mut SearchScratch::new(),
+            &g,
+            &task,
+            &mut StrongBfs::new(),
+            &mut rng(),
+        )
+        .unwrap();
         let weak = run_weak(
             &g,
             &task,
@@ -193,10 +194,10 @@ mod tests {
         assert!(weak.found);
         let max_degree = 9;
         assert!(
-            weak.requests <= sim.strong_requests().max(1) * max_degree,
+            weak.requests <= sim.strong_requests.max(1) * max_degree,
             "weak {} vs strong {} × Δ {}",
             weak.requests,
-            sim.strong_requests(),
+            sim.strong_requests,
             max_degree
         );
     }

@@ -114,15 +114,6 @@ impl<V> StampedMap<V> {
         }
     }
 
-    /// Mutable access to the value at `index`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, index: usize) -> Option<&mut V> {
-        match self.slots.get_mut(index) {
-            Some(slot) if slot.stamp == self.epoch => Some(&mut slot.value),
-            _ => None,
-        }
-    }
-
     /// Empties the map in O(1), keeping the allocation.
     ///
     /// This is the crate's single epoch-wrap implementation: the bump
@@ -219,9 +210,9 @@ mod tests {
         map.put(7, 70);
         assert_eq!(map.get(3), Some(&31));
         assert_eq!(map.len(), 2);
-        *map.get_mut(7).unwrap() += 1;
+        map.put(7, 71);
         assert_eq!(map.get(7), Some(&71));
-        assert!(map.get_mut(6).is_none());
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

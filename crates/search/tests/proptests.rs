@@ -8,11 +8,11 @@
 use nonsearch_generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use nonsearch_search::{
-    run_strong, run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors,
-    GreedyIdProximity, HighDegreeGreedy, LookaheadWalk, OldestFirst, SearchError, SearchOutcome,
-    SearchScratch, SearchTask, SearcherKind, SimulatedStrong, StampedMap, StampedNodeSet,
-    StrongBfs, StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher,
-    SuccessCriterion, WeakSearchState, WeakSearcher,
+    run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors, GreedyIdProximity,
+    HighDegreeGreedy, LookaheadWalk, OldestFirst, SearchError, SearchOutcome, SearchScratch,
+    SearchTask, SearcherKind, SimulatedStrong, StampedMap, StampedNodeSet, StrongBfs,
+    StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion,
+    WeakSearchState, WeakSearcher,
 };
 use proptest::prelude::*;
 use rand::RngCore;
@@ -402,7 +402,14 @@ fn strong_trace(
     task: &SearchTask,
     s: &mut Recorded<impl StrongSearcher>,
 ) -> Trace {
-    let outcome = run_strong(graph, task, s, &mut rng_from_seed(0)).unwrap();
+    let outcome = run_strong_in(
+        &mut SearchScratch::new(),
+        graph,
+        task,
+        s,
+        &mut rng_from_seed(0),
+    )
+    .unwrap();
     (outcome, s.log.clone())
 }
 
@@ -688,8 +695,7 @@ proptest! {
             let reused = run_strong_in(
                 &mut scratch, &graph, &task, &mut strong, &mut rng_from_seed(seed),
             ).unwrap();
-            let fresh = run_strong(
-                &graph, &task, &mut StrongBfs::new(), &mut rng_from_seed(seed),
+            let fresh = run_strong_in(&mut SearchScratch::new(), &graph, &task, &mut StrongBfs::new(), &mut rng_from_seed(seed),
             ).unwrap();
             prop_assert_eq!(reused, fresh, "strong target {}", target);
         }
@@ -889,7 +895,7 @@ proptest! {
         )
         .unwrap();
         let strong =
-            run_strong(&graph, &task, &mut StrongBfs::new(), &mut rng_from_seed(0))
+            run_strong_in(&mut SearchScratch::new(), &graph, &task, &mut StrongBfs::new(), &mut rng_from_seed(0))
                 .unwrap();
         prop_assert_eq!(weak.found, strong.found);
         // The strong oracle is at least as informative per request.
