@@ -98,14 +98,6 @@ impl SampleStats {
         self.quantile(0.5)
     }
 
-    /// The accumulated samples in ascending order.
-    ///
-    /// This is what [`StreamingStats`](crate::StreamingStats) replays to
-    /// convert a two-pass summary into a streaming accumulator.
-    pub fn samples_sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Linear-interpolated quantile, `q ∈ [0, 1]`.
     ///
     /// # Panics

@@ -8,7 +8,6 @@
 //! from disjoint shards can be [`merge`](StreamingStats::merge)d with
 //! Chan et al.'s parallel update.
 
-use crate::stats::SampleStats;
 use std::fmt;
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
@@ -64,7 +63,8 @@ impl StreamingStats {
     ///
     /// Non-finite observations poison the moments (they propagate as
     /// NaN/∞, exactly like summing them would); callers that need
-    /// rejection should filter first, as [`SampleStats`] does.
+    /// rejection should filter first, as
+    /// [`SampleStats`](crate::SampleStats) does.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
@@ -135,7 +135,8 @@ impl StreamingStats {
     }
 
     /// Half-width of the normal-approximation 95% confidence interval
-    /// (`1.96 · SE`), matching [`SampleStats::ci95_half_width`].
+    /// (`1.96 · SE`), matching
+    /// [`SampleStats::ci95_half_width`](crate::SampleStats::ci95_half_width).
     pub fn ci95_half_width(&self) -> f64 {
         1.96 * self.std_error()
     }
@@ -167,14 +168,6 @@ impl Extend<f64> for StreamingStats {
     }
 }
 
-impl From<&SampleStats> for StreamingStats {
-    /// Rebuilds a streaming accumulator from a two-pass summary by
-    /// replaying its (sorted) samples.
-    fn from(stats: &SampleStats) -> StreamingStats {
-        stats.samples_sorted().iter().copied().collect()
-    }
-}
-
 impl fmt::Display for StreamingStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -190,6 +183,7 @@ impl fmt::Display for StreamingStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SampleStats;
 
     fn assert_close(a: f64, b: f64) {
         assert!(
@@ -210,15 +204,6 @@ mod tests {
         assert_close(streaming.ci95_half_width(), two_pass.ci95_half_width());
         assert_eq!(streaming.min(), two_pass.min());
         assert_eq!(streaming.max(), two_pass.max());
-    }
-
-    #[test]
-    fn from_sample_stats_round_trips_moments() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let two_pass = SampleStats::from_slice(&data).unwrap();
-        let streaming = StreamingStats::from(&two_pass);
-        assert_close(streaming.mean(), 5.0);
-        assert_close(streaming.variance(), 32.0 / 7.0);
     }
 
     #[test]

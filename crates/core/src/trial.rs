@@ -110,9 +110,9 @@ where
         searchers.len()
     );
     let share = searchers.len() / G;
-    let resolutions_before = scratch.view().edge_resolutions();
-    let reads_before = scratch.view().slot_reads();
-    let resets_before = scratch.view().resets();
+    let resolutions_before = scratch.edge_resolutions();
+    let reads_before = scratch.slot_reads();
+    let resets_before = scratch.resets();
     let m = &mut obs.metrics;
     let mut clock = PhaseClock::start();
     let mut measures = Vec::with_capacity(searchers.len());
@@ -131,9 +131,9 @@ where
         }
     }
     obs.phases.search_ns += clock.lap_ns();
-    m.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-    m.slot_reads += scratch.view().slot_reads() - reads_before;
-    m.scratch_resets += scratch.view().resets() - resets_before;
+    m.edge_resolutions += scratch.edge_resolutions() - resolutions_before;
+    m.slot_reads += scratch.slot_reads() - reads_before;
+    m.scratch_resets += scratch.resets() - resets_before;
     obs.phases.harvest_ns += clock.lap_ns();
     measures
 }

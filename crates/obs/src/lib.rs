@@ -158,9 +158,9 @@ pub struct Metrics {
     pub edge_resolutions: u64,
     /// Resolved edges skipped by frontier cursor scans.
     pub frontier_rescans: u64,
-    /// Work that moves with complexity: incident slots the oracles copy
-    /// or read and the searchers' scans test, plus entries popped from
-    /// the best-discovered-vertex index.
+    /// Work that moves with complexity: incident slots the oracles read
+    /// and the searchers' scans test, plus entries popped from the
+    /// best-discovered-vertex index.
     pub slot_reads: u64,
     /// Times a pooled scratch view was reset for a fresh search.
     pub scratch_resets: u64,

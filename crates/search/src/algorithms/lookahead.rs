@@ -143,7 +143,7 @@ impl WeakSearcher for RestartingWalk {
             return None;
         }
         let slot = rng.gen_range(0..info.degree());
-        Some((current, info.incident()[slot]))
+        Some((current, info.edge(slot)))
     }
 
     fn observe(&mut self, _request: (NodeId, EdgeId), revealed: NodeId) {

@@ -38,7 +38,7 @@ impl WeakSearcher for RandomWalk {
             return None; // isolated vertex: nowhere to go
         }
         let slot = rng.gen_range(0..info.degree());
-        Some((current, info.incident()[slot]))
+        Some((current, info.edge(slot)))
     }
 
     fn observe(&mut self, _request: (NodeId, EdgeId), revealed: NodeId) {
@@ -88,7 +88,7 @@ impl WeakSearcher for AvoidingWalk {
         }
         let edge = match self.edges.next_unexplored(view, current) {
             Some(e) => e,
-            None => info.incident()[rng.gen_range(0..info.degree())],
+            None => info.edge(rng.gen_range(0..info.degree())),
         };
         Some((current, edge))
     }

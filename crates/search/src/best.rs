@@ -89,19 +89,20 @@ mod tests {
     #[test]
     fn each_pop_counts_one_slot_read() {
         let g = UndirectedCsr::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
-        let mut view = DiscoveredView::new();
+        let mut state = crate::discovered::ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
         for v in 0..4 {
-            view.discover(&g, NodeId::new(v));
+            view.discover(NodeId::new(v));
         }
-        let copied = view.slot_reads();
+        let discovered = view.slot_reads();
         let mut index = BestDiscovered::default();
         // Only vertex 3 has work, so 0, 1 and 2 are popped on the way.
         let key = |v: NodeId| v.index();
         let best = index.best(&view, key, |v| (v.index() == 3).then_some(()));
         assert_eq!(best, Some((NodeId::new(3), ())));
-        assert_eq!(view.slot_reads() - copied, 3);
+        assert_eq!(view.slot_reads() - discovered, 3);
         // Popped vertices are gone for good: the next call pops none.
         assert!(index.best(&view, key, |_| Some(())).is_some());
-        assert_eq!(view.slot_reads() - copied, 3);
+        assert_eq!(view.slot_reads() - discovered, 3);
     }
 }

@@ -1,71 +1,64 @@
-//! The searcher's partial view of the graph, stored dense.
+//! The searcher's partial view of the graph: a discovery stamp per
+//! vertex over the graph's own slots.
 //!
 //! In both of the paper's models a vertex is revealed together with its
 //! incident edge list, so an edge is resolved (both endpoints known)
 //! exactly when its second endpoint is discovered. Vertex discovery is
-//! therefore the view's only state: a [`StampedMap`] of arena spans per
-//! node, and one shared arena holding every discovered vertex's slots
-//! back to back as `(edge, far end)` pairs, in two parallel arrays.
-//! "Is this slot explored?" is one node-stamp read — is the far end
-//! discovered? — and nothing is written per edge. The far ends stay
-//! private: searchers see edge handles, and learn where an edge leads
-//! only by requesting it.
+//! therefore the view's only state: a 4-byte epoch stamp per vertex and
+//! the discovery order. A discovered vertex's degree and edges are read
+//! from the CSR's own offsets and slot range, owned or mmap-borrowed
+//! alike, so nothing is copied per slot. "Is this slot explored?" is one
+//! stamp read — is the far end discovered? — and nothing is written per
+//! edge. The far ends stay private: searchers see edge handles, and
+//! learn where an edge leads only by requesting it.
 //!
 //! Per-request work is a handful of array reads — no hashing, and no
-//! heap allocation once the arrays have grown to the graph's size.
-//! Spans are `u32`, so [`reserve_graph`](DiscoveredView::reserve_graph)
-//! rejects a graph with more than `u32::MAX` incidence slots.
+//! heap allocation once the stamps and the order list have grown to the
+//! graph's size.
 //!
 //! Presence is epoch-stamped — clearing the view is an O(1) epoch bump,
 //! with the u32-wrap path audited once in
 //! [`StampedMap`](crate::StampedMap) rather than re-implemented here.
 //! This is what lets one [`SearchScratch`](crate::SearchScratch) serve
-//! thousands of Monte-Carlo trials without reallocating.
+//! thousands of Monte-Carlo trials without reallocating: the scratch
+//! owns the stamps, the order and the counters, and each search pairs
+//! them with its graph in a [`DiscoveredView`].
 
 use crate::stamped::StampedMap;
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use std::cell::Cell;
 use std::fmt;
-use std::ops::Range;
-
-/// Arena range of a discovered vertex's slots.
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeSpan {
-    start: u32,
-    len: u32,
-}
-
-impl NodeSpan {
-    fn range(self) -> Range<usize> {
-        let start = self.start as usize;
-        start..start + self.len as usize
-    }
-}
 
 /// What the searcher knows about one discovered vertex: its degree and
 /// its incident edge handles, as revealed on discovery.
 ///
-/// A lightweight borrowed proxy — the incident list is a slice into the
-/// view's shared arena (the vertex's slot-ordered incident image), not a
-/// per-vertex allocation.
+/// A lightweight proxy over the vertex's slot range in the graph's CSR:
+/// nothing is copied, and the far end of each slot is never handed out.
 #[derive(Clone, Copy)]
 pub struct DiscoveredVertex<'a> {
-    incident: &'a [EdgeId],
-    /// The far end of each slot; never handed out.
-    ends: &'a [NodeId],
+    slots: &'a [(NodeId, EdgeId)],
 }
 
 impl<'a> DiscoveredVertex<'a> {
     /// The vertex degree (length of its incident edge list).
     pub fn degree(&self) -> usize {
-        self.incident.len()
+        self.slots.len()
     }
 
-    /// The incident edge handles, in the slot order revealed on
-    /// discovery. The slice borrows from the view, not from a
-    /// per-vertex vector.
-    pub fn incident(self) -> &'a [EdgeId] {
-        self.incident
+    /// The edge handle in slot `i`, in the slot order revealed on
+    /// discovery.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`degree`](DiscoveredVertex::degree).
+    #[inline]
+    pub fn edge(self, i: usize) -> EdgeId {
+        self.slots[i].1
+    }
+
+    /// The incident edge handles, in slot order.
+    pub fn edges(self) -> impl ExactSizeIterator<Item = EdgeId> + 'a {
+        self.slots.iter().map(|&(_, e)| e)
     }
 
     /// The first slot at or after `from` whose far end `view` has not
@@ -74,9 +67,9 @@ impl<'a> DiscoveredVertex<'a> {
     /// [`slot_reads`](DiscoveredView::slot_reads).
     #[inline]
     pub(crate) fn first_unexplored(self, view: &DiscoveredView, from: usize) -> usize {
-        let skipped = self.ends[from..]
+        let skipped = self.slots[from..]
             .iter()
-            .take_while(|&&w| view.contains(w))
+            .take_while(|&&(w, _)| view.contains(w))
             .count();
         let found = from + skipped;
         view.count_reads(skipped + usize::from(found < self.degree()));
@@ -87,8 +80,75 @@ impl<'a> DiscoveredVertex<'a> {
 impl fmt::Debug for DiscoveredVertex<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DiscoveredVertex")
-            .field("incident", &self.incident)
+            .field("incident", &self.edges().collect::<Vec<_>>())
             .finish_non_exhaustive()
+    }
+}
+
+/// The view's own state, kept in a [`SearchScratch`](crate::SearchScratch)
+/// across searches: who is discovered, in what order, and the work
+/// counters.
+#[derive(Clone, Default)]
+pub(crate) struct ViewState {
+    /// Present iff the vertex is discovered: 4 bytes per vertex.
+    nodes: StampedMap<()>,
+    /// Discovered vertices in discovery order (start vertex first).
+    order: Vec<NodeId>,
+    /// Cumulative count of edges that became resolved (second endpoint
+    /// discovered). Survives [`reset`](ViewState::reset) — metrics
+    /// consumers take before/after deltas.
+    pub(crate) edge_resolutions: u64,
+    /// Cumulative work count, see
+    /// [`slot_reads`](DiscoveredView::slot_reads). A `Cell`, so the
+    /// searchers' scans count through the `&DiscoveredView` they are
+    /// handed.
+    pub(crate) slot_reads: Cell<u64>,
+    /// Cumulative count of [`reset`](ViewState::reset) calls (one per
+    /// search begun on this state).
+    pub(crate) resets: u64,
+}
+
+impl fmt::Debug for ViewState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ViewState")
+            .field("discovered", &self.order)
+            .field("edge_resolutions", &self.edge_resolutions)
+            .field("slot_reads", &self.slot_reads.get())
+            .field("resets", &self.resets)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ViewState {
+    /// A state whose *next* [`reset`](ViewState::reset) takes the
+    /// epoch-wrap path.
+    #[cfg(test)]
+    fn near_wrap() -> Self {
+        ViewState {
+            nodes: StampedMap::near_wrap(),
+            ..Self::default()
+        }
+    }
+
+    /// Forgets every discovery in O(1): bumps the node epoch and
+    /// truncates the discovery order, keeping both allocations for the
+    /// next search. The once-per-2^32 wrap path is
+    /// [`StampedMap::reset`]'s.
+    // lint: alloc-free
+    pub(crate) fn reset(&mut self) {
+        self.order.clear();
+        self.nodes.reset();
+        self.resets += 1;
+    }
+
+    /// Grows the stamps and the discovery-order list to cover `nodes`
+    /// vertices, so a search over a graph of that size allocates
+    /// nothing, even on the first trial. A no-op once large enough.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.nodes.reserve(nodes);
+        if self.order.capacity() < nodes {
+            self.order.reserve(nodes - self.order.len());
+        }
     }
 }
 
@@ -100,145 +160,78 @@ impl fmt::Debug for DiscoveredVertex<'_> {
 /// conservative choice for lower-bound experiments (the searcher is
 /// never given *less* than the model allows).
 ///
-/// All state lives in a dense [`StampedMap`] indexed by `NodeId` and is
-/// invalidated wholesale by an epoch bump (see the module docs), so a
-/// view reused across trials performs zero heap allocations once warm.
-/// Only the oracles mutate it; algorithms only ever see
-/// `&DiscoveredView`.
-#[derive(Clone, Default)]
-pub struct DiscoveredView {
-    /// Discovered vertices: present iff discovered, value is the arena
-    /// span of the vertex's slots.
-    nodes: StampedMap<NodeSpan>,
-    /// Discovered vertices in discovery order (start vertex first).
-    order: Vec<NodeId>,
-    /// The edge handle of every discovered slot, back to back in
-    /// discovery order.
-    edges: Vec<EdgeId>,
-    /// The far end of every discovered slot, index for index with
-    /// `edges`. A slot is explored iff its far end is discovered.
-    ends: Vec<NodeId>,
-    /// Cumulative count of edges that became resolved (second endpoint
-    /// discovered). Survives [`reset`](DiscoveredView::reset) — metrics
-    /// consumers take before/after deltas.
-    edge_resolutions: u64,
-    /// Cumulative work count, see
-    /// [`slot_reads`](DiscoveredView::slot_reads). A `Cell`, so the
-    /// searchers' scans count through the `&DiscoveredView` they are
-    /// handed.
-    slot_reads: Cell<u64>,
-    /// Cumulative count of [`reset`](DiscoveredView::reset) calls
-    /// (one per search begun on this view).
-    resets: u64,
+/// Pairs one search's graph with the discovery stamps, order and
+/// counters a [`SearchScratch`](crate::SearchScratch) keeps across
+/// searches (see the module docs), so a view reused across trials
+/// performs zero heap allocations once warm. Only the oracles create
+/// and mutate it; algorithms only ever see `&DiscoveredView`.
+pub struct DiscoveredView<'a> {
+    /// The graph's CSR offsets and slots, borrowed for the search.
+    offsets: &'a [usize],
+    slots: &'a [(NodeId, EdgeId)],
+    state: &'a mut ViewState,
 }
 
-impl fmt::Debug for DiscoveredView {
+impl fmt::Debug for DiscoveredView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DiscoveredView")
-            .field("discovered", &self.order)
-            .field("edge_resolutions", &self.edge_resolutions)
-            .field("slot_reads", &self.slot_reads.get())
-            .field("resets", &self.resets)
-            .finish_non_exhaustive()
+        f.debug_tuple("DiscoveredView").field(&self.state).finish()
     }
 }
 
-impl DiscoveredView {
-    /// An empty view (no vertices discovered yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A view whose *next* [`reset`](DiscoveredView::reset) takes the
-    /// epoch-wrap path. Test-only hook: wrap coverage drives the public
-    /// API instead of poking private fields.
-    #[doc(hidden)]
-    pub fn near_wrap() -> Self {
+impl<'a> DiscoveredView<'a> {
+    /// An empty view of `graph` over `state`, which is reset first
+    /// (O(1) epoch bump) and grown to the graph's size.
+    pub(crate) fn new(state: &'a mut ViewState, graph: &'a UndirectedCsr) -> Self {
+        state.reset();
+        state.reserve(graph.node_count());
+        let (offsets, slots, _) = graph.raw_parts();
         DiscoveredView {
-            nodes: StampedMap::near_wrap(),
-            ..Self::default()
-        }
-    }
-
-    /// Forgets everything in O(1): bumps the node epoch and truncates
-    /// the discovery-order list and arena, keeping every allocation for
-    /// the next search. The once-per-2^32 wrap path is
-    /// [`StampedMap::reset`]'s.
-    // lint: alloc-free
-    pub fn reset(&mut self) {
-        self.order.clear();
-        self.edges.clear();
-        self.ends.clear();
-        self.nodes.reset();
-        self.resets += 1;
-    }
-
-    /// Grows the dense arrays to cover `nodes` vertices and `edges`
-    /// edges — including the discovery-order list and the arena (a
-    /// graph with `edges` edges has exactly `2 * edges` incidence
-    /// slots) — so a search over a graph of that size triggers no
-    /// allocation at all, even on the first trial. Called by the
-    /// oracles at search start; a no-op once the arrays are large
-    /// enough.
-    ///
-    /// # Panics
-    ///
-    /// If the graph has more than `u32::MAX` incidence slots: the
-    /// arena spans are `u32`.
-    pub fn reserve_graph(&mut self, nodes: usize, edges: usize) {
-        assert!(
-            edges <= u32::MAX as usize / 2,
-            "a graph with {edges} edges has {} incidence slots, more than the u32::MAX the \
-             search view can address",
-            2 * edges as u128
-        );
-        self.nodes.reserve(nodes);
-        if self.order.capacity() < nodes {
-            self.order.reserve(nodes - self.order.len());
-        }
-        let slots = 2 * edges;
-        if self.edges.capacity() < slots {
-            self.edges.reserve(slots - self.edges.len());
-        }
-        if self.ends.capacity() < slots {
-            self.ends.reserve(slots - self.ends.len());
+            offsets,
+            slots,
+            state,
         }
     }
 
     /// Number of discovered vertices.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.state.order.len()
     }
 
     /// `true` if nothing has been discovered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.state.order.is_empty()
     }
 
     /// `true` if `v` has been discovered.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.nodes.contains(v.index())
+        self.state.nodes.contains(v.index())
     }
 
     /// Discovered vertices in discovery order (start vertex first).
     pub fn discovered(&self) -> &[NodeId] {
-        &self.order
+        &self.state.order
+    }
+
+    /// The slot range of `v` in the graph's CSR.
+    #[inline]
+    pub(crate) fn slots_of(&self, v: NodeId) -> &'a [(NodeId, EdgeId)] {
+        let i = v.index();
+        &self.slots[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Knowledge about `v`, if discovered.
     #[inline]
-    pub fn vertex(&self, v: NodeId) -> Option<DiscoveredVertex<'_>> {
-        self.nodes.get(v.index()).map(|span| DiscoveredVertex {
-            incident: &self.edges[span.range()],
-            ends: &self.ends[span.range()],
+    pub fn vertex(&self, v: NodeId) -> Option<DiscoveredVertex<'a>> {
+        self.contains(v).then(|| DiscoveredVertex {
+            slots: self.slots_of(v),
         })
     }
 
     /// Degree of `v`, if discovered.
     #[inline]
     pub fn degree_of(&self, v: NodeId) -> Option<usize> {
-        self.nodes.get(v.index()).map(|span| span.len as usize)
+        self.vertex(v).map(|info| info.degree())
     }
 
     /// Incident edges of `v` whose far endpoint is still undiscovered,
@@ -257,72 +250,57 @@ impl DiscoveredView {
         self.unexplored_edges_of(v).next().is_some()
     }
 
-    /// Records the discovery of `v` with its incidence slots, read
-    /// straight out of `graph`'s CSR, so the oracle copies each slot
-    /// exactly once (graph → arena) with no intermediate vector. A no-op
-    /// for an already-discovered vertex, which costs one stamp read.
+    /// Records the discovery of `v`, whose slots stay where they are in
+    /// the graph. A no-op for an already-discovered vertex, which costs
+    /// one stamp read.
     ///
-    /// Every slot of `v` whose far end is already discovered resolves
-    /// its edge now; a self-loop fills two slots of `v` and resolves
-    /// once.
+    /// Every slot of `v` is read once, to test its far end: a far end
+    /// already discovered resolves its edge now, and a self-loop fills
+    /// two slots of `v` and resolves once.
     // lint: alloc-free
-    pub(crate) fn discover(&mut self, graph: &UndirectedCsr, v: NodeId) {
+    pub(crate) fn discover(&mut self, v: NodeId) {
         if self.contains(v) {
             return;
         }
-        let slots = graph.incident(v);
-        let start = self.edges.len();
+        let slots = self.slots_of(v);
         let (mut resolved, mut loop_slots) = (0, 0);
-        for &(w, e) in slots {
+        for &(w, _) in slots {
             if w == v {
                 loop_slots += 1;
             } else if self.contains(w) {
                 resolved += 1;
             }
-            self.edges.push(e);
-            self.ends.push(w);
         }
-        self.edge_resolutions += resolved + loop_slots / 2;
+        self.state.edge_resolutions += resolved + loop_slots / 2;
         self.count_reads(slots.len());
-        self.nodes.insert(
-            v.index(),
-            NodeSpan {
-                start: start as u32,
-                len: slots.len() as u32,
-            },
-        );
-        self.order.push(v);
+        self.state.nodes.insert(v.index(), ());
+        self.state.order.push(v);
     }
 
-    /// Cumulative count of edges that became resolved on this view,
-    /// across every search since construction (resets do not clear it).
-    /// Metrics consumers read it before and after a trial and record
-    /// the delta.
+    /// Cumulative count of edges that became resolved over this view's
+    /// state, across every search since construction (resets do not
+    /// clear it). Metrics consumers read it before and after a trial
+    /// and record the delta.
     pub fn edge_resolutions(&self) -> u64 {
-        self.edge_resolutions
+        self.state.edge_resolutions
     }
 
-    /// Cumulative count of [`reset`](DiscoveredView::reset) calls since
-    /// construction — one per search begun on this view.
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-
-    /// Cumulative work done on this view since construction (resets do
-    /// not clear it): the incident slots an oracle copied on discovery
-    /// or read to expand a vertex, the slots the searchers' frontier
-    /// scans tested, and the entries popped from their best-vertex
-    /// indexes. Exact and thread-invariant, so it moves with an
-    /// algorithm's complexity on any host; metrics consumers record the
-    /// per-trial delta.
+    /// Cumulative work done over this view's state since construction
+    /// (resets do not clear it): the incident slots an oracle read on
+    /// discovery or to expand a vertex, the slots the searchers'
+    /// frontier scans tested, and the entries popped from their
+    /// best-vertex indexes. Exact and thread-invariant, so it moves with
+    /// an algorithm's complexity on any host; metrics consumers record
+    /// the per-trial delta.
     pub fn slot_reads(&self) -> u64 {
-        self.slot_reads.get()
+        self.state.slot_reads.get()
     }
 
     /// Adds `reads` to [`slot_reads`](DiscoveredView::slot_reads).
     #[inline]
     pub(crate) fn count_reads(&self, reads: usize) {
-        self.slot_reads.set(self.slot_reads.get() + reads as u64);
+        let counter = &self.state.slot_reads;
+        counter.set(counter.get() + reads as u64);
     }
 }
 
@@ -331,7 +309,7 @@ impl DiscoveredView {
 /// nothing.
 #[derive(Debug, Clone)]
 pub struct UnexploredEdges<'a> {
-    view: &'a DiscoveredView,
+    view: &'a DiscoveredView<'a>,
     vertex: Option<DiscoveredVertex<'a>>,
     /// The next slot to test.
     slot: usize,
@@ -344,7 +322,7 @@ impl Iterator for UnexploredEdges<'_> {
         let vertex = self.vertex?;
         let slot = vertex.first_unexplored(self.view, self.slot.min(vertex.degree()));
         self.slot = slot + 1;
-        vertex.incident().get(slot).copied()
+        (slot < vertex.degree()).then(|| vertex.edge(slot))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -378,13 +356,16 @@ mod tests {
         view.unexplored_edges_of(u).collect()
     }
 
+    fn incident(view: &DiscoveredView, u: NodeId) -> Vec<EdgeId> {
+        view.vertex(u).unwrap().edges().collect()
+    }
+
     /// A loop `e0` at 0, parallel edges `e1`, `e2` between 0 and 1, the
     /// path 1 – 2 – 3 over `e3`, `e4`, and the isolated vertex 4. Slot
     /// order: 0: [e0, e0, e1, e2], 1: [e1, e2, e3], 2: [e3, e4], 3: [e4].
     fn edge_cases() -> UndirectedCsr {
         UndirectedCsr::from_edges(5, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3)]).unwrap()
     }
-
     /// Asserts the whole observable state of a view over
     /// [`edge_cases`] — discovery order, every vertex's unexplored
     /// edges — and the resolutions added since `*resolutions`, which is
@@ -515,16 +496,16 @@ mod tests {
     #[test]
     fn insert_and_query() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
         assert!(view.is_empty());
-        view.discover(&g, v(1));
+        view.discover(v(1));
         assert_eq!(view.len(), 1);
         assert!(view.contains(v(1)));
         assert_eq!(view.degree_of(v(1)), Some(3));
-        assert_eq!(
-            view.vertex(v(1)).unwrap().incident(),
-            &edges(&[1, 2, 3])[..]
-        );
+        assert_eq!(incident(&view, v(1)), edges(&[1, 2, 3]));
+        assert_eq!(view.vertex(v(1)).unwrap().edge(2), e(3));
+        assert_eq!(view.vertex(v(1)).unwrap().edges().len(), 3);
         assert_eq!(view.degree_of(v(0)), None);
         assert!(view.vertex(v(0)).is_none());
     }
@@ -532,15 +513,16 @@ mod tests {
     #[test]
     fn duplicate_insert_is_idempotent() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        view.discover(&g, v(3));
-        // A second discovery, even in a graph where 3 has other slots,
-        // changes nothing.
-        let other = UndirectedCsr::from_edges(4, [(3, 0), (3, 1)]).unwrap();
-        view.discover(&other, v(3));
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(3));
+        let reads = view.slot_reads();
+        // A second discovery changes nothing and reads no slot.
+        view.discover(v(3));
         assert_eq!(view.degree_of(v(3)), Some(1));
         assert_eq!(view.len(), 1);
         assert_eq!(view.edge_resolutions(), 0);
+        assert_eq!(view.slot_reads(), reads);
     }
 
     #[test]
@@ -560,10 +542,11 @@ mod tests {
     fn double_sighting_resolves_implicitly() {
         // Discovering both endpoints resolves an edge with no request.
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        view.discover(&g, v(2));
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(2));
         assert!(view.has_unexplored(v(2)));
-        view.discover(&g, v(3));
+        view.discover(v(3));
         assert_eq!(unexplored(&view, v(2)), edges(&[3]));
         assert!(!view.has_unexplored(v(3)));
         assert_eq!(view.edge_resolutions(), 1);
@@ -573,19 +556,19 @@ mod tests {
     fn self_loop_resolves_within_one_list() {
         // A self-loop fills two slots of one vertex and resolves once.
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        view.discover(&g, v(0));
-        assert_eq!(
-            view.vertex(v(0)).unwrap().incident(),
-            &edges(&[0, 0, 1, 2])[..]
-        );
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(0));
+        assert_eq!(incident(&view, v(0)), edges(&[0, 0, 1, 2]));
         assert_eq!(unexplored(&view, v(0)), edges(&[1, 2]));
         assert_eq!(view.edge_resolutions(), 1);
     }
 
     #[test]
     fn unknown_edges_are_unknown() {
-        let view = DiscoveredView::new();
+        let g = edge_cases();
+        let mut state = ViewState::default();
+        let view = DiscoveredView::new(&mut state, &g);
         assert!(unexplored(&view, v(0)).is_empty());
         assert!(!view.has_unexplored(v(0)));
         assert_eq!(view.unexplored_edges_of(v(0)).size_hint(), (0, Some(0)));
@@ -594,9 +577,10 @@ mod tests {
     #[test]
     fn discovery_order_is_preserved() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
         for u in [4, 1, 3] {
-            view.discover(&g, v(u));
+            view.discover(v(u));
         }
         assert_eq!(view.discovered(), nodes(&[4, 1, 3]));
     }
@@ -604,15 +588,17 @@ mod tests {
     #[test]
     fn reset_forgets_everything_and_reuses_memory() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        view.discover(&g, v(0));
-        view.discover(&g, v(1));
-        view.reset();
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(0));
+        view.discover(v(1));
+        let view = DiscoveredView::new(&mut state, &g);
         assert!(view.is_empty());
         assert!(!view.contains(v(0)));
         assert!(unexplored(&view, v(1)).is_empty());
         // Fresh inserts work immediately; e1's far end is forgotten.
-        view.discover(&g, v(1));
+        let mut view = view;
+        view.discover(v(1));
         assert_eq!(view.discovered(), nodes(&[1]));
         assert_eq!(unexplored(&view, v(1)), edges(&[1, 2, 3]));
     }
@@ -620,50 +606,58 @@ mod tests {
     #[test]
     fn epoch_wrap_clears_stamps() {
         let g = edge_cases();
-        // Built at the wrap boundary: the first reset zero-fills stamps.
-        let mut view = DiscoveredView::near_wrap();
-        view.discover(&g, v(2));
-        view.discover(&g, v(3));
-        view.reset();
+        // Built at the wrap boundary: the next reset zero-fills stamps.
+        let mut state = ViewState::near_wrap();
+        let mut view = DiscoveredView {
+            offsets: g.raw_parts().0,
+            slots: g.raw_parts().1,
+            state: &mut state,
+        };
+        view.discover(v(2));
+        view.discover(v(3));
+        let mut view = DiscoveredView::new(&mut state, &g); // the wrap path
         assert!(!view.contains(v(2)));
-        view.discover(&g, v(2));
+        view.discover(v(2));
         assert!(view.contains(v(2)));
         assert_eq!(unexplored(&view, v(2)), edges(&[3, 4]));
         // And the restarted epoch keeps resetting cleanly.
-        view.reset();
+        let view = DiscoveredView::new(&mut state, &g);
         assert!(!view.contains(v(2)));
     }
 
     #[test]
     fn resolution_and_reset_counters_are_cumulative() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        assert_eq!((view.edge_resolutions(), view.resets()), (0, 0));
-        view.discover(&g, v(2));
-        view.discover(&g, v(1)); // e3
-        view.discover(&g, v(3)); // e4
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        assert_eq!(view.edge_resolutions(), 0);
+        view.discover(v(2));
+        view.discover(v(1)); // e3
+        view.discover(v(3)); // e4
         assert_eq!(view.edge_resolutions(), 2);
-        view.reset();
-        assert_eq!(view.resets(), 1);
+        assert_eq!(state.resets, 1);
+        let mut view = DiscoveredView::new(&mut state, &g);
         // Counters survive the reset; the next search adds on top.
-        view.discover(&g, v(0)); // the loop
+        view.discover(v(0)); // the loop
         assert_eq!(view.edge_resolutions(), 3);
+        assert_eq!(state.resets, 2);
     }
 
     #[test]
-    fn slot_reads_count_copied_and_tested_slots() {
+    fn slot_reads_count_read_and_tested_slots() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        view.discover(&g, v(1)); // copies [e1, e2, e3]
-        view.discover(&g, v(1)); // known: one stamp read, no slot
-        view.discover(&g, v(2)); // copies [e3, e4]
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(1)); // reads [e1, e2, e3]
+        view.discover(v(1)); // known: one stamp read, no slot
+        view.discover(v(2)); // reads [e3, e4]
         assert_eq!(view.slot_reads(), 5);
         // A scan tests each slot it passes and the one it stops at: e1
         // and e2 lead to the undiscovered 0, e3 to the discovered 2.
         assert_eq!(unexplored(&view, v(1)), edges(&[1, 2]));
         assert_eq!(view.slot_reads(), 5 + 3);
         // A strong request reads the expanded vertex's slots, and the
-        // view copies each newly found neighbor's: 1 (start 3), then
+        // view reads each newly found neighbor's: 1 (start 3), then
         // 1 (3's slots) + 2 (vertex 2's).
         let mut scratch = SearchScratch::new();
         let mut s = StrongSearchState::new_in(&mut scratch, &g, v(3)).unwrap();
@@ -674,25 +668,21 @@ mod tests {
     #[test]
     fn reserve_graph_is_idempotent() {
         let g = edge_cases();
-        let mut view = DiscoveredView::new();
-        view.reserve_graph(10, 20);
-        view.discover(&g, v(3));
-        view.reserve_graph(5, 5); // never shrinks
+        let mut state = ViewState::default();
+        state.reserve(10);
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(3));
+        view.state.reserve(5); // never shrinks
         assert!(view.contains(v(3)));
-        assert_eq!(view.vertex(v(3)).unwrap().incident(), &[e(4)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "incidence slots")]
-    fn reserve_graph_rejects_more_than_u32_max_slots() {
-        DiscoveredView::new().reserve_graph(1, u32::MAX as usize / 2 + 1);
+        assert_eq!(incident(&view, v(3)), [e(4)]);
     }
 
     #[test]
     fn debug_output_hides_far_ends() {
         let g = UndirectedCsr::from_edges(2, [(0, 1)]).unwrap();
-        let mut view = DiscoveredView::new();
-        view.discover(&g, v(0));
+        let mut state = ViewState::default();
+        let mut view = DiscoveredView::new(&mut state, &g);
+        view.discover(v(0));
         let vertex = format!("{:?}", view.vertex(v(0)).unwrap());
         assert_eq!(vertex, "DiscoveredVertex { incident: [e0], .. }");
         // The far end, vertex 1, prints as `v2`.

@@ -78,9 +78,10 @@ impl FrontierCursors {
         }
         let found = info.first_unexplored(view, cursor);
         self.rescans += (found - cursor) as u64;
-        // The view's spans are `u32`, so every slot index fits.
+        // A degree past `u32::MAX` would truncate the stored cursor to an
+        // earlier slot, which only re-skips explored slots.
         self.cursors.put(i, found as u32);
-        info.incident().get(found).copied()
+        (found < info.degree()).then(|| info.edge(found))
     }
 
     /// Cumulative count of explored slots these cursors have skipped

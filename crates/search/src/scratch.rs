@@ -1,5 +1,5 @@
-//! Reusable per-worker search state: the dense view plus the oracle
-//! buffers, reset in O(1) between trials.
+//! Reusable per-worker search state: the view's discovery stamps plus
+//! the oracle buffers, reset in O(1) between trials.
 //!
 //! A Monte-Carlo sweep runs thousands of searches on graphs of one
 //! size. Allocating a fresh view (and oracle buffers) per trial made
@@ -7,17 +7,18 @@
 //! instead, a worker owns one [`SearchScratch`], the `*_in` runners
 //! ([`run_weak_in`](crate::run_weak_in),
 //! [`run_strong_in`](crate::run_strong_in)) borrow it for the duration
-//! of one search, and `begin` resets it by epoch bump — no memory is
+//! of one search, and the oracles reset it by epoch bump — no memory is
 //! released or re-acquired once the arrays have grown to the graph
 //! size.
 
+use crate::discovered::ViewState;
 use crate::stamped::StampedMap;
-use crate::DiscoveredView;
-use nonsearch_graph::{NodeId, UndirectedCsr};
+use nonsearch_graph::NodeId;
 
-/// Reusable buffers for one search at a time: the searcher's
-/// [`DiscoveredView`] plus the strong oracle's expansion-order and
-/// answer buffers.
+/// Reusable buffers for one search at a time: the state behind the
+/// searcher's [`DiscoveredView`](crate::DiscoveredView) (a discovery
+/// stamp per vertex, the discovery order and the work counters) plus
+/// the strong oracle's expansion-order and answer buffers.
 ///
 /// Create one per worker (or per call site) and pass it to
 /// [`WeakSearchState::new_in`](crate::WeakSearchState::new_in),
@@ -41,11 +42,12 @@ use nonsearch_graph::{NodeId, UndirectedCsr};
 /// let a = run_weak_in(&mut scratch, &g, &task, &mut flood, &mut rng_from_seed(1))?;
 /// let b = run_weak_in(&mut scratch, &g, &task, &mut flood, &mut rng_from_seed(1))?;
 /// assert_eq!(a, b);
+/// assert_eq!(scratch.resets(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
-    pub(crate) view: DiscoveredView,
+    pub(crate) view: ViewState,
     /// Vertices expanded by a strong-model search, in request order.
     pub(crate) expanded: Vec<NodeId>,
     /// The neighbors revealed by the latest strong request.
@@ -60,13 +62,13 @@ impl SearchScratch {
     }
 
     /// Creates a scratch pre-sized for graphs with `nodes` vertices and
-    /// `edges` edges — view tables, arena, and the strong oracle's
-    /// buffers — so even the first search allocates nothing after
-    /// construction (pair with the searcher-side
+    /// `edges` edges — the view's stamps and discovery order, and the
+    /// strong oracle's buffers — so even the first search allocates
+    /// nothing after construction (pair with the searcher-side
     /// [`reserve`](crate::WeakSearcher::reserve) hook).
     pub fn for_graph_size(nodes: usize, edges: usize) -> Self {
         let mut scratch = Self::new();
-        scratch.view.reserve_graph(nodes, edges);
+        scratch.view.reserve(nodes);
         // The strong oracle expands each vertex at most once per search
         // and reveals at most one neighbor per incidence slot.
         scratch.expanded.reserve(nodes);
@@ -74,19 +76,22 @@ impl SearchScratch {
         scratch
     }
 
-    /// The view as left by the last search (empty before any).
-    pub fn view(&self) -> &DiscoveredView {
-        &self.view
+    /// Cumulative count of edges resolved by the searches on this
+    /// scratch (see
+    /// [`DiscoveredView::edge_resolutions`](crate::DiscoveredView::edge_resolutions)).
+    pub fn edge_resolutions(&self) -> u64 {
+        self.view.edge_resolutions
     }
 
-    /// O(1) reset called by the oracles at search start: epoch-bumps
-    /// the view and truncates the buffers, keeping all capacity.
-    pub(crate) fn begin(&mut self, graph: &UndirectedCsr) {
-        self.view.reset();
-        self.view
-            .reserve_graph(graph.node_count(), graph.edge_count());
-        self.expanded.clear();
-        self.revealed.clear();
+    /// Cumulative work of the searches on this scratch (see
+    /// [`DiscoveredView::slot_reads`](crate::DiscoveredView::slot_reads)).
+    pub fn slot_reads(&self) -> u64 {
+        self.view.slot_reads.get()
+    }
+
+    /// Cumulative count of searches begun on this scratch.
+    pub fn resets(&self) -> u64 {
+        self.view.resets
     }
 }
 
@@ -199,6 +204,13 @@ mod tests {
     #[test]
     fn scratch_presizing_and_view_access() {
         let scratch = SearchScratch::for_graph_size(16, 32);
-        assert!(scratch.view().is_empty());
+        assert_eq!(
+            (
+                scratch.edge_resolutions(),
+                scratch.slot_reads(),
+                scratch.resets()
+            ),
+            (0, 0, 0)
+        );
     }
 }

@@ -13,17 +13,20 @@ use rand::RngCore;
 /// per request than the weak model, and the paper notes Kleinberg's model
 /// assumes even more.
 ///
-/// All mutable state (view, expansion order, answer buffer) lives in a
-/// borrowed [`SearchScratch`], so per-request work allocates nothing
-/// once the scratch is warm.
+/// All mutable state (the view's stamps, expansion order, answer
+/// buffer) lives in a borrowed [`SearchScratch`], so per-request work
+/// allocates nothing once the scratch is warm.
 #[derive(Debug)]
-pub struct StrongSearchState<'s, 'g> {
-    graph: &'g UndirectedCsr,
-    scratch: &'s mut SearchScratch,
+pub struct StrongSearchState<'a> {
+    view: DiscoveredView<'a>,
+    /// Vertices expanded so far, in request order.
+    expanded: &'a mut Vec<NodeId>,
+    /// The neighbors revealed by the latest request.
+    revealed: &'a mut Vec<NodeId>,
     requests: usize,
 }
 
-impl<'s, 'g> StrongSearchState<'s, 'g> {
+impl<'a> StrongSearchState<'a> {
     /// Starts a search at `start` (known for free, as in the weak
     /// model), resetting `scratch` first (O(1) epoch bump).
     ///
@@ -32,8 +35,8 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
     /// Returns [`SearchError::TaskOutOfBounds`] if `start` is not in the
     /// graph.
     pub fn new_in(
-        scratch: &'s mut SearchScratch,
-        graph: &'g UndirectedCsr,
+        scratch: &'a mut SearchScratch,
+        graph: &'a UndirectedCsr,
         start: NodeId,
     ) -> crate::Result<Self> {
         if start.index() >= graph.node_count() {
@@ -42,18 +45,26 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
                 node_count: graph.node_count(),
             });
         }
-        scratch.begin(graph);
-        scratch.view.discover(graph, start);
+        let SearchScratch {
+            view,
+            expanded,
+            revealed,
+        } = scratch;
+        expanded.clear();
+        revealed.clear();
+        let mut view = DiscoveredView::new(view, graph);
+        view.discover(start);
         Ok(StrongSearchState {
-            graph,
-            scratch,
+            view,
+            expanded,
+            revealed,
             requests: 0,
         })
     }
 
     /// The searcher's current knowledge.
-    pub fn view(&self) -> &DiscoveredView {
-        &self.scratch.view
+    pub fn view(&self) -> &DiscoveredView<'a> {
+        &self.view
     }
 
     /// Requests issued so far.
@@ -63,7 +74,7 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
 
     /// Vertices whose neighborhoods have been expanded, in request order.
     pub fn expanded(&self) -> &[NodeId] {
-        &self.scratch.expanded
+        self.expanded
     }
 
     /// Issues the strong-model request on `u`: reveals all neighbors of
@@ -79,19 +90,19 @@ impl<'s, 'g> StrongSearchState<'s, 'g> {
     /// is not yet known to the searcher.
     // lint: alloc-free
     pub fn request(&mut self, u: NodeId) -> crate::Result<&[NodeId]> {
-        if !self.scratch.view.contains(u) {
+        if !self.view.contains(u) {
             return Err(SearchError::UndiscoveredVertex { vertex: u });
         }
         self.requests += 1;
-        self.scratch.expanded.push(u);
-        self.scratch.revealed.clear();
-        let slots = self.graph.incident(u);
-        self.scratch.view.count_reads(slots.len());
+        self.expanded.push(u);
+        self.revealed.clear();
+        let slots = self.view.slots_of(u);
+        self.view.count_reads(slots.len());
         for &(v, _) in slots {
-            self.scratch.view.discover(self.graph, v);
-            self.scratch.revealed.push(v);
+            self.view.discover(v);
+            self.revealed.push(v);
         }
-        Ok(&self.scratch.revealed)
+        Ok(self.revealed)
     }
 }
 

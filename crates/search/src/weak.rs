@@ -6,8 +6,9 @@ use rand::RngCore;
 
 /// Oracle state for a weak-model search over one graph.
 ///
-/// Wraps the true graph, the searcher's [`DiscoveredView`] (borrowed
-/// from a reusable [`SearchScratch`]), and the request counter.
+/// Wraps the true graph, the searcher's [`DiscoveredView`] (whose state
+/// is borrowed from a reusable [`SearchScratch`]), and the request
+/// counter.
 /// Algorithms cannot touch the graph directly; every bit of information
 /// flows through [`request`](WeakSearchState::request), which costs one
 /// unit.
@@ -21,20 +22,20 @@ use rand::RngCore;
 /// let g = UndirectedCsr::from_edges(3, [(0, 1), (1, 2)])?;
 /// let mut scratch = SearchScratch::new();
 /// let mut state = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0))?;
-/// let e = state.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+/// let e = state.view().vertex(NodeId::new(0)).unwrap().edge(0);
 /// let v = state.request(NodeId::new(0), e)?;
 /// assert_eq!(v, NodeId::new(1));
 /// assert_eq!(state.requests(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct WeakSearchState<'s, 'g> {
-    graph: &'g UndirectedCsr,
-    scratch: &'s mut SearchScratch,
+pub struct WeakSearchState<'a> {
+    graph: &'a UndirectedCsr,
+    view: DiscoveredView<'a>,
     requests: usize,
 }
 
-impl<'s, 'g> WeakSearchState<'s, 'g> {
+impl<'a> WeakSearchState<'a> {
     /// Starts a search at `start` using `scratch`'s view: the searcher
     /// knows `start`, its degree and its incident edge handles, at no
     /// request cost. The scratch is reset (O(1) epoch bump) first, so
@@ -45,8 +46,8 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
     /// Returns [`SearchError::TaskOutOfBounds`] if `start` is not in the
     /// graph.
     pub fn new_in(
-        scratch: &'s mut SearchScratch,
-        graph: &'g UndirectedCsr,
+        scratch: &'a mut SearchScratch,
+        graph: &'a UndirectedCsr,
         start: NodeId,
     ) -> crate::Result<Self> {
         if start.index() >= graph.node_count() {
@@ -55,18 +56,18 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
                 node_count: graph.node_count(),
             });
         }
-        scratch.begin(graph);
-        scratch.view.discover(graph, start);
+        let mut view = DiscoveredView::new(&mut scratch.view, graph);
+        view.discover(start);
         Ok(WeakSearchState {
             graph,
-            scratch,
+            view,
             requests: 0,
         })
     }
 
     /// The searcher's current knowledge.
-    pub fn view(&self) -> &DiscoveredView {
-        &self.scratch.view
+    pub fn view(&self) -> &DiscoveredView<'a> {
+        &self.view
     }
 
     /// Requests issued so far — the paper's cost measure.
@@ -82,11 +83,11 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
     ///
     /// The validity check is O(1) whatever the degree of `u`: `e` is
     /// incident to `u` exactly when one of its two stored endpoints is
-    /// `u` — the same set the view copied from the graph when `u` was
-    /// discovered — so one endpoint lookup both validates the request
-    /// and yields the answer. Revealing a vertex for the first time
-    /// costs its degree, once (its incident list is copied into the
-    /// view); every later request that lands on it is O(1).
+    /// `u` — the same set the view reads from the graph's slots of `u`
+    /// — so one endpoint lookup both validates the request and yields
+    /// the answer. Revealing a vertex for the first time costs its
+    /// degree, once (each of its slots is read to test its far end);
+    /// every later request that lands on it is O(1).
     ///
     /// # Errors
     ///
@@ -97,7 +98,7 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
     /// A rejected request costs nothing and leaves the view unchanged.
     // lint: alloc-free
     pub fn request(&mut self, u: NodeId, e: EdgeId) -> crate::Result<NodeId> {
-        if !self.scratch.view.contains(u) {
+        if !self.view.contains(u) {
             return Err(SearchError::UndiscoveredVertex { vertex: u });
         }
         let other = match self.graph.edge_endpoints(e) {
@@ -106,7 +107,7 @@ impl<'s, 'g> WeakSearchState<'s, 'g> {
             _ => return Err(SearchError::UnknownIncidence { vertex: u, edge: e }),
         };
         self.requests += 1;
-        self.scratch.view.discover(self.graph, other);
+        self.view.discover(other);
         Ok(other)
     }
 }
@@ -175,7 +176,7 @@ mod tests {
         let g = path3();
         let mut scratch = SearchScratch::new();
         let mut s = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-        let e0 = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+        let e0 = s.view().vertex(NodeId::new(0)).unwrap().edge(0);
         let v = s.request(NodeId::new(0), e0).unwrap();
         assert_eq!(v, NodeId::new(1));
         assert_eq!(s.view().degree_of(NodeId::new(1)), Some(2));
@@ -195,7 +196,7 @@ mod tests {
         let g = path3();
         let mut scratch = SearchScratch::new();
         let mut s = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-        let e0 = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+        let e0 = s.view().vertex(NodeId::new(0)).unwrap().edge(0);
         s.request(NodeId::new(0), e0).unwrap();
         s.request(NodeId::new(0), e0).unwrap();
         assert_eq!(s.requests(), 2);
@@ -226,12 +227,12 @@ mod tests {
         let g = path3();
         let mut scratch = SearchScratch::new();
         let mut s = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-        let e01 = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+        let e01 = s.view().vertex(NodeId::new(0)).unwrap().edge(0);
         s.request(NodeId::new(0), e01).unwrap();
         // Edge (1, 2) is now in the view, but only as vertex 1's.
         let e12 = EdgeId::new(1);
-        let far = s.view().vertex(NodeId::new(1)).unwrap().incident();
-        assert!(far.contains(&e12));
+        let far = s.view().vertex(NodeId::new(1)).unwrap();
+        assert!(far.edges().any(|e| e == e12));
         let (out_of_range, undiscovered) = (EdgeId::new(99), true);
         let cases = [
             (NodeId::new(0), out_of_range, !undiscovered),
@@ -273,7 +274,7 @@ mod tests {
         let g = UndirectedCsr::from_edges(1, [(0, 0)]).unwrap();
         let mut scratch = SearchScratch::new();
         let mut s = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-        let e = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+        let e = s.view().vertex(NodeId::new(0)).unwrap().edge(0);
         let v = s.request(NodeId::new(0), e).unwrap();
         assert_eq!(v, NodeId::new(0));
     }
@@ -284,7 +285,7 @@ mod tests {
         let mut scratch = SearchScratch::new();
         {
             let mut s = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-            let e0 = s.view().vertex(NodeId::new(0)).unwrap().incident()[0];
+            let e0 = s.view().vertex(NodeId::new(0)).unwrap().edge(0);
             s.request(NodeId::new(0), e0).unwrap();
             assert_eq!(s.view().len(), 2);
         }

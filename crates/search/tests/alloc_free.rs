@@ -115,8 +115,8 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         let mut rng = rng_from_seed(11);
         let before = allocations();
         let mut delta = Metrics::new();
-        let resolutions_before = scratch.view().edge_resolutions();
-        let resets_before = scratch.view().resets();
+        let resolutions_before = scratch.edge_resolutions();
+        let resets_before = scratch.resets();
         let rescans_before = searcher.frontier_rescans();
         let mut clock = PhaseClock::start();
         let steady = run_weak_in(&mut scratch, &graph, &task, &mut *searcher, &mut rng).unwrap();
@@ -124,8 +124,8 @@ fn steady_state_trials_allocate_nothing_with_metrics_enabled() {
         delta.requests += steady.requests as u64;
         delta.discoveries += steady.discovered as u64;
         delta.frontier_rescans += searcher.frontier_rescans() - rescans_before;
-        delta.edge_resolutions += scratch.view().edge_resolutions() - resolutions_before;
-        delta.scratch_resets += scratch.view().resets() - resets_before;
+        delta.edge_resolutions += scratch.edge_resolutions() - resolutions_before;
+        delta.scratch_resets += scratch.resets() - resets_before;
         delta.observe_trial_requests(steady.requests as u64);
         delta.trials = 1;
         metrics.merge(&delta);

@@ -39,7 +39,7 @@ fn reference_request(
     let Some(info) = view.vertex(u) else {
         return Err(SearchError::UndiscoveredVertex { vertex: u });
     };
-    if !info.incident().contains(&e) {
+    if !info.edges().any(|x| x == e) {
         return Err(SearchError::UnknownIncidence { vertex: u, edge: e });
     }
     let (a, b) = graph.edge_endpoints(e).unwrap();
@@ -469,7 +469,10 @@ fn assert_views_agree(
         );
         prop_assert_eq!(view.has_unexplored(v), !unexplored.is_empty());
         if let Some(info) = view.vertex(v) {
-            prop_assert_eq!(info.incident(), &reference.vertices[&v][..]);
+            prop_assert_eq!(
+                info.edges().collect::<Vec<_>>(),
+                reference.vertices[&v].clone()
+            );
         }
     }
     Ok(())
@@ -531,8 +534,8 @@ proptest! {
                         1 => (discovered[a % discovered.len()], any_edge),
                         _ => {
                             let u = discovered[a % discovered.len()];
-                            let incident = state.view().vertex(u).unwrap().incident();
-                            let e = incident.get(b % incident.len().max(1)).copied();
+                            let info = state.view().vertex(u).unwrap();
+                            let e = info.edges().nth(b % info.degree().max(1));
                             (u, e.unwrap_or(any_edge))
                         }
                     };
@@ -787,7 +790,7 @@ proptest! {
             if info.degree() == 0 {
                 continue;
             }
-            let e = info.incident()[rng.gen_range(0..info.degree())];
+            let e = info.edge(rng.gen_range(0..info.degree()));
             state.request(v, e).unwrap();
             issued += 1;
             prop_assert_eq!(state.requests(), issued);
@@ -821,11 +824,11 @@ proptest! {
         use rand::Rng;
         for _ in 0..grow {
             let v = state.view().discovered()[rng.gen_range(0..state.view().len())];
-            let incident = state.view().vertex(v).unwrap().incident();
-            if incident.is_empty() {
+            let info = state.view().vertex(v).unwrap();
+            if info.degree() == 0 {
                 continue;
             }
-            let e = incident[rng.gen_range(0..incident.len())];
+            let e = info.edge(rng.gen_range(0..info.degree()));
             let expected = reference_request(&graph, state.view(), v, e);
             prop_assert!(expected.is_ok());
             prop_assert_eq!(state.request(v, e), expected, "legal request ({:?}, {:?})", v, e);
@@ -839,8 +842,8 @@ proptest! {
                 1 => (discovered[a % discovered.len()], EdgeId::new(b % (edges + 3))),
                 _ => {
                     let u = discovered[a % discovered.len()];
-                    let incident = state.view().vertex(u).unwrap().incident();
-                    let e = incident.get(b % incident.len().max(1)).copied();
+                    let info = state.view().vertex(u).unwrap();
+                    let e = info.edges().nth(b % info.degree().max(1));
                     (u, e.unwrap_or(EdgeId::new(b % (edges + 3))))
                 }
             };

@@ -3,11 +3,15 @@
 
 use nonsearch::core::{
     certify, lemma1_lower_bound, mori_event_probability_exact, theorem1_weak_bound,
-    BoundComparison, CertifyConfig, EquivalenceWindow, MergedMoriModel, ModelSource, ScalingSeries,
+    BoundComparison, CertifyConfig, EquivalenceWindow, GraphModel, MergedMoriModel, ModelSource,
+    ScalingSeries,
 };
 use nonsearch::generators::{rng_from_seed, MergedMori, MoriTree};
-use nonsearch::graph::NodeId;
-use nonsearch::search::{run_weak, SearchTask, SearcherKind, SuccessCriterion};
+use nonsearch::graph::{NodeId, UndirectedCsr};
+use nonsearch::search::{
+    run_weak, run_weak_in, SearchScratch, SearchTask, SearcherKind, SuccessCriterion,
+};
+use std::collections::HashSet;
 
 #[test]
 fn lower_bound_never_exceeds_any_measured_searcher() {
@@ -117,5 +121,54 @@ fn neighbor_criterion_is_never_harder() {
         let mut b = kind.build();
         let relaxed = run_weak(&graph, &relaxed_task, &mut *b, &mut rng).unwrap();
         assert!(relaxed.requests <= strict.requests, "{kind}");
+    }
+}
+
+/// The number of distinct leaves among `hub`'s slots, in slot order, up
+/// to and including the first slot that leads to `target`.
+fn leaves_until(graph: &UndirectedCsr, hub: NodeId, target: NodeId) -> usize {
+    let mut leaves = HashSet::new();
+    for &(w, _) in graph.incident(hub) {
+        if w != hub {
+            leaves.insert(w);
+        }
+        if w == target {
+            return leaves.len();
+        }
+    }
+    panic!("{target:?} is not adjacent to the hub");
+}
+
+#[test]
+fn p_one_graphs_are_stars_with_an_exact_request_count() {
+    // At p = 1 every Móri vertex attaches to vertex 1, so the merged
+    // graph is a star (m = 1) or a star with parallel edges and hub
+    // loops (m = 3). From the hub every informed lane requests the
+    // hub's slots in order, one per new leaf, and stops at the target:
+    // exactly K requests. The avoiding walk steps back from each leaf
+    // to the hub, one more request per leaf before the target: 2K − 1.
+    let mut scratch = SearchScratch::new();
+    for m in [1, 3] {
+        let model = MergedMoriModel { p: 1.0, m };
+        for n in [64, 512, 4096, 16384] {
+            for trial in 0..3 {
+                let mut rng = rng_from_seed(1_000 * n as u64 + 10 * m as u64 + trial);
+                let graph = model.sample_graph(n, &mut rng);
+                let (hub, target) = (NodeId::from_label(1), NodeId::from_label(n));
+                let k = leaves_until(&graph, hub, target);
+                let task = SearchTask::new(hub, target).with_budget(30 * n);
+                for kind in SearcherKind::informed() {
+                    let mut searcher = kind.build();
+                    let outcome =
+                        run_weak_in(&mut scratch, &graph, &task, &mut *searcher, &mut rng).unwrap();
+                    let want = match kind {
+                        SearcherKind::AvoidingWalk => 2 * k - 1,
+                        _ => k,
+                    };
+                    assert!(outcome.found, "{kind}, n = {n}, m = {m}");
+                    assert_eq!(outcome.requests, want, "{kind}, n = {n}, m = {m}, K = {k}");
+                }
+            }
+        }
     }
 }
