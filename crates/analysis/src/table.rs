@@ -69,7 +69,6 @@ impl Table {
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -96,7 +95,6 @@ impl fmt::Display for Table {
         for row in &self.rows {
             write_row(f, row)?;
         }
-        let _ = cols;
         Ok(())
     }
 }

@@ -151,8 +151,8 @@ fn run(chaos: &ChaosArgs) -> Result<i32, String> {
         out: chaos.out.clone(),
         ..CliOptions::default()
     };
-    let mut writer =
-        RunWriter::create("chaos", &writer_opts).map_err(|e| format!("fault sink: {e}"))?;
+    let mut writer = RunWriter::create("chaos", chaos.plan_seed, &writer_opts)
+        .map_err(|e| format!("fault sink: {e}"))?;
 
     let clean_path = work.join("clean.jsonl");
     let chaos_path = work.join("chaos.jsonl");
@@ -164,9 +164,7 @@ fn run(chaos: &ChaosArgs) -> Result<i32, String> {
     forced_heap_phase(&work, &mut writer)?;
     watchdog_phase(chaos.plan_seed, &mut writer)?;
 
-    let summary = writer
-        .finish(chaos.plan_seed)
-        .map_err(|e| format!("fault sink: {e}"))?;
+    let summary = writer.finish().map_err(|e| format!("fault sink: {e}"))?;
     for path in &summary.paths {
         println!("[chaos] fault records: {}", path.display());
     }
@@ -255,14 +253,12 @@ fn trial_fault_gate(
     let mut injected = events.lock().unwrap_or_else(|e| e.into_inner()).clone();
     injected.sort_unstable();
     for &(trial, attempt, kind) in &injected {
-        writer
-            .record_fault(vec![
-                ("kind", JsonValue::from(kind)),
-                ("trial", JsonValue::from(trial)),
-                ("attempt", JsonValue::from(attempt as u64)),
-                ("outcome", JsonValue::from("retried")),
-            ])
-            .map_err(|e| format!("fault sink: {e}"))?;
+        writer.record_fault(vec![
+            ("kind", JsonValue::from(kind)),
+            ("trial", JsonValue::from(trial)),
+            ("attempt", JsonValue::from(attempt as u64)),
+            ("outcome", JsonValue::from("retried")),
+        ]);
     }
 
     let clean_cells = cell_lines(clean_path)?;
@@ -329,13 +325,11 @@ fn corpus_heal_phase(chaos: &ChaosArgs, work: &Path, writer: &mut RunWriter) -> 
         };
         corrupt_file(&path, fault).map_err(|e| format!("{file}: {e}"))?;
         corrupted += 1;
-        writer
-            .record_fault(vec![
-                ("kind", JsonValue::from(storage_kind(fault))),
-                ("file", JsonValue::from(file.as_str())),
-                ("outcome", JsonValue::from("healed")),
-            ])
-            .map_err(|e| format!("fault sink: {e}"))?;
+        writer.record_fault(vec![
+            ("kind", JsonValue::from(storage_kind(fault))),
+            ("file", JsonValue::from(file.as_str())),
+            ("outcome", JsonValue::from("healed")),
+        ]);
     }
 
     let healing = Corpus::open_healing(&corpus_dir, LoadMode::Mmap, true)
@@ -377,12 +371,10 @@ fn forced_heap_phase(work: &Path, writer: &mut RunWriter) -> Result<(), String> 
     if *forced != *mapped {
         return Err("forced heap fallback served a different graph than the mapping".to_string());
     }
-    writer
-        .record_fault(vec![
-            ("kind", JsonValue::from("mmap-refused")),
-            ("outcome", JsonValue::from("heap-fallback")),
-        ])
-        .map_err(|e| format!("fault sink: {e}"))?;
+    writer.record_fault(vec![
+        ("kind", JsonValue::from("mmap-refused")),
+        ("outcome", JsonValue::from("heap-fallback")),
+    ]);
     println!("[chaos] phase 3/4: forced heap fallback serves the identical graph");
     Ok(())
 }
@@ -409,12 +401,10 @@ fn watchdog_phase(plan_seed: u64, writer: &mut RunWriter) -> Result<(), String> 
     if !obs.degraded {
         return Err("the watchdog did not degrade a stalled cell".to_string());
     }
-    writer
-        .record_fault(vec![
-            ("kind", JsonValue::from("stall")),
-            ("outcome", JsonValue::from("degraded")),
-        ])
-        .map_err(|e| format!("fault sink: {e}"))?;
+    writer.record_fault(vec![
+        ("kind", JsonValue::from("stall")),
+        ("outcome", JsonValue::from("degraded")),
+    ]);
     println!("[chaos] phase 4/4: watchdog degraded the stalled cell instead of hanging");
     Ok(())
 }

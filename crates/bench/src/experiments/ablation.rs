@@ -1,11 +1,10 @@
 //! E13 — ablations over the search-model knobs DESIGN.md calls out:
 //! oracle strength, success criterion, and start-vertex policy.
 
-use super::{open_corpus, print_banner, resolve_source};
+use super::{lane_measures, open_corpus, print_banner, resolve_source};
 use crate::{strong_cell, weak_cell, StartPolicy, StrongKind};
-use nonsearch_analysis::Table;
 use nonsearch_core::MergedMoriModel;
-use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, LaneAggregate};
+use nonsearch_engine::{CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, LaneAggregate};
 use nonsearch_generators::SeedSequence;
 use nonsearch_search::{SearcherKind, SuccessCriterion};
 
@@ -20,13 +19,18 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
 /// One ablation knob: its name and the table its measured cells fill.
 struct Knob {
     name: &'static str,
-    table: Table,
+    table: CellTable,
     trials: usize,
 }
 
 impl Knob {
-    fn new(name: &'static str, column: &str, trials: usize) -> Knob {
-        let table = Table::with_columns(&[column, "n", "mean requests", "success"]);
+    fn new(name: &'static str, trials: usize) -> Knob {
+        let table = CellTable::new(&[
+            ("variant", name, 0),
+            ("n", "n", 0),
+            ("mean", "mean requests", 1),
+            ("success", "success", 2),
+        ]);
         Knob {
             name,
             table,
@@ -34,40 +38,18 @@ impl Knob {
         }
     }
 
-    /// Adds one measured cell to the table (as `label`) and to the run's
-    /// cell and perf records (as `variant`).
-    fn record(
-        &mut self,
-        ctx: &mut ExpContext,
-        (variant, label): (&str, &str),
-        n: usize,
-        cell: Cell,
-    ) {
-        let (lane, obs) = cell;
-        self.table.row(vec![
-            label.into(),
-            n.to_string(),
-            format!("{:.1}", lane.mean()),
-            format!("{:.2}", lane.success_rate()),
-        ]);
-        let id = [
-            ("model", JsonValue::from("mori")),
-            ("knob", JsonValue::from(self.name)),
-            ("variant", JsonValue::from(variant)),
-            ("n", JsonValue::from(n)),
-        ];
-        let mut fields = id.to_vec();
-        fields.extend([
-            ("trials", JsonValue::from(self.trials)),
-            ("seed", JsonValue::from(ctx.seed)),
-            ("mean", JsonValue::from(lane.mean())),
-            ("ci95", JsonValue::from(lane.ci95())),
-            ("success", JsonValue::from(lane.success_rate())),
-        ]);
-        ctx.writer.record_cell(fields).expect("write cell record");
-        ctx.writer
-            .record_perf(id.to_vec(), &obs)
-            .expect("write perf record");
+    /// Adds one measured cell of `variant` to the table and to the
+    /// run's cell and perf records.
+    fn record(&mut self, ctx: &mut ExpContext, variant: &str, n: usize, (lane, obs): Cell) {
+        let key = CellKey::new()
+            .with("model", "mori")
+            .with("knob", self.name)
+            .with("variant", variant)
+            .with("n", n);
+        let measures = lane_measures(&lane);
+        self.table.row(&key, &measures);
+        ctx.writer.record_cell(&key, self.trials, &measures);
+        ctx.writer.record_perf(&key, &obs);
     }
 }
 
@@ -93,7 +75,7 @@ fn run(ctx: &mut ExpContext) {
 
     // Knob 1: weak vs strong vs simulated-strong oracle.
     println!("oracle strength (high-degree strategy):");
-    let mut t1 = Knob::new("oracle", "oracle", trial_count);
+    let mut t1 = Knob::new("oracle", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         let weak = weak_cell(
@@ -107,7 +89,7 @@ fn run(ctx: &mut ExpContext) {
             threads,
             &seeds.subsequence(si as u64),
         );
-        t1.record(ctx, ("weak", "weak"), n, weak);
+        t1.record(ctx, "weak", n, weak);
         let sim = weak_cell(
             &*source,
             n,
@@ -119,7 +101,7 @@ fn run(ctx: &mut ExpContext) {
             threads,
             &seeds.subsequence(100 + si as u64),
         );
-        t1.record(ctx, ("simulated-strong", "simulated-strong"), n, sim);
+        t1.record(ctx, "simulated-strong", n, sim);
         let strong = strong_cell(
             &*source,
             n,
@@ -128,13 +110,13 @@ fn run(ctx: &mut ExpContext) {
             threads,
             &seeds.subsequence(200 + si as u64),
         );
-        t1.record(ctx, ("strong-native", "strong (native)"), n, strong);
+        t1.record(ctx, "strong-native", n, strong);
     }
     println!("{}", t1.table);
 
     // Knob 2: success criterion.
     println!("success criterion (high-degree strategy, weak oracle):");
-    let mut t2 = Knob::new("criterion", "criterion", trial_count);
+    let mut t2 = Knob::new("criterion", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         for (criterion, name) in [
@@ -152,14 +134,14 @@ fn run(ctx: &mut ExpContext) {
                 threads,
                 &seeds.subsequence(300 + si as u64),
             );
-            t2.record(ctx, (name, name), n, cell);
+            t2.record(ctx, name, n, cell);
         }
     }
     println!("{}", t2.table);
 
     // Knob 3: start policy.
     println!("start vertex policy (high-degree strategy, weak oracle):");
-    let mut t3 = Knob::new("start", "start", trial_count);
+    let mut t3 = Knob::new("start", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
         for policy in [
@@ -178,7 +160,7 @@ fn run(ctx: &mut ExpContext) {
                 threads,
                 &seeds.subsequence(400 + si as u64),
             );
-            t3.record(ctx, (policy.name(), policy.name()), n, cell);
+            t3.record(ctx, policy.name(), n, cell);
         }
     }
     println!("{}", t3.table);

@@ -9,15 +9,14 @@
 //! high-degree searcher (Adamic's own visited-vertex measure) runs a
 //! cell of its own on its own stream.
 
-use super::{note_corpus_ignored, print_banner};
-use nonsearch_analysis::Table;
+use super::{lane_measures, note_corpus_ignored, print_banner};
 use nonsearch_core::{
     adamic_high_degree_exponent, adamic_random_walk_exponent, measure_trial, GraphModel, Oracle,
     PowerLawGiantModel, Rescans, ScalingSeries, TrialPool,
 };
 use nonsearch_engine::{
-    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, LaneAggregate, TrialMeasure,
-    TrialObs,
+    run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue, LaneAggregate,
+    TrialMeasure, TrialObs,
 };
 use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::NodeId;
@@ -121,22 +120,24 @@ fn run(ctx: &mut ExpContext) {
                 series.push(lane, giants[lane], aggregate.mean());
                 rows[lane].push((n, giants[lane], aggregate));
             }
+            // One perf record per oracle's cell, which the lanes of that
+            // oracle share.
             for (oracle, obs) in [("weak", weak_obs), ("strong", strong_obs)] {
-                ctx.writer
-                    .record_perf(
-                        vec![
-                            ("k", JsonValue::from(k)),
-                            ("oracle", JsonValue::from(oracle)),
-                            ("n", JsonValue::from(n)),
-                        ],
-                        &obs,
-                    )
-                    .expect("write perf record");
+                let key = CellKey::new()
+                    .with("k", k)
+                    .with("oracle", oracle)
+                    .with("n", n);
+                ctx.writer.record_perf(&key, &obs);
             }
         }
 
-        let mut table =
-            Table::with_columns(&["searcher", "n (giant)", "mean requests", "ci95", "success"]);
+        let mut table = CellTable::new(&[
+            ("searcher", "searcher", 0),
+            ("giant", "n (giant)", 0),
+            ("mean", "mean requests", 1),
+            ("ci95", "ci95", 1),
+            ("success", "success", 2),
+        ]);
         // (report name, fit label, mean-field exponent) per lane.
         let lanes = [
             (
@@ -161,28 +162,18 @@ fn run(ctx: &mut ExpContext) {
                 println!("  {name} {label} {slope:.3} (mean-field theory {theory:.2})");
             }
             for &(n, giant, lane) in rows {
-                table.row(vec![
-                    name.to_string(),
-                    format!("{giant:.0}"),
-                    format!("{:.1}", lane.mean()),
-                    format!("{:.1}", lane.ci95()),
-                    format!("{:.2}", lane.success_rate()),
+                let key = CellKey::new()
+                    .with("k", k)
+                    .with("searcher", name)
+                    .with("n", n)
+                    .measure("giant", giant);
+                let mut measures = lane_measures(&lane);
+                measures.extend([
+                    ("exponent", JsonValue::from(exponent)),
+                    ("theory_exponent", JsonValue::from(theory)),
                 ]);
-                ctx.writer
-                    .record_cell(vec![
-                        ("k", JsonValue::from(k)),
-                        ("searcher", JsonValue::from(name)),
-                        ("n", JsonValue::from(n)),
-                        ("giant", JsonValue::from(giant)),
-                        ("trials", JsonValue::from(trial_count)),
-                        ("seed", JsonValue::from(ctx.seed)),
-                        ("mean", JsonValue::from(lane.mean())),
-                        ("ci95", JsonValue::from(lane.ci95())),
-                        ("success", JsonValue::from(lane.success_rate())),
-                        ("exponent", JsonValue::from(exponent)),
-                        ("theory_exponent", JsonValue::from(theory)),
-                    ])
-                    .expect("write cell record");
+                table.row(&key, &measures);
+                ctx.writer.record_cell(&key, trial_count, &measures);
             }
         }
         println!("{table}");

@@ -12,11 +12,12 @@
 
 use super::{evolving_models, note_corpus_ignored, print_banner};
 use nonsearch_analysis::{
-    age_degree_correlation, degree_assortativity, mean_neighbor_degree_curve, Table,
+    age_degree_correlation, degree_assortativity, mean_neighbor_degree_curve,
 };
 use nonsearch_core::{PowerLawGiantModel, UniformAttachmentModel};
 use nonsearch_engine::{
-    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, LaneAggregate, TrialMeasure,
+    run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue, LaneAggregate,
+    TrialMeasure,
 };
 use nonsearch_generators::{rng_from_seed, SeedSequence};
 
@@ -60,8 +61,15 @@ fn run(ctx: &mut ExpContext) {
         }),
     ));
 
-    let mut table =
-        Table::with_columns(&["model", "age-degree r", "assortativity", "k_nn(1)/k_nn(8)"]);
+    let mut table = CellTable::new(&[
+        ("model", "model", 0),
+        ("age_degree_r", "age-degree r", 3),
+        ("age_degree_r_ci95", "±", 3),
+        ("assortativity", "assortativity", 3),
+        ("assortativity_ci95", "±", 3),
+        ("knn_ratio", "k_nn(1)/k_nn(8)", 3),
+        ("knn_ratio_ci95", "±", 3),
+    ]);
     for (mi, (name, model)) in models.iter().enumerate() {
         let _cell_span = tracer.span("model-cell");
         let (lanes, obs) = run_lanes_observed(
@@ -91,38 +99,20 @@ fn run(ctx: &mut ExpContext) {
         // A statistic some trial left undefined has no mean.
         let defined = |lane: &LaneAggregate| (lane.successes == lane.count()).then_some(*lane);
         let [age_r, assort, knn_ratio] = [0, 1, 2].map(|i| defined(&lanes[i]));
-        let fmt = |lane: Option<LaneAggregate>| match lane {
-            Some(l) => format!("{:+.3} ±{:.3}", l.mean(), l.ci95()),
-            None => "-".into(),
-        };
-        table.row(vec![
-            name.to_string(),
-            fmt(age_r),
-            fmt(assort),
-            fmt(knn_ratio),
-        ]);
         let mean = |lane: Option<LaneAggregate>| JsonValue::from(lane.map(|l| l.mean()));
         let ci95 = |lane: Option<LaneAggregate>| JsonValue::from(lane.map(|l| l.ci95()));
-        ctx.writer
-            .record_cell(vec![
-                ("model", JsonValue::from(*name)),
-                ("n", JsonValue::from(n)),
-                ("trials", JsonValue::from(trial_count)),
-                ("seed", JsonValue::from(ctx.seed)),
-                ("age_degree_r", mean(age_r)),
-                ("age_degree_r_ci95", ci95(age_r)),
-                ("assortativity", mean(assort)),
-                ("assortativity_ci95", ci95(assort)),
-                ("knn_ratio", mean(knn_ratio)),
-                ("knn_ratio_ci95", ci95(knn_ratio)),
-            ])
-            .expect("write cell record");
-        ctx.writer
-            .record_perf(
-                vec![("model", JsonValue::from(*name)), ("n", JsonValue::from(n))],
-                &obs,
-            )
-            .expect("write perf record");
+        let key = CellKey::new().with("model", *name).with("n", n);
+        let measures = [
+            ("age_degree_r", mean(age_r)),
+            ("age_degree_r_ci95", ci95(age_r)),
+            ("assortativity", mean(assort)),
+            ("assortativity_ci95", ci95(assort)),
+            ("knn_ratio", mean(knn_ratio)),
+            ("knn_ratio_ci95", ci95(knn_ratio)),
+        ];
+        table.row(&key, &measures);
+        ctx.writer.record_cell(&key, trial_count, &measures);
+        ctx.writer.record_perf(&key, &obs);
     }
     println!("{table}");
     println!("reading the table:");

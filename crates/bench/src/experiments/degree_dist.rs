@@ -13,7 +13,8 @@ use nonsearch_core::{
 };
 use nonsearch_corpus::Corpus;
 use nonsearch_engine::{
-    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, PhaseClock, TrialMeasure,
+    run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue, PhaseClock,
+    TrialMeasure,
 };
 use nonsearch_generators::{MoriTree, SeedSequence};
 use nonsearch_graph::degree_sequence;
@@ -49,7 +50,13 @@ fn run(ctx: &mut ExpContext) {
     let seeds = SeedSequence::new(ctx.seed);
     let corpus = open_corpus(ctx);
 
-    let mut table = Table::with_columns(&["model", "fitted k", "ci95", "tail n", "KS"]);
+    let mut table = CellTable::new(&[
+        ("model", "model", 0),
+        ("exponent", "fitted k", 2),
+        ("ci95", "ci95", 2),
+        ("tail", "tail n", 0),
+        ("ks", "KS", 3),
+    ]);
     let mut cell = ModelCell {
         ctx,
         corpus: corpus.as_ref(),
@@ -93,7 +100,7 @@ struct ModelCell<'a, 'b> {
     n: usize,
     trial_count: usize,
     seeds: &'a SeedSequence,
-    table: &'a mut Table,
+    table: &'a mut CellTable,
     model_idx: u64,
 }
 
@@ -128,36 +135,17 @@ impl ModelCell<'_, '_> {
             },
         );
         let (exponent, ks, tail) = (&lanes[0], &lanes[1], &lanes[2]);
-        self.table.row(vec![
-            model.name(),
-            format!("{:.2}", exponent.mean()),
-            format!("{:.2}", exponent.ci95()),
-            format!("{:.0}", tail.mean()),
-            format!("{:.3}", ks.mean()),
-        ]);
-        self.ctx
-            .writer
-            .record_cell(vec![
-                ("model", JsonValue::from(model.name())),
-                ("n", JsonValue::from(self.n)),
-                ("trials", JsonValue::from(self.trial_count)),
-                ("seed", JsonValue::from(self.ctx.seed)),
-                ("exponent", JsonValue::from(exponent.mean())),
-                ("ci95", JsonValue::from(exponent.ci95())),
-                ("ks", JsonValue::from(ks.mean())),
-                ("tail", JsonValue::from(tail.mean())),
-                ("fits", JsonValue::from(exponent.successes)),
-            ])
-            .expect("write cell record");
-        self.ctx
-            .writer
-            .record_perf(
-                vec![
-                    ("model", JsonValue::from(model.name())),
-                    ("n", JsonValue::from(self.n)),
-                ],
-                &obs,
-            )
-            .expect("write perf record");
+        let key = CellKey::new().with("model", model.name()).with("n", self.n);
+        let measures = [
+            ("exponent", JsonValue::from(exponent.mean())),
+            ("ci95", JsonValue::from(exponent.ci95())),
+            ("ks", JsonValue::from(ks.mean())),
+            ("tail", JsonValue::from(tail.mean())),
+            ("fits", JsonValue::from(exponent.successes)),
+        ];
+        self.table.row(&key, &measures);
+        let writer = &mut self.ctx.writer;
+        writer.record_cell(&key, self.trial_count, &measures);
+        writer.record_perf(&key, &obs);
     }
 }

@@ -9,7 +9,7 @@
 use super::{evolving_models, note_corpus_ignored, print_banner};
 use nonsearch_analysis::{average_distance, diameter_lower_bound_double_sweep, fit_linear, Table};
 use nonsearch_engine::{
-    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, PhaseClock, TrialMeasure,
+    run_lanes_observed, CellKey, ExpContext, ExperimentSpec, JsonValue, PhaseClock, TrialMeasure,
 };
 use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::NodeId;
@@ -89,27 +89,15 @@ fn run(ctx: &mut ExpContext) {
         }
         let slope = fit.map(|fit| fit.slope);
         for (n, avg, diam, obs) in &cells {
-            ctx.writer
-                .record_cell(vec![
-                    ("model", JsonValue::from(*name)),
-                    ("n", JsonValue::from(*n)),
-                    ("trials", JsonValue::from(trial_count)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("avg_distance", JsonValue::from(avg.mean())),
-                    ("ci95", JsonValue::from(avg.ci95())),
-                    ("diameter_lower_bound", JsonValue::from(diam.mean())),
-                    ("slope_per_ln_n", JsonValue::from(slope)),
-                ])
-                .expect("write cell record");
-            ctx.writer
-                .record_perf(
-                    vec![
-                        ("model", JsonValue::from(*name)),
-                        ("n", JsonValue::from(*n)),
-                    ],
-                    obs,
-                )
-                .expect("write perf record");
+            let key = CellKey::new().with("model", *name).with("n", *n);
+            let measures = [
+                ("avg_distance", JsonValue::from(avg.mean())),
+                ("ci95", JsonValue::from(avg.ci95())),
+                ("diameter_lower_bound", JsonValue::from(diam.mean())),
+                ("slope_per_ln_n", JsonValue::from(slope)),
+            ];
+            ctx.writer.record_cell(&key, trial_count, &measures);
+            ctx.writer.record_perf(&key, obs);
         }
     }
     println!("\n{table}");

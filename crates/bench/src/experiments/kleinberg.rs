@@ -8,10 +8,11 @@
 //! sides; hops count as requests in the perf record.
 
 use super::{note_corpus_ignored, print_banner};
-use nonsearch_analysis::{SampleStats, Table};
+use nonsearch_analysis::SampleStats;
 use nonsearch_core::ScalingSeries;
 use nonsearch_engine::{
-    run_ordered, CellObs, ExpContext, ExperimentSpec, JsonValue, Metrics, PhaseClock, PhaseTimes,
+    run_ordered, CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, JsonValue, Metrics,
+    PhaseClock, PhaseTimes,
 };
 use nonsearch_generators::{rng_from_seed, KleinbergGrid, SeedSequence};
 use nonsearch_graph::NodeId;
@@ -41,7 +42,14 @@ fn run(ctx: &mut ExpContext) {
     let seeds = SeedSequence::new(ctx.seed);
 
     let mut series = ScalingSeries::new(r_values.len());
-    let mut table = Table::with_columns(&["r", "side", "n", "mean hops", "hops / log2²(n)"]);
+    let mut table = CellTable::new(&[
+        ("r", "r", 1),
+        ("side", "side", 0),
+        ("n", "n", 0),
+        ("mean_hops", "mean hops", 1),
+        ("ci95", "±", 1),
+        ("hops_per_log2_sq", "hops / log2²(n)", 3),
+    ]);
     for (ri, &r) in r_values.iter().enumerate() {
         let cells = run_ordered(
             sides.len(),
@@ -55,33 +63,21 @@ fn run(ctx: &mut ExpContext) {
         let exponent = series.exponent(ri);
         for (&side, (hops, obs)) in sides.iter().zip(&cells) {
             let n = side * side;
-            let per_polylog = hops.mean() / (n as f64).log2().powi(2);
-            table.row(vec![
-                format!("{r:.1}"),
-                side.to_string(),
-                n.to_string(),
-                format!("{:.1} ±{:.1}", hops.mean(), hops.ci95_half_width()),
-                format!("{per_polylog:.3}"),
-            ]);
-            ctx.writer
-                .record_cell(vec![
-                    ("r", JsonValue::from(r)),
-                    ("side", JsonValue::from(side)),
-                    ("n", JsonValue::from(n)),
-                    ("trials", JsonValue::from(routes)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("mean_hops", JsonValue::from(hops.mean())),
-                    ("ci95", JsonValue::from(hops.ci95_half_width())),
-                    ("hops_per_log2_sq", JsonValue::from(per_polylog)),
-                    ("exponent", JsonValue::from(exponent)),
-                ])
-                .expect("write cell record");
-            ctx.writer
-                .record_perf(
-                    vec![("r", JsonValue::from(r)), ("n", JsonValue::from(n))],
-                    obs,
-                )
-                .expect("write perf record");
+            let key = CellKey::new().with("r", r).with("side", side).with("n", n);
+            let measures = [
+                ("mean_hops", JsonValue::from(hops.mean())),
+                ("ci95", JsonValue::from(hops.ci95_half_width())),
+                (
+                    "hops_per_log2_sq",
+                    JsonValue::from(hops.mean() / (n as f64).log2().powi(2)),
+                ),
+                ("exponent", JsonValue::from(exponent)),
+            ];
+            table.row(&key, &measures);
+            ctx.writer.record_cell(&key, routes, &measures);
+            // The perf record carries no `side`.
+            let perf_key = CellKey::new().with("r", r).with("n", n);
+            ctx.writer.record_perf(&perf_key, obs);
         }
         if let Some(slope) = exponent {
             println!(

@@ -4,13 +4,12 @@
 //! measured mean must sit at or above the bound, and the bound itself
 //! must grow like √n.
 
-use super::{open_corpus, print_banner, record_sweep_perf, resolve_source};
-use nonsearch_analysis::Table;
+use super::{lane_measures, open_corpus, print_banner, resolve_source};
 use nonsearch_core::{
-    certify, mori_event_probability_exact, theorem1_weak_bound, BoundComparison, CertifyConfig,
-    EquivalenceWindow, MergedMoriModel, ScalingSeries,
+    certify, mori_event_probability_exact, theorem1_weak_bound, CertifyConfig, EquivalenceWindow,
+    MergedMoriModel, ScalingSeries,
 };
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_search::SearcherKind;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -45,65 +44,42 @@ fn run(ctx: &mut ExpContext) {
     let source = resolve_source(corpus.as_ref(), &model, &sizes);
     let sweep = certify(&*source, &config);
 
-    let mut table =
-        Table::with_columns(&["n", "|V|", "P(E) exact", "bound", "best measured", "holds"]);
+    let mut table = CellTable::new(&[
+        ("n", "n", 0),
+        ("window", "|V|", 0),
+        ("event_probability", "P(E) exact", 4),
+        ("bound", "bound", 1),
+        ("mean", "best measured", 1),
+        ("holds", "holds", 0),
+    ]);
     let best = ScalingSeries::of_sweep(&sizes, &sweep)
         .best_lane()
         .expect("suite is non-empty");
     let best_name = config.searchers[best].name();
     let mut bound_growth = ScalingSeries::new(1);
-    for (&n, (lanes, _)) in sizes.iter().zip(&sweep) {
+    for (&n, (lanes, obs)) in sizes.iter().zip(&sweep) {
         let measured = lanes[best];
         let w = EquivalenceWindow::for_target(n);
         let prob = mori_event_probability_exact(w.a(), w.b(), p).expect("valid window");
         let bound = theorem1_weak_bound(n, p).expect("valid n, p");
-        let cmp = BoundComparison {
-            n,
-            bound,
-            measured: measured.mean(),
-        };
-        table.row(vec![
-            n.to_string(),
-            w.len().to_string(),
-            format!("{prob:.4}"),
-            format!("{bound:.1}"),
-            format!("{:.1}", measured.mean()),
-            if cmp.holds() {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
-        ctx.writer
-            .record_cell(vec![
-                ("model", JsonValue::from("mori")),
-                ("p", JsonValue::from(p)),
-                ("n", JsonValue::from(n)),
-                ("window", JsonValue::from(w.len())),
-                ("event_probability", JsonValue::from(prob)),
-                ("bound", JsonValue::from(bound)),
-                ("searcher", JsonValue::from(best_name)),
-                ("trials", JsonValue::from(trial_count)),
-                ("seed", JsonValue::from(ctx.seed)),
-                ("mean", JsonValue::from(measured.mean())),
-                ("ci95", JsonValue::from(measured.ci95())),
-                ("success", JsonValue::from(measured.success_rate())),
-                ("holds", JsonValue::from(cmp.holds())),
-            ])
-            .expect("write cell record");
+        // The certify sweep observed the whole size cell, every lane.
+        let size_key = CellKey::new()
+            .with("model", "mori")
+            .with("p", p)
+            .with("n", n);
+        let key = size_key
+            .clone()
+            .measure("window", w.len())
+            .measure("event_probability", prob)
+            .measure("bound", bound)
+            .with("searcher", best_name);
+        let mut measures = lane_measures(&measured);
+        measures.push(("holds", JsonValue::from(measured.mean() >= bound)));
+        table.row(&key, &measures);
+        ctx.writer.record_cell(&key, trial_count, &measures);
+        ctx.writer.record_perf(&size_key, obs);
         bound_growth.push(0, n as f64, bound);
     }
-    // The certify sweep already observed each size cell; report it
-    // exactly like theorem1-weak does.
-    record_sweep_perf(
-        ctx,
-        &[
-            ("model", JsonValue::from("mori")),
-            ("p", JsonValue::from(p)),
-        ],
-        &sizes,
-        &sweep,
-    );
     println!("best algorithm: {best_name}");
     println!("{table}");
 

@@ -8,7 +8,9 @@
 use super::{note_corpus_ignored, print_banner};
 use nonsearch_analysis::Table;
 use nonsearch_core::{exact_window_exchangeability, sampled_window_symmetry, EquivalenceWindow};
-use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes};
+use nonsearch_engine::{
+    CellKey, CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes,
+};
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma2-equiv",
@@ -50,20 +52,18 @@ fn run(ctx: &mut ExpContext) {
                     "BROKEN".into()
                 },
             ]);
-            ctx.writer
-                .record_cell(vec![
-                    ("check", JsonValue::from("exact")),
-                    ("p", JsonValue::from(p)),
-                    ("a", JsonValue::from(a)),
-                    ("window", JsonValue::from(w.len())),
-                    ("trials", JsonValue::Null),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("statistic", JsonValue::from(check.max_discrepancy)),
-                    ("threshold", JsonValue::from(1e-12)),
-                    ("event_mass", JsonValue::from(check.event_mass)),
-                    ("ok", JsonValue::from(ok)),
-                ])
-                .expect("write cell record");
+            let key = CellKey::new()
+                .with("check", "exact")
+                .with("p", p)
+                .with("a", a)
+                .with("window", w.len());
+            let measures = [
+                ("statistic", JsonValue::from(check.max_discrepancy)),
+                ("threshold", JsonValue::from(1e-12)),
+                ("event_mass", JsonValue::from(check.event_mass)),
+                ("ok", JsonValue::from(ok)),
+            ];
+            ctx.writer.record_cell(&key, JsonValue::Null, &measures);
         }
     }
     println!("{exact_table}");
@@ -100,36 +100,34 @@ fn run(ctx: &mut ExpContext) {
                     "suspicious".into()
                 },
             ]);
-            ctx.writer
-                .record_cell(vec![
-                    ("check", JsonValue::from("sampled")),
-                    ("p", JsonValue::from(p)),
-                    ("a", JsonValue::from(a)),
-                    ("window", JsonValue::from(w.len())),
-                    ("trials", JsonValue::from(report.attempted)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("statistic", JsonValue::from(report.max_z)),
-                    ("threshold", JsonValue::from(4.0)),
-                    ("event_mass", JsonValue::Null),
-                    ("ok", JsonValue::from(ok)),
-                ])
-                .expect("write cell record");
+            let key = CellKey::new()
+                .with("check", "sampled")
+                .with("p", p)
+                .with("a", a)
+                .with("window", w.len());
+            let measures = [
+                ("statistic", JsonValue::from(report.max_z)),
+                ("threshold", JsonValue::from(4.0)),
+                ("event_mass", JsonValue::Null),
+                ("ok", JsonValue::from(ok)),
+            ];
+            ctx.writer.record_cell(&key, report.attempted, &measures);
             // Each trial grows a Móri tree over the window: generation
-            // work, like lemma3-event's Monte Carlo.
+            // work, like lemma3-event's Monte Carlo. Perf records name
+            // the anchor `n` (every perf record has one) and carry no
+            // window.
             let phases = PhaseTimes {
                 generate_ns: sample_ns,
                 ..PhaseTimes::new()
             };
-            ctx.writer
-                .record_perf(
-                    vec![
-                        ("check", JsonValue::from("sampled")),
-                        ("p", JsonValue::from(p)),
-                        ("n", JsonValue::from(a)),
-                    ],
-                    &CellObs::serial(report.attempted as u64, phases, sample_ns),
-                )
-                .expect("write perf record");
+            let perf_key = CellKey::new()
+                .with("check", "sampled")
+                .with("p", p)
+                .with("n", a);
+            ctx.writer.record_perf(
+                &perf_key,
+                &CellObs::serial(report.attempted as u64, phases, sample_ns),
+            );
         }
     }
     println!("{sampled_table}");

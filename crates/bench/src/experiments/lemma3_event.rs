@@ -4,11 +4,12 @@
 //! a Monte-Carlo estimate from real Móri trees, and the paper's bound.
 
 use super::{note_corpus_ignored, print_banner};
-use nonsearch_analysis::Table;
 use nonsearch_core::{
     estimate_mori_event_probability, lemma3_bound, mori_event_probability_exact, EquivalenceWindow,
 };
-use nonsearch_engine::{CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes};
+use nonsearch_engine::{
+    CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes,
+};
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma3-event",
@@ -39,14 +40,15 @@ fn run(ctx: &mut ExpContext) {
     };
     let mc_trials = ctx.options.trial_count(2_000);
 
-    let mut table = Table::with_columns(&[
-        "p",
-        "a",
-        "window |V|",
-        "exact P(E)",
-        "monte carlo",
-        "bound e^-(1-p)",
-        "holds",
+    let mut table = CellTable::new(&[
+        ("p", "p", 2),
+        ("a", "a", 0),
+        ("window", "window |V|", 0),
+        ("exact", "exact P(E)", 4),
+        ("monte_carlo", "monte carlo", 4),
+        ("mc_std_error", "±", 4),
+        ("bound", "bound e^-(1-p)", 4),
+        ("holds", "holds", 0),
     ]);
     let tracer = ctx.tracer.clone();
     for &p in &p_values {
@@ -62,43 +64,27 @@ fn run(ctx: &mut ExpContext) {
                     .expect("valid estimation parameters")
             });
             let mc_ns = clock.elapsed_ns();
-            let mc = estimate.as_ref().map_or("-".to_string(), |est| {
-                format!("{:.4} ± {:.4}", est.estimate, est.std_error)
-            });
             let bound = lemma3_bound(p);
-            let holds = exact >= bound - 1e-12;
-            table.row(vec![
-                format!("{p:.2}"),
-                a.to_string(),
-                w.len().to_string(),
-                format!("{exact:.4}"),
-                mc,
-                format!("{bound:.4}"),
-                if holds { "yes".into() } else { "NO".into() },
-            ]);
+            let key = CellKey::new()
+                .with("p", p)
+                .with("a", a)
+                .with("window", w.len());
+            let measures = [
+                ("exact", JsonValue::from(exact)),
+                (
+                    "monte_carlo",
+                    JsonValue::from(estimate.as_ref().map(|e| e.estimate)),
+                ),
+                (
+                    "mc_std_error",
+                    JsonValue::from(estimate.as_ref().map(|e| e.std_error)),
+                ),
+                ("bound", JsonValue::from(bound)),
+                ("holds", JsonValue::from(exact >= bound - 1e-12)),
+            ];
+            table.row(&key, &measures);
             ctx.writer
-                .record_cell(vec![
-                    ("p", JsonValue::from(p)),
-                    ("a", JsonValue::from(a)),
-                    ("window", JsonValue::from(w.len())),
-                    (
-                        "trials",
-                        JsonValue::from(estimate.as_ref().map(|_| mc_trials)),
-                    ),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("exact", JsonValue::from(exact)),
-                    (
-                        "monte_carlo",
-                        JsonValue::from(estimate.as_ref().map(|e| e.estimate)),
-                    ),
-                    (
-                        "mc_std_error",
-                        JsonValue::from(estimate.as_ref().map(|e| e.std_error)),
-                    ),
-                    ("bound", JsonValue::from(bound)),
-                    ("holds", JsonValue::from(holds)),
-                ])
-                .expect("write cell record");
+                .record_cell(&key, estimate.as_ref().map(|_| mc_trials), &measures);
             if estimate.is_some() {
                 // Each Monte-Carlo trial grows a fresh Móri tree over the
                 // window and tests the event: generation work.
@@ -106,12 +92,10 @@ fn run(ctx: &mut ExpContext) {
                     generate_ns: mc_ns,
                     ..PhaseTimes::new()
                 };
+                // Perf records name the anchor `n` and carry no window.
+                let perf_key = CellKey::new().with("p", p).with("n", a);
                 ctx.writer
-                    .record_perf(
-                        vec![("p", JsonValue::from(p)), ("n", JsonValue::from(a))],
-                        &CellObs::serial(mc_trials as u64, phases, mc_ns),
-                    )
-                    .expect("write perf record");
+                    .record_perf(&perf_key, &CellObs::serial(mc_trials as u64, phases, mc_ns));
             }
         }
     }

@@ -6,9 +6,10 @@
 //! deterministically; `--corpus` serves stored trees.
 
 use super::{open_corpus, print_banner, resolve_source};
-use nonsearch_analysis::Table;
 use nonsearch_core::{mori_max_degree_exponent, MergedMoriModel, ScalingSeries};
-use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, TrialMeasure};
+use nonsearch_engine::{
+    run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue, TrialMeasure,
+};
 use nonsearch_generators::SeedSequence;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -34,11 +35,18 @@ fn run(ctx: &mut ExpContext) {
 
     let p_values = [0.2f64, 0.5, 0.8];
     let mut series = ScalingSeries::new(p_values.len());
-    let mut table = Table::with_columns(&["p", "t", "mean max degree", "ci95", "fitted slope"]);
+    let mut table = CellTable::new(&[
+        ("p", "p", 1),
+        ("n", "t", 0),
+        ("mean_max_degree", "mean max degree", 1),
+        ("ci95", "ci95", 1),
+        ("slope", "fitted slope", 3),
+        ("theory_exponent", "theory", 1),
+    ]);
     for (pi, &p) in p_values.iter().enumerate() {
         let model = MergedMoriModel { p, m: 1 };
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
-        let mut rows = Vec::new();
+        let mut cells = Vec::new();
         for (si, &t) in sizes.iter().enumerate() {
             let _cell_span = tracer.span("size-cell");
             let cell_seeds = seeds.subsequence(pi as u64).subsequence(si as u64);
@@ -56,48 +64,27 @@ fn run(ctx: &mut ExpContext) {
                     vec![TrialMeasure::new(d as f64, true)]
                 },
             );
-            let aggregate = lanes[0];
-            series.push(pi, t as f64, aggregate.mean());
-            rows.push((t, aggregate.mean(), aggregate.ci95(), obs));
+            series.push(pi, t as f64, lanes[0].mean());
+            cells.push((t, lanes[0], obs));
         }
         let slope = series.exponent(pi);
-        let theory = mori_max_degree_exponent(p);
-        for (i, &(t, mean, ci, obs)) in rows.iter().enumerate() {
-            let slope_cell = if i + 1 == rows.len() {
-                slope.map_or("-".into(), |s| format!("{s:.3} (theory {theory:.1})"))
-            } else {
-                String::new()
-            };
-            table.row(vec![
-                format!("{p:.1}"),
-                t.to_string(),
-                format!("{mean:.1}"),
-                format!("{ci:.1}"),
-                slope_cell,
-            ]);
-            ctx.writer
-                .record_cell(vec![
-                    ("model", JsonValue::from("mori")),
-                    ("p", JsonValue::from(p)),
-                    ("n", JsonValue::from(t)),
-                    ("trials", JsonValue::from(trial_count)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("mean_max_degree", JsonValue::from(mean)),
-                    ("ci95", JsonValue::from(ci)),
-                    ("slope", JsonValue::from(slope)),
-                    ("theory_exponent", JsonValue::from(theory)),
-                ])
-                .expect("write cell record");
-            ctx.writer
-                .record_perf(
-                    vec![
-                        ("model", JsonValue::from("mori")),
-                        ("p", JsonValue::from(p)),
-                        ("n", JsonValue::from(t)),
-                    ],
-                    &obs,
-                )
-                .expect("write perf record");
+        for (t, aggregate, obs) in &cells {
+            let key = CellKey::new()
+                .with("model", "mori")
+                .with("p", p)
+                .with("n", *t);
+            let measures = [
+                ("mean_max_degree", JsonValue::from(aggregate.mean())),
+                ("ci95", JsonValue::from(aggregate.ci95())),
+                ("slope", JsonValue::from(slope)),
+                (
+                    "theory_exponent",
+                    JsonValue::from(mori_max_degree_exponent(p)),
+                ),
+            ];
+            table.row(&key, &measures);
+            ctx.writer.record_cell(&key, trial_count, &measures);
+            ctx.writer.record_perf(&key, obs);
         }
     }
     println!("{table}");

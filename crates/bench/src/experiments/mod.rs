@@ -3,10 +3,10 @@
 //!
 //! Each submodule is one experiment on the engine: its claim, pretty
 //! tables and seed derivations, plus JSONL cell records via
-//! [`ExpContext::writer`], one perf record per measured cell under
-//! `--profile`, and the shared flag set (`--quick`, `--threads`,
-//! `--seed`, `--out`, `--trials`, `--sizes`, …). See `EXPERIMENTS.md`
-//! for the full map.
+//! [`ExpContext::writer`] and one perf record per measured cell under
+//! `--profile`, both written from the cell's [`CellKey`], and the shared
+//! flag set (`--quick`, `--threads`, `--seed`, `--out`, `--trials`,
+//! `--sizes`, …). See `EXPERIMENTS.md` for the full map.
 
 mod ablation;
 mod adamic;
@@ -24,13 +24,14 @@ mod theorem1_strong;
 mod theorem1_weak;
 mod theorem2_cf;
 
-use nonsearch_analysis::Table;
 use nonsearch_core::{
     BarabasiAlbertModel, CertifyConfig, CooperFriezeModel, GraphModel, MergedMoriModel,
     ModelSource, ScalingSeries,
 };
 use nonsearch_corpus::{Corpus, LoadMode};
-use nonsearch_engine::{CellObs, ExpContext, GraphSource, JsonValue, LaneAggregate, Registry};
+use nonsearch_engine::{
+    CellKey, CellObs, CellTable, ExpContext, GraphSource, JsonValue, LaneAggregate, Registry,
+};
 
 /// Builds the `xp` command table: every experiment, the engine's tools,
 /// and `corpus`, `lint` and `chaos`.
@@ -114,75 +115,50 @@ fn evolving_models() -> Vec<(&'static str, Box<dyn GraphModel + Sync>)> {
     ]
 }
 
-/// Reports a certification sweep of `model` under `config`: prints one
-/// table row per (searcher, size), writes one cell record per (searcher,
-/// size) — `id`, then the searcher, `n`, trials, seed, mean, ci95,
-/// success and the searcher's fitted exponent — and one perf record per
-/// size. Returns the sweep's series.
+/// Reports a certification sweep of `model` under `config`: one cell
+/// per (searcher, size) — `id`, then the searcher and `n`; its
+/// [`lane_measures`] and the searcher's fitted exponent — printed as one
+/// table, and one perf record per size, keyed `id` then `n`. Returns the
+/// sweep's series.
 fn report_sweep(
     ctx: &mut ExpContext,
     model: &str,
-    id: &[(&str, JsonValue)],
+    id: &CellKey,
     config: &CertifyConfig,
     sweep: &[(Vec<LaneAggregate>, CellObs)],
 ) -> ScalingSeries {
     let series = ScalingSeries::of_sweep(&config.sizes, sweep);
-    let mut table = Table::with_columns(&[
-        "algorithm",
-        "n",
-        "mean requests",
-        "ci95",
-        "success",
-        "exponent",
+    let mut table = CellTable::new(&[
+        ("searcher", "algorithm", 0),
+        ("n", "n", 0),
+        ("mean", "mean requests", 1),
+        ("ci95", "ci95", 1),
+        ("success", "success", 2),
+        ("exponent", "exponent", 3),
     ]);
     for (lane, kind) in config.searchers.iter().enumerate() {
-        let exponent = series.exponent(lane);
-        for (i, (&n, (lanes, _))) in config.sizes.iter().zip(sweep).enumerate() {
-            let aggregate = lanes[lane];
-            table.row(vec![
-                kind.name().to_string(),
-                n.to_string(),
-                format!("{:.1}", aggregate.mean()),
-                format!("{:.1}", aggregate.ci95()),
-                format!("{:.2}", aggregate.success_rate()),
-                if i + 1 == sweep.len() {
-                    exponent.map_or("-".to_string(), |e| format!("{e:.3}"))
-                } else {
-                    String::new()
-                },
-            ]);
-            let mut fields = id.to_vec();
-            fields.extend([
-                ("searcher", JsonValue::from(kind.name())),
-                ("n", JsonValue::from(n)),
-                ("trials", JsonValue::from(config.trials)),
-                ("seed", JsonValue::from(config.seed)),
-                ("mean", JsonValue::from(aggregate.mean())),
-                ("ci95", JsonValue::from(aggregate.ci95())),
-                ("success", JsonValue::from(aggregate.success_rate())),
-                ("exponent", JsonValue::from(exponent)),
-            ]);
-            ctx.writer.record_cell(fields).expect("write cell record");
+        for (&n, (lanes, _)) in config.sizes.iter().zip(sweep) {
+            let key = id.clone().with("searcher", kind.name()).with("n", n);
+            let mut measures = lane_measures(&lanes[lane]);
+            measures.push(("exponent", JsonValue::from(series.exponent(lane))));
+            table.row(&key, &measures);
+            ctx.writer.record_cell(&key, config.trials, &measures);
         }
     }
     println!("searchability report for {model}\n{table}");
-    record_sweep_perf(ctx, id, &config.sizes, sweep);
+    for (&n, (_, obs)) in config.sizes.iter().zip(sweep) {
+        ctx.writer.record_perf(&id.clone().with("n", n), obs);
+    }
     series
 }
 
-/// Writes the perf record of every size cell of a certification sweep
-/// over `sizes`, identified by `fields` plus the cell's `n`.
-fn record_sweep_perf(
-    ctx: &mut ExpContext,
-    fields: &[(&str, JsonValue)],
-    sizes: &[usize],
-    sweep: &[(Vec<LaneAggregate>, CellObs)],
-) {
-    for ((_, cell), &n) in sweep.iter().zip(sizes) {
-        let mut id = fields.to_vec();
-        id.push(("n", JsonValue::from(n)));
-        ctx.writer.record_perf(id, cell).expect("write perf record");
-    }
+/// A search lane's cell measures: `mean`, `ci95` and `success`.
+fn lane_measures(lane: &LaneAggregate) -> Vec<(&'static str, JsonValue)> {
+    vec![
+        ("mean", JsonValue::from(lane.mean())),
+        ("ci95", JsonValue::from(lane.ci95())),
+        ("success", JsonValue::from(lane.success_rate())),
+    ]
 }
 
 /// Tells a `--corpus` run that this experiment samples its graphs in

@@ -19,10 +19,12 @@
 //! built with this experiment's model, seed, and sizes reproduces the
 //! generate path bit for bit.
 
-use super::{open_corpus, print_banner, resolve_source};
+use super::{lane_measures, open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::Table;
 use nonsearch_core::{measure_trial, BarabasiAlbertModel, GraphModel, ScalingSeries, TrialPool};
-use nonsearch_engine::{run_lanes_observed, ExpContext, ExperimentSpec, GraphSource, JsonValue};
+use nonsearch_engine::{
+    run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, GraphSource,
+};
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::NodeId;
 use nonsearch_search::{run_weak_in, SearchTask, SearcherKind, SuccessCriterion};
@@ -71,7 +73,14 @@ fn run(ctx: &mut ExpContext) {
     });
 
     let seeds = SeedSequence::new(ctx.seed);
-    let mut table = Table::with_columns(&["variant", "searcher", "n", "mean", "ci95", "success"]);
+    let mut table = CellTable::new(&[
+        ("variant", "variant", 0),
+        ("searcher", "searcher", 0),
+        ("n", "n", 0),
+        ("mean", "mean", 1),
+        ("ci95", "ci95", 1),
+        ("success", "success", 2),
+    ]);
     // One lane per (variant, searcher), in lane order: x = n, y = mean.
     let mut series = ScalingSeries::new(VARIANTS.len() * SEARCHERS.len());
 
@@ -135,42 +144,21 @@ fn run(ctx: &mut ExpContext) {
         );
 
         for (lane_idx, lane) in lanes.iter().enumerate() {
-            let v_idx = lane_idx / SEARCHERS.len();
-            let s_idx = lane_idx % SEARCHERS.len();
-            table.row(vec![
-                VARIANTS[v_idx].into(),
-                SEARCHERS[s_idx].name().to_string(),
-                n.to_string(),
-                format!("{:.1}", lane.mean()),
-                format!("{:.1}", lane.ci95()),
-                format!("{:.2}", lane.success_rate()),
-            ]);
+            let key = CellKey::new()
+                .with("model", "barabasi-albert")
+                .with("m", 2usize)
+                .with("variant", VARIANTS[lane_idx / SEARCHERS.len()])
+                .with("swaps_per_edge", SWAPS_PER_EDGE)
+                .with("searcher", SEARCHERS[lane_idx % SEARCHERS.len()].name())
+                .with("n", n);
+            let measures = lane_measures(lane);
+            table.row(&key, &measures);
+            ctx.writer.record_cell(&key, trial_count, &measures);
             series.push(lane_idx, n as f64, lane.mean());
-            ctx.writer
-                .record_cell(vec![
-                    ("model", JsonValue::from("barabasi-albert")),
-                    ("m", JsonValue::from(2usize)),
-                    ("variant", JsonValue::from(VARIANTS[v_idx])),
-                    ("swaps_per_edge", JsonValue::from(SWAPS_PER_EDGE)),
-                    ("searcher", JsonValue::from(SEARCHERS[s_idx].name())),
-                    ("n", JsonValue::from(n)),
-                    ("trials", JsonValue::from(trial_count)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("mean", JsonValue::from(lane.mean())),
-                    ("ci95", JsonValue::from(lane.ci95())),
-                    ("success", JsonValue::from(lane.success_rate())),
-                ])
-                .expect("write cell record");
         }
-        ctx.writer
-            .record_perf(
-                vec![
-                    ("model", JsonValue::from("barabasi-albert")),
-                    ("n", JsonValue::from(n)),
-                ],
-                &obs,
-            )
-            .expect("write perf record");
+        // One perf record per size: every lane searched its graphs.
+        let perf_key = CellKey::new().with("model", "barabasi-albert").with("n", n);
+        ctx.writer.record_perf(&perf_key, &obs);
     }
     println!("{table}");
 

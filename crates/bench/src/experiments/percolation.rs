@@ -8,10 +8,10 @@
 //! perf record.
 
 use super::{note_corpus_ignored, print_banner};
-use nonsearch_analysis::Table;
 use nonsearch_core::{GraphModel, PowerLawGiantModel};
 use nonsearch_engine::{
-    run_lanes_observed, ExpContext, ExperimentSpec, JsonValue, PhaseClock, TrialMeasure,
+    run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue, PhaseClock,
+    TrialMeasure,
 };
 use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::NodeId;
@@ -57,12 +57,12 @@ fn run(ctx: &mut ExpContext) {
     println!("overlay: k = 2.3 giant with {peers} peers\n");
     let tracer = ctx.tracer.clone();
 
-    let mut table = Table::with_columns(&[
-        "replication walk",
-        "edge prob",
-        "success",
-        "mean messages",
-        "messages / n",
+    let mut table = CellTable::new(&[
+        ("walk", "replication walk", 0),
+        ("edge_prob", "edge prob", 2),
+        ("success", "success", 2),
+        ("mean_messages", "mean messages", 0),
+        ("messages_per_peer", "messages / n", 3),
     ]);
     for (wi, &walk) in WALKS.iter().enumerate() {
         for (qi, &q) in PROBS.iter().enumerate() {
@@ -94,37 +94,22 @@ fn run(ctx: &mut ExpContext) {
                 },
             );
             let messages = lanes[0];
-            let per_peer = messages.mean() / peers as f64;
-            table.row(vec![
-                walk.to_string(),
-                format!("{q:.2}"),
-                format!("{:.2}", messages.success_rate()),
-                format!("{:.0}", messages.mean()),
-                format!("{per_peer:.3}"),
-            ]);
-            ctx.writer
-                .record_cell(vec![
-                    ("walk", JsonValue::from(walk)),
-                    ("edge_prob", JsonValue::from(q)),
-                    ("n", JsonValue::from(peers)),
-                    ("trials", JsonValue::from(trial_count)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("success", JsonValue::from(messages.success_rate())),
-                    ("mean_messages", JsonValue::from(messages.mean())),
-                    ("ci95", JsonValue::from(messages.ci95())),
-                    ("messages_per_peer", JsonValue::from(per_peer)),
-                ])
-                .expect("write cell record");
-            ctx.writer
-                .record_perf(
-                    vec![
-                        ("walk", JsonValue::from(walk)),
-                        ("edge_prob", JsonValue::from(q)),
-                        ("n", JsonValue::from(peers)),
-                    ],
-                    &obs,
-                )
-                .expect("write perf record");
+            let key = CellKey::new()
+                .with("walk", walk)
+                .with("edge_prob", q)
+                .with("n", peers);
+            let measures = [
+                ("success", JsonValue::from(messages.success_rate())),
+                ("mean_messages", JsonValue::from(messages.mean())),
+                ("ci95", JsonValue::from(messages.ci95())),
+                (
+                    "messages_per_peer",
+                    JsonValue::from(messages.mean() / peers as f64),
+                ),
+            ];
+            table.row(&key, &measures);
+            ctx.writer.record_cell(&key, trial_count, &measures);
+            ctx.writer.record_perf(&key, &obs);
         }
     }
     println!("{table}");

@@ -2,11 +2,10 @@
 //! needs `Ω(n^{1/2−p−ε})` requests; the slowdown argument runs strong
 //! algorithms natively and through the weak-model simulation.
 
-use super::{open_corpus, print_banner, resolve_source};
+use super::{lane_measures, open_corpus, print_banner, resolve_source};
 use crate::{strong_cell, StrongKind};
-use nonsearch_analysis::Table;
 use nonsearch_core::{strong_model_exponent, MergedMoriModel, ScalingSeries};
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec};
 use nonsearch_generators::SeedSequence;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -40,7 +39,13 @@ fn run(ctx: &mut ExpContext) {
         let model = MergedMoriModel { p, m: 1 };
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
         println!("model: mori(p={p}, m=1), strong oracle");
-        let mut table = Table::with_columns(&["searcher", "n", "mean requests", "ci95", "success"]);
+        let mut table = CellTable::new(&[
+            ("searcher", "searcher", 0),
+            ("n", "n", 0),
+            ("mean", "mean requests", 1),
+            ("ci95", "ci95", 1),
+            ("success", "success", 2),
+        ]);
         let mut series = ScalingSeries::new(StrongKind::all().len());
         for (lane, kind) in StrongKind::all().iter().enumerate() {
             for (i, &n) in sizes.iter().enumerate() {
@@ -57,32 +62,16 @@ fn run(ctx: &mut ExpContext) {
                     ctx.options.threads,
                     &cell_seeds,
                 );
-                table.row(vec![
-                    kind.name().to_string(),
-                    n.to_string(),
-                    format!("{:.1}", cell.mean()),
-                    format!("{:.1}", cell.ci95()),
-                    format!("{:.2}", cell.success_rate()),
-                ]);
-                let id = [
-                    ("model", JsonValue::from("mori")),
-                    ("p", JsonValue::from(p)),
-                    ("m", JsonValue::from(1usize)),
-                    ("searcher", JsonValue::from(kind.name())),
-                    ("n", JsonValue::from(n)),
-                ];
-                let mut fields = id.to_vec();
-                fields.extend([
-                    ("trials", JsonValue::from(trial_count)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                    ("mean", JsonValue::from(cell.mean())),
-                    ("ci95", JsonValue::from(cell.ci95())),
-                    ("success", JsonValue::from(cell.success_rate())),
-                ]);
-                ctx.writer.record_cell(fields).expect("write cell record");
-                ctx.writer
-                    .record_perf(id.to_vec(), &obs)
-                    .expect("write perf record");
+                let key = CellKey::new()
+                    .with("model", "mori")
+                    .with("p", p)
+                    .with("m", 1usize)
+                    .with("searcher", kind.name())
+                    .with("n", n);
+                let measures = lane_measures(&cell);
+                table.row(&key, &measures);
+                ctx.writer.record_cell(&key, trial_count, &measures);
+                ctx.writer.record_perf(&key, &obs);
                 series.push(lane, n as f64, cell.mean());
             }
         }

@@ -8,7 +8,7 @@
 use super::{open_corpus, print_banner, report_sweep, resolve_source};
 use nonsearch_analysis::Table;
 use nonsearch_core::{certify, theorem1_weak_bound, CertifyConfig, GraphModel, MergedMoriModel};
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec};
 use nonsearch_search::SearcherKind;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -58,11 +58,10 @@ fn run(ctx: &mut ExpContext) {
             // emitted cell records) are bit-identical to generating.
             let source = resolve_source(corpus.as_ref(), &model, &sizes);
             let sweep = certify(&*source, &config);
-            let id = [
-                ("model", JsonValue::from("mori")),
-                ("p", JsonValue::from(p)),
-                ("m", JsonValue::from(m)),
-            ];
+            let id = CellKey::new()
+                .with("model", "mori")
+                .with("p", p)
+                .with("m", m);
             let series = report_sweep(ctx, &model.name(), &id, &config, &sweep);
 
             let mut bound_table =

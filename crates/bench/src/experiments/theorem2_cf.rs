@@ -8,7 +8,7 @@
 
 use super::{open_corpus, print_banner, report_sweep, resolve_source};
 use nonsearch_core::{certify, CertifyConfig, CooperFriezeModel, GraphModel};
-use nonsearch_engine::{ExpContext, ExperimentSpec, JsonValue};
+use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec};
 use nonsearch_search::SearcherKind;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -49,10 +49,9 @@ fn run(ctx: &mut ExpContext) {
         };
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
         let sweep = certify(&*source, &config);
-        let id = [
-            ("model", JsonValue::from("cooper-frieze")),
-            ("alpha", JsonValue::from(alpha)),
-        ];
+        let id = CellKey::new()
+            .with("model", "cooper-frieze")
+            .with("alpha", alpha);
         let series = report_sweep(ctx, &model.name(), &id, &config, &sweep);
         if let Some(expo) = series.best_lane().and_then(|best| series.exponent(best)) {
             println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");

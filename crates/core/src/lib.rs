@@ -57,9 +57,7 @@ pub use event::{
     cooper_frieze_window_event_holds, estimate_mori_event_probability, mori_window_event_holds,
     EventEstimate,
 };
-pub use lower_bound::{
-    lemma1_lower_bound, theorem1_weak_bound, theorem2_weak_bound, BoundComparison,
-};
+pub use lower_bound::{lemma1_lower_bound, theorem1_weak_bound, theorem2_weak_bound};
 pub use model::{
     BarabasiAlbertModel, CooperFriezeModel, GraphModel, MergedMoriModel, ModelSource,
     PowerLawGiantModel, UniformAttachmentModel,

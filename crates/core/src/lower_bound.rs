@@ -2,7 +2,6 @@
 
 use crate::theory::{check_probability, mori_event_probability_exact, CoreError};
 use crate::window::EquivalenceWindow;
-use std::fmt;
 
 /// Lemma 1: if a set `V` of vertices is equivalent conditional on `E`,
 /// any weak-model search for a `v ∈ V` costs at least `|V|·P(E)/2`
@@ -48,44 +47,6 @@ pub fn theorem2_weak_bound(n: usize, event_probability: f64) -> crate::Result<f6
     }
     let window = EquivalenceWindow::for_target(n);
     Ok(lemma1_lower_bound(window.len(), event_probability))
-}
-
-/// Comparison of a theoretical lower bound against a measured mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundComparison {
-    /// Problem size.
-    pub n: usize,
-    /// The Lemma 1 lower bound.
-    pub bound: f64,
-    /// The measured expected request count (best algorithm).
-    pub measured: f64,
-}
-
-impl BoundComparison {
-    /// `true` if the measurement respects the bound (sanity: a correct
-    /// lower bound can never exceed a correct measurement).
-    pub fn holds(&self) -> bool {
-        self.measured >= self.bound
-    }
-
-    /// Measured-to-bound ratio (≥ 1 when the bound holds).
-    fn slack(&self) -> f64 {
-        self.measured / self.bound
-    }
-}
-
-impl fmt::Display for BoundComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={}: bound {:.1} ≤ measured {:.1} (slack {:.2}×, {})",
-            self.n,
-            self.bound,
-            self.measured,
-            self.slack(),
-            if self.holds() { "ok" } else { "VIOLATED" }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -137,24 +98,5 @@ mod tests {
         assert!(theorem1_weak_bound(2, 0.5).is_err());
         assert!(theorem1_weak_bound(100, 1.5).is_err());
         assert!(theorem2_weak_bound(100, -0.1).is_err());
-    }
-
-    #[test]
-    fn comparison_reporting() {
-        let c = BoundComparison {
-            n: 1000,
-            bound: 10.0,
-            measured: 25.0,
-        };
-        assert!(c.holds());
-        assert!((c.slack() - 2.5).abs() < 1e-12);
-        assert!(c.to_string().contains("ok"));
-        let bad = BoundComparison {
-            n: 1000,
-            bound: 30.0,
-            measured: 25.0,
-        };
-        assert!(!bad.holds());
-        assert!(bad.to_string().contains("VIOLATED"));
     }
 }

@@ -30,7 +30,9 @@
 //!   `--trials`, `--sizes`, `--corpus`, `--heal`, …) read through it.
 //! * [`RunWriter`] — JSON Lines run records (params, seed, git
 //!   describe, wall time, mean/CI/success) alongside the pretty tables,
-//!   plus one `"type":"perf"` record per cell under `--profile`.
+//!   plus one `"type":"perf"` record per cell under `--profile`, each
+//!   written from the cell's [`CellKey`]; [`CellTable`] prints cell
+//!   fields as a stdout table.
 //! * [`Registry`] — the `xp` command table: every experiment and tool
 //!   (this crate's are `validate`, `report` and `profile-diff`).
 //! * [`Metrics`] / [`PhaseClock`] / [`Tracer`] (re-exported from
@@ -81,8 +83,8 @@ pub use nonsearch_obs::{
 };
 pub use options::{ArgScanner, CliOptions, OptionsError};
 pub use record::{
-    git_describe, perf_fields, RunSummary, RunWriter, CELL_TYPE, DIAGNOSTIC_TYPE, FAULT_TYPE,
-    LINT_TYPE, PERF_TYPE, RUN_TYPE,
+    git_describe, perf_fields, CellKey, CellTable, Column, RunSummary, RunWriter, CELL_TYPE,
+    DIAGNOSTIC_TYPE, FAULT_TYPE, LINT_TYPE, PERF_TYPE, RUN_TYPE,
 };
 pub use registry::{
     validate_chrome_trace, validate_jsonl, ExpContext, ExperimentSpec, Registry, ToolSpec,

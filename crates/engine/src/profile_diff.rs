@@ -40,7 +40,10 @@ pub const TOOL: ToolSpec = ToolSpec {
 
 /// A perf record's identity keys: every field before `trials`, `type`
 /// excepted — `experiment` and the cell's parameters, in record order.
-/// They tell one cell's record from another's.
+/// They tell one cell's record from another's. The rule holds because
+/// [`RunWriter::record_perf`](crate::RunWriter::record_perf) writes the
+/// cell's [`CellKey`](crate::CellKey) and then the perf payload, which
+/// starts with `trials`.
 pub(crate) fn identity_keys(record: &JsonValue) -> impl Iterator<Item = &(String, JsonValue)> {
     let pairs = match record {
         JsonValue::Object(pairs) => pairs.as_slice(),

@@ -9,10 +9,19 @@
 //! suite compares everything but the `"type":"run"` footer. Under
 //! `--profile` each measured cell also gets one volatile
 //! `"type":"perf"` record.
-
+//!
+//! A cell's identity is its [`CellKey`], declared once by the
+//! experiment. A cell record is `type`, `experiment`, the key, `trials`,
+//! `seed`, then the measures; a perf record is `type`, `experiment`, the
+//! key, then [`perf_fields`] (which starts with `trials`). So "every
+//! field before `trials`" is the identity of a perf record because the
+//! writer puts it there. A [`CellTable`] prints the same fields to
+//! stdout.
 use crate::json::JsonValue;
 use crate::options::CliOptions;
 use crate::runner::CellObs;
+use nonsearch_analysis::Table;
+use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
@@ -44,9 +53,13 @@ pub const LINT_TYPE: &str = "lint";
 ///
 /// Created inert (no file) when the options carry no `--out`; every
 /// method is then a cheap no-op, so experiments emit records
-/// unconditionally.
+/// unconditionally. Recording never fails at the call: the first write
+/// error is kept, later records are dropped, and [`RunWriter::finish`]
+/// returns it.
 pub struct RunWriter {
     experiment: String,
+    /// The run's root seed: every cell record's `seed` and the footer's.
+    seed: u64,
     quick: bool,
     /// `--profile`: whether [`RunWriter::record_perf`] writes anything.
     profile: bool,
@@ -55,6 +68,8 @@ pub struct RunWriter {
     /// workers — the engine also caps at each cell's trial count.
     threads: usize,
     out: Option<(PathBuf, BufWriter<File>)>,
+    /// The first write error, which [`RunWriter::finish`] reports.
+    error: Option<io::Error>,
     cells: usize,
     perfs: usize,
     faults: usize,
@@ -73,18 +88,21 @@ pub struct RunSummary {
 }
 
 impl RunWriter {
-    /// Opens the `--out` file of `options` for `experiment`, if any.
-    pub fn create(experiment: &str, options: &CliOptions) -> io::Result<RunWriter> {
+    /// Opens the `--out` file of `options` for `experiment`, run from
+    /// root `seed`, if any.
+    pub fn create(experiment: &str, seed: u64, options: &CliOptions) -> io::Result<RunWriter> {
         let out = match &options.out {
             Some(path) => Some((path.clone(), BufWriter::new(File::create(path)?))),
             None => None,
         };
         Ok(RunWriter {
             experiment: experiment.to_string(),
+            seed,
             quick: options.quick,
             profile: options.profile,
             threads: options.resolved_threads(),
             out,
+            error: None,
             cells: 0,
             perfs: 0,
             faults: 0,
@@ -92,26 +110,32 @@ impl RunWriter {
         })
     }
 
-    /// Writes one cell record. `fields` keep their order; `type` and
-    /// `experiment` are prepended.
-    pub fn record_cell(&mut self, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
+    /// Writes one cell record: `key`, `trials`, the run's `seed`, then
+    /// `measures`, in that order, after `type` and `experiment`.
+    pub fn record_cell(
+        &mut self,
+        key: &CellKey,
+        trials: impl Into<JsonValue>,
+        measures: &[(&str, JsonValue)],
+    ) {
         self.cells += 1;
+        let mut fields: Vec<(&str, JsonValue)> = key.written().collect();
+        fields.push(("trials", trials.into()));
+        fields.push(("seed", JsonValue::from(self.seed)));
+        fields.extend(measures.iter().cloned());
         self.write(CELL_TYPE, fields)
     }
 
     /// Writes one perf record (`--profile`; a no-op without it): the
-    /// identifying `fields` (model, size, …) followed by
-    /// [`perf_fields`]`(obs)`. Perf records carry volatile timing, so
-    /// determinism checks keep filtering on `"type":"cell"`.
-    pub fn record_perf(
-        &mut self,
-        mut fields: Vec<(&str, JsonValue)>,
-        obs: &CellObs,
-    ) -> io::Result<()> {
+    /// identity fields of `key` followed by [`perf_fields`]`(obs)`. Perf
+    /// records carry volatile timing, so determinism checks keep
+    /// filtering on `"type":"cell"`.
+    pub fn record_perf(&mut self, key: &CellKey, obs: &CellObs) {
         if !self.profile {
-            return Ok(());
+            return;
         }
         self.perfs += 1;
+        let mut fields: Vec<(&str, JsonValue)> = key.identity().collect();
         fields.extend(perf_fields(obs));
         self.write(PERF_TYPE, fields)
     }
@@ -120,34 +144,40 @@ impl RunWriter {
     /// records these carry run-specific perturbation data — which
     /// trial/attempt or file a seeded fault hit and how it was absorbed
     /// — so determinism `cmp` gates keep filtering on `"type":"cell"`.
-    pub fn record_fault(&mut self, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
+    pub fn record_fault(&mut self, fields: Vec<(&str, JsonValue)>) {
         self.faults += 1;
         self.write(FAULT_TYPE, fields)
     }
 
     /// Writes one `tag` record, `type` and `experiment` prepended to
-    /// `fields` (a no-op without `--out`).
-    fn write(&mut self, tag: &str, fields: Vec<(&str, JsonValue)>) -> io::Result<()> {
-        let Some((_, w)) = &mut self.out else {
-            return Ok(());
+    /// `fields` (a no-op without `--out` or after a write error).
+    fn write(&mut self, tag: &str, fields: Vec<(&str, JsonValue)>) {
+        let (Some((_, w)), None) = (&mut self.out, &self.error) else {
+            return;
         };
         let mut pairs = Vec::with_capacity(fields.len() + 2);
         pairs.push(("type".into(), JsonValue::from(tag)));
         pairs.push(("experiment".into(), JsonValue::Str(self.experiment.clone())));
         pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-        writeln!(w, "{}", JsonValue::Object(pairs))
+        if let Err(e) = writeln!(w, "{}", JsonValue::Object(pairs)) {
+            self.error = Some(e);
+        }
     }
 
     /// Writes the run footer (seed, quick, threads, git describe, wall
-    /// time, cell count), flushes, and reports what was written.
-    pub fn finish(mut self, seed: u64) -> io::Result<RunSummary> {
+    /// time, cell count), flushes, and reports what was written — or
+    /// the first error any write met.
+    pub fn finish(mut self) -> io::Result<RunSummary> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
         let wall_ms = self.start.elapsed().as_millis();
         let mut paths = Vec::new();
         if let Some((path, mut w)) = self.out.take() {
             let footer = JsonValue::object(vec![
                 ("type", JsonValue::from(RUN_TYPE)),
                 ("experiment", JsonValue::Str(self.experiment.clone())),
-                ("seed", JsonValue::from(seed)),
+                ("seed", JsonValue::from(self.seed)),
                 ("quick", JsonValue::from(self.quick)),
                 ("threads", JsonValue::from(self.threads)),
                 ("git", JsonValue::from(git_describe())),
@@ -165,6 +195,138 @@ impl RunWriter {
             wall_ms,
             paths,
         })
+    }
+}
+
+/// The names a [`RunWriter`] writes itself, which no key field may take.
+const RESERVED: [&str; 4] = ["type", "experiment", "trials", "seed"];
+
+/// The ordered identity fields of one measured cell — the (model,
+/// parameter, n, …) point of a paper claim it measures. An experiment
+/// declares it once per cell; [`RunWriter::record_cell`],
+/// [`RunWriter::record_perf`] and [`CellTable::row`] all read it.
+///
+/// A key may also hold measures that records write in key position,
+/// before `trials` ([`CellKey::measure`]); they are not identity fields,
+/// so perf records leave them out.
+#[derive(Debug, Clone, Default)]
+pub struct CellKey {
+    /// Every field in record order, with whether it identifies the cell.
+    fields: Vec<(&'static str, JsonValue, bool)>,
+}
+
+impl CellKey {
+    /// An empty key.
+    pub fn new() -> CellKey {
+        CellKey::default()
+    }
+
+    /// Appends the identity field `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is `type`, `experiment`, `trials` or `seed`
+    /// (the writer's own fields) or already in the key.
+    pub fn with(self, name: &'static str, value: impl Into<JsonValue>) -> CellKey {
+        self.push(name, value.into(), true)
+    }
+
+    /// Appends `name` as a measure written in key position; panics as
+    /// [`CellKey::with`] does.
+    pub fn measure(self, name: &'static str, value: impl Into<JsonValue>) -> CellKey {
+        self.push(name, value.into(), false)
+    }
+
+    fn push(mut self, name: &'static str, value: JsonValue, identity: bool) -> CellKey {
+        assert!(
+            !RESERVED.contains(&name),
+            "{name:?} is written by the record writer, not a cell key"
+        );
+        assert!(
+            self.fields.iter().all(|(field, ..)| *field != name),
+            "{name:?} is already in the cell key"
+        );
+        self.fields.push((name, value, identity));
+        self
+    }
+
+    /// Every field, in record order.
+    fn written(&self) -> impl Iterator<Item = (&'static str, JsonValue)> + '_ {
+        self.fields
+            .iter()
+            .map(|(name, value, _)| (*name, value.clone()))
+    }
+
+    /// The identity fields, in record order.
+    fn identity(&self) -> impl Iterator<Item = (&'static str, JsonValue)> + '_ {
+        self.fields
+            .iter()
+            .filter(|(.., identity)| *identity)
+            .map(|(name, value, _)| (*name, value.clone()))
+    }
+
+    fn get(&self, name: &str) -> Option<&JsonValue> {
+        self.fields
+            .iter()
+            .find(|(field, ..)| *field == name)
+            .map(|(_, value, _)| value)
+    }
+}
+
+/// One column of a [`CellTable`]: the cell field it shows, its header,
+/// and the decimals a float is printed with.
+pub type Column = (&'static str, &'static str, usize);
+
+/// A stdout table whose rows are cell fields, each formatted by its
+/// [`Column`]: floats to the column's decimals, `null` as `-`, `true` as
+/// `yes` and `false` as `NO`.
+#[derive(Debug)]
+pub struct CellTable {
+    columns: Vec<Column>,
+    table: Table,
+}
+
+impl CellTable {
+    /// An empty table with `columns`.
+    pub fn new(columns: &[Column]) -> CellTable {
+        let headers: Vec<&str> = columns.iter().map(|&(_, header, _)| header).collect();
+        CellTable {
+            columns: columns.to_vec(),
+            table: Table::with_columns(&headers),
+        }
+    }
+
+    /// Appends the row of the cell with `key` and `measures`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column names a field the cell does not have.
+    pub fn row(&mut self, key: &CellKey, measures: &[(&str, JsonValue)]) {
+        let row = self
+            .columns
+            .iter()
+            .map(|&(field, _, decimals)| {
+                let value = key
+                    .get(field)
+                    .or_else(|| measures.iter().find(|(k, _)| *k == field).map(|(_, v)| v))
+                    .unwrap_or_else(|| panic!("cell has no field {field:?}"));
+                match value {
+                    JsonValue::Float(x) => format!("{x:.decimals$}"),
+                    JsonValue::Str(text) => text.clone(),
+                    JsonValue::Null => "-".to_string(),
+                    JsonValue::Bool(true) => "yes".to_string(),
+                    JsonValue::Bool(false) => "NO".to_string(),
+                    other => other.to_string(),
+                }
+            })
+            .collect();
+        self.table.row(row);
+    }
+}
+
+impl fmt::Display for CellTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.table.fmt(f)
     }
 }
 
@@ -249,6 +411,7 @@ pub fn git_describe() -> String {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::profile_diff::identity_keys;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -261,19 +424,20 @@ mod tests {
         ))
     }
 
-    fn demo_fields(n: usize) -> Vec<(&'static str, JsonValue)> {
-        vec![
-            ("n", JsonValue::from(n)),
+    /// Writes one demo cell of size `n`.
+    fn demo_cell(w: &mut RunWriter, n: usize) {
+        let measures = [
             ("mean", JsonValue::from(1.5 * n as f64)),
             ("label, quoted", JsonValue::from("a \"b\",c")),
-        ]
+        ];
+        w.record_cell(&CellKey::new().with("n", n), 3usize, &measures);
     }
 
     #[test]
     fn inert_writer_counts_but_writes_nothing() {
-        let mut w = RunWriter::create("demo", &CliOptions::default()).unwrap();
-        w.record_cell(demo_fields(1)).unwrap();
-        let summary = w.finish(7).unwrap();
+        let mut w = RunWriter::create("demo", 7, &CliOptions::default()).unwrap();
+        demo_cell(&mut w, 1);
+        let summary = w.finish().unwrap();
         assert_eq!(summary.cells, 1);
         assert!(summary.paths.is_empty());
     }
@@ -287,10 +451,10 @@ mod tests {
             quick: true,
             ..CliOptions::default()
         };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(demo_fields(128)).unwrap();
-        w.record_cell(demo_fields(256)).unwrap();
-        let summary = w.finish(0xE1).unwrap();
+        let mut w = RunWriter::create("demo", 0xE1, &options).unwrap();
+        demo_cell(&mut w, 128);
+        demo_cell(&mut w, 256);
+        let summary = w.finish().unwrap();
         assert_eq!(summary.cells, 2);
         assert_eq!(summary.paths, vec![path.clone()]);
 
@@ -347,11 +511,10 @@ mod tests {
             profile: true,
             ..CliOptions::default()
         };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(demo_fields(64)).unwrap();
-        w.record_perf(vec![("n", JsonValue::from(64usize))], &demo_obs())
-            .unwrap();
-        w.finish(1).unwrap();
+        let mut w = RunWriter::create("demo", 1, &options).unwrap();
+        demo_cell(&mut w, 64);
+        w.record_perf(&CellKey::new().with("n", 64usize), &demo_obs());
+        w.finish().unwrap();
         let jsonl = std::fs::read_to_string(&path).unwrap();
         let perf = jsonl
             .lines()
@@ -386,9 +549,9 @@ mod tests {
             out: Some(path.clone()),
             ..CliOptions::default()
         };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_perf(vec![], &demo_obs()).unwrap();
-        w.finish(1).unwrap();
+        let mut w = RunWriter::create("demo", 1, &options).unwrap();
+        w.record_perf(&CellKey::new(), &demo_obs());
+        w.finish().unwrap();
         let jsonl = std::fs::read_to_string(&path).unwrap();
         assert_eq!(jsonl.lines().count(), 1, "{jsonl}");
         assert!(jsonl.contains("\"perf\":0"), "{jsonl}");
@@ -484,16 +647,15 @@ mod tests {
             out: Some(path.clone()),
             ..CliOptions::default()
         };
-        let mut w = RunWriter::create("demo", &options).unwrap();
-        w.record_cell(demo_fields(64)).unwrap();
+        let mut w = RunWriter::create("demo", 1, &options).unwrap();
+        demo_cell(&mut w, 64);
         w.record_fault(vec![
             ("kind", JsonValue::from("panic")),
             ("trial", JsonValue::from(3usize)),
             ("attempt", JsonValue::from(0usize)),
             ("outcome", JsonValue::from("retried")),
-        ])
-        .unwrap();
-        w.finish(1).unwrap();
+        ]);
+        w.finish().unwrap();
 
         let jsonl = std::fs::read_to_string(&path).unwrap();
         let line = jsonl
@@ -510,6 +672,134 @@ mod tests {
         let footer = json::parse(jsonl.lines().last().unwrap()).unwrap();
         assert_eq!(footer.get("faults").and_then(|v| v.as_f64()), Some(1.0));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_write_is_kept_and_returned_by_finish() {
+        let full = PathBuf::from("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let options = CliOptions {
+            out: Some(full),
+            ..CliOptions::default()
+        };
+        let mut w = RunWriter::create("demo", 1, &options).unwrap();
+        // Far more than one buffer's worth, so writes fail mid-run.
+        for n in 0..1000 {
+            demo_cell(&mut w, n);
+        }
+        assert!(w.error.is_some());
+        assert!(w.finish().is_err());
+    }
+
+    /// The field names of a parsed record, in order.
+    fn names(record: &JsonValue) -> Vec<&str> {
+        match record {
+            JsonValue::Object(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn records_write_the_key_then_trials_seed_and_measures() {
+        let path = temp_path("key.jsonl");
+        let options = CliOptions {
+            out: Some(path.clone()),
+            profile: true,
+            ..CliOptions::default()
+        };
+        let key = CellKey::new()
+            .with("model", "mori")
+            .with("p", 0.5)
+            .measure("bound", 8.8)
+            .with("n", 512usize);
+        let mut w = RunWriter::create("demo", 9, &options).unwrap();
+        w.record_cell(&key, 3usize, &[("mean", JsonValue::from(2.0))]);
+        w.record_perf(&key, &demo_obs());
+        w.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let records: Vec<JsonValue> = text.lines().map(|l| json::parse(l).unwrap()).collect();
+        assert_eq!(
+            names(&records[0]),
+            [
+                "type",
+                "experiment",
+                "model",
+                "p",
+                "bound",
+                "n",
+                "trials",
+                "seed",
+                "mean"
+            ]
+        );
+        assert_eq!(records[0].get("seed").and_then(|v| v.as_u64()), Some(9));
+
+        // The perf record's identity, read back by the positional rule,
+        // is exactly the key's identity fields in order: the measure
+        // written in key position is not one of them.
+        let identity: Vec<(String, JsonValue)> = identity_keys(&records[1]).cloned().collect();
+        let want = [
+            ("experiment", JsonValue::from("demo")),
+            ("model", JsonValue::from("mori")),
+            ("p", JsonValue::from(0.5)),
+            ("n", JsonValue::from(512usize)),
+        ]
+        .map(|(k, v)| (k.to_string(), v));
+        assert_eq!(identity, want);
+    }
+
+    #[test]
+    fn keys_reject_the_writers_fields_and_repeats() {
+        for name in ["type", "experiment", "trials", "seed"] {
+            let result = std::panic::catch_unwind(|| CellKey::new().with(name, 1usize));
+            assert!(result.is_err(), "{name} accepted as a key field");
+            let result = std::panic::catch_unwind(|| CellKey::new().measure(name, 1usize));
+            assert!(result.is_err(), "{name} accepted as a key measure");
+        }
+        let repeat =
+            std::panic::catch_unwind(|| CellKey::new().with("n", 1usize).with("n", 2usize));
+        assert!(repeat.is_err());
+        let repeat =
+            std::panic::catch_unwind(|| CellKey::new().with("n", 1usize).measure("n", 2usize));
+        assert!(repeat.is_err());
+    }
+
+    #[test]
+    fn cell_tables_format_key_and_measure_fields() {
+        let mut table = CellTable::new(&[
+            ("n", "n", 0),
+            ("mean", "mean requests", 1),
+            ("exponent", "exponent", 3),
+            ("holds", "holds", 0),
+        ]);
+        let key = CellKey::new().with("n", 512usize);
+        for (mean, exponent, holds) in [(198.66, Some(0.5), true), (7.04, None, false)] {
+            let measures = [
+                ("mean", JsonValue::from(mean)),
+                ("exponent", JsonValue::from(exponent)),
+                ("holds", JsonValue::from(holds)),
+            ];
+            table.row(&key, &measures);
+        }
+        let text = table.to_string();
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [["512", "198.7", "0.500", "yes"], ["512", "7.0", "-", "NO"]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no field \"ci95\"")]
+    fn cell_tables_reject_a_missing_field() {
+        CellTable::new(&[("ci95", "ci95", 1)]).row(&CellKey::new(), &[]);
     }
 
     #[test]

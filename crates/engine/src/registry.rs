@@ -153,7 +153,8 @@ impl Registry {
                 format!("no experiment named {name:?}; see `xp list`"),
             )
         })?;
-        let mut writer = RunWriter::create(spec.name, options)?;
+        let seed = options.seed_or(spec.default_seed);
+        let mut writer = RunWriter::create(spec.name, seed, options)?;
         let tracer = if options.trace.is_some() {
             Tracer::enabled()
         } else {
@@ -161,7 +162,7 @@ impl Registry {
         };
         let mut ctx = ExpContext {
             options,
-            seed: options.seed_or(spec.default_seed),
+            seed,
             writer: &mut writer,
             tracer: tracer.clone(),
         };
@@ -169,8 +170,7 @@ impl Registry {
             let _run_span = tracer.span("run");
             (spec.run)(&mut ctx);
         }
-        let seed = ctx.seed;
-        let mut summary = writer.finish(seed)?;
+        let mut summary = writer.finish()?;
         if let (Some(path), Some(json)) = (&options.trace, tracer.to_chrome_trace()) {
             let mut file = io::BufWriter::new(std::fs::File::create(path)?);
             writeln!(file, "{json}")?;
@@ -570,15 +570,12 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::json::JsonValue;
+    use crate::record::CellKey;
 
     fn demo_run(ctx: &mut ExpContext) {
         for n in ctx.options.sweep(&[8, 16, 32]) {
             ctx.writer
-                .record_cell(vec![
-                    ("n", JsonValue::from(n)),
-                    ("seed", JsonValue::from(ctx.seed)),
-                ])
-                .expect("write cell record");
+                .record_cell(&CellKey::new().with("n", n), JsonValue::Null, &[]);
         }
     }
 

@@ -2,9 +2,8 @@
 //! search, bound, certify — across crate boundaries.
 
 use nonsearch::core::{
-    certify, lemma1_lower_bound, mori_event_probability_exact, theorem1_weak_bound,
-    BoundComparison, CertifyConfig, EquivalenceWindow, GraphModel, MergedMoriModel, ModelSource,
-    ScalingSeries,
+    certify, lemma1_lower_bound, mori_event_probability_exact, theorem1_weak_bound, CertifyConfig,
+    EquivalenceWindow, GraphModel, MergedMoriModel, ModelSource, ScalingSeries,
 };
 use nonsearch::generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch::graph::{NodeId, UndirectedCsr};
@@ -35,12 +34,10 @@ fn lower_bound_never_exceeds_any_measured_searcher() {
             total += outcome.requests;
         }
         let mean = total as f64 / trials as f64;
-        let cmp = BoundComparison {
-            n,
-            bound,
-            measured: mean,
-        };
-        assert!(cmp.holds(), "{kind}: {cmp}");
+        assert!(
+            mean >= bound,
+            "{kind}: n={n}: mean {mean:.1} below bound {bound:.1}"
+        );
     }
 }
 
