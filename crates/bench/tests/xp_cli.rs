@@ -505,3 +505,23 @@ fn quick_with_inline_value_is_rejected_not_misread() {
         assert!(stderr.contains("boolean"), "{arg}: {stderr}");
     }
 }
+
+/// Every committed `*.quick.cells` fixture passes `validate_jsonl`'s
+/// cell-layout check, one cell per line.
+#[test]
+fn every_committed_quick_cells_fixture_validates() {
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&fixtures).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !name.ends_with(".quick.cells") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let summary = validate_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(summary.cells, text.lines().count(), "{name}");
+        checked += 1;
+    }
+    assert_eq!(checked, 15);
+}

@@ -109,7 +109,7 @@ fn corpus_build_is_byte_identical_across_thread_counts() {
 }
 
 /// Every `.nsg` file of a fresh build as `file checksum` lines, in
-/// manifest order, each checksum the FNV-1a 64 of the file's bytes.
+/// manifest order, each checksum the XXH64 of the file's bytes.
 fn file_checksum_lines(dir: &std::path::Path) -> String {
     let manifest = Manifest::read_from(dir).expect("manifest reads");
     let mut lines = String::new();
@@ -117,7 +117,7 @@ fn file_checksum_lines(dir: &std::path::Path) -> String {
         let files = std::iter::once(&entry.file).chain(entry.variants.iter().map(|v| &v.file));
         for file in files {
             let bytes = std::fs::read(dir.join(file)).expect("stored file reads");
-            lines += &format!("{file} {:016x}\n", nsg::fnv1a64(&bytes));
+            lines += &format!("{file} {:016x}\n", nsg::xxh64(&bytes));
         }
     }
     lines

@@ -67,7 +67,8 @@ pub use series::ScalingSeries;
 pub use theory::{
     adamic_high_degree_exponent, adamic_random_walk_exponent, lemma3_bound, lemma3_window_end,
     mori_conditional_factor, mori_event_probability_exact, mori_max_degree_exponent,
-    strong_model_exponent, CoreError,
+    p_one_avoiding_walk_requests, p_one_leaf_requests, strong_model_exponent, CoreError,
+    RequestMoments,
 };
 pub use trial::{measure_trial, Oracle, Rescans, TrialPool};
 pub use window::EquivalenceWindow;

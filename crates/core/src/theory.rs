@@ -167,6 +167,50 @@ pub fn adamic_random_walk_exponent(k: f64) -> f64 {
     3.0 * (1.0 - 2.0 / k)
 }
 
+/// The exact mean and variance of a request count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestMoments {
+    /// Expected requests.
+    pub mean: f64,
+    /// Variance of the request count.
+    pub variance: f64,
+}
+
+/// E1's p = 1 graphs are stars (or merged stars) on `n` vertices, searched
+/// from the hub: let K be the number of distinct leaves in the hub's
+/// shuffled slot list up to and including the target's first slot. K is
+/// uniform on `{1, …, n − 1}`, so `E[K] = n/2` and
+/// `Var[K] = ((n − 1)² − 1)/12 = n(n − 2)/12`. `high-degree`,
+/// `greedy-id`, `oldest-first`, `lookahead-walk` and
+/// `sim-strong-high-degree` each make exactly K requests.
+///
+/// # Panics
+///
+/// Panics if `n < 2` (a star needs a leaf).
+pub fn p_one_leaf_requests(n: usize) -> RequestMoments {
+    assert!(n >= 2, "a star needs at least one leaf");
+    RequestMoments {
+        mean: n as f64 / 2.0,
+        variance: (n * (n - 2)) as f64 / 12.0,
+    }
+}
+
+/// `avoiding-walk` on the same p = 1 graphs makes exactly `2K − 1`
+/// requests (each step back to the hub is one), so its mean is `n − 1`
+/// and its variance `4 · Var[K] = n(n − 2)/3`; see
+/// [`p_one_leaf_requests`].
+///
+/// # Panics
+///
+/// Panics if `n < 2`.
+pub fn p_one_avoiding_walk_requests(n: usize) -> RequestMoments {
+    assert!(n >= 2, "a star needs at least one leaf");
+    RequestMoments {
+        mean: (n - 1) as f64,
+        variance: (n * (n - 2)) as f64 / 3.0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,5 +334,34 @@ mod tests {
         assert!(e.to_string().contains("`p`"));
         let e = CoreError::NoAcceptedSamples { trials: 7 };
         assert!(e.to_string().contains('7'));
+    }
+
+    /// Enumerates K uniform on {1, …, n − 1} and the counts K and 2K − 1
+    /// in exact integer arithmetic. The closed forms round once from
+    /// the same rationals, so they must match bit for bit.
+    #[test]
+    fn p_one_moments_match_the_enumerated_uniform_law() {
+        // (mean, variance) of `counts` as one rounding of each exact
+        // rational: Σx / N and (N·Σx² − (Σx)²) / N².
+        let moments = |counts: &[u64]| {
+            let len = counts.len() as u64;
+            let sum: u64 = counts.iter().sum();
+            let squares: u64 = counts.iter().map(|x| x * x).sum();
+            RequestMoments {
+                mean: sum as f64 / len as f64,
+                variance: (len * squares - sum * sum) as f64 / (len * len) as f64,
+            }
+        };
+        for n in 2..=64u64 {
+            let leaves: Vec<u64> = (1..n).collect();
+            let walks: Vec<u64> = leaves.iter().map(|k| 2 * k - 1).collect();
+            let n = n as usize;
+            assert_eq!(p_one_leaf_requests(n), moments(&leaves), "K, n = {n}");
+            assert_eq!(
+                p_one_avoiding_walk_requests(n),
+                moments(&walks),
+                "2K - 1, n = {n}"
+            );
+        }
     }
 }

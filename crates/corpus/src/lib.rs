@@ -7,7 +7,8 @@
 //! experiment:
 //!
 //! * [`nsg`] — a compact little-endian binary CSR format (`.nsg`) with
-//!   header, versioning, and FNV-1a checksums. Every load takes one
+//!   header, versioning, and XXH64 checksums (format version 2;
+//!   corpora built with version 1 must be rebuilt). Every load takes one
 //!   pipeline: [`MappedFile`] maps the file (or reads it into an
 //!   aligned heap buffer where the kernel or target refuses), then
 //!   [`nsg::graph_from_region`] validates the header, hashes the

@@ -16,15 +16,16 @@ use std::path::Path;
 pub const MANIFEST_FILE: &str = "manifest.json";
 /// The `format` tag identifying corpus manifests.
 pub const FORMAT_TAG: &str = "nonsearch-corpus";
-/// Current manifest schema version.
-pub const MANIFEST_VERSION: u64 = 1;
+/// Current manifest schema version: 2, whose checksums are XXH64.
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// One rewired null-model variant of a stored graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VariantEntry {
     /// Path of the variant's `.nsg` file, relative to the corpus dir.
     pub file: String,
-    /// FNV-1a 64 checksum of the whole file.
+    /// XXH64 (seed 0) checksum of the whole file
+    /// ([`nsg::xxh64`](crate::nsg::xxh64)).
     pub checksum: u64,
 }
 
@@ -43,7 +44,8 @@ pub struct GraphEntry {
     pub nodes: usize,
     /// Undirected edge count.
     pub edges: usize,
-    /// FNV-1a 64 checksum of the whole file.
+    /// XXH64 (seed 0) checksum of the whole file
+    /// ([`nsg::xxh64`](crate::nsg::xxh64)).
     pub checksum: u64,
     /// Degree-preserving rewired variants, in variant order.
     pub variants: Vec<VariantEntry>,
@@ -181,7 +183,8 @@ impl Manifest {
         let version = u64_field(&value, "version")?;
         if version != MANIFEST_VERSION {
             return Err(CorpusError::manifest(format!(
-                "unsupported manifest version {version}"
+                "unsupported manifest version {version} (reader speaks {MANIFEST_VERSION}); \
+                 corpora are derived artifacts: rebuild with `xp corpus build`"
             )));
         }
 
@@ -352,7 +355,7 @@ mod tests {
         assert!(Manifest::from_json_text("{}").is_err());
         assert!(Manifest::from_json_text("{\"format\":\"other\"}").is_err());
         let wrong_version = sample_manifest().to_json(true).to_string().replacen(
-            "\"version\":1",
+            "\"version\":2",
             "\"version\":99",
             1,
         );

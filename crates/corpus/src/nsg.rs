@@ -6,11 +6,11 @@
 //! | offset | size | field |
 //! |--------|------|-------|
 //! | 0      | 4    | magic `b"NSG1"` |
-//! | 4      | 2    | format version (`1`) |
+//! | 4      | 2    | format version (`2`) |
 //! | 6      | 2    | flags (reserved, `0`) |
 //! | 8      | 8    | vertex count `n` (u64) |
 //! | 16     | 8    | edge count `m` (u64) |
-//! | 24     | 8    | FNV-1a 64 checksum of the payload |
+//! | 24     | 8    | XXH64 (seed 0) checksum of the payload |
 //! | 32     | —    | payload |
 //!
 //! Payload: `offsets` as `(n+1) × u64`, then `slots` as
@@ -21,6 +21,11 @@
 //! [`UndirectedCsr::from_raw_parts`] with no CSR re-derivation, so the
 //! exact incidence-slot order — including the slot shuffle baked in at
 //! generation time — survives the round trip bit for bit.
+//!
+//! Format version 2 differs from version 1 only in the checksum
+//! function (XXH64 instead of FNV-1a 64); the payload is unchanged.
+//! Readers speak version 2 alone, so a corpus built with version 1
+//! files must be rebuilt (`xp corpus build`).
 
 use crate::error::CorpusError;
 use crate::mmap::MappedFile;
@@ -30,20 +35,77 @@ use std::sync::Arc;
 
 /// File magic: "NonSearch Graph", format generation 1.
 pub const MAGIC: [u8; 4] = *b"NSG1";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version: 2, the XXH64 payload checksum.
+pub const VERSION: u16 = 2;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 32;
 
-/// FNV-1a 64-bit hash — the checksum used by both the `.nsg` header
+/// XXH64 with seed 0 — the checksum used by both the `.nsg` header
 /// (over the payload) and the corpus manifest (over whole files).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+///
+/// Four independent 8-byte lanes absorb each 32-byte stripe, so the
+/// multiplies of one stripe do not wait on each other; the tail is
+/// folded in 8-, 4- and 1-byte steps, then avalanched.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    hash
+    fn merge(hash: u64, acc: u64) -> u64 {
+        (hash ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4)
+    }
+    let u64_at = |chunk: &[u8], at: usize| {
+        u64::from_le_bytes(chunk[at..at + 8].try_into().expect("8 bytes"))
+    };
+
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut hash = if bytes.len() >= 32 {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        for stripe in stripes {
+            for (lane, acc) in acc.iter_mut().enumerate() {
+                *acc = round(*acc, u64_at(stripe, 8 * lane));
+            }
+        }
+        let [a, b, c, d] = acc;
+        let hash = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        acc.iter().fold(hash, |hash, &acc| merge(hash, acc))
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+
+    while tail.len() >= 8 {
+        hash ^= round(0, u64_at(tail, 0));
+        hash = hash.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        hash ^= u64::from(word).wrapping_mul(P1);
+        hash = hash.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash ^= u64::from(byte).wrapping_mul(P5);
+        hash = hash.rotate_left(11).wrapping_mul(P1);
+    }
+
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// Serializes `graph` into `.nsg` bytes.
@@ -84,7 +146,7 @@ pub fn encode_graph(graph: &UndirectedCsr) -> Result<Vec<u8>, CorpusError> {
         bytes.extend_from_slice(&(v.index() as u32).to_le_bytes());
     }
     debug_assert_eq!(bytes.len(), len);
-    let checksum = fnv1a64(&bytes[HEADER_LEN..]);
+    let checksum = xxh64(&bytes[HEADER_LEN..]);
     bytes[24..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     Ok(bytes)
 }
@@ -148,7 +210,7 @@ fn decode_validated(bytes: &[u8], n: usize, m: usize) -> Result<UndirectedCsr, C
 /// Returns [`CorpusError::Format`] on any violation.
 fn validate_bytes(bytes: &[u8]) -> Result<(usize, usize), CorpusError> {
     let (n, m, stored_checksum) = read_header(bytes)?;
-    let actual_checksum = fnv1a64(&bytes[HEADER_LEN..]);
+    let actual_checksum = xxh64(&bytes[HEADER_LEN..]);
     if actual_checksum != stored_checksum {
         return Err(CorpusError::format(format!(
             "payload checksum mismatch (header {stored_checksum:016x}, payload {actual_checksum:016x})"
@@ -173,7 +235,8 @@ fn read_header(bytes: &[u8]) -> Result<(usize, usize, u64), CorpusError> {
     let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
     if version != VERSION {
         return Err(CorpusError::format(format!(
-            "unsupported format version {version} (reader speaks {VERSION})"
+            "unsupported format version {version} (reader speaks {VERSION}; \
+             rebuild the corpus with `xp corpus build`)"
         )));
     }
     // The flags field is reserved: a writer that sets it speaks a
@@ -274,7 +337,7 @@ pub fn map_graph_file(path: &Path) -> Result<UndirectedCsr, CorpusError> {
     graph_from_region(Arc::new(MappedFile::open(path)?))
 }
 
-/// Encodes `graph` and writes it to `path`, returning the FNV-1a 64
+/// Encodes `graph` and writes it to `path`, returning the XXH64
 /// checksum of the whole file (the value recorded in the manifest).
 ///
 /// # Errors
@@ -284,7 +347,7 @@ pub fn map_graph_file(path: &Path) -> Result<UndirectedCsr, CorpusError> {
 pub fn write_graph_file(path: &Path, graph: &UndirectedCsr) -> Result<u64, CorpusError> {
     let bytes = encode_graph(graph)?;
     std::fs::write(path, &bytes).map_err(|e| CorpusError::io(path, e))?;
-    Ok(fnv1a64(&bytes))
+    Ok(xxh64(&bytes))
 }
 
 #[cfg(test)]
@@ -332,9 +395,13 @@ mod tests {
         let g = UndirectedCsr::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let bytes = encode_graph(&g).unwrap();
         assert_eq!(&bytes[0..4], b"NSG1");
-        assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 1);
+        assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 2);
         assert_eq!(u64::from_le_bytes(bytes[8..16].try_into().unwrap()), 3);
         assert_eq!(u64::from_le_bytes(bytes[16..24].try_into().unwrap()), 2);
+        assert_eq!(
+            u64::from_le_bytes(bytes[24..32].try_into().unwrap()),
+            xxh64(&bytes[32..])
+        );
         assert_eq!(bytes.len(), HEADER_LEN + 8 * 4 + 16 * 2 + 8 * 2);
     }
 
@@ -350,6 +417,13 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 9;
         assert!(decode_graph(&bad_version).is_err());
+
+        // A version-1 (FNV-1a) image is refused, never read.
+        let mut version_one = bytes.clone();
+        version_one[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = decode_graph(&version_one).unwrap_err().to_string();
+        assert!(err.contains("unsupported format version 1"), "{err}");
+        assert!(err.contains("xp corpus build"), "{err}");
 
         let mut flipped_payload = bytes.clone();
         let last = flipped_payload.len() - 1;
@@ -378,7 +452,7 @@ mod tests {
         let path = dir.join("g.nsg");
         let g = sample();
         let checksum = write_graph_file(&path, &g).unwrap();
-        assert_eq!(checksum, fnv1a64(&std::fs::read(&path).unwrap()));
+        assert_eq!(checksum, xxh64(&std::fs::read(&path).unwrap()));
         assert_eq!(map_graph_file(&path).unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -450,10 +524,15 @@ mod tests {
     }
 
     #[test]
-    fn fnv_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_F739_67E8);
+    fn xxh64_vectors() {
+        // Published XXH64 (seed 0) vectors. The 39-byte one runs one
+        // 32-byte stripe, then the 4-byte and three 1-byte tail steps.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
     }
 }

@@ -354,7 +354,7 @@ impl Corpus {
         let Some(expected) = manifest_checksum else {
             return nsg::graph_from_region(region);
         };
-        let actual = nsg::fnv1a64(region.bytes());
+        let actual = nsg::xxh64(region.bytes());
         if actual != expected {
             return Err(CorpusError::Checksum {
                 path,
@@ -901,6 +901,34 @@ mod tests {
         let healing = Corpus::open_healing(&dir, LoadMode::Heap, true).unwrap();
         let err = healing.heal_file("graphs/s9999_t9999.nsg").unwrap_err();
         assert!(err.to_string().contains("cannot be regenerated"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_one_corpora_are_refused_at_open_and_never_healed() {
+        let (dir, plain) = built_corpus("version_one");
+        // A version-1 corpus: manifest version 1 and a version-1 header.
+        let manifest = dir.join(crate::manifest::MANIFEST_FILE);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        assert!(text.contains("\"version\":2"), "{text}");
+        std::fs::write(
+            &manifest,
+            text.replacen("\"version\":2", "\"version\":1", 1),
+        )
+        .unwrap();
+        let victim = dir.join(&plain.manifest().graphs[0].file);
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let err = Corpus::open(&dir).err().expect("v1 manifest refused");
+        assert!(err.to_string().contains("xp corpus build"), "{err}");
+        let err = Corpus::open_healing(&dir, LoadMode::Heap, true)
+            .err()
+            .expect("healing refuses a v1 manifest too");
+        assert!(err.to_string().contains("xp corpus build"), "{err}");
+        assert!(!dir.join(QUARANTINE_DIR).exists(), "nothing quarantined");
+        assert_eq!(std::fs::read(&victim).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -386,7 +386,9 @@ const LINT_REQUIRED: [&str; 4] = ["files", "diagnostics", "waived", "violations"
 /// Checks that every non-empty line is a JSON object tagged `cell`,
 /// `run`, `perf`, `fault` (`xp chaos` injected-fault records),
 /// `diagnostic`, or `lint` (the last two are `xp lint` reports); that
-/// each carries its kind's required fields — for perf records, finite
+/// each carries its kind's required fields — for cell records, the
+/// layout [`RunWriter::record_cell`](crate::RunWriter::record_cell)
+/// writes; for perf records, finite
 /// non-negative counters with whole `trials`/`requests`, a histogram
 /// summing to `trials`, phases within the wall envelope, and (on Linux)
 /// a positive peak RSS; and that at least one record is present.
@@ -398,7 +400,7 @@ pub fn validate_jsonl(text: &str) -> Result<ValidateSummary, String> {
         }
         let value = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         let count = match value.get("type").and_then(|t| t.as_str()) {
-            Some(t) if t == CELL_TYPE => Ok(&mut summary.cells),
+            Some(t) if t == CELL_TYPE => check_cell(&value).map(|()| &mut summary.cells),
             Some(t) if t == RUN_TYPE => Ok(&mut summary.runs),
             Some(t) if t == PERF_TYPE => check_perf(&value).map(|()| &mut summary.perfs),
             Some(t) if t == FAULT_TYPE => {
@@ -431,6 +433,52 @@ pub fn validate_jsonl(text: &str) -> Result<ValidateSummary, String> {
         return Err("no records found".to_string());
     }
     Ok(summary)
+}
+
+/// Checks one cell record's layout, the one
+/// [`RunWriter::record_cell`](crate::RunWriter::record_cell) writes:
+/// `type`, then `experiment` (a non-empty string), then at least one
+/// key field, then `trials`, then `seed` (a whole number), then the
+/// measures. `trials` is a whole number ≥ 1, or `null` for a cell that
+/// is computed exactly and samples nothing (`lemma2-equiv`'s exact
+/// checks).
+fn check_cell(value: &JsonValue) -> Result<(), String> {
+    let JsonValue::Object(fields) = value else {
+        return Err("cell record is not an object".to_string());
+    };
+    let whole = |v: &JsonValue, min: f64| {
+        v.as_f64()
+            .is_some_and(|x| x.is_finite() && x >= min && x.fract() == 0.0)
+    };
+    match fields.get(1) {
+        Some((key, JsonValue::Str(name))) if key == "experiment" && !name.is_empty() => {}
+        _ => {
+            return Err(
+                "cell record is missing non-empty string field \"experiment\" (second field)"
+                    .to_string(),
+            )
+        }
+    }
+    let Some(at) = fields.iter().position(|(key, _)| key == "trials") else {
+        return Err("cell record is missing field \"trials\"".to_string());
+    };
+    if at < 3 {
+        return Err(
+            "cell record has no key field between \"experiment\" and \"trials\"".to_string(),
+        );
+    }
+    let trials = &fields[at].1;
+    if *trials != JsonValue::Null && !whole(trials, 1.0) {
+        return Err(format!(
+            "cell record field \"trials\" is not a whole number >= 1 or null (got {trials})"
+        ));
+    }
+    match fields.get(at + 1) {
+        Some((key, seed)) if key == "seed" && whole(seed, 0.0) => Ok(()),
+        _ => Err(
+            "cell record is missing whole-number field \"seed\" right after \"trials\"".to_string(),
+        ),
+    }
 }
 
 /// `value[key]` as a finite non-negative number; `kind` names the record
@@ -656,7 +704,7 @@ mod tests {
         assert!(validate_jsonl("{not json}").is_err());
         assert!(validate_jsonl("{\"type\":\"alien\"}").is_err());
         assert!(validate_jsonl("[1,2]").is_err());
-        let ok = validate_jsonl("{\"type\":\"cell\"}\n\n{\"type\":\"run\"}\n").unwrap();
+        let ok = validate_jsonl(&format!("{CELL}\n\n{{\"type\":\"run\"}}\n")).unwrap();
         assert_eq!(
             ok,
             ValidateSummary {
@@ -665,6 +713,44 @@ mod tests {
                 ..Default::default()
             }
         );
+    }
+
+    /// A well-formed cell record, as `RunWriter::record_cell` writes it.
+    const CELL: &str = "{\"type\":\"cell\",\"experiment\":\"demo\",\"n\":8,\"trials\":3,\
+                        \"seed\":208,\"mean\":2.5}";
+
+    #[test]
+    fn validate_checks_the_cell_layout() {
+        let reject = |text: &str, field: &str| {
+            let err = validate_jsonl(&format!("{CELL}\n{text}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{err}");
+            assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
+        };
+        reject("{\"type\":\"cell\"}", "experiment");
+        reject("{\"type\":\"cell\",\"experiment\":\"x\",\"n\":1}", "trials");
+        reject(
+            "{\"type\":\"cell\",\"experiment\":\"\",\"n\":1,\"trials\":1,\"seed\":0}",
+            "experiment",
+        );
+        reject(
+            "{\"type\":\"cell\",\"n\":1,\"experiment\":\"x\",\"trials\":1,\"seed\":0}",
+            "experiment",
+        );
+        // `trials` before the key: no identity field precedes it.
+        reject(
+            "{\"type\":\"cell\",\"experiment\":\"x\",\"trials\":3,\"seed\":0,\"n\":1}",
+            "trials",
+        );
+        reject(&CELL.replace("\"trials\":3", "\"trials\":0"), "trials");
+        reject(&CELL.replace("\"trials\":3", "\"trials\":2.5"), "trials");
+        reject(&CELL.replace("\"seed\":208", "\"seed\":-1"), "seed");
+        reject(
+            &CELL.replace("\"seed\":208,\"mean\":2.5", "\"mean\":2.5,\"seed\":208"),
+            "seed",
+        );
+        // An exact cell samples nothing: its `trials` is null.
+        let exact = CELL.replace("\"trials\":3", "\"trials\":null");
+        assert_eq!(validate_jsonl(&exact).unwrap().cells, 1);
     }
 
     /// A well-formed perf record: 3 trials, 21 requests, 10 ms on 2
