@@ -197,6 +197,98 @@ fn power_law_fit_matches_the_reference_on_e8_models() {
     }
 }
 
+/// The cutoffs the fit's bit-agreement tests cover.
+const X_MINS: [usize; 6] = [1, 2, 3, 5, 10, 100];
+
+/// `E_k[ln X]` for the discrete power law on `x ≥ a` by the reference's
+/// formula, summed in one pass (so within about 1e-12 of its value).
+fn expected_log(k: f64, a: usize) -> f64 {
+    let n = a + 20_000;
+    let (mut zeta, mut zeta_log) = (0.0, 0.0);
+    for d in a..n {
+        let term = (d as f64).powf(-k);
+        zeta += term;
+        zeta_log += (d as f64).ln() * term;
+    }
+    let (nf, k1) = (n as f64, k - 1.0);
+    let (head, tail) = (nf.powf(-k1), nf.powf(-k));
+    zeta += head / k1 + 0.5 * tail;
+    zeta_log += head * (nf.ln() / k1 + 1.0 / (k1 * k1)) + 0.5 * nf.ln() * tail;
+    zeta_log / zeta
+}
+
+/// The mean of `ln d` over `sample`, as the fit computes it.
+fn log_mean(sample: &[usize]) -> f64 {
+    sample.iter().map(|&d| (d as f64).ln()).sum::<f64>() / sample.len() as f64
+}
+
+/// `base` (every value at least `x_min`) moved to a sample whose
+/// [`log_mean`] is within about 1e-8 of `target`: observations are
+/// doubled or halved until a final one near 5·10⁴ can take up the rest,
+/// which it does in steps of about 2·10⁻⁵ of the log sum.
+fn sample_with_log_mean(mut sample: Vec<usize>, x_min: usize, target: f64) -> Vec<usize> {
+    sample.push(50_000);
+    let n = sample.len();
+    let deficit = |s: &[usize]| (log_mean(s) - target) * -(n as f64);
+    for i in (0..n - 1).cycle().take(100 * n) {
+        let d = deficit(&sample);
+        if d.abs() < 0.3 {
+            break;
+        }
+        if d > 0.0 && sample[i] <= 50_000 {
+            sample[i] *= 2;
+        } else if d < 0.0 && sample[i] >= 2 * x_min {
+            sample[i] /= 2;
+        }
+    }
+    let d = deficit(&sample);
+    assert!(d.abs() < 0.3, "cannot reach log mean {target}");
+    sample[n - 1] = (50_000.0 * d.exp()).round() as usize;
+    sample
+}
+
+#[test]
+fn power_law_fit_matches_the_reference_for_each_x_min() {
+    for x_min in X_MINS {
+        let sample = zipf_like_sample(2.3, x_min, 3000, x_min as u64);
+        assert_fit_matches_reference(&sample, x_min, &format!("x_min={x_min}"));
+    }
+}
+
+#[test]
+fn power_law_fit_matches_the_reference_near_bisection_midpoints() {
+    // Steps 3 and 5 of the search for k = 2.2, at midpoints 2.5000… and
+    // 2.1250…, with the log mean just below and just above E_mid[ln X]
+    // respectively. Each lies within half the fit's decision margin
+    // (1e-7) of it, so the cheap estimate cannot decide that step and
+    // the full evaluation does.
+    for x_min in X_MINS {
+        let (mut lo, mut hi) = (1.0001f64, 25.0f64);
+        for step in 0..6u64 {
+            let mid = 0.5 * (lo + hi);
+            let offset = match step {
+                3 => -4e-8,
+                5 => 4e-8,
+                _ => 0.0,
+            };
+            if offset != 0.0 {
+                let exact = expected_log(mid, x_min);
+                let base = zipf_like_sample(mid, x_min, 2000, step);
+                let sample = sample_with_log_mean(base, x_min, exact + offset);
+                let case = format!("x_min={x_min} step={step} offset={offset:e}");
+                let gap = (log_mean(&sample) - exact).abs();
+                assert!(gap < 0.5e-7, "{case}: log mean {gap:e} from E_mid");
+                assert_fit_matches_reference(&sample, x_min, &case);
+            }
+            if mid < 2.2 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+    }
+}
+
 proptest! {
     // Fixed case count: keeps CI time bounded and independent of the
     // proptest default.

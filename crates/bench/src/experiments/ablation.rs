@@ -7,6 +7,7 @@ use nonsearch_core::MergedMoriModel;
 use nonsearch_engine::{CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, LaneAggregate};
 use nonsearch_generators::SeedSequence;
 use nonsearch_search::{SearcherKind, SuccessCriterion};
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "ablation",
@@ -56,7 +57,7 @@ impl Knob {
 /// One measured cell: the lane aggregate and its observation.
 type Cell = (LaneAggregate, CellObs);
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E13 / ablations",
@@ -69,7 +70,7 @@ fn run(ctx: &mut ExpContext) {
     let trial_count = ctx.options.trial_count(10);
     let threads = ctx.options.threads;
     let seeds = SeedSequence::new(ctx.seed);
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
     let source = resolve_source(corpus.as_ref(), &model, &sizes);
     let tracer = ctx.tracer.clone();
 
@@ -168,4 +169,5 @@ fn run(ctx: &mut ExpContext) {
     println!("neighbor criterion and strong oracle shave constants, not the");
     println!("exponent — and starting next to the target barely helps, because");
     println!("label adjacency is not graph adjacency in these models.");
+    Ok(())
 }

@@ -24,6 +24,7 @@ use nonsearch_search::{
     run_strong_in, run_weak_in, SearchTask, SearcherKind, StrongHighDegree, StrongSearcher,
 };
 use rand::Rng;
+use std::io;
 use std::sync::Arc;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -46,7 +47,7 @@ const WEAK_STREAM: u64 = 11;
 /// Stream of the strong cell under each (k, n).
 const STRONG_STREAM: u64 = 777;
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E10 / Adamic et al. (power-law search)",
@@ -180,6 +181,7 @@ fn run(ctx: &mut ExpContext) {
     }
     println!("shape to check: greedy below walk at every size, both rising");
     println!("polynomially, gaps closing as k → 2 (both exponents → 0).");
+    Ok(())
 }
 
 /// One trial on a fresh giant: sample it and a uniformly random `(s, t)`

@@ -20,6 +20,7 @@ use nonsearch_engine::{
     TrialMeasure,
 };
 use nonsearch_generators::{rng_from_seed, SeedSequence};
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "correlation",
@@ -30,7 +31,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E14 / neighbor-degree dependence",
@@ -123,4 +124,5 @@ fn run(ctx: &mut ExpContext) {
     println!("                  ≈ 1 when neighbor degrees are independent");
     println!("this dependence is exactly why the paper replaces mean-field");
     println!("arguments with the conditional-equivalence technique.");
+    Ok(())
 }

@@ -4,7 +4,9 @@
 //! claim, table, and CCDF sketch, plus deterministic parallel trials,
 //! `--corpus` graph sourcing (models the corpus doesn't store fall back
 //! to generation with a note), and structured cell/perf records under
-//! `--out`.
+//! `--out`. Only degrees are read: a generated trial counts them from
+//! the attachment trace and builds no graph, while a stored graph
+//! yields its CSR's degrees.
 
 use super::{open_corpus, print_banner, resolve_source};
 use nonsearch_analysis::{fit_power_law_mle, log_binned_histogram, Table};
@@ -17,7 +19,7 @@ use nonsearch_engine::{
     TrialMeasure,
 };
 use nonsearch_generators::{MoriTree, SeedSequence};
-use nonsearch_graph::degree_sequence;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "degree-dist",
@@ -32,7 +34,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
 /// binary: degrees ≥ 3, past the attachment-rule floor).
 const FIT_MIN_DEGREE: usize = 3;
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E8 / degree distributions",
@@ -48,7 +50,7 @@ fn run(ctx: &mut ExpContext) {
         .expect("sweep of a non-empty default is non-empty");
     let trial_count = ctx.options.trial_count(5);
     let seeds = SeedSequence::new(ctx.seed);
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
 
     let mut table = CellTable::new(&[
         ("model", "model", 0),
@@ -77,7 +79,7 @@ fn run(ctx: &mut ExpContext) {
     // CCDF sketch for one Móri run: log-binned densities. Display-only
     // (no records), sampled directly as in the legacy binary.
     let mut rng = seeds.subsequence(99).child_rng(0);
-    let degrees = degree_sequence(&MoriTree::sample(n, 0.6, &mut rng).unwrap().undirected());
+    let degrees = MoriTree::sample(n, 0.6, &mut rng).unwrap().degrees();
     println!("log-binned degree histogram, mori(p=0.6), n = {n}:");
     let mut hist_table = Table::with_columns(&["bin", "count", "density"]);
     for bin in log_binned_histogram(&degrees, 2.0) {
@@ -90,6 +92,7 @@ fn run(ctx: &mut ExpContext) {
     println!("{hist_table}");
     println!("power-law tails (straight lines in log-log) for the attachment");
     println!("models; the uniform-attachment control decays geometrically.");
+    Ok(())
 }
 
 /// One model = one cell: lanes carry (exponent, KS, tail size) per
@@ -118,11 +121,11 @@ impl ModelCell<'_, '_> {
             &cell_seeds,
             || (),
             |(), obs, trial, trial_seeds| {
-                let graph = obs.phases.time_fetch(source.is_stored(), || {
-                    source.trial_graph(self.n, trial, &trial_seeds)
+                let degrees = obs.phases.time_fetch(source.is_stored(), || {
+                    source.trial_degrees(self.n, trial, &trial_seeds)
                 });
                 let clock = PhaseClock::start();
-                let fit = fit_power_law_mle(&degree_sequence(&graph), FIT_MIN_DEGREE);
+                let fit = fit_power_law_mle(&degrees, FIT_MIN_DEGREE);
                 obs.phases.analyze_ns += clock.elapsed_ns();
                 match fit {
                     Some(fit) => vec![

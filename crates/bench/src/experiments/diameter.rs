@@ -13,6 +13,7 @@ use nonsearch_engine::{
 };
 use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::NodeId;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "diameter",
@@ -22,7 +23,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E9 / logarithmic distances",
@@ -103,4 +104,5 @@ fn run(ctx: &mut ExpContext) {
     println!("\n{table}");
     println!("avg/log2(n) stabilizing to a constant = logarithmic growth; the");
     println!("same graphs cost Θ(√n) to search (E1/E3) — the paper's contrast.");
+    Ok(())
 }

@@ -18,6 +18,7 @@ use nonsearch_generators::{rng_from_seed, KleinbergGrid, SeedSequence};
 use nonsearch_graph::NodeId;
 use nonsearch_search::greedy_route;
 use rand::Rng;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "kleinberg",
@@ -27,7 +28,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E11 / Kleinberg navigability",
@@ -94,6 +95,7 @@ fn run(ctx: &mut ExpContext) {
     println!("the r = 2 row's hops/log² column stays near-constant; r = 0, 1");
     println!("and 3 drift upward — Kleinberg's dichotomy, the positive contrast");
     println!("to the paper's negative result for scale-free graphs.");
+    Ok(())
 }
 
 /// One (r, side) cell, measured serially on one worker: the lattice is

@@ -11,6 +11,7 @@ use nonsearch_core::{
 };
 use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_search::SearcherKind;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma1-bound",
@@ -20,7 +21,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E6 / Lemma 1 (bound arithmetic)",
@@ -40,7 +41,7 @@ fn run(ctx: &mut ExpContext) {
         threads: ctx.options.threads,
         tracer: ctx.tracer.clone(),
     };
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
     let source = resolve_source(corpus.as_ref(), &model, &sizes);
     let sweep = certify(&*source, &config);
 
@@ -86,4 +87,5 @@ fn run(ctx: &mut ExpContext) {
     if let Some(slope) = bound_growth.exponent(0) {
         println!("bound growth exponent: {slope:.3} (theory: 0.5 exactly, up to ⌊√⌋ jitter)");
     }
+    Ok(())
 }

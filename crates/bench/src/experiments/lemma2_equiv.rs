@@ -11,6 +11,7 @@ use nonsearch_core::{exact_window_exchangeability, sampled_window_symmetry, Equi
 use nonsearch_engine::{
     CellKey, CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes,
 };
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma2-equiv",
@@ -20,7 +21,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E5 / Lemma 2 (vertex equivalence)",
@@ -133,4 +134,5 @@ fn run(ctx: &mut ExpContext) {
     println!("{sampled_table}");
     println!("(|z| is a max over O(|V|²) comparisons; values under ~4 are");
     println!("what exchangeability predicts at these sample sizes.)");
+    Ok(())
 }

@@ -10,6 +10,7 @@ use nonsearch_core::{
 use nonsearch_engine::{
     CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes,
 };
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "lemma3-event",
@@ -19,7 +20,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E4 / Lemma 3 (event probability)",
@@ -102,4 +103,5 @@ fn run(ctx: &mut ExpContext) {
     println!("{table}");
     println!("note: the bound is tight-ish for small p and slack for p → 1,");
     println!("where preferential attachment never reaches the fresh window.");
+    Ok(())
 }

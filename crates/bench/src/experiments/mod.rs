@@ -32,6 +32,7 @@ use nonsearch_corpus::{Corpus, LoadMode};
 use nonsearch_engine::{
     CellKey, CellObs, CellTable, ExpContext, GraphSource, JsonValue, LaneAggregate, Registry,
 };
+use std::io;
 
 /// Builds the `xp` command table: every experiment, the engine's tools,
 /// and `corpus`, `lint` and `chaos`.
@@ -62,16 +63,21 @@ pub fn registry() -> Registry {
 /// (quarantine and regenerate a corrupt stored file instead of failing
 /// the load).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (aborting the run) when the flag names a missing or corrupt
-/// corpus — running generate-per-trial instead would silently ignore an
-/// explicit request.
-pub(super) fn open_corpus(ctx: &ExpContext) -> Option<Corpus> {
-    ctx.options.corpus.as_ref().map(|dir| {
-        Corpus::open_healing(dir, LoadMode::Mmap, ctx.options.heal)
-            .unwrap_or_else(|e| panic!("--corpus {}: {e}", dir.display()))
-    })
+/// Fails the run, naming the directory, when the flag names a corpus
+/// that cannot be opened (missing, corrupt or of an older format):
+/// running generate-per-trial instead would silently ignore an explicit
+/// request.
+pub(super) fn open_corpus(ctx: &ExpContext) -> io::Result<Option<Corpus>> {
+    ctx.options
+        .corpus
+        .as_ref()
+        .map(|dir| {
+            Corpus::open_healing(dir, LoadMode::Mmap, ctx.options.heal)
+                .map_err(|e| io::Error::other(format!("--corpus {}: {e}", dir.display())))
+        })
+        .transpose()
 }
 
 /// The trial-graph source for `model` over `sizes`: the corpus when one

@@ -28,6 +28,7 @@ use nonsearch_engine::{
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::NodeId;
 use nonsearch_search::{run_weak_in, SearchTask, SearcherKind, SuccessCriterion};
+use std::io;
 use std::sync::Arc;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -42,7 +43,7 @@ const SWAPS_PER_EDGE: usize = 10;
 const SEARCHERS: [SearcherKind; 2] = [SearcherKind::HighDegree, SearcherKind::BfsFlood];
 const VARIANTS: [&str; 2] = ["original", "rewired"];
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E15 / degree-preserving null model",
@@ -55,7 +56,7 @@ fn run(ctx: &mut ExpContext) {
     let sizes = ctx.options.sweep(&[512, 1024, 2048, 4096]);
     let trial_count = ctx.options.trial_count(10);
     let budget_multiplier = 30;
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
     let original_source = resolve_source(corpus.as_ref(), &model, &sizes);
     // The rewired lane prefers the corpus's stored variant 0; otherwise
     // each trial rewires its own original on the fly.
@@ -175,4 +176,5 @@ fn run(ctx: &mut ExpContext) {
     println!("expected: matching growth exponents across the two columns —");
     println!("randomizing the wiring (degrees fixed) neither helps nor hurts");
     println!("local search, so non-searchability is a degree-sequence effect.");
+    Ok(())
 }

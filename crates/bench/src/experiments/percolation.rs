@@ -17,6 +17,7 @@ use nonsearch_generators::{rng_from_seed, SeedSequence};
 use nonsearch_graph::NodeId;
 use nonsearch_search::{percolation_search_in, PercolationConfig, PercolationScratch};
 use rand::Rng;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "percolation",
@@ -32,7 +33,7 @@ const WALKS: [usize; 4] = [0, 50, 200, 800];
 /// Bond-percolation edge probabilities swept.
 const PROBS: [f64; 3] = [0.05, 0.15, 0.3];
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E12 / percolation search",
@@ -118,4 +119,5 @@ fn run(ctx: &mut ExpContext) {
     println!("of n — the sublinear lookup Sarshar et al. promise. None of");
     println!("this circumvents Theorem 1: it presumes content replicated");
     println!("*before* the query, unlike searching for a specific new vertex.");
+    Ok(())
 }

@@ -7,6 +7,7 @@ use crate::{strong_cell, StrongKind};
 use nonsearch_core::{strong_model_exponent, MergedMoriModel, ScalingSeries};
 use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec};
 use nonsearch_generators::SeedSequence;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "theorem1-strong",
@@ -16,7 +17,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E2 / Theorem 1 (strong model)",
@@ -32,7 +33,7 @@ fn run(ctx: &mut ExpContext) {
         vec![0.2, 0.4]
     };
     let seeds = SeedSequence::new(ctx.seed);
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
     let tracer = ctx.tracer.clone();
 
     for &p in &p_values {
@@ -83,4 +84,5 @@ fn run(ctx: &mut ExpContext) {
             );
         }
     }
+    Ok(())
 }

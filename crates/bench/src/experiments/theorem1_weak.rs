@@ -10,6 +10,7 @@ use nonsearch_analysis::Table;
 use nonsearch_core::{certify, theorem1_weak_bound, CertifyConfig, GraphModel, MergedMoriModel};
 use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec};
 use nonsearch_search::SearcherKind;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "theorem1-weak",
@@ -19,7 +20,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E1 / Theorem 1 (weak model)",
@@ -39,7 +40,7 @@ fn run(ctx: &mut ExpContext) {
     } else {
         vec![1, 3]
     };
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
 
     for &p in &p_values {
         for &m in &m_values {
@@ -84,4 +85,5 @@ fn run(ctx: &mut ExpContext) {
             }
         }
     }
+    Ok(())
 }

@@ -10,6 +10,7 @@ use super::{open_corpus, print_banner, report_sweep, resolve_source};
 use nonsearch_core::{certify, CertifyConfig, CooperFriezeModel, GraphModel};
 use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec};
 use nonsearch_search::SearcherKind;
+use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     name: "theorem2-cf",
@@ -19,7 +20,7 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     run,
 };
 
-fn run(ctx: &mut ExpContext) {
+fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
         ctx,
         "E3 / Theorem 2 (Cooper–Frieze, weak model)",
@@ -34,7 +35,7 @@ fn run(ctx: &mut ExpContext) {
     } else {
         vec![0.5, 0.8]
     };
-    let corpus = open_corpus(ctx);
+    let corpus = open_corpus(ctx)?;
 
     for &alpha in &alphas {
         let model = CooperFriezeModel::balanced(alpha);
@@ -57,4 +58,5 @@ fn run(ctx: &mut ExpContext) {
             println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");
         }
     }
+    Ok(())
 }

@@ -525,3 +525,25 @@ fn every_committed_quick_cells_fixture_validates() {
     }
     assert_eq!(checked, 15);
 }
+
+#[test]
+fn an_unopenable_corpus_fails_the_run_without_a_panic() {
+    let missing = temp_path("no_such_corpus");
+    let old = temp_path("v1_corpus");
+    std::fs::create_dir_all(&old).unwrap();
+    std::fs::write(
+        old.join("manifest.json"),
+        "{\"format\":\"nonsearch-corpus\",\"version\":1}\n",
+    )
+    .unwrap();
+    for (dir, hint) in [(&missing, "manifest.json"), (&old, "xp corpus build")] {
+        let out = xp(&["maxdeg", "--quick", "--corpus", dir.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", dir.display());
+        let named = format!("xp maxdeg: --corpus {}: ", dir.display());
+        assert!(stderr.contains(&named), "{stderr}");
+        assert!(stderr.contains(hint), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&old).ok();
+}

@@ -5,7 +5,7 @@ use nonsearch_generators::{
     power_law_degree_sequence, BarabasiAlbert, ConfigModel, CooperFrieze, CooperFriezeConfig,
     MergedMori, PowerLawConfig, SeedSequence, SimplificationPolicy, UniformAttachment,
 };
-use nonsearch_graph::UndirectedCsr;
+use nonsearch_graph::{degree_sequence, UndirectedCsr};
 use rand_chacha::ChaCha8Rng;
 
 /// A random-graph model that can be sampled at any size.
@@ -24,6 +24,22 @@ pub trait GraphModel {
     /// Implementations panic on sizes below the model's seed size; the
     /// experiment configs only use valid sizes.
     fn sample_graph(&self, n: usize, rng: &mut ChaCha8Rng) -> UndirectedCsr;
+
+    /// The degree sequence of `sample_graph(n, rng)`, for consumers that
+    /// read nothing else.
+    ///
+    /// The default builds the graph. The attachment models override it
+    /// to count degrees from the generator's trace: `sample_graph` draws
+    /// from `rng` for the slot shuffle only after the graph is sampled,
+    /// and the shuffle moves no slot between vertices, so the counts are
+    /// the same from the same stream.
+    ///
+    /// # Panics
+    ///
+    /// As [`sample_graph`](GraphModel::sample_graph).
+    fn sample_degrees(&self, n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        degree_sequence(&self.sample_graph(n, rng))
+    }
 }
 
 /// The merged Móri graph `G^{(m)}` of Theorem 1.
@@ -35,17 +51,23 @@ pub struct MergedMoriModel {
     pub m: usize,
 }
 
+impl MergedMoriModel {
+    fn sample(&self, n: usize, rng: &mut ChaCha8Rng) -> MergedMori {
+        MergedMori::sample(n, self.m, self.p, rng).expect("experiment sizes are valid")
+    }
+}
+
 impl GraphModel for MergedMoriModel {
     fn name(&self) -> String {
         format!("mori(p={},m={})", self.p, self.m)
     }
 
     fn sample_graph(&self, n: usize, rng: &mut ChaCha8Rng) -> UndirectedCsr {
-        let mut graph = MergedMori::sample(n, self.m, self.p, rng)
-            .expect("experiment sizes are valid")
-            .undirected();
-        graph.shuffle_slots(rng);
-        graph
+        shuffled(self.sample(n, rng).undirected(), rng)
+    }
+
+    fn sample_degrees(&self, n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        self.sample(n, rng).degrees()
     }
 }
 
@@ -67,6 +89,10 @@ impl CooperFriezeModel {
             config: CooperFriezeConfig::balanced(alpha).expect("alpha in (0,1]"),
         }
     }
+
+    fn sample(&self, n: usize, rng: &mut ChaCha8Rng) -> CooperFrieze {
+        CooperFrieze::sample(n, &self.config, rng).expect("experiment sizes are valid")
+    }
 }
 
 impl GraphModel for CooperFriezeModel {
@@ -81,11 +107,11 @@ impl GraphModel for CooperFriezeModel {
     }
 
     fn sample_graph(&self, n: usize, rng: &mut ChaCha8Rng) -> UndirectedCsr {
-        let mut graph = CooperFrieze::sample(n, &self.config, rng)
-            .expect("experiment sizes are valid")
-            .undirected();
-        graph.shuffle_slots(rng);
-        graph
+        shuffled(self.sample(n, rng).undirected(), rng)
+    }
+
+    fn sample_degrees(&self, n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        self.sample(n, rng).degrees()
     }
 }
 
@@ -96,17 +122,23 @@ pub struct BarabasiAlbertModel {
     pub m: usize,
 }
 
+impl BarabasiAlbertModel {
+    fn sample(&self, n: usize, rng: &mut ChaCha8Rng) -> BarabasiAlbert {
+        BarabasiAlbert::sample(n, self.m, rng).expect("experiment sizes are valid")
+    }
+}
+
 impl GraphModel for BarabasiAlbertModel {
     fn name(&self) -> String {
         format!("barabasi-albert(m={})", self.m)
     }
 
     fn sample_graph(&self, n: usize, rng: &mut ChaCha8Rng) -> UndirectedCsr {
-        let mut graph = BarabasiAlbert::sample(n, self.m, rng)
-            .expect("experiment sizes are valid")
-            .undirected();
-        graph.shuffle_slots(rng);
-        graph
+        shuffled(self.sample(n, rng).undirected(), rng)
+    }
+
+    fn sample_degrees(&self, n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        self.sample(n, rng).degrees()
     }
 }
 
@@ -117,18 +149,31 @@ pub struct UniformAttachmentModel {
     pub m: usize,
 }
 
+impl UniformAttachmentModel {
+    fn sample(&self, n: usize, rng: &mut ChaCha8Rng) -> UniformAttachment {
+        UniformAttachment::sample(n, self.m, rng).expect("experiment sizes are valid")
+    }
+}
+
 impl GraphModel for UniformAttachmentModel {
     fn name(&self) -> String {
         format!("uniform-attachment(m={})", self.m)
     }
 
     fn sample_graph(&self, n: usize, rng: &mut ChaCha8Rng) -> UndirectedCsr {
-        let mut graph = UniformAttachment::sample(n, self.m, rng)
-            .expect("experiment sizes are valid")
-            .undirected();
-        graph.shuffle_slots(rng);
-        graph
+        shuffled(self.sample(n, rng).undirected(), rng)
     }
+
+    fn sample_degrees(&self, n: usize, rng: &mut ChaCha8Rng) -> Vec<usize> {
+        self.sample(n, rng).degrees()
+    }
+}
+
+/// `graph` with every vertex's slots shuffled by the stream's next
+/// draws, the last ones a model takes.
+fn shuffled(mut graph: UndirectedCsr, rng: &mut ChaCha8Rng) -> UndirectedCsr {
+    graph.shuffle_slots(rng);
+    graph
 }
 
 /// The giant component of a Molloy–Reed power-law graph — the "pure
@@ -154,9 +199,8 @@ impl GraphModel for PowerLawGiantModel {
         let degrees = power_law_degree_sequence(n, &cfg, rng).expect("valid power-law config");
         let graph = ConfigModel::sample(&degrees, SimplificationPolicy::Multigraph, rng)
             .expect("even stub sum by construction");
-        let (mut giant, _) = graph.graph().giant_component();
-        giant.shuffle_slots(rng);
-        giant
+        let (giant, _) = graph.graph().giant_component();
+        shuffled(giant, rng)
     }
 }
 
@@ -190,6 +234,10 @@ impl<M: GraphModel + Sync + ?Sized> GraphSource for ModelSource<'_, M> {
     ) -> std::sync::Arc<UndirectedCsr> {
         let mut rng = seeds.child_rng(0);
         std::sync::Arc::new(self.model.sample_graph(n, &mut rng))
+    }
+
+    fn trial_degrees(&self, n: usize, _trial: usize, seeds: &SeedSequence) -> Vec<usize> {
+        self.model.sample_degrees(n, &mut seeds.child_rng(0))
     }
 
     fn describe(&self) -> String {

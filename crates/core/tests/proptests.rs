@@ -1,12 +1,35 @@
 //! Property-based tests: the permutation action on graphs, window
-//! invariants, and probability bounds.
+//! invariants, probability bounds, and the degrees-only samples.
 
 use nonsearch_core::{
     lemma1_lower_bound, lemma3_bound, mori_conditional_factor, mori_event_probability_exact,
-    EquivalenceWindow, Permutation,
+    BarabasiAlbertModel, CooperFriezeModel, EquivalenceWindow, GraphModel, MergedMoriModel,
+    ModelSource, Permutation, PowerLawGiantModel, UniformAttachmentModel,
 };
-use nonsearch_graph::{NodeId, UndirectedCsr};
+use nonsearch_engine::GraphSource;
+use nonsearch_generators::{rng_from_seed, SeedSequence};
+use nonsearch_graph::{degree_sequence, NodeId, UndirectedCsr};
 use proptest::prelude::*;
+
+/// E8's six models, merged Móri with `m ∈ {2, 3}` (whose merged blocks
+/// carry self-loops) and the power-law giant (the default, graph-reading
+/// degrees).
+fn degree_models() -> Vec<Box<dyn GraphModel + Sync>> {
+    vec![
+        Box::new(MergedMoriModel { p: 0.3, m: 1 }),
+        Box::new(MergedMoriModel { p: 0.6, m: 1 }),
+        Box::new(MergedMoriModel { p: 0.9, m: 1 }),
+        Box::new(CooperFriezeModel::balanced(0.7)),
+        Box::new(BarabasiAlbertModel { m: 2 }),
+        Box::new(UniformAttachmentModel { m: 1 }),
+        Box::new(MergedMoriModel { p: 0.6, m: 2 }),
+        Box::new(MergedMoriModel { p: 0.5, m: 3 }),
+        Box::new(PowerLawGiantModel {
+            exponent: 2.5,
+            d_min: 1,
+        }),
+    ]
+}
 
 /// A transposition of two seed-chosen vertices (the identity when they
 /// coincide) — the permutations Lemma 2's equivalence check applies.
@@ -109,5 +132,40 @@ proptest! {
         prop_assert!(bound >= 0.0);
         prop_assert!(bound <= size as f64 / 2.0 + 1e-12);
         prop_assert!(lemma1_lower_bound(size + 1, prob) >= bound);
+    }
+}
+
+proptest! {
+    // Each case samples nine models twice: fewer cases than above.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn degrees_only_samples_match_the_sampled_graphs(
+        n in 8usize..1500,
+        seed in 0u64..u64::MAX,
+    ) {
+        for model in degree_models() {
+            let graph = model.sample_graph(n, &mut rng_from_seed(seed));
+            let degrees = model.sample_degrees(n, &mut rng_from_seed(seed));
+            prop_assert_eq!(&degrees, &degree_sequence(&graph), "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn model_source_degrees_match_its_trial_graphs(
+        n in 8usize..1500,
+        trial in 0usize..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let seeds = SeedSequence::new(seed).subsequence(trial as u64);
+        for model in degree_models() {
+            let source = ModelSource::new(model.as_ref());
+            let graph = source.trial_graph(n, trial, &seeds);
+            let degrees = source.trial_degrees(n, trial, &seeds);
+            prop_assert_eq!(&degrees, &degree_sequence(&graph), "{}", model.name());
+            // E7 reads the maximum: the graph's `max_degree`.
+            let (_, max) = graph.max_degree().expect("sampled graphs are non-empty");
+            prop_assert_eq!(degrees.iter().max(), Some(&max), "{}", model.name());
+        }
     }
 }

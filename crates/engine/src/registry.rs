@@ -29,8 +29,9 @@ pub struct ExperimentSpec {
     pub claim: &'static str,
     /// Root seed used when `--seed` is not given.
     pub default_seed: u64,
-    /// The experiment body.
-    pub run: fn(&mut ExpContext),
+    /// The experiment body. An error (e.g. a `--corpus` that cannot be
+    /// opened) ends the run: `xp` prints it and exits 1.
+    pub run: fn(&mut ExpContext) -> io::Result<()>,
 }
 
 /// One registered tool: an `xp` subcommand that is not an experiment.
@@ -145,7 +146,8 @@ impl Registry {
         self.specs.iter().find(|s| s.name == name)
     }
 
-    /// Runs one experiment under `options`, returning what was written.
+    /// Runs one experiment under `options`, returning what was written,
+    /// or the first error of the experiment body or the record sink.
     pub fn run_named(&self, name: &str, options: &CliOptions) -> io::Result<RunSummary> {
         let spec = self.find(name).ok_or_else(|| {
             io::Error::new(
@@ -168,7 +170,7 @@ impl Registry {
         };
         {
             let _run_span = tracer.span("run");
-            (spec.run)(&mut ctx);
+            (spec.run)(&mut ctx)?;
         }
         let mut summary = writer.finish()?;
         if let (Some(path), Some(json)) = (&options.trace, tracer.to_chrome_trace()) {
@@ -620,11 +622,12 @@ mod tests {
     use crate::json::JsonValue;
     use crate::record::CellKey;
 
-    fn demo_run(ctx: &mut ExpContext) {
+    fn demo_run(ctx: &mut ExpContext) -> io::Result<()> {
         for n in ctx.options.sweep(&[8, 16, 32]) {
             ctx.writer
                 .record_cell(&CellKey::new().with("n", n), JsonValue::Null, &[]);
         }
+        Ok(())
     }
 
     fn demo_registry() -> Registry {
@@ -965,11 +968,12 @@ mod tests {
         // The spec's run fn can't capture, so probe through a static.
         static TRACER_WAS_ENABLED: std::sync::atomic::AtomicBool =
             std::sync::atomic::AtomicBool::new(true);
-        fn probe_run(ctx: &mut ExpContext) {
+        fn probe_run(ctx: &mut ExpContext) -> io::Result<()> {
             TRACER_WAS_ENABLED.store(
                 ctx.tracer.to_chrome_trace().is_some(),
                 std::sync::atomic::Ordering::Relaxed,
             );
+            Ok(())
         }
         let mut r = Registry::default();
         r.register(ExperimentSpec {

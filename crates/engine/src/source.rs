@@ -14,7 +14,7 @@
 //! cached instance across every trial (and thread) that reads it.
 
 use nonsearch_generators::SeedSequence;
-use nonsearch_graph::UndirectedCsr;
+use nonsearch_graph::{degree_sequence, UndirectedCsr};
 use std::sync::Arc;
 
 /// Supplies the graph for each trial of a cell.
@@ -33,6 +33,17 @@ pub trait GraphSource: Sync {
     /// `trial` onto their stored ensemble.
     fn trial_graph(&self, n: usize, trial: usize, seeds: &SeedSequence) -> Arc<UndirectedCsr>;
 
+    /// The degree sequence of [`trial_graph`](GraphSource::trial_graph)
+    /// for the same arguments, for consumers that read nothing else.
+    ///
+    /// The default reads it off the trial graph, which is what a stored
+    /// graph does. A generate-backed source may override it to count
+    /// degrees while generating, skipping the CSR build and the slot
+    /// shuffle; it must return exactly `degree_sequence(&trial_graph(..))`.
+    fn trial_degrees(&self, n: usize, trial: usize, seeds: &SeedSequence) -> Vec<usize> {
+        degree_sequence(&self.trial_graph(n, trial, seeds))
+    }
+
     /// Human-readable description for banners and run records, e.g.
     /// `generate:mori(p=0.6,m=1)` or `corpus:/path/to/dir`.
     fn describe(&self) -> String;
@@ -49,6 +60,10 @@ pub trait GraphSource: Sync {
 impl<S: GraphSource + ?Sized> GraphSource for &S {
     fn trial_graph(&self, n: usize, trial: usize, seeds: &SeedSequence) -> Arc<UndirectedCsr> {
         (**self).trial_graph(n, trial, seeds)
+    }
+
+    fn trial_degrees(&self, n: usize, trial: usize, seeds: &SeedSequence) -> Vec<usize> {
+        (**self).trial_degrees(n, trial, seeds)
     }
 
     fn describe(&self) -> String {
@@ -83,6 +98,7 @@ mod tests {
         let by_ref: &dyn GraphSource = &src;
         let seeds = SeedSequence::new(2);
         assert_eq!(by_ref.trial_graph(3, 1, &seeds).node_count(), 3);
+        assert_eq!((&by_ref).trial_degrees(3, 1, &seeds), vec![1, 2, 1]);
         assert_eq!((&by_ref).describe(), "generate:path");
     }
 }

@@ -110,6 +110,12 @@ impl BarabasiAlbert {
     pub fn undirected(&self) -> UndirectedCsr {
         UndirectedCsr::from_edges(self.n, self.trace.edges()).expect("targets are older vertices")
     }
+
+    /// The degree sequence of [`BarabasiAlbert::undirected`], counted
+    /// from the trace without building the graph.
+    pub fn degrees(&self) -> Vec<usize> {
+        self.trace.degrees(self.n, 1)
+    }
 }
 
 #[cfg(test)]

@@ -260,6 +260,12 @@ impl CooperFrieze {
         UndirectedCsr::from_edges(self.n, self.trace.edges())
             .expect("terminals are existing vertices")
     }
+
+    /// The degree sequence of [`CooperFrieze::undirected`], counted from
+    /// the trace without building the graph (a self-loop counts twice).
+    pub fn degrees(&self) -> Vec<usize> {
+        self.trace.degrees(self.n, 1)
+    }
 }
 
 #[cfg(test)]

@@ -135,6 +135,12 @@ impl MoriTree {
             .expect("fathers are older vertices")
     }
 
+    /// The degree sequence of [`MoriTree::undirected`], counted from the
+    /// trace without building the graph.
+    pub fn degrees(&self) -> Vec<usize> {
+        self.trace.degrees(self.len(), 1)
+    }
+
     /// Merges this tree into the `m`-out Móri graph (consumes the tree).
     ///
     /// # Errors
@@ -210,6 +216,14 @@ impl MergedMori {
         let n = (self.tree_trace.len() + 1) / m;
         let edges = self.tree_trace.edges().map(|(c, f)| (c / m, f / m));
         UndirectedCsr::from_edges(n, edges).expect("blocks of tree vertices")
+    }
+
+    /// The degree sequence of [`MergedMori::undirected`], counted from
+    /// the tree's trace without building the graph (a self-loop counts
+    /// twice).
+    pub fn degrees(&self) -> Vec<usize> {
+        let n = (self.tree_trace.len() + 1) / self.m;
+        self.tree_trace.degrees(n, self.m)
     }
 }
 

@@ -89,6 +89,29 @@ impl AttachmentTrace {
             .map(|r| (r.child.index(), r.father.index()))
     }
 
+    /// The degree of every vertex of the graph on `n` vertices whose
+    /// edges these records are, with record endpoint `v` (zero-based)
+    /// counted at vertex `v / block`: `block` is `m` for the tree behind
+    /// a merged Móri graph and `1` for every other trace. Both endpoints
+    /// of every record count, so a self-loop adds two, as it adds two
+    /// slots to the CSR [`UndirectedCsr::from_edges`] builds from the
+    /// same edges: the result is that graph's degree sequence, without
+    /// the graph.
+    ///
+    /// [`UndirectedCsr::from_edges`]: nonsearch_graph::UndirectedCsr::from_edges
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint's vertex is `n` or beyond.
+    pub fn degrees(&self, n: usize, block: usize) -> Vec<usize> {
+        let mut degrees = vec![0; n];
+        for r in &self.records {
+            degrees[r.child.index() / block] += 1;
+            degrees[r.father.index() / block] += 1;
+        }
+        degrees
+    }
+
     /// The father `N_k` of the vertex with one-based label `k` in a
     /// tree trace, which holds one record per non-root vertex in label
     /// order: vertex `k`'s record is record `k − 2`, so the lookup is
@@ -179,6 +202,21 @@ mod tests {
         // a multi-edge trace instead of answering for the wrong vertex.
         let lookup = std::panic::catch_unwind(|| t.father_of_label(2));
         assert!(lookup.is_err());
+    }
+
+    #[test]
+    fn degrees_count_both_endpoints_per_block() {
+        let t: AttachmentTrace = [
+            rec(2, 1, AttachmentKind::Seed),
+            rec(3, 1, AttachmentKind::Preferential),
+            rec(4, 3, AttachmentKind::Uniform),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(t.degrees(4, 1), vec![2, 1, 2, 1]);
+        // Blocks {1, 2} and {3, 4}: the seed edge is a self-loop of
+        // block 0 and counts twice.
+        assert_eq!(t.degrees(2, 2), vec![3, 3]);
     }
 
     #[test]

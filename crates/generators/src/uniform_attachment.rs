@@ -82,6 +82,12 @@ impl UniformAttachment {
     pub fn undirected(&self) -> UndirectedCsr {
         UndirectedCsr::from_edges(self.n, self.trace.edges()).expect("targets are older vertices")
     }
+
+    /// The degree sequence of [`UniformAttachment::undirected`], counted
+    /// from the trace without building the graph.
+    pub fn degrees(&self) -> Vec<usize> {
+        self.trace.degrees(self.n, 1)
+    }
 }
 
 #[cfg(test)]

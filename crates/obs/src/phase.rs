@@ -25,15 +25,16 @@ use std::time::Instant;
 /// owns the merge phase).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PhaseTimes {
-    /// Generating trial graphs on the fly (generate-backed sources).
+    /// Generating trial graphs on the fly (generate-backed sources),
+    /// or only their degrees where that is all a trial reads.
     pub generate_ns: u64,
     /// Loading trial graphs from a stored corpus (corpus-backed
     /// sources; zero on generate-per-trial runs).
     pub load_ns: u64,
     /// Running the searchers against the oracle.
     pub search_ns: u64,
-    /// Analysing a trial graph without searching it (degree sequence
-    /// and power-law fit).
+    /// Analysing a trial graph without searching it (the power-law
+    /// fit of its degrees).
     pub analyze_ns: u64,
     /// Harvesting per-trial counter deltas into `Metrics`.
     pub harvest_ns: u64,
