@@ -1,12 +1,15 @@
 //! E13 — ablations over the search-model knobs DESIGN.md calls out:
 //! oracle strength, success criterion, and start-vertex policy.
 
-use super::{lane_measures, open_corpus, print_banner, resolve_source};
-use crate::{strong_cell, weak_cell, StartPolicy, StrongKind};
-use nonsearch_core::MergedMoriModel;
+use super::{
+    lane_measures, open_corpus, print_banner, resolve_source, StrongKind, STRONG_BUDGET,
+    WEAK_BUDGET,
+};
+use nonsearch_core::{hub_to_newest, search_cell, MergedMoriModel};
 use nonsearch_engine::{CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, LaneAggregate};
 use nonsearch_generators::SeedSequence;
-use nonsearch_search::{SearcherKind, SuccessCriterion};
+use nonsearch_graph::NodeId;
+use nonsearch_search::{run_strong_in, run_weak_in, SearchTask, SearcherKind, SuccessCriterion};
 use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -16,6 +19,37 @@ pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
     default_seed: 0xE13,
     run,
 };
+
+/// Where the searcher starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StartPolicy {
+    /// The oldest vertex (label 1) — the model's best-connected hub.
+    OldestHub,
+    /// A uniformly random vertex.
+    Uniform,
+    /// The second-newest vertex (label n−1) — right next to the window.
+    NearTarget,
+}
+
+impl StartPolicy {
+    /// Report name.
+    fn name(&self) -> &'static str {
+        match self {
+            StartPolicy::OldestHub => "hub(v1)",
+            StartPolicy::Uniform => "uniform",
+            StartPolicy::NearTarget => "near(v[n-1])",
+        }
+    }
+
+    fn pick(&self, n: usize, rng: &mut rand_chacha::ChaCha8Rng) -> NodeId {
+        use rand::Rng;
+        match self {
+            StartPolicy::OldestHub => NodeId::from_label(1),
+            StartPolicy::Uniform => NodeId::new(rng.gen_range(0..n.saturating_sub(1))),
+            StartPolicy::NearTarget => NodeId::from_label((n - 1).max(1)),
+        }
+    }
+}
 
 /// One ablation knob: its name and the table its measured cells fill.
 struct Knob {
@@ -41,21 +75,21 @@ impl Knob {
 
     /// Adds one measured cell of `variant` to the table and to the
     /// run's cell and perf records.
-    fn record(&mut self, ctx: &mut ExpContext, variant: &str, n: usize, (lane, obs): Cell) {
+    fn record(&mut self, ctx: &mut ExpContext, variant: &str, n: usize, (lanes, obs): Cell) {
         let key = CellKey::new()
             .with("model", "mori")
             .with("knob", self.name)
             .with("variant", variant)
             .with("n", n);
-        let measures = lane_measures(&lane);
+        let measures = lane_measures(&lanes[0]);
         self.table.row(&key, &measures);
         ctx.writer.record_cell(&key, self.trials, &measures);
         ctx.writer.record_perf(&key, &obs);
     }
 }
 
-/// One measured cell: the lane aggregate and its observation.
-type Cell = (LaneAggregate, CellObs);
+/// One measured cell: its one lane's aggregate and its observation.
+type Cell = (Vec<LaneAggregate>, CellObs);
 
 fn run(ctx: &mut ExpContext) -> io::Result<()> {
     print_banner(
@@ -73,43 +107,65 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     let corpus = open_corpus(ctx)?;
     let source = resolve_source(corpus.as_ref(), &model, &sizes);
     let tracer = ctx.tracer.clone();
+    // One weak-oracle cell. Per-trial child streams: `0` the graph
+    // (inside generate-backed sources), `1` the searcher, `2` the
+    // start-policy pick, so generate-backed and corpus-backed runs pick
+    // the same start vertices from the same trial seeds.
+    let weak = |n: usize,
+                kind: SearcherKind,
+                criterion: SuccessCriterion,
+                policy: StartPolicy,
+                seeds: SeedSequence| {
+        search_cell(
+            &*source,
+            n,
+            trial_count,
+            threads,
+            &seeds,
+            &[kind],
+            SearcherKind::build,
+            run_weak_in,
+            |graph, trial_seeds| {
+                let start = policy.pick(graph.node_count(), &mut trial_seeds.child_rng(2));
+                SearchTask {
+                    start,
+                    ..hub_to_newest(graph, WEAK_BUDGET)
+                }
+                .with_criterion(criterion)
+            },
+            &tracer,
+        )
+    };
 
     // Knob 1: weak vs strong vs simulated-strong oracle.
     println!("oracle strength (high-degree strategy):");
     let mut t1 = Knob::new("oracle", trial_count);
     for (si, &n) in sizes.iter().enumerate() {
         let _cell_span = tracer.span("size-cell");
-        let weak = weak_cell(
+        for (variant, kind, stream) in [
+            ("weak", SearcherKind::HighDegree, 0),
+            ("simulated-strong", SearcherKind::SimStrongHighDegree, 100),
+        ] {
+            let cell = weak(
+                n,
+                kind,
+                SuccessCriterion::DiscoverTarget,
+                StartPolicy::OldestHub,
+                seeds.subsequence(stream + si as u64),
+            );
+            t1.record(ctx, variant, n, cell);
+        }
+        let strong = search_cell(
             &*source,
             n,
-            SearcherKind::HighDegree,
-            SuccessCriterion::DiscoverTarget,
-            StartPolicy::OldestHub,
-            trial_count,
-            30,
-            threads,
-            &seeds.subsequence(si as u64),
-        );
-        t1.record(ctx, "weak", n, weak);
-        let sim = weak_cell(
-            &*source,
-            n,
-            SearcherKind::SimStrongHighDegree,
-            SuccessCriterion::DiscoverTarget,
-            StartPolicy::OldestHub,
-            trial_count,
-            30,
-            threads,
-            &seeds.subsequence(100 + si as u64),
-        );
-        t1.record(ctx, "simulated-strong", n, sim);
-        let strong = strong_cell(
-            &*source,
-            n,
-            StrongKind::HighDegree,
             trial_count,
             threads,
             &seeds.subsequence(200 + si as u64),
+            &[StrongKind::HighDegree],
+            StrongKind::build,
+            run_strong_in,
+            |graph, _| hub_to_newest(graph, STRONG_BUDGET),
+            &tracer,
         );
         t1.record(ctx, "strong-native", n, strong);
     }
@@ -124,16 +180,12 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
             (SuccessCriterion::DiscoverTarget, "discover target"),
             (SuccessCriterion::ReachNeighbor, "reach neighbor"),
         ] {
-            let cell = weak_cell(
-                &*source,
+            let cell = weak(
                 n,
                 SearcherKind::HighDegree,
                 criterion,
                 StartPolicy::OldestHub,
-                trial_count,
-                30,
-                threads,
-                &seeds.subsequence(300 + si as u64),
+                seeds.subsequence(300 + si as u64),
             );
             t2.record(ctx, name, n, cell);
         }
@@ -150,16 +202,12 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
             StartPolicy::Uniform,
             StartPolicy::NearTarget,
         ] {
-            let cell = weak_cell(
-                &*source,
+            let cell = weak(
                 n,
                 SearcherKind::HighDegree,
                 SuccessCriterion::DiscoverTarget,
                 policy,
-                trial_count,
-                30,
-                threads,
-                &seeds.subsequence(400 + si as u64),
+                seeds.subsequence(400 + si as u64),
             );
             t3.record(ctx, policy.name(), n, cell);
         }
@@ -170,4 +218,58 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     println!("exponent — and starting next to the target barely helps, because");
     println!("label adjacency is not graph adjacency in these models.");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nonsearch_core::ModelSource;
+    use nonsearch_generators::rng_from_seed;
+    use nonsearch_obs::Tracer;
+
+    #[test]
+    fn start_policies_pick_their_vertex() {
+        let mut rng = rng_from_seed(2);
+        assert_eq!(
+            StartPolicy::OldestHub.pick(256, &mut rng),
+            NodeId::from_label(1)
+        );
+        assert_eq!(
+            StartPolicy::NearTarget.pick(256, &mut rng),
+            NodeId::from_label(255)
+        );
+        let picks: Vec<NodeId> = (0..64)
+            .map(|_| StartPolicy::Uniform.pick(256, &mut rng))
+            .collect();
+        assert!(picks.iter().all(|v| v.index() < 255), "{picks:?}");
+        assert!(picks.iter().any(|&v| v != picks[0]));
+    }
+
+    #[test]
+    fn weak_cell_policies_work() {
+        let model = MergedMoriModel { p: 0.5, m: 1 };
+        let seeds = SeedSequence::new(2);
+        for policy in [
+            StartPolicy::OldestHub,
+            StartPolicy::Uniform,
+            StartPolicy::NearTarget,
+        ] {
+            let (lanes, _) = search_cell(
+                &ModelSource::new(&model),
+                256,
+                4,
+                0,
+                &seeds,
+                &[SearcherKind::BfsFlood],
+                SearcherKind::build,
+                run_weak_in,
+                |graph, trial_seeds| SearchTask {
+                    start: policy.pick(graph.node_count(), &mut trial_seeds.child_rng(2)),
+                    ..hub_to_newest(graph, 100)
+                },
+                &Tracer::disabled(),
+            );
+            assert!(lanes[0].success_rate() > 0.9, "{}", policy.name());
+        }
+    }
 }

@@ -4,10 +4,10 @@
 //! measured mean must sit at or above the bound, and the bound itself
 //! must grow like √n.
 
-use super::{lane_measures, open_corpus, print_banner, resolve_source};
+use super::{lane_measures, open_corpus, print_banner, resolve_source, suite_sweep};
 use nonsearch_core::{
-    certify, mori_event_probability_exact, theorem1_weak_bound, CertifyConfig, EquivalenceWindow,
-    MergedMoriModel, ScalingSeries,
+    mori_event_probability_exact, theorem1_weak_bound, EquivalenceWindow, MergedMoriModel,
+    ScalingSeries,
 };
 use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue};
 use nonsearch_search::SearcherKind;
@@ -32,18 +32,9 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     let sizes = ctx.options.sweep(&[512, 1024, 2048, 4096, 8192]);
     let trial_count = ctx.options.trial_count(10);
     let model = MergedMoriModel { p, m: 1 };
-    let config = CertifyConfig {
-        sizes: sizes.clone(),
-        trials: trial_count,
-        seed: ctx.seed,
-        searchers: SearcherKind::informed().to_vec(),
-        budget_multiplier: 30,
-        threads: ctx.options.threads,
-        tracer: ctx.tracer.clone(),
-    };
     let corpus = open_corpus(ctx)?;
     let source = resolve_source(corpus.as_ref(), &model, &sizes);
-    let sweep = certify(&*source, &config);
+    let sweep = suite_sweep(ctx, &*source, &sizes, trial_count);
 
     let mut table = CellTable::new(&[
         ("n", "n", 0),
@@ -56,14 +47,14 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     let best = ScalingSeries::of_sweep(&sizes, &sweep)
         .best_lane()
         .expect("suite is non-empty");
-    let best_name = config.searchers[best].name();
+    let best_name = SearcherKind::informed()[best].name();
     let mut bound_growth = ScalingSeries::new(1);
     for (&n, (lanes, obs)) in sizes.iter().zip(&sweep) {
         let measured = lanes[best];
         let w = EquivalenceWindow::for_target(n);
         let prob = mori_event_probability_exact(w.a(), w.b(), p).expect("valid window");
         let bound = theorem1_weak_bound(n, p).expect("valid n, p");
-        // The certify sweep observed the whole size cell, every lane.
+        // The sweep observed the whole size cell, every lane.
         let size_key = CellKey::new()
             .with("model", "mori")
             .with("p", p)

@@ -25,13 +25,15 @@ mod theorem1_weak;
 mod theorem2_cf;
 
 use nonsearch_core::{
-    BarabasiAlbertModel, CertifyConfig, CooperFriezeModel, GraphModel, MergedMoriModel,
-    ModelSource, ScalingSeries,
+    hub_to_newest, search_cell, BarabasiAlbertModel, CooperFriezeModel, GraphModel,
+    MergedMoriModel, ModelSource, ScalingSeries,
 };
 use nonsearch_corpus::{Corpus, LoadMode};
 use nonsearch_engine::{
     CellKey, CellObs, CellTable, ExpContext, GraphSource, JsonValue, LaneAggregate, Registry,
 };
+use nonsearch_generators::SeedSequence;
+use nonsearch_search::{run_weak_in, SearcherKind, StrongSearcher};
 use std::io;
 
 /// Builds the `xp` command table: every experiment, the engine's tools,
@@ -121,8 +123,83 @@ fn evolving_models() -> Vec<(&'static str, Box<dyn GraphModel + Sync>)> {
     ]
 }
 
-/// Reports a certification sweep of `model` under `config`: one cell
-/// per (searcher, size) — `id`, then the searcher and `n`; its
+/// Strong-model searcher selection for E2 and E13.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StrongKind {
+    /// Discovery-order expansion.
+    Bfs,
+    /// Max-degree-first expansion.
+    HighDegree,
+    /// Target-label-proximity expansion.
+    GreedyId,
+}
+
+impl StrongKind {
+    /// All strong searchers.
+    const ALL: [StrongKind; 3] = [
+        StrongKind::Bfs,
+        StrongKind::HighDegree,
+        StrongKind::GreedyId,
+    ];
+
+    /// Report name.
+    fn name(&self) -> &'static str {
+        match self {
+            StrongKind::Bfs => "strong-bfs",
+            StrongKind::HighDegree => "strong-high-degree",
+            StrongKind::GreedyId => "strong-greedy-id",
+        }
+    }
+
+    /// Builds a fresh instance.
+    fn build(&self) -> Box<dyn StrongSearcher> {
+        match self {
+            StrongKind::Bfs => Box::new(nonsearch_search::StrongBfs::new()),
+            StrongKind::HighDegree => Box::new(nonsearch_search::StrongHighDegree::new()),
+            StrongKind::GreedyId => Box::new(nonsearch_search::StrongGreedyId::new()),
+        }
+    }
+}
+
+/// Request budget per vertex of a strong-oracle search.
+const STRONG_BUDGET: usize = 50;
+
+/// Request budget per vertex of a weak-oracle search.
+const WEAK_BUDGET: usize = 30;
+
+/// Races the `informed()` suite from the hub to the newest vertex, one
+/// cell per size of `sizes` on graphs from `source`: size `i` on
+/// subsequence `i` of the run seed. E1, E3 and E6 sweep through here.
+fn suite_sweep(
+    ctx: &ExpContext,
+    source: &dyn GraphSource,
+    sizes: &[usize],
+    trials: usize,
+) -> Vec<(Vec<LaneAggregate>, CellObs)> {
+    let seeds = SeedSequence::new(ctx.seed);
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let _cell_span = ctx.tracer.span("size-cell");
+            search_cell(
+                source,
+                n,
+                trials,
+                ctx.options.threads,
+                &seeds.subsequence(i as u64),
+                SearcherKind::informed(),
+                SearcherKind::build,
+                run_weak_in,
+                |graph, _| hub_to_newest(graph, WEAK_BUDGET),
+                &ctx.tracer,
+            )
+        })
+        .collect()
+}
+
+/// Reports a [`suite_sweep`] of `model` over `sizes`: one cell per
+/// (searcher, size) — `id`, then the searcher and `n`; its
 /// [`lane_measures`] and the searcher's fitted exponent — printed as one
 /// table, and one perf record per size, keyed `id` then `n`. Returns the
 /// sweep's series.
@@ -130,10 +207,11 @@ fn report_sweep(
     ctx: &mut ExpContext,
     model: &str,
     id: &CellKey,
-    config: &CertifyConfig,
+    sizes: &[usize],
+    trials: usize,
     sweep: &[(Vec<LaneAggregate>, CellObs)],
 ) -> ScalingSeries {
-    let series = ScalingSeries::of_sweep(&config.sizes, sweep);
+    let series = ScalingSeries::of_sweep(sizes, sweep);
     let mut table = CellTable::new(&[
         ("searcher", "algorithm", 0),
         ("n", "n", 0),
@@ -142,17 +220,17 @@ fn report_sweep(
         ("success", "success", 2),
         ("exponent", "exponent", 3),
     ]);
-    for (lane, kind) in config.searchers.iter().enumerate() {
-        for (&n, (lanes, _)) in config.sizes.iter().zip(sweep) {
+    for (lane, kind) in SearcherKind::informed().iter().enumerate() {
+        for (&n, (lanes, _)) in sizes.iter().zip(sweep) {
             let key = id.clone().with("searcher", kind.name()).with("n", n);
             let mut measures = lane_measures(&lanes[lane]);
             measures.push(("exponent", JsonValue::from(series.exponent(lane))));
             table.row(&key, &measures);
-            ctx.writer.record_cell(&key, config.trials, &measures);
+            ctx.writer.record_cell(&key, trials, &measures);
         }
     }
     println!("searchability report for {model}\n{table}");
-    for (&n, (_, obs)) in config.sizes.iter().zip(sweep) {
+    for (&n, (_, obs)) in sizes.iter().zip(sweep) {
         ctx.writer.record_perf(&id.clone().with("n", n), obs);
     }
     series
@@ -228,6 +306,23 @@ mod tests {
         assert_eq!(ids.len(), specs.len());
         for spec in specs {
             assert!(!spec.claim.is_empty(), "{} has no claim", spec.name);
+        }
+    }
+
+    #[test]
+    fn strong_kind_names_unique() {
+        let names: Vec<&str> = StrongKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), 3);
+        assert!(names.contains(&"strong-bfs"));
+    }
+
+    #[test]
+    fn strong_kind_names_have_distinct_lengths() {
+        // E2 seeds each searcher's cells with the length of its name. A
+        // clash would make two lanes silently search the same graphs.
+        let lengths: Vec<usize> = StrongKind::ALL.iter().map(|k| k.name().len()).collect();
+        for (i, a) in lengths.iter().enumerate() {
+            assert!(!lengths[i + 1..].contains(a), "{lengths:?}");
         }
     }
 }

@@ -19,15 +19,16 @@
 //! built with this experiment's model, seed, and sizes reproduces the
 //! generate path bit for bit.
 
-use super::{lane_measures, open_corpus, print_banner, resolve_source};
+use super::{lane_measures, open_corpus, print_banner, resolve_source, WEAK_BUDGET};
 use nonsearch_analysis::Table;
-use nonsearch_core::{measure_trial, BarabasiAlbertModel, GraphModel, ScalingSeries, TrialPool};
+use nonsearch_core::{
+    hub_to_newest, measure_trial, BarabasiAlbertModel, GraphModel, ScalingSeries, TrialPool,
+};
 use nonsearch_engine::{
     run_lanes_observed, CellKey, CellTable, ExpContext, ExperimentSpec, GraphSource,
 };
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
-use nonsearch_graph::NodeId;
-use nonsearch_search::{run_weak_in, SearchTask, SearcherKind, SuccessCriterion};
+use nonsearch_search::{run_weak_in, SearcherKind};
 use std::io;
 use std::sync::Arc;
 
@@ -55,7 +56,6 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     let model = BarabasiAlbertModel { m: 2 };
     let sizes = ctx.options.sweep(&[512, 1024, 2048, 4096]);
     let trial_count = ctx.options.trial_count(10);
-    let budget_multiplier = 30;
     let corpus = open_corpus(ctx)?;
     let original_source = resolve_source(corpus.as_ref(), &model, &sizes);
     // The rewired lane prefers the corpus's stored variant 0; otherwise
@@ -133,12 +133,7 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
                         });
                         [original, rewired]
                     },
-                    |graph| {
-                        let actual = graph.node_count();
-                        SearchTask::new(NodeId::from_label(1), NodeId::from_label(actual))
-                            .with_criterion(SuccessCriterion::DiscoverTarget)
-                            .with_budget(budget_multiplier * actual)
-                    },
+                    |graph| hub_to_newest(graph, WEAK_BUDGET),
                     |lane| trial_seeds.child_rng(1 + lane as u64),
                 )
             },

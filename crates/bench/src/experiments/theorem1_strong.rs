@@ -2,11 +2,13 @@
 //! needs `Ω(n^{1/2−p−ε})` requests; the slowdown argument runs strong
 //! algorithms natively and through the weak-model simulation.
 
-use super::{lane_measures, open_corpus, print_banner, resolve_source};
-use crate::{strong_cell, StrongKind};
-use nonsearch_core::{strong_model_exponent, MergedMoriModel, ScalingSeries};
+use super::{lane_measures, open_corpus, print_banner, resolve_source, StrongKind, STRONG_BUDGET};
+use nonsearch_core::{
+    hub_to_newest, search_cell, strong_model_exponent, MergedMoriModel, ScalingSeries,
+};
 use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec};
 use nonsearch_generators::SeedSequence;
+use nonsearch_search::run_strong_in;
 use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -47,22 +49,27 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
             ("ci95", "ci95", 1),
             ("success", "success", 2),
         ]);
-        let mut series = ScalingSeries::new(StrongKind::all().len());
-        for (lane, kind) in StrongKind::all().iter().enumerate() {
+        let mut series = ScalingSeries::new(StrongKind::ALL.len());
+        for (lane, kind) in StrongKind::ALL.iter().enumerate() {
             for (i, &n) in sizes.iter().enumerate() {
                 let _cell_span = tracer.span("size-cell");
                 let cell_seeds = seeds
                     .subsequence((p * 100.0) as u64)
                     .subsequence(i as u64)
                     .subsequence(kind.name().len() as u64);
-                let (cell, obs) = strong_cell(
+                let (lanes, obs) = search_cell(
                     &*source,
                     n,
-                    *kind,
                     trial_count,
                     ctx.options.threads,
                     &cell_seeds,
+                    &[*kind],
+                    StrongKind::build,
+                    run_strong_in,
+                    |graph, _| hub_to_newest(graph, STRONG_BUDGET),
+                    &tracer,
                 );
+                let cell = lanes[0];
                 let key = CellKey::new()
                     .with("model", "mori")
                     .with("p", p)

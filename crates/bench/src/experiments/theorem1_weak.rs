@@ -5,9 +5,9 @@
 //! each algorithm's scaling exponent and prints the per-size Lemma 1
 //! lower bound next to the best measured mean.
 
-use super::{open_corpus, print_banner, report_sweep, resolve_source};
+use super::{open_corpus, print_banner, report_sweep, resolve_source, suite_sweep};
 use nonsearch_analysis::Table;
-use nonsearch_core::{certify, theorem1_weak_bound, CertifyConfig, GraphModel, MergedMoriModel};
+use nonsearch_core::{theorem1_weak_bound, GraphModel, MergedMoriModel};
 use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec};
 use nonsearch_search::SearcherKind;
 use std::io;
@@ -45,25 +45,16 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     for &p in &p_values {
         for &m in &m_values {
             let model = MergedMoriModel { p, m };
-            let config = CertifyConfig {
-                sizes: sizes.clone(),
-                trials: trial_count,
-                seed: ctx.seed,
-                searchers: SearcherKind::informed().to_vec(),
-                budget_multiplier: 30,
-                threads: ctx.options.threads,
-                tracer: ctx.tracer.clone(),
-            };
             // A corpus built with this experiment's seed and sizes
             // serves the exact per-trial graphs, so the sweep (and the
             // emitted cell records) are bit-identical to generating.
             let source = resolve_source(corpus.as_ref(), &model, &sizes);
-            let sweep = certify(&*source, &config);
+            let sweep = suite_sweep(ctx, &*source, &sizes, trial_count);
             let id = CellKey::new()
                 .with("model", "mori")
                 .with("p", p)
                 .with("m", m);
-            let series = report_sweep(ctx, &model.name(), &id, &config, &sweep);
+            let series = report_sweep(ctx, &model.name(), &id, &sizes, trial_count, &sweep);
 
             let mut bound_table =
                 Table::with_columns(&["n", "lemma1 bound", "best measured", "slack"]);
@@ -78,7 +69,8 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
                     format!("{:.1}x", mean / bound),
                 ]);
             }
-            println!("lower bound vs best ({}):", config.searchers[best].name());
+            let best_name = SearcherKind::informed()[best].name();
+            println!("lower bound vs best ({best_name}):");
             println!("{bound_table}");
             if let Some(expo) = series.exponent(best) {
                 println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");

@@ -6,10 +6,9 @@
 //! `theorem1-weak`, with the same record taxonomy (`cell` rows per
 //! algorithm point; one `perf` row per size cell under `--profile`).
 
-use super::{open_corpus, print_banner, report_sweep, resolve_source};
-use nonsearch_core::{certify, CertifyConfig, CooperFriezeModel, GraphModel};
+use super::{open_corpus, print_banner, report_sweep, resolve_source, suite_sweep};
+use nonsearch_core::{CooperFriezeModel, GraphModel};
 use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec};
-use nonsearch_search::SearcherKind;
 use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -39,21 +38,12 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
 
     for &alpha in &alphas {
         let model = CooperFriezeModel::balanced(alpha);
-        let config = CertifyConfig {
-            sizes: sizes.clone(),
-            trials: trial_count,
-            seed: ctx.seed,
-            searchers: SearcherKind::informed().to_vec(),
-            budget_multiplier: 30,
-            threads: ctx.options.threads,
-            tracer: ctx.tracer.clone(),
-        };
         let source = resolve_source(corpus.as_ref(), &model, &sizes);
-        let sweep = certify(&*source, &config);
+        let sweep = suite_sweep(ctx, &*source, &sizes, trial_count);
         let id = CellKey::new()
             .with("model", "cooper-frieze")
             .with("alpha", alpha);
-        let series = report_sweep(ctx, &model.name(), &id, &config, &sweep);
+        let series = report_sweep(ctx, &model.name(), &id, &sizes, trial_count, &sweep);
         if let Some(expo) = series.best_lane().and_then(|best| series.exponent(best)) {
             println!("fitted exponent of best algorithm: {expo:.3} (theory: ≥ 0.5)\n");
         }

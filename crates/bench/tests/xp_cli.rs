@@ -321,6 +321,45 @@ fn trace_and_metrics_flow_through_a_profiled_run() {
 }
 
 #[test]
+fn search_cells_trace_one_span_per_trial() {
+    // (experiment, search cells of its quick sweep, trials per cell):
+    // E1 races the suite once per size (3 sizes × 4 trials); E2 runs
+    // each of 3 strong searchers at each of 3 sizes (3 trials each).
+    for (name, cells, trials) in [("theorem1-weak", 3, 4), ("theorem1-strong", 9, 3)] {
+        let run = temp_path(&format!("{name}.jsonl"));
+        let trace = temp_path(&format!("{name}.trace.json"));
+        let out = xp(&[
+            name,
+            "--quick",
+            "--threads",
+            "2",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--out",
+            run.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let trace_text = std::fs::read_to_string(&trace).unwrap();
+        validate_chrome_trace(&trace_text).unwrap();
+        let spans = |span: &str| trace_text.matches(&format!("\"name\":\"{span}\",")).count();
+        assert_eq!(spans("run"), 1, "{name}");
+        assert_eq!(spans("size-cell"), cells, "{name}");
+        assert_eq!(spans("trial"), cells * trials, "{name}");
+        // One batch per worker that ran, at most two per cell.
+        assert!(
+            (cells..=2 * cells).contains(&spans("trial-batch")),
+            "{name}"
+        );
+        std::fs::remove_file(&run).ok();
+        std::fs::remove_file(&trace).ok();
+    }
+}
+
+#[test]
 fn profile_diff_gates_on_a_doubled_baseline() {
     let run = temp_path("pd_run.jsonl");
     let run_str = run.to_str().unwrap();

@@ -12,8 +12,8 @@
 //! | Lemma 1 (`\|V\|·P(E)/2` bound) | [`lemma1_lower_bound`] |
 //! | Lemma 2 (event `E_{a,b}`) | [`mori_window_event_holds`], [`EquivalenceWindow`] |
 //! | Lemma 3 (`P(E_{a,b}) ≥ e^{−(1−p)}`) | [`mori_event_probability_exact`], [`estimate_mori_event_probability`], [`lemma3_bound`] |
-//! | Theorem 1 (weak + strong) | [`theorem1_weak_bound`], [`strong_model_exponent`], [`certify`], [`ScalingSeries`] |
-//! | Theorem 2 (Cooper–Frieze) | [`cooper_frieze_window_event_holds`], [`certify`], [`ScalingSeries`] |
+//! | Theorem 1 (weak + strong) | [`theorem1_weak_bound`], [`strong_model_exponent`], [`search_cell`], [`ScalingSeries`] |
+//! | Theorem 2 (Cooper–Frieze) | [`cooper_frieze_window_event_holds`], [`search_cell`], [`ScalingSeries`] |
 //!
 //! # Example: the paper's headline numbers
 //!
@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod certify;
 mod enumerate;
 mod equivalence;
 mod event;
@@ -48,7 +47,6 @@ mod theory;
 mod trial;
 mod window;
 
-pub use certify::{certify, CertifyConfig};
 pub use enumerate::{enumerate_mori_trees, FatherVector, TreeDistribution};
 pub use equivalence::{
     exact_window_exchangeability, sampled_window_symmetry, ExchangeabilityCheck, SymmetryReport,
@@ -70,7 +68,7 @@ pub use theory::{
     p_one_avoiding_walk_requests, p_one_leaf_requests, strong_model_exponent, CoreError,
     RequestMoments,
 };
-pub use trial::{measure_trial, Oracle, Rescans, TrialPool};
+pub use trial::{hub_to_newest, measure_trial, search_cell, Oracle, Rescans, TrialPool};
 pub use window::EquivalenceWindow;
 
 /// Result alias used across this crate.

@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// A random-graph model that can be sampled at any size.
 ///
-/// The certification machinery ([`certify`](crate::certify), through a
+/// The searcher race ([`search_cell`](crate::search_cell), through a
 /// [`ModelSource`]) quantifies over models through this trait;
 /// implementations wrap the generators crate with fixed parameters.
 pub trait GraphModel {

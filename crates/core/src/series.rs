@@ -32,8 +32,8 @@ impl ScalingSeries {
         }
     }
 
-    /// The series of a [`certify`](crate::certify) sweep over `sizes`:
-    /// one lane per searcher, `x = n`, `y` its mean requests.
+    /// The series of a sweep of [`search_cell`](crate::search_cell)s,
+    /// one cell per size of `sizes`: one lane per searcher, `x = n`, `y` its mean requests.
     pub fn of_sweep(sizes: &[usize], sweep: &[(Vec<LaneAggregate>, CellObs)]) -> Self {
         let mut series = ScalingSeries::new(sweep.first().map_or(0, |(lanes, _)| lanes.len()));
         for (&n, (lanes, _)) in sizes.iter().zip(sweep) {

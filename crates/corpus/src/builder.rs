@@ -110,7 +110,9 @@ pub fn build(dir: &Path, spec: &BuildSpec) -> Result<BuildReport, CorpusError> {
     let root = SeedSequence::new(spec.seed);
     // Job seeds are re-derived from (size_idx, trial) inside the job —
     // run_ordered's own flat-index streams are ignored — so the corpus
-    // reproduces exactly what certify's nested derivation generates.
+    // reproduces exactly what a size sweep of `search_cell`s generates:
+    // size `i` on subsequence `i`, trial `t` on its subsequence `t`, the
+    // graph on child stream 0.
     let entries: Vec<Result<(GraphEntry, u64), CorpusError>> =
         run_ordered(jobs, spec.threads, &root, |job, _seeds| {
             let size_idx = job / spec.trials;
@@ -246,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn graphs_match_the_certify_seed_derivation() {
+    fn graphs_match_the_sweep_seed_derivation() {
         // The contract behind `--corpus` bit-identity: stored graph
         // (size_idx, trial) is exactly the generate-per-trial sample.
         let dir = temp_dir("derivation");

@@ -645,8 +645,9 @@ where
 }
 
 /// Resolves a `--threads`-style setting: `0` means one per available
-/// core. Shared by the runner and [`CliOptions::resolved_threads`]
-/// (`crate::CliOptions`) so the fallback cannot drift.
+/// core. Shared by the runner and
+/// [`CliOptions::resolved_threads`](crate::CliOptions::resolved_threads)
+/// so the fallback cannot drift.
 pub(crate) fn resolve_thread_setting(threads: usize) -> usize {
     if threads > 0 {
         threads

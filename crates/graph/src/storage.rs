@@ -106,7 +106,7 @@ pub struct CsrLayout {
 
 /// The on-disk shape of one incidence slot (or edge-endpoint pair): two
 /// little-endian `u32`s. `#[repr(C)]` pins the field order, making this
-/// the layout that [`CsrStorage::from_region`] validates `(NodeId,
+/// the layout that `CsrStorage::from_region` validates `(NodeId,
 /// EdgeId)` and `(NodeId, NodeId)` against before casting.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

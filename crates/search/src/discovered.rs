@@ -18,7 +18,7 @@
 //!
 //! Presence is epoch-stamped — clearing the view is an O(1) epoch bump,
 //! with the u32-wrap path audited once in
-//! [`StampedMap`](crate::StampedMap) rather than re-implemented here.
+//! [`StampedMap`] rather than re-implemented here.
 //! This is what lets one [`SearchScratch`](crate::SearchScratch) serve
 //! thousands of Monte-Carlo trials without reallocating: the scratch
 //! owns the stamps, the order and the counters, and each search pairs

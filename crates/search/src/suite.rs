@@ -82,7 +82,7 @@ impl SearcherKind {
     }
 
     /// The searcher's report name (matches
-    /// [`WeakSearcher::name`](crate::WeakSearcher::name)).
+    /// [`WeakSearcher::name`]).
     pub fn name(&self) -> &'static str {
         match self {
             SearcherKind::RandomWalk => "random-walk",

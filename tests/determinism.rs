@@ -2,15 +2,16 @@
 //! reproducible from its seed.
 
 use nonsearch::core::{
-    certify, CertifyConfig, GraphModel, MergedMoriModel, ModelSource, PowerLawGiantModel,
+    hub_to_newest, search_cell, GraphModel, MergedMoriModel, ModelSource, PowerLawGiantModel,
 };
+use nonsearch::engine::Tracer;
 use nonsearch::generators::{
     rng_from_seed, BarabasiAlbert, CooperFrieze, CooperFriezeConfig, KleinbergGrid, MergedMori,
-    UniformAttachment,
+    SeedSequence, UniformAttachment,
 };
 use nonsearch::graph::{NodeId, UndirectedCsr};
 use nonsearch::search::{
-    percolation_search, run_weak, PercolationConfig, SearchTask, SearcherKind,
+    percolation_search, run_weak, run_weak_in, PercolationConfig, SearchTask, SearcherKind,
 };
 
 #[test]
@@ -75,18 +76,31 @@ fn percolation_reproduces_from_seeds() {
 
 #[test]
 fn certification_is_schedule_independent() {
-    // certify parallelizes across threads; seeds are per-cell, so the
-    // sweep must not depend on interleaving. Run twice and compare.
+    // search_cell parallelizes across threads; seeds are per-trial, so
+    // the sweep must not depend on interleaving. Run twice and compare.
     let model = MergedMoriModel { p: 0.5, m: 1 };
-    let config = CertifyConfig {
-        sizes: vec![128, 256],
-        trials: 8,
-        seed: 21,
-        searchers: vec![SearcherKind::HighDegree, SearcherKind::RandomWalk],
-        ..CertifyConfig::default()
+    let sweep = || -> Vec<_> {
+        let seeds = SeedSequence::new(21);
+        [128, 256]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                search_cell(
+                    &ModelSource::new(&model),
+                    n,
+                    8,
+                    0,
+                    &seeds.subsequence(i as u64),
+                    &[SearcherKind::HighDegree, SearcherKind::RandomWalk],
+                    SearcherKind::build,
+                    run_weak_in,
+                    |graph, _| hub_to_newest(graph, 50),
+                    &Tracer::disabled(),
+                )
+            })
+            .collect()
     };
-    let a = certify(&ModelSource::new(&model), &config);
-    let b = certify(&ModelSource::new(&model), &config);
+    let (a, b) = (sweep(), sweep());
     assert_eq!(a.len(), b.len());
     for ((x, _), (y, _)) in a.iter().zip(&b) {
         assert_eq!(x.len(), y.len());

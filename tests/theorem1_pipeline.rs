@@ -1,11 +1,13 @@
 //! End-to-end integration: the full Theorem 1 pipeline — generate,
-//! search, bound, certify — across crate boundaries.
+//! search, bound, the searcher race — across crate boundaries.
 
 use nonsearch::core::{
-    certify, lemma1_lower_bound, mori_event_probability_exact, theorem1_weak_bound, CertifyConfig,
-    EquivalenceWindow, GraphModel, MergedMoriModel, ModelSource, ScalingSeries,
+    hub_to_newest, lemma1_lower_bound, mori_event_probability_exact, search_cell,
+    theorem1_weak_bound, EquivalenceWindow, GraphModel, MergedMoriModel, ModelSource,
+    ScalingSeries,
 };
-use nonsearch::generators::{rng_from_seed, MergedMori, MoriTree};
+use nonsearch::engine::Tracer;
+use nonsearch::generators::{rng_from_seed, MergedMori, MoriTree, SeedSequence};
 use nonsearch::graph::{NodeId, UndirectedCsr};
 use nonsearch::search::{
     run_weak, run_weak_in, SearchScratch, SearchTask, SearcherKind, SuccessCriterion,
@@ -71,17 +73,27 @@ fn certification_exponent_respects_the_theory() {
     // Small sweep; the best exponent should not sit meaningfully below
     // the theoretical 1/2 (sampling noise tolerance 0.12).
     let model = MergedMoriModel { p: 0.5, m: 1 };
-    let config = CertifyConfig {
-        sizes: vec![256, 512, 1024, 2048],
-        trials: 10,
-        seed: 99,
-        searchers: SearcherKind::informed().to_vec(),
-        budget_multiplier: 100,
-        threads: 0,
-        ..CertifyConfig::default()
-    };
-    let sweep = certify(&ModelSource::new(&model), &config);
-    let series = ScalingSeries::of_sweep(&config.sizes, &sweep);
+    let sizes = [256, 512, 1024, 2048];
+    let seeds = SeedSequence::new(99);
+    let sweep: Vec<_> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            search_cell(
+                &ModelSource::new(&model),
+                n,
+                10,
+                0,
+                &seeds.subsequence(i as u64),
+                SearcherKind::informed(),
+                SearcherKind::build,
+                run_weak_in,
+                |graph, _| hub_to_newest(graph, 100),
+                &Tracer::disabled(),
+            )
+        })
+        .collect();
+    let series = ScalingSeries::of_sweep(&sizes, &sweep);
     let best = series
         .best_lane()
         .and_then(|lane| series.exponent(lane))
