@@ -125,7 +125,7 @@ fn evolving_models() -> Vec<(&'static str, Box<dyn GraphModel + Sync>)> {
 
 /// Strong-model searcher selection for E2 and E13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StrongKind {
+pub(crate) enum StrongKind {
     /// Discovery-order expansion.
     Bfs,
     /// Max-degree-first expansion.
@@ -152,7 +152,7 @@ impl StrongKind {
     }
 
     /// Builds a fresh instance.
-    fn build(&self) -> Box<dyn StrongSearcher> {
+    pub(crate) fn build(&self) -> Box<dyn StrongSearcher> {
         match self {
             StrongKind::Bfs => Box::new(nonsearch_search::StrongBfs::new()),
             StrongKind::HighDegree => Box::new(nonsearch_search::StrongHighDegree::new()),
@@ -162,7 +162,7 @@ impl StrongKind {
 }
 
 /// Request budget per vertex of a strong-oracle search.
-const STRONG_BUDGET: usize = 50;
+pub(crate) const STRONG_BUDGET: usize = 50;
 
 /// Request budget per vertex of a weak-oracle search.
 const WEAK_BUDGET: usize = 30;

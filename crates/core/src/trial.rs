@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::model::{GraphModel, MergedMoriModel, UniformAttachmentModel};
     use crate::{ModelSource, ScalingSeries};
-    use nonsearch_search::{run_strong_in, run_weak_in, SearcherKind, StrongHighDegree};
+    use nonsearch_search::{run_weak_in, SearcherKind};
 
     const SIZES: [usize; 3] = [128, 256, 512];
     const SEARCHERS: [SearcherKind; 3] = [
@@ -414,49 +414,5 @@ mod tests {
             assert_eq!(alone.len(), 1);
             assert_eq!(alone[0], raced[0]);
         }
-    }
-
-    #[test]
-    fn strong_cells_measure_and_are_thread_invariant() {
-        let model = MergedMoriModel { p: 0.5, m: 1 };
-        let source = ModelSource::new(&model);
-        let seeds = SeedSequence::new(1);
-        let strong = |threads| {
-            search_cell(
-                &source,
-                256,
-                4,
-                threads,
-                &seeds,
-                &[()],
-                |_| Box::new(StrongHighDegree::new()) as Box<dyn StrongSearcher>,
-                run_strong_in,
-                |graph, _| hub_to_newest(graph, 50),
-                &Tracer::disabled(),
-            )
-        };
-        let (lanes, obs) = strong(1);
-        let lane = lanes[0];
-        assert!(lane.mean() > 0.0);
-        assert!(lane.success_rate() > 0.9);
-        assert_eq!(obs.metrics.trials, 4);
-        assert_eq!(obs.metrics.trial_requests.total(), 4);
-        assert!(obs.metrics.discoveries > 0);
-        assert_eq!(obs.metrics.scratch_resets, 4);
-        // The exact request total is the lane's: mean × folded trials.
-        assert_eq!(obs.metrics.requests as f64, lane.mean() * 4.0);
-        // Phase timers rode alongside: generate (this source is not
-        // stored), search, and the consumer's merge all registered.
-        assert!(obs.phases.generate_ns > 0);
-        assert_eq!(obs.phases.load_ns, 0);
-        assert!(obs.phases.search_ns > 0);
-        assert!(obs.phases.merge_ns > 0);
-        assert!(obs.workers >= 1);
-        if cfg!(target_os = "linux") {
-            assert!(obs.resource.peak_rss_bytes > 0);
-        }
-        let (quad, quad_obs) = strong(4);
-        assert_eq!(lanes, quad);
-        assert_eq!(obs.metrics, quad_obs.metrics);
     }
 }
