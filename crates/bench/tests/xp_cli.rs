@@ -586,3 +586,26 @@ fn an_unopenable_corpus_fails_the_run_without_a_panic() {
     }
     std::fs::remove_dir_all(&old).ok();
 }
+
+#[test]
+fn a_reader_that_stops_early_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // `xp kleinberg --quick | head -1`: read the banner line, close the
+    // pipe, and the run must end with status 0 and nothing on stderr.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(["kleinberg", "--quick"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("xp binary runs");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with("=== E11"), "{line}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

@@ -48,11 +48,6 @@ impl WeakSearcher for BfsFlood {
 
     fn reset(&mut self) {
         self.cursor = 0;
-        self.edges.reset();
-    }
-
-    fn reserve(&mut self, nodes: usize, _edges: usize) {
-        self.edges.reserve(nodes);
     }
 
     fn frontier_rescans(&self) -> u64 {
@@ -104,12 +99,10 @@ impl WeakSearcher for DfsWalk {
     fn reset(&mut self) {
         self.stack.clear();
         self.seen = 0;
-        self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.stack.reserve(nodes);
-        self.edges.reserve(nodes);
     }
 
     fn frontier_rescans(&self) -> u64 {

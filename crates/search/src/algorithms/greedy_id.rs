@@ -5,7 +5,7 @@
 //! the target `n` is the newest vertex. These searchers exploit that —
 //! and the lower bound says even they cannot beat `Ω(√n)`.
 
-use crate::best::BestDiscovered;
+use crate::best::{closer_label_first, BestDiscovered};
 use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
@@ -18,7 +18,7 @@ use rand::RngCore;
 /// are ages — the analogue of Kleinberg's greedy with the label metric.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyIdProximity {
-    index: BestDiscovered<usize>,
+    index: BestDiscovered,
     edges: FrontierCursors,
 }
 
@@ -43,19 +43,17 @@ impl WeakSearcher for GreedyIdProximity {
         let edges = &mut self.edges;
         self.index.best(
             view,
-            |v| v.label().abs_diff(task.target.label()),
+            |v| closer_label_first(v, task.target),
             |v| edges.next_unexplored(view, v),
         )
     }
 
     fn reset(&mut self) {
         self.index.reset();
-        self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.index.reserve(nodes);
-        self.edges.reserve(nodes);
     }
 
     fn frontier_rescans(&self) -> u64 {
@@ -69,7 +67,7 @@ impl WeakSearcher for GreedyIdProximity {
 /// expected degree in attachment models — before fanning out.
 #[derive(Debug, Clone, Default)]
 pub struct OldestFirst {
-    index: BestDiscovered<()>,
+    index: BestDiscovered,
     edges: FrontierCursors,
 }
 
@@ -93,17 +91,15 @@ impl WeakSearcher for OldestFirst {
     ) -> Option<(NodeId, EdgeId)> {
         let edges = &mut self.edges;
         self.index
-            .best(view, |_| (), |v| edges.next_unexplored(view, v))
+            .best(view, |_| 0, |v| edges.next_unexplored(view, v))
     }
 
     fn reset(&mut self) {
         self.index.reset();
-        self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.index.reserve(nodes);
-        self.edges.reserve(nodes);
     }
 
     fn frontier_rescans(&self) -> u64 {

@@ -8,12 +8,11 @@
 //! mean-field cost on power-law graphs is `O(n^{2(1−2/k)})` versus the
 //! random walk's `O(n^{3(1−2/k)})`.
 
-use crate::best::BestDiscovered;
+use crate::best::{higher_degree_first, BestDiscovered};
 use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
 use rand::RngCore;
-use std::cmp::Reverse;
 
 /// Greedy high-degree search (weak model).
 ///
@@ -23,7 +22,7 @@ use std::cmp::Reverse;
 /// shared lazy-deletion index.
 #[derive(Debug, Clone, Default)]
 pub struct HighDegreeGreedy {
-    index: BestDiscovered<Reverse<usize>>,
+    index: BestDiscovered,
     edges: FrontierCursors,
 }
 
@@ -48,19 +47,17 @@ impl WeakSearcher for HighDegreeGreedy {
         let edges = &mut self.edges;
         self.index.best(
             view,
-            |v| Reverse(view.degree_of(v).expect("discovered vertices have info")),
+            |v| higher_degree_first(view, v),
             |v| edges.next_unexplored(view, v),
         )
     }
 
     fn reset(&mut self) {
         self.index.reset();
-        self.edges.reset();
     }
 
     fn reserve(&mut self, nodes: usize, _edges: usize) {
         self.index.reserve(nodes);
-        self.edges.reserve(nodes);
     }
 
     fn frontier_rescans(&self) -> u64 {

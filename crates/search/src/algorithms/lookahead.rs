@@ -1,6 +1,6 @@
 //! Look-ahead and restarting walks.
 
-use crate::best::BestDiscovered;
+use crate::best::{closer_label_first, BestDiscovered};
 use crate::frontier::FrontierCursors;
 use crate::{DiscoveredView, SearchTask, WeakSearcher};
 use nonsearch_graph::{EdgeId, NodeId};
@@ -24,7 +24,7 @@ pub struct LookaheadWalk {
     /// Neighbors revealed while expanding the current vertex.
     basket: Vec<NodeId>,
     /// Discovered vertices by `(|label − target|, v)`, for dead ends.
-    fallback: BestDiscovered<usize>,
+    fallback: BestDiscovered,
 }
 
 impl LookaheadWalk {
@@ -51,9 +51,9 @@ impl WeakSearcher for LookaheadWalk {
         }
         // Current vertex fully expanded: hop to the basket's best
         // neighbor (closest label to the target), then continue there.
-        // Liveness reads the walk's own cursors, which only move forward,
+        // Liveness reads the frontier cursors, which only move forward,
         // so a hub in the basket is not rescanned from slot 0 every hop.
-        let gap = |v: NodeId| v.label().abs_diff(task.target.label());
+        let gap = |v: NodeId| closer_label_first(v, task.target);
         let edges = &mut self.edges;
         let (v, e) = match self
             .basket
@@ -79,13 +79,11 @@ impl WeakSearcher for LookaheadWalk {
 
     fn reset(&mut self) {
         self.current = None;
-        self.edges.reset();
         self.basket.clear();
         self.fallback.reset();
     }
 
     fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.edges.reserve(nodes);
         self.fallback.reserve(nodes);
         // The basket holds one entry per request since the last hop,
         // which the expanding vertex's degree bounds.

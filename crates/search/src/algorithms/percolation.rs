@@ -46,8 +46,8 @@ pub struct PercolationOutcome {
 
 /// Reusable state for [`percolation_search_in`]: dense stamped vertex
 /// sets (replica holders, query-reached) plus the broadcast queue and
-/// walk buffer, all reset in O(1) between runs — the same epoch trick
-/// as [`SearchScratch`](crate::SearchScratch).
+/// walk buffer, all reset in O(1) between runs by an epoch bump (see
+/// [`StampedMap`](crate::StampedMap)).
 #[derive(Debug, Clone, Default)]
 pub struct PercolationScratch {
     replicas: StampedNodeSet,

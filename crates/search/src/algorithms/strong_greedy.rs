@@ -1,10 +1,9 @@
 //! Strong-model searchers: expansion-order policies over known vertices.
 
-use crate::best::BestDiscovered;
+use crate::best::{closer_label_first, higher_degree_first, BestDiscovered};
 use crate::{DiscoveredView, SearchTask, StampedNodeSet, StrongSearcher};
 use nonsearch_graph::NodeId;
 use rand::RngCore;
-use std::cmp::Reverse;
 
 /// Strong-model BFS: expand known vertices in discovery order.
 #[derive(Debug, Clone, Default)]
@@ -64,7 +63,7 @@ impl StrongSearcher for StrongBfs {
 #[derive(Debug, Clone, Default)]
 pub struct StrongHighDegree {
     expanded: StampedNodeSet,
-    index: BestDiscovered<Reverse<usize>>,
+    index: BestDiscovered,
 }
 
 impl StrongHighDegree {
@@ -89,7 +88,7 @@ impl StrongSearcher for StrongHighDegree {
         self.index
             .best(
                 view,
-                |v| Reverse(view.degree_of(v).expect("discovered vertices have info")),
+                |v| higher_degree_first(view, v),
                 |v| (!expanded.contains(v)).then_some(()),
             )
             .map(|(v, ())| v)
@@ -118,7 +117,7 @@ impl StrongSearcher for StrongHighDegree {
 #[derive(Debug, Clone, Default)]
 pub struct StrongGreedyId {
     expanded: StampedNodeSet,
-    index: BestDiscovered<usize>,
+    index: BestDiscovered,
 }
 
 impl StrongGreedyId {
@@ -143,7 +142,7 @@ impl StrongSearcher for StrongGreedyId {
         self.index
             .best(
                 view,
-                |v| v.label().abs_diff(task.target.label()),
+                |v| closer_label_first(v, task.target),
                 |v| (!expanded.contains(v)).then_some(()),
             )
             .map(|(v, ())| v)

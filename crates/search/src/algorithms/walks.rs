@@ -99,11 +99,6 @@ impl WeakSearcher for AvoidingWalk {
 
     fn reset(&mut self) {
         self.current = None;
-        self.edges.reset();
-    }
-
-    fn reserve(&mut self, nodes: usize, _edges: usize) {
-        self.edges.reserve(nodes);
     }
 
     fn frontier_rescans(&self) -> u64 {

@@ -6,16 +6,18 @@ use nonsearch_graph::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The best discovered vertex that still has work, by a fixed key.
+/// The best discovered vertex that still has work, by a fixed `u32` key.
 ///
-/// Holds a min-heap of `(key, vertex)` and a cursor into
-/// [`DiscoveredView::discovered`]. Each [`best`](BestDiscovered::best)
+/// Holds a min-heap of packed `key << 32 | vertex` words and a cursor
+/// into [`DiscoveredView::discovered`]. Each [`best`](BestDiscovered::best)
 /// call pushes the vertices discovered since the last call, then pops
 /// from the top until it reaches a vertex that still has work. Smaller
 /// keys win and ties break toward the smaller vertex id, so it picks
 /// exactly what a `min_by_key(|v| (key(v), v))` scan over the live
 /// discovered vertices would. A max-by-degree searcher keys on
-/// `Reverse(degree)`.
+/// [`higher_degree_first`], a label-gap searcher on
+/// [`closer_label_first`]. An entry takes 8 bytes, half of a
+/// `(usize, NodeId)` pair.
 ///
 /// Two properties make dropping a popped vertex for good sound: a key
 /// must be fixed once the vertex is discovered, and liveness must be
@@ -26,23 +28,14 @@ use std::collections::BinaryHeap;
 /// for the whole graph, so a pre-sized search never allocates here.
 ///
 /// [`reserve`]: BestDiscovered::reserve
-#[derive(Debug, Clone)]
-pub(crate) struct BestDiscovered<K> {
-    heap: BinaryHeap<Reverse<(K, NodeId)>>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BestDiscovered {
+    heap: BinaryHeap<Reverse<u64>>,
     /// How many of `view.discovered()` have been pushed.
     seen: usize,
 }
 
-impl<K: Ord> Default for BestDiscovered<K> {
-    fn default() -> Self {
-        BestDiscovered {
-            heap: BinaryHeap::new(),
-            seen: 0,
-        }
-    }
-}
-
-impl<K: Ord> BestDiscovered<K> {
+impl BestDiscovered {
     /// The best vertex for which `live` returns its pending work, with
     /// that work (an edge to request, or `()` for a vertex to expand).
     /// `None` once no discovered vertex has work left.
@@ -50,15 +43,17 @@ impl<K: Ord> BestDiscovered<K> {
     pub(crate) fn best<W>(
         &mut self,
         view: &DiscoveredView,
-        mut key: impl FnMut(NodeId) -> K,
+        mut key: impl FnMut(NodeId) -> u32,
         mut live: impl FnMut(NodeId) -> Option<W>,
     ) -> Option<(NodeId, W)> {
         let fresh = view.discovered().get(self.seen..).unwrap_or_default();
         self.seen += fresh.len();
         for &v in fresh {
-            self.heap.push(Reverse((key(v), v)));
+            self.heap
+                .push(Reverse(u64::from(key(v)) << 32 | v.index() as u64));
         }
-        while let Some(&Reverse((_, v))) = self.heap.peek() {
+        while let Some(&Reverse(packed)) = self.heap.peek() {
+            let v = NodeId::new((packed & u64::from(u32::MAX)) as usize);
             if let Some(work) = live(v) {
                 return Some((v, work));
             }
@@ -81,6 +76,23 @@ impl<K: Ord> BestDiscovered<K> {
     }
 }
 
+/// The key that ranks a discovered vertex of higher degree first:
+/// `u32::MAX − degree`.
+///
+/// # Panics
+///
+/// If `v` is not discovered or its degree does not fit in `u32`.
+pub(crate) fn higher_degree_first(view: &DiscoveredView, v: NodeId) -> u32 {
+    let degree = view.degree_of(v).expect("discovered vertices have info");
+    u32::MAX - u32::try_from(degree).expect("degree exceeds u32::MAX")
+}
+
+/// The key that ranks a vertex whose label is closer to `target`'s
+/// first: the label gap, which fits in `u32` because vertex indices do.
+pub(crate) fn closer_label_first(v: NodeId, target: NodeId) -> u32 {
+    u32::try_from(v.index().abs_diff(target.index())).expect("vertex indices fit in u32")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +109,7 @@ mod tests {
         let discovered = view.slot_reads();
         let mut index = BestDiscovered::default();
         // Only vertex 3 has work, so 0, 1 and 2 are popped on the way.
-        let key = |v: NodeId| v.index();
+        let key = |v: NodeId| v.index() as u32;
         let best = index.best(&view, key, |v| (v.index() == 3).then_some(()));
         assert_eq!(best, Some((NodeId::new(3), ())));
         assert_eq!(view.slot_reads() - discovered, 3);

@@ -1,30 +1,38 @@
-//! The searcher's partial view of the graph: a discovery stamp per
+//! The searcher's partial view of the graph: one discovery bit per
 //! vertex over the graph's own slots.
 //!
 //! In both of the paper's models a vertex is revealed together with its
 //! incident edge list, so an edge is resolved (both endpoints known)
 //! exactly when its second endpoint is discovered. Vertex discovery is
-//! therefore the view's only state: a 4-byte epoch stamp per vertex and
-//! the discovery order. A discovered vertex's degree and edges are read
+//! therefore the view's only state: one bit per vertex and the
+//! discovery order. A discovered vertex's degree and edges are read
 //! from the CSR's own offsets and slot range, owned or mmap-borrowed
 //! alike, so nothing is copied per slot. "Is this slot explored?" is one
-//! stamp read — is the far end discovered? — and nothing is written per
+//! bit read — is the far end discovered? — and nothing is written per
 //! edge. The far ends stay private: searchers see edge handles, and
 //! learn where an edge leads only by requesting it.
 //!
-//! Per-request work is a handful of array reads — no hashing, and no
-//! heap allocation once the stamps and the order list have grown to the
-//! graph's size.
+//! The view also keeps the searchers' frontier cursors, one `u32` per
+//! vertex set to slot 0 when the vertex is discovered (see
+//! [`FrontierCursors`](crate::FrontierCursors)), and remembers the last
+//! slot a cursor handed out, far end included. The weak oracle answers
+//! a request for that edge from the memo instead of looking the edge up
+//! in the graph's edge list, which saves the request's one random
+//! memory touch outside the vertex's own slots. The memo never leaves
+//! the crate and `Debug` does not print it.
 //!
-//! Presence is epoch-stamped — clearing the view is an O(1) epoch bump,
-//! with the u32-wrap path audited once in
-//! [`StampedMap`] rather than re-implemented here.
+//! Per-request work is a handful of array reads — no hashing, and no
+//! heap allocation once the bitset, the cursors and the order list have
+//! grown to the graph's size.
+//!
+//! Clearing the view zeroes the bitset word of each vertex in the
+//! discovery order (or the whole bitset, if that is smaller), so it
+//! costs O(discovered), never more than the search that discovered them.
 //! This is what lets one [`SearchScratch`](crate::SearchScratch) serve
 //! thousands of Monte-Carlo trials without reallocating: the scratch
-//! owns the stamps, the order and the counters, and each search pairs
-//! them with its graph in a [`DiscoveredView`].
+//! owns the bitset, the cursors, the order and the counters, and each
+//! search pairs them with its graph in a [`DiscoveredView`].
 
-use crate::stamped::StampedMap;
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use std::cell::Cell;
 use std::fmt;
@@ -86,12 +94,22 @@ impl fmt::Debug for DiscoveredVertex<'_> {
 }
 
 /// The view's own state, kept in a [`SearchScratch`](crate::SearchScratch)
-/// across searches: who is discovered, in what order, and the work
-/// counters.
+/// across searches: who is discovered, in what order, the frontier
+/// cursors, and the work counters.
 #[derive(Clone, Default)]
 pub(crate) struct ViewState {
-    /// Present iff the vertex is discovered: 4 bytes per vertex.
-    nodes: StampedMap<()>,
+    /// Bit `v % 64` of word `v / 64` is set iff vertex `v` is
+    /// discovered: one bit per vertex.
+    discovered: Vec<u64>,
+    /// Per vertex, the first slot its frontier cursor has not skipped
+    /// (every earlier slot is explored). Set to 0 when the vertex is
+    /// discovered, so it never outlives a search. `Cell`s, so the
+    /// searchers advance them through the `&DiscoveredView` they are
+    /// handed.
+    cursors: Vec<Cell<u32>>,
+    /// `(vertex, edge, far end)` of the slot a frontier cursor handed
+    /// out last, or `None` after a reset.
+    handed_out: Cell<Option<(NodeId, EdgeId, NodeId)>>,
     /// Discovered vertices in discovery order (start vertex first).
     order: Vec<NodeId>,
     /// Cumulative count of edges that became resolved (second endpoint
@@ -110,6 +128,7 @@ pub(crate) struct ViewState {
 
 impl fmt::Debug for ViewState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The cursor memo holds a far end: it is not printed.
         f.debug_struct("ViewState")
             .field("discovered", &self.order)
             .field("edge_resolutions", &self.edge_resolutions)
@@ -120,32 +139,37 @@ impl fmt::Debug for ViewState {
 }
 
 impl ViewState {
-    /// A state whose *next* [`reset`](ViewState::reset) takes the
-    /// epoch-wrap path.
-    #[cfg(test)]
-    fn near_wrap() -> Self {
-        ViewState {
-            nodes: StampedMap::near_wrap(),
-            ..Self::default()
-        }
-    }
-
-    /// Forgets every discovery in O(1): bumps the node epoch and
-    /// truncates the discovery order, keeping both allocations for the
-    /// next search. The once-per-2^32 wrap path is
-    /// [`StampedMap::reset`]'s.
+    /// Forgets every discovery in O(discovered): zeroes the bitset word
+    /// of each discovered vertex (the whole bitset when that is fewer
+    /// words), truncates the discovery order and drops the cursor memo,
+    /// keeping every allocation for the next search. The cursors need
+    /// no clearing: discovery sets them.
     // lint: alloc-free
     pub(crate) fn reset(&mut self) {
+        if self.order.len() < self.discovered.len() {
+            for v in &self.order {
+                self.discovered[v.index() / 64] = 0;
+            }
+        } else {
+            self.discovered.fill(0);
+        }
         self.order.clear();
-        self.nodes.reset();
+        self.handed_out.set(None);
         self.resets += 1;
     }
 
-    /// Grows the stamps and the discovery-order list to cover `nodes`
-    /// vertices, so a search over a graph of that size allocates
-    /// nothing, even on the first trial. A no-op once large enough.
+    /// Grows the bitset, the cursors and the discovery-order list to
+    /// cover `nodes` vertices, so a search over a graph of that size
+    /// allocates nothing, even on the first trial. A no-op once large
+    /// enough.
     pub(crate) fn reserve(&mut self, nodes: usize) {
-        self.nodes.reserve(nodes);
+        let words = nodes.div_ceil(64);
+        if self.discovered.len() < words {
+            self.discovered.resize(words, 0);
+        }
+        if self.cursors.len() < nodes {
+            self.cursors.resize(nodes, Cell::new(0));
+        }
         if self.order.capacity() < nodes {
             self.order.reserve(nodes - self.order.len());
         }
@@ -160,7 +184,7 @@ impl ViewState {
 /// conservative choice for lower-bound experiments (the searcher is
 /// never given *less* than the model allows).
 ///
-/// Pairs one search's graph with the discovery stamps, order and
+/// Pairs one search's graph with the discovery bits, cursors, order and
 /// counters a [`SearchScratch`](crate::SearchScratch) keeps across
 /// searches (see the module docs), so a view reused across trials
 /// performs zero heap allocations once warm. Only the oracles create
@@ -179,8 +203,9 @@ impl fmt::Debug for DiscoveredView<'_> {
 }
 
 impl<'a> DiscoveredView<'a> {
-    /// An empty view of `graph` over `state`, which is reset first
-    /// (O(1) epoch bump) and grown to the graph's size.
+    /// An empty view of `graph` over `state`, which is reset first (in
+    /// time linear in the previous search's discoveries) and grown to
+    /// the graph's size.
     pub(crate) fn new(state: &'a mut ViewState, graph: &'a UndirectedCsr) -> Self {
         state.reset();
         state.reserve(graph.node_count());
@@ -205,7 +230,11 @@ impl<'a> DiscoveredView<'a> {
     /// `true` if `v` has been discovered.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.state.nodes.contains(v.index())
+        let i = v.index();
+        self.state
+            .discovered
+            .get(i / 64)
+            .is_some_and(|&word| word >> (i % 64) & 1 != 0)
     }
 
     /// Discovered vertices in discovery order (start vertex first).
@@ -251,8 +280,8 @@ impl<'a> DiscoveredView<'a> {
     }
 
     /// Records the discovery of `v`, whose slots stay where they are in
-    /// the graph. A no-op for an already-discovered vertex, which costs
-    /// one stamp read.
+    /// the graph, and sets its frontier cursor to slot 0. A no-op for an
+    /// already-discovered vertex, which costs one bit read.
     ///
     /// Every slot of `v` is read once, to test its far end: a far end
     /// already discovered resolves its edge now, and a self-loop fills
@@ -273,8 +302,46 @@ impl<'a> DiscoveredView<'a> {
         }
         self.state.edge_resolutions += resolved + loop_slots / 2;
         self.count_reads(slots.len());
-        self.state.nodes.insert(v.index(), ());
+        let i = v.index();
+        self.state.discovered[i / 64] |= 1 << (i % 64);
+        self.state.cursors[i].set(0);
         self.state.order.push(v);
+    }
+
+    /// The first unexplored incident edge of the discovered vertex `v`
+    /// at or after its frontier cursor, and how many explored slots the
+    /// cursor skipped to reach it. The cursor moves to the slot found,
+    /// and the view remembers that slot for
+    /// [`handed_out_far_end`](DiscoveredView::handed_out_far_end). The
+    /// edge is `None` once `v` is exhausted (or not discovered).
+    // lint: alloc-free
+    pub(crate) fn advance_cursor(&self, v: NodeId) -> (Option<EdgeId>, usize) {
+        let Some(info) = self.vertex(v) else {
+            return (None, 0);
+        };
+        let cursor = &self.state.cursors[v.index()];
+        let from = cursor.get() as usize;
+        let found = info.first_unexplored(self, from);
+        // A degree past `u32::MAX` would truncate the stored cursor to an
+        // earlier slot, which only re-skips explored slots.
+        cursor.set(found as u32);
+        let edge = info.slots.get(found).map(|&(far, edge)| {
+            self.state.handed_out.set(Some((v, edge, far)));
+            edge
+        });
+        (edge, found - from)
+    }
+
+    /// The far end of `e` if `(u, e)` is the slot a frontier cursor
+    /// handed out last in this search. That slot lies in `u`'s own slot
+    /// range, so `e` is incident to `u` and the answer is the one the
+    /// graph's edge list gives.
+    #[inline]
+    pub(crate) fn handed_out_far_end(&self, u: NodeId, e: EdgeId) -> Option<NodeId> {
+        match self.state.handed_out.get() {
+            Some((v, edge, far)) if v == u && edge == e => Some(far),
+            _ => None,
+        }
     }
 
     /// Cumulative count of edges that became resolved over this view's
@@ -336,7 +403,7 @@ impl Iterator for UnexploredEdges<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SearchError, SearchScratch, StrongSearchState, WeakSearchState};
+    use crate::{FrontierCursors, SearchError, SearchScratch, StrongSearchState, WeakSearchState};
     use nonsearch_graph::UndirectedCsr;
 
     fn e(i: usize) -> EdgeId {
@@ -603,26 +670,90 @@ mod tests {
         assert_eq!(unexplored(&view, v(1)), edges(&[1, 2, 3]));
     }
 
+    fn path(n: usize) -> UndirectedCsr {
+        UndirectedCsr::from_edges(n, (1..n).map(|i| (i - 1, i))).unwrap()
+    }
+
+    /// Discovers `pairs` in a view of `graph` over `state` and moves the
+    /// cursor of each discovered vertex past its explored slots.
+    fn dirty(state: &mut ViewState, graph: &UndirectedCsr, pairs: &[(usize, usize)]) {
+        let mut view = DiscoveredView::new(state, graph);
+        for &(a, b) in pairs {
+            view.discover(v(a));
+            view.discover(v(b));
+        }
+        let mut cursors = FrontierCursors::new();
+        for &(a, b) in pairs {
+            cursors.next_unexplored(&view, v(a));
+            cursors.next_unexplored(&view, v(b));
+        }
+        assert!(cursors.rescans() > 0, "no cursor moved");
+    }
+
+    /// Opens a view of `graph` over `state` and asserts that it starts
+    /// clean: no vertex below `probe` reads as discovered, and the
+    /// cursor of each newly discovered vertex of `vertices` starts at
+    /// slot 0, so it hands out the edge a scan from slot 0 finds.
+    fn assert_clean(
+        state: &mut ViewState,
+        graph: &UndirectedCsr,
+        probe: usize,
+        vertices: &[usize],
+    ) {
+        let mut view = DiscoveredView::new(state, graph);
+        assert!(view.is_empty());
+        for u in 0..probe {
+            assert!(!view.contains(v(u)), "{u} survived the reset");
+        }
+        let mut cursors = FrontierCursors::new();
+        for &u in vertices {
+            view.discover(v(u));
+            let vertex = view.vertex(v(u)).unwrap();
+            let first = (0..vertex.degree())
+                .find(|&i| !view.contains(view.slots_of(v(u))[i].0))
+                .unwrap_or(vertex.degree());
+            let rescans = cursors.rescans();
+            assert_eq!(
+                cursors.next_unexplored(&view, v(u)),
+                (first < vertex.degree()).then(|| vertex.edge(first)),
+                "cursor of {u}"
+            );
+            assert_eq!(cursors.rescans() - rescans, first as u64, "cursor of {u}");
+        }
+    }
+
     #[test]
-    fn epoch_wrap_clears_stamps() {
-        let g = edge_cases();
-        // Built at the wrap boundary: the next reset zero-fills stamps.
-        let mut state = ViewState::near_wrap();
-        let mut view = DiscoveredView {
-            offsets: g.raw_parts().0,
-            slots: g.raw_parts().1,
-            state: &mut state,
+    fn reused_view_starts_clean_across_words() {
+        // 1000 = 15·64 + 40 and 200 = 3·64 + 8: the pairs sit in the
+        // first, a middle and the last, partial bitset word. A reset
+        // after the sparse search clears word by word, one after the
+        // dense search the whole bitset.
+        let sparse = path(1000);
+        let dense = path(200);
+        let small = edge_cases();
+        let sparse_pairs = [(0, 1), (500, 501), (998, 999)];
+        let dense_pairs = [(0, 1), (69, 70), (130, 131), (198, 199)];
+        let small_pairs = [(1, 2), (3, 4)];
+        let all = |pairs: &[(usize, usize)]| -> Vec<usize> {
+            pairs.iter().flat_map(|&(a, b)| [a, b]).collect()
         };
-        view.discover(v(2));
-        view.discover(v(3));
-        let mut view = DiscoveredView::new(&mut state, &g); // the wrap path
-        assert!(!view.contains(v(2)));
-        view.discover(v(2));
-        assert!(view.contains(v(2)));
-        assert_eq!(unexplored(&view, v(2)), edges(&[3, 4]));
-        // And the restarted epoch keeps resetting cleanly.
-        let view = DiscoveredView::new(&mut state, &g);
-        assert!(!view.contains(v(2)));
+
+        let mut state = ViewState::default();
+        dirty(&mut state, &sparse, &sparse_pairs);
+        assert!(sparse_pairs.len() * 2 < sparse.node_count().div_ceil(64));
+        assert_clean(&mut state, &sparse, 1000, &all(&sparse_pairs));
+        dirty(&mut state, &dense, &dense_pairs);
+        assert!(dense_pairs.len() * 2 >= dense.node_count().div_ceil(64));
+        assert_clean(&mut state, &dense, 1000, &all(&dense_pairs));
+
+        // A small graph after a large one, and the reverse.
+        dirty(&mut state, &sparse, &sparse_pairs);
+        assert_clean(&mut state, &small, 1000, &all(&small_pairs));
+        dirty(&mut state, &small, &small_pairs);
+        assert_clean(&mut state, &sparse, 1000, &all(&sparse_pairs));
+        let mut fresh = ViewState::default();
+        dirty(&mut fresh, &small, &small_pairs);
+        assert_clean(&mut fresh, &sparse, 1000, &all(&sparse_pairs));
     }
 
     #[test]
@@ -649,7 +780,7 @@ mod tests {
         let mut state = ViewState::default();
         let mut view = DiscoveredView::new(&mut state, &g);
         view.discover(v(1)); // reads [e1, e2, e3]
-        view.discover(v(1)); // known: one stamp read, no slot
+        view.discover(v(1)); // known: one bit read, no slot
         view.discover(v(2)); // reads [e3, e4]
         assert_eq!(view.slot_reads(), 5);
         // A scan tests each slot it passes and the one it stops at: e1
@@ -686,6 +817,11 @@ mod tests {
         let vertex = format!("{:?}", view.vertex(v(0)).unwrap());
         assert_eq!(vertex, "DiscoveredVertex { incident: [e0], .. }");
         // The far end, vertex 1, prints as `v2`.
+        assert!(!format!("{view:?}").contains("v2"), "{view:?}");
+        // Nor once a cursor has handed the edge out, far end and all.
+        let mut cursors = FrontierCursors::new();
+        assert_eq!(cursors.next_unexplored(&view, v(0)), Some(e(0)));
+        assert_eq!(view.handed_out_far_end(v(0), e(0)), Some(v(1)));
         assert!(!format!("{view:?}").contains("v2"), "{view:?}");
     }
 }

@@ -1,17 +1,17 @@
 //! Amortized-O(1) frontier bookkeeping shared by the greedy searchers.
 
-use crate::stamped::StampedMap;
 use crate::DiscoveredView;
 use nonsearch_graph::{EdgeId, NodeId};
 
-/// Per-vertex cursors over incident edge lists, stored dense.
+/// A searcher's handle on the per-vertex frontier cursors over incident
+/// edge lists, and its count of the slots they skipped.
 ///
 /// Exploration is monotone (a slot is explored once its far end is
 /// discovered, and discovery is never undone within a search), so a
-/// forward-only `u32` cursor per vertex finds each vertex's next
-/// unexplored edge in O(1) amortized instead of rescanning the whole
-/// incident list on every request. The O(log n)-per-request weak
-/// searchers ([`HighDegreeGreedy`](crate::HighDegreeGreedy),
+/// forward-only cursor per vertex finds each vertex's next unexplored
+/// edge in O(1) amortized instead of rescanning the whole incident list
+/// on every request. The O(log n)-per-request weak searchers
+/// ([`HighDegreeGreedy`](crate::HighDegreeGreedy),
 /// [`GreedyIdProximity`](crate::GreedyIdProximity),
 /// [`OldestFirst`](crate::OldestFirst) and
 /// [`LookaheadWalk`](crate::LookaheadWalk)) use these cursors as the
@@ -19,84 +19,53 @@ use nonsearch_graph::{EdgeId, NodeId};
 /// [`SimulatedStrong`](crate::SimulatedStrong)'s expansion scan uses them
 /// too.
 ///
-/// The cursors live in a [`StampedMap`] indexed by [`NodeId`], so
-/// [`reset`](FrontierCursors::reset) is O(1), the u32 epoch wrap is
-/// audited once (in `StampedMap`), and a searcher reused across trials
-/// performs no per-request hashing or allocation once the array has grown
-/// to the graph size — or from the very first request, after
-/// [`reserve`](FrontierCursors::reserve).
+/// The cursors themselves live in the [`DiscoveredView`], one `u32` per
+/// vertex, set to slot 0 when the vertex is discovered: a cursor cannot
+/// outlive its search, and the lanes that run one at a time on a
+/// worker's scratch share one array. Every slot before a cursor is
+/// explored whoever moved it, so sharing never changes the edge handed
+/// out. The view also remembers the slot handed out last, which lets the
+/// weak oracle answer the request for it without a lookup in the graph's
+/// edge list.
 #[derive(Debug, Clone, Default)]
 pub struct FrontierCursors {
-    cursors: StampedMap<u32>,
     /// Cumulative count of explored incident slots skipped by
-    /// [`next_unexplored`](FrontierCursors::next_unexplored) scans.
-    /// Survives [`reset`](FrontierCursors::reset) — metrics consumers
-    /// take before/after deltas.
+    /// [`next_unexplored`](FrontierCursors::next_unexplored) scans —
+    /// metrics consumers take before/after deltas.
     rescans: u64,
 }
 
 impl FrontierCursors {
-    /// Creates empty cursors.
+    /// Creates the handle.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Cursors whose *next* [`reset`](FrontierCursors::reset) takes the
-    /// epoch-wrap path. Test-only hook: wrap coverage drives the public
-    /// API instead of poking private fields.
-    #[doc(hidden)]
-    pub fn near_wrap() -> Self {
-        FrontierCursors {
-            cursors: StampedMap::near_wrap(),
-            rescans: 0,
-        }
-    }
-
-    /// Grows the cursor array to cover `nodes` vertices, so lookups on a
-    /// graph of that size never allocate — even on the first trial.
-    pub fn reserve(&mut self, nodes: usize) {
-        self.cursors.reserve(nodes);
-    }
+    /// A no-op, kept for existing callers: the cursors live in the view,
+    /// which is sized for its graph.
+    pub fn reserve(&mut self, _nodes: usize) {}
 
     /// The next unexplored incident edge of `v`, advancing the cursor
     /// past explored slots. Returns `None` when `v` is exhausted (or not
     /// discovered).
     // lint: alloc-free
     pub fn next_unexplored(&mut self, view: &DiscoveredView, v: NodeId) -> Option<EdgeId> {
-        let info = view.vertex(v)?;
-        let i = v.index();
-        let mut cursor = self.cursors.get(i).map_or(0, |&c| c as usize);
-        if cursor > info.degree() {
-            // Stale cursor from a *different* graph (caller reused the
-            // searcher without `reset`): the stored position can exceed
-            // this vertex's incident list, and resuming there would
-            // falsely report the vertex exhausted. Rescan from slot 0 —
-            // exploration is monotone within a view, so rescanning only
-            // re-skips slots and returns the correct first unexplored
-            // one.
-            cursor = 0;
-        }
-        let found = info.first_unexplored(view, cursor);
-        self.rescans += (found - cursor) as u64;
-        // A degree past `u32::MAX` would truncate the stored cursor to an
-        // earlier slot, which only re-skips explored slots.
-        self.cursors.put(i, found as u32);
-        (found < info.degree()).then(|| info.edge(found))
+        let (edge, skipped) = view.advance_cursor(v);
+        self.rescans += skipped as u64;
+        edge
     }
 
     /// Cumulative count of explored slots these cursors have skipped
-    /// past since construction (resets do not clear it) — the wasted
-    /// scan work the amortized-O(1) cursor design keeps bounded.
+    /// past since construction — the wasted scan work the amortized-O(1)
+    /// cursor design keeps bounded.
     pub fn rescans(&self) -> u64 {
         self.rescans
     }
 
-    /// Rewinds all cursors in O(1) via an epoch bump (for searcher reuse
-    /// across runs); the backing array keeps its allocation.
-    // lint: alloc-free
-    pub fn reset(&mut self) {
-        self.cursors.reset();
-    }
+    /// A no-op, kept for existing callers: discovery rewinds a vertex's
+    /// cursor, so a new search starts every cursor at slot 0. The rescan
+    /// count is cumulative.
+    pub fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -185,37 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_rewinds_too() {
-        let g = UndirectedCsr::from_edges(2, [(0, 1)]).unwrap();
-        let mut scratch = SearchScratch::new();
-        let mut state = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-        // Built at the wrap boundary; advance the cursor to exhaustion
-        // through the public API.
-        let mut cursors = FrontierCursors::near_wrap();
-        let e0 = cursors
-            .next_unexplored(state.view(), NodeId::new(0))
-            .unwrap();
-        state.request(NodeId::new(0), e0).unwrap();
-        assert!(cursors
-            .next_unexplored(state.view(), NodeId::new(0))
-            .is_none());
-        cursors.reset(); // the wrap path
-                         // A fresh search on the same scratch: the view resets too.
-        let state = WeakSearchState::new_in(&mut scratch, &g, NodeId::new(0)).unwrap();
-        // A wrapped reset must rewind to slot 0, not resume at 1.
-        assert!(cursors
-            .next_unexplored(state.view(), NodeId::new(0))
-            .is_some());
-    }
-
-    #[test]
     fn stale_cursor_from_a_longer_graph_does_not_fake_exhaustion() {
         // Regression: reuse the cursors across two graphs *without*
         // reset. On graph A, vertex 0 has degree 3 and gets fully
         // explored (cursor parked at 3). On graph B the same vertex has
-        // degree 1; the stale same-epoch cursor (3 > 1) used to make
-        // `next_unexplored` report the vertex exhausted even though its
-        // single edge is unresolved.
+        // degree 1; a stale cursor (3 > 1) once made `next_unexplored`
+        // report the vertex exhausted even though its single edge is
+        // unresolved. Discovery now rewinds the cursor.
         let a = UndirectedCsr::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
         let b = UndirectedCsr::from_edges(2, [(0, 1)]).unwrap();
         let mut scratch = SearchScratch::new();

@@ -66,7 +66,7 @@ pub fn run_weak<S: WeakSearcher + ?Sized>(
 /// feed the answer back via [`WeakSearcher::observe`], and stop when the
 /// success criterion first holds, the budget runs out, or the searcher
 /// gives up. The searcher is [`reset`](WeakSearcher::reset) and the
-/// scratch epoch-bumped before the run, so one instance of each can be
+/// scratch cleared before the run, so one instance of each can be
 /// reused across trials with outcomes identical to fresh state.
 ///
 /// # Errors

@@ -1,5 +1,6 @@
-//! Reusable per-worker search state: the view's discovery stamps plus
-//! the oracle buffers, reset in O(1) between trials.
+//! Reusable per-worker search state: the view's discovery bits and
+//! frontier cursors plus the oracle buffers, reset between trials in
+//! time linear in the previous trial's discoveries.
 //!
 //! A Monte-Carlo sweep runs thousands of searches on graphs of one
 //! size. Allocating a fresh view (and oracle buffers) per trial made
@@ -7,9 +8,9 @@
 //! instead, a worker owns one [`SearchScratch`], the `*_in` runners
 //! ([`run_weak_in`](crate::run_weak_in),
 //! [`run_strong_in`](crate::run_strong_in)) borrow it for the duration
-//! of one search, and the oracles reset it by epoch bump — no memory is
-//! released or re-acquired once the arrays have grown to the graph
-//! size.
+//! of one search, and the oracles reset it by clearing only the bits
+//! the last search set — no memory is released or re-acquired once the
+//! arrays have grown to the graph size.
 
 use crate::discovered::ViewState;
 use crate::stamped::StampedMap;
@@ -17,8 +18,9 @@ use nonsearch_graph::NodeId;
 
 /// Reusable buffers for one search at a time: the state behind the
 /// searcher's [`DiscoveredView`](crate::DiscoveredView) (a discovery
-/// stamp per vertex, the discovery order and the work counters) plus
-/// the strong oracle's expansion-order and answer buffers.
+/// bit and a frontier cursor per vertex, the discovery order and the
+/// work counters) plus the strong oracle's expansion-order and answer
+/// buffers.
 ///
 /// Create one per worker (or per call site) and pass it to
 /// [`WeakSearchState::new_in`](crate::WeakSearchState::new_in),
@@ -62,7 +64,7 @@ impl SearchScratch {
     }
 
     /// Creates a scratch pre-sized for graphs with `nodes` vertices and
-    /// `edges` edges — the view's stamps and discovery order, and the
+    /// `edges` edges — the view's bits, cursors and discovery order, and the
     /// strong oracle's buffers — so even the first search allocates
     /// nothing after construction (pair with the searcher-side
     /// [`reserve`](crate::WeakSearcher::reserve) hook).

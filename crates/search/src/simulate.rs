@@ -45,9 +45,8 @@ use rand::RngCore;
 #[derive(Debug, Clone)]
 pub struct SimulatedStrong<S> {
     inner: S,
-    /// Forward-only scan position over the expanding vertex's incident
-    /// list (and, across the whole search, over any vertex expanded
-    /// earlier — expansion never revisits slots).
+    /// Walks the expanding vertex's incident list through the view's
+    /// forward-only cursors (expansion never revisits slots).
     edges: FrontierCursors,
     /// The vertex currently being expanded, to report back to `inner`.
     expanding: Option<NodeId>,
@@ -127,14 +126,12 @@ impl<S: StrongSearcher> WeakSearcher for SimulatedStrong<S> {
 
     fn reset(&mut self) {
         self.inner.reset();
-        self.edges.reset();
         self.expanding = None;
         self.revealed.clear();
         self.strong_requests = 0;
     }
 
     fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.edges.reserve(nodes);
         // One revealed neighbor per incidence slot of the expanding
         // vertex, so max degree — bounded by the total slot count.
         self.revealed.reserve(2 * edges);

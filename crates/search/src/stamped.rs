@@ -1,4 +1,7 @@
-//! The one epoch-stamped dense map all hot-path state is built on.
+//! The one epoch-stamped dense map behind [`StampedNodeSet`] and the
+//! percolation scratch.
+//!
+//! [`StampedNodeSet`]: crate::StampedNodeSet
 //!
 //! A [`StampedMap`] stores values in a flat array indexed by a dense id
 //! (`NodeId`/`EdgeId` index) and tracks *presence* with an epoch stamp
@@ -14,11 +17,9 @@
 //! wrap to a value old stamps still carry, so the wrap reset instead
 //! zero-fills every stamp and restarts the epoch at 1 (stamps start at
 //! 0, so freshly grown slots never read as present). This module is the
-//! **only** place in the crate that implements that wrap — the previous
-//! three hand-rolled copies (in `DiscoveredView`, `FrontierCursors`,
-//! and `StampedNodeSet`) each carried their own, which is three places
-//! a stale-stamp bug could silently corrupt an aggregate. Wrap coverage
-//! lives here too, driven through the [`near_wrap`](StampedMap::near_wrap)
+//! **only** place in the crate that implements that wrap, so a
+//! stale-stamp bug has one place to hide, not one per structure. Wrap
+//! coverage lives here too, driven through the [`near_wrap`](StampedMap::near_wrap)
 //! constructor instead of private-field pokes.
 
 /// One dense slot: the epoch stamp and the payload it guards. The pair

@@ -13,7 +13,7 @@ use rand::RngCore;
 /// per request than the weak model, and the paper notes Kleinberg's model
 /// assumes even more.
 ///
-/// All mutable state (the view's stamps, expansion order, answer
+/// All mutable state (the view's discovery bits, expansion order, answer
 /// buffer) lives in a borrowed [`SearchScratch`], so per-request work
 /// allocates nothing once the scratch is warm.
 #[derive(Debug)]
@@ -28,7 +28,8 @@ pub struct StrongSearchState<'a> {
 
 impl<'a> StrongSearchState<'a> {
     /// Starts a search at `start` (known for free, as in the weak
-    /// model), resetting `scratch` first (O(1) epoch bump).
+    /// model), resetting `scratch` first (in time linear in the last
+    /// search's discoveries).
     ///
     /// # Errors
     ///

@@ -38,8 +38,9 @@ pub struct WeakSearchState<'a> {
 impl<'a> WeakSearchState<'a> {
     /// Starts a search at `start` using `scratch`'s view: the searcher
     /// knows `start`, its degree and its incident edge handles, at no
-    /// request cost. The scratch is reset (O(1) epoch bump) first, so
-    /// reuse across trials is observationally identical to fresh state.
+    /// request cost. The scratch is reset first (in time linear in the
+    /// last search's discoveries), so reuse across trials is
+    /// observationally identical to fresh state.
     ///
     /// # Errors
     ///
@@ -81,13 +82,16 @@ impl<'a> WeakSearchState<'a> {
     ///
     /// # Cost
     ///
-    /// The validity check is O(1) whatever the degree of `u`: `e` is
-    /// incident to `u` exactly when one of its two stored endpoints is
-    /// `u` — the same set the view reads from the graph's slots of `u`
-    /// — so one endpoint lookup both validates the request and yields
-    /// the answer. Revealing a vertex for the first time costs its
-    /// degree, once (each of its slots is read to test its far end);
-    /// every later request that lands on it is O(1).
+    /// The validity check is O(1) whatever the degree of `u`. When
+    /// `(u, e)` is the slot a frontier cursor just handed out, the view
+    /// remembers its far end, and that slot lies in `u`'s own slot range,
+    /// so the memo is the answer with no further memory touch. Otherwise
+    /// `e` is incident to `u` exactly when one of its two stored
+    /// endpoints is `u` — the same set the view reads from the graph's
+    /// slots of `u` — so one endpoint lookup both validates the request
+    /// and yields the answer. Revealing a vertex for the first time
+    /// costs its degree, once (each of its slots is read to test its far
+    /// end); every later request that lands on it is O(1).
     ///
     /// # Errors
     ///
@@ -101,14 +105,26 @@ impl<'a> WeakSearchState<'a> {
         if !self.view.contains(u) {
             return Err(SearchError::UndiscoveredVertex { vertex: u });
         }
-        let other = match self.graph.edge_endpoints(e) {
-            Ok((a, b)) if a == u => b,
-            Ok((a, b)) if b == u => a,
-            _ => return Err(SearchError::UnknownIncidence { vertex: u, edge: e }),
+        let other = match self.view.handed_out_far_end(u, e) {
+            Some(far) => {
+                debug_assert_eq!(Ok(far), self.far_end(u, e), "cursor memo of ({u:?}, {e:?})");
+                far
+            }
+            None => self.far_end(u, e)?,
         };
         self.requests += 1;
         self.view.discover(other);
         Ok(other)
+    }
+
+    /// The far end of `e` from `u`, read from the graph's edge list, or
+    /// [`SearchError::UnknownIncidence`] if `e` is not incident to `u`.
+    fn far_end(&self, u: NodeId, e: EdgeId) -> crate::Result<NodeId> {
+        match self.graph.edge_endpoints(e) {
+            Ok((a, b)) if a == u => Ok(b),
+            Ok((a, b)) if b == u => Ok(a),
+            _ => Err(SearchError::UnknownIncidence { vertex: u, edge: e }),
+        }
     }
 }
 

@@ -46,6 +46,46 @@ fn reference_request(
     Ok(if a == u { b } else { a })
 }
 
+/// The request `(u, e)` a frontier cursor just handed out, or one a step
+/// off it, by `pick`: `e` from its other endpoint, another edge of `u`,
+/// a self-loop (of `u` if it has one), an edge parallel to `e`, or `e`
+/// from another discovered vertex. The oracle's cursor memo must answer
+/// the first and fall through on every other.
+fn cursor_probe(
+    graph: &UndirectedCsr,
+    view: &DiscoveredView,
+    u: NodeId,
+    e: EdgeId,
+    pick: usize,
+) -> (NodeId, EdgeId) {
+    let (a, b) = graph.edge_endpoints(e).unwrap();
+    let far = if a == u { b } else { a };
+    let incident: Vec<EdgeId> = view.vertex(u).unwrap().edges().collect();
+    let loops: Vec<(EdgeId, NodeId)> = graph
+        .edges()
+        .filter(|&(_, (x, y))| x == y)
+        .map(|(l, (x, _))| (l, x))
+        .collect();
+    let self_loop = loops
+        .iter()
+        .find(|&&(_, x)| x == u)
+        .or(loops.first())
+        .map(|&(l, _)| l);
+    let parallel = graph
+        .edges()
+        .find(|&(x, ends)| x != e && (ends == (a, b) || ends == (b, a)))
+        .map(|(x, _)| x);
+    let discovered = view.discovered();
+    match pick % 6 {
+        0 => (u, e),
+        1 => (far, e),
+        2 => (u, incident[pick % incident.len()]),
+        3 => (u, self_loop.unwrap_or(e)),
+        4 => (u, parallel.unwrap_or(e)),
+        _ => (discovered[pick % discovered.len()], e),
+    }
+}
+
 /// The `HashMap`-based view with explicit per-edge resolution state,
 /// kept as the reference model. The test mirrors every accepted request
 /// into it exactly as the oracles did before exploredness was derived
@@ -806,7 +846,7 @@ proptest! {
         seed in 0u64..1000,
         grow in 0usize..30,
         raw_edges in proptest::collection::vec((0usize..1000, 0usize..1000), 0..40),
-        probes in proptest::collection::vec((0u8..3, 0usize..1000, 0usize..1000), 1..60),
+        probes in proptest::collection::vec((0u8..4, 0usize..1000, 0usize..1000), 1..60),
     ) {
         // Merged Móri graphs with m ≥ 2 carry self-loops and parallel
         // edges; the raw multigraphs add arbitrary ones, and isolated
@@ -833,18 +873,32 @@ proptest! {
             prop_assert!(expected.is_ok());
             prop_assert_eq!(state.request(v, e), expected, "legal request ({:?}, {:?})", v, e);
         }
+        // Kind 3 probes the edge a frontier cursor just handed out, which
+        // the oracle answers from its memo, or a near miss of it.
+        let mut cursors = FrontierCursors::new();
+        let mut handed_out = None;
         for &(kind, a, b) in &probes {
-            // Half the probes start from a discovered vertex, so the
+            // Most probes start from a discovered vertex, so the
             // accepting side (and its `b == u` half) is exercised too.
             let discovered = state.view().discovered();
             let (u, e) = match kind {
                 0 => (NodeId::new(a % (nodes + 2)), EdgeId::new(b % (edges + 3))),
                 1 => (discovered[a % discovered.len()], EdgeId::new(b % (edges + 3))),
-                _ => {
+                2 => {
                     let u = discovered[a % discovered.len()];
                     let info = state.view().vertex(u).unwrap();
                     let e = info.edges().nth(b % info.degree().max(1));
                     (u, e.unwrap_or(EdgeId::new(b % (edges + 3))))
+                }
+                _ => {
+                    let u = discovered[a % discovered.len()];
+                    match cursors.next_unexplored(state.view(), u) {
+                        Some(e) => {
+                            handed_out = Some((u, e));
+                            cursor_probe(&graph, state.view(), u, e, b)
+                        }
+                        None => (u, EdgeId::new(b % (edges + 3))),
+                    }
                 }
             };
             let expected = reference_request(&graph, state.view(), u, e);
@@ -857,6 +911,19 @@ proptest! {
                 prop_assert_eq!(state.requests(), requests);
                 prop_assert_eq!(state.view().len(), len);
             }
+        }
+        // The last handed-out edge, requested again after the scratch was
+        // reset onto another graph (the same one relabelled by one) that
+        // starts at its vertex: the memo must not outlive its view.
+        if let Some((u, e)) = handed_out {
+            let other = UndirectedCsr::from_edges(
+                nodes,
+                graph.edges().map(|(_, (a, b))| ((a.index() + 1) % nodes, (b.index() + 1) % nodes)),
+            )
+            .unwrap();
+            let mut state = WeakSearchState::new_in(&mut scratch, &other, u).unwrap();
+            let expected = reference_request(&other, state.view(), u, e);
+            prop_assert_eq!(state.request(u, e), expected, "after reset ({:?}, {:?})", u, e);
         }
     }
 
