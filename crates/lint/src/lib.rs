@@ -3,14 +3,14 @@
 //!
 //! The reproduction's headline guarantee — bit-identical Monte-Carlo
 //! aggregates for any `--threads` — rests on contracts that no single
-//! type signature can express: the epoch wrap lives in exactly one
-//! function, `unsafe` stays inside two audited modules, hot paths
-//! never allocate, hash-ordered iteration never reaches an aggregate,
-//! and wall clocks stay behind the observability seam. This crate
-//! turns those conventions into a machine-checked static-analysis
-//! pass, in the repo's dependency-free style: no `syn`, no
-//! proc-macros, no network — just a comment- and string-literal-aware
-//! scanner ([`scan`]) and six rules ([`rules`]) over the masked code.
+//! type signature can express: `unsafe` stays inside three audited
+//! modules, hot paths never allocate, hash-ordered iteration never
+//! reaches an aggregate, wall clocks stay behind the observability
+//! seam, and every record type can be validated. This crate turns
+//! those conventions into a machine-checked static-analysis pass, in
+//! the repo's dependency-free style: no `syn`, no proc-macros, no
+//! network — just a comment- and string-literal-aware scanner
+//! ([`scan`]) and five rules ([`rules`]) over the masked code.
 //!
 //! Findings are structured [`Diagnostic`]s; intentional ones carry an
 //! inline waiver `// lint: allow(<rule>): <reason>` and are reported

@@ -1,4 +1,4 @@
-//! The six workspace contracts, as machine-checked rules.
+//! The five workspace contracts, as machine-checked rules.
 //!
 //! Every rule reads source through [`crate::scan`], so comments and
 //! string literals never trigger findings. Findings are
@@ -10,8 +10,7 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `epoch-wrap` | `u32::MAX` epoch comparisons live only in `crates/search/src/stamped.rs` |
-//! | `unsafe-confinement` | `unsafe` only in `graph/src/storage.rs` + `corpus/src/mmap.rs`; every crate root declares `forbid`/`deny(unsafe_code)` |
+//! | `unsafe-confinement` | `unsafe` only in `graph/src/storage.rs`, `corpus/src/mmap.rs` and `alloc_counter/src/lib.rs`; every crate root declares `forbid`/`deny(unsafe_code)` |
 //! | `determinism` | no `HashMap`/`HashSet` in non-test engine/search/core/corpus code without a waiver |
 //! | `clock-env` | `Instant::now`/`SystemTime`/`env::var` only in the obs crate and record timestamps |
 //! | `alloc-free` | no allocating calls inside functions annotated `// lint: alloc-free` |
@@ -20,9 +19,7 @@
 use crate::scan::{find_token, has_token, scan, ScannedFile};
 use std::collections::BTreeMap;
 
-/// Where the epoch-wrap comparison is allowed to live.
-pub const EPOCH_HOME: &str = "crates/search/src/stamped.rs";
-/// The two modules blessed to contain `unsafe` code.
+/// The three modules blessed to contain `unsafe` code.
 pub const UNSAFE_HOMES: [&str; 3] = [
     "crates/graph/src/storage.rs",
     "crates/corpus/src/mmap.rs",
@@ -73,12 +70,8 @@ pub struct RuleInfo {
     pub contract: &'static str,
 }
 
-/// The six shipped rules, in reporting order.
-pub const RULES: [RuleInfo; 6] = [
-    RuleInfo {
-        id: "epoch-wrap",
-        contract: "u32::MAX epoch comparisons only in crates/search/src/stamped.rs",
-    },
+/// The five shipped rules, in reporting order.
+pub const RULES: [RuleInfo; 5] = [
     RuleInfo {
         id: "unsafe-confinement",
         contract: "unsafe only in graph/storage.rs, corpus/mmap.rs, alloc_counter; \
@@ -175,7 +168,6 @@ pub fn lint_files(files: &BTreeMap<String, String>) -> LintReport {
             });
         }
         let mut found = Vec::new();
-        check_epoch_wrap(path, file, &mut found);
         check_unsafe(path, file, &mut found);
         check_determinism(path, file, &mut found);
         check_clock_env(path, file, &mut found);
@@ -291,31 +283,7 @@ fn is_test_path(path: &str) -> bool {
         .any(|part| matches!(part, "tests" | "benches" | "examples"))
 }
 
-/// Rule 1: epoch-wrap confinement.
-fn check_epoch_wrap(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    if path == EPOCH_HOME || is_test_path(path) {
-        return;
-    }
-    for (lineno, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if has_token(&line.code, "u32::MAX") && line.code.contains("epoch") {
-            out.push(Diagnostic {
-                rule: "epoch-wrap".into(),
-                path: path.into(),
-                line: lineno + 1,
-                message: format!(
-                    "epoch-wrap comparison outside {EPOCH_HOME}: the u32::MAX wrap \
-                     must stay confined to StampedMap::reset"
-                ),
-                waived: None,
-            });
-        }
-    }
-}
-
-/// Rule 2: unsafe confinement — no `unsafe` tokens outside the blessed
+/// Rule 1: unsafe confinement — no `unsafe` tokens outside the blessed
 /// modules, and every crate root declares `forbid`/`deny(unsafe_code)`.
 fn check_unsafe(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !UNSAFE_HOMES.contains(&path) {
@@ -354,7 +322,7 @@ fn check_unsafe(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule 3: determinism hazards — hash-ordered collections in the
+/// Rule 2: determinism hazards — hash-ordered collections in the
 /// aggregate-bearing crates need a waiver explaining why iteration
 /// order cannot reach a result.
 fn check_determinism(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
@@ -383,7 +351,7 @@ fn check_determinism(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Rule 4: clock/env hygiene — wall clocks and environment reads stay
+/// Rule 3: clock/env hygiene — wall clocks and environment reads stay
 /// behind the obs crate and the record timestamps.
 fn check_clock_env(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if is_test_path(path) || path.starts_with(CLOCK_BLESSED_DIR) || path == CLOCK_BLESSED_FILE {
@@ -410,7 +378,7 @@ fn check_clock_env(path: &str, file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule 5: alloc-free regions — functions annotated
+/// Rule 4: alloc-free regions — functions annotated
 /// `// lint: alloc-free` must not contain allocating calls.
 fn check_alloc_free(
     path: &str,
@@ -468,7 +436,7 @@ fn check_alloc_free(
     }
 }
 
-/// Rule 6: record-schema consistency — every `*_TYPE` tag constant in
+/// Rule 5: record-schema consistency — every `*_TYPE` tag constant in
 /// `record.rs` must be dispatched on (compared with `==`) by the
 /// validator in `registry.rs`.
 fn check_record_schema(scanned: &BTreeMap<&str, ScannedFile>, out: &mut Vec<Diagnostic>) {
@@ -528,35 +496,7 @@ mod tests {
         report.diagnostics.iter().map(|d| d.rule.as_str()).collect()
     }
 
-    // --- rule 1: epoch-wrap ------------------------------------------------
-
-    #[test]
-    fn epoch_wrap_flags_strays_and_respects_home() {
-        let bad = "fn reset(&mut self) { if self.epoch == u32::MAX { self.wrap(); } }\n";
-        let report = lint_one("crates/search/src/frontier.rs", bad);
-        assert_eq!(rules_of(&report), vec!["epoch-wrap"]);
-        assert_eq!(report.violations(), 1);
-        // The same line in its home file is the contract, not a breach.
-        assert_eq!(lint_one(EPOCH_HOME, bad).violations(), 0);
-        // A u32::MAX with no epoch nearby is unrelated saturation math.
-        let clean = "let cap = u32::MAX as usize;\n";
-        assert_eq!(
-            lint_one("crates/search/src/frontier.rs", clean).violations(),
-            0
-        );
-    }
-
-    #[test]
-    fn epoch_wrap_waiver_downgrades() {
-        let waived = "// lint: allow(epoch-wrap): mirrors stamped.rs for a doc example\n\
-                      if self.epoch == u32::MAX { wrap(); }\n";
-        let report = lint_one("crates/search/src/other.rs", waived);
-        assert_eq!(report.diagnostics.len(), 1);
-        assert_eq!(report.violations(), 0);
-        assert!(report.diagnostics[0].waived.is_some());
-    }
-
-    // --- rule 2: unsafe-confinement ----------------------------------------
+    // --- rule 1: unsafe-confinement ----------------------------------------
 
     #[test]
     fn unsafe_flags_outside_blessed_modules() {
@@ -591,7 +531,7 @@ mod tests {
         assert_eq!(lint_one("crates/search/src/lib.rs", waived).violations(), 0);
     }
 
-    // --- rule 3: determinism -----------------------------------------------
+    // --- rule 2: determinism -----------------------------------------------
 
     #[test]
     fn determinism_flags_hash_collections_in_engine_crates() {
@@ -620,7 +560,7 @@ mod tests {
         assert_eq!(report.violations(), 0);
     }
 
-    // --- rule 4: clock-env -------------------------------------------------
+    // --- rule 3: clock-env -------------------------------------------------
 
     #[test]
     fn clock_env_flags_raw_clocks_outside_the_seam() {
@@ -649,7 +589,7 @@ mod tests {
         assert_eq!(report.diagnostics.len(), 1);
     }
 
-    // --- rule 5: alloc-free ------------------------------------------------
+    // --- rule 4: alloc-free ------------------------------------------------
 
     #[test]
     fn alloc_free_flags_allocations_in_annotated_fns() {
@@ -679,7 +619,7 @@ mod tests {
         assert!(report.diagnostics[0].message.contains("not followed"));
     }
 
-    // --- rule 6: record-schema ---------------------------------------------
+    // --- rule 5: record-schema ---------------------------------------------
 
     fn schema_files(record: &str, registry: &str) -> BTreeMap<String, String> {
         let mut files = BTreeMap::new();
@@ -748,5 +688,34 @@ mod tests {
         let tricky = "let s = \"use std::collections::HashMap; unsafe { epoch == u32::MAX } \
                       Instant::now()\";\n";
         assert_eq!(lint_one("crates/core/src/x.rs", tricky).violations(), 0);
+    }
+
+    // --- fixtures ----------------------------------------------------------
+
+    #[test]
+    fn every_rule_has_one_fixture_that_trips_it() {
+        let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+        let mut dirs: Vec<String> = std::fs::read_dir(&fixtures)
+            .expect("fixtures are readable")
+            .map(|entry| entry.expect("fixture entry").file_name())
+            .map(|name| name.to_string_lossy().into_owned())
+            .collect();
+        dirs.sort();
+        let mut ids: Vec<String> = RULES.iter().map(|rule| rule.id.replace('-', "_")).collect();
+        ids.sort();
+        assert_eq!(dirs, ids, "fixture directories vs rule ids");
+        for dir in &dirs {
+            let files = crate::walk::collect_workspace(&fixtures.join(dir)).expect("fixture");
+            let rule = dir.replace('_', "-");
+            let report = lint_files(&files);
+            assert!(
+                report
+                    .diagnostics
+                    .iter()
+                    .any(|d| d.rule == rule && d.waived.is_none()),
+                "fixture {dir} does not trip {rule}: {:?}",
+                report.diagnostics
+            );
+        }
     }
 }

@@ -8,10 +8,9 @@
 //! (very low) threshold reaches the high-degree core, so walk-replicated
 //! content is found with sublinear message cost.
 
-use crate::{Result, SearchError, StampedNodeSet};
+use crate::{NodeSet, Result, SearchError};
 use nonsearch_graph::{NodeId, UndirectedCsr};
 use rand::{Rng, RngCore};
-use std::collections::VecDeque;
 
 /// Parameters of a percolation search run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,16 +43,14 @@ pub struct PercolationOutcome {
     pub reached: usize,
 }
 
-/// Reusable state for [`percolation_search_in`]: dense stamped vertex
-/// sets (replica holders, query-reached) plus the broadcast queue and
-/// walk buffer, all reset in O(1) between runs by an epoch bump (see
-/// [`StampedMap`](crate::StampedMap)).
+/// Reusable state for [`percolation_search_in`]: two dense vertex sets,
+/// the replica holders and the vertices the query reached, each
+/// cleared in O(members) between runs (see [`NodeSet`]). The reached
+/// set's insertion order doubles as the broadcast queue.
 #[derive(Debug, Clone, Default)]
 pub struct PercolationScratch {
-    replicas: StampedNodeSet,
-    reached: StampedNodeSet,
-    implanted: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
+    replicas: NodeSet,
+    reached: NodeSet,
 }
 
 impl PercolationScratch {
@@ -68,15 +65,6 @@ impl PercolationScratch {
         self.replicas.reserve(nodes);
         self.reached.clear();
         self.reached.reserve(nodes);
-        self.implanted.clear();
-        self.queue.clear();
-        // Both hold distinct vertices only, so `nodes` bounds them.
-        if self.implanted.capacity() < nodes {
-            self.implanted.reserve(nodes);
-        }
-        if self.queue.capacity() < nodes {
-            self.queue.reserve(nodes);
-        }
     }
 }
 
@@ -107,8 +95,8 @@ pub fn percolation_search(
 }
 
 /// [`percolation_search`] on a caller-owned scratch: identical
-/// outcomes and RNG consumption, but the vertex sets and queues are
-/// reused across runs instead of reallocated.
+/// outcomes and RNG consumption, but the vertex sets are reused across
+/// runs instead of reallocated.
 ///
 /// # Errors
 ///
@@ -139,7 +127,6 @@ pub fn percolation_search_in(
     let mut messages = 0usize;
 
     // Phase 1: replicate content along a random walk from the owner.
-    // Only membership matters, so the set needs no ordered copy.
     random_walk_into(
         graph,
         owner,
@@ -147,11 +134,10 @@ pub fn percolation_search_in(
         rng,
         &mut messages,
         &mut scratch.replicas,
-        None,
     );
 
     // Phase 2: implant the query along a random walk from the
-    // requester, keeping first-visit order for the broadcast seeds.
+    // requester; the reached set's first-visit order seeds the broadcast.
     random_walk_into(
         graph,
         requester,
@@ -159,23 +145,25 @@ pub fn percolation_search_in(
         rng,
         &mut messages,
         &mut scratch.reached,
-        Some(&mut scratch.implanted),
     );
 
-    // Phase 3: bond-percolation broadcast from every implanted vertex.
-    // First-visit order keeps the RNG consumption deterministic.
+    // Phase 3: bond-percolation broadcast from every implanted vertex, in
+    // FIFO order. A vertex is queued exactly when it is first reached, so
+    // the queue is the reached set's members from `head` on. First-visit
+    // order keeps the RNG consumption deterministic.
     let mut found = scratch
-        .implanted
+        .reached
+        .members()
         .iter()
         .any(|&v| scratch.replicas.contains(v));
-    scratch.queue.extend(scratch.implanted.iter().copied());
-    while let Some(v) = scratch.queue.pop_front() {
+    let mut head = 0;
+    while let Some(&v) = scratch.reached.members().get(head) {
+        head += 1;
         for (w, _) in graph.incident_edges(v) {
             if rng.gen::<f64>() < config.edge_probability {
                 messages += 1;
                 if scratch.reached.insert(w) {
                     found |= scratch.replicas.contains(w);
-                    scratch.queue.push_back(w);
                 }
             }
         }
@@ -190,25 +178,16 @@ pub fn percolation_search_in(
 }
 
 /// Walks `steps` uniform random hops from `start`, inserting visited
-/// vertices into `set` (and appending first visits to `order`, when
-/// given), charging one message per hop.
+/// vertices into `set`, charging one message per hop.
 fn random_walk_into(
     graph: &UndirectedCsr,
     start: NodeId,
     steps: usize,
     rng: &mut dyn RngCore,
     messages: &mut usize,
-    set: &mut StampedNodeSet,
-    mut order: Option<&mut Vec<NodeId>>,
+    set: &mut NodeSet,
 ) {
-    let mut visit = |v: NodeId, set: &mut StampedNodeSet| {
-        if set.insert(v) {
-            if let Some(order) = order.as_deref_mut() {
-                order.push(v);
-            }
-        }
-    };
-    visit(start, set);
+    set.insert(start);
     let mut current = start;
     for _ in 0..steps {
         let degree = graph.degree(current);
@@ -217,7 +196,7 @@ fn random_walk_into(
         }
         let (next, _) = graph.incident(current)[rng.gen_range(0..degree)];
         *messages += 1;
-        visit(next, set);
+        set.insert(next);
         current = next;
     }
 }
@@ -326,28 +305,29 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_runs() {
-        let g = complete(12);
+        // One scratch serves a larger graph, a smaller one, then the
+        // larger one again. A ring run leaves a handful of members in a
+        // five-word bitset, so clearing zeroes either their words or
+        // the whole bitset; a clique run always zeroes the whole one.
+        let ring = UndirectedCsr::from_edges(300, (0..300).map(|u| (u, (u + 1) % 300))).unwrap();
+        let clique = complete(12);
         let cfg = PercolationConfig {
             replication_walk: 6,
             query_walk: 4,
             edge_probability: 0.3,
         };
         let mut scratch = PercolationScratch::new();
-        for seed in 0..10u64 {
-            let mut r1 = ChaCha8Rng::seed_from_u64(seed);
-            let pooled = percolation_search_in(
-                &mut scratch,
-                &g,
-                NodeId::new(1),
-                NodeId::new(8),
-                &cfg,
-                &mut r1,
-            )
-            .unwrap();
-            let mut r2 = ChaCha8Rng::seed_from_u64(seed);
-            let fresh =
-                percolation_search(&g, NodeId::new(1), NodeId::new(8), &cfg, &mut r2).unwrap();
-            assert_eq!(pooled, fresh, "seed {seed}");
+        for (g, owner, requester) in [(&ring, 280, 290), (&clique, 1, 8), (&ring, 280, 290)] {
+            let (owner, requester) = (NodeId::new(owner), NodeId::new(requester));
+            for seed in 0..10u64 {
+                let mut r1 = ChaCha8Rng::seed_from_u64(seed);
+                let pooled =
+                    percolation_search_in(&mut scratch, g, owner, requester, &cfg, &mut r1)
+                        .unwrap();
+                let mut r2 = ChaCha8Rng::seed_from_u64(seed);
+                let fresh = percolation_search(g, owner, requester, &cfg, &mut r2).unwrap();
+                assert_eq!(pooled, fresh, "n {} seed {seed}", g.node_count());
+            }
         }
     }
 }

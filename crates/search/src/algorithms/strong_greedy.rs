@@ -1,14 +1,14 @@
 //! Strong-model searchers: expansion-order policies over known vertices.
 
 use crate::best::{closer_label_first, higher_degree_first, BestDiscovered};
-use crate::{DiscoveredView, SearchTask, StampedNodeSet, StrongSearcher};
+use crate::{DiscoveredView, NodeSet, SearchTask, StrongSearcher};
 use nonsearch_graph::NodeId;
 use rand::RngCore;
 
 /// Strong-model BFS: expand known vertices in discovery order.
 #[derive(Debug, Clone, Default)]
 pub struct StrongBfs {
-    expanded: StampedNodeSet,
+    expanded: NodeSet,
     cursor: usize,
 }
 
@@ -62,7 +62,7 @@ impl StrongSearcher for StrongBfs {
 /// amortized per request via the shared lazy-deletion index.
 #[derive(Debug, Clone, Default)]
 pub struct StrongHighDegree {
-    expanded: StampedNodeSet,
+    expanded: NodeSet,
     index: BestDiscovered,
 }
 
@@ -116,7 +116,7 @@ impl StrongSearcher for StrongHighDegree {
 /// amortized per request via the shared lazy-deletion index.
 #[derive(Debug, Clone, Default)]
 pub struct StrongGreedyId {
-    expanded: StampedNodeSet,
+    expanded: NodeSet,
     index: BestDiscovered,
 }
 

@@ -21,18 +21,19 @@
 //! memory touch outside the vertex's own slots. The memo never leaves
 //! the crate and `Debug` does not print it.
 //!
-//! Per-request work is a handful of array reads — no hashing, and no
-//! heap allocation once the bitset, the cursors and the order list have
+//! The discovered vertices are a [`NodeSet`]: a bitset plus the
+//! discovery order. Per-request work is a handful of array reads — no
+//! hashing, and no heap allocation once the set and the cursors have
 //! grown to the graph's size.
 //!
-//! Clearing the view zeroes the bitset word of each vertex in the
-//! discovery order (or the whole bitset, if that is smaller), so it
-//! costs O(discovered), never more than the search that discovered them.
-//! This is what lets one [`SearchScratch`](crate::SearchScratch) serve
-//! thousands of Monte-Carlo trials without reallocating: the scratch
-//! owns the bitset, the cursors, the order and the counters, and each
-//! search pairs them with its graph in a [`DiscoveredView`].
+//! Clearing the view clears the set, which costs O(discovered), never
+//! more than the search that discovered them. This is what lets one
+//! [`SearchScratch`](crate::SearchScratch) serve thousands of
+//! Monte-Carlo trials without reallocating: the scratch owns the set,
+//! the cursors and the counters, and each search pairs them with its
+//! graph in a [`DiscoveredView`].
 
+use crate::NodeSet;
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use std::cell::Cell;
 use std::fmt;
@@ -98,9 +99,9 @@ impl fmt::Debug for DiscoveredVertex<'_> {
 /// cursors, and the work counters.
 #[derive(Clone, Default)]
 pub(crate) struct ViewState {
-    /// Bit `v % 64` of word `v / 64` is set iff vertex `v` is
-    /// discovered: one bit per vertex.
-    discovered: Vec<u64>,
+    /// The discovered vertices, one bit each, in discovery order
+    /// (start vertex first).
+    discovered: NodeSet,
     /// Per vertex, the first slot its frontier cursor has not skipped
     /// (every earlier slot is explored). Set to 0 when the vertex is
     /// discovered, so it never outlives a search. `Cell`s, so the
@@ -110,8 +111,6 @@ pub(crate) struct ViewState {
     /// `(vertex, edge, far end)` of the slot a frontier cursor handed
     /// out last, or `None` after a reset.
     handed_out: Cell<Option<(NodeId, EdgeId, NodeId)>>,
-    /// Discovered vertices in discovery order (start vertex first).
-    order: Vec<NodeId>,
     /// Cumulative count of edges that became resolved (second endpoint
     /// discovered). Survives [`reset`](ViewState::reset) — metrics
     /// consumers take before/after deltas.
@@ -130,7 +129,7 @@ impl fmt::Debug for ViewState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The cursor memo holds a far end: it is not printed.
         f.debug_struct("ViewState")
-            .field("discovered", &self.order)
+            .field("discovered", &self.discovered.members())
             .field("edge_resolutions", &self.edge_resolutions)
             .field("slot_reads", &self.slot_reads.get())
             .field("resets", &self.resets)
@@ -139,39 +138,24 @@ impl fmt::Debug for ViewState {
 }
 
 impl ViewState {
-    /// Forgets every discovery in O(discovered): zeroes the bitset word
-    /// of each discovered vertex (the whole bitset when that is fewer
-    /// words), truncates the discovery order and drops the cursor memo,
-    /// keeping every allocation for the next search. The cursors need
-    /// no clearing: discovery sets them.
+    /// Forgets every discovery in O(discovered) (see
+    /// [`NodeSet::clear`]) and drops the cursor memo, keeping every
+    /// allocation for the next search. The cursors need no clearing:
+    /// discovery sets them.
     // lint: alloc-free
     pub(crate) fn reset(&mut self) {
-        if self.order.len() < self.discovered.len() {
-            for v in &self.order {
-                self.discovered[v.index() / 64] = 0;
-            }
-        } else {
-            self.discovered.fill(0);
-        }
-        self.order.clear();
+        self.discovered.clear();
         self.handed_out.set(None);
         self.resets += 1;
     }
 
-    /// Grows the bitset, the cursors and the discovery-order list to
-    /// cover `nodes` vertices, so a search over a graph of that size
-    /// allocates nothing, even on the first trial. A no-op once large
-    /// enough.
+    /// Grows the discovered set and the cursors to cover `nodes`
+    /// vertices, so a search over a graph of that size allocates
+    /// nothing, even on the first trial. A no-op once large enough.
     pub(crate) fn reserve(&mut self, nodes: usize) {
-        let words = nodes.div_ceil(64);
-        if self.discovered.len() < words {
-            self.discovered.resize(words, 0);
-        }
+        self.discovered.reserve(nodes);
         if self.cursors.len() < nodes {
             self.cursors.resize(nodes, Cell::new(0));
-        }
-        if self.order.capacity() < nodes {
-            self.order.reserve(nodes - self.order.len());
         }
     }
 }
@@ -219,27 +203,23 @@ impl<'a> DiscoveredView<'a> {
 
     /// Number of discovered vertices.
     pub fn len(&self) -> usize {
-        self.state.order.len()
+        self.state.discovered.len()
     }
 
     /// `true` if nothing has been discovered.
     pub fn is_empty(&self) -> bool {
-        self.state.order.is_empty()
+        self.state.discovered.is_empty()
     }
 
     /// `true` if `v` has been discovered.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        let i = v.index();
-        self.state
-            .discovered
-            .get(i / 64)
-            .is_some_and(|&word| word >> (i % 64) & 1 != 0)
+        self.state.discovered.contains(v)
     }
 
     /// Discovered vertices in discovery order (start vertex first).
     pub fn discovered(&self) -> &[NodeId] {
-        &self.state.order
+        self.state.discovered.members()
     }
 
     /// The slot range of `v` in the graph's CSR.
@@ -288,12 +268,14 @@ impl<'a> DiscoveredView<'a> {
     /// two slots of `v` and resolves once.
     // lint: alloc-free
     pub(crate) fn discover(&mut self, v: NodeId) {
-        if self.contains(v) {
+        if !self.state.discovered.insert(v) {
             return;
         }
         let slots = self.slots_of(v);
         let (mut resolved, mut loop_slots) = (0, 0);
         for &(w, _) in slots {
+            // `w == v` first: `v` is in the set already, and a self-loop
+            // resolves once for its two slots.
             if w == v {
                 loop_slots += 1;
             } else if self.contains(w) {
@@ -302,10 +284,7 @@ impl<'a> DiscoveredView<'a> {
         }
         self.state.edge_resolutions += resolved + loop_slots / 2;
         self.count_reads(slots.len());
-        let i = v.index();
-        self.state.discovered[i / 64] |= 1 << (i % 64);
-        self.state.cursors[i].set(0);
-        self.state.order.push(v);
+        self.state.cursors[v.index()].set(0);
     }
 
     /// The first unexplored incident edge of the discovered vertex `v`

@@ -54,7 +54,6 @@ mod frontier;
 mod runner;
 mod scratch;
 mod simulate;
-mod stamped;
 mod strong;
 mod suite;
 mod task;
@@ -70,9 +69,8 @@ pub use discovered::{DiscoveredVertex, DiscoveredView, UnexploredEdges};
 pub use error::SearchError;
 pub use frontier::FrontierCursors;
 pub use runner::{run_strong_in, run_weak, run_weak_in};
-pub use scratch::{SearchScratch, StampedNodeSet};
+pub use scratch::{NodeSet, SearchScratch};
 pub use simulate::SimulatedStrong;
-pub use stamped::StampedMap;
 pub use strong::{StrongSearchState, StrongSearcher};
 pub use suite::SearcherKind;
 pub use task::{SearchOutcome, SearchTask, SuccessCriterion};

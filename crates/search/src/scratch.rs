@@ -1,6 +1,8 @@
-//! Reusable per-worker search state: the view's discovery bits and
+//! Reusable per-worker search state: the view's discovered set and
 //! frontier cursors plus the oracle buffers, reset between trials in
-//! time linear in the previous trial's discoveries.
+//! time linear in the previous trial's discoveries, and [`NodeSet`],
+//! the dense vertex set behind the view, the strong searchers and
+//! percolation search.
 //!
 //! A Monte-Carlo sweep runs thousands of searches on graphs of one
 //! size. Allocating a fresh view (and oracle buffers) per trial made
@@ -13,7 +15,6 @@
 //! arrays have grown to the graph size.
 
 use crate::discovered::ViewState;
-use crate::stamped::StampedMap;
 use nonsearch_graph::NodeId;
 
 /// Reusable buffers for one search at a time: the state behind the
@@ -97,38 +98,58 @@ impl SearchScratch {
     }
 }
 
-/// A dense set of vertices with O(1) `insert`/`contains`/`clear`,
-/// backed by an epoch-stamped [`StampedMap`] (see the `stamped` module
-/// docs for the trick and its audited wrap path).
+/// A dense set of vertices: one bit per vertex plus the members in
+/// insertion order.
 ///
-/// Replaces the `HashSet<NodeId>` bookkeeping in the strong-model
-/// searchers and percolation search: membership is one array read, and
-/// clearing for the next trial is an epoch bump, not a rehash.
+/// The one vertex-set type of the crate. It backs the view's discovered
+/// vertices, the strong searchers' expanded sets and the percolation
+/// scratch: membership is one bit read, and the insertion order comes
+/// for free (the view's discovery order, percolation's broadcast
+/// queue). [`clear`](NodeSet::clear) zeroes the bitset words its
+/// members touched, or the whole bitset when that is smaller, so it
+/// costs O(members), never more than the inserts that made them, and
+/// keeps every allocation for the next trial.
+///
+/// # Example
+///
+/// ```
+/// use nonsearch_graph::NodeId;
+/// use nonsearch_search::NodeSet;
+///
+/// let mut set = NodeSet::new();
+/// set.reserve(100); // inserts below 100 never allocate
+/// assert!(set.insert(NodeId::new(70)));
+/// assert!(!set.insert(NodeId::new(70))); // already a member
+/// assert!(set.insert(NodeId::new(3)));
+/// assert_eq!(set.members(), [NodeId::new(70), NodeId::new(3)]);
+/// set.clear();
+/// assert!(set.is_empty() && !set.contains(NodeId::new(70)));
+/// ```
 #[derive(Debug, Clone, Default)]
-pub struct StampedNodeSet {
-    members: StampedMap<()>,
+pub struct NodeSet {
+    /// Bit `v % 64` of word `v / 64` is set iff vertex `v` is a member.
+    bits: Vec<u64>,
+    /// The members, in insertion order.
+    members: Vec<NodeId>,
 }
 
-impl StampedNodeSet {
-    /// Creates an empty set; the backing array grows on demand.
+impl NodeSet {
+    /// Creates an empty set; the arrays grow on demand.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A set whose *next* [`clear`](StampedNodeSet::clear) takes the
-    /// epoch-wrap path. Test-only hook: wrap coverage drives the public
-    /// API instead of poking private fields.
-    #[doc(hidden)]
-    pub fn near_wrap() -> Self {
-        StampedNodeSet {
-            members: StampedMap::near_wrap(),
-        }
-    }
-
-    /// Grows the backing array to cover `nodes` vertices, so inserts on
-    /// a graph of that size never allocate — even on the first trial.
+    /// Grows the bitset and the member list to cover `nodes` vertices,
+    /// so inserts on a graph of that size never allocate, even on the
+    /// first trial. Never shrinks; a no-op once large enough.
     pub fn reserve(&mut self, nodes: usize) {
-        self.members.reserve(nodes);
+        let words = nodes.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        if self.members.capacity() < nodes {
+            self.members.reserve(nodes - self.members.len());
+        }
     }
 
     /// Number of vertices in the set.
@@ -141,21 +162,52 @@ impl StampedNodeSet {
         self.members.is_empty()
     }
 
-    /// `true` if `v` is in the set.
+    /// `true` if `v` is in the set; `false` for any vertex past the
+    /// reserved size.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.members.contains(v.index())
+        let i = v.index();
+        self.bits
+            .get(i / 64)
+            .is_some_and(|&word| word >> (i % 64) & 1 != 0)
     }
 
-    /// Inserts `v`; returns `true` if it was not already present.
+    /// Inserts `v`; returns `true` if it was not already present. Grows
+    /// the bitset only for a vertex past the reserved size.
     #[inline]
     pub fn insert(&mut self, v: NodeId) -> bool {
-        self.members.insert(v.index(), ())
+        let i = v.index();
+        if self.bits.len() <= i / 64 {
+            self.bits.resize(i / 64 + 1, 0);
+        }
+        let word = &mut self.bits[i / 64];
+        let bit = 1 << (i % 64);
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.members.push(v);
+        true
     }
 
-    /// Empties the set in O(1) (epoch bump), keeping the allocation.
+    /// The members, in insertion order.
+    pub fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    /// Empties the set in O(members), keeping every allocation: zeroes
+    /// the bitset word of each member, or the whole bitset when it has
+    /// fewer words than there are members.
+    // lint: alloc-free
     pub fn clear(&mut self) {
-        self.members.reset();
+        if self.members.len() < self.bits.len() {
+            for v in &self.members {
+                self.bits[v.index() / 64] = 0;
+            }
+        } else {
+            self.bits.fill(0);
+        }
+        self.members.clear();
     }
 }
 
@@ -166,12 +218,13 @@ mod tests {
 
     #[test]
     fn stamped_set_behaves_like_a_set() {
-        let mut set = StampedNodeSet::new();
+        let mut set = NodeSet::new();
         assert!(set.is_empty());
         assert!(set.insert(NodeId::new(5)));
         assert!(!set.insert(NodeId::new(5)));
         assert!(set.insert(NodeId::new(0)));
         assert_eq!(set.len(), 2);
+        assert_eq!(set.members(), [NodeId::new(5), NodeId::new(0)]);
         assert!(set.contains(NodeId::new(5)));
         assert!(!set.contains(NodeId::new(4)));
         set.clear();
@@ -181,26 +234,16 @@ mod tests {
     }
 
     #[test]
-    fn stamped_set_epoch_wrap_is_sound() {
-        // Built at the wrap boundary: the next clear zero-fills stamps.
-        let mut set = StampedNodeSet::near_wrap();
-        set.insert(NodeId::new(1));
-        assert!(set.contains(NodeId::new(1)));
-        set.clear();
-        assert!(!set.contains(NodeId::new(1)));
-        assert!(set.insert(NodeId::new(1)));
-        // The restarted epoch keeps clearing cleanly.
-        set.clear();
-        assert!(!set.contains(NodeId::new(1)));
-    }
-
-    #[test]
     fn stamped_set_reserve_presizes() {
-        let mut set = StampedNodeSet::new();
+        let mut set = NodeSet::new();
         set.reserve(8);
         assert!(set.is_empty());
         assert!(!set.contains(NodeId::new(7)));
         assert!(set.insert(NodeId::new(7)));
+        // Past the reserved size: absent, then inserted by growing.
+        assert!(!set.contains(NodeId::new(1000)));
+        assert!(set.insert(NodeId::new(1000)));
+        assert!(set.contains(NodeId::new(1000)));
     }
 
     #[test]

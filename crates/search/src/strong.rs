@@ -137,7 +137,7 @@ pub trait StrongSearcher {
     /// cursors have skipped past (see
     /// [`FrontierCursors::rescans`](crate::FrontierCursors::rescans)).
     /// Default `0` — the native strong searchers track expansion with
-    /// stamped sets, not cursors.
+    /// a [`NodeSet`](crate::NodeSet), not cursors.
     fn frontier_rescans(&self) -> u64 {
         0
     }

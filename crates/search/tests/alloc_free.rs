@@ -15,8 +15,9 @@ use nonsearch_alloc_counter::{allocations, CountingAllocator};
 use nonsearch_generators::{rng_from_seed, MergedMori};
 use nonsearch_graph::NodeId;
 use nonsearch_search::{
-    run_strong_in, run_weak_in, SearchScratch, SearchTask, SearcherKind, StrongBfs, StrongGreedyId,
-    StrongHighDegree, StrongSearcher,
+    percolation_search_in, run_strong_in, run_weak_in, PercolationConfig, PercolationScratch,
+    SearchScratch, SearchTask, SearcherKind, StrongBfs, StrongGreedyId, StrongHighDegree,
+    StrongSearcher,
 };
 
 #[global_allocator]
@@ -78,6 +79,38 @@ fn steady_state_trials_allocate_nothing() {
             "{name}: steady-state trial performed {allocated} heap allocations"
         );
     }
+}
+
+#[test]
+fn steady_state_percolation_allocates_nothing() {
+    let n = 512;
+    let graph = MergedMori::sample(n, 2, 0.5, &mut rng_from_seed(3))
+        .unwrap()
+        .undirected();
+    let config = PercolationConfig {
+        replication_walk: 20,
+        query_walk: 10,
+        edge_probability: 0.5,
+    };
+    let (owner, requester) = (NodeId::from_label(n), NodeId::from_label(1));
+    let mut scratch = PercolationScratch::new();
+    let mut run = |seed| {
+        let mut rng = rng_from_seed(seed);
+        let before = allocations();
+        let outcome =
+            percolation_search_in(&mut scratch, &graph, owner, requester, &config, &mut rng)
+                .unwrap();
+        (outcome, allocations() - before)
+    };
+    // Warm-up run: both vertex sets grow to the graph size.
+    let (warm, _) = run(17);
+    assert!(warm.reached > 1);
+    let (steady, allocated) = run(17);
+    assert_eq!(steady, warm, "scratch reuse changed the outcome");
+    assert_eq!(
+        allocated, 0,
+        "steady-state percolation performed {allocated} heap allocations"
+    );
 }
 
 #[test]

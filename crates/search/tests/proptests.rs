@@ -3,21 +3,22 @@
 //! invariants, both oracles' observational equivalence against a
 //! hash-map reference model with explicit per-edge resolution state,
 //! the best-vertex searchers' request-sequence identity against scan
-//! reference models, and scratch-reuse bit-identity.
+//! reference models, scratch-reuse bit-identity, and `NodeSet` against
+//! an ordered-set reference model.
 
 use nonsearch_generators::{rng_from_seed, MergedMori, MoriTree};
 use nonsearch_graph::{EdgeId, NodeId, UndirectedCsr};
 use nonsearch_search::{
     run_strong_in, run_weak, run_weak_in, DiscoveredView, FrontierCursors, GreedyIdProximity,
-    HighDegreeGreedy, LookaheadWalk, OldestFirst, SearchError, SearchOutcome, SearchScratch,
-    SearchTask, SearcherKind, SimulatedStrong, StampedMap, StampedNodeSet, StrongBfs,
-    StrongGreedyId, StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion,
-    WeakSearchState, WeakSearcher,
+    HighDegreeGreedy, LookaheadWalk, NodeSet, OldestFirst, SearchError, SearchOutcome,
+    SearchScratch, SearchTask, SearcherKind, SimulatedStrong, StrongBfs, StrongGreedyId,
+    StrongHighDegree, StrongSearchState, StrongSearcher, SuccessCriterion, WeakSearchState,
+    WeakSearcher,
 };
 use proptest::prelude::*;
 use rand::RngCore;
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A connected multigraph via the merged Móri generator.
 fn connected_graph(n: usize, m: usize, p: f64, seed: u64) -> UndirectedCsr {
@@ -314,7 +315,7 @@ impl WeakSearcher for ReferenceLookahead {
 #[derive(Default)]
 struct ReferenceStrong {
     by_degree: bool,
-    expanded: StampedNodeSet,
+    expanded: NodeSet,
 }
 
 impl StrongSearcher for ReferenceStrong {
@@ -469,20 +470,22 @@ fn simulated_trace(
     (weak, s.inner.inner().log.clone())
 }
 
-/// One scripted operation against a raw [`StampedMap`] and a `HashMap`.
-#[derive(Debug, Clone)]
-enum MapOp {
-    Insert(usize, u8),
-    Put(usize, u8),
-    Reset,
-}
+/// Vertex ids of the [`NodeSet`] scripts: three full bitset words and a
+/// partial fourth.
+const SET_IDS: usize = 3 * 64 + 40;
 
-fn map_op_strategy(indices: usize) -> impl Strategy<Value = MapOp> {
-    (0usize..8, 0..indices, 0u8..=255).prop_map(|(sel, i, x)| match sel {
-        0..=2 => MapOp::Insert(i, x),
-        3..=5 => MapOp::Put(i, x),
-        _ => MapOp::Reset,
-    })
+/// One round of a [`NodeSet`] script: an optional `reserve`, a burst of
+/// inserts, then a `clear`.
+type SetRound = (Option<usize>, Vec<usize>);
+
+/// A round of `inserts` ids below [`SET_IDS`], with a reserve or not.
+fn set_round(inserts: std::ops::Range<usize>) -> impl Strategy<Value = SetRound> {
+    (
+        0u8..2,
+        0..=SET_IDS,
+        proptest::collection::vec(0..SET_IDS, inserts),
+    )
+        .prop_map(|(reserve, nodes, inserts)| ((reserve == 1).then_some(nodes), inserts))
 }
 
 /// One search on a shared scratch: strong (1) or weak (0), its start, and its
@@ -589,38 +592,61 @@ proptest! {
     }
 
     #[test]
-    fn stamped_map_reset_soak_matches_a_hashmap_across_the_wrap(
-        ops in proptest::collection::vec(map_op_strategy(24), 1..80),
+    fn node_set_matches_a_btree_set_and_its_insertion_order(
+        many in set_round(16..120),
+        few in set_round(0..2),
+        rounds in proptest::collection::vec(
+            (0u8..2).prop_flat_map(|long| set_round(if long == 1 { 8..120 } else { 0..4 })),
+            0..8,
+        ),
     ) {
-        // Start at the epoch-wrap boundary so the very first reset takes
-        // the zero-fill path; every subsequent reset takes the bump
-        // path. The map must behave exactly like a freshly-cleared
-        // HashMap throughout.
-        let mut dense: StampedMap<u8> = StampedMap::near_wrap();
-        let mut reference: HashMap<usize, u8> = HashMap::new();
-        for op in &ops {
-            match *op {
-                MapOp::Insert(i, x) => {
-                    let inserted = dense.insert(i, x);
-                    prop_assert_eq!(inserted, !reference.contains_key(&i));
-                    reference.entry(i).or_insert(x);
-                }
-                MapOp::Put(i, x) => {
-                    dense.put(i, x);
-                    reference.insert(i, x);
-                }
-                MapOp::Reset => {
-                    dense.reset();
-                    reference.clear();
-                }
+        // The set starts unreserved, so the first round's inserts all
+        // grow it. `many` leaves more members than bitset words, so its
+        // clear zeroes the whole bitset; `few` leaves fewer, so its
+        // clear zeroes each member's word.
+        let mut set = NodeSet::new();
+        let mut model = BTreeSet::new();
+        let mut order = Vec::new();
+        // The bitset's word count, which `clear` compares the members with.
+        let mut words = 0;
+        let mut whole_clears = 0;
+        let mut member_clears = 0;
+        for (reserve, inserts) in [many, few].iter().chain(&rounds) {
+            if let Some(nodes) = *reserve {
+                set.reserve(nodes);
+                words = words.max(nodes.div_ceil(64));
             }
-            prop_assert_eq!(dense.len(), reference.len());
-            prop_assert_eq!(dense.is_empty(), reference.is_empty());
-            for i in 0..24 {
-                prop_assert_eq!(dense.contains(i), reference.contains_key(&i));
-                prop_assert_eq!(dense.get(i), reference.get(&i));
+            let ops = inserts.iter().map(|&i| Some(NodeId::new(i))).chain([None]);
+            for op in ops {
+                match op {
+                    Some(v) => {
+                        let fresh = model.insert(v);
+                        prop_assert_eq!(set.insert(v), fresh);
+                        if fresh {
+                            order.push(v);
+                        }
+                        words = words.max(v.index() / 64 + 1);
+                    }
+                    None => {
+                        if order.len() < words {
+                            member_clears += 1;
+                        } else {
+                            whole_clears += 1;
+                        }
+                        set.clear();
+                        model.clear();
+                        order.clear();
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+                prop_assert_eq!(set.members(), &order[..]);
+                for v in (0..SET_IDS + 64).map(NodeId::new) {
+                    prop_assert_eq!(set.contains(v), model.contains(&v), "{:?}", v);
+                }
             }
         }
+        prop_assert!(whole_clears > 0 && member_clears > 0);
     }
 
     #[test]
