@@ -12,7 +12,7 @@ use std::fmt;
 /// let s = SampleStats::from_slice(&[1.0, 2.0, 3.0, 4.0]).unwrap();
 /// assert_eq!(s.count(), 4);
 /// assert!((s.mean() - 2.5).abs() < 1e-12);
-/// assert!((s.median() - 2.5).abs() < 1e-12);
+/// assert!(s.ci95_half_width() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleStats {
@@ -21,7 +21,6 @@ pub struct SampleStats {
     variance: f64,
     min: f64,
     max: f64,
-    sorted: Vec<f64>,
 }
 
 impl SampleStats {
@@ -40,15 +39,12 @@ impl SampleStats {
         } else {
             0.0
         };
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         Some(SampleStats {
             count: data.len(),
             mean,
             variance,
-            min: sorted[0],
-            max: *sorted.last().expect("non-empty"),
-            sorted,
+            min: data.iter().copied().fold(f64::INFINITY, f64::min),
+            max: data.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         })
     }
 
@@ -92,40 +88,16 @@ impl SampleStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Median (interpolated for even sizes).
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Linear-interpolated quantile, `q ∈ [0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let n = self.sorted.len();
-        if n == 1 {
-            return self.sorted[0];
-        }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-    }
 }
 
 impl fmt::Display for SampleStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "mean={:.4} ±{:.4} (95% CI, n={}) median={:.4} range=[{:.4}, {:.4}]",
+            "mean={:.4} ±{:.4} (95% CI, n={}) range=[{:.4}, {:.4}]",
             self.mean,
             self.ci95_half_width(),
             self.count,
-            self.median(),
             self.min,
             self.max
         )
@@ -158,31 +130,7 @@ mod tests {
         let s = SampleStats::from_slice(&[3.5]).unwrap();
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.median(), 3.5);
-        assert_eq!(s.quantile(0.99), 3.5);
-    }
-
-    #[test]
-    fn median_interpolates() {
-        let odd = SampleStats::from_slice(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(odd.median(), 2.0);
-        let even = SampleStats::from_slice(&[4.0, 1.0, 3.0, 2.0]).unwrap();
-        assert!((even.median() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles() {
-        let s = SampleStats::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 5.0);
-        assert!((s.quantile(0.25) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn bad_quantile_panics() {
-        let s = SampleStats::from_slice(&[1.0]).unwrap();
-        let _ = s.quantile(1.5);
+        assert_eq!((s.min(), s.max()), (3.5, 3.5));
     }
 
     #[test]

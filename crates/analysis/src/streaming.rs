@@ -1,8 +1,8 @@
 //! Single-pass (Welford) summary statistics.
 //!
-//! [`SampleStats`](crate::SampleStats) stores and sorts every sample,
-//! which is fine for a dozen trials but wasteful for the engine's large
-//! sweeps. [`StreamingStats`] keeps only O(1) state — count, mean, the
+//! [`SampleStats`](crate::SampleStats) takes every sample as a slice,
+//! which is fine for a few hundred routes but wasteful for the engine's
+//! large sweeps. [`StreamingStats`] keeps only O(1) state — count, mean, the
 //! centered second moment, min and max — and still reproduces the
 //! two-pass mean/variance/CI to floating-point accuracy. Accumulators
 //! from disjoint shards can be [`merge`](StreamingStats::merge)d with

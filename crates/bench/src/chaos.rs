@@ -3,10 +3,11 @@
 //! Runs a registered experiment twice — once clean, once under a seeded
 //! [`FaultPlan`] injecting worker panics through the engine's retry
 //! policy — and asserts the `"type":"cell"` records are **byte
-//! identical**. Then it exercises the corpus self-healing path (corrupt
-//! stored `.nsg` files per the plan, heal, re-verify against the
-//! original manifest checksums), the forced mmap-to-heap fallback, and
-//! the per-cell watchdog. Every injected fault is logged as a
+//! identical** and that at least one fault was injected. Then it
+//! exercises the corpus self-healing path (corrupt stored `.nsg` files
+//! per the plan, heal, re-verify against the original manifest
+//! checksums), the forced mmap-to-heap fallback, and the per-cell
+//! watchdog. Every injected fault is logged as a
 //! `"type":"fault"` JSONL record under `--out`.
 //!
 //! The whole gate is reproducible: the plan derives each decision from
@@ -56,9 +57,9 @@ pub fn usage() -> String {
          \n\
          runs EXPERIMENT (default maxdeg) twice — clean, then under a\n\
          seeded fault plan injecting worker panics with a retry policy —\n\
-         and fails unless the cell records are byte-identical. Also\n\
-         corrupts + heals a throwaway corpus, forces the mmap-to-heap\n\
-         fallback, and exercises the per-cell watchdog.\n\
+         and fails unless faults were injected and the cell records are\n\
+         byte-identical. Also corrupts + heals a throwaway corpus, forces\n\
+         the mmap-to-heap fallback, and exercises the per-cell watchdog.\n\
          \n\
          chaos flags:\n\
          \x20 --plan-seed N   fault-plan seed (default {DEFAULT_PLAN_SEED:#x})\n\
@@ -184,7 +185,8 @@ fn run(chaos: &ChaosArgs) -> Result<i32, String> {
 /// Phase 1 — the byte-identity gate: clean run vs a run whose trials
 /// panic per the plan and are retried. Healing on, the cell records
 /// must match byte for byte; healing off, the injected panic propagates
-/// and the gate fails (the CI must-fail probe).
+/// and the gate fails (the CI must-fail probe). A chaos run that
+/// injected no fault fails the gate too.
 fn trial_fault_gate(
     chaos: &ChaosArgs,
     reg: &nonsearch_engine::Registry,
@@ -261,6 +263,16 @@ fn trial_fault_gate(
         ]);
     }
 
+    // A chaos run no fault reached tested nothing: the gate must fail,
+    // not pass vacuously.
+    if injected.is_empty() {
+        eprintln!(
+            "xp chaos: the chaos run of {} injected no faults under --plan-seed {} \
+             — the gate tested nothing",
+            chaos.experiment, chaos.plan_seed
+        );
+        return Ok(1);
+    }
     let clean_cells = cell_lines(clean_path)?;
     let chaos_cells = cell_lines(chaos_path)?;
     if clean_cells != chaos_cells {
@@ -503,6 +515,31 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
+    }
+
+    #[test]
+    fn a_chaos_run_that_injects_no_fault_fails_the_gate() {
+        // One lattice side gives each kleinberg cell a single trial, 0;
+        // under a plan seed that spares trial 0 nothing is injected.
+        let spares_trial_zero = |seed: &u64| {
+            FaultPlan::new(*seed)
+                .with_trial_panics(TRIAL_PANIC_EVERY)
+                .trial_fault(0, 0)
+                .is_none()
+        };
+        let seed = (0..).find(spares_trial_zero).unwrap().to_string();
+        let dir = temp_dir("vacuous");
+        let args = [
+            "kleinberg",
+            "--quick",
+            "--sizes",
+            "16",
+            "--plan-seed",
+            &seed,
+        ];
+        let dir_str = dir.display().to_string();
+        assert_eq!(run_args(&[&args[..], &["--dir", &dir_str]].concat()), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! One cell per (r, side): sample the lattice, then route uniformly
 //! random pairs greedily, every pair drawn from the lattice's own
 //! stream. That shared stream makes a cell serial, so the lattices of
-//! one `r` are the parallel jobs. `--sizes` overrides the lattice
-//! sides; hops count as requests in the perf record.
+//! one `r` are the scheduler's trials, one per side. `--sizes`
+//! overrides the lattice sides; hops count as requests in the perf
+//! record.
 
 use super::{note_corpus_ignored, print_banner};
 use nonsearch_analysis::SampleStats;
 use nonsearch_core::ScalingSeries;
 use nonsearch_engine::{
-    run_ordered, CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, JsonValue, Metrics,
+    run_trials, CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, JsonValue, Metrics,
     PhaseClock, PhaseTimes,
 };
 use nonsearch_generators::{rng_from_seed, KleinbergGrid, SeedSequence};
@@ -52,11 +53,14 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
         ("hops_per_log2_sq", "hops / log2²(n)", 3),
     ]);
     for (ri, &r) in r_values.iter().enumerate() {
-        let cells = run_ordered(
+        let mut cells = Vec::with_capacity(sides.len());
+        run_trials(
             sides.len(),
             ctx.options.threads,
             &seeds.subsequence(ri as u64),
-            |si, cell_seeds| route_cell(sides[si], r, routes, &cell_seeds),
+            || (),
+            |(), _, si, cell_seeds| route_cell(sides[si], r, routes, &cell_seeds),
+            |cell| cells.push(cell),
         );
         for (&side, (hops, _)) in sides.iter().zip(&cells) {
             series.push(ri, (side * side) as f64, hops.mean());
@@ -98,7 +102,7 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
     Ok(())
 }
 
-/// One (r, side) cell, measured serially on one worker: the lattice is
+/// One (r, side) cell, measured serially in one trial: the lattice is
 /// sampled from the cell's root stream, then `routes` greedy routes
 /// between random pairs drawn from the same stream.
 fn route_cell(side: usize, r: f64, routes: usize, seeds: &SeedSequence) -> (SampleStats, CellObs) {

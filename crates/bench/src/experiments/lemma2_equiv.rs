@@ -8,9 +8,7 @@
 use super::{note_corpus_ignored, print_banner};
 use nonsearch_analysis::Table;
 use nonsearch_core::{exact_window_exchangeability, sampled_window_symmetry, EquivalenceWindow};
-use nonsearch_engine::{
-    CellKey, CellObs, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes,
-};
+use nonsearch_engine::{CellKey, ExpContext, ExperimentSpec, JsonValue};
 use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -84,10 +82,9 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
         for &a in &[50usize, 200] {
             let _cell_span = tracer.span("size-cell");
             let w = EquivalenceWindow::from_anchor(a);
-            let clock = PhaseClock::start();
-            let report = sampled_window_symmetry(&w, p, sample_trials, ctx.seed)
-                .expect("event has constant probability, some trials accept");
-            let sample_ns = clock.elapsed_ns();
+            let (report, obs) =
+                sampled_window_symmetry(&w, p, sample_trials, ctx.seed, ctx.options.threads)
+                    .expect("event has constant probability, some trials accept");
             let ok = report.max_z < 4.0;
             sampled_table.row(vec![
                 format!("{p:.2}"),
@@ -113,22 +110,13 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
                 ("ok", JsonValue::from(ok)),
             ];
             ctx.writer.record_cell(&key, report.attempted, &measures);
-            // Each trial grows a Móri tree over the window: generation
-            // work, like lemma3-event's Monte Carlo. Perf records name
-            // the anchor `n` (every perf record has one) and carry no
-            // window.
-            let phases = PhaseTimes {
-                generate_ns: sample_ns,
-                ..PhaseTimes::new()
-            };
+            // Perf records name the anchor `n` (every perf record has
+            // one) and carry no window.
             let perf_key = CellKey::new()
                 .with("check", "sampled")
                 .with("p", p)
                 .with("n", a);
-            ctx.writer.record_perf(
-                &perf_key,
-                &CellObs::serial(report.attempted as u64, phases, sample_ns),
-            );
+            ctx.writer.record_perf(&perf_key, &obs);
         }
     }
     println!("{sampled_table}");

@@ -7,9 +7,7 @@ use super::{note_corpus_ignored, print_banner};
 use nonsearch_core::{
     estimate_mori_event_probability, lemma3_bound, mori_event_probability_exact, EquivalenceWindow,
 };
-use nonsearch_engine::{
-    CellKey, CellObs, CellTable, ExpContext, ExperimentSpec, JsonValue, PhaseClock, PhaseTimes,
-};
+use nonsearch_engine::{CellKey, CellTable, ExpContext, ExperimentSpec, JsonValue};
 use std::io;
 
 pub(super) const SPEC: ExperimentSpec = ExperimentSpec {
@@ -59,12 +57,11 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
             let exact =
                 mori_event_probability_exact(w.a(), w.b(), p).expect("valid window parameters");
             // Monte Carlo on the big anchors is costly; sample the small ones.
-            let clock = PhaseClock::start();
-            let estimate = (a <= 1_000).then(|| {
-                estimate_mori_event_probability(&w, p, mc_trials, ctx.seed)
+            let mc = (a <= 1_000).then(|| {
+                estimate_mori_event_probability(&w, p, mc_trials, ctx.seed, ctx.options.threads)
                     .expect("valid estimation parameters")
             });
-            let mc_ns = clock.elapsed_ns();
+            let estimate = mc.as_ref().map(|(estimate, _)| estimate);
             let bound = lemma3_bound(p);
             let key = CellKey::new()
                 .with("p", p)
@@ -72,31 +69,21 @@ fn run(ctx: &mut ExpContext) -> io::Result<()> {
                 .with("window", w.len());
             let measures = [
                 ("exact", JsonValue::from(exact)),
-                (
-                    "monte_carlo",
-                    JsonValue::from(estimate.as_ref().map(|e| e.estimate)),
-                ),
+                ("monte_carlo", JsonValue::from(estimate.map(|e| e.estimate))),
                 (
                     "mc_std_error",
-                    JsonValue::from(estimate.as_ref().map(|e| e.std_error)),
+                    JsonValue::from(estimate.map(|e| e.std_error)),
                 ),
                 ("bound", JsonValue::from(bound)),
                 ("holds", JsonValue::from(exact >= bound - 1e-12)),
             ];
             table.row(&key, &measures);
             ctx.writer
-                .record_cell(&key, estimate.as_ref().map(|_| mc_trials), &measures);
-            if estimate.is_some() {
-                // Each Monte-Carlo trial grows a fresh Móri tree over the
-                // window and tests the event: generation work.
-                let phases = PhaseTimes {
-                    generate_ns: mc_ns,
-                    ..PhaseTimes::new()
-                };
+                .record_cell(&key, estimate.map(|_| mc_trials), &measures);
+            if let Some((_, obs)) = &mc {
                 // Perf records name the anchor `n` and carry no window.
                 let perf_key = CellKey::new().with("p", p).with("n", a);
-                ctx.writer
-                    .record_perf(&perf_key, &CellObs::serial(mc_trials as u64, phases, mc_ns));
+                ctx.writer.record_perf(&perf_key, obs);
             }
         }
     }

@@ -609,3 +609,54 @@ fn a_reader_that_stops_early_ends_the_run_quietly() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+#[test]
+fn chaos_reaches_the_lemma_monte_carlo() {
+    // E4 and E5 run their Monte Carlo on the engine's scheduler, so the
+    // chaos plan's panics reach their trials: retried, the cells stay
+    // byte-identical; propagated, the gate fails.
+    for experiment in ["lemma3-event", "lemma2-equiv"] {
+        let dir = temp_path(&format!("chaos_{experiment}"));
+        let dir_str = dir.to_str().unwrap();
+        let out = xp(&[
+            "chaos",
+            experiment,
+            "--quick",
+            "--threads",
+            "2",
+            "--dir",
+            dir_str,
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{experiment}: {stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let injected: usize = stdout
+            .split_once("byte-identical (")
+            .and_then(|(_, rest)| rest.split_once(" faults injected)"))
+            .and_then(|(count, _)| count.parse().ok())
+            .unwrap_or_else(|| panic!("{experiment}: no fault count in\n{stdout}"));
+        assert!(injected >= 1, "{experiment}: {stdout}");
+        let cells = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+        let (clean, chaos) = (cells("clean.jsonl"), cells("chaos.jsonl"));
+        assert!(!cell_lines(&clean).is_empty(), "{experiment}");
+        assert_eq!(cell_lines(&clean), cell_lines(&chaos), "{experiment}");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = temp_path(&format!("chaos_noheal_{experiment}"));
+        let out = xp(&[
+            "chaos",
+            experiment,
+            "--quick",
+            "--threads",
+            "2",
+            "--no-heal",
+            "--dir",
+            dir.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success(), "{experiment} --no-heal passed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

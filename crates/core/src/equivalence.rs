@@ -18,6 +18,7 @@ use crate::event::mori_window_event_holds;
 use crate::theory::{check_probability, CoreError};
 use crate::window::EquivalenceWindow;
 use crate::Permutation;
+use nonsearch_engine::{run_trials, CellObs};
 use nonsearch_generators::{MoriTree, SeedSequence};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,8 +129,12 @@ impl fmt::Display for SymmetryReport {
 }
 
 /// Samples Móri trees of size `window.b()` conditional on `E_{a,b}`
-/// (by rejection) and tests that window positions are statistically
-/// interchangeable.
+/// (by rejection) on `threads` workers (0 = all cores) and tests that
+/// window positions are statistically interchangeable. Trial `t`
+/// draws from `SeedSequence::new(seed).child_rng(t)` and the per-slot
+/// sums add up in trial order, so the report is bit-identical for any
+/// thread count. Returns the scheduler's observation of the run next
+/// to the report; each trial's time is generation time.
 ///
 /// # Errors
 ///
@@ -140,7 +145,8 @@ pub fn sampled_window_symmetry(
     p: f64,
     trials: usize,
     seed: u64,
-) -> crate::Result<SymmetryReport> {
+    threads: usize,
+) -> crate::Result<(SymmetryReport, CellObs)> {
     check_probability("p", p)?;
     if trials == 0 {
         return Err(CoreError::invalid("trials", 0usize, "a positive count"));
@@ -152,26 +158,44 @@ pub fn sampled_window_symmetry(
     let mut father_sum = vec![0.0f64; w];
     let mut father_sq = vec![0.0f64; w];
     let mut indeg_sum = vec![0.0f64; w];
-    for t in 0..trials {
-        let mut rng = seeds.child_rng(t as u64);
-        let tree = MoriTree::sample(size, p, &mut rng).expect("window sizes are valid tree sizes");
-        if !mori_window_event_holds(tree.trace(), window) {
-            continue;
-        }
-        accepted += 1;
-        let mut indegree = vec![0usize; w];
-        for r in tree.trace() {
-            if window.contains_label(r.father.label()) {
-                indegree[r.father.label() - window.a() - 1] += 1;
+    let obs = run_trials(
+        trials,
+        threads,
+        &seeds,
+        || (),
+        // A trial yields each window slot's (father label, indegree),
+        // or nothing when the event fails.
+        |(), obs, t, _| {
+            obs.phases.time_fetch(false, || {
+                let mut rng = seeds.child_rng(t as u64);
+                let tree =
+                    MoriTree::sample(size, p, &mut rng).expect("window sizes are valid tree sizes");
+                if !mori_window_event_holds(tree.trace(), window) {
+                    return None;
+                }
+                let mut slots: Vec<(usize, usize)> = ((window.a() + 1)..=window.b())
+                    .map(|label| (tree.father_of_label(label).expect("covered").label(), 0))
+                    .collect();
+                for r in tree.trace() {
+                    if window.contains_label(r.father.label()) {
+                        slots[r.father.label() - window.a() - 1].1 += 1;
+                    }
+                }
+                Some(slots)
+            })
+        },
+        |slots| {
+            if let Some(slots) = slots {
+                accepted += 1;
+                for (slot, (father, indegree)) in slots.into_iter().enumerate() {
+                    let father = father as f64;
+                    father_sum[slot] += father;
+                    father_sq[slot] += father * father;
+                    indeg_sum[slot] += indegree as f64;
+                }
             }
-        }
-        for (slot, label) in ((window.a() + 1)..=window.b()).enumerate() {
-            let father = tree.father_of_label(label).expect("covered").label() as f64;
-            father_sum[slot] += father;
-            father_sq[slot] += father * father;
-            indeg_sum[slot] += indegree[slot] as f64;
-        }
-    }
+        },
+    );
     if accepted == 0 {
         return Err(CoreError::NoAcceptedSamples { trials });
     }
@@ -192,13 +216,14 @@ pub fn sampled_window_symmetry(
             }
         }
     }
-    Ok(SymmetryReport {
+    let report = SymmetryReport {
         accepted,
         attempted: trials,
         father_means,
         indegree_means,
         max_z,
-    })
+    };
+    Ok((report, obs))
 }
 
 #[cfg(test)]
@@ -242,10 +267,95 @@ mod tests {
         // has probability zero. Hence no exchangeability without E.
     }
 
+    /// `sampled_window_symmetry` as one serial loop over the trials: the
+    /// bit-for-bit reference for its in-order fold.
+    fn serial_reference(
+        window: &EquivalenceWindow,
+        p: f64,
+        trials: usize,
+        seed: u64,
+    ) -> crate::Result<SymmetryReport> {
+        check_probability("p", p)?;
+        if trials == 0 {
+            return Err(CoreError::invalid("trials", 0usize, "a positive count"));
+        }
+        let seeds = SeedSequence::new(seed);
+        let size = window.minimum_tree_size();
+        let w = window.len();
+        let mut accepted = 0usize;
+        let mut father_sum = vec![0.0f64; w];
+        let mut father_sq = vec![0.0f64; w];
+        let mut indeg_sum = vec![0.0f64; w];
+        for t in 0..trials {
+            let mut rng = seeds.child_rng(t as u64);
+            let tree =
+                MoriTree::sample(size, p, &mut rng).expect("window sizes are valid tree sizes");
+            if !mori_window_event_holds(tree.trace(), window) {
+                continue;
+            }
+            accepted += 1;
+            let mut indegree = vec![0usize; w];
+            for r in tree.trace() {
+                if window.contains_label(r.father.label()) {
+                    indegree[r.father.label() - window.a() - 1] += 1;
+                }
+            }
+            for (slot, label) in ((window.a() + 1)..=window.b()).enumerate() {
+                let father = tree.father_of_label(label).expect("covered").label() as f64;
+                father_sum[slot] += father;
+                father_sq[slot] += father * father;
+                indeg_sum[slot] += indegree[slot] as f64;
+            }
+        }
+        if accepted == 0 {
+            return Err(CoreError::NoAcceptedSamples { trials });
+        }
+        let nacc = accepted as f64;
+        let father_means: Vec<f64> = father_sum.iter().map(|s| s / nacc).collect();
+        let indegree_means: Vec<f64> = indeg_sum.iter().map(|s| s / nacc).collect();
+        let variances: Vec<f64> = father_sq
+            .iter()
+            .zip(&father_means)
+            .map(|(sq, m)| (sq / nacc - m * m).max(0.0))
+            .collect();
+        let mut max_z = 0.0f64;
+        for i in 0..w {
+            for j in (i + 1)..w {
+                let se = ((variances[i] + variances[j]) / nacc).sqrt();
+                if se > 0.0 {
+                    max_z = max_z.max((father_means[i] - father_means[j]).abs() / se);
+                }
+            }
+        }
+        Ok(SymmetryReport {
+            accepted,
+            attempted: trials,
+            father_means,
+            indegree_means,
+            max_z,
+        })
+    }
+
+    #[test]
+    fn sampled_symmetry_matches_the_serial_loop_at_any_thread_count() {
+        let window = EquivalenceWindow::from_anchor(40);
+        for (p, trials, seed) in [(0.3, 700, 5), (0.8, 400, 6)] {
+            let reference = serial_reference(&window, p, trials, seed).unwrap();
+            for threads in [1, 4] {
+                let (report, obs) =
+                    sampled_window_symmetry(&window, p, trials, seed, threads).unwrap();
+                // Exact f64 equality: the sums must add up in the serial
+                // loop's order.
+                assert_eq!(report, reference, "p={p} threads={threads}");
+                assert_eq!(obs.metrics.trials, trials as u64);
+            }
+        }
+    }
+
     #[test]
     fn sampled_symmetry_for_moderate_windows() {
         let window = EquivalenceWindow::from_anchor(50); // [[51, 57]]
-        let report = sampled_window_symmetry(&window, 0.4, 4000, 11).unwrap();
+        let (report, _) = sampled_window_symmetry(&window, 0.4, 4000, 11, 2).unwrap();
         assert!(report.accepted > 500, "acceptance too low: {report}");
         assert!(report.max_z < 4.0, "symmetry rejected: {report}");
         assert_eq!(report.father_means.len(), window.len());
@@ -256,7 +366,7 @@ mod tests {
         // p = 0 with a huge window makes the event extremely unlikely;
         // with 1 trial the rejection sampler realistically fails.
         let window = EquivalenceWindow::with_bounds(2, 12);
-        let err = sampled_window_symmetry(&window, 0.0, 1, 0);
+        let err = sampled_window_symmetry(&window, 0.0, 1, 0, 1);
         // Either an error or (improbably) a pass; accept both but check
         // the error variant is the documented one when it fails.
         if let Err(e) = err {

@@ -2,6 +2,7 @@
 
 use crate::theory::{check_probability, CoreError};
 use crate::window::EquivalenceWindow;
+use nonsearch_engine::{run_trials, CellObs};
 use nonsearch_generators::{AttachmentTrace, CooperFrieze, MoriTree, SeedSequence};
 use std::fmt;
 
@@ -76,8 +77,12 @@ impl fmt::Display for EventEstimate {
 }
 
 /// Estimates `P(E_{a,b})` for the Móri tree by direct simulation:
-/// `trials` independent trees of size `b` are sampled and the event is
-/// checked on each trace.
+/// `trials` independent trees of size `b` are sampled on `threads`
+/// workers (0 = all cores) and the event is checked on each trace.
+/// Trial `t` draws from `SeedSequence::new(seed).child_rng(t)`, so the
+/// estimate is the same for any thread count. Returns the scheduler's
+/// observation of the run next to the estimate; each trial's time is
+/// generation time.
 ///
 /// # Errors
 ///
@@ -88,7 +93,8 @@ pub fn estimate_mori_event_probability(
     p: f64,
     trials: usize,
     seed: u64,
-) -> crate::Result<EventEstimate> {
+    threads: usize,
+) -> crate::Result<(EventEstimate, CellObs)> {
     check_probability("p", p)?;
     if trials == 0 {
         return Err(CoreError::invalid("trials", 0usize, "a positive count"));
@@ -96,22 +102,29 @@ pub fn estimate_mori_event_probability(
     let seeds = SeedSequence::new(seed);
     let tree_size = window.minimum_tree_size();
     let mut successes = 0usize;
-    for t in 0..trials {
-        let mut rng = seeds.child_rng(t as u64);
-        let tree =
-            MoriTree::sample(tree_size, p, &mut rng).expect("window sizes are valid tree sizes");
-        if mori_window_event_holds(tree.trace(), window) {
-            successes += 1;
-        }
-    }
-    let estimate = successes as f64 / trials as f64;
-    let std_error = (estimate * (1.0 - estimate) / trials as f64).sqrt();
-    Ok(EventEstimate {
-        estimate,
-        std_error,
+    let obs = run_trials(
+        trials,
+        threads,
+        &seeds,
+        || (),
+        |(), obs, t, _| {
+            obs.phases.time_fetch(false, || {
+                let mut rng = seeds.child_rng(t as u64);
+                let tree = MoriTree::sample(tree_size, p, &mut rng)
+                    .expect("window sizes are valid tree sizes");
+                mori_window_event_holds(tree.trace(), window)
+            })
+        },
+        |holds| successes += usize::from(holds),
+    );
+    let rate = successes as f64 / trials as f64;
+    let estimate = EventEstimate {
+        estimate: rate,
+        std_error: (rate * (1.0 - rate) / trials as f64).sqrt(),
         trials,
         successes,
-    })
+    };
+    Ok((estimate, obs))
 }
 
 #[cfg(test)]
@@ -142,7 +155,7 @@ mod tests {
         let window = EquivalenceWindow::with_bounds(20, 24);
         for &p in &[0.2, 0.7] {
             let exact = mori_event_probability_exact(20, 24, p).unwrap();
-            let est = estimate_mori_event_probability(&window, p, 3000, 42).unwrap();
+            let (est, _) = estimate_mori_event_probability(&window, p, 3000, 42, 2).unwrap();
             assert!(
                 (est.estimate - exact).abs() < 4.0 * est.std_error + 0.01,
                 "p = {p}: estimated {} vs exact {exact}",
@@ -154,22 +167,44 @@ mod tests {
     #[test]
     fn p_one_event_always_holds() {
         let window = EquivalenceWindow::from_anchor(30);
-        let est = estimate_mori_event_probability(&window, 1.0, 200, 7).unwrap();
+        let (est, obs) = estimate_mori_event_probability(&window, 1.0, 200, 7, 2).unwrap();
         assert_eq!(est.successes, 200);
+        assert_eq!(obs.metrics.trials, 200);
     }
 
     #[test]
     fn estimate_display() {
         let window = EquivalenceWindow::with_bounds(10, 12);
-        let est = estimate_mori_event_probability(&window, 0.5, 100, 3).unwrap();
+        let (est, _) = estimate_mori_event_probability(&window, 0.5, 100, 3, 1).unwrap();
         assert!(est.to_string().contains("trials"));
     }
 
     #[test]
     fn validation() {
         let window = EquivalenceWindow::with_bounds(10, 12);
-        assert!(estimate_mori_event_probability(&window, 1.5, 10, 0).is_err());
-        assert!(estimate_mori_event_probability(&window, 0.5, 0, 0).is_err());
+        assert!(estimate_mori_event_probability(&window, 1.5, 10, 0, 1).is_err());
+        assert!(estimate_mori_event_probability(&window, 0.5, 0, 0, 1).is_err());
+    }
+
+    #[test]
+    fn estimates_are_identical_across_thread_counts_and_keep_the_serial_streams() {
+        let window = EquivalenceWindow::from_anchor(60);
+        let (one, obs) = estimate_mori_event_probability(&window, 0.4, 500, 19, 1).unwrap();
+        let (four, _) = estimate_mori_event_probability(&window, 0.4, 500, 19, 4).unwrap();
+        assert_eq!(one, four);
+        assert_eq!(obs.metrics.trials, 500);
+        // Trial t draws from the root's child stream t, so every prefix
+        // of the trial sequence counts the successes of a serial loop
+        // over those streams.
+        let seeds = SeedSequence::new(19);
+        let mut serial = 0;
+        for trials in 1..=40 {
+            let mut rng = seeds.child_rng(trials as u64 - 1);
+            let tree = MoriTree::sample(window.minimum_tree_size(), 0.4, &mut rng).unwrap();
+            serial += usize::from(mori_window_event_holds(tree.trace(), &window));
+            let (est, _) = estimate_mori_event_probability(&window, 0.4, trials, 19, 2).unwrap();
+            assert_eq!(est.successes, serial, "trials={trials}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The deterministic, sharded corpus builder.
 //!
 //! Graph generation is the dominant cost of large-`n` Monte-Carlo
-//! sweeps, so the builder shards it across the engine's worker pool
-//! ([`run_ordered`]): one job per stored graph, each writing its own
+//! sweeps, so the builder shards it across the engine's scheduler
+//! ([`run_trials`]): one trial per stored graph, each writing its own
 //! `.nsg` file (plus rewired null-model variants) and returning the
 //! manifest entry. Three properties make the output **bit-identical
 //! for any `--threads` value**:
@@ -12,7 +12,7 @@
 //!    which is why a corpus built with an experiment's seed and sizes
 //!    serves it the *exact* graphs it would have generated;
 //! 2. each job writes only its own files, so no write interleaves; and
-//! 3. [`run_ordered`] returns entries in job order, so the manifest's
+//! 3. [`run_trials`] folds entries in job order, so the manifest's
 //!    deterministic portion is byte-stable (the volatile `"build"`
 //!    envelope is the one exception, mirroring the engine's run
 //!    footer).
@@ -21,7 +21,7 @@ use crate::error::CorpusError;
 use crate::manifest::{BuildInfo, GraphEntry, Manifest, VariantEntry};
 use crate::model_spec::{parse_model, DEFAULT_MODEL_SPEC};
 use crate::nsg;
-use nonsearch_engine::{git_describe, run_ordered};
+use nonsearch_engine::{git_describe, run_trials};
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -109,12 +109,17 @@ pub fn build(dir: &Path, spec: &BuildSpec) -> Result<BuildReport, CorpusError> {
     let jobs = spec.sizes.len() * spec.trials;
     let root = SeedSequence::new(spec.seed);
     // Job seeds are re-derived from (size_idx, trial) inside the job —
-    // run_ordered's own flat-index streams are ignored — so the corpus
+    // the scheduler's own flat-index streams are ignored — so the corpus
     // reproduces exactly what a size sweep of `search_cell`s generates:
     // size `i` on subsequence `i`, trial `t` on its subsequence `t`, the
     // graph on child stream 0.
-    let entries: Vec<Result<(GraphEntry, u64), CorpusError>> =
-        run_ordered(jobs, spec.threads, &root, |job, _seeds| {
+    let mut entries: Vec<Result<(GraphEntry, u64), CorpusError>> = Vec::with_capacity(jobs);
+    run_trials(
+        jobs,
+        spec.threads,
+        &root,
+        || (),
+        |(), _, job, _seeds| {
             let size_idx = job / spec.trials;
             let trial = job % spec.trials;
             let n = spec.sizes[size_idx];
@@ -156,7 +161,9 @@ pub fn build(dir: &Path, spec: &BuildSpec) -> Result<BuildReport, CorpusError> {
                 },
                 bytes,
             ))
-        });
+        },
+        |entry| entries.push(entry),
+    );
 
     let mut graphs = Vec::with_capacity(jobs);
     let mut total_bytes = 0u64;

@@ -18,7 +18,7 @@ use crate::manifest::{GraphEntry, Manifest};
 use crate::mmap::{LoadMode, MappedFile};
 use crate::model_spec::parse_model;
 use crate::nsg;
-use nonsearch_engine::{run_ordered, GraphSource};
+use nonsearch_engine::{run_trials, GraphSource};
 use nonsearch_generators::{degree_preserving_rewire, SeedSequence};
 use nonsearch_graph::{CsrBytes, UndirectedCsr};
 // lint: allow(determinism): keyed cache lookup only; the map is never iterated, so order cannot surface
@@ -267,7 +267,7 @@ impl Corpus {
     /// Re-reads every stored file through the load pipeline, checking
     /// manifest checksums, CSR structural consistency, and the
     /// manifest's node/edge counts. The files are read on the engine's
-    /// worker pool, one job per file on all cores; the report and the
+    /// scheduler, one trial per file on all cores; the report and the
     /// returned error still follow manifest order. On a healing corpus
     /// ([`Corpus::open_healing`], `corpus verify --heal`) each corrupt
     /// file is quarantined, regenerated, and re-verified in place, and
@@ -293,13 +293,15 @@ impl Corpus {
                     .map(|v| (entry, v.file.as_str(), v.checksum)),
             );
         }
-        // Healing derives its streams from the manifest, so the job
+        // Healing derives its streams from the manifest, so the trial
         // streams go unused.
-        let results = run_ordered(
+        let mut results = Vec::with_capacity(checks.len());
+        run_trials(
             checks.len(),
             threads,
             &SeedSequence::new(0),
-            |job, _| -> Result<(u64, Option<bool>), CorpusError> {
+            || (),
+            |(), _, job, _| -> Result<(u64, Option<bool>), CorpusError> {
                 let (entry, file, expected) = checks[job];
                 let (graph, healed) = self.read_or_heal(file, Some(expected))?;
                 if healed.is_some() {
@@ -321,6 +323,7 @@ impl Corpus {
                 }
                 Ok((nsg::csr_layout(n, m).edge_list.end as u64, healed))
             },
+            |result| results.push(result),
         );
         let mut report = VerifyReport {
             files: 0,

@@ -9,10 +9,12 @@
 //! `(trial, attempt) -> Option<InjectedFault>` function, typically
 //! backed by a seeded [`FaultPlan`] — plus an optional per-cell
 //! watchdog deadline. [`install_faults`] activates the bundle for the
-//! current thread and returns a guard; every runner call made while the
-//! guard lives snapshots the bundle at cell entry and runs its trials
-//! *contained* (each attempt wrapped in `catch_unwind`) instead of on
-//! the bare fast path.
+//! current thread and returns a guard; every
+//! [`run_trials`](crate::run_trials) call made while the guard lives
+//! snapshots the bundle at cell entry. Trials always run *contained*
+//! (each attempt wrapped in `catch_unwind`); with no bundle installed
+//! the policy is the default [`FailurePolicy::Propagate`] and no hook
+//! fires.
 //!
 //! The installation is **thread-local**, not process-global: `cargo
 //! test` runs many tests concurrently in one process, and a global
@@ -90,8 +92,8 @@ pub type FaultHook = Arc<dyn Fn(usize, u32) -> Option<InjectedFault> + Send + Sy
 /// injection hook, failure policy, and watchdog deadline.
 ///
 /// The default bundle (`FaultInjection::default()`) injects nothing,
-/// propagates panics, and sets no deadline — installing it merely
-/// routes trials through the contained (catch-unwind) execution path.
+/// propagates panics, and sets no deadline — installing it is the same
+/// as installing nothing.
 #[derive(Clone, Default)]
 pub struct FaultInjection {
     /// What to do when a trial attempt panics.

@@ -5,18 +5,18 @@
 //! sweeps over cells (model × size × searcher × policy). This crate is
 //! the shared substrate those sweeps run on:
 //!
-//! * [`run_lanes_observed`] — the trial runner: shards a cell's trials
+//! * [`run_trials`] — the one trial scheduler: shards a cell's trials
 //!   across scoped worker threads with per-trial RNG streams derived
-//!   from [`SeedSequence`](nonsearch_generators::SeedSequence),
-//!   aggregating via streaming (Welford) statistics in strict trial
-//!   order, so the result is **bit-identical for 1 or N threads**. It
-//!   also observes the cell ([`CellObs`]: exact counters, phase times,
-//!   wall time, `/proc` sample); [`run_lanes`] is its plain form.
-//! * [`run_ordered`] — the deterministic parallel *map* companion:
-//!   results come back in job order for any worker count (the corpus
-//!   builder shards graph generation through it).
+//!   from [`SeedSequence`](nonsearch_generators::SeedSequence) and
+//!   hands each result to the caller's fold in strict trial order, so
+//!   the result is **bit-identical for 1 or N threads**. It also
+//!   observes the cell ([`CellObs`]: exact counters, phase times, wall
+//!   time, `/proc` sample). [`run_lanes_observed`] is it with a
+//!   per-lane streaming (Welford) fold and [`run_lanes`] that without
+//!   the observation; the corpus builder and verifier fold per-file
+//!   results into a `Vec`.
 //! * [`install_faults`] / [`FailurePolicy`] — the chaos seam: a
-//!   thread-local fault bundle the runner snapshots at cell entry to
+//!   thread-local fault bundle [`run_trials`] snapshots at cell entry to
 //!   inject deterministic trial panics/stalls (from a seeded
 //!   [`FaultPlan`]) and contain, retry, or skip the failing trials,
 //!   with an optional watchdog that degrades a stuck cell gracefully
@@ -91,7 +91,7 @@ pub use registry::{
     ValidateSummary,
 };
 pub use runner::{
-    resolved_workers, run_lanes, run_lanes_observed, run_ordered, trial_seeds, CellObs,
+    resolved_workers, run_lanes, run_lanes_observed, run_trials, trial_seeds, CellObs,
     LaneAggregate, TrialMeasure, TrialObs,
 };
 pub use source::GraphSource;

@@ -1,21 +1,29 @@
-//! The deterministic parallel Monte-Carlo trial runner.
+//! The deterministic parallel Monte-Carlo trial scheduler.
 //!
 //! A *cell* is one experimental condition (model × size × searcher ×
 //! policy); measuring it means running `trials` independent repetitions
-//! and aggregating. The runner shards trials across scoped worker
-//! threads while keeping the result **bit-identical for any worker
-//! count**, because both sources of nondeterminism are pinned down:
+//! and folding their results. [`run_trials`] is the engine's one
+//! scheduler: it shards trials across scoped worker threads while
+//! keeping the result **bit-identical for any worker count**, because
+//! both sources of nondeterminism are pinned down:
 //!
 //! * **Randomness** — trial `t` always draws from
 //!   [`trial_seeds`]`(seeds, t)`, a [`SeedSequence`] derived from the
-//!   trial index alone. Which worker runs the trial is irrelevant.
-//! * **Aggregation order** — workers stream `(trial, measurement)` pairs
-//!   through a channel to a consumer that holds a small reorder buffer
-//!   and folds measurements into [`StreamingStats`] in strict trial
-//!   order. No per-trial `Vec` of samples is ever materialized, and a
-//!   backpressure window stops workers from racing more than
-//!   O(workers) trials past the fold frontier — so even a pathological
-//!   straggler trial keeps memory at O(window), not O(trials).
+//!   trial index alone (or from a stream the caller derives from `t`).
+//!   Which worker runs the trial is irrelevant.
+//! * **Fold order** — workers stream `(trial, result)` pairs through a
+//!   channel to the calling thread, which holds a small reorder buffer
+//!   and hands results to the caller's fold in strict trial order. No
+//!   per-trial `Vec` of results is materialized unless the fold builds
+//!   one, and a backpressure window stops workers from racing more
+//!   than O(workers) trials past the fold frontier — so even a
+//!   pathological straggler trial keeps memory at O(window), not
+//!   O(trials).
+//!
+//! Every parallel loop in the workspace is a fold over it:
+//! [`run_lanes_observed`] folds per-lane measurements into
+//! [`StreamingStats`], the corpus builder and verifier push per-file
+//! results, and E4/E5's Monte Carlo and E11's lattices fold their own.
 
 use crate::faults::{FailurePolicy, FaultInjection, InjectedFault};
 use nonsearch_analysis::StreamingStats;
@@ -29,7 +37,7 @@ use std::time::{Duration, Instant};
 
 /// Everything one trial reports back besides its lane measurements:
 /// work counters, phase timers, and heap-allocation counts — the
-/// per-trial payload of [`run_lanes_observed`].
+/// per-trial payload of [`run_trials`].
 ///
 /// Like [`Metrics`] it is plain `Copy` data merged by field-wise
 /// addition in strict trial order. The `metrics` half is exact and
@@ -91,9 +99,11 @@ pub struct CellObs {
 }
 
 impl CellObs {
-    /// The observation of a cell measured on the calling thread, outside
-    /// the runner: `trials` trials that issue no oracle requests, busy
-    /// for `phases`, over `wall_ns` of wall time.
+    /// The observation of a cell measured on one thread inside a single
+    /// [`run_trials`] body: `trials` trials that issue no oracle
+    /// requests, busy for `phases`, over `wall_ns` of wall time. Its one
+    /// caller is E11, whose greedy routes share one stream per lattice
+    /// by design, so a lattice's routes cannot be split into trials.
     pub fn serial(trials: u64, phases: PhaseTimes, wall_ns: u64) -> CellObs {
         let mut metrics = Metrics {
             trials,
@@ -192,86 +202,86 @@ pub fn trial_seeds(seeds: &SeedSequence, trial: usize) -> SeedSequence {
     seeds.subsequence(trial as u64)
 }
 
-/// Runs `trials` repetitions of a multi-lane cell on `threads` workers
-/// (0 = all cores) and returns one aggregate per lane plus the cell's
-/// [`CellObs`] — the engine's one trial runner.
+/// Runs `trials` repetitions on `threads` workers (0 = all cores) and
+/// hands each trial's result to `fold` **in strict trial order** — the
+/// engine's one scheduler. Returns the cell's [`CellObs`].
 ///
 /// Each worker thread calls `init()` once when it starts and hands the
-/// resulting context to every `trial_fn(ctx, obs, trial, seeds)` it
-/// runs, so expensive-to-build, reusable state (a `SearchScratch`,
-/// pooled searcher instances, …) is allocated once per worker per cell.
-/// The context never crosses threads (no `Send`/`Sync` bound) and must
-/// not influence results: determinism comes from `(trial, seeds)` alone.
-/// `trial_fn` must return exactly `lanes` measurements — one per lane,
-/// e.g. one per searcher raced on the trial's sampled graph — and
-/// aggregates are bit-identical for any thread count.
+/// resulting context to every `body(ctx, obs, trial, seeds)` it runs,
+/// so expensive-to-build, reusable state (a `SearchScratch`, pooled
+/// searcher instances, …) is allocated once per worker per cell. The
+/// context never crosses threads (no `Send`/`Sync` bound) and must not
+/// influence results: determinism comes from `(trial, seeds)` alone,
+/// with `seeds` = [`trial_seeds`]`(seeds, trial)`. A caller with its
+/// own per-trial stream derivation ignores `seeds` and derives from
+/// `trial`. `fold` runs on the calling thread, so whatever it
+/// accumulates is the same for any thread count.
 ///
 /// `obs` is a zeroed [`TrialObs`] per trial: instrumented bodies add
 /// their counters to `obs.metrics` and [`PhaseClock`] readings of their
 /// generate/load/search/harvest sections to `obs.phases`. The runner
-/// accounts for what trial bodies cannot see: it stamps
-/// `metrics.trials = 1` and records the trial's `metrics.requests` into
-/// the request histogram, harvests the worker thread's heap-allocation
-/// delta into `obs.allocations`, charges the consumer's reorder-buffer
-/// fold to `phases.merge_ns`, and times the whole cell. Deltas merge in
-/// strict trial order; `u64` addition is exact, so the merged counters
-/// are bit-identical for any thread count too, while the timers ride
+/// accounts for what bodies cannot see: it stamps `metrics.trials = 1`
+/// and records the trial's `metrics.requests` into the request
+/// histogram, harvests the worker thread's heap-allocation delta into
+/// `obs.allocations`, charges the reorder buffer and `fold` to
+/// `phases.merge_ns`, and times the whole cell. Deltas merge in strict
+/// trial order; `u64` addition is exact, so the merged counters are
+/// bit-identical for any thread count too, while the timers ride
 /// alongside without being consulted by anything.
 ///
-/// This is also the engine's **fault-injection seam**: when a
-/// [`FaultInjection`] bundle is installed on the calling thread (see
-/// [`crate::install_faults`]), it is snapshotted once at cell entry and
-/// every trial runs contained — injected faults fire ahead of the body,
-/// panicking attempts are retried or skipped per the bundle's
-/// [`FailurePolicy`], and an optional watchdog deadline degrades the
-/// cell gracefully ([`CellObs::degraded`]) instead of hanging.
+/// This is also the engine's **fault-injection seam**: the
+/// [`FaultInjection`] bundle installed on the calling thread (see
+/// [`crate::install_faults`]; none installed reads as the default,
+/// [`FailurePolicy::Propagate`] with no hook) is snapshotted once at
+/// cell entry and every trial runs contained — injected faults fire
+/// ahead of the body, panicking attempts are retried or skipped per
+/// the bundle's policy, and an optional watchdog deadline degrades the
+/// cell gracefully ([`CellObs::degraded`]) instead of hanging. A
+/// skipped trial never reaches `fold`; it is counted in
+/// `metrics.trials_skipped`.
 ///
 /// # Panics
 ///
-/// Panics if `trial_fn` returns a lane count other than `lanes`, or if a
-/// worker panics (the panic is propagated) — injected panics included,
-/// under [`FailurePolicy::Propagate`], the default.
-pub fn run_lanes_observed<C, I, F>(
+/// Propagates a panic of `body` (injected ones included, under
+/// [`FailurePolicy::Propagate`]) or of `fold`.
+pub fn run_trials<C, T, I, B, F>(
     trials: usize,
-    lanes: usize,
     threads: usize,
     seeds: &SeedSequence,
     init: I,
-    trial_fn: F,
-) -> (Vec<LaneAggregate>, CellObs)
+    body: B,
+    mut fold: F,
+) -> CellObs
 where
+    T: Send,
     I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
+    B: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> T + Sync,
+    F: FnMut(T),
 {
-    let mut aggregates = vec![LaneAggregate::default(); lanes];
-    if trials == 0 || lanes == 0 {
-        return (
-            aggregates,
-            CellObs {
-                lanes,
-                ..CellObs::default()
-            },
-        );
-    }
     let cell_clock = PhaseClock::start();
     let workers = resolved_workers(threads, trials);
 
     // The fault bundle is snapshotted once per cell, on the caller's
     // thread (installation is thread-local); workers share this one
     // snapshot by reference so chaos cannot differ per worker.
-    let faults = crate::faults::active();
+    let faults = crate::faults::active().unwrap_or_default();
 
-    // Backpressure: workers may run at most `window` trials past the
+    // Workers claim trials in chunks, one channel message and one gate
+    // check per chunk, so a cell of many microsecond trials (E4/E5's
+    // Monte Carlo) does not pay a thread hand-off per trial, while a
+    // cell of few heavy trials keeps chunks of one.
+    let chunk = (trials / (workers * 32)).max(1);
+    // Backpressure: workers may run at most `window` chunks past the
     // fold frontier, bounding the reorder buffer + channel queue at
-    // O(window) measurements even when one trial straggles. The mutex
-    // holds (trials folded, consumer exited); both are only written
-    // under the lock, so gate checks can never miss a wakeup.
+    // O(window) chunks even when one trial straggles. The mutex holds
+    // (trials folded, consumer exited); both are only written under the
+    // lock, so gate checks can never miss a wakeup.
     let window = (workers * 4).max(16);
     let frontier = Mutex::new((0usize, false));
     let frontier_moved = Condvar::new();
 
     // Raising the abort flag wakes every gated thread; it fires when the
-    // consumer exits (normally or by panic) and when a worker's trial_fn
+    // consumer exits (normally or by panic) and when a worker's body
     // panics — otherwise the panicked trial would never reach the
     // consumer, the frontier would stall, and gated workers holding live
     // `tx` clones would deadlock the whole scope.
@@ -291,17 +301,17 @@ where
     }
 
     let next_trial = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<TrialMeasure>, TrialObs)>();
+    let (tx, rx) = mpsc::channel::<(usize, Vec<(Option<T>, TrialObs)>)>();
     let (folded, merged, degraded) = std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let next_trial = &next_trial;
             let init = &init;
-            let trial_fn = &trial_fn;
+            let body = &body;
             let faults = &faults;
             let (frontier, frontier_moved) = (&frontier, &frontier_moved);
             scope.spawn(move || {
-                // Disarmed on clean exit; fires only if trial_fn panics.
+                // Disarmed on clean exit; fires only if the body panics.
                 let mut on_panic = OpenGateOnDrop {
                     frontier,
                     frontier_moved,
@@ -311,13 +321,13 @@ where
                 // every trial this worker steals, dropped with it.
                 let mut ctx = init();
                 loop {
-                    let trial = next_trial.fetch_add(1, Ordering::Relaxed);
-                    if trial >= trials {
+                    let start = next_trial.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= trials {
                         break;
                     }
                     {
                         let mut gate = lock_gate(frontier);
-                        while trial >= gate.0 + window && !gate.1 {
+                        while start >= gate.0 + window * chunk && !gate.1 {
                             gate = frontier_moved.wait(gate).unwrap_or_else(|e| e.into_inner());
                         }
                         // An aborted run (consumer or sibling worker died)
@@ -326,43 +336,11 @@ where
                             break;
                         }
                     }
-                    // A fresh delta per trial: the consumer folds them in
-                    // trial order, so per-worker accumulation never leaks
-                    // into the merged bundle. The allocation delta is read
-                    // from this worker thread's own counter, so concurrent
-                    // workers never see each other's allocations.
-                    let (measures, mut delta) = match faults.as_deref() {
-                        // Fault-free fast path: no catch_unwind frame.
-                        None => {
-                            let mut delta = TrialObs::default();
-                            let allocs_before = nonsearch_alloc_counter::allocations();
-                            let measures =
-                                trial_fn(&mut ctx, &mut delta, trial, trial_seeds(seeds, trial));
-                            delta.allocations += nonsearch_alloc_counter::allocations()
-                                .saturating_sub(allocs_before);
-                            (Some(measures), delta)
-                        }
-                        Some(cfg) => run_contained(cfg, &mut ctx, trial_fn, trial, seeds),
-                    };
-                    let measures = match measures {
-                        Some(measures) => {
-                            // Stamped here, not by trial_fn, so the
-                            // bucket-sum == trials invariant can't drift
-                            // per experiment.
-                            delta.metrics.trials = 1;
-                            delta.metrics.observe_trial_requests(delta.metrics.requests);
-                            measures
-                        }
-                        // Skipped trial: an empty measurement vector is
-                        // the skip marker — unambiguous because a
-                        // zero-lane cell returns before spawning workers,
-                        // so real trials always carry `lanes >= 1`
-                        // measurements. No `trials` stamp: the trial
-                        // contributed nothing to fold.
-                        None => Vec::new(),
-                    };
+                    let results = (start..trials.min(start + chunk))
+                        .map(|trial| run_contained(faults, &mut ctx, body, trial, seeds))
+                        .collect();
                     // The consumer only disconnects on panic; stop quietly.
-                    if tx.send((trial, measures, delta)).is_err() {
+                    if tx.send((start, results)).is_err() {
                         break;
                     }
                 }
@@ -371,25 +349,24 @@ where
         }
         drop(tx);
 
-        // Consumer: fold measurements in strict trial order via a
-        // reorder buffer, so the Welford stream is schedule-independent.
-        // On any exit (including a panic below) this guard releases
-        // workers blocked on the backpressure gate.
+        // Consumer: fold results in strict trial order via a reorder
+        // buffer, so every fold is schedule-independent. On any exit
+        // (including a panic in `fold`) this guard releases workers
+        // blocked on the backpressure gate.
         let _release = OpenGateOnDrop {
             frontier: &frontier,
             frontier_moved: &frontier_moved,
             armed: true,
         };
 
-        let mut pending: BTreeMap<usize, (Vec<TrialMeasure>, TrialObs)> = BTreeMap::new();
+        let mut pending: BTreeMap<usize, Vec<(Option<T>, TrialObs)>> = BTreeMap::new();
         let mut merged = TrialObs::default();
         let mut next_expected = 0usize;
         // The watchdog deadline (chaos runs only): past it the cell is
-        // abandoned gracefully — partial aggregates with `degraded` set —
+        // abandoned gracefully — a folded prefix with `degraded` set —
         // instead of hanging the run on a stuck worker.
         let deadline = faults
-            .as_deref()
-            .and_then(|cfg| cfg.cell_deadline_ms)
+            .cell_deadline_ms
             // lint: allow(clock-env): watchdog deadline (chaos seam), never consulted by trial aggregates
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut degraded = false;
@@ -408,7 +385,7 @@ where
                     }
                 }
             };
-            let Some((trial, measures, delta)) = received else {
+            let Some((start, results)) = received else {
                 break;
             };
             // The merge phase is the consumer thread's own busy time:
@@ -416,27 +393,17 @@ where
             // frontier, charged to the merged bundle directly (workers
             // never see it).
             let merge_clock = PhaseClock::start();
-            // Validated here (not in the worker) so the panic reaches the
-            // caller with its message instead of scope's generic payload.
-            // An empty vector is a skipped trial's marker, not a lane
-            // mismatch: its delta merges but nothing folds.
-            if !measures.is_empty() {
-                assert_eq!(
-                    measures.len(),
-                    lanes,
-                    "trial_fn returned {} measurements for a {lanes}-lane cell",
-                    measures.len()
-                );
-            }
-            pending.insert(trial, (measures, delta));
+            pending.insert(start, results);
             debug_assert!(pending.len() <= window, "reorder buffer exceeded window");
             let before = next_expected;
-            while let Some((measures, delta)) = pending.remove(&next_expected) {
-                for (aggregate, measure) in aggregates.iter_mut().zip(measures) {
-                    aggregate.push(measure);
+            while let Some(results) = pending.remove(&next_expected) {
+                for (result, delta) in results {
+                    if let Some(result) = result {
+                        fold(result);
+                    }
+                    merged.merge(&delta);
+                    next_expected += 1;
                 }
-                merged.merge(&delta);
-                next_expected += 1;
             }
             if next_expected != before {
                 lock_gate(&frontier).0 = next_expected;
@@ -460,18 +427,55 @@ where
     if !degraded {
         assert_eq!(folded, trials, "trial stream incomplete");
     }
-    let wall_ns = cell_clock.elapsed_ns();
-    let cell = CellObs {
+    CellObs {
         metrics: merged.metrics,
         phases: merged.phases,
         allocations: merged.allocations,
-        lanes,
+        lanes: 1,
         workers,
-        wall_ns,
+        wall_ns: cell_clock.elapsed_ns(),
         resource: ResourceSample::current(),
         degraded,
-    };
-    (aggregates, cell)
+    }
+}
+
+/// Runs `trials` repetitions of a multi-lane cell and returns one
+/// aggregate per lane plus the cell's [`CellObs`]: [`run_trials`] with
+/// a fold that pushes each trial's measurements into its lanes'
+/// [`LaneAggregate`]s. `trial_fn` must return exactly `lanes`
+/// measurements — one per lane, e.g. one per searcher raced on the
+/// trial's sampled graph — and aggregates are bit-identical for any
+/// thread count.
+///
+/// # Panics
+///
+/// Panics if `trial_fn` returns a lane count other than `lanes`, and
+/// propagates what [`run_trials`] propagates.
+pub fn run_lanes_observed<C, I, F>(
+    trials: usize,
+    lanes: usize,
+    threads: usize,
+    seeds: &SeedSequence,
+    init: I,
+    trial_fn: F,
+) -> (Vec<LaneAggregate>, CellObs)
+where
+    I: Fn() -> C + Sync,
+    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
+{
+    let mut aggregates = vec![LaneAggregate::default(); lanes];
+    let obs = run_trials(trials, threads, seeds, init, trial_fn, |measures| {
+        assert_eq!(
+            measures.len(),
+            lanes,
+            "trial_fn returned {} measurements for a {lanes}-lane cell",
+            measures.len()
+        );
+        for (aggregate, measure) in aggregates.iter_mut().zip(measures) {
+            aggregate.push(measure);
+        }
+    });
+    (aggregates, CellObs { lanes, ..obs })
 }
 
 /// [`run_lanes_observed`] for cells that need neither a per-worker
@@ -509,34 +513,39 @@ fn lock_gate<'a>(frontier: &'a Mutex<(usize, bool)>) -> MutexGuard<'a, (usize, b
     frontier.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs one trial *contained*: each attempt is wrapped in
-/// `catch_unwind`, the installed hook may inject a fault ahead of the
-/// body, and the bundle's [`FailurePolicy`] decides whether a panicking
-/// attempt propagates, retries, or skips the trial.
+/// Runs one trial *contained* — the one trial path: each attempt is
+/// wrapped in `catch_unwind`, the bundle's hook may inject a fault
+/// ahead of the body, and its [`FailurePolicy`] decides whether a
+/// panicking attempt propagates, retries, or skips the trial.
 ///
-/// Returns `(Some(measures), delta)` for a (possibly retried) success —
-/// the delta carries the attempt's counters plus the fault bookkeeping —
-/// or `(None, delta)` for a skipped trial, whose delta carries only the
-/// fault counters (`trials_skipped = 1`, nothing else). Retried
-/// attempts re-derive the trial's seed stream from the trial index, and
-/// injected faults fire *before* the body, so a successful retry is
-/// bit-identical to a fault-free execution of the same trial.
-fn run_contained<C, F>(
+/// Returns `(Some(result), delta)` for a (possibly retried) success —
+/// the delta carries the attempt's counters, the runner's one-trial
+/// stamp and the fault bookkeeping — or `(None, delta)` for a skipped
+/// trial, whose delta carries only the fault counters
+/// (`trials_skipped = 1`, nothing else). Retried attempts re-derive the
+/// trial's seed stream from the trial index, and injected faults fire
+/// *before* the body, so a successful retry is bit-identical to a
+/// fault-free execution of the same trial. Injected panics unwind
+/// without running the panic hook, so a chaos run retrying thousands
+/// of them prints none.
+fn run_contained<C, T, B>(
     cfg: &FaultInjection,
     ctx: &mut C,
-    trial_fn: &F,
+    body: &B,
     trial: usize,
     seeds: &SeedSequence,
-) -> (Option<Vec<TrialMeasure>>, TrialObs)
+) -> (Option<T>, TrialObs)
 where
-    F: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> Vec<TrialMeasure> + Sync,
+    B: Fn(&mut C, &mut TrialObs, usize, SeedSequence) -> T,
 {
     let mut injected = 0u64;
     let mut retried = 0u64;
     let mut attempt = 0u32;
     loop {
         // A fresh delta per attempt: a failed attempt's partial counters
-        // are discarded wholesale, so retries cannot double-count.
+        // are discarded wholesale, so retries cannot double-count. The
+        // allocation delta is read from this worker thread's own
+        // counter, so concurrent workers never see each other's.
         let mut delta = TrialObs::default();
         let fault = cfg.hook.as_ref().and_then(|hook| hook(trial, attempt));
         injected += fault.is_some() as u64;
@@ -547,19 +556,25 @@ where
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 Some(InjectedFault::Panic) => {
-                    panic!("injected fault: trial {trial} attempt {attempt}");
+                    resume_unwind(Box::new(format!(
+                        "injected fault: trial {trial} attempt {attempt}"
+                    )));
                 }
                 None => {}
             }
-            trial_fn(ctx, &mut delta, trial, trial_seeds(seeds, trial))
+            body(ctx, &mut delta, trial, trial_seeds(seeds, trial))
         }));
         match outcome {
-            Ok(measures) => {
+            Ok(result) => {
                 delta.allocations +=
                     nonsearch_alloc_counter::allocations().saturating_sub(allocs_before);
+                // Stamped here, not by the body, so the bucket-sum ==
+                // trials invariant can't drift per experiment.
+                delta.metrics.trials = 1;
+                delta.metrics.observe_trial_requests(delta.metrics.requests);
                 delta.metrics.faults_injected += injected;
                 delta.metrics.trials_retried += retried;
-                return (Some(measures), delta);
+                return (Some(result), delta);
             }
             Err(payload) => match cfg.policy {
                 FailurePolicy::Propagate => resume_unwind(payload),
@@ -577,71 +592,6 @@ where
             },
         }
     }
-}
-
-/// Runs `count` independent jobs on `threads` workers (0 = all cores)
-/// and returns their results **in job order**, regardless of which
-/// worker ran what.
-///
-/// This is the engine's deterministic parallel *map* (where
-/// [`run_lanes_observed`] is its deterministic parallel *fold*): job `i` receives
-/// [`trial_seeds`]`(seeds, i)`, so any output derived from the seeds
-/// alone is bit-identical for every thread count. The corpus builder
-/// shards graph generation through this — each job writes its own
-/// artifact and returns metadata, and the ordered result vector makes
-/// the assembled manifest deterministic.
-///
-/// Unlike the fold there is no backpressure window: all `count`
-/// results are materialized, so keep per-job results small (metadata,
-/// not megabytes) for large `count`.
-///
-/// # Panics
-///
-/// Propagates job panics (the scope re-raises them on join).
-pub fn run_ordered<T, F>(count: usize, threads: usize, seeds: &SeedSequence, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, SeedSequence) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let workers = resolved_workers(threads, count);
-    let next_job = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    let results = std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next_job = &next_job;
-            let job = &job;
-            scope.spawn(move || loop {
-                let i = next_job.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = job(i, trial_seeds(seeds, i));
-                // The receiver only disconnects if assembly below
-                // panicked; stop quietly and let the scope re-raise.
-                if tx.send((i, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        let mut results: Vec<Option<T>> = Vec::with_capacity(count);
-        results.resize_with(count, || None);
-        for (i, result) in rx {
-            debug_assert!(results[i].is_none(), "job {i} delivered twice");
-            results[i] = Some(result);
-        }
-        results
-    });
-    // Assembled after the scope joins the workers, so a job panic
-    // propagates as itself rather than as a completeness failure.
-    let assembled: Vec<T> = results.into_iter().flatten().collect();
-    assert_eq!(assembled.len(), count, "job stream incomplete");
-    assembled
 }
 
 /// Resolves a `--threads`-style setting: `0` means one per available
@@ -820,21 +770,39 @@ mod tests {
         assert_eq!(parallel, sequential);
     }
 
+    /// The results of `count` trials, pushed by the fold in trial order.
+    fn collect<T, F>(count: usize, threads: usize, seeds: &SeedSequence, job: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, SeedSequence) -> T + Sync,
+    {
+        let mut results = Vec::new();
+        run_trials(
+            count,
+            threads,
+            seeds,
+            || (),
+            |(), _, t, s| job(t, s),
+            |r| results.push(r),
+        );
+        results
+    }
+
     #[test]
-    fn run_ordered_returns_results_in_job_order() {
+    fn push_fold_collects_results_in_trial_order() {
         let seeds = SeedSequence::new(9);
         let expected: Vec<u64> = (0..120).map(|i| trial_seeds(&seeds, i).child(0)).collect();
         for threads in [1, 4, 8] {
-            let got = run_ordered(120, threads, &seeds, |_i, s| s.child(0));
+            let got = collect(120, threads, &seeds, |_i, s| s.child(0));
             assert_eq!(got, expected, "threads={threads}");
         }
     }
 
     #[test]
-    fn run_ordered_handles_empty_and_straggler_jobs() {
+    fn push_fold_handles_empty_and_straggler_trials() {
         let seeds = SeedSequence::new(10);
-        assert!(run_ordered(0, 4, &seeds, |i, _| i).is_empty());
-        let got = run_ordered(40, 8, &seeds, |i, _| {
+        assert!(collect(0, 4, &seeds, |i, _| i).is_empty());
+        let got = collect(40, 8, &seeds, |i, _| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
@@ -845,14 +813,69 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn run_ordered_propagates_job_panics() {
+    fn push_fold_propagates_trial_panics() {
         let seeds = SeedSequence::new(11);
-        let _ = run_ordered(32, 4, &seeds, |i, _| {
+        let _ = collect(32, 4, &seeds, |i, _| {
             if i == 7 {
-                panic!("job 7 exploded");
+                panic!("trial 7 exploded");
             }
             i
         });
+    }
+
+    #[test]
+    fn fold_sees_trials_in_order_despite_a_straggler() {
+        // Trial 3 sleeps while the other workers race ahead; the fold
+        // must still see 0, 1, 2, … with nothing missing or repeated,
+        // whatever chunks the workers claim.
+        let seeds = SeedSequence::new(12);
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let obs = run_trials(
+                500,
+                threads,
+                &seeds,
+                || (),
+                |(), _, trial, _| {
+                    if trial == 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                    }
+                    trial
+                },
+                |trial| seen.push(trial),
+            );
+            assert_eq!(seen, (0..500).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(obs.metrics.trials, 500, "threads={threads}");
+            assert_eq!(obs.workers, threads, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn skipped_trials_never_reach_the_fold() {
+        let seeds = SeedSequence::new(13);
+        let _scope = crate::faults::install_faults(FaultInjection {
+            policy: FailurePolicy::Skip,
+            hook: Some(std::sync::Arc::new(|trial, _| {
+                (trial % 4 == 1).then_some(InjectedFault::Panic)
+            })),
+            cell_deadline_ms: None,
+        });
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let obs = run_trials(
+                200,
+                threads,
+                &seeds,
+                || (),
+                |(), _, trial, _| trial,
+                |trial| seen.push(trial),
+            );
+            let kept: Vec<usize> = (0..200).filter(|t| t % 4 != 1).collect();
+            assert_eq!(seen, kept, "threads={threads}");
+            assert_eq!(obs.metrics.trials, 150, "threads={threads}");
+            assert_eq!(obs.metrics.trials_skipped, 50, "threads={threads}");
+            assert_eq!(obs.metrics.trial_requests.total(), 150, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1112,8 +1135,8 @@ mod tests {
 
     #[test]
     fn installed_default_bundle_leaves_runs_bit_identical() {
-        // Installing an empty bundle routes trials through the contained
-        // path; the results must not change.
+        // An installed empty bundle is the same as none: the results
+        // must not change.
         let seeds = SeedSequence::new(57);
         let clean = cell(64, 4, &seeds, synthetic);
         let _scope = crate::faults::install_faults(FaultInjection::default());

@@ -36,9 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let stats = SampleStats::from_slice(&steps).expect("non-empty");
         println!(
-            "  r = {r:.1}: mean {:>6.1} hops, median {:>5.1}, max {:>5.0}",
+            "  r = {r:.1}: mean {:>6.1} ± {:>4.1} hops, max {:>5.0}",
             stats.mean(),
-            stats.median(),
+            stats.ci95_half_width(),
             stats.max()
         );
     }

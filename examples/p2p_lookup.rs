@@ -49,10 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let stats = SampleStats::from_slice(&costs).expect("non-empty");
         println!(
-            "  {:>12}: mean {:>9.1} requests (median {:>8.1}), {}/{} found",
+            "  {:>12}: mean {:>9.1} ± {:>8.1} requests, {}/{} found",
             kind.name(),
             stats.mean(),
-            stats.median(),
+            stats.ci95_half_width(),
             found,
             trials
         );

@@ -17,7 +17,7 @@ fn lemma3_exact_monte_carlo_and_bound_agree() {
         // Lemma 3's bound holds for the exact value…
         assert!(exact >= lemma3_bound(p) - 1e-12, "p = {p}");
         // …and Monte Carlo agrees with the exact product.
-        let mc = estimate_mori_event_probability(&window, p, 1500, 7).unwrap();
+        let (mc, _) = estimate_mori_event_probability(&window, p, 1500, 7, 2).unwrap();
         assert!(
             (mc.estimate - exact).abs() < 4.0 * mc.std_error + 0.02,
             "p = {p}: MC {} vs exact {exact}",
@@ -38,7 +38,7 @@ fn lemma2_exact_exchangeability_small_trees() {
 #[test]
 fn lemma2_sampled_symmetry_medium_trees() {
     let window = EquivalenceWindow::from_anchor(80);
-    let report = sampled_window_symmetry(&window, 0.5, 3000, 13).unwrap();
+    let (report, _) = sampled_window_symmetry(&window, 0.5, 3000, 13, 2).unwrap();
     assert!(report.max_z < 4.5, "symmetry rejected: {report}");
 }
 
